@@ -23,6 +23,7 @@ from .association import (
 from .detection import (
     BarParams,
     Box,
+    Boxes,
     decode_boxes,
     decode_offset_bar,
     decode_offset_sigmoid,

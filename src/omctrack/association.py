@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import (
     BarParams,
     Box,
+    Boxes,
     DEFAULT_IOU_THR,
     DEFAULT_SCORE_THR,
     decode_boxes,
@@ -71,7 +72,6 @@ class Tracklet:
     last_box: Box
     miss_count: int = 0
     state: str = "active"                              # active | removed
-    history: list[tuple[int, Box]] = field(default_factory=list)
 
 
 @dataclass
@@ -131,17 +131,17 @@ class PipelineConfig:
             raise ValueError("stride must be >= 1")
 
 
-def extract_embeddings(boxes: list[Box], f_id: np.ndarray) -> EmbeddingSet:
+def extract_embeddings(boxes: Boxes, f_id: np.ndarray) -> EmbeddingSet:
     """Read one normalized embedding per box at its center cell.
 
     Centers outside the grid clamp to the nearest boundary cell.
     """
     grid = ensure_grid(f_id, name="f_id")
     h, w = grid.shape[:2]
+    cols = np.clip(np.floor(boxes.cx), 0, w - 1).astype(np.intp)
+    rows = np.clip(np.floor(boxes.cy), 0, h - 1).astype(np.intp)
     vectors = np.zeros((len(boxes), grid.shape[2]), dtype=np.float32)
-    for k, b in enumerate(boxes):
-        col = min(max(int(math.floor(b.cx)), 0), w - 1)
-        row = min(max(int(math.floor(b.cy)), 0), h - 1)
+    for k, (row, col) in enumerate(zip(rows, cols)):
         vectors[k] = l2_normalize(grid[row, col])
     return EmbeddingSet(vectors, [-1] * len(boxes))
 
@@ -176,7 +176,7 @@ def _greedy_matrix_match(
 
 def associate(
     tracklets: list[Tracklet],
-    boxes: list[Box],
+    boxes: Boxes,
     e_set: EmbeddingSet,
     cfg: TrackerConfig,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
@@ -193,23 +193,14 @@ def associate(
     matches: list[tuple[int, int]] = []
     open_rows = list(range(len(tracklets)))
     open_cols = list(range(len(boxes)))
-    if tracklets and boxes:
+    if tracklets and len(boxes):
         trk_emb = np.stack([t.embedding for t in tracklets]).astype(np.float64)
-        sim = trk_emb @ e_set.vectors.astype(np.float64).T
-        stage1 = _greedy_matrix_match(sim, cfg.emb_match_thr, open_rows, open_cols)
-        for i, j in stage1:
-            matches.append((tracklets[i].id, j))
-            open_rows.remove(i)
-            open_cols.remove(j)
-        if open_rows and open_cols:
-            overlaps = np.zeros((len(tracklets), len(boxes)))
-            for i in open_rows:
-                for j in open_cols:
-                    overlaps[i, j] = iou(tracklets[i].last_box, boxes[j])
-            stage2 = _greedy_matrix_match(
-                overlaps, cfg.iou_match_thr, open_rows, open_cols
-            )
-            for i, j in stage2:
+        stages = (
+            (trk_emb @ e_set.vectors.astype(np.float64).T, cfg.emb_match_thr),
+            (iou(Boxes.of([t.last_box for t in tracklets]), boxes), cfg.iou_match_thr),
+        )
+        for scores, thr in stages:
+            for i, j in _greedy_matrix_match(scores, thr, open_rows, open_cols):
                 matches.append((tracklets[i].id, j))
                 open_rows.remove(i)
                 open_cols.remove(j)
@@ -220,9 +211,8 @@ def associate(
 def update_tracklets(
     tracklets: list[Tracklet],
     matches: list[tuple[int, int]],
-    boxes: list[Box],
+    boxes: Boxes,
     e_set: EmbeddingSet,
-    frame: int,
     cfg: TrackerConfig,
     next_id: int,
     spawnable: set[int] | None = None,
@@ -243,7 +233,6 @@ def update_tracklets(
             new_emb = e_set.vectors[j]
             t.miss_count = 0
             t.last_box = box
-            t.history.append((frame, box))
             if cfg.embedding_mode == "last":
                 t.embedding = new_emb.copy()
             elif cfg.embedding_mode == "updated":
@@ -257,38 +246,22 @@ def update_tracklets(
                 t.state = "removed"
     survivors = [t for t in tracklets if t.state == "active"]
 
-    new_tracklets: list[Tracklet] = []
     matched_boxes = set(matched.values())
-    for j, box in enumerate(boxes):
-        if j in matched_boxes:
-            continue
-        if spawnable is not None and j not in spawnable:
-            continue
-        new_tracklets.append(
-            Tracklet(
-                id=next_id,
-                embedding=e_set.vectors[j].copy(),
-                last_box=box,
-                history=[(frame, box)],
-            )
-        )
-        next_id += 1
-    return survivors, new_tracklets, next_id
+    born = [j for j in range(len(boxes))
+            if j not in matched_boxes and (spawnable is None or j in spawnable)]
+    new_tracklets = [
+        Tracklet(id=next_id + k, embedding=e_set.vectors[j].copy(), last_box=boxes[j])
+        for k, j in enumerate(born)
+    ]
+    return survivors, new_tracklets, next_id + len(born)
 
 
-def _public_to_cells(dets: list[MotBox], stride: int) -> list[Box]:
-    cells = []
-    for d in dets:
-        cells.append(
-            Box(
-                cx=(d.x + d.w / 2.0) / stride,
-                cy=(d.y + d.h / 2.0) / stride,
-                w=d.w / stride,
-                h=d.h / stride,
-                score=min(max(d.conf, 0.0), 1.0),
-            )
-        )
-    return cells
+def _public_to_cells(dets: list[MotBox], stride: int) -> Boxes:
+    x, y, w, h, conf = np.array(
+        [(d.x, d.y, d.w, d.h, d.conf) for d in dets], dtype=np.float64
+    ).reshape(-1, 5).T
+    return Boxes(cx=(x + w / 2.0) / stride, cy=(y + h / 2.0) / stride,
+                 w=w / stride, h=h / stride, score=np.clip(conf, 0.0, 1.0))
 
 
 def _to_mot_row(frame_index: int, track_id: int, box: Box, stride: int) -> MotBox:
@@ -326,19 +299,16 @@ class Tracker:
         self.rows_emitted = 0
         self.restored_emitted = 0
 
-    def _age_all(self) -> None:
-        for t in self.tracklets:
-            t.miss_count += 1
-            if t.miss_count >= self.cfg.retention_frames:
-                t.state = "removed"
-        self.tracklets = [t for t in self.tracklets if t.state == "active"]
-
     def step(
         self,
         frame: FrameContainer,
         public_dets: list[MotBox] | None = None,
     ) -> list[MotBox]:
-        """Run the full pipeline on one frame and emit its result rows."""
+        """Run the full pipeline on one frame and emit its result rows.
+
+        public_dets, when given, must hold this frame's rows only; they
+        replace the detector's boxes. An invalid frame is an all-miss.
+        """
         p = self.pipeline
         self.frames_seen += 1
         try:
@@ -346,7 +316,10 @@ class Tracker:
         except ValueError as exc:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
-            self._age_all()
+            self.tracklets, _, _ = update_tracklets(
+                self.tracklets, [], Boxes.of([]), EmbeddingSet.empty(0),
+                self.cfg, self.next_id,
+            )
             return []
 
         f_id = l2_normalize_grid(frame.embed)
@@ -356,10 +329,7 @@ class Tracker:
 
         public_mode = public_dets is not None
         if public_mode:
-            d_base = _public_to_cells(
-                [d for d in public_dets if d.frame == frame.frame_index],
-                p.stride,
-            )
+            d_base = _public_to_cells(public_dets, p.stride)
         else:
             d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
 
@@ -376,7 +346,7 @@ class Tracker:
             )
             d_final = fuse(d_trans, d_base, FusionConfig(p.fusion_epsilon))
         else:
-            d_final = list(d_base)
+            d_final = d_base
 
         e_set = extract_embeddings(d_final, f_id)
         matches, _, unmatched_boxes = associate(
@@ -388,42 +358,31 @@ class Tracker:
         # live identity (overlap readout, propagation leftovers) founds a
         # twin tracklet, twin response maps stack past the score threshold,
         # and ghost tracks snowball.
-        spawnable = set()
-        for j in unmatched_boxes:
-            emb = e_set.vectors[j].astype(np.float64)
-            novel = all(
-                float(t.embedding.astype(np.float64) @ emb) < self.cfg.emb_match_thr
-                for t in self.tracklets
-            )
-            if novel:
-                spawnable.add(j)
+        # Shaped (tracklets, C) even with no tracklets: every box is then novel.
+        trk_emb = np.array([t.embedding for t in self.tracklets], dtype=np.float64)
+        sims = trk_emb.reshape(-1, e_set.vectors.shape[1]) @ e_set.vectors[unmatched_boxes].T
+        novel = (sims < self.cfg.emb_match_thr).all(axis=0)
+        spawnable = {j for j, ok in zip(unmatched_boxes, novel) if ok}
         if public_mode:
             # Public boxes may found trajectories only away from boxes that
             # are already tracked this frame; propagated boxes never spawn
             # under the public protocol.
-            tracked_now = [d_final[j] for _, j in matches]
+            tracked_now = d_final[[j for _, j in matches]]
+            near = (iou(d_final, tracked_now) >= PUBLIC_NEAR_IOU).any(axis=1)
             spawnable = {
-                j for j in spawnable
-                if not d_final[j].restored
-                and not any(iou(d_final[j], tb) >= PUBLIC_NEAR_IOU for tb in tracked_now)
+                j for j in spawnable if not (d_final.restored[j] or near[j])
             }
 
         survivors, new_tracklets, self.next_id = update_tracklets(
             self.tracklets, matches, d_final, e_set,
-            frame.frame_index, self.cfg, self.next_id, spawnable,
+            self.cfg, self.next_id, spawnable,
         )
         self.tracklets = survivors + new_tracklets
 
-        rows: list[MotBox] = []
-        for tid, j in matches:
-            box = d_final[j]
-            rows.append(_to_mot_row(frame.frame_index, tid, box, p.stride))
-            if box.restored:
-                self.restored_emitted += 1
-        for t in new_tracklets:
-            rows.append(_to_mot_row(frame.frame_index, t.id, t.last_box, p.stride))
-            if t.last_box.restored:
-                self.restored_emitted += 1
+        emitted = [(tid, d_final[j]) for tid, j in matches]
+        emitted += [(t.id, t.last_box) for t in new_tracklets]
+        rows = [_to_mot_row(frame.frame_index, tid, box, p.stride) for tid, box in emitted]
+        self.restored_emitted += sum(box.restored for _, box in emitted)
         self.rows_emitted += len(rows)
         return rows
 
@@ -435,9 +394,16 @@ def track_sequence(
     weights: RefineWeights | None = None,
     public_dets: list[MotBox] | None = None,
 ) -> tuple[list[MotBox], Tracker]:
-    """Run a fresh tracker over an iterable of frames; returns (rows, tracker)."""
+    """Run a fresh tracker over an iterable of frames; returns (rows, tracker).
+
+    public_dets may span the sequence; each frame gets its own rows.
+    """
+    by_frame: dict[int, list[MotBox]] = {}
+    for d in public_dets or []:
+        by_frame.setdefault(d.frame, []).append(d)
     tracker = Tracker(pipeline, tracker_cfg, weights)
     rows: list[MotBox] = []
     for frame in frames:
-        rows.extend(tracker.step(frame, public_dets))
+        dets = None if public_dets is None else by_frame.get(frame.frame_index, [])
+        rows.extend(tracker.step(frame, dets))
     return rows, tracker

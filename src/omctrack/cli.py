@@ -20,12 +20,11 @@ import time
 
 import numpy as np
 
-from .association import PipelineConfig, Tracker, TrackerConfig, track_sequence
+from .association import PipelineConfig, TrackerConfig, track_sequence
 from .frame_io import (
     ContainerFormatError,
     MotParseError,
     iter_container,
-    read_container,
     read_mot_boxes,
     write_container,
     write_mot_results,
@@ -33,7 +32,7 @@ from .frame_io import (
 from .metrics import EvalReport, evaluate
 from .recheck import RefineWeights
 from .supervision import gaussian_target, logistic_mse_loss, loss_gradient
-from .synth import ScenarioConfig, generate, restoration_report
+from .synth import ScenarioConfig, generate
 
 __all__ = ["main"]
 
@@ -243,7 +242,7 @@ def _load_weights(args) -> RefineWeights:
             raise UsageError("--refine learned requires --weights")
         return RefineWeights.load(weights_path)
     if weights_path:
-        return RefineWeights.load(weights_path)
+        raise UsageError("--weights requires --refine learned")
     return RefineWeights.bypass()
 
 
@@ -259,11 +258,10 @@ def _cmd_track(args) -> int:
     if args.public is not None:
         public = read_mot_boxes(args.public)
 
-    tracker = Tracker(pipeline, tracker_cfg, weights)
-    rows = []
     started = time.perf_counter()
-    for frame in iter_container(args.container):
-        rows.extend(tracker.step(frame, public))
+    rows, tracker = track_sequence(
+        iter_container(args.container), pipeline, tracker_cfg, weights, public
+    )
     elapsed = time.perf_counter() - started
     write_mot_results(rows, args.out)
 
@@ -295,13 +293,7 @@ def _cmd_synth(args) -> int:
     cfg = _build_scenario(args)
     frames, gt, dropped = generate(cfg)
     write_container(frames, args.out)
-    rows = sorted(gt, key=lambda b: (b.frame, b.id))
-    with open(args.gt, "w", encoding="utf-8") as f:
-        for b in rows:
-            f.write(
-                f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
-                f"{b.conf:.6f},-1,-1,-1\n"
-            )
+    write_mot_results(gt, args.gt)
     if args.dropped:
         with open(args.dropped, "w", encoding="utf-8") as f:
             f.write("frame,id\n")

@@ -6,11 +6,14 @@ row + 0.5). Two offset decoders are provided: the legacy sigmoid decoder
 confines centers to one cell, while the boundary-aware decoder (bar) can
 reach offsets up to half its scale parameter, so truncated targets at the
 image edge remain representable.
+
+Box sets are `Boxes`, one array per field; `Box` is the record for one box.
+Every stage that compares boxes goes through the one pairwise `iou` kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .numerics import sigmoid
 
 __all__ = [
     "Box",
+    "Boxes",
     "BarParams",
     "decode_offset_sigmoid",
     "decode_offset_bar",
@@ -30,6 +34,8 @@ __all__ = [
 
 DEFAULT_SCORE_THR = 0.5
 DEFAULT_IOU_THR = 0.45
+
+_FIELDS = ("cx", "cy", "w", "h", "score", "restored")  # of Box and of Boxes
 
 
 @dataclass
@@ -47,14 +53,53 @@ class Box:
     score: float
     restored: bool = False
 
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) extent."""
-        return (
-            self.cx - self.w / 2.0,
-            self.cy - self.h / 2.0,
-            self.cx + self.w / 2.0,
-            self.cy + self.h / 2.0,
-        )
+
+@dataclass(eq=False)
+class Boxes:
+    """n boxes as parallel (n,) arrays: float64 geometry and score, bool restored.
+
+    Indexing with an int, or iterating, yields `Box` records; indexing with
+    a mask or an index array yields `Boxes`.
+    """
+
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    score: np.ndarray
+    restored: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in _FIELDS[:-1]:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.restored is None:
+            self.restored = np.zeros(self.cx.shape, dtype=bool)
+        self.restored = np.asarray(self.restored, dtype=bool)
+        if self.cx.ndim != 1 or any(a.shape != self.cx.shape for a in self._columns()):
+            raise ValueError("box fields must be 1-d arrays of one length")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.cx, self.cy, self.w, self.h, self.score, self.restored)
+
+    def __len__(self) -> int:
+        return len(self.cx)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Box(*[a.item(key) for a in self._columns()])
+        return Boxes(*(a[key] for a in self._columns()))
+
+    def __iter__(self):
+        for values in zip(*(a.tolist() for a in self._columns())):
+            yield Box(*values)
+
+    @classmethod
+    def of(cls, boxes: list[Box]) -> "Boxes":
+        """Pack a list of Box records into arrays."""
+        return cls(*([getattr(b, name) for b in boxes] for name in _FIELDS))
+
+    def concat(self, other: "Boxes") -> "Boxes":
+        return Boxes(*map(np.concatenate, zip(self._columns(), other._columns())))
 
 
 @dataclass
@@ -68,20 +113,24 @@ class BarParams:
             raise ValueError(f"h_scale must be positive, got {self.h_scale}")
 
 
-def decode_offset_sigmoid(raw: tuple[float, float]) -> tuple[float, float]:
-    """Legacy offset decode: sigmoid squashes each component into (0, 1)."""
-    return (float(sigmoid(raw[0])), float(sigmoid(raw[1])))
+def decode_offset_sigmoid(raw):
+    """Legacy offset decode: sigmoid squashes each component into (0, 1).
+
+    raw is a (dx, dy) pair of scalars or of arrays; so is the result.
+    """
+    return (sigmoid(raw[0]), sigmoid(raw[1]))
 
 
-def decode_offset_bar(raw: tuple[float, float], p: BarParams) -> tuple[float, float]:
+def decode_offset_bar(raw, p: BarParams):
     """Boundary-aware offset decode: (sigmoid(raw) - 0.5) * h_scale.
 
     Ranges over (-h_scale/2, h_scale/2) per axis and is exactly zero at
-    raw = 0, so centers beyond a single cell stay representable.
+    raw = 0, so centers beyond a single cell stay representable. Pairs as
+    in decode_offset_sigmoid.
     """
     return (
-        (float(sigmoid(raw[0])) - 0.5) * p.h_scale,
-        (float(sigmoid(raw[1])) - 0.5) * p.h_scale,
+        (sigmoid(raw[0]) - 0.5) * p.h_scale,
+        (sigmoid(raw[1]) - 0.5) * p.h_scale,
     )
 
 
@@ -90,8 +139,8 @@ def decode_boxes(
     raw: np.ndarray,
     mode: str = "bar",
     bar: BarParams | None = None,
-) -> list[Box]:
-    """Decode per-cell regressions into a grid-aligned box list.
+) -> Boxes:
+    """Decode per-cell regressions into grid-aligned boxes.
 
     Parameters
     ----------
@@ -99,9 +148,9 @@ def decode_boxes(
     raw : (H, W, 4) regression values (raw_dx, raw_dy, raw_logw, raw_logh)
     mode : "bar" or "sigmoid" offset decoding
 
-    Returns one Box per cell in row-major order; widths and heights come
-    from exponentiating the raw values so they stay positive. NaN anywhere
-    in the maps rejects the frame.
+    Returns H*W boxes, one per cell in row-major order; widths and heights
+    come from exponentiating the raw values so they stay positive. NaN
+    anywhere in the maps rejects the frame.
     """
     prob = np.asarray(prob)
     raw = np.asarray(raw)
@@ -120,55 +169,44 @@ def decode_boxes(
     bar = bar or BarParams()
 
     height, width = prob.shape[:2]
-    raw64 = raw.astype(np.float64)
-    squashed = sigmoid(raw64[:, :, 0:2])
-    if mode == "bar":
-        offset = (squashed - 0.5) * bar.h_scale
-    else:
-        offset = squashed
-    cols = np.arange(width, dtype=np.float64) + 0.5
-    rows = np.arange(height, dtype=np.float64) + 0.5
-    cx = cols[None, :] + offset[:, :, 0]
-    cy = rows[:, None] + offset[:, :, 1]
-    bw = np.exp(raw64[:, :, 2])
-    bh = np.exp(raw64[:, :, 3])
-    score = prob[:, :, 0].astype(np.float64)
-
-    boxes = []
-    for r in range(height):
-        for c in range(width):
-            boxes.append(
-                Box(
-                    cx=float(cx[r, c]),
-                    cy=float(cy[r, c]),
-                    w=float(bw[r, c]),
-                    h=float(bh[r, c]),
-                    score=float(score[r, c]),
-                )
-            )
-    return boxes
+    raw64 = raw.reshape(-1, 4).astype(np.float64)
+    pair = (raw64[:, 0], raw64[:, 1])
+    dx, dy = decode_offset_bar(pair, bar) if mode == "bar" else decode_offset_sigmoid(pair)
+    anchor_x = np.tile(np.arange(width, dtype=np.float64) + 0.5, height)
+    anchor_y = np.repeat(np.arange(height, dtype=np.float64) + 0.5, width)
+    return Boxes(
+        cx=anchor_x + dx,
+        cy=anchor_y + dy,
+        w=np.exp(raw64[:, 2]),
+        h=np.exp(raw64[:, 3]),
+        score=prob.reshape(-1).astype(np.float64),
+    )
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two axis-aligned boxes, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def iou(a: Boxes, b: Boxes) -> np.ndarray:
+    """(len(a), len(b)) matrix of intersection over union, each in [0, 1].
+
+    Pairs without a positive-width, positive-height overlap, or with a
+    union <= 0, read 0.
+    """
+    a_hw, a_hh = (a.w / 2.0)[:, None], (a.h / 2.0)[:, None]
+    a_cx, a_cy = a.cx[:, None], a.cy[:, None]
+    b_hw, b_hh = b.w / 2.0, b.h / 2.0
+    iw = np.minimum(a_cx + a_hw, b.cx + b_hw) - np.maximum(a_cx - a_hw, b.cx - b_hw)
+    ih = np.minimum(a_cy + a_hh, b.cy + b_hh) - np.maximum(a_cy - a_hh, b.cy - b_hh)
     inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    union = (a.w * a.h)[:, None] + b.w * b.h - inter
+    # A NaN union (from infinite sizes) is not "<= 0": it stays NaN.
+    overlap = (iw > 0.0) & (ih > 0.0) & ~(union <= 0.0)
+    out = np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
 def greedy_nms(
-    boxes: list[Box],
+    boxes: Boxes,
     score_thr: float = DEFAULT_SCORE_THR,
     iou_thr: float = DEFAULT_IOU_THR,
-) -> list[Box]:
+) -> Boxes:
     """Threshold by score, then greedily keep maxima and drop overlaps.
 
     Boxes scoring below score_thr are discarded; the survivor set is built
@@ -176,16 +214,13 @@ def greedy_nms(
     every remaining box whose IOU with it exceeds iou_thr. Ties in score
     resolve in input order. Output is score-descending.
     """
-    candidates = [b for b in boxes if b.score >= score_thr]
-    candidates.sort(key=lambda b: -b.score)
-    kept: list[Box] = []
-    while candidates:
-        top = candidates.pop(0)
+    above = np.flatnonzero(boxes.score >= score_thr)
+    candidates = boxes[above[np.argsort(-boxes.score[above], kind="stable")]]
+    alive = np.ones(len(candidates), dtype=bool)
+    kept = []
+    while alive.any():
+        top = int(np.argmax(alive))
         kept.append(top)
-        candidates = [b for b in candidates if iou(top, b) <= iou_thr]
-    return kept
-
-
-def rescored(box: Box, score: float) -> Box:
-    """Copy of a box with its confidence replaced; geometry untouched."""
-    return replace(box, score=score)
+        alive[top] = False
+        alive &= iou(candidates[top:top + 1], candidates)[0] <= iou_thr
+    return candidates[kept]

@@ -22,6 +22,7 @@ Readers are reentrant; a writer needs exclusive access to its output path.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -254,19 +255,20 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
 
 
 def iter_container(path) -> Iterator[FrameContainer]:
-    hw: tuple[int, int] | None = None
+    """Stream validated frames; every tensor must keep frame 1's shape."""
+    first: dict[str, tuple[int, ...]] = {}
     for i, tensors in enumerate(iter_omcf(path)):
         try:
             fc = FrameContainer.from_tensors(i + 1, tensors)
         except ValueError as exc:
             raise ContainerFormatError(f"frame {i + 1}: {exc}") from exc
-        if hw is None:
-            hw = (fc.height, fc.width)
-        elif hw != (fc.height, fc.width):
-            raise ContainerFormatError(
-                f"sequence must be homogeneous: frame {i + 1} has size "
-                f"{(fc.height, fc.width)}, expected {hw}"
-            )
+        for name, arr in fc.tensors().items():
+            expected = first.setdefault(name, arr.shape)
+            if arr.shape != expected:
+                raise ContainerFormatError(
+                    f"sequence must be homogeneous: frame {i + 1} tensor "
+                    f"{name!r} has shape {arr.shape}, expected {expected}"
+                )
         yield fc
 
 
@@ -299,7 +301,9 @@ def read_mot_boxes(path) -> list[MotBox]:
     """Parse "frame,id,x,y,w,h,conf,..." rows in file order.
 
     Fields beyond conf are ignored. Blank lines are skipped. A non-numeric
-    field raises MotParseError with the offending line number.
+    or non-finite field, or a box with w <= 0 or h <= 0, raises
+    MotParseError with the offending line number, so readers downstream
+    see only well-formed boxes.
     """
     boxes: list[MotBox] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -317,17 +321,12 @@ def read_mot_boxes(path) -> list[MotBox]:
                 values = [float(p) for p in parts[:7]]
             except ValueError as exc:
                 raise MotParseError(f"non-numeric field: {exc}", lineno) from exc
-            boxes.append(
-                MotBox(
-                    frame=int(values[0]),
-                    id=int(values[1]),
-                    x=values[2],
-                    y=values[3],
-                    w=values[4],
-                    h=values[5],
-                    conf=values[6],
-                )
-            )
+            frame, track_id, x, y, w, h, conf = values
+            if not all(math.isfinite(v) for v in values):
+                raise MotParseError(f"non-finite field in {values}", lineno)
+            if w <= 0.0 or h <= 0.0:
+                raise MotParseError(f"box size must be positive, got w={w} h={h}", lineno)
+            boxes.append(MotBox(int(frame), int(track_id), x, y, w, h, conf))
     return boxes
 
 

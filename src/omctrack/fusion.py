@@ -1,17 +1,20 @@
 """IOU-vote fusion of transductive detections into the detector's output.
 
 A transductive box earns a targetness score of 1 minus its best IOU against
-the basic detections; scores at or above the threshold mean "the detector
-has nothing here", so the box is kept as a restored complement. The fused
-set therefore always contains every basic detection, and every restored box
-overlaps the basic set by at most 1 - epsilon.
+the basic detections, read off one `iou` matrix; scores at or above the
+threshold mean "the detector has nothing here", so the box is kept as a
+restored complement. The fused set therefore always contains every basic
+detection, and every restored box overlaps the basic set by at most
+1 - epsilon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .detection import Box, iou
+import numpy as np
+
+from .detection import Boxes, iou
 
 __all__ = ["FusionConfig", "targetness_score", "fuse"]
 
@@ -25,21 +28,18 @@ class FusionConfig:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
 
-def targetness_score(box: Box, d_base: list[Box]) -> float:
-    """1 - max IOU against the basic detections; 1.0 when there are none."""
-    if not d_base:
-        return 1.0
-    return 1.0 - max(iou(box, b) for b in d_base)
+def targetness_score(boxes: Boxes, d_base: Boxes) -> np.ndarray:
+    """Per box, 1 - max IOU against the basic detections; 1.0 when there are none."""
+    if not len(d_base):
+        return np.ones(len(boxes))
+    return 1.0 - iou(boxes, d_base).max(axis=1)
 
 
-def fuse(d_trans: list[Box], d_base: list[Box], cfg: FusionConfig) -> list[Box]:
+def fuse(d_trans: Boxes, d_base: Boxes, cfg: FusionConfig) -> Boxes:
     """Basic detections plus transductive boxes voted in by targetness.
 
     A tie at exactly epsilon counts as restored. Restored boxes carry the
     restored flag so downstream consumers can count them.
     """
-    fused = list(d_base)
-    for b in d_trans:
-        if targetness_score(b, d_base) >= cfg.epsilon:
-            fused.append(replace(b, restored=True))
-    return fused
+    voted = d_trans[targetness_score(d_trans, d_base) >= cfg.epsilon]
+    return d_base.concat(replace(voted, restored=np.ones(len(voted), dtype=bool)))

@@ -5,9 +5,10 @@ identity-embedding grid in a single matrix multiply, which yields one
 response map per tracklet. Each map is shrunk to a window around its peak
 (look-alike objects elsewhere produce spurious highs), the masked maps are
 summed into one aggregate, and an optional learned refinement mixes the
-visual feature back in to filter false positives. Re-scoring the decoded
-boxes with the refined map and running NMS produces the transductive
-detections that can restore targets the detector scored as background.
+visual feature back in to filter false positives. Swapping the refined map
+in as the score array of the decoded `Boxes` and running NMS produces the
+transductive detections that can restore targets the detector scored as
+background.
 
 Embedding grids and tracklet embeddings are expected L2-normalized, so all
 responses are cosine similarities and the shrink threshold is scale-free.
@@ -16,11 +17,11 @@ responses are cosine similarities and the shrink threshold is scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detection import Box, greedy_nms, rescored
+from .detection import Boxes, greedy_nms
 from .frame_io import read_omcf
 from .numerics import conv3x3_forward, ensure_grid, matmul, sigmoid
 
@@ -243,23 +244,21 @@ def refine(m_s: np.ndarray, f_t: np.ndarray, weights: RefineWeights) -> np.ndarr
 
 def transductive_detections(
     m_p: np.ndarray,
-    boxes: list[Box],
+    boxes: Boxes,
     score_thr: float,
     iou_thr: float,
-) -> list[Box]:
+) -> Boxes:
     """Re-score grid-aligned boxes with the propagated map and run NMS.
 
-    boxes must be the full row-major cell-aligned list produced by
-    decode_boxes for the same frame: geometry is kept, only scores are
-    replaced by the map values at each source cell.
+    boxes must be the full row-major cell-aligned set produced by
+    decode_boxes for the same frame: geometry is kept, only the score array
+    is replaced by the map values at each source cell.
     """
     m_p = np.asarray(m_p)
     if m_p.ndim != 2:
         raise ValueError(f"m_p must be 2-d, got shape {m_p.shape}")
     if len(boxes) != m_p.size:
         raise ValueError(
-            f"box list length {len(boxes)} != grid cell count {m_p.size}"
+            f"box count {len(boxes)} != grid cell count {m_p.size}"
         )
-    flat = m_p.reshape(-1)
-    candidates = [rescored(b, float(flat[k])) for k, b in enumerate(boxes)]
-    return greedy_nms(candidates, score_thr, iou_thr)
+    return greedy_nms(replace(boxes, score=m_p.ravel()), score_thr, iou_thr)

@@ -11,7 +11,7 @@ from omctrack.association import (
     track_sequence,
     update_tracklets,
 )
-from omctrack.detection import Box
+from omctrack.detection import Box, Boxes
 from omctrack.frame_io import MotBox
 from omctrack.recheck import EmbeddingSet
 from omctrack.synth import ScenarioConfig, generate
@@ -58,19 +58,19 @@ class TestExtractEmbeddings:
     def test_reads_center_cell(self):
         rng = np.random.default_rng(0)
         grid = rng.normal(size=(6, 6, 8)).astype(np.float32)
-        boxes = [Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)]
+        boxes = Boxes.of([Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
         assert np.allclose(es.vectors[0], unit(grid[2, 3]), atol=1e-6)
 
     def test_empty_list(self):
         grid = np.zeros((4, 4, 8), dtype=np.float32)
-        es = extract_embeddings([], grid)
+        es = extract_embeddings(Boxes.of([]), grid)
         assert len(es) == 0
 
     def test_center_outside_clamped(self):
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(4, 4, 8)).astype(np.float32)
-        boxes = [Box(cx=-0.4, cy=4.4, w=1, h=1, score=1.0)]
+        boxes = Boxes.of([Box(cx=-0.4, cy=4.4, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
         assert np.allclose(es.vectors[0], unit(grid[3, 0]), atol=1e-6)
 
@@ -79,7 +79,7 @@ class TestAssociate:
     def test_identical_embedding_matches(self):
         e = basis_vec(0)
         trk = [tracklet(7, e)]
-        boxes = [Box(cx=9, cy=9, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=9, cy=9, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([e]))
         matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
         assert matches == [(7, 0)]
@@ -87,14 +87,14 @@ class TestAssociate:
 
     def test_orthogonal_embedding_falls_back_to_iou(self):
         trk = [tracklet(3, basis_vec(0), cx=5, cy=5)]
-        boxes = [Box(cx=5.1, cy=5.0, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=5.1, cy=5.0, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
         matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
         assert matches == [(3, 0)]
 
     def test_below_both_thresholds_unmatched(self):
         trk = [tracklet(3, basis_vec(0), cx=0, cy=0)]
-        boxes = [Box(cx=30, cy=30, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=30, cy=30, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
         matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
         assert matches == []
@@ -102,7 +102,7 @@ class TestAssociate:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            associate([], [Box(cx=0, cy=0, w=1, h=1, score=1)],
+            associate([], Boxes.of([Box(cx=0, cy=0, w=1, h=1, score=1)]),
                       EmbeddingSet.empty(8), TrackerConfig())
 
     def test_matches_sorted_pairs_oracle(self):
@@ -127,8 +127,8 @@ class TestAssociate:
             scale = np.linalg.norm(box_vecs, axis=1)
             trk = [tracklet(i + 1, trk_vecs[i].astype(np.float32), cx=100 * i)
                    for i in range(n)]
-            boxes = [Box(cx=1000 + 100 * j, cy=0, w=1, h=1, score=1.0)
-                     for j in range(n)]
+            boxes = Boxes.of([Box(cx=1000 + 100 * j, cy=0, w=1, h=1, score=1.0)
+                              for j in range(n)])
             es = EmbeddingSet(box_vecs.astype(np.float32))
             actual_sims = trk_vecs @ box_vecs.T
             matches, _, _ = associate(trk, boxes, es, cfg)
@@ -143,8 +143,8 @@ class TestAssociate:
         trk = [tracklet(i + 1, vecs[i].astype(np.float32),
                         cx=rng.uniform(0, 10), cy=rng.uniform(0, 10))
                for i in range(4)]
-        boxes = [Box(cx=rng.uniform(0, 10), cy=rng.uniform(0, 10),
-                     w=2, h=2, score=1.0) for _ in range(5)]
+        boxes = Boxes.of([Box(cx=rng.uniform(0, 10), cy=rng.uniform(0, 10),
+                              w=2, h=2, score=1.0) for _ in range(5)])
         es = EmbeddingSet(vecs[[0, 0, 1, 2, 5]].astype(np.float32))
         matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
         tids = [t for t, _ in matches]
@@ -162,7 +162,7 @@ class TestUpdateTracklets:
         active = [t]
         for frame in range(2, 32):
             active, new, _ = update_tracklets(
-                active, [], [], EmbeddingSet.empty(8), frame, cfg, next_id=2
+                active, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
             )
         assert active == []
         assert t.state == "removed"
@@ -173,7 +173,7 @@ class TestUpdateTracklets:
         active = [tracklet(1, basis_vec(0))]
         for frame in range(2, 31):
             active, _, _ = update_tracklets(
-                active, [], [], EmbeddingSet.empty(8), frame, cfg, next_id=2
+                active, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
             )
         assert len(active) == 1
         assert active[0].miss_count == 29
@@ -182,9 +182,9 @@ class TestUpdateTracklets:
         cfg = TrackerConfig(embedding_mode="updated", embedding_momentum=0.9)
         e = unit(np.arange(1, 9))
         t = tracklet(1, e)
-        boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
         active, _, _ = update_tracklets(
-            [t], [(1, 0)], boxes, EmbeddingSet(np.stack([e])), 2, cfg, next_id=2
+            [t], [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg, next_id=2
         )
         assert np.allclose(active[0].embedding, e, atol=1e-6)
 
@@ -194,16 +194,16 @@ class TestUpdateTracklets:
         t = tracklet(1, e0)
         for frame in range(2, 6):
             es = EmbeddingSet(np.stack([basis_vec(frame % 8)]))
-            boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0)]
-            update_tracklets([t], [(1, 0)], boxes, es, frame, cfg, next_id=2)
+            boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
+            update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
         assert np.array_equal(t.embedding, e0)
 
     def test_last_mode_replaces(self):
         cfg = TrackerConfig(embedding_mode="last")
         t = tracklet(1, basis_vec(0))
         es = EmbeddingSet(np.stack([basis_vec(3)]))
-        boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0)]
-        update_tracklets([t], [(1, 0)], boxes, es, 2, cfg, next_id=2)
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
+        update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
         assert np.array_equal(t.embedding, basis_vec(3))
 
     def test_updated_mode_keeps_unit_norm(self):
@@ -212,25 +212,25 @@ class TestUpdateTracklets:
         t = tracklet(1, unit(rng.normal(size=8)))
         for frame in range(2, 12):
             es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
-            boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0)]
-            update_tracklets([t], [(1, 0)], boxes, es, frame, cfg, next_id=2)
+            boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
+            update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
             assert abs(np.linalg.norm(t.embedding.astype(np.float64)) - 1.0) < 1e-6
 
     def test_unmatched_boxes_spawn_with_monotone_ids(self):
         cfg = TrackerConfig()
-        boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0),
-                 Box(cx=8, cy=8, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
+                          Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
-        active, new, next_id = update_tracklets([], [], boxes, es, 1, cfg, next_id=5)
+        active, new, next_id = update_tracklets([], [], boxes, es, cfg, next_id=5)
         assert [t.id for t in new] == [5, 6]
         assert next_id == 7
 
     def test_spawnable_filter(self):
         cfg = TrackerConfig()
-        boxes = [Box(cx=1, cy=1, w=2, h=2, score=1.0),
-                 Box(cx=8, cy=8, w=2, h=2, score=1.0)]
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
+                          Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
-        _, new, _ = update_tracklets([], [], boxes, es, 1, cfg, next_id=1,
+        _, new, _ = update_tracklets([], [], boxes, es, cfg, next_id=1,
                                      spawnable={1})
         assert len(new) == 1
         assert new[0].last_box.cx == 8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omctrack.cli import main
-from omctrack.frame_io import read_mot_boxes, write_mot_results
+from omctrack.frame_io import read_mot_boxes, write_mot_results, write_omcf
 
 
 def run(capsys, *argv):
@@ -165,6 +165,39 @@ class TestTrackCommand:
         )
         assert code == 1
         assert "weights" in err
+
+
+    def test_weights_without_learned_refine_is_usage_error(self, scenario, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        shapes = {
+            "conv1.w": (2, 1, 3, 3), "conv1.b": (2,),
+            "conv2.w": (1, 2, 3, 3), "conv2.b": (1,),
+            "head1.w": (2, 256, 3, 3), "head1.b": (2,),
+            "head2.w": (1, 2, 3, 3), "head2.b": (1,),
+        }
+        weights = tmp_path / "w.omcf"
+        write_omcf(weights, [{name: rng.normal(size=shape).astype(np.float32)
+                              for name, shape in shapes.items()}])
+        results = tmp_path / "r.txt"
+        code, _, err = run(
+            capsys, "track", "--container", str(scenario["container"]),
+            "--out", str(results), "--weights", str(weights),
+        )
+        assert code == 1
+        assert "--refine learned" in err
+        assert not results.exists()
+
+    def test_public_row_with_zero_width_is_data_error(self, scenario, tmp_path, capsys):
+        dets = tmp_path / "public.txt"
+        dets.write_text("1,-1,8.00,8.00,16.00,16.00,1.0\n2,-1,8.00,8.00,0.00,16.00,1.0\n")
+        results = tmp_path / "r.txt"
+        code, _, err = run(
+            capsys, "track", "--container", str(scenario["container"]),
+            "--out", str(results), "--public", str(dets),
+        )
+        assert code == 2
+        assert "line 2" in err
+        assert not results.exists()
 
 
 class TestEvalCommand:

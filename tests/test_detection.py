@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from omctrack.detection import (
     BarParams,
     Box,
+    Boxes,
     decode_boxes,
     decode_offset_bar,
     decode_offset_sigmoid,
@@ -14,6 +16,27 @@ from omctrack.detection import (
 )
 
 LN3 = math.log(3.0)
+
+
+def scalar_iou(a, b):
+    """Reference IOU of two Box records, one pair at a time."""
+    ax1, ay1 = a.cx - a.w / 2.0, a.cy - a.h / 2.0
+    ax2, ay2 = a.cx + a.w / 2.0, a.cy + a.h / 2.0
+    bx1, by1 = b.cx - b.w / 2.0, b.cy - b.h / 2.0
+    bx2, by2 = b.cx + b.w / 2.0, b.cy + b.h / 2.0
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def pair_iou(a, b):
+    return float(iou(Boxes.of([a]), Boxes.of([b]))[0, 0])
 
 
 def nms_oracle(boxes, score_thr, iou_thr):
@@ -29,7 +52,7 @@ def nms_oracle(boxes, score_thr, iou_thr):
             continue
         keep.append(boxes[k])
         for other in order[pos + 1:]:
-            if other not in suppressed and iou(boxes[k], boxes[other]) > iou_thr:
+            if other not in suppressed and scalar_iou(boxes[k], boxes[other]) > iou_thr:
                 suppressed.add(other)
     return keep
 
@@ -170,55 +193,119 @@ class TestDecodeBoxes:
 class TestIou:
     def test_self(self):
         b = Box(cx=3, cy=4, w=2, h=5, score=1.0)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
 
     def test_disjoint(self):
         a = Box(cx=0, cy=0, w=2, h=2, score=1.0)
         b = Box(cx=10, cy=0, w=2, h=2, score=1.0)
-        assert iou(a, b) == 0.0
+        assert pair_iou(a, b) == 0.0
 
     def test_hand_geometry(self):
         # corners (0,0,2,2) vs (1,1,2,2) in x,y,w,h
         a = Box(cx=1.0, cy=1.0, w=2.0, h=2.0, score=1.0)
         b = Box(cx=2.0, cy=2.0, w=2.0, h=2.0, score=1.0)
-        assert abs(iou(a, b) - 1.0 / 7.0) < 1e-12
+        assert abs(pair_iou(a, b) - 1.0 / 7.0) < 1e-12
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b = random_boxes(rng, 2)
-            assert iou(a, b) == iou(b, a)
-            assert 0.0 <= iou(a, b) <= 1.0
+            assert pair_iou(a, b) == pair_iou(b, a)
+            assert 0.0 <= pair_iou(a, b) <= 1.0
 
 
 class TestGreedyNms:
     def test_single_box(self):
         b = Box(cx=1, cy=1, w=1, h=1, score=0.9)
-        assert greedy_nms([b], 0.5, 0.45) == [b]
+        assert list(greedy_nms(Boxes.of([b]), 0.5, 0.45)) == [b]
 
     def test_empty(self):
-        assert greedy_nms([], 0.5, 0.45) == []
+        assert list(greedy_nms(Boxes.of([]), 0.5, 0.45)) == []
 
     def test_below_threshold_dropped(self):
         b = Box(cx=1, cy=1, w=1, h=1, score=0.4)
-        assert greedy_nms([b], 0.5, 0.45) == []
+        assert list(greedy_nms(Boxes.of([b]), 0.5, 0.45)) == []
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             boxes = random_boxes(rng, 50)
-            got = greedy_nms(boxes, 0.3, 0.45)
+            got = list(greedy_nms(Boxes.of(boxes), 0.3, 0.45))
             want = nms_oracle(boxes, 0.3, 0.45)
             assert got == want
 
     def test_output_properties(self):
         rng = np.random.default_rng(5)
         boxes = random_boxes(rng, 80)
-        kept = greedy_nms(boxes, 0.2, 0.4)
+        kept = list(greedy_nms(Boxes.of(boxes), 0.2, 0.4))
         scores = [b.score for b in kept]
         assert scores == sorted(scores, reverse=True)
         for b in kept:
             assert b in boxes
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert iou(a, b) <= 0.4
+                assert pair_iou(a, b) <= 0.4
+
+
+coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+size = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+box_strategy = st.builds(Box, cx=coord, cy=coord, w=size, h=size,
+                         score=st.just(1.0))
+
+
+class TestIouMatrix:
+    @given(st.lists(box_strategy, max_size=6), st.lists(box_strategy, max_size=6))
+    def test_bit_identical_to_scalar_formula(self, a, b):
+        got = iou(Boxes.of(a), Boxes.of(b))
+        want = np.array([[scalar_iou(x, y) for y in b] for x in a],
+                        dtype=np.float64).reshape(len(a), len(b))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(box_strategy, min_size=1, max_size=6))
+    def test_touching_and_nested_boxes(self, boxes):
+        # Nested copies and edge-sharing neighbours sit exactly on the
+        # thresholds the scalar formula branches on.
+        variants = []
+        for b in boxes:
+            variants += [Box(b.cx, b.cy, b.w / 2.0, b.h, 1.0),
+                         Box(b.cx + b.w, b.cy, b.w, b.h, 1.0)]
+        got = iou(Boxes.of(boxes), Boxes.of(variants))
+        want = np.array([[scalar_iou(x, y) for y in variants] for x in boxes])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBoxes:
+    def test_int_index_and_iteration_give_records(self):
+        records = [Box(cx=1.0, cy=2.0, w=3.0, h=4.0, score=0.5),
+                   Box(cx=5.0, cy=6.0, w=7.0, h=8.0, score=0.25, restored=True)]
+        boxes = Boxes.of(records)
+        assert len(boxes) == 2
+        assert boxes[1] == records[1]
+        assert boxes[-1] == records[1]
+        assert list(boxes) == records
+
+    def test_mask_and_index_array_give_boxes(self):
+        records = [Box(cx=float(k), cy=0.0, w=1.0, h=1.0, score=k / 4) for k in range(4)]
+        boxes = Boxes.of(records)
+        picked = boxes[boxes.score >= 0.5]
+        assert isinstance(picked, Boxes)
+        assert list(picked) == records[2:]
+        assert list(boxes[np.array([3, 0])]) == [records[3], records[0]]
+
+    def test_mismatched_field_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            Boxes(cx=[0.0, 1.0], cy=[0.0], w=[1.0], h=[1.0], score=[1.0])
+
+    def test_decode_matches_scalar_offset_helpers(self):
+        rng = np.random.default_rng(6)
+        prob = rng.uniform(0, 1, size=(3, 4, 1)).astype(np.float32)
+        raw = rng.normal(size=(3, 4, 4)).astype(np.float32)
+        p = BarParams(10.0)
+        for mode in ("bar", "sigmoid"):
+            boxes = decode_boxes(prob, raw, mode, p)
+            for k, box in enumerate(boxes):
+                r, c = divmod(k, 4)
+                pair = (float(raw[r, c, 0]), float(raw[r, c, 1]))
+                dx, dy = decode_offset_bar(pair, p) if mode == "bar" else decode_offset_sigmoid(pair)
+                assert (box.cx, box.cy) == (c + 0.5 + dx, r + 0.5 + dy)

@@ -10,6 +10,7 @@ from omctrack.frame_io import (
     read_mot_boxes,
     write_container,
     write_mot_results,
+    write_omcf,
 )
 
 
@@ -98,6 +99,14 @@ class TestContainerErrors:
         with pytest.raises(ContainerFormatError, match="dtype"):
             read_container(path)
 
+    def test_channel_count_change_names_the_frame(self, tmp_path):
+        rng = np.random.default_rng(9)
+        frames = [random_frame(rng, 1, embed_dim=16), random_frame(rng, 2, embed_dim=12)]
+        path = tmp_path / "x.omcf"
+        write_omcf(path, [f.tensors() for f in frames])
+        with pytest.raises(ContainerFormatError, match="frame 2 tensor 'embed'"):
+            read_container(path)
+
     def test_prob_out_of_range_rejected(self, tmp_path):
         rng = np.random.default_rng(7)
         frame = random_frame(rng, 1)
@@ -121,6 +130,20 @@ class TestMotText:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1,2,3,4,5,6,0.5\n1,2,x,4,5,6,0.5\n")
+        with pytest.raises(MotParseError, match="line 2"):
+            read_mot_boxes(path)
+
+    @pytest.mark.parametrize("row", [
+        "1,-1,10,20,0,40,0.9",
+        "1,-1,10,20,30,-4,0.9",
+        "1,-1,nan,20,30,40,0.9",
+        "1,-1,10,20,inf,40,0.9",
+        "1,-1,10,20,30,40,nan",
+        "nan,-1,10,20,30,40,0.9",
+    ])
+    def test_degenerate_or_non_finite_box_rejected(self, tmp_path, row):
+        path = tmp_path / "det.txt"
+        path.write_text(f"1,-1,10,20,30,40,0.9\n{row}\n")
         with pytest.raises(MotParseError, match="line 2"):
             read_mot_boxes(path)
 

@@ -291,7 +291,7 @@ class TestTransductiveDetections:
     def test_zero_map_gives_nothing(self):
         boxes = self.grid_boxes(4, 4)
         m_p = np.zeros((4, 4), dtype=np.float32)
-        assert transductive_detections(m_p, boxes, 0.5, 0.45) == []
+        assert list(transductive_detections(m_p, boxes, 0.5, 0.45)) == []
 
     def test_single_peak_keeps_geometry(self):
         boxes = self.grid_boxes(4, 4)
