@@ -34,7 +34,7 @@ from .detection import (
 )
 from .frame_io import FrameContainer, MotBox
 from .fusion import FusionConfig, fuse
-from .numerics import ensure_grid, l2_normalize, l2_normalize_grid
+from .numerics import as_grid, ensure_matrix, l2_normalize, l2_normalize_grid
 from .recheck import (
     DEFAULT_SHRINK_RADIUS,
     EmbeddingSet,
@@ -134,15 +134,17 @@ class PipelineConfig:
 def extract_embeddings(boxes: Boxes, f_id: np.ndarray) -> EmbeddingSet:
     """Read one normalized embedding per box at its center cell.
 
-    Centers outside the grid clamp to the nearest boundary cell.
+    Centers outside the grid clamp to the nearest boundary cell. Only the
+    cells read are checked: a non-finite value in one raises ValueError.
     """
-    grid = ensure_grid(f_id, name="f_id")
+    grid = as_grid(f_id, name="f_id")
     h, w = grid.shape[:2]
     cols = np.clip(np.floor(boxes.cx), 0, w - 1).astype(np.intp)
     rows = np.clip(np.floor(boxes.cy), 0, h - 1).astype(np.intp)
-    vectors = np.zeros((len(boxes), grid.shape[2]), dtype=np.float32)
-    for k, (row, col) in enumerate(zip(rows, cols)):
-        vectors[k] = l2_normalize(grid[row, col])
+    cells = ensure_matrix(grid[rows, cols], name="f_id")
+    vectors = np.zeros(cells.shape, dtype=np.float32)
+    for k, cell in enumerate(cells):
+        vectors[k] = l2_normalize(cell)
     return EmbeddingSet(vectors, [-1] * len(boxes))
 
 
@@ -307,7 +309,10 @@ class Tracker:
         """Run the full pipeline on one frame and emit its result rows.
 
         public_dets, when given, must hold this frame's rows only; they
-        replace the detector's boxes. An invalid frame is an all-miss.
+        replace the detector's boxes. This is where a frame's values are
+        checked: a frame that fails FrameContainer.validate (a non-finite
+        value, prob outside [0, 1], a malformed tensor) logs a warning,
+        ages every tracklet by one miss and emits no rows.
         """
         p = self.pipeline
         self.frames_seen += 1

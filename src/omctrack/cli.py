@@ -1,8 +1,11 @@
 """Command-line entry point: track, eval, synth, sweep and gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 failed
-gradcheck or sweep assertion. The OMC_LOG environment variable (debug|info)
-raises log verbosity; default output is just the command's own summary.
+gradcheck or sweep assertion. A container frame whose values are bad
+(non-finite, prob outside [0, 1]) is not a data error: track logs a
+warning, emits no rows for it and goes on. The OMC_LOG environment variable
+(debug|info) raises log verbosity; default output is just the command's own
+summary.
 
 Flag values may also come from a --config file of flat key=value lines
 (same keys as the long flag names with dashes turned into underscores);

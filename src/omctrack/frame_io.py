@@ -23,6 +23,7 @@ Readers are reentrant; a writer needs exclusive access to its output path.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -105,7 +106,8 @@ class FrameContainer:
             "feat": self.feat,
         }
 
-    def validate(self) -> None:
+    def check_format(self) -> None:
+        """Check index, rank, dtype and shapes; reads no tensor values."""
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
         shapes = {}
@@ -114,8 +116,6 @@ class FrameContainer:
                 raise ValueError(f"tensor {name!r} must be a 3-d ndarray")
             if arr.dtype != np.float32:
                 raise ValueError(f"tensor {name!r} must be float32, got {arr.dtype}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name!r} contains non-finite values")
             shapes[name] = arr.shape
         hw = {s[:2] for s in shapes.values()}
         if len(hw) != 1:
@@ -124,16 +124,24 @@ class FrameContainer:
             raise ValueError(f"prob must have 1 channel, got {shapes['prob'][2]}")
         if shapes["boxes"][2] != 4:
             raise ValueError(f"boxes must have 4 channels, got {shapes['boxes'][2]}")
+
+    def validate(self) -> None:
+        """check_format, then the values: all finite, prob within [0, 1]."""
+        self.check_format()
+        for name, arr in self.tensors().items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"tensor {name!r} contains non-finite values")
         if self.prob.min() < 0.0 or self.prob.max() > 1.0:
             raise ValueError("prob values must lie in [0, 1]")
 
     @classmethod
     def from_tensors(cls, frame_index: int, tensors: Mapping[str, np.ndarray]) -> "FrameContainer":
+        """Build a frame from named tensors and check its format, not its values."""
         missing = [n for n in REQUIRED_TENSORS if n not in tensors]
         if missing:
             raise ValueError(f"container frame missing tensors: {missing}")
         fc = cls(frame_index, *(np.asarray(tensors[n]) for n in REQUIRED_TENSORS))
-        fc.validate()
+        fc.check_format()
         return fc
 
 
@@ -148,6 +156,22 @@ def _read_exact(f, n: int, what: str) -> bytes:
     if len(data) != n:
         raise ContainerFormatError(f"truncated file while reading {what}", offset)
     return data
+
+
+def _read_array(f, dims: tuple[int, ...], what: str) -> np.ndarray:
+    """Read a little-endian float32 payload straight into a new array.
+
+    The size is checked against the bytes left in the file before anything
+    is allocated, so a corrupt header cannot ask for more than the file holds.
+    """
+    offset = f.tell()
+    nbytes = 4 * math.prod(dims)
+    if nbytes > os.fstat(f.fileno()).st_size - offset:
+        raise ContainerFormatError(f"truncated file while reading {what}", offset)
+    arr = np.empty(dims, dtype="<f4")
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+        raise ContainerFormatError(f"truncated file while reading {what}", offset)
+    return arr
 
 
 def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
@@ -212,9 +236,7 @@ def iter_omcf(path) -> Iterator[dict[str, np.ndarray]]:
                     raise ContainerFormatError(
                         f"unknown dtype code {dtype_code}", dtype_offset
                     )
-                n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-                payload = _read_exact(f, 4 * n_values, f"tensor {name!r} payload")
-                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+                tensors[name] = _read_array(f, dims, f"tensor {name!r} payload")
             yield tensors
 
 
@@ -255,7 +277,11 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
 
 
 def iter_container(path) -> Iterator[FrameContainer]:
-    """Stream validated frames; every tensor must keep frame 1's shape."""
+    """Stream frames whose format is checked; each tensor keeps frame 1's shape.
+
+    Tensor values are not read here: Tracker.step checks them and counts a
+    frame with a non-finite value or a prob outside [0, 1] as all-miss.
+    """
     first: dict[str, tuple[int, ...]] = {}
     for i, tensors in enumerate(iter_omcf(path)):
         try:

@@ -1,14 +1,14 @@
 """Tracklet propagation by global embedding search.
 
 Every active tracklet embedding is dotted against every cell of the current
-identity-embedding grid in a single matrix multiply, which yields one
-response map per tracklet. Each map is shrunk to a window around its peak
-(look-alike objects elsewhere produce spurious highs), the masked maps are
-summed into one aggregate, and an optional learned refinement mixes the
-visual feature back in to filter false positives. Swapping the refined map
-in as the score array of the decoded `Boxes` and running NMS produces the
-transductive detections that can restore targets the detector scored as
-background.
+identity-embedding grid, one float64 matrix multiply per block of grid
+rows, which yields one response map per tracklet. Each map is shrunk to a
+window around its peak (look-alike objects elsewhere produce spurious
+highs), the masked maps are summed into one aggregate, and an optional
+learned refinement mixes the visual feature back in to filter false
+positives. Swapping the refined map in as the score array of the decoded
+`Boxes` and running NMS produces the transductive detections that can
+restore targets the detector scored as background.
 
 Embedding grids and tracklet embeddings are expected L2-normalized, so all
 responses are cosine similarities and the shrink threshold is scale-free.
@@ -23,7 +23,14 @@ import numpy as np
 
 from .detection import Boxes, greedy_nms
 from .frame_io import read_omcf
-from .numerics import conv3x3_forward, ensure_grid, matmul, sigmoid
+from .numerics import (
+    as_grid,
+    conv3x3_forward,
+    ensure_grid,
+    grid_row_blocks,
+    matmul,
+    sigmoid,
+)
 
 __all__ = [
     "EmbeddingSet",
@@ -83,21 +90,26 @@ class EmbeddingSet:
 def cross_correlate(e_set: EmbeddingSet, f_id: np.ndarray) -> np.ndarray:
     """Response maps of every template against every grid cell.
 
-    Computed as one (n, C) x (C, H*W) matrix product and reshaped, which is
-    equivalent to looping dot products per target and cell. Returns an
+    Computed as an (n, C) x (C, cells) matrix product per row block of the
+    grid, which is equivalent to looping dot products per target and cell.
+    matmul checks each block's values, so a non-finite value raises
+    ValueError; with no templates the values are not read. Returns an
     (n, H, W) float32 stack; with unit inputs the values are cosines.
     """
-    grid = ensure_grid(f_id, name="f_id")
+    grid = as_grid(f_id, name="f_id")
     h, w, c = grid.shape
-    if len(e_set) == 0:
+    n = len(e_set)
+    if n == 0:
         return np.zeros((0, h, w), dtype=np.float32)
     if e_set.vectors.shape[1] != c:
         raise ValueError(
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
-    flat = grid.reshape(h * w, c).T
-    responses = matmul(e_set.vectors, flat)
-    return responses.reshape(len(e_set), h, w)
+    responses = np.empty((n, h, w), dtype=np.float32)
+    for rows in grid_row_blocks(grid):
+        block = grid[rows].reshape(-1, c)
+        responses[:, rows] = matmul(e_set.vectors, block.T).reshape(n, -1, w)
+    return responses
 
 
 def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:

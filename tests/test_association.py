@@ -13,6 +13,7 @@ from omctrack.association import (
 )
 from omctrack.detection import Box, Boxes
 from omctrack.frame_io import MotBox
+from omctrack.numerics import l2_normalize
 from omctrack.recheck import EmbeddingSet
 from omctrack.synth import ScenarioConfig, generate
 
@@ -73,6 +74,21 @@ class TestExtractEmbeddings:
         boxes = Boxes.of([Box(cx=-0.4, cy=4.4, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
         assert np.allclose(es.vectors[0], unit(grid[3, 0]), atol=1e-6)
+
+    def test_non_finite_read_cell_raises(self):
+        grid = np.ones((4, 4, 8), dtype=np.float32)
+        grid[2, 3, 5] = np.nan
+        boxes = Boxes.of([Box(cx=0.5, cy=0.5, w=1, h=1, score=1.0),
+                          Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_embeddings(boxes, grid)
+
+    def test_only_read_cells_are_checked(self):
+        grid = np.ones((4, 4, 8), dtype=np.float32)
+        grid[0, 0, 0] = np.inf
+        boxes = Boxes.of([Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
+        es = extract_embeddings(boxes, grid)
+        assert np.array_equal(es.vectors[0], l2_normalize(grid[2, 3]))
 
 
 class TestAssociate:

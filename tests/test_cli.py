@@ -1,8 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
 from omctrack.cli import main
-from omctrack.frame_io import read_mot_boxes, write_mot_results, write_omcf
+from omctrack.frame_io import read_mot_boxes, read_omcf, write_mot_results, write_omcf
 
 
 def run(capsys, *argv):
@@ -106,6 +108,27 @@ class TestTrackCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("tensor, value", [("embed", np.nan), ("prob", 1.5)])
+    def test_frame_with_bad_values_is_all_miss(self, scenario, tmp_path, capsys,
+                                                caplog, tensor, value):
+        frames = read_omcf(scenario["container"])
+        frames[4][tensor][2, 3, 0] = value
+        bad = tmp_path / "bad.omcf"
+        write_omcf(bad, frames)
+        clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
+        assert run(capsys, "track", "--container", str(scenario["container"]),
+                   "--out", str(clean))[0] == 0
+        with caplog.at_level(logging.WARNING, logger="omctrack"):
+            code, out, _ = run(capsys, "track", "--container", str(bad),
+                               "--out", str(out_path))
+        assert code == 0
+        assert parse_kv(out)["frames"] == "25"
+        assert any("frame 5 failed validation" in r.getMessage() for r in caplog.records)
+        rows, clean_rows = read_mot_boxes(out_path), read_mot_boxes(clean)
+        assert not [r for r in rows if r.frame == 5]
+        assert [r for r in rows if r.frame < 5] == [r for r in clean_rows if r.frame < 5]
+        assert {r.frame for r in rows} == set(range(1, 26)) - {5}
 
     def test_missing_container_is_data_error(self, tmp_path, capsys):
         code, _, err = run(

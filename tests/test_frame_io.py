@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,27 @@ class TestContainerErrors:
         assert err.value.offset is not None
         assert "offset" in str(err.value)
 
+    def test_payload_cut_short_reports_its_start(self, tmp_path):
+        rng = np.random.default_rng(10)
+        frame = random_frame(rng, 1)
+        path = tmp_path / "x.omcf"
+        write_container([frame, random_frame(rng, 2)], path)
+        data = path.read_bytes()
+        start = data.index(frame.embed.tobytes())
+        path.write_bytes(data[: start + 100])
+        with pytest.raises(ContainerFormatError, match="tensor 'embed' payload") as err:
+            read_container(path)
+        assert err.value.offset == start
+
+    def test_oversized_dims_are_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "x.omcf"
+        header = struct.pack("<4sIII", b"OMCF", 1, 1, 1)
+        tensor = struct.pack("<I4sI3IB", 4, b"prob", 3, 100_000, 100_000, 512, 0)
+        path.write_bytes(header + tensor + bytes(64))
+        with pytest.raises(ContainerFormatError, match="payload") as err:
+            read_container(path)
+        assert err.value.offset == len(header) + len(tensor)
+
     def test_unknown_dtype_code(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "x.omcf"
@@ -113,6 +136,33 @@ class TestContainerErrors:
         frame.prob[0, 0, 0] = 1.5
         with pytest.raises(ValueError, match="prob"):
             write_container([frame], tmp_path / "x.omcf")
+
+
+class TestContainerArrays:
+    def test_arrays_are_writeable_and_independent(self, tmp_path):
+        rng = np.random.default_rng(11)
+        frames = [random_frame(rng, i + 1) for i in range(2)]
+        path = tmp_path / "x.omcf"
+        write_container(frames, path)
+        arrays = [a for fc in read_container(path) for a in fc.tensors().values()]
+        assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        arrays[0][...] = -1.0
+        wanted = [a for fc in frames for a in fc.tensors().values()]
+        assert all(np.array_equal(a, w) for a, w in zip(arrays[1:], wanted[1:]))
+
+    def test_values_are_left_to_the_tracker(self, tmp_path):
+        rng = np.random.default_rng(12)
+        frame = random_frame(rng, 1)
+        frame.embed[0, 0, 0] = np.nan
+        frame.prob[1, 1, 0] = 1.5
+        path = tmp_path / "x.omcf"
+        write_omcf(path, [frame.tensors()])
+        (back,) = read_container(path)
+        with pytest.raises(ValueError, match="non-finite"):
+            back.validate()
 
 
 class TestMotText:

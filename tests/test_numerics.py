@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
 
+from omctrack import numerics
 from omctrack.numerics import (
+    NORM_EPS,
     conv3x3_forward,
     l2_normalize,
     l2_normalize_grid,
     matmul,
     sigmoid,
 )
+
+# Grid shapes that are not a multiple of a block: one cell, a few ragged
+# rows, a tall narrow grid, and one that 64-cell blocks split into 2-row
+# blocks and a last 1-row block.
+RAGGED_SHAPES = [(1, 1), (5, 7), (153, 3), (45, 29)]
+
+
+def whole_grid_normalize(g, eps=NORM_EPS):
+    """Reference: the whole-grid float64 normalization, one pass."""
+    g = np.asarray(g)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("grid contains non-finite values")
+    g64 = g.astype(np.float64)
+    norms = np.linalg.norm(g64, axis=2, keepdims=True)
+    scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
+    return (g64 * scale).astype(np.float32)
 
 
 def naive_matmul(a, b):
@@ -177,3 +195,39 @@ class TestL2Normalize:
         norms = np.linalg.norm(out.astype(np.float64), axis=2)
         assert abs(norms[0, 0] - 1.0) < 1e-6
         assert norms[1, 2] == 0.0
+
+
+class TestBlockwiseGridNormalize:
+    @pytest.mark.parametrize("block_cells", [1, 3, 7, numerics.BLOCK_CELLS])
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_bit_identical_to_whole_grid(self, monkeypatch, shape, block_cells):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(sum(shape))
+        g = (rng.normal(size=shape + (16,)) * rng.choice([1e-3, 1.0, 1e4])).astype(np.float32)
+        g[::2, ::3] = 0.0  # all-zero cells stay zero
+        out = l2_normalize_grid(g)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, whole_grid_normalize(g))
+
+    def test_all_zero_grid(self):
+        g = np.zeros((5, 7, 8), dtype=np.float32)
+        assert np.array_equal(l2_normalize_grid(g), g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_block_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", 7)
+        g = np.ones((153, 3, 4), dtype=np.float32)
+        g[-1, -1, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            l2_normalize_grid(g)
+
+    def test_float64_overflowing_norm_is_not_non_finite(self):
+        # The sum of squares overflows, the values do not: scale 1/inf = 0.
+        g = np.full((2, 3, 4), 1e200)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(l2_normalize_grid(g), whole_grid_normalize(g))
+
+    def test_peak_memory_at_most_a_quarter_grid_over_output(self, traced_peak_bytes):
+        # The whole-grid version peaked at about 5.1x the grid's bytes.
+        g = np.random.default_rng(0).normal(size=(152, 272, 64)).astype(np.float32)
+        assert traced_peak_bytes(l2_normalize_grid, g) <= 1.25 * g.nbytes

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from omctrack import numerics
 from omctrack.detection import Box, decode_boxes
 from omctrack.frame_io import write_omcf
-from omctrack.numerics import conv3x3_forward, l2_normalize, l2_normalize_grid, sigmoid
+from omctrack.numerics import conv3x3_forward, l2_normalize, l2_normalize_grid, matmul, sigmoid
 from omctrack.recheck import (
     EmbeddingSet,
     RefineWeights,
@@ -34,6 +35,14 @@ def correlate_oracle(vectors, grid):
                     vectors[i].astype(np.float64), grid[y, x].astype(np.float64)
                 ))
     return out
+
+
+def whole_grid_correlate(vectors, grid):
+    """Reference: one (n, C) x (C, H*W) float64 product over the whole grid."""
+    h, w, c = grid.shape
+    if len(vectors) == 0:
+        return np.zeros((0, h, w), dtype=np.float32)
+    return matmul(vectors, grid.reshape(h * w, c).T).reshape(len(vectors), h, w)
 
 
 class TestEmbeddingSet:
@@ -93,6 +102,40 @@ class TestCrossCorrelate:
         grid = l2_normalize_grid(rng.normal(size=(10, 10, 32)).astype(np.float32))
         maps = cross_correlate(EmbeddingSet(e), grid)
         assert np.all(np.abs(maps) <= 1.0 + 1e-5)
+
+
+class TestBlockwiseCorrelate:
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("block_cells", [1, 3, 7, numerics.BLOCK_CELLS])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (153, 3), (45, 29)])
+    def test_bit_identical_to_whole_grid(self, monkeypatch, shape, block_cells, n):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(sum(shape) + n)
+        grid = l2_normalize_grid(rng.normal(size=shape + (32,)).astype(np.float32))
+        grid[::3, ::2] = 0.0  # all-zero cells respond 0
+        e = unit_rows(rng, n, 32)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        assert maps.shape == (n,) + shape
+        assert maps.dtype == np.float32
+        assert np.array_equal(maps, whole_grid_correlate(e, grid))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_last_block_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", 7)
+        grid = np.zeros((153, 3, 8), dtype=np.float32)
+        grid[-1, -1, 0] = bad
+        e = unit_rows(np.random.default_rng(3), 2, 8)
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_correlate(EmbeddingSet(e), grid)
+
+    def test_peak_memory_at_most_output_plus_a_quarter_grid(self, traced_peak_bytes):
+        # The whole-grid version peaked at about 2.6x the grid's bytes.
+        rng = np.random.default_rng(4)
+        grid = l2_normalize_grid(rng.normal(size=(152, 272, 64)).astype(np.float32))
+        e_set = EmbeddingSet(unit_rows(rng, 20, 64))
+        out_bytes = 20 * 152 * 272 * 4
+        peak = traced_peak_bytes(cross_correlate, e_set, grid)
+        assert peak <= out_bytes + 0.25 * grid.nbytes
 
 
 class TestShrinkMask:
