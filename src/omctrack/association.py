@@ -34,7 +34,9 @@ from .detection import (
 )
 from .frame_io import FrameContainer, MotBox
 from .fusion import FusionConfig, fuse
-from .numerics import as_grid, ensure_matrix, l2_normalize, l2_normalize_grid
+# l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
+# every stage name this module binds, that one included.
+from .numerics import as_grid, l2_normalize, l2_normalize_grid, normalize_cells
 from .recheck import (
     DEFAULT_SHRINK_RADIUS,
     EmbeddingSet,
@@ -131,17 +133,18 @@ class PipelineConfig:
             raise ValueError("stride must be >= 1")
 
 
-def extract_embeddings(boxes: Boxes, f_id: np.ndarray) -> EmbeddingSet:
+def extract_embeddings(boxes: Boxes, embed: np.ndarray) -> EmbeddingSet:
     """Read one normalized embedding per box at its center cell.
 
     Centers outside the grid clamp to the nearest boundary cell. Only the
-    cells read are checked: a non-finite value in one raises ValueError.
+    cells read are normalized and checked: a non-finite value in one raises
+    ValueError.
     """
-    grid = as_grid(f_id, name="f_id")
+    grid = as_grid(embed, name="embed")
     h, w = grid.shape[:2]
     cols = np.clip(np.floor(boxes.cx), 0, w - 1).astype(np.intp)
     rows = np.clip(np.floor(boxes.cy), 0, h - 1).astype(np.intp)
-    cells = ensure_matrix(grid[rows, cols], name="f_id")
+    cells = normalize_cells(grid[rows, cols])
     vectors = np.zeros(cells.shape, dtype=np.float32)
     for k, cell in enumerate(cells):
         vectors[k] = l2_normalize(cell)
@@ -327,7 +330,6 @@ class Tracker:
             )
             return []
 
-        f_id = l2_normalize_grid(frame.embed)
         decoded = decode_boxes(
             frame.prob, frame.boxes, p.decode_mode, BarParams(p.h_scale)
         )
@@ -343,7 +345,7 @@ class Tracker:
                 np.stack([t.embedding for t in self.tracklets]),
                 [t.id for t in self.tracklets],
             )
-            stack = cross_correlate(e_prev, f_id)
+            stack = cross_correlate(e_prev, frame.embed)
             m_s = aggregate(stack, p.shrink_radius)
             m_p = refine(m_s, frame.feat, self.weights)
             d_trans = transductive_detections(
@@ -353,7 +355,7 @@ class Tracker:
         else:
             d_final = d_base
 
-        e_set = extract_embeddings(d_final, f_id)
+        e_set = extract_embeddings(d_final, frame.embed)
         matches, _, unmatched_boxes = associate(
             self.tracklets, d_final, e_set, self.cfg
         )

@@ -22,13 +22,17 @@ Readers are reentrant; a writer needs exclusive access to its output path.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .numerics import grid_row_blocks
 
 __all__ = [
     "ContainerFormatError",
@@ -126,11 +130,16 @@ class FrameContainer:
             raise ValueError(f"boxes must have 4 channels, got {shapes['boxes'][2]}")
 
     def validate(self) -> None:
-        """check_format, then the values: all finite, prob within [0, 1]."""
+        """check_format, then the values: all finite, prob within [0, 1].
+
+        Finiteness is checked one row block at a time, so no bool array the
+        size of a whole tensor is allocated.
+        """
         self.check_format()
         for name, arr in self.tensors().items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name!r} contains non-finite values")
+            for rows in grid_row_blocks(arr):
+                if not np.isfinite(arr[rows]).all():
+                    raise ValueError(f"tensor {name!r} contains non-finite values")
         if self.prob.min() < 0.0 or self.prob.max() > 1.0:
             raise ValueError("prob values must lie in [0, 1]")
 
@@ -360,15 +369,26 @@ def write_mot_results(tracks: list[MotBox], path) -> None:
     """Write tracker output rows sorted by (frame, id).
 
     Coordinates are printed with 2 decimal places and confidence with 6,
-    which fixes the precision preserved by a read/write round trip.
+    which fixes the precision preserved by a read/write round trip. The
+    rows go to a temporary file in the same directory, which then replaces
+    path, so a failed write leaves any earlier file at path intact.
     """
     for b in tracks:
         if b.id < 1:
             raise ValueError(f"result rows need ids >= 1, got {b.id}")
     rows = sorted(tracks, key=lambda b: (b.frame, b.id))
-    with open(path, "w", encoding="utf-8") as f:
-        for b in rows:
-            f.write(
-                f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
-                f"{b.conf:.6f},-1,-1,-1\n"
-            )
+    path = os.fspath(path)
+    # Not tempfile.mkstemp: its files are private (0600), while open(..., "x")
+    # creates the file with the permissions a plain open would give path.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            for b in rows:
+                f.write(
+                    f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
+                    f"{b.conf:.6f},-1,-1,-1\n"
+                )
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)

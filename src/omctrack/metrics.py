@@ -210,6 +210,17 @@ def idf1(
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
 
 
+def _mt_ml_ratios(gt: list[MotBox], matched_frames: dict[int, int]) -> tuple[float, float]:
+    """(mostly-tracked, mostly-lost) ratios from _protocol's matched frames."""
+    lifespan: dict[int, int] = {}
+    for b in gt:
+        lifespan[b.id] = lifespan.get(b.id, 0) + 1
+    coverage = [matched_frames.get(gid, 0) / n for gid, n in lifespan.items()]
+    mt = sum(1 for c in coverage if c >= 0.8)
+    ml = sum(1 for c in coverage if c <= 0.2)
+    return mt / len(lifespan), ml / len(lifespan)
+
+
 def mt_ml(
     gt: list[MotBox],
     pred: list[MotBox],
@@ -221,18 +232,7 @@ def mt_ml(
     correspondence; >= 0.8 counts as mostly tracked, <= 0.2 as mostly lost.
     """
     _, _, _, _, matched_frames = _protocol(gt, pred, iou_thr)
-    lifespan: dict[int, int] = {}
-    for b in gt:
-        lifespan[b.id] = lifespan.get(b.id, 0) + 1
-    mt = ml = 0
-    for gid, total in lifespan.items():
-        coverage = matched_frames.get(gid, 0) / total
-        if coverage >= 0.8:
-            mt += 1
-        elif coverage <= 0.2:
-            ml += 1
-    n_ids = len(lifespan)
-    return mt / n_ids, ml / n_ids
+    return _mt_ml_ratios(gt, matched_frames)
 
 
 def evaluate(
@@ -244,18 +244,12 @@ def evaluate(
     """Full report over one sequence pair."""
     fp, fn, idsw, gt_total, matched_frames = _protocol(gt, pred, iou_thr)
     mota = 1.0 - (fp + fn + idsw) / gt_total
-    lifespan: dict[int, int] = {}
-    for b in gt:
-        lifespan[b.id] = lifespan.get(b.id, 0) + 1
-    mt = sum(1 for gid, n in lifespan.items()
-             if matched_frames.get(gid, 0) / n >= 0.8)
-    ml = sum(1 for gid, n in lifespan.items()
-             if matched_frames.get(gid, 0) / n <= 0.2)
+    mt_ratio, ml_ratio = _mt_ml_ratios(gt, matched_frames)
     return EvalReport(
         mota=mota,
         idf1=idf1(gt, pred, iou_thr),
-        mt_ratio=mt / len(lifespan),
-        ml_ratio=ml / len(lifespan),
+        mt_ratio=mt_ratio,
+        ml_ratio=ml_ratio,
         fp=fp,
         fn=fn,
         idsw=idsw,

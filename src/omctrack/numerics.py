@@ -7,19 +7,28 @@ Conventions used throughout the package:
 * every kernel accumulates in float64 and rounds once to float32, with a
   fixed reduction order, so repeated runs produce identical bits.
 
-Grid kernels (`l2_normalize_grid`, and `recheck.cross_correlate` on top of
-`matmul`) walk the grid in blocks of whole rows, about `BLOCK_CELLS` cells
-each (`grid_row_blocks`), so their float64 temporaries stay cache-sized
-instead of copying the whole grid. A cell's result depends only on that
-cell, and each element keeps its reduction order over the channels, so
-the block size does not change the output; the tests compare it bit for
-bit with the whole-grid computation.
+Grid kernels walk the grid in blocks of whole rows, about `BLOCK_CELLS`
+cells each (`grid_row_blocks`), so their float64 temporaries stay
+cache-sized instead of copying the whole grid:
 
-The tracklet-by-cell product stays in float64 as well. On a synthetic
-152x272x512 frame with 20 tracklets, float32 BLAS (`sgemm`) on the same
-inputs changed 99% of the response bits, and correlating the raw grid and
-dividing by per-cell norms afterwards changed 3.6% of them. Either could
-move MOT rows, so both were rejected.
+* `l2_normalize_grid` writes a float32 normalized copy of a grid;
+* `recheck.cross_correlate` normalizes each block of the raw grid on its
+  way into the float64 tracklet-by-cell product, so no normalized copy of
+  the grid is ever built.
+
+Both, and the per-cell readout in `association.extract_embeddings`, take
+their unit cells from `normalize_cells`, so the normalization arithmetic
+exists once. A cell's result depends only on that cell, and each element
+keeps its reduction order over the channels, so the block size does not
+change the output; the tests compare it bit for bit with the whole-grid
+computation.
+
+The tracklet-by-cell product stays in float64 as well, on cells rounded
+to float32 first. On a synthetic 152x272x512 frame with 20 tracklets,
+float32 BLAS (`sgemm`) on the same inputs changed 99% of the response
+bits, and correlating the raw grid and dividing by per-cell norms
+afterwards changed 3.6% of them. Either could move MOT rows, so both were
+rejected.
 
 All functions are pure; concurrent calls are safe.
 """
@@ -40,6 +49,7 @@ __all__ = [
     "conv3x3_forward",
     "sigmoid",
     "l2_normalize",
+    "normalize_cells",
     "l2_normalize_grid",
 ]
 
@@ -174,22 +184,32 @@ def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
     return (v.astype(np.float64) / norm).astype(np.float32)
 
 
+def normalize_cells(cells, eps: float = NORM_EPS) -> np.ndarray:
+    """Scale every vector along the last axis to unit length, as float32.
+
+    Norms and scaling are float64; vectors with norm <= eps stay as they
+    are, so all-zero cells stay zero and downstream dot products treat them
+    as "no information" rather than NaN. Raises ValueError when a value is
+    not finite.
+    """
+    c64 = np.asarray(cells).astype(np.float64)
+    norms = np.linalg.norm(c64, axis=-1, keepdims=True)
+    # A norm is finite exactly when its cell's values are, unless the sum
+    # of squares overflows, which float32 input cannot make happen.
+    if not np.isfinite(norms).all() and not np.isfinite(c64).all():
+        raise ValueError("grid contains non-finite values")
+    scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
+    return np.multiply(c64, scale, out=c64).astype(np.float32)
+
+
 def l2_normalize_grid(g, eps: float = NORM_EPS) -> np.ndarray:
     """Normalize every (H, W) cell vector of a grid to unit length.
 
-    Zero cells stay zero, so downstream dot products treat them as
-    "no information" rather than NaN. Works one row block at a time into a
-    single float32 output. Raises ValueError when a value is not finite.
+    Works one row block at a time (`normalize_cells`) into a single float32
+    output. Raises ValueError when a value is not finite.
     """
     g = as_grid(g)
     out = np.empty(g.shape, dtype=np.float32)
     for rows in grid_row_blocks(g):
-        g64 = g[rows].astype(np.float64)
-        norms = np.linalg.norm(g64, axis=2, keepdims=True)
-        # A norm is finite exactly when its cell's values are, unless the
-        # sum of squares overflows, which float32 input cannot make happen.
-        if not np.isfinite(norms).all() and not np.isfinite(g64).all():
-            raise ValueError("grid contains non-finite values")
-        scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
-        out[rows] = np.multiply(g64, scale, out=g64)
+        out[rows] = normalize_cells(g[rows], eps)
     return out

@@ -2,16 +2,18 @@
 
 Every active tracklet embedding is dotted against every cell of the current
 identity-embedding grid, one float64 matrix multiply per block of grid
-rows, which yields one response map per tracklet. Each map is shrunk to a
-window around its peak (look-alike objects elsewhere produce spurious
-highs), the masked maps are summed into one aggregate, and an optional
-learned refinement mixes the visual feature back in to filter false
-positives. Swapping the refined map in as the score array of the decoded
-`Boxes` and running NMS produces the transductive detections that can
-restore targets the detector scored as background.
+rows, each block normalized on its way in, which yields one response map
+per tracklet. Each map is shrunk to a window around its peak (look-alike
+objects elsewhere produce spurious highs), the masked maps are summed into
+one aggregate, and an optional learned refinement mixes the visual feature
+back in to filter false positives. Swapping the refined map in as the
+score array of the decoded `Boxes` and running NMS produces the
+transductive detections that can restore targets the detector scored as
+background.
 
-Embedding grids and tracklet embeddings are expected L2-normalized, so all
-responses are cosine similarities and the shrink threshold is scale-free.
+`cross_correlate` normalizes the grid cells; templates must be unit-length
+or zero. So all responses are cosine similarities and the shrink threshold
+is scale-free.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .numerics import (
     conv3x3_forward,
     ensure_grid,
     grid_row_blocks,
-    matmul,
+    normalize_cells,
     sigmoid,
 )
 
@@ -87,16 +89,16 @@ class EmbeddingSet:
         return cls(np.zeros((0, dim), dtype=np.float32), [])
 
 
-def cross_correlate(e_set: EmbeddingSet, f_id: np.ndarray) -> np.ndarray:
-    """Response maps of every template against every grid cell.
+def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
+    """Cosine response maps of every template against every grid cell.
 
-    Computed as an (n, C) x (C, cells) matrix product per row block of the
-    grid, which is equivalent to looping dot products per target and cell.
-    matmul checks each block's values, so a non-finite value raises
-    ValueError; with no templates the values are not read. Returns an
-    (n, H, W) float32 stack; with unit inputs the values are cosines.
+    Each row block of the raw grid is normalized (`normalize_cells`, which
+    raises ValueError on a non-finite value) and multiplied as an
+    (n, C) x (C, cells) float64 product, which is equivalent to looping dot
+    products per target and unit cell. With no templates the values are not
+    read. Returns an (n, H, W) float32 stack.
     """
-    grid = as_grid(f_id, name="f_id")
+    grid = as_grid(embed, name="embed")
     h, w, c = grid.shape
     n = len(e_set)
     if n == 0:
@@ -105,10 +107,11 @@ def cross_correlate(e_set: EmbeddingSet, f_id: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
+    templates = e_set.vectors.astype(np.float64)
     responses = np.empty((n, h, w), dtype=np.float32)
     for rows in grid_row_blocks(grid):
-        block = grid[rows].reshape(-1, c)
-        responses[:, rows] = matmul(e_set.vectors, block.T).reshape(n, -1, w)
+        cells = normalize_cells(grid[rows]).reshape(-1, c).astype(np.float64)
+        responses[:, rows] = (templates @ cells.T).reshape(n, -1, w)
     return responses
 
 

@@ -17,6 +17,8 @@ from omctrack.numerics import l2_normalize
 from omctrack.recheck import EmbeddingSet
 from omctrack.synth import ScenarioConfig, generate
 
+from test_numerics import whole_grid_normalize
+
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
@@ -89,6 +91,20 @@ class TestExtractEmbeddings:
         boxes = Boxes.of([Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
         assert np.array_equal(es.vectors[0], l2_normalize(grid[2, 3]))
+
+    def test_raw_grid_same_bits_as_reading_a_normalized_grid(self):
+        rng = np.random.default_rng(2)
+        grid = (rng.normal(size=(9, 13, 32))
+                * rng.choice([1e-3, 1.0, 1e4], size=(9, 13, 1))).astype(np.float32)
+        grid[::2, ::3] = 0.0
+        boxes = Boxes.of([Box(cx=x, cy=y, w=1, h=1, score=1.0)
+                          for x, y in rng.uniform(-2.0, 15.0, size=(40, 2))])
+        # The readout of an already normalized grid: clamp, read, l2_normalize.
+        f_id = whole_grid_normalize(grid)
+        cols = np.clip(np.floor(boxes.cx), 0, 12).astype(int)
+        rows = np.clip(np.floor(boxes.cy), 0, 8).astype(int)
+        expected = np.stack([l2_normalize(f_id[r, c]) for r, c in zip(rows, cols)])
+        assert np.array_equal(extract_embeddings(boxes, grid).vectors, expected)
 
 
 class TestAssociate:
@@ -373,3 +389,17 @@ class TestTrackerStep:
             born.extend(range(before, tracker.next_id))
         assert len(born) == len(set(born))
         assert born == sorted(born)
+
+
+class TestTrackerStepMemory:
+    def test_peak_with_live_tracklets_below_the_embedding_grid(self, traced_peak_bytes):
+        # No normalized copy of the grid and no whole-tensor bool array: the
+        # step used to peak at about 1.57x the embedding grid's bytes.
+        cfg = ScenarioConfig(num_targets=20, height=152, width=272, frames=2,
+                             embed_dim=64, stride=4, seed=3)
+        frames, _, _ = generate(cfg)
+        tracker = Tracker(PipelineConfig(stride=cfg.stride))
+        tracker.step(frames[0])
+        assert len(tracker.tracklets) == 20
+        peak = traced_peak_bytes(tracker.step, frames[1])
+        assert peak <= 0.75 * frames[1].embed.nbytes

@@ -1,8 +1,11 @@
+import builtins
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from omctrack import frame_io
 from omctrack.frame_io import (
     ContainerFormatError,
     FrameContainer,
@@ -257,3 +260,55 @@ class TestMotText:
                 [MotBox(frame=1, id=-1, x=0, y=0, w=1, h=1, conf=1.0)],
                 tmp_path / "res.txt",
             )
+
+
+class _DiskFullAfter:
+    """Text file wrapper whose write fails once `limit` characters are out."""
+
+    def __init__(self, f, limit):
+        self.f, self.limit, self.written = f, limit, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        room = self.limit - self.written
+        if len(text) > room:
+            self.f.write(text[:room])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += len(text)
+        return self.f.write(text)
+
+
+class TestAtomicResults:
+    def rows(self, frames):
+        return [MotBox(frame=f, id=i, x=f, y=i, w=4.0, h=8.0, conf=0.5)
+                for f in range(1, frames + 1) for i in (1, 2)]
+
+    def test_failed_write_keeps_previous_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "res.txt"
+        write_mot_results(self.rows(3), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            frame_io, "open",
+            lambda *args, **kwargs: _DiskFullAfter(builtins.open(*args, **kwargs), 500),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="No space"):
+            write_mot_results(self.rows(200), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["res.txt"]
+
+    def test_rewrite_replaces_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "res.txt"
+        write_mot_results(self.rows(200), path)
+        write_mot_results(self.rows(1), str(path))
+        assert path.read_text() == (
+            "1,1,1.00,1.00,4.00,8.00,0.500000,-1,-1,-1\n"
+            "1,2,1.00,2.00,4.00,8.00,0.500000,-1,-1,-1\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["res.txt"]

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from omctrack.frame_io import MotBox
 from omctrack.metrics import clear_mot, evaluate, idf1, mot_iou, mt_ml
@@ -157,6 +158,22 @@ class TestMtMl:
         assert mt_ml(gt, pred8)[0] == 1.0
         pred2 = [row(f, 1, x=0) for f in range(1, 3)]     # exactly 20%
         assert mt_ml(gt, pred2)[1] == 1.0
+
+
+# Small worlds: few frames, ids and positions, so boxes overlap, gate and
+# switch often. Each (frame, id) appears at most once.
+mot_rows = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 4), st.sampled_from([0.0, 4.0, 40.0])),
+    max_size=24,
+    unique_by=lambda r: r[:2],
+).map(lambda rs: [row(f, tid, x) for f, tid, x in rs])
+
+
+class TestReportMtMl:
+    @given(mot_rows.filter(bool), mot_rows)
+    def test_evaluate_ratios_equal_mt_ml(self, gt, pred):
+        report = evaluate(gt, pred)
+        assert (report.mt_ratio, report.ml_ratio) == mt_ml(gt, pred)
 
 
 class TestRelabelingInvariance:

@@ -17,6 +17,8 @@ from omctrack.recheck import (
     transductive_detections,
 )
 
+from test_numerics import RAGGED_SHAPES, whole_grid_normalize
+
 
 def unit_rows(rng, n, dim):
     v = rng.normal(size=(n, dim))
@@ -136,6 +138,49 @@ class TestBlockwiseCorrelate:
         out_bytes = 20 * 152 * 272 * 4
         peak = traced_peak_bytes(cross_correlate, e_set, grid)
         assert peak <= out_bytes + 0.25 * grid.nbytes
+
+
+def raw_grid(rng, shape, dim):
+    """Unnormalized cells: large magnitudes, plus all-zero cells."""
+    g = rng.normal(size=shape + (dim,)) * rng.choice([1e-3, 1.0, 1e4], size=shape + (1,))
+    g = g.astype(np.float32)
+    g[::3, ::2] = 0.0
+    return g
+
+
+class TestFusedNormalizeCorrelate:
+    """cross_correlate normalizes the raw grid itself, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("block_cells", [1, 3, 7, 64])
+    @pytest.mark.parametrize("shape", RAGGED_SHAPES)
+    def test_raw_grid_bit_identical_to_normalize_then_correlate(
+        self, monkeypatch, shape, block_cells, n
+    ):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(7 * sum(shape) + n)
+        grid = raw_grid(rng, shape, 32)
+        e = unit_rows(rng, n, 32)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        assert maps.dtype == np.float32
+        assert np.array_equal(maps, whole_grid_correlate(e, whole_grid_normalize(grid)))
+
+    def test_responses_are_cosines(self):
+        rng = np.random.default_rng(5)
+        grid = raw_grid(rng, (9, 11), 16)
+        e = unit_rows(rng, 3, 16)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        unit = grid / np.maximum(np.linalg.norm(grid, axis=2, keepdims=True), 1e-30)
+        assert np.max(np.abs(maps - correlate_oracle(e, unit))) < 1e-5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_block_of_raw_grid_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", 7)
+        grid = raw_grid(np.random.default_rng(6), (153, 3), 8)
+        grid[-1, -1, 3] = bad
+        e = unit_rows(np.random.default_rng(3), 2, 8)
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_correlate(EmbeddingSet(e), grid)
 
 
 class TestShrinkMask:
