@@ -132,11 +132,19 @@ class FrameContainer:
     def validate(self) -> None:
         """check_format, then the values: all finite, prob within [0, 1].
 
-        Finiteness is checked one row block at a time, so no bool array the
-        size of a whole tensor is allocated.
+        A C-contiguous tensor is first summed as one BLAS dot product with
+        itself, which is finite exactly when every value is, unless finite
+        float32 squares overflow (values above about 1.8e19). Any other
+        tensor, and any non-finite sum, is checked one row block at a time,
+        so no bool array the size of a whole tensor is allocated.
         """
         self.check_format()
         for name, arr in self.tensors().items():
+            if arr.flags.c_contiguous:
+                flat = arr.reshape(-1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if np.isfinite(np.dot(flat, flat)):
+                        continue
             for rows in grid_row_blocks(arr):
                 if not np.isfinite(arr[rows]).all():
                     raise ValueError(f"tensor {name!r} contains non-finite values")

@@ -1,9 +1,9 @@
 """Tracklet propagation by global embedding search.
 
 Every active tracklet embedding is dotted against every cell of the current
-identity-embedding grid, one float64 matrix multiply per block of grid
-rows, each block normalized on its way in, which yields one response map
-per tracklet. Each map is shrunk to a window around its peak (look-alike
+identity-embedding grid in one float32 matrix multiply over the raw grid,
+each output column scaled by its cell's 1/norm, which yields one response
+map per tracklet. Each map is shrunk to a window around its peak (look-alike
 objects elsewhere produce spurious highs), the masked maps are summed into
 one aggregate, and an optional learned refinement mixes the visual feature
 back in to filter false positives. Swapping the refined map in as the
@@ -26,10 +26,10 @@ import numpy as np
 from .detection import Boxes, greedy_nms
 from .frame_io import read_omcf
 from .numerics import (
+    NORM_EPS,
     as_grid,
     conv3x3_forward,
     ensure_grid,
-    grid_row_blocks,
     normalize_cells,
     sigmoid,
 )
@@ -92,11 +92,15 @@ class EmbeddingSet:
 def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
     """Cosine response maps of every template against every grid cell.
 
-    Each row block of the raw grid is normalized (`normalize_cells`, which
-    raises ValueError on a non-finite value) and multiplied as an
-    (n, C) x (C, cells) float64 product, which is equivalent to looping dot
-    products per target and unit cell. With no templates the values are not
-    read. Returns an (n, H, W) float32 stack.
+    One float32 pass over the raw grid: per-cell squared norms from one
+    `einsum`, one (n, C) x (C, H*W) `sgemm` of the templates against the
+    raw cells, and each output column scaled by its cell's 1/norm. Cells
+    with norm <= NORM_EPS keep scale 1, so all-zero cells respond exactly
+    0. A cell whose squared norm is not finite goes through
+    `normalize_cells` (float64), which raises ValueError when one of its
+    values is not finite and otherwise gives the cosines of cells whose
+    float32 squares overflow. With no templates the values are not read.
+    Returns an (n, H, W) stack, float32 for a float32 grid.
     """
     grid = as_grid(embed, name="embed")
     h, w, c = grid.shape
@@ -107,12 +111,19 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
-    templates = e_set.vectors.astype(np.float64)
-    responses = np.empty((n, h, w), dtype=np.float32)
-    for rows in grid_row_blocks(grid):
-        cells = normalize_cells(grid[rows]).reshape(-1, c).astype(np.float64)
-        responses[:, rows] = (templates @ cells.T).reshape(n, -1, w)
-    return responses
+    cells = grid.reshape(-1, c)
+    sq = np.einsum("ij,ij->i", cells, cells)
+    overflow = ~np.isfinite(sq)
+    if overflow.any():
+        unit = normalize_cells(cells[overflow])
+        sq[overflow] = 0.0  # scale 1; these columns are replaced below
+    norms = np.sqrt(sq)
+    scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
+    responses = e_set.vectors @ cells.T
+    responses *= scale
+    if overflow.any():
+        responses[:, overflow] = e_set.vectors @ unit.T
+    return responses.reshape(n, h, w)
 
 
 def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:

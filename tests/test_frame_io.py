@@ -168,6 +168,32 @@ class TestContainerArrays:
             back.validate()
 
 
+class TestValidateValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["prob", "boxes", "embed", "feat"])
+    def test_non_finite_last_element_raises(self, name, bad):
+        frame = random_frame(np.random.default_rng(13), 1)
+        frame.tensors()[name][-1, -1, -1] = bad
+        with pytest.raises(ValueError, match=f"tensor '{name}' contains non-finite"):
+            frame.validate()
+
+    @pytest.mark.parametrize("name", ["boxes", "embed", "feat"])
+    def test_finite_values_whose_squares_overflow_validate(self, name):
+        # 1e20 squared overflows float32; every value is still finite.
+        frame = random_frame(np.random.default_rng(14), 1)
+        frame.tensors()[name][...] = 1e20
+        frame.validate()
+
+    def test_non_contiguous_tensor_still_checked(self):
+        frame = random_frame(np.random.default_rng(15), 1)
+        embed = np.zeros((4, 4, 32), dtype=np.float32)
+        embed[-1, -1, -2] = np.nan
+        frame.embed = embed[:, :, ::2]
+        assert not frame.embed.flags.c_contiguous
+        with pytest.raises(ValueError, match="tensor 'embed' contains non-finite"):
+            frame.validate()
+
+
 class TestMotText:
     def test_read_detection_row(self, tmp_path):
         path = tmp_path / "det.txt"

@@ -23,7 +23,9 @@ CLUTTER = dict(num_targets=4, height=12, width=12, frames=40,
 
 CASES = {
     "desk": (DESK, False, "f5f460d3250ae241906fc6fcfaa6069c79e32c52afe1043dc048e43664f947ce"),
-    "clutter": (CLUTTER, False, "61a80fd6ac1a827c72702dab7a2cdb267a3450d5975a621b4ea1e119e638a97c"),
+    # Re-pinned for the float32 embedding search, which moved the printed
+    # conf of 23 rows by 1e-6; test_row_contract.py checks the other fields.
+    "clutter": (CLUTTER, False, "c9fe31971b745527aa0eda80f1a1c5d8a1ea250834ebda1f99ec7863d4475884"),
     # Public mode: every ground-truth box that was not dropped, at conf 0.9.
     "desk_public": (DESK, True, "9a432277ad162ee77077642e91b65d7a9ed62a7ee8e95764d23659d36684348d"),
 }

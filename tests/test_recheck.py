@@ -106,20 +106,44 @@ class TestCrossCorrelate:
         assert np.all(np.abs(maps) <= 1.0 + 1e-5)
 
 
+def cosine_atol(c):
+    """Absolute tolerance of a float32 cosine against the float64 oracle.
+
+    With u = 2**-24 and C channels, the float32 search computes t.g, the
+    squared norm |g|^2 and the product with 1/|g|. The dot product and the
+    squared norm each sum C products, so they are off by at most C*u
+    times |t||g| and |g|^2 (to first order). The square root halves the
+    norm's relative error, and the square root, the reciprocal and the
+    scaling each round once more. For a unit template the response is
+    therefore within (1.5*C + 3)*u of the exact cosine. The oracle rounds
+    the unit cell and its float64 product to float32, 2*u more, so the two
+    agree within (1.5*C + 5)*u. Two float32 runs that differ only in how
+    BLAS sums the dot product (gemv for one template, gemm for a stack)
+    share the norm and the scale, and differ by at most (2*C + 2)*u. The
+    tolerance, (2*C + 6)*u, covers both.
+    """
+    return (2 * c + 6) * 2.0**-24
+
+
 class TestBlockwiseCorrelate:
     @pytest.mark.parametrize("n", [0, 1, 5])
     @pytest.mark.parametrize("block_cells", [1, 3, 7, numerics.BLOCK_CELLS])
     @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (153, 3), (45, 29)])
-    def test_bit_identical_to_whole_grid(self, monkeypatch, shape, block_cells, n):
-        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
+    def test_block_invariant_and_close_to_whole_grid(self, monkeypatch, shape, block_cells, n):
         rng = np.random.default_rng(sum(shape) + n)
         grid = l2_normalize_grid(rng.normal(size=shape + (32,)).astype(np.float32))
         grid[::3, ::2] = 0.0  # all-zero cells respond 0
         e = unit_rows(rng, n, 32)
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", 1)
+        finest = cross_correlate(EmbeddingSet(e), grid)
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
         maps = cross_correlate(EmbeddingSet(e), grid)
         assert maps.shape == (n,) + shape
         assert maps.dtype == np.float32
-        assert np.array_equal(maps, whole_grid_correlate(e, grid))
+        assert np.array_equal(maps, finest)
+        oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
+        assert np.all(np.abs(maps - oracle) <= cosine_atol(32))
+        assert np.all(maps[:, ::3, ::2] == 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_in_last_block_raises(self, monkeypatch, bad):
@@ -149,21 +173,25 @@ def raw_grid(rng, shape, dim):
 
 
 class TestFusedNormalizeCorrelate:
-    """cross_correlate normalizes the raw grid itself, bit for bit."""
+    """cross_correlate normalizes the raw grid itself."""
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     @pytest.mark.parametrize("block_cells", [1, 3, 7, 64])
     @pytest.mark.parametrize("shape", RAGGED_SHAPES)
-    def test_raw_grid_bit_identical_to_normalize_then_correlate(
+    def test_raw_grid_block_invariant_and_close_to_normalize_then_correlate(
         self, monkeypatch, shape, block_cells, n
     ):
-        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(7 * sum(shape) + n)
         grid = raw_grid(rng, shape, 32)
         e = unit_rows(rng, n, 32)
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", 1)
+        finest = cross_correlate(EmbeddingSet(e), grid)
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
         maps = cross_correlate(EmbeddingSet(e), grid)
         assert maps.dtype == np.float32
-        assert np.array_equal(maps, whole_grid_correlate(e, whole_grid_normalize(grid)))
+        assert np.array_equal(maps, finest)
+        oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
+        assert np.all(np.abs(maps - oracle) <= cosine_atol(32))
 
     def test_responses_are_cosines(self):
         rng = np.random.default_rng(5)
@@ -181,6 +209,31 @@ class TestFusedNormalizeCorrelate:
         e = unit_rows(np.random.default_rng(3), 2, 8)
         with pytest.raises(ValueError, match="non-finite"):
             cross_correlate(EmbeddingSet(e), grid)
+
+    def test_finite_cells_whose_squares_overflow_give_cosines(self):
+        # float32 squares overflow above about 1.8e19; these cells are finite.
+        rng = np.random.default_rng(8)
+        grid = raw_grid(rng, (6, 5), 32)
+        grid[1, :3] *= np.float32(1e20)
+        grid[4, 2] = rng.normal(size=32) * 1e37
+        e = unit_rows(rng, 3, 32)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        g64 = grid.astype(np.float64)
+        unit = g64 / np.maximum(np.linalg.norm(g64, axis=2, keepdims=True), 1e-30)
+        assert np.all(np.isfinite(maps))
+        assert np.max(np.abs(maps - correlate_oracle(e, unit))) <= cosine_atol(32)
+        assert np.max(np.abs(maps[:, 1, :3])) > 0.05  # not zeroed
+
+    def test_template_alone_matches_its_map_in_a_stack(self):
+        # One template goes through gemv, a stack through gemm: the bits may
+        # differ, the cosines agree within the tolerance.
+        rng = np.random.default_rng(9)
+        grid = raw_grid(rng, (45, 29), 32)
+        e = unit_rows(rng, 5, 32)
+        stack = cross_correlate(EmbeddingSet(e), grid)
+        for i in range(5):
+            alone = cross_correlate(EmbeddingSet(e[i:i + 1]), grid)
+            assert np.max(np.abs(alone[0] - stack[i])) <= cosine_atol(32)
 
 
 class TestShrinkMask:
