@@ -43,6 +43,7 @@ from .frame_io import (
 from .fusion import FusionConfig, fuse, targetness_score
 from .metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml
 from .numerics import (
+    FrameValueError,
     conv3x3_forward,
     l2_normalize,
     l2_normalize_grid,

@@ -36,7 +36,13 @@ from .frame_io import FrameContainer, MotBox
 from .fusion import FusionConfig, fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
-from .numerics import as_grid, l2_normalize, l2_normalize_grid, normalize_cells
+from .numerics import (
+    FrameValueError,
+    as_grid,
+    l2_normalize,
+    l2_normalize_grid,
+    normalize_cells,
+)
 from .recheck import (
     DEFAULT_SHRINK_RADIUS,
     EmbeddingSet,
@@ -138,7 +144,7 @@ def extract_embeddings(boxes: Boxes, embed: np.ndarray) -> EmbeddingSet:
 
     Centers outside the grid clamp to the nearest boundary cell. Only the
     cells read are normalized and checked: a non-finite value in one raises
-    ValueError.
+    FrameValueError.
     """
     grid = as_grid(embed, name="embed")
     h, w = grid.shape[:2]
@@ -312,16 +318,18 @@ class Tracker:
         """Run the full pipeline on one frame and emit its result rows.
 
         public_dets, when given, must hold this frame's rows only; they
-        replace the detector's boxes. This is where a frame's values are
-        checked: a frame that fails FrameContainer.validate (a non-finite
-        value, prob outside [0, 1], a malformed tensor) logs a warning,
-        ages every tracklet by one miss and emits no rows.
+        replace the detector's boxes. A frame's values are checked where
+        they are read: prob (finite, within [0, 1]) and boxes (finite) up
+        front, embed by the embedding search and by the readout cells, feat
+        by learned refinement only. A bad value raises FrameValueError;
+        the frame then logs a warning, ages every tracklet by one miss and
+        emits no rows. Tracklet state changes only after every value has
+        been read, and any other exception propagates.
         """
-        p = self.pipeline
         self.frames_seen += 1
         try:
-            frame.validate()
-        except ValueError as exc:
+            d_final, e_set, matches, spawnable = self._match(frame, public_dets)
+        except FrameValueError as exc:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
             self.tracklets, _, _ = update_tracklets(
@@ -330,6 +338,32 @@ class Tracker:
             )
             return []
 
+        survivors, new_tracklets, self.next_id = update_tracklets(
+            self.tracklets, matches, d_final, e_set,
+            self.cfg, self.next_id, spawnable,
+        )
+        self.tracklets = survivors + new_tracklets
+
+        emitted = [(tid, d_final[j]) for tid, j in matches]
+        emitted += [(t.id, t.last_box) for t in new_tracklets]
+        rows = [_to_mot_row(frame.frame_index, tid, box, self.pipeline.stride)
+                for tid, box in emitted]
+        self.restored_emitted += sum(box.restored for _, box in emitted)
+        self.rows_emitted += len(rows)
+        return rows
+
+    def _match(
+        self,
+        frame: FrameContainer,
+        public_dets: list[MotBox] | None,
+    ) -> tuple[Boxes, EmbeddingSet, list[tuple[int, int]], set[int]]:
+        """Read the frame and match it against the tracklets, changing neither.
+
+        Returns the fused boxes, their embeddings, the (tracklet id, box
+        index) matches and the box indices that may found new tracklets.
+        """
+        p = self.pipeline
+        frame.validate(("prob", "boxes"))
         decoded = decode_boxes(
             frame.prob, frame.boxes, p.decode_mode, BarParams(p.h_scale)
         )
@@ -347,7 +381,8 @@ class Tracker:
             )
             stack = cross_correlate(e_prev, frame.embed)
             m_s = aggregate(stack, p.shrink_radius)
-            m_p = refine(m_s, frame.feat, self.weights)
+            f_t = frame.feat if self.weights.mode == "learned" else None
+            m_p = refine(m_s, f_t, self.weights)
             d_trans = transductive_detections(
                 m_p, decoded, p.score_thr, p.nms_iou_thr
             )
@@ -379,19 +414,7 @@ class Tracker:
             spawnable = {
                 j for j in spawnable if not (d_final.restored[j] or near[j])
             }
-
-        survivors, new_tracklets, self.next_id = update_tracklets(
-            self.tracklets, matches, d_final, e_set,
-            self.cfg, self.next_id, spawnable,
-        )
-        self.tracklets = survivors + new_tracklets
-
-        emitted = [(tid, d_final[j]) for tid, j in matches]
-        emitted += [(t.id, t.last_box) for t in new_tracklets]
-        rows = [_to_mot_row(frame.frame_index, tid, box, p.stride) for tid, box in emitted]
-        self.restored_emitted += sum(box.restored for _, box in emitted)
-        self.rows_emitted += len(rows)
-        return rows
+        return d_final, e_set, matches, spawnable
 
 
 def track_sequence(

@@ -1,11 +1,14 @@
 """Command-line entry point: track, eval, synth, sweep and gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 failed
-gradcheck or sweep assertion. A container frame whose values are bad
-(non-finite, prob outside [0, 1]) is not a data error: track logs a
-warning, emits no rows for it and goes on. The OMC_LOG environment variable
-(debug|info) raises log verbosity; default output is just the command's own
-summary.
+gradcheck or sweep assertion. A container frame with a bad value that the
+tracker reads (non-finite, prob outside [0, 1]) is not a data error: track
+logs a warning, emits no rows for it and goes on. Values are checked where
+they are read, so a bad value nothing reads (in feat under bypass
+refinement, or in an embed cell neither the search nor the readout reads)
+changes nothing. feat is read from the container only under learned
+refinement. The OMC_LOG environment variable (debug|info) raises log
+verbosity; default output is just the command's own summary.
 
 Flag values may also come from a --config file of flat key=value lines
 (same keys as the long flag names with dashes turned into underscores);

@@ -27,12 +27,13 @@ import math
 import os
 import struct
 import uuid
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numerics import grid_row_blocks
+from .numerics import FrameValueError, check_finite
 
 __all__ = [
     "ContainerFormatError",
@@ -78,7 +79,6 @@ class MotParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FrameContainer:
     """Per-frame detector outputs on the feature grid.
 
@@ -86,13 +86,34 @@ class FrameContainer:
     boxes  (H, W, 4)  raw box regression values
     embed  (H, W, C)  identity-embedding map (512 channels in production)
     feat   (H, W, C)  visual-feature map (256 channels in production)
+
+    A frame from iter_container holds `feat` unread, as its place in the
+    file, and reads it on first access to `feat` (only learned refinement
+    uses it); the other tensors are read with the frame. Assigning `feat`
+    replaces it like any other attribute.
     """
 
-    frame_index: int
-    prob: np.ndarray
-    boxes: np.ndarray
-    embed: np.ndarray
-    feat: np.ndarray
+    def __init__(self, frame_index: int, prob: np.ndarray, boxes: np.ndarray,
+                 embed: np.ndarray, feat: np.ndarray):
+        self.frame_index = frame_index
+        self.prob = prob
+        self.boxes = boxes
+        self.embed = embed
+        self._feat = feat
+
+    @property
+    def feat(self) -> np.ndarray:
+        if isinstance(self._feat, _Payload):
+            self._feat = self._feat.read()
+        return self._feat
+
+    @feat.setter
+    def feat(self, value: np.ndarray) -> None:
+        self._feat = value
+
+    def __repr__(self) -> str:
+        shapes = ", ".join(f"{name}={arr.shape}" for name, arr in self._stored().items())
+        return f"FrameContainer(frame_index={self.frame_index}, {shapes})"
 
     @property
     def height(self) -> int:
@@ -102,64 +123,57 @@ class FrameContainer:
     def width(self) -> int:
         return self.prob.shape[1]
 
+    def _stored(self) -> dict:
+        return {"prob": self.prob, "boxes": self.boxes, "embed": self.embed,
+                "feat": self._feat}
+
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "prob": self.prob,
-            "boxes": self.boxes,
-            "embed": self.embed,
-            "feat": self.feat,
-        }
+        """The four tensors by name; reads `feat` if it is still unread."""
+        return {**self._stored(), "feat": self.feat}
 
     def check_format(self) -> None:
         """Check index, rank, dtype and shapes; reads no tensor values."""
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
-        shapes = {}
-        for name, arr in self.tensors().items():
-            if not isinstance(arr, np.ndarray) or arr.ndim != 3:
-                raise ValueError(f"tensor {name!r} must be a 3-d ndarray")
-            if arr.dtype != np.float32:
-                raise ValueError(f"tensor {name!r} must be float32, got {arr.dtype}")
-            shapes[name] = arr.shape
-        hw = {s[:2] for s in shapes.values()}
-        if len(hw) != 1:
-            raise ValueError(f"tensor spatial sizes differ: {shapes}")
-        if shapes["prob"][2] != 1:
-            raise ValueError(f"prob must have 1 channel, got {shapes['prob'][2]}")
-        if shapes["boxes"][2] != 4:
-            raise ValueError(f"boxes must have 4 channels, got {shapes['boxes'][2]}")
+        _check_tensor_format(self._stored())
 
-    def validate(self) -> None:
-        """check_format, then the values: all finite, prob within [0, 1].
+    def validate(self, names: Iterable[str] = REQUIRED_TENSORS) -> None:
+        """check_format, then the named tensors' values (all by default).
 
-        A C-contiguous tensor is first summed as one BLAS dot product with
-        itself, which is finite exactly when every value is, unless finite
-        float32 squares overflow (values above about 1.8e19). Any other
-        tensor, and any non-finite sum, is checked one row block at a time,
-        so no bool array the size of a whole tensor is allocated.
+        Every value must be finite (`check_finite`), and prob must lie
+        within [0, 1]. A bad value raises FrameValueError.
         """
         self.check_format()
-        for name, arr in self.tensors().items():
-            if arr.flags.c_contiguous:
-                flat = arr.reshape(-1)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if np.isfinite(np.dot(flat, flat)):
-                        continue
-            for rows in grid_row_blocks(arr):
-                if not np.isfinite(arr[rows]).all():
-                    raise ValueError(f"tensor {name!r} contains non-finite values")
-        if self.prob.min() < 0.0 or self.prob.max() > 1.0:
-            raise ValueError("prob values must lie in [0, 1]")
+        for name in names:
+            check_finite(getattr(self, name), name)
+        if "prob" in names and (self.prob.min() < 0.0 or self.prob.max() > 1.0):
+            raise FrameValueError("prob values must lie in [0, 1]")
 
-    @classmethod
-    def from_tensors(cls, frame_index: int, tensors: Mapping[str, np.ndarray]) -> "FrameContainer":
-        """Build a frame from named tensors and check its format, not its values."""
-        missing = [n for n in REQUIRED_TENSORS if n not in tensors]
-        if missing:
-            raise ValueError(f"container frame missing tensors: {missing}")
-        fc = cls(frame_index, *(np.asarray(tensors[n]) for n in REQUIRED_TENSORS))
-        fc.check_format()
-        return fc
+
+def _check_tensor_format(tensors: Mapping) -> None:
+    """Check that the four tensors are 3-d float32 with one grid size.
+
+    Reads only each tensor's ndim, dtype and shape, which an unread payload
+    carries too.
+    """
+    missing = [n for n in REQUIRED_TENSORS if n not in tensors]
+    if missing:
+        raise ValueError(f"container frame missing tensors: {missing}")
+    shapes = {}
+    for name in REQUIRED_TENSORS:
+        arr = tensors[name]
+        if not isinstance(arr, (np.ndarray, _Payload)) or arr.ndim != 3:
+            raise ValueError(f"tensor {name!r} must be a 3-d ndarray")
+        if arr.dtype != np.float32:
+            raise ValueError(f"tensor {name!r} must be float32, got {arr.dtype}")
+        shapes[name] = arr.shape
+    hw = {s[:2] for s in shapes.values()}
+    if len(hw) != 1:
+        raise ValueError(f"tensor spatial sizes differ: {shapes}")
+    if shapes["prob"][2] != 1:
+        raise ValueError(f"prob must have 1 channel, got {shapes['prob'][2]}")
+    if shapes["boxes"][2] != 4:
+        raise ValueError(f"boxes must have 4 channels, got {shapes['boxes'][2]}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +189,89 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def _read_array(f, dims: tuple[int, ...], what: str) -> np.ndarray:
-    """Read a little-endian float32 payload straight into a new array.
+class _OmcfFile:
+    """An open OMCF file, closed once its header walk and every unread
+    payload that refers to it are gone."""
 
-    The size is checked against the bytes left in the file before anything
-    is allocated, so a corrupt header cannot ask for more than the file holds.
+    def __init__(self, path):
+        self.f = open(path, "rb")
+        weakref.finalize(self, self.f.close)
+
+
+class _Payload:
+    """A float32 tensor's header and its place in an OMCF file, unread.
+
+    `read` uses `preadv`, which does not move the file position, so a
+    payload can be read while the header walk goes on, or after it has
+    ended.
     """
-    offset = f.tell()
-    nbytes = 4 * math.prod(dims)
-    if nbytes > os.fstat(f.fileno()).st_size - offset:
-        raise ContainerFormatError(f"truncated file while reading {what}", offset)
-    arr = np.empty(dims, dtype="<f4")
-    if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
-        raise ContainerFormatError(f"truncated file while reading {what}", offset)
-    return arr
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, source: _OmcfFile, name: str, shape: tuple[int, ...], offset: int):
+        self.source = source
+        self.name = name
+        self.shape = shape
+        self.offset = offset
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def read(self) -> np.ndarray:
+        """Read the little-endian payload straight into a new array."""
+        arr = np.empty(self.shape, dtype="<f4")
+        buf = memoryview(arr.reshape(-1).view(np.uint8))
+        done = 0
+        while done < len(buf):
+            n = os.preadv(self.source.f.fileno(), [buf[done:]], self.offset + done)
+            if n == 0:
+                raise ContainerFormatError(
+                    f"truncated file while reading tensor {self.name!r} payload",
+                    self.offset,
+                )
+            done += n
+        return arr
+
+
+def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, _Payload]]:
+    """Walk the headers of an OMCF file, frame by frame, reading no payload.
+
+    Each payload's size is checked against the bytes left in the file
+    before the walk seeks past it, so a corrupt header cannot ask for more
+    than the file holds.
+    """
+    f = source.f
+    size = os.fstat(f.fileno()).st_size
+    magic = _read_exact(f, 4, "magic")
+    if magic != MAGIC:
+        raise ContainerFormatError(f"bad magic {magic!r}", 0)
+    version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header"))
+    if version != VERSION:
+        raise ContainerFormatError(f"unsupported version {version}", 4)
+    for _ in range(frame_count):
+        (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+        payloads: dict[str, _Payload] = {}
+        for _ in range(tensor_count):
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
+            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
+            dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
+            dtype_offset = f.tell()
+            (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
+            if dtype_code != DTYPE_F32:
+                raise ContainerFormatError(
+                    f"unknown dtype code {dtype_code}", dtype_offset
+                )
+            offset = f.tell()
+            nbytes = 4 * math.prod(dims)
+            if nbytes > size - offset:
+                raise ContainerFormatError(
+                    f"truncated file while reading tensor {name!r} payload", offset
+                )
+            f.seek(nbytes, os.SEEK_CUR)
+            payloads[name] = _Payload(source, name, dims, offset)
+        yield payloads
 
 
 def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
@@ -223,38 +306,9 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
 
 
 def iter_omcf(path) -> Iterator[dict[str, np.ndarray]]:
-    """Stream named-tensor frames from an OMCF file."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != MAGIC:
-            raise ContainerFormatError(f"bad magic {magic!r}", 0)
-        version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header"))
-        if version != VERSION:
-            raise ContainerFormatError(f"unsupported version {version}", 4)
-        for _ in range(frame_count):
-            (tensor_count,) = struct.unpack(
-                "<I", _read_exact(f, 4, "tensor count")
-            )
-            tensors: dict[str, np.ndarray] = {}
-            for _ in range(tensor_count):
-                (name_len,) = struct.unpack(
-                    "<I", _read_exact(f, 4, "name length")
-                )
-                name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-                (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
-                dims = struct.unpack(
-                    f"<{ndim}I", _read_exact(f, 4 * ndim, "dims")
-                )
-                dtype_offset = f.tell()
-                (dtype_code,) = struct.unpack(
-                    "<B", _read_exact(f, 1, "dtype code")
-                )
-                if dtype_code != DTYPE_F32:
-                    raise ContainerFormatError(
-                        f"unknown dtype code {dtype_code}", dtype_offset
-                    )
-                tensors[name] = _read_array(f, dims, f"tensor {name!r} payload")
-            yield tensors
+    """Stream named-tensor frames from an OMCF file, every payload read."""
+    for payloads in _iter_payloads(_OmcfFile(path)):
+        yield {name: p.read() for name, p in payloads.items()}
 
 
 def read_omcf(path) -> list[dict[str, np.ndarray]]:
@@ -296,23 +350,34 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
 def iter_container(path) -> Iterator[FrameContainer]:
     """Stream frames whose format is checked; each tensor keeps frame 1's shape.
 
-    Tensor values are not read here: Tracker.step checks them and counts a
-    frame with a non-finite value or a prob outside [0, 1] as all-miss.
+    Format and shapes come from the headers, before any payload is read.
+    prob, boxes and embed are then read with the frame; feat is only
+    size-checked and is read on first access to `frame.feat`, so a run
+    that never uses it never reads its bytes. A file cut short after the
+    walk makes that access raise ContainerFormatError.
+
+    Tensor values are not checked here: Tracker.step checks the values it
+    reads and counts a frame with a non-finite value it reads, or a prob
+    outside [0, 1], as all-miss.
     """
     first: dict[str, tuple[int, ...]] = {}
-    for i, tensors in enumerate(iter_omcf(path)):
+    for i, payloads in enumerate(_iter_payloads(_OmcfFile(path))):
         try:
-            fc = FrameContainer.from_tensors(i + 1, tensors)
+            _check_tensor_format(payloads)
         except ValueError as exc:
             raise ContainerFormatError(f"frame {i + 1}: {exc}") from exc
-        for name, arr in fc.tensors().items():
-            expected = first.setdefault(name, arr.shape)
-            if arr.shape != expected:
+        for name in REQUIRED_TENSORS:
+            shape = payloads[name].shape
+            expected = first.setdefault(name, shape)
+            if shape != expected:
                 raise ContainerFormatError(
                     f"sequence must be homogeneous: frame {i + 1} tensor "
-                    f"{name!r} has shape {arr.shape}, expected {expected}"
+                    f"{name!r} has shape {shape}, expected {expected}"
                 )
-        yield fc
+        yield FrameContainer(
+            i + 1, *(payloads[n].read() for n in ("prob", "boxes", "embed")),
+            payloads["feat"],
+        )
 
 
 def read_container(path) -> list[FrameContainer]:

@@ -31,13 +31,19 @@ and the printed `conf` differs by 1e-6 on 0 to 61 rows a world, which
 
 `l2_normalize_grid` walks the grid in blocks of whole rows, about
 `BLOCK_CELLS` cells each (`grid_row_blocks`), so its float64 temporaries
-stay cache-sized; `FrameContainer.validate`'s fallback scan uses the same
-blocks. It, the per-cell readout in `association.extract_embeddings` and
-the search's overflow fallback take their unit cells from
-`normalize_cells`. A cell's result depends only on that cell, and each
+stay cache-sized; `check_finite`'s fallback scan uses the same blocks.
+`l2_normalize_grid`, the per-cell readout in
+`association.extract_embeddings` and the search's overflow fallback take
+their unit cells from `normalize_cells`. A cell's result depends only on that cell, and each
 element keeps its reduction order over the channels, so the block size
 does not change the output; the tests compare it bit for bit with the
 whole-grid computation.
+
+The kernels that read a frame's values raise `FrameValueError` on a value
+they cannot use: `normalize_cells` (and so the search and the embedding
+readout) on a non-finite embedding, `check_finite` on any tensor. A frame's
+values are checked where they are read, so a value that no kernel reads is
+never checked.
 
 All functions are pure; concurrent calls are safe.
 """
@@ -50,6 +56,8 @@ import numpy as np
 
 __all__ = [
     "BLOCK_CELLS",
+    "FrameValueError",
+    "check_finite",
     "as_grid",
     "ensure_grid",
     "grid_row_blocks",
@@ -73,6 +81,15 @@ NORM_EPS = 1e-12
 # page-faulted back in every frame (768 minor faults a frame, none with
 # 60-cell blocks).
 BLOCK_CELLS = 64
+
+
+class FrameValueError(ValueError):
+    """A frame tensor holds a value the pipeline cannot use.
+
+    Raised where a frame's values are read: a non-finite value, or a prob
+    outside [0, 1]. Tracker.step counts such a frame as all-miss and lets
+    every other exception propagate.
+    """
 
 
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -111,6 +128,25 @@ def grid_row_blocks(g: np.ndarray) -> Iterator[slice]:
     step = max(1, BLOCK_CELLS // max(w, 1))
     for start in range(0, h, step):
         yield slice(start, min(start + step, h))
+
+
+def check_finite(arr: np.ndarray, name: str) -> None:
+    """Raise FrameValueError, naming the tensor, unless every value is finite.
+
+    A C-contiguous array is first summed as one BLAS dot product with
+    itself, which is finite exactly when every value is, unless finite
+    float32 squares overflow (values above about 1.8e19). Any other array,
+    and any non-finite sum, is checked one row block at a time, so no bool
+    array the size of the whole tensor is allocated.
+    """
+    if arr.flags.c_contiguous:
+        flat = arr.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.dot(flat, flat)):
+                return
+    for rows in grid_row_blocks(arr):
+        if not np.isfinite(arr[rows]).all():
+            raise FrameValueError(f"tensor {name!r} contains non-finite values")
 
 
 def matmul(a, b) -> np.ndarray:
@@ -198,15 +234,15 @@ def normalize_cells(cells, eps: float = NORM_EPS) -> np.ndarray:
 
     Norms and scaling are float64; vectors with norm <= eps stay as they
     are, so all-zero cells stay zero and downstream dot products treat them
-    as "no information" rather than NaN. Raises ValueError when a value is
-    not finite.
+    as "no information" rather than NaN. Raises FrameValueError when a
+    value is not finite.
     """
     c64 = np.asarray(cells).astype(np.float64)
     norms = np.linalg.norm(c64, axis=-1, keepdims=True)
     # A norm is finite exactly when its cell's values are, unless the sum
     # of squares overflows, which float32 input cannot make happen.
     if not np.isfinite(norms).all() and not np.isfinite(c64).all():
-        raise ValueError("grid contains non-finite values")
+        raise FrameValueError("grid contains non-finite values")
     scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
     return np.multiply(c64, scale, out=c64).astype(np.float32)
 
@@ -215,7 +251,7 @@ def l2_normalize_grid(g, eps: float = NORM_EPS) -> np.ndarray:
     """Normalize every (H, W) cell vector of a grid to unit length.
 
     Works one row block at a time (`normalize_cells`) into a single float32
-    output. Raises ValueError when a value is not finite.
+    output. Raises FrameValueError when a value is not finite.
     """
     g = as_grid(g)
     out = np.empty(g.shape, dtype=np.float32)

@@ -28,8 +28,8 @@ from .frame_io import read_omcf
 from .numerics import (
     NORM_EPS,
     as_grid,
+    check_finite,
     conv3x3_forward,
-    ensure_grid,
     normalize_cells,
     sigmoid,
 )
@@ -97,9 +97,10 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
     raw cells, and each output column scaled by its cell's 1/norm. Cells
     with norm <= NORM_EPS keep scale 1, so all-zero cells respond exactly
     0. A cell whose squared norm is not finite goes through
-    `normalize_cells` (float64), which raises ValueError when one of its
-    values is not finite and otherwise gives the cosines of cells whose
-    float32 squares overflow. With no templates the values are not read.
+    `normalize_cells` (float64), which raises FrameValueError when one of
+    its values is not finite and otherwise gives the cosines of cells whose
+    float32 squares overflow. This is where embed's values are checked;
+    with no templates they are not read.
     Returns an (n, H, W) stack, float32 for a float32 grid.
     """
     grid = as_grid(embed, name="embed")
@@ -126,6 +127,21 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
     return responses.reshape(n, h, w)
 
 
+def _peak_window(m: np.ndarray, r: float) -> tuple[slice, slice]:
+    """Rows and columns within r cells of the peak of a 2-d response map.
+
+    The peak is the first row-major occurrence of the maximum. r may be
+    math.inf, which keeps the whole map.
+    """
+    if math.isinf(r):
+        return slice(None), slice(None)
+    if not r >= 0:
+        raise ValueError(f"shrink radius must be >= 0, got {r}")
+    k = math.floor(r)
+    cy, cx = divmod(int(np.argmax(m)), m.shape[1])
+    return slice(max(cy - k, 0), cy + k + 1), slice(max(cx - k, 0), cx + k + 1)
+
+
 def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
     """Binary window of half-width r around the peak of a response map.
 
@@ -135,25 +151,24 @@ def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"response map must be 2-d, got shape {m.shape}")
-    if math.isinf(r):
-        return np.ones(m.shape, dtype=np.float32)
-    if r < 0:
-        raise ValueError(f"shrink radius must be >= 0, got {r}")
-    h, w = m.shape
-    cy, cx = divmod(int(np.argmax(m)), w)
-    ys = np.abs(np.arange(h) - cy) <= r
-    xs = np.abs(np.arange(w) - cx) <= r
-    return (ys[:, None] & xs[None, :]).astype(np.float32)
+    mask = np.zeros(m.shape, dtype=np.float32)
+    mask[_peak_window(m, r)] = 1.0
+    return mask
 
 
 def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
-    """Sum of per-target response maps, each masked around its own peak."""
+    """Sum of per-target response maps, each masked around its own peak.
+
+    Each map's window (`shrink_mask`) is added straight into one float64
+    sum; for finite maps this equals adding the masked maps.
+    """
     stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ValueError(f"stack must have shape (n, H, W), got {stack.shape}")
     out = np.zeros(stack.shape[1:], dtype=np.float64)
-    for i in range(stack.shape[0]):
-        out += shrink_mask(stack[i], r).astype(np.float64) * stack[i].astype(np.float64)
+    for m in stack:
+        window = _peak_window(m, r)
+        out[window] += m[window]
     return out.astype(np.float32)
 
 
@@ -234,13 +249,14 @@ class RefineWeights:
         return cls(mode="learned", **kwargs)
 
 
-def refine(m_s: np.ndarray, f_t: np.ndarray, weights: RefineWeights) -> np.ndarray:
+def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> np.ndarray:
     """Turn the aggregated response map into a foreground probability map.
 
-    Returns an (H, W) float32 map. In bypass mode this is clamp(m_s, 0, 1);
-    in learned mode the bottleneck/head convolutions described on
-    RefineWeights are applied and the result passes through a sigmoid, so
-    values always land in (0, 1).
+    Returns an (H, W) float32 map. In bypass mode this is clamp(m_s, 0, 1)
+    and f_t is not read (it may be None); in learned mode the
+    bottleneck/head convolutions described on RefineWeights are applied to
+    f_t and the result passes through a sigmoid, so values always land in
+    (0, 1). A non-finite value in f_t raises FrameValueError.
     """
     m_s = np.asarray(m_s, dtype=np.float32)
     if m_s.ndim != 2:
@@ -248,7 +264,7 @@ def refine(m_s: np.ndarray, f_t: np.ndarray, weights: RefineWeights) -> np.ndarr
     if weights.mode == "bypass":
         return np.clip(m_s, 0.0, 1.0)
 
-    f_t = ensure_grid(f_t, name="f_t").astype(np.float32)
+    f_t = as_grid(np.asarray(f_t, dtype=np.float32), name="f_t")
     if f_t.shape[:2] != m_s.shape:
         raise ValueError(
             f"visual feature size {f_t.shape[:2]} != map size {m_s.shape}"
@@ -258,6 +274,7 @@ def refine(m_s: np.ndarray, f_t: np.ndarray, weights: RefineWeights) -> np.ndarr
             f"head1 expects {weights.head1_w.shape[1]} channels, "
             f"visual feature has {f_t.shape[2]}"
         )
+    check_finite(f_t, "feat")
     x = conv3x3_forward(m_s[:, :, None], weights.conv1_w, weights.conv1_b)
     x = np.maximum(x, 0.0)
     ms_prime = conv3x3_forward(x, weights.conv2_w, weights.conv2_b)

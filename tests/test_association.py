@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from omctrack import association
 from omctrack.association import (
     PipelineConfig,
     Tracker,
@@ -14,7 +17,7 @@ from omctrack.association import (
 from omctrack.detection import Box, Boxes
 from omctrack.frame_io import MotBox
 from omctrack.numerics import l2_normalize
-from omctrack.recheck import EmbeddingSet
+from omctrack.recheck import EmbeddingSet, RefineWeights
 from omctrack.synth import ScenarioConfig, generate
 
 from test_numerics import whole_grid_normalize
@@ -403,3 +406,127 @@ class TestTrackerStepMemory:
         assert len(tracker.tracklets) == 20
         peak = traced_peak_bytes(tracker.step, frames[1])
         assert peak <= 0.75 * frames[1].embed.nbytes
+
+
+def center_cells(rows, stride):
+    return [(int((r.y + r.h / 2) // stride), int((r.x + r.w / 2) // stride)) for r in rows]
+
+
+def far_cell(rows, stride, shape):
+    """A grid cell more than two cells away from every row's center."""
+    centers = center_cells(rows, stride)
+    for y in range(shape[0]):
+        for x in range(shape[1]):
+            if all(max(abs(y - cy), abs(x - cx)) > 2 for cy, cx in centers):
+                return y, x
+    raise AssertionError("no cell far from every row")
+
+
+def zero_refine_weights(feat_dim, mid=4, head=3):
+    def z(*shape):
+        return np.zeros(shape, dtype=np.float32)
+
+    return RefineWeights(
+        mode="learned",
+        conv1_w=z(mid, 1, 3, 3), conv1_b=z(mid),
+        conv2_w=z(1, mid, 3, 3), conv2_b=z(1),
+        head1_w=z(head, feat_dim, 3, 3), head1_b=z(head),
+        head2_w=z(1, head, 3, 3), head2_b=z(1),
+    )
+
+
+class TestFrameValuePolicy:
+    """Frame values are checked where they are read, and only there."""
+
+    CFG = small_scenario(frames=6)
+
+    def frames(self):
+        frames, _, _ = generate(self.CFG)
+        return frames
+
+    def primed(self, pipeline=None, weights=None):
+        """A tracker that has stepped frame 1, and the clean frames."""
+        frames = self.frames()
+        tracker = Tracker(pipeline or PipelineConfig(stride=self.CFG.stride),
+                          weights=weights)
+        assert tracker.step(frames[0])
+        return tracker, frames
+
+    def assert_all_miss(self, tracker, frame, caplog):
+        misses = {t.id: t.miss_count for t in tracker.tracklets}
+        assert misses
+        with caplog.at_level(logging.WARNING, logger="omctrack"):
+            assert tracker.step(frame) == []
+        assert {t.id: t.miss_count for t in tracker.tracklets} == {
+            tid: m + 1 for tid, m in misses.items()
+        }
+        assert any(f"frame {frame.frame_index} failed validation" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_nan_feat_under_bypass_changes_no_row(self):
+        clean, _ = track_sequence(self.frames(), PipelineConfig(stride=self.CFG.stride))
+        frames = self.frames()
+        for f in frames[1:]:
+            f.feat[...] = np.nan
+        rows, _ = track_sequence(frames, PipelineConfig(stride=self.CFG.stride))
+        assert rows == clean
+        assert {r.frame for r in rows} == {f.frame_index for f in frames}
+
+    def test_nan_in_unread_embed_cell_without_tracklets_emits_rows(self):
+        frames = self.frames()
+        clean = Tracker(PipelineConfig(stride=self.CFG.stride)).step(frames[0])
+        assert clean
+        y, x = far_cell(clean, self.CFG.stride, frames[0].prob.shape)
+        frames[0].embed[y, x, 0] = np.nan
+        rows = Tracker(PipelineConfig(stride=self.CFG.stride)).step(frames[0])
+        assert rows == clean
+
+    def test_nan_in_search_read_embed_cell_is_all_miss(self, caplog):
+        tracker, frames = self.primed()
+        ahead = Tracker(PipelineConfig(stride=self.CFG.stride))
+        ahead.step(frames[0])
+        rows = ahead.step(frames[1])
+        y, x = far_cell(rows, self.CFG.stride, frames[1].prob.shape)
+        frames[1].embed[y, x, -1] = np.nan
+        self.assert_all_miss(tracker, frames[1], caplog)
+
+    def test_nan_in_readout_cell_is_all_miss(self, caplog):
+        # With the search off, only the readout reads embed.
+        pipeline = PipelineConfig(stride=self.CFG.stride, recheck_enabled=False)
+        tracker, frames = self.primed(pipeline)
+        ahead = Tracker(pipeline)
+        ahead.step(frames[0])
+        rows = ahead.step(frames[1])
+        assert rows
+        for y, x in center_cells(rows, self.CFG.stride):
+            frames[1].embed[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2, 0] = np.nan
+        self.assert_all_miss(tracker, frames[1], caplog)
+
+    @pytest.mark.parametrize("tensor, value", [("prob", 1.5), ("prob", np.nan),
+                                               ("boxes", np.nan)])
+    def test_bad_prob_or_boxes_is_all_miss(self, caplog, tensor, value):
+        tracker, frames = self.primed()
+        getattr(frames[1], tensor)[3, 4, 0] = value
+        self.assert_all_miss(tracker, frames[1], caplog)
+
+    def test_nan_feat_under_learned_refine_is_all_miss(self, caplog):
+        weights = zero_refine_weights(self.CFG.feat_dim)
+        tracker, frames = self.primed(weights=weights)
+        assert tracker.step(frames[1])
+        frames[2].feat[-1, -1, -1] = np.nan
+        self.assert_all_miss(tracker, frames[2], caplog)
+
+    @pytest.mark.parametrize("kernel", ["decode_boxes", "cross_correlate",
+                                        "extract_embeddings"])
+    @pytest.mark.parametrize("exc", [ValueError, TypeError])
+    def test_other_errors_propagate_and_leave_tracklets(self, monkeypatch, kernel, exc):
+        tracker, frames = self.primed()
+        before = [(t.id, t.miss_count, t.last_box) for t in tracker.tracklets]
+
+        def broken(*args, **kwargs):
+            raise exc("kernel fault")
+
+        monkeypatch.setattr(association, kernel, broken)
+        with pytest.raises(exc, match="kernel fault"):
+            tracker.step(frames[1])
+        assert [(t.id, t.miss_count, t.last_box) for t in tracker.tracklets] == before

@@ -1,11 +1,13 @@
 import builtins
 import errno
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from omctrack import frame_io
+from omctrack.association import track_sequence
 from omctrack.frame_io import (
     ContainerFormatError,
     FrameContainer,
@@ -338,3 +340,81 @@ class TestAtomicResults:
             "1,2,1.00,2.00,4.00,8.00,0.500000,-1,-1,-1\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["res.txt"]
+
+
+class TestLazyFeat:
+    """iter_container reads feat only when frame.feat is first used."""
+
+    def write(self, tmp_path, frames=3):
+        rng = np.random.default_rng(16)
+        written = [random_frame(rng, i + 1, h=6, w=5, feat_dim=24) for i in range(frames)]
+        path = tmp_path / "x.omcf"
+        write_container(written, path)
+        return written, path
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """Record (offset, bytes) of every payload read from an OMCF file."""
+        reads = []
+        preadv = os.preadv
+
+        def recording(fd, buffers, offset):
+            n = preadv(fd, buffers, offset)
+            reads.append((offset, n))
+            return n
+
+        monkeypatch.setattr(os, "preadv", recording)
+        return reads
+
+    def test_iteration_and_bypass_tracking_read_no_feat_byte(self, tmp_path, monkeypatch):
+        written, path = self.write(tmp_path)
+        reads = self.count_reads(monkeypatch)
+        frames = list(frame_io.iter_container(path))
+        for fc in frames:
+            fc.check_format()
+            repr(fc)
+        track_sequence(frames)
+        eager = sum(f.prob.nbytes + f.boxes.nbytes + f.embed.nbytes for f in written)
+        assert sum(n for _, n in reads) == eager
+        data = path.read_bytes()
+        feat_starts = {data.index(f.feat.tobytes()) for f in written}
+        assert not feat_starts & {offset for offset, _ in reads}
+
+    def test_feat_reads_the_written_values_once(self, tmp_path, monkeypatch):
+        written, path = self.write(tmp_path)
+        frames = read_container(path)
+        reads = self.count_reads(monkeypatch)
+        for fc, want in zip(frames, written):
+            assert np.array_equal(fc.feat, want.feat)
+            assert fc.feat is fc.feat
+        assert sum(n for _, n in reads) == sum(f.feat.nbytes for f in written)
+
+    def test_assigned_feat_replaces_the_unread_payload(self, tmp_path, monkeypatch):
+        _, path = self.write(tmp_path, frames=1)
+        (fc,) = read_container(path)
+        reads = self.count_reads(monkeypatch)
+        fc.feat = np.zeros((6, 5, 24), dtype=np.float32)
+        assert not fc.feat.any() and not fc.tensors()["feat"].any()
+        assert reads == []
+
+    def test_file_cut_after_iteration_fails_on_access(self, tmp_path):
+        written, path = self.write(tmp_path, frames=2)
+        frames = read_container(path)
+        data = path.read_bytes()
+        start = data.index(written[1].feat.tobytes())
+        path.write_bytes(data[: start + 10])
+        assert np.array_equal(frames[0].feat, written[0].feat)
+        with pytest.raises(ContainerFormatError, match="tensor 'feat' payload") as err:
+            frames[1].feat
+        assert err.value.offset == start
+
+    def test_malformed_feat_header_fails_before_any_payload_read(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(17)
+        frame = random_frame(rng, 1)
+        tensors = {**frame.tensors(), "feat": frame.feat[:3]}
+        path = tmp_path / "x.omcf"
+        write_omcf(path, [tensors])
+        reads = self.count_reads(monkeypatch)
+        with pytest.raises(ContainerFormatError, match="frame 1: tensor spatial sizes differ"):
+            read_container(path)
+        assert reads == []

@@ -6,7 +6,14 @@ import pytest
 from omctrack import numerics
 from omctrack.detection import Box, decode_boxes
 from omctrack.frame_io import write_omcf
-from omctrack.numerics import conv3x3_forward, l2_normalize, l2_normalize_grid, matmul, sigmoid
+from omctrack.numerics import (
+    FrameValueError,
+    conv3x3_forward,
+    l2_normalize,
+    l2_normalize_grid,
+    matmul,
+    sigmoid,
+)
 from omctrack.recheck import (
     EmbeddingSet,
     RefineWeights,
@@ -319,6 +326,48 @@ class TestAggregate:
             assert np.count_nonzero(out) <= n * (2 * r + 1) ** 2
 
 
+def masked_sum_aggregate(stack, r):
+    """The formula aggregate replaced: a full-size float64 mask and product per map."""
+    n, h, w = stack.shape
+    out = np.zeros((h, w), dtype=np.float64)
+    for i in range(n):
+        if math.isinf(r):
+            mask = np.ones((h, w), dtype=np.float32)
+        else:
+            cy, cx = divmod(int(np.argmax(stack[i])), w)
+            ys = np.abs(np.arange(h) - cy) <= r
+            xs = np.abs(np.arange(w) - cx) <= r
+            mask = (ys[:, None] & xs[None, :]).astype(np.float32)
+        out += mask.astype(np.float64) * stack[i].astype(np.float64)
+    return out.astype(np.float32)
+
+
+# Peaks on every corner and edge of a 9x13 map, plus one inside.
+BORDER_PEAKS = [(0, 0), (0, 12), (8, 0), (8, 12), (0, 6), (8, 5), (4, 0), (3, 12), (4, 6)]
+
+
+class TestAggregateWindowedSum:
+    @pytest.mark.parametrize("r", [0, 1, 2.5, 3, math.inf])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("first_peak", range(len(BORDER_PEAKS)))
+    def test_bit_identical_to_masked_sum(self, r, n, first_peak):
+        rng = np.random.default_rng(31 * first_peak + n)
+        # Negative responses make the old masked product add -0.0 outside
+        # the window; the bit comparison checks that nothing changes there.
+        stack = rng.uniform(-1.0, 0.9, size=(n, 9, 13)).astype(np.float32)
+        for i in range(n):
+            y, x = BORDER_PEAKS[(first_peak + i) % len(BORDER_PEAKS)]
+            stack[i, y, x] = 1.0
+        got = aggregate(stack, r)
+        want = masked_sum_aggregate(stack, r)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            aggregate(np.zeros((1, 3, 3), dtype=np.float32), -1)
+
+
 def tiny_weights(rng, mid=6, head=5, feat=4, zero=False):
     def arr(*shape):
         if zero:
@@ -378,6 +427,18 @@ class TestRefine:
         y = np.maximum(y, 0.0)
         y = conv3x3_forward(y, w.head2_w, w.head2_b)[:, :, 0]
         assert np.max(np.abs(out - sigmoid(y))) < 1e-5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_raises_frame_value_error(self, bad):
+        rng = np.random.default_rng(12)
+        f_t = rng.normal(size=(6, 5, 4)).astype(np.float32)
+        f_t[-1, -1, -1] = bad
+        with pytest.raises(FrameValueError, match="tensor 'feat' contains non-finite"):
+            refine(np.zeros((6, 5), dtype=np.float32), f_t, tiny_weights(rng))
+
+    def test_bypass_reads_no_feature(self):
+        m_s = np.array([[0.5]], dtype=np.float32)
+        assert refine(m_s, None, RefineWeights.bypass())[0, 0] == 0.5
 
     def test_feature_size_mismatch_rejected(self):
         rng = np.random.default_rng(9)
