@@ -47,7 +47,6 @@ from .numerics import (
     conv3x3_forward,
     l2_normalize,
     l2_normalize_grid,
-    matmul,
     sigmoid,
 )
 from .recheck import (
@@ -60,6 +59,6 @@ from .recheck import (
     transductive_detections,
 )
 from .supervision import gaussian_target, logistic_mse_loss, loss_gradient
-from .synth import ScenarioConfig, generate, restoration_report
+from .synth import ScenarioConfig, generate, iter_generate, restoration_report
 
 __version__ = "0.1.0"

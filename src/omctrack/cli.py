@@ -29,6 +29,7 @@ import numpy as np
 from .association import PipelineConfig, TrackerConfig, track_sequence
 from .frame_io import (
     ContainerFormatError,
+    MotBox,
     MotParseError,
     iter_container,
     read_mot_boxes,
@@ -38,7 +39,7 @@ from .frame_io import (
 from .metrics import EvalReport, evaluate
 from .recheck import RefineWeights
 from .supervision import gaussian_target, logistic_mse_loss, loss_gradient
-from .synth import ScenarioConfig, generate
+from .synth import ScenarioConfig, generate, iter_generate
 
 __all__ = ["main"]
 
@@ -297,15 +298,24 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = _build_scenario(args)
-    frames, gt, dropped = generate(cfg)
-    write_container(frames, args.out)
+    gt: list[MotBox] = []
+    dropped: list[tuple[int, int]] = []
+
+    def frames():
+        # One frame in memory at a time; its GT and drops are kept.
+        for frame, frame_gt, frame_dropped in iter_generate(cfg):
+            gt.extend(frame_gt)
+            dropped.extend(frame_dropped)
+            yield frame
+
+    count = write_container(frames(), args.out)
     write_mot_results(gt, args.gt)
     if args.dropped:
         with open(args.dropped, "w", encoding="utf-8") as f:
             f.write("frame,id\n")
             for frame, gid in dropped:
                 f.write(f"{frame},{gid}\n")
-    print(f"frames={len(frames)}")
+    print(f"frames={count}")
     print(f"gt_boxes={len(gt)}")
     print(f"dropped={len(dropped)}")
     print(f"out={args.out}")

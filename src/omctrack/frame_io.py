@@ -181,6 +181,26 @@ def _check_tensor_format(tensors: Mapping) -> None:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """Open a new file beside path; once the block ends cleanly, it replaces path.
+
+    On an exception the new file is removed, so a failed write leaves any
+    earlier file at path intact.
+    """
+    path = os.fspath(path)
+    # Not tempfile.mkstemp: its files are private (0600), while open(..., "x")
+    # creates the file with the permissions a plain open would give path.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
     offset = f.tell()
     data = f.read(n)
@@ -278,10 +298,13 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
     """Write named-tensor frames to an OMCF file; returns the frame count.
 
     Accepts any iterable, so large sequences can be streamed; the frame
-    count in the header is patched in after the payload is written.
+    count in the header is patched in after the payload is written. Each
+    payload is written from the array's own memory. The file is written
+    beside path and then replaces it, so if the frames raise partway, any
+    earlier file at path is left as it was.
     """
     count = 0
-    with open(path, "wb") as f:
+    with _replacing(path, "xb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, 0))
         for tensors in frames:
@@ -298,7 +321,10 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
                 f.write(struct.pack("<I", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 f.write(struct.pack("<B", DTYPE_F32))
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                # A byte view, not memoryview(...).cast, which rejects
+                # zero-size arrays.
+                payload = np.ascontiguousarray(arr, dtype="<f4")
+                f.write(payload.reshape(-1).view(np.uint8))
             count += 1
         f.seek(len(MAGIC) + 4)
         f.write(struct.pack("<I", count))
@@ -450,18 +476,9 @@ def write_mot_results(tracks: list[MotBox], path) -> None:
         if b.id < 1:
             raise ValueError(f"result rows need ids >= 1, got {b.id}")
     rows = sorted(tracks, key=lambda b: (b.frame, b.id))
-    path = os.fspath(path)
-    # Not tempfile.mkstemp: its files are private (0600), while open(..., "x")
-    # creates the file with the permissions a plain open would give path.
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            for b in rows:
-                f.write(
-                    f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
-                    f"{b.conf:.6f},-1,-1,-1\n"
-                )
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+    with _replacing(path, "x", encoding="utf-8") as f:
+        for b in rows:
+            f.write(
+                f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
+                f"{b.conf:.6f},-1,-1,-1\n"
+            )

@@ -3,7 +3,6 @@
 Conventions used throughout the package:
 
 * a *grid* is a float32 ndarray of shape (H, W, C), row-major, channel-last;
-* a *matrix* is a float32 ndarray of shape (rows, cols);
 * the kernels here accumulate in float64 and round once to float32, with a
   fixed reduction order, so repeated runs produce identical bits.
 
@@ -61,8 +60,6 @@ __all__ = [
     "as_grid",
     "ensure_grid",
     "grid_row_blocks",
-    "ensure_matrix",
-    "matmul",
     "conv3x3_forward",
     "sigmoid",
     "l2_normalize",
@@ -90,16 +87,6 @@ class FrameValueError(ValueError):
     outside [0, 1]. Tracker.step counts such a frame as all-miss and lets
     every other exception propagate.
     """
-
-
-def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate a 2-d finite array and return it as an ndarray."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
-    return a
 
 
 def as_grid(g, channels: int | None = None, name: str = "grid") -> np.ndarray:
@@ -147,17 +134,6 @@ def check_finite(arr: np.ndarray, name: str) -> None:
     for rows in grid_row_blocks(arr):
         if not np.isfinite(arr[rows]).all():
             raise FrameValueError(f"tensor {name!r} contains non-finite values")
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b, accumulated in float64, rounded to float32."""
-    a = ensure_matrix(a, "a")
-    b = ensure_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not match: {a.shape} x {b.shape}"
-        )
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def conv3x3_forward(x, kernel, bias) -> np.ndarray:

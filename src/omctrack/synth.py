@@ -11,6 +11,16 @@ as background, which is exactly the failure mode the re-check pipeline is
 supposed to repair. Raw box regressions encode the true geometry through
 the analytic inverse of the boundary-aware decode, so any covered cell
 reconstructs the exact box.
+
+`iter_generate` builds the world one frame at a time, so a written world
+never holds more than a frame in memory. Each frame's background grid is
+one float64 normal draw per cell and channel, with the identity components
+projected out by two products over the whole grid (OpenBLAS bits depend on
+the block shape, so these are not split). The rest of the chain (subtract,
+normalize, mix in each cell's identity, round to float32) runs over row
+blocks of about `numerics.BLOCK_CELLS` cells, straight into the frame's
+float32 grid; each element sees the same float64 operations in the same
+order as a whole-grid pass, so the bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,15 +28,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .frame_io import FrameContainer, MotBox
 from .metrics import mot_iou
+from .numerics import grid_row_blocks
 
 __all__ = [
     "ScenarioConfig",
     "generate",
+    "iter_generate",
     "restoration_report",
     "RESTORE_IOU",
 ]
@@ -121,7 +134,32 @@ def generate(
     never hits a target's first frame, since a never-seen target has no
     tracklet to propagate from.
     """
+    frames: list[FrameContainer] = []
+    gt: list[MotBox] = []
+    dropped: list[tuple[int, int]] = []
+    for frame, frame_gt, frame_dropped in iter_generate(cfg):
+        frames.append(frame)
+        gt.extend(frame_gt)
+        dropped.extend(frame_dropped)
+    return frames, gt, dropped
+
+
+def iter_generate(
+    cfg: ScenarioConfig,
+) -> Iterator[tuple[FrameContainer, list[MotBox], list[tuple[int, int]]]]:
+    """Yield `generate`'s world one frame at a time.
+
+    Each item is (frame, gt, dropped) for that frame alone; concatenated,
+    they are exactly what `generate` returns. The config is checked here,
+    before the first frame is asked for.
+    """
     cfg.validate()
+    return _frames(cfg)
+
+
+def _frames(
+    cfg: ScenarioConfig,
+) -> Iterator[tuple[FrameContainer, list[MotBox], list[tuple[int, int]]]]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_targets
     h, w = cfg.height, cfg.width
@@ -157,10 +195,8 @@ def generate(
     feat[:, :, 0] = np.broadcast_to(xs[None, :], (h, w)).astype(np.float32)
     feat[:, :, 1] = np.broadcast_to(ys[:, None], (h, w)).astype(np.float32)
 
-    frames: list[FrameContainer] = []
-    gt: list[MotBox] = []
-    dropped: list[tuple[int, int]] = []
-
+    v = np.empty((h * w, cfg.embed_dim))
+    proj = np.empty_like(v)
     for t in range(1, cfg.frames + 1):
         if t > 1:
             for i in range(n):
@@ -173,15 +209,7 @@ def generate(
         else:
             drop_now = np.zeros(n, dtype=bool)
 
-        # Background: cos(cell, identity_k) = c * delta_jk <= clutter bound.
-        cells = h * w
-        v_raw = rng.normal(size=(cells, cfg.embed_dim))
-        v_perp = v_raw - (v_raw @ identities.T) @ identities
-        v_perp /= np.linalg.norm(v_perp, axis=1, keepdims=True)
-        c = rng.uniform(0.0, cfg.clutter_similarity, size=cells)
-        j = rng.integers(0, n, size=cells)
-        embed = c[:, None] * identities[j] + np.sqrt(1.0 - c * c)[:, None] * v_perp
-        embed = embed.reshape(h, w, cfg.embed_dim)
+        embed = _background(rng, identities, h, w, cfg.clutter_similarity, v, proj)
 
         prob = np.zeros((h, w, 1), dtype=np.float32)
         # Background cells decode to a clutter-sized box at their own
@@ -191,6 +219,8 @@ def generate(
         raw[:, :, 2] = math.log(cfg.clutter_box_size)
         raw[:, :, 3] = math.log(cfg.clutter_box_size)
 
+        gt: list[MotBox] = []
+        dropped: list[tuple[int, int]] = []
         for i in range(n):
             cx, cy = pos[i]
             bw, bh = sizes[i]
@@ -202,6 +232,7 @@ def generate(
             rows_r = _covered_cells(cy, bh, h)
             for r in rows_r:
                 for col in cols:
+                    # Assignment rounds the float64 vector to float32.
                     embed[r, col] = vec
                     dx = cx - (col + 0.5)
                     dy = cy - (r + 0.5)
@@ -227,17 +258,45 @@ def generate(
                 )
             )
 
-        frames.append(
-            FrameContainer(
-                frame_index=t,
-                prob=prob,
-                boxes=raw,
-                embed=embed.astype(np.float32),
-                feat=feat.copy(),
-            )
+        # Every frame gets its own feat, so writing into one changes no other.
+        frame = FrameContainer(
+            frame_index=t, prob=prob, boxes=raw, embed=embed, feat=feat.copy()
         )
+        yield frame, gt, dropped
 
-    return frames, gt, dropped
+
+def _background(
+    rng: np.random.Generator, identities: np.ndarray, h: int, w: int,
+    clutter: float, v: np.ndarray, proj: np.ndarray,
+) -> np.ndarray:
+    """One frame's background embeddings as an (h, w, embed_dim) float32 grid.
+
+    cos(cell, identity_k) = c * delta_jk <= clutter: each cell mixes its
+    drawn identity j, at cosine c, with a unit vector orthogonal to every
+    identity. The draws come in a fixed order (normal, c, j). v and proj
+    are (h * w, embed_dim) float64 scratch, overwritten; reusing them saves
+    faulting in two fresh grids a frame.
+    """
+    n = len(identities)
+    cells = h * w
+    rng.standard_normal(out=v)  # the draws of rng.normal(size=v.shape)
+    np.matmul(v @ identities.T, identities, out=proj)
+    c = rng.uniform(0.0, clutter, size=cells)
+    j = rng.integers(0, n, size=cells)
+    s = np.sqrt(1.0 - c * c)
+
+    embed = np.empty((h, w, v.shape[1]), dtype=np.float32)
+    out = embed.reshape(cells, -1)
+    for rows in grid_row_blocks(embed):
+        block = slice(rows.start * w, rows.stop * w)
+        v_perp = np.subtract(v[block], proj[block], out=v[block])
+        v_perp /= np.linalg.norm(v_perp, axis=1, keepdims=True)
+        v_perp *= s[block, None]
+        mix = identities[j[block]]
+        mix *= c[block, None]
+        v_perp += mix
+        out[block] = v_perp
+    return embed
 
 
 def restoration_report(

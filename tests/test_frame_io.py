@@ -8,6 +8,7 @@ import pytest
 
 from omctrack import frame_io
 from omctrack.association import track_sequence
+from omctrack.numerics import FrameValueError
 from omctrack.frame_io import (
     ContainerFormatError,
     FrameContainer,
@@ -15,6 +16,7 @@ from omctrack.frame_io import (
     MotParseError,
     read_container,
     read_mot_boxes,
+    read_omcf,
     write_container,
     write_mot_results,
     write_omcf,
@@ -55,6 +57,15 @@ class TestContainerRoundTrip:
         path = tmp_path / "empty.omcf"
         assert write_container([], path) == 0
         assert read_container(path) == []
+
+    def test_zero_size_tensor_round_trips(self, tmp_path):
+        path = tmp_path / "zero.omcf"
+        empty = np.zeros((0, 3), dtype=np.float32)
+        ones = np.ones((2, 2), dtype=np.float32)
+        assert write_omcf(path, [{"empty": empty, "ones": ones}]) == 1
+        (back,) = read_omcf(path)
+        assert back["empty"].shape == (0, 3) and back["empty"].dtype == np.float32
+        assert np.array_equal(back["ones"], ones)
 
     def test_heterogeneous_sizes_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -340,6 +351,47 @@ class TestAtomicResults:
             "1,2,1.00,2.00,4.00,8.00,0.500000,-1,-1,-1\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["res.txt"]
+
+
+class TestAtomicContainer:
+    """A container write that fails partway leaves any earlier file as it was."""
+
+    def frames(self, count, bad_at=None):
+        rng = np.random.default_rng(21)
+        for i in range(1, count + 1):
+            frame = random_frame(rng, i)
+            if i == bad_at:
+                frame.embed[0, 0, 0] = np.nan
+            yield frame
+
+    def test_raising_frame_stream_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "world.omcf"
+        write_container(self.frames(3), path)
+        before = path.read_bytes()
+
+        def failing():
+            frames = self.frames(4)
+            yield next(frames)
+            raise RuntimeError("generator failed on frame 2")
+
+        with pytest.raises(RuntimeError, match="frame 2"):
+            write_container(failing(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["world.omcf"]
+
+    def test_invalid_frame_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "world.omcf"
+        write_container(self.frames(3), path)
+        before = path.read_bytes()
+        with pytest.raises(FrameValueError, match="embed"):
+            write_container(self.frames(4, bad_at=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["world.omcf"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(FrameValueError):
+            write_container(self.frames(2, bad_at=2), tmp_path / "world.omcf")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLazyFeat:

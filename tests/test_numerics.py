@@ -7,7 +7,6 @@ from omctrack.numerics import (
     conv3x3_forward,
     l2_normalize,
     l2_normalize_grid,
-    matmul,
     sigmoid,
 )
 
@@ -26,6 +25,27 @@ def whole_grid_normalize(g, eps=NORM_EPS):
     norms = np.linalg.norm(g64, axis=2, keepdims=True)
     scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
     return (g64 * scale).astype(np.float32)
+
+
+def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate a 2-d finite array and return it as an ndarray."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite values")
+    return a
+
+
+def matmul(a, b) -> np.ndarray:
+    """Oracle: matrix product a @ b, accumulated in float64, rounded to float32."""
+    a = ensure_matrix(a, "a")
+    b = ensure_matrix(b, "b")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"inner dimensions do not match: {a.shape} x {b.shape}"
+        )
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def naive_matmul(a, b):

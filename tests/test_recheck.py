@@ -11,7 +11,6 @@ from omctrack.numerics import (
     conv3x3_forward,
     l2_normalize,
     l2_normalize_grid,
-    matmul,
     sigmoid,
 )
 from omctrack.recheck import (
@@ -24,7 +23,7 @@ from omctrack.recheck import (
     transductive_detections,
 )
 
-from test_numerics import RAGGED_SHAPES, whole_grid_normalize
+from test_numerics import RAGGED_SHAPES, matmul, whole_grid_normalize
 
 
 def unit_rows(rng, n, dim):

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.frame_io import write_container
 from omctrack.metrics import clear_mot, evaluate, mot_iou
 from omctrack.recheck import EmbeddingSet, cross_correlate
-from omctrack.synth import ScenarioConfig, generate, restoration_report
+from omctrack.synth import ScenarioConfig, generate, iter_generate, restoration_report
 
 
 def small(**kw):
@@ -78,6 +79,47 @@ class TestGenerate:
         frame = frames[10]
         norms = np.linalg.norm(frame.embed.astype(np.float64), axis=2)
         assert np.max(np.abs(norms - 1.0)) < 1e-5
+
+
+class TestStreaming:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_targets=st.integers(1, 4),
+        height=st.integers(4, 11),
+        width=st.integers(4, 70),
+        frames=st.integers(1, 4),
+        dropout_prob=st.sampled_from([0.0, 0.5]),
+        embedding_noise=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generate_is_the_concatenated_stream(self, **kw):
+        cfg = small(embed_dim=16, feat_dim=4, size_min=1.0, size_max=2.0, **kw)
+        frames, gt, dropped = generate(cfg)
+        streamed = list(iter_generate(cfg))
+        assert [f.frame_index for f, _, _ in streamed] == list(range(1, cfg.frames + 1))
+        assert len(frames) == len(streamed)
+        for frame, (other, _, _) in zip(frames, streamed):
+            for name, arr in frame.tensors().items():
+                assert np.array_equal(arr, other.tensors()[name]), name
+        assert gt == [b for _, rows, _ in streamed for b in rows]
+        assert dropped == [pair for _, _, pairs in streamed for pair in pairs]
+        assert all(b.frame == f.frame_index for f, rows, _ in streamed for b in rows)
+
+    def test_config_checked_before_the_first_frame(self):
+        with pytest.raises(ValueError, match="fit"):
+            iter_generate(small(size_min=15.0, size_max=15.0))
+
+    def test_written_stream_peak_does_not_grow_with_frames(self, tmp_path, traced_peak_bytes):
+        def write(count):
+            cfg = small(height=16, width=16, frames=count)
+            write_container(
+                (frame for frame, _, _ in iter_generate(cfg)), tmp_path / "w.omcf"
+            )
+
+        write(1)  # warm caches so neither measured run pays for first use
+        two = traced_peak_bytes(write, 2)
+        twelve = traced_peak_bytes(write, 12)
+        assert twelve <= 1.5 * two
 
 
 class TestNoiseFreeSeparation:
