@@ -154,7 +154,7 @@ def extract_embeddings(boxes: Boxes, embed: np.ndarray) -> EmbeddingSet:
     vectors = np.zeros(cells.shape, dtype=np.float32)
     for k, cell in enumerate(cells):
         vectors[k] = l2_normalize(cell)
-    return EmbeddingSet(vectors, [-1] * len(boxes))
+    return EmbeddingSet(vectors)
 
 
 def _greedy_matrix_match(
@@ -375,10 +375,7 @@ class Tracker:
             d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
 
         if p.recheck_enabled and self.tracklets:
-            e_prev = EmbeddingSet(
-                np.stack([t.embedding for t in self.tracklets]),
-                [t.id for t in self.tracklets],
-            )
+            e_prev = EmbeddingSet(np.stack([t.embedding for t in self.tracklets]))
             stack = cross_correlate(e_prev, frame.embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None

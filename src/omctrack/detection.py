@@ -8,7 +8,8 @@ reach offsets up to half its scale parameter, so truncated targets at the
 image edge remain representable.
 
 Box sets are `Boxes`, one array per field; `Box` is the record for one box.
-Every stage that compares boxes goes through the one pairwise `iou` kernel.
+Every overlap decision, from NMS to the metrics, reads one pairwise IOU
+kernel, which `iou` feeds grid boxes and `metrics.row_iou` pixel rows.
 """
 
 from __future__ import annotations
@@ -183,23 +184,37 @@ def decode_boxes(
     )
 
 
+def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) IOU matrix of a (5, n) and a (5, m) array of x1, y1, x2, y2, area.
+
+    Pairs without a positive-width, positive-height overlap, or with a
+    union <= 0, read 0; the rest are clamped to [0, 1].
+    """
+    ax1, ay1, ax2, ay2, a_area = (v[:, None] for v in a)
+    bx1, by1, bx2, by2, b_area = b
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = a_area + b_area - inter
+    # A NaN union (from infinite sizes) is not "<= 0": it stays NaN.
+    overlap = (iw > 0.0) & (ih > 0.0) & ~(union <= 0.0)
+    out = np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+def _edges(boxes: Boxes) -> np.ndarray:
+    hw, hh = boxes.w / 2.0, boxes.h / 2.0
+    return np.stack([boxes.cx - hw, boxes.cy - hh, boxes.cx + hw, boxes.cy + hh,
+                     boxes.w * boxes.h])
+
+
 def iou(a: Boxes, b: Boxes) -> np.ndarray:
     """(len(a), len(b)) matrix of intersection over union, each in [0, 1].
 
     Pairs without a positive-width, positive-height overlap, or with a
     union <= 0, read 0.
     """
-    a_hw, a_hh = (a.w / 2.0)[:, None], (a.h / 2.0)[:, None]
-    a_cx, a_cy = a.cx[:, None], a.cy[:, None]
-    b_hw, b_hh = b.w / 2.0, b.h / 2.0
-    iw = np.minimum(a_cx + a_hw, b.cx + b_hw) - np.maximum(a_cx - a_hw, b.cx - b_hw)
-    ih = np.minimum(a_cy + a_hh, b.cy + b_hh) - np.maximum(a_cy - a_hh, b.cy - b_hh)
-    inter = iw * ih
-    union = (a.w * a.h)[:, None] + b.w * b.h - inter
-    # A NaN union (from infinite sizes) is not "<= 0": it stays NaN.
-    overlap = (iw > 0.0) & (ih > 0.0) & ~(union <= 0.0)
-    out = np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    return _edge_iou(_edges(a), _edges(b))
 
 
 def greedy_nms(
@@ -212,15 +227,18 @@ def greedy_nms(
     Boxes scoring below score_thr are discarded; the survivor set is built
     by repeatedly keeping the highest-scoring candidate and suppressing
     every remaining box whose IOU with it exceeds iou_thr. Ties in score
-    resolve in input order. Output is score-descending.
+    resolve in input order. Output is score-descending. Each kept box
+    takes one IOU row against the candidates after it.
     """
     above = np.flatnonzero(boxes.score >= score_thr)
     candidates = boxes[above[np.argsort(-boxes.score[above], kind="stable")]]
+    edges = _edges(candidates)
     alive = np.ones(len(candidates), dtype=bool)
     kept = []
     while alive.any():
-        top = int(np.argmax(alive))
+        top = int(np.argmax(alive))  # every candidate before it is dead
         kept.append(top)
         alive[top] = False
-        alive &= iou(candidates[top:top + 1], candidates)[0] <= iou_thr
+        row = _edge_iou(edges[:, top:top + 1], edges[:, top + 1:])[0]
+        alive[top + 1:] &= row <= iou_thr
     return candidates[kept]

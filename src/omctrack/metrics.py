@@ -8,6 +8,9 @@ whenever a ground-truth track forms a correspondence with a different
 prediction id than its last known one. IDF1 is computed over a globally
 optimal one-to-one identity correspondence instead.
 
+Each frame is scored on one `row_iou` matrix of its ground-truth boxes
+against its predictions, read off the tracker's IOU kernel in `detection`.
+
 All metrics are invariant under consistent relabeling of prediction ids.
 """
 
@@ -19,11 +22,12 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .detection import _edge_iou
 from .frame_io import MotBox
 
 __all__ = [
     "EvalReport",
-    "mot_iou",
+    "row_iou",
     "clear_mot",
     "idf1",
     "mt_ml",
@@ -75,21 +79,15 @@ class EvalReport:
         return "\n".join(f"{name:<9}{value}" for name, value in lines)
 
 
-def mot_iou(a: MotBox, b: MotBox) -> float:
-    """IOU of two top-left/size pixel boxes, in [0, 1]."""
-    ix1 = max(a.x, b.x)
-    iy1 = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+def row_iou(a: list[MotBox], b: list[MotBox]) -> np.ndarray:
+    """(len(a), len(b)) IOU matrix of top-left/size pixel rows, in [0, 1]."""
+    return _edge_iou(_row_edges(a), _row_edges(b))
+
+
+def _row_edges(rows: list[MotBox]) -> np.ndarray:
+    x, y, w, h = np.array([(r.x, r.y, r.w, r.h) for r in rows],
+                          dtype=np.float64).reshape(-1, 4).T
+    return np.stack([x, y, x + w, y + h, w * h])
 
 
 def _by_frame(boxes: Iterable[MotBox]) -> dict[int, list[MotBox]]:
@@ -120,33 +118,32 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
         p_boxes = pred_frames.get(f, [])
         gid_box = {b.id: b for b in g_boxes}
         pid_box = {b.id: b for b in p_boxes}
+        gids, pids = sorted(gid_box), sorted(pid_box)
+        col = {pid: j for j, pid in enumerate(pids)}
+        overlap = row_iou([gid_box[g] for g in gids], [pid_box[p] for p in pids])
 
         corr: dict[int, int] = {}
         used_pids: set[int] = set()
         # Keep surviving correspondences first.
-        for gid in sorted(gid_box):
+        for i, gid in enumerate(gids):
             pid = last_match.get(gid)
-            if pid is None or pid in used_pids or pid not in pid_box:
+            if pid is None or pid in used_pids or pid not in col:
                 continue
-            if mot_iou(gid_box[gid], pid_box[pid]) >= iou_thr:
+            if overlap[i, col[pid]] >= iou_thr:
                 corr[gid] = pid
                 used_pids.add(pid)
 
         # Optimal assignment for whatever is left.
-        rest_g = [gid for gid in sorted(gid_box) if gid not in corr]
-        rest_p = [pid for pid in sorted(pid_box) if pid not in used_pids]
-        if rest_g and rest_p:
-            cost = np.full((len(rest_g), len(rest_p)), _DISALLOWED)
-            for i, gid in enumerate(rest_g):
-                for j, pid in enumerate(rest_p):
-                    ov = mot_iou(gid_box[gid], pid_box[pid])
-                    if ov >= iou_thr:
-                        cost[i, j] = 1.0 - ov
+        rest_i = [i for i, gid in enumerate(gids) if gid not in corr]
+        rest_j = [j for j, pid in enumerate(pids) if pid not in used_pids]
+        if rest_i and rest_j:
+            ov = overlap[np.ix_(rest_i, rest_j)]
+            cost = np.where(ov >= iou_thr, 1.0 - ov, _DISALLOWED)
             rows, cols = linear_sum_assignment(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] >= _DISALLOWED:
                     continue
-                gid, pid = rest_g[i], rest_p[j]
+                gid, pid = gids[rest_i[i]], pids[rest_j[j]]
                 prev = last_match.get(gid)
                 if prev is not None and prev != pid:
                     idsw += 1
@@ -195,13 +192,13 @@ def idf1(
     p_index = {pid: j for j, pid in enumerate(pred_ids)}
 
     cooc = np.zeros((len(gt_ids), len(pred_ids)))
-    gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
-    for f, g_boxes in gt_frames.items():
-        for gb in g_boxes:
-            for pb in pred_frames.get(f, []):
-                if mot_iou(gb, pb) >= iou_thr:
-                    cooc[g_index[gb.id], p_index[pb.id]] += 1
+    for f, g_boxes in _by_frame(gt).items():
+        p_boxes = pred_frames.get(f, [])
+        hit_g, hit_p = np.nonzero(row_iou(g_boxes, p_boxes) >= iou_thr)
+        g_cols = np.array([g_index[b.id] for b in g_boxes], dtype=np.intp)
+        p_cols = np.array([p_index[b.id] for b in p_boxes], dtype=np.intp)
+        np.add.at(cooc, (g_cols[hit_g], p_cols[hit_p]), 1)
 
     rows, cols = linear_sum_assignment(-cooc)
     idtp = float(cooc[rows, cols].sum())

@@ -58,7 +58,6 @@ __all__ = [
     "FrameValueError",
     "check_finite",
     "as_grid",
-    "ensure_grid",
     "grid_row_blocks",
     "conv3x3_forward",
     "sigmoid",
@@ -89,23 +88,11 @@ class FrameValueError(ValueError):
     """
 
 
-def as_grid(g, channels: int | None = None, name: str = "grid") -> np.ndarray:
+def as_grid(g, name: str = "grid") -> np.ndarray:
     """Return an (H, W, C) array as an ndarray; its values are not read."""
     g = np.asarray(g)
     if g.ndim != 3:
         raise ValueError(f"{name} must have shape (H, W, C), got {g.shape}")
-    if channels is not None and g.shape[2] != channels:
-        raise ValueError(
-            f"{name} must have {channels} channels, got {g.shape[2]}"
-        )
-    return g
-
-
-def ensure_grid(g, channels: int | None = None, name: str = "grid") -> np.ndarray:
-    """Validate an (H, W, C) finite array and return it as an ndarray."""
-    g = as_grid(g, channels, name)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"{name} contains non-finite values")
     return g
 
 
@@ -147,7 +134,7 @@ def conv3x3_forward(x, kernel, bias) -> np.ndarray:
 
     Returns an (H, W, Cout) float32 grid with the same spatial size.
     """
-    x = ensure_grid(x, name="input")
+    x = as_grid(x, name="input")
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
@@ -196,19 +183,19 @@ def sigmoid(x):
     return out
 
 
-def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
-    """Scale a vector to unit L2 norm; vectors with norm <= eps pass through."""
+def l2_normalize(v) -> np.ndarray:
+    """Scale a vector to unit L2 norm; vectors with norm <= NORM_EPS pass through."""
     v = np.asarray(v, dtype=np.float32)
     norm = float(np.linalg.norm(v.astype(np.float64)))
-    if norm <= eps:
+    if norm <= NORM_EPS:
         return v.copy()
     return (v.astype(np.float64) / norm).astype(np.float32)
 
 
-def normalize_cells(cells, eps: float = NORM_EPS) -> np.ndarray:
+def normalize_cells(cells) -> np.ndarray:
     """Scale every vector along the last axis to unit length, as float32.
 
-    Norms and scaling are float64; vectors with norm <= eps stay as they
+    Norms and scaling are float64; vectors with norm <= NORM_EPS stay as they
     are, so all-zero cells stay zero and downstream dot products treat them
     as "no information" rather than NaN. Raises FrameValueError when a
     value is not finite.
@@ -219,11 +206,11 @@ def normalize_cells(cells, eps: float = NORM_EPS) -> np.ndarray:
     # of squares overflows, which float32 input cannot make happen.
     if not np.isfinite(norms).all() and not np.isfinite(c64).all():
         raise FrameValueError("grid contains non-finite values")
-    scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
+    scale = np.where(norms > NORM_EPS, 1.0 / np.where(norms > NORM_EPS, norms, 1.0), 1.0)
     return np.multiply(c64, scale, out=c64).astype(np.float32)
 
 
-def l2_normalize_grid(g, eps: float = NORM_EPS) -> np.ndarray:
+def l2_normalize_grid(g) -> np.ndarray:
     """Normalize every (H, W) cell vector of a grid to unit length.
 
     Works one row block at a time (`normalize_cells`) into a single float32
@@ -232,5 +219,5 @@ def l2_normalize_grid(g, eps: float = NORM_EPS) -> np.ndarray:
     g = as_grid(g)
     out = np.empty(g.shape, dtype=np.float32)
     for rows in grid_row_blocks(g):
-        out[rows] = normalize_cells(g[rows], eps)
+        out[rows] = normalize_cells(g[rows])
     return out

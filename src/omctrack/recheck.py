@@ -19,7 +19,7 @@ is scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,15 +54,9 @@ _WEIGHT_NAMES = (
 
 @dataclass
 class EmbeddingSet:
-    """Ordered identity vectors plus the tracklet id each one came from.
-
-    Vectors are rows of an (n, C) float32 array, each unit-length or all
-    zero. source_ids is -1 for vectors not tied to a tracklet (embeddings
-    freshly read out of a frame).
-    """
+    """Identity vectors: rows of an (n, C) float32 array, each unit or all zero."""
 
     vectors: np.ndarray
-    source_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
@@ -70,10 +64,6 @@ class EmbeddingSet:
             raise ValueError(
                 f"vectors must have shape (n, C), got {self.vectors.shape}"
             )
-        if not self.source_ids:
-            self.source_ids = [-1] * len(self.vectors)
-        if len(self.source_ids) != len(self.vectors):
-            raise ValueError("source_ids length must match vector count")
         norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
         bad = ~((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-5))
         if bad.any():
@@ -86,7 +76,7 @@ class EmbeddingSet:
 
     @classmethod
     def empty(cls, dim: int) -> "EmbeddingSet":
-        return cls(np.zeros((0, dim), dtype=np.float32), [])
+        return cls(np.zeros((0, dim), dtype=np.float32))
 
 
 def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
@@ -256,7 +246,8 @@ def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> n
     and f_t is not read (it may be None); in learned mode the
     bottleneck/head convolutions described on RefineWeights are applied to
     f_t and the result passes through a sigmoid, so values always land in
-    (0, 1). A non-finite value in f_t raises FrameValueError.
+    (0, 1). A non-finite value in f_t, or a finite f_t that overflows the
+    head to a non-finite value before the sigmoid, raises FrameValueError.
     """
     m_s = np.asarray(m_s, dtype=np.float32)
     if m_s.ndim != 2:
@@ -275,13 +266,16 @@ def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> n
             f"visual feature has {f_t.shape[2]}"
         )
     check_finite(f_t, "feat")
-    x = conv3x3_forward(m_s[:, :, None], weights.conv1_w, weights.conv1_b)
-    x = np.maximum(x, 0.0)
-    ms_prime = conv3x3_forward(x, weights.conv2_w, weights.conv2_b)
-    enhanced = f_t * ms_prime
-    y = conv3x3_forward(enhanced, weights.head1_w, weights.head1_b)
-    y = np.maximum(y, 0.0)
-    y = conv3x3_forward(y, weights.head2_w, weights.head2_b)[:, :, 0]
+    # Finite values can overflow float32 here; the head output is checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = conv3x3_forward(m_s[:, :, None], weights.conv1_w, weights.conv1_b)
+        x = np.maximum(x, 0.0)
+        ms_prime = conv3x3_forward(x, weights.conv2_w, weights.conv2_b)
+        enhanced = f_t * ms_prime
+        y = conv3x3_forward(enhanced, weights.head1_w, weights.head1_b)
+        y = np.maximum(y, 0.0)
+        y = conv3x3_forward(y, weights.head2_w, weights.head2_b)[:, :, 0]
+    check_finite(y, "refine head output")
     return sigmoid(y)
 
 

@@ -21,6 +21,8 @@ normalize, mix in each cell's identity, round to float32) runs over row
 blocks of about `numerics.BLOCK_CELLS` cells, straight into the frame's
 float32 grid; each element sees the same float64 operations in the same
 order as a whole-grid pass, so the bytes do not depend on the block size.
+
+`restoration_report` scores each frame on one `metrics.row_iou` matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .frame_io import FrameContainer, MotBox
-from .metrics import mot_iou
+from .metrics import _by_frame, row_iou
 from .numerics import grid_row_blocks
 
 __all__ = [
@@ -45,6 +47,9 @@ __all__ = [
 ]
 
 RESTORE_IOU = 0.5
+
+# Side, in cells, of the box every background cell decodes to.
+CLUTTER_BOX_SIZE = 2.5
 
 
 @dataclass
@@ -67,7 +72,6 @@ class ScenarioConfig:
     feat_dim: int = 256
     stride: int = 8
     bar_h_scale: float = 10.0
-    clutter_box_size: float = 2.5
 
     def validate(self) -> None:
         if self.num_targets < 1:
@@ -95,8 +99,8 @@ class ScenarioConfig:
         # boundary-aware inverse.
         if self.size_max / 2.0 + 0.5 >= self.bar_h_scale / 2.0:
             raise ValueError("bar_h_scale too small for the target sizes")
-        if not 1.0 <= self.clutter_box_size <= min(self.height, self.width):
-            raise ValueError("clutter_box_size must fit the grid")
+        if not 1.0 <= CLUTTER_BOX_SIZE <= min(self.height, self.width):
+            raise ValueError("clutter boxes must fit the grid")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -216,8 +220,8 @@ def _frames(
         # center, so spurious responses turn into plausible-looking
         # candidates rather than degenerate slivers.
         raw = np.zeros((h, w, 4), dtype=np.float32)
-        raw[:, :, 2] = math.log(cfg.clutter_box_size)
-        raw[:, :, 3] = math.log(cfg.clutter_box_size)
+        raw[:, :, 2] = math.log(CLUTTER_BOX_SIZE)
+        raw[:, :, 3] = math.log(CLUTTER_BOX_SIZE)
 
         gt: list[MotBox] = []
         dropped: list[tuple[int, int]] = []
@@ -314,38 +318,37 @@ def restoration_report(
     tracker_id is -1 when nothing matched. recall is 1.0 when nothing was
     dropped.
     """
-    gt_by_key = {(b.frame, b.id): b for b in gt}
-    out_by_frame: dict[int, list[MotBox]] = {}
-    for row in tracker_output:
-        out_by_frame.setdefault(row.frame, []).append(row)
-
+    out_by_frame = _by_frame(tracker_output)
+    # Per frame: each gt box's IOU against each output row, 0 below the
+    # gate, after a column of zeros that stands for "no row" (id -1).
+    scored: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    box_index: dict[tuple[int, int], int] = {}
     votes: dict[int, Counter] = {}
-    for b in gt:
-        best_iou, best_id = 0.0, None
-        for row in out_by_frame.get(b.frame, []):
-            ov = mot_iou(row, b)
-            if ov >= RESTORE_IOU and ov > best_iou:
-                best_iou, best_id = ov, row.id
-        if best_id is not None:
-            votes.setdefault(b.id, Counter())[best_id] += 1
+    for f, boxes in _by_frame(gt).items():
+        rows = out_by_frame.get(f, [])
+        ov = row_iou(boxes, rows)
+        gated = np.zeros((len(boxes), len(rows) + 1))
+        gated[:, 1:] = np.where(ov >= RESTORE_IOU, ov, 0.0)
+        ids = np.array([-1] + [r.id for r in rows])
+        scored[f] = gated, ids
+        # argmax takes the first row of highest IOU; 0 when none passes.
+        for i, (b, k) in enumerate(zip(boxes, gated.argmax(axis=1))):
+            box_index[(f, b.id)] = i  # a repeated key names its last box
+            if k:
+                votes.setdefault(b.id, Counter())[int(ids[k])] += 1
     mapping = {
         gid: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         for gid, counter in votes.items()
     }
 
     breakdown: list[tuple[int, int, bool, int, float]] = []
-    restored = 0
     for frame, gid in dropped:
-        g = gt_by_key[(frame, gid)]
-        expected = mapping.get(gid)
-        hit_iou, hit_id, ok = 0.0, -1, False
-        for row in out_by_frame.get(frame, []):
-            ov = mot_iou(row, g)
-            if row.id == expected and ov >= RESTORE_IOU and ov > hit_iou:
-                hit_iou, hit_id, ok = ov, row.id, True
-        if ok:
-            restored += 1
-        breakdown.append((frame, gid, ok, hit_id, hit_iou))
-
-    recall = restored / len(dropped) if dropped else 1.0
+        gated, ids = scored[frame]
+        row = gated[box_index[(frame, gid)]]
+        k = 0
+        if gid in mapping:
+            k = int(np.argmax(np.where(ids == mapping[gid], row, 0.0)))
+        breakdown.append((frame, gid, k > 0, int(ids[k]), float(row[k])))
+    recall = sum(ok for _, _, ok, _, _ in breakdown) / len(dropped) if dropped else 1.0
     return recall, breakdown
+

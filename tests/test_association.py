@@ -21,6 +21,7 @@ from omctrack.recheck import EmbeddingSet, RefineWeights
 from omctrack.synth import ScenarioConfig, generate
 
 from test_numerics import whole_grid_normalize
+from test_recheck import tiny_weights
 
 
 def unit(v):
@@ -515,6 +516,21 @@ class TestFrameValuePolicy:
         assert tracker.step(frames[1])
         frames[2].feat[-1, -1, -1] = np.nan
         self.assert_all_miss(tracker, frames[2], caplog)
+
+    def test_overflowing_feat_under_learned_refine_is_all_miss(self, caplog):
+        # 3e38 is finite, but its product with the bottleneck output
+        # overflows float32, and the head output turns non-finite.
+        cfg = small_scenario(num_targets=2, height=8, width=8, frames=6)
+        weights = tiny_weights(np.random.default_rng(0), feat=cfg.feat_dim)
+        pipeline = PipelineConfig(stride=cfg.stride)
+        clean, _ = track_sequence(generate(cfg)[0], pipeline, weights=weights)
+        frames, _, _ = generate(cfg)
+        frames[2].feat[4, 4, 0] = 3e38
+        tracker = Tracker(pipeline, weights=weights)
+        before = tracker.step(frames[0]) + tracker.step(frames[1])
+        self.assert_all_miss(tracker, frames[2], caplog)
+        assert all(tracker.step(frame) for frame in frames[3:])
+        assert before == [r for r in clean if r.frame < 3]
 
     @pytest.mark.parametrize("kernel", ["decode_boxes", "cross_correlate",
                                         "extract_embeddings"])

@@ -22,6 +22,20 @@ def parse_kv(out):
     return values
 
 
+def write_random_weights(path, seed=0):
+    """A learned-refine weight file for 256-channel feat, drawn at random."""
+    rng = np.random.default_rng(seed)
+    shapes = {
+        "conv1.w": (2, 1, 3, 3), "conv1.b": (2,),
+        "conv2.w": (1, 2, 3, 3), "conv2.b": (1,),
+        "head1.w": (2, 256, 3, 3), "head1.b": (2,),
+        "head2.w": (1, 2, 3, 3), "head2.b": (1,),
+    }
+    write_omcf(path, [{name: rng.normal(size=shape).astype(np.float32)
+                       for name, shape in shapes.items()}])
+    return path
+
+
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
     """One small synthetic scenario shared by the CLI tests."""
@@ -130,6 +144,33 @@ class TestTrackCommand:
         assert [r for r in rows if r.frame < 5] == [r for r in clean_rows if r.frame < 5]
         assert {r.frame for r in rows} == set(range(1, 26)) - {5}
 
+    def test_overflowing_feat_under_learned_refine_is_all_miss(self, tmp_path, capsys,
+                                                                caplog):
+        # A finite feat value whose product with the bottleneck output
+        # overflows float32: that frame is all-miss, the run keeps going.
+        container = tmp_path / "world.omcf"
+        assert main(["synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),
+                     "--targets", "2", "--frames", "6", "--grid", "8x8",
+                     "--seed", "0"]) == 0
+        frames = read_omcf(container)
+        frames[2]["feat"][4, 4, 0] = 3e38
+        bad = tmp_path / "bad.omcf"
+        write_omcf(bad, frames)
+        learned = ["--refine", "learned",
+                   "--weights", str(write_random_weights(tmp_path / "w.omcf"))]
+        clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
+        assert run(capsys, "track", "--container", str(container),
+                   "--out", str(clean), *learned)[0] == 0
+        with caplog.at_level(logging.WARNING, logger="omctrack"):
+            code, out, _ = run(capsys, "track", "--container", str(bad),
+                               "--out", str(out_path), *learned)
+        assert code == 0
+        assert parse_kv(out)["frames"] == "6"
+        assert any("frame 3 failed validation" in r.getMessage() for r in caplog.records)
+        rows, clean_rows = read_mot_boxes(out_path), read_mot_boxes(clean)
+        assert [r for r in rows if r.frame < 3] == [r for r in clean_rows if r.frame < 3]
+        assert {r.frame for r in rows} == {1, 2, 4, 5, 6}
+
     def test_missing_container_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "track", "--container", str(tmp_path / "nope.omcf"),
@@ -191,16 +232,7 @@ class TestTrackCommand:
 
 
     def test_weights_without_learned_refine_is_usage_error(self, scenario, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        shapes = {
-            "conv1.w": (2, 1, 3, 3), "conv1.b": (2,),
-            "conv2.w": (1, 2, 3, 3), "conv2.b": (1,),
-            "head1.w": (2, 256, 3, 3), "head1.b": (2,),
-            "head2.w": (1, 2, 3, 3), "head2.b": (1,),
-        }
-        weights = tmp_path / "w.omcf"
-        write_omcf(weights, [{name: rng.normal(size=shape).astype(np.float32)
-                              for name, shape in shapes.items()}])
+        weights = write_random_weights(tmp_path / "w.omcf")
         results = tmp_path / "r.txt"
         code, _, err = run(
             capsys, "track", "--container", str(scenario["container"]),

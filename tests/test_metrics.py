@@ -2,10 +2,108 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from scipy.optimize import linear_sum_assignment
+
+from omctrack import metrics
 from omctrack.frame_io import MotBox
-from omctrack.metrics import clear_mot, evaluate, idf1, mot_iou, mt_ml
+from omctrack.metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml, row_iou
+
+
+def mot_iou(a, b):
+    """Reference IOU of two top-left/size pixel rows, one pair at a time."""
+    ix1 = max(a.x, b.x)
+    iy1 = max(a.y, b.y)
+    ix2 = min(a.x + a.w, b.x + b.w)
+    iy2 = min(a.y + a.h, b.y + b.h)
+    iw = ix2 - ix1
+    ih = iy2 - iy1
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def protocol_oracle(gt, pred, iou_thr):
+    """The correspondence protocol with one mot_iou call per pair."""
+    gt_frames = metrics._by_frame(gt)
+    pred_frames = metrics._by_frame(pred)
+    last_match = {}
+    fp = fn = idsw = gt_total = 0
+    matched_frames = {}
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        g_boxes = gt_frames.get(f, [])
+        p_boxes = pred_frames.get(f, [])
+        gid_box = {b.id: b for b in g_boxes}
+        pid_box = {b.id: b for b in p_boxes}
+        corr, used_pids = {}, set()
+        for gid in sorted(gid_box):
+            pid = last_match.get(gid)
+            if pid is None or pid in used_pids or pid not in pid_box:
+                continue
+            if mot_iou(gid_box[gid], pid_box[pid]) >= iou_thr:
+                corr[gid] = pid
+                used_pids.add(pid)
+        rest_g = [gid for gid in sorted(gid_box) if gid not in corr]
+        rest_p = [pid for pid in sorted(pid_box) if pid not in used_pids]
+        if rest_g and rest_p:
+            cost = np.full((len(rest_g), len(rest_p)), metrics._DISALLOWED)
+            for i, gid in enumerate(rest_g):
+                for j, pid in enumerate(rest_p):
+                    ov = mot_iou(gid_box[gid], pid_box[pid])
+                    if ov >= iou_thr:
+                        cost[i, j] = 1.0 - ov
+            rows, cols = linear_sum_assignment(cost)
+            for i, j in zip(rows, cols):
+                if cost[i, j] >= metrics._DISALLOWED:
+                    continue
+                gid, pid = rest_g[i], rest_p[j]
+                prev = last_match.get(gid)
+                if prev is not None and prev != pid:
+                    idsw += 1
+                corr[gid] = pid
+                used_pids.add(pid)
+        last_match.update(corr)
+        for gid in corr:
+            matched_frames[gid] = matched_frames.get(gid, 0) + 1
+        fp += len(p_boxes) - len(corr)
+        fn += len(g_boxes) - len(corr)
+        gt_total += len(g_boxes)
+    return fp, fn, idsw, gt_total, matched_frames
+
+
+def idf1_oracle(gt, pred, iou_thr):
+    """IDF1 with the co-occurrence counted one mot_iou call per pair."""
+    if not pred:
+        return 0.0
+    g_index = {gid: i for i, gid in enumerate(sorted({b.id for b in gt}))}
+    p_index = {pid: j for j, pid in enumerate(sorted({b.id for b in pred}))}
+    cooc = np.zeros((len(g_index), len(p_index)))
+    pred_frames = metrics._by_frame(pred)
+    for f, g_boxes in metrics._by_frame(gt).items():
+        for gb in g_boxes:
+            for pb in pred_frames.get(f, []):
+                if mot_iou(gb, pb) >= iou_thr:
+                    cooc[g_index[gb.id], p_index[pb.id]] += 1
+    rows, cols = linear_sum_assignment(-cooc)
+    idtp = float(cooc[rows, cols].sum())
+    return 2.0 * idtp / (2.0 * idtp + (len(pred) - idtp) + (len(gt) - idtp))
+
+
+def evaluate_oracle(gt, pred, iou_thr=metrics.DEFAULT_GATE_IOU, restored_count=0):
+    """`evaluate` assembled from the per-pair loop oracles."""
+    fp, fn, idsw, gt_total, matched_frames = protocol_oracle(gt, pred, iou_thr)
+    mt_ratio, ml_ratio = metrics._mt_ml_ratios(gt, matched_frames)
+    return EvalReport(
+        mota=1.0 - (fp + fn + idsw) / gt_total,
+        idf1=idf1_oracle(gt, pred, iou_thr),
+        mt_ratio=mt_ratio, ml_ratio=ml_ratio, fp=fp, fn=fn, idsw=idsw,
+        gt_count=gt_total, restored_count=restored_count,
+    )
 
 
 def row(frame, tid, x, y=0.0, w=10.0, h=10.0, conf=1.0):
@@ -167,6 +265,51 @@ mot_rows = st.lists(
     max_size=24,
     unique_by=lambda r: r[:2],
 ).map(lambda rs: [row(f, tid, x) for f, tid, x in rs])
+
+
+# Rows that may repeat a (frame, id) key, and whose boxes coincide, touch,
+# or nest at an IOU of exactly 0.5 (a 5x10 box inside a 10x10 one).
+loose_rows = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4),
+              st.sampled_from([0.0, 2.5, 5.0, 40.0]), st.sampled_from([0.0, 5.0]),
+              st.sampled_from([5.0, 10.0])),
+    max_size=30,
+).map(lambda rs: [MotBox(f, tid, x, y, w, 10.0, 1.0) for f, tid, x, y, w in rs])
+
+pixel = st.floats(min_value=-2e3, max_value=2e3, allow_nan=False)
+extent = st.floats(min_value=0.0, max_value=2e3, allow_nan=False)
+pixel_row = st.builds(MotBox, frame=st.just(1), id=st.just(1), x=pixel, y=pixel,
+                      w=extent, h=extent, conf=st.just(1.0))
+
+
+class TestRowIou:
+    @given(st.lists(pixel_row, max_size=6), st.lists(pixel_row, max_size=6))
+    def test_bit_identical_to_scalar_oracle(self, a, b):
+        got = row_iou(a, b)
+        want = np.array([[mot_iou(x, y) for y in b] for x in a],
+                        dtype=np.float64).reshape(len(a), len(b))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(pixel_row, min_size=1, max_size=6))
+    def test_touching_and_nested_rows(self, rows):
+        variants = []
+        for r in rows:
+            variants += [MotBox(1, 1, r.x, r.y, r.w / 2.0, r.h, 1.0),
+                         MotBox(1, 1, r.x + r.w, r.y, r.w, r.h, 1.0)]
+        got = row_iou(rows, variants)
+        want = np.array([[mot_iou(x, y) for y in variants] for x in rows])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=300)
+    @given(loose_rows.filter(bool), loose_rows, st.sampled_from([0.3, 0.5, 0.6]))
+    # A kept correspondence at exactly the gate beats a better newcomer.
+    @example([row(1, 1, x=0), row(2, 1, x=0)],
+             [row(1, 1, x=0, w=5.0), row(2, 1, x=0, w=5.0), row(2, 2, x=0)], 0.5)
+    def test_evaluate_equals_loop_oracle(self, gt, pred, iou_thr):
+        assert evaluate(gt, pred, iou_thr, 3) == evaluate_oracle(gt, pred, iou_thr, 3)
 
 
 class TestReportMtMl:

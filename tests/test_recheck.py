@@ -61,11 +61,6 @@ class TestEmbeddingSet:
     def test_allows_zero_rows(self):
         es = EmbeddingSet(np.zeros((2, 4), dtype=np.float32))
         assert len(es) == 2
-        assert es.source_ids == [-1, -1]
-
-    def test_source_id_length_checked(self):
-        with pytest.raises(ValueError, match="source_ids"):
-            EmbeddingSet(np.zeros((2, 4), dtype=np.float32), [1])
 
 
 class TestCrossCorrelate:
@@ -434,6 +429,15 @@ class TestRefine:
         f_t[-1, -1, -1] = bad
         with pytest.raises(FrameValueError, match="tensor 'feat' contains non-finite"):
             refine(np.zeros((6, 5), dtype=np.float32), f_t, tiny_weights(rng))
+
+    def test_overflowing_head_raises_frame_value_error(self):
+        # Every value is finite; their product overflows float32.
+        rng = np.random.default_rng(12)
+        f_t = rng.normal(size=(6, 5, 4)).astype(np.float32)
+        f_t[2, 2, 0] = 3e38
+        m_s = np.ones((6, 5), dtype=np.float32)
+        with pytest.raises(FrameValueError, match="'refine head output' contains non-finite"):
+            refine(m_s, f_t, tiny_weights(rng))
 
     def test_bypass_reads_no_feature(self):
         m_s = np.array([[0.5]], dtype=np.float32)

@@ -1,15 +1,64 @@
-import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omctrack.association import PipelineConfig, track_sequence
-from omctrack.frame_io import write_container
-from omctrack.metrics import clear_mot, evaluate, mot_iou
+from omctrack.frame_io import MotBox, write_container
+from omctrack.metrics import clear_mot, evaluate
 from omctrack.recheck import EmbeddingSet, cross_correlate
-from omctrack.synth import ScenarioConfig, generate, iter_generate, restoration_report
+from omctrack.synth import (
+    RESTORE_IOU,
+    ScenarioConfig,
+    generate,
+    iter_generate,
+    restoration_report,
+)
+from test_golden_rows import CLUTTER, DESK
+from test_metrics import evaluate_oracle, loose_rows, mot_iou
+
+
+def restoration_oracle(tracker_output, gt, dropped):
+    """`restoration_report` with one mot_iou call per (row, gt box) pair."""
+    gt_by_key = {(b.frame, b.id): b for b in gt}
+    out_by_frame = {}
+    for row in tracker_output:
+        out_by_frame.setdefault(row.frame, []).append(row)
+    votes = {}
+    for b in gt:
+        best_iou, best_id = 0.0, None
+        for row in out_by_frame.get(b.frame, []):
+            ov = mot_iou(row, b)
+            if ov >= RESTORE_IOU and ov > best_iou:
+                best_iou, best_id = ov, row.id
+        if best_id is not None:
+            votes.setdefault(b.id, Counter())[best_id] += 1
+    mapping = {gid: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+               for gid, counter in votes.items()}
+    breakdown, restored = [], 0
+    for frame, gid in dropped:
+        g = gt_by_key[(frame, gid)]
+        expected = mapping.get(gid)
+        hit_iou, hit_id, ok = 0.0, -1, False
+        for row in out_by_frame.get(frame, []):
+            ov = mot_iou(row, g)
+            if row.id == expected and ov >= RESTORE_IOU and ov > hit_iou:
+                hit_iou, hit_id, ok = ov, row.id, True
+        restored += ok
+        breakdown.append((frame, gid, ok, hit_id, hit_iou))
+    return (restored / len(dropped) if dropped else 1.0), breakdown
+
+
+def assert_report_equals_oracle(rows, gt, dropped):
+    recall, breakdown = restoration_report(rows, gt, dropped)
+    want_recall, want = restoration_oracle(rows, gt, dropped)
+    assert recall == want_recall
+    assert breakdown == want
+    for row in breakdown:
+        assert [type(v) for v in row[:4]] == [int, int, bool, int]
+        assert isinstance(row[4], float)
 
 
 def small(**kw):
@@ -67,6 +116,10 @@ class TestGenerate:
     def test_infeasible_config_rejected(self):
         with pytest.raises(ValueError, match="fit"):
             generate(small(size_min=15.0, size_max=15.0)).__len__()
+
+    def test_clutter_boxes_must_fit_the_grid(self):
+        with pytest.raises(ValueError, match="clutter boxes"):
+            small(height=2, width=2, size_min=1.0, size_max=2.0).validate()
 
     def test_gt_self_evaluates_perfect(self):
         _, gt, _ = generate(small())
@@ -134,10 +187,11 @@ class TestNoiseFreeSeparation:
             cy = int((b.y + b.h / 2) / cfg.stride)
             cx = int((b.x + b.w / 2) / cfg.stride)
             vectors.append(first.embed[cy, cx])
-        e_set = EmbeddingSet(np.stack(vectors), [b.id for b in sorted(gt1, key=lambda b: b.id)])
+        gids = sorted(b.id for b in gt1)
+        e_set = EmbeddingSet(np.stack(vectors))
         for frame in frames:
             stack = cross_correlate(e_set, frame.embed)
-            for i, gid in enumerate(e_set.source_ids):
+            for i, gid in enumerate(gids):
                 b = next(x for x in gt if x.frame == frame.frame_index and x.id == gid)
                 cy, cx = divmod(int(np.argmax(stack[i])), cfg.width)
                 x_cell = (cx + 0.5) * cfg.stride
@@ -201,3 +255,33 @@ class TestEndToEnd:
             rows, tr = track_sequence(frames, PipelineConfig(shrink_radius=radius))
             fps[radius] = evaluate(gt, rows).fp
         assert fps[3.0] <= fps[math.inf]
+
+
+class TestAgainstLoopOracles:
+    """Restoration report and evaluation equal their per-pair loop versions."""
+
+    @pytest.mark.parametrize("scenario", [DESK, CLUTTER], ids=["desk", "clutter"])
+    def test_golden_worlds(self, scenario):
+        frames, gt, dropped = generate(ScenarioConfig(**scenario))
+        rows, tracker = track_sequence(frames)
+        assert dropped
+        assert_report_equals_oracle(rows, gt, dropped)
+        report = evaluate(gt, rows, restored_count=tracker.restored_emitted)
+        assert report == evaluate_oracle(gt, rows, restored_count=tracker.restored_emitted)
+
+    @settings(max_examples=300)
+    @given(loose_rows.filter(bool), loose_rows, st.data())
+    def test_drawn_sequences(self, gt, rows, data):
+        keys = sorted({(b.frame, b.id) for b in gt})
+        dropped = data.draw(st.lists(st.sampled_from(keys), max_size=8))
+        assert_report_equals_oracle(rows, gt, dropped)
+
+    def test_tied_rows_vote_for_the_first(self):
+        # Frame 1 holds two equal boxes and the first (id 7) takes the vote,
+        # so ids 7 and 9 tie at two votes each and the smaller id wins.
+        gt = [MotBox(f, 1, 0.0, 0.0, 10.0, 10.0, 1.0) for f in (1, 2, 3, 4)]
+        rows = [MotBox(f, tid, 0.0, 0.0, w, 10.0, 1.0)
+                for f, tid, w in ((1, 7, 10.0), (1, 9, 10.0), (2, 7, 10.0),
+                                  (3, 9, 10.0), (4, 7, 5.0), (4, 9, 10.0))]
+        assert_report_equals_oracle(rows, gt, [(4, 1)])
+        assert restoration_report(rows, gt, [(4, 1)])[1] == [(4, 1, True, 7, 0.5)]
