@@ -32,7 +32,7 @@ from .detection import (
     greedy_nms,
     iou,
 )
-from .frame_io import FrameContainer, MotBox
+from .frame_io import FrameContainer, MotBox, Payload
 from .fusion import FusionConfig, fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
@@ -139,22 +139,22 @@ class PipelineConfig:
             raise ValueError("stride must be >= 1")
 
 
-def extract_embeddings(boxes: Boxes, embed: np.ndarray) -> EmbeddingSet:
+def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSet:
     """Read one normalized embedding per box at its center cell.
 
-    Centers outside the grid clamp to the nearest boundary cell. Only the
-    cells read are normalized and checked: a non-finite value in one raises
+    embed is an (H, W, C) array or a container frame's unread `embed`
+    Payload, of which only the center cells are read. Centers outside the
+    grid clamp to the nearest boundary cell. Only the cells read are
+    normalized and checked: a non-finite value in one raises
     FrameValueError.
     """
-    grid = as_grid(embed, name="embed")
+    unread = isinstance(embed, Payload)
+    grid = embed if unread else as_grid(embed, name="embed")
     h, w = grid.shape[:2]
     cols = np.clip(np.floor(boxes.cx), 0, w - 1).astype(np.intp)
     rows = np.clip(np.floor(boxes.cy), 0, h - 1).astype(np.intp)
-    cells = normalize_cells(grid[rows, cols])
-    vectors = np.zeros(cells.shape, dtype=np.float32)
-    for k, cell in enumerate(cells):
-        vectors[k] = l2_normalize(cell)
-    return EmbeddingSet(vectors)
+    cells = grid.take_cells(rows * w + cols) if unread else grid[rows, cols]
+    return EmbeddingSet(normalize_cells(cells))
 
 
 def _greedy_matrix_match(
@@ -374,9 +374,12 @@ class Tracker:
         else:
             d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
 
+        # The search and the readout read embed from whatever the frame
+        # holds, so a container frame's grid is never held whole.
+        embed = frame.held()["embed"]
         if p.recheck_enabled and self.tracklets:
             e_prev = EmbeddingSet(np.stack([t.embedding for t in self.tracklets]))
-            stack = cross_correlate(e_prev, frame.embed)
+            stack = cross_correlate(e_prev, embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None
             m_p = refine(m_s, f_t, self.weights)
@@ -387,7 +390,7 @@ class Tracker:
         else:
             d_final = d_base
 
-        e_set = extract_embeddings(d_final, frame.embed)
+        e_set = extract_embeddings(d_final, embed)
         matches, _, unmatched_boxes = associate(
             self.tracklets, d_final, e_set, self.cfg
         )

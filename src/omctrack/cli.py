@@ -6,8 +6,9 @@ tracker reads (non-finite, prob outside [0, 1]) is not a data error: track
 logs a warning, emits no rows for it and goes on. Values are checked where
 they are read, so a bad value nothing reads (in feat under bypass
 refinement, or in an embed cell neither the search nor the readout reads)
-changes nothing. feat is read from the container only under learned
-refinement. The OMC_LOG environment variable (debug|info) raises log
+changes nothing. embed is read from the container block by block by the
+search and cell by cell by the readout, never whole; feat is read only
+under learned refinement. The OMC_LOG environment variable (debug|info) raises log
 verbosity; default output is just the command's own summary.
 
 Flag values may also come from a --config file of flat key=value lines

@@ -39,6 +39,7 @@ __all__ = [
     "ContainerFormatError",
     "MotParseError",
     "FrameContainer",
+    "Payload",
     "MotBox",
     "write_omcf",
     "read_omcf",
@@ -79,6 +80,29 @@ class MotParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _ReadOnFirstAccess:
+    """A FrameContainer tensor that the frame may hold as an unread Payload.
+
+    The first read of the attribute reads the payload and keeps the array;
+    assigning replaces whatever the frame held.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, frame, owner=None):
+        if frame is None:
+            return self
+        value = getattr(frame, self.slot)
+        if isinstance(value, Payload):
+            value = value.read()
+            setattr(frame, self.slot, value)
+        return value
+
+    def __set__(self, frame, value):
+        setattr(frame, self.slot, value)
+
+
 class FrameContainer:
     """Per-frame detector outputs on the feature grid.
 
@@ -87,32 +111,27 @@ class FrameContainer:
     embed  (H, W, C)  identity-embedding map (512 channels in production)
     feat   (H, W, C)  visual-feature map (256 channels in production)
 
-    A frame from iter_container holds `feat` unread, as its place in the
-    file, and reads it on first access to `feat` (only learned refinement
-    uses it); the other tensors are read with the frame. Assigning `feat`
+    A frame from iter_container holds `embed` and `feat` unread, as their
+    places in the file (`held`), and reads each whole on first access to
+    the attribute. The tracker never does: the embedding search reads
+    `embed` from the file block by block and the readout cell by cell, and
+    only learned refinement reads `feat`. Assigning `embed` or `feat`
     replaces it like any other attribute.
     """
 
+    embed = _ReadOnFirstAccess()
+    feat = _ReadOnFirstAccess()
+
     def __init__(self, frame_index: int, prob: np.ndarray, boxes: np.ndarray,
-                 embed: np.ndarray, feat: np.ndarray):
+                 embed: np.ndarray | Payload, feat: np.ndarray | Payload):
         self.frame_index = frame_index
         self.prob = prob
         self.boxes = boxes
         self.embed = embed
-        self._feat = feat
-
-    @property
-    def feat(self) -> np.ndarray:
-        if isinstance(self._feat, _Payload):
-            self._feat = self._feat.read()
-        return self._feat
-
-    @feat.setter
-    def feat(self, value: np.ndarray) -> None:
-        self._feat = value
+        self.feat = feat
 
     def __repr__(self) -> str:
-        shapes = ", ".join(f"{name}={arr.shape}" for name, arr in self._stored().items())
+        shapes = ", ".join(f"{name}={arr.shape}" for name, arr in self.held().items())
         return f"FrameContainer(frame_index={self.frame_index}, {shapes})"
 
     @property
@@ -123,19 +142,23 @@ class FrameContainer:
     def width(self) -> int:
         return self.prob.shape[1]
 
-    def _stored(self) -> dict:
-        return {"prob": self.prob, "boxes": self.boxes, "embed": self.embed,
+    def held(self) -> dict[str, np.ndarray | Payload]:
+        """The four tensors by name as the frame holds them; reads nothing.
+
+        `embed` and `feat` may be a Payload not yet read.
+        """
+        return {"prob": self.prob, "boxes": self.boxes, "embed": self._embed,
                 "feat": self._feat}
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """The four tensors by name; reads `feat` if it is still unread."""
-        return {**self._stored(), "feat": self.feat}
+        """The four tensors by name as arrays; reads any still unread."""
+        return {name: getattr(self, name) for name in REQUIRED_TENSORS}
 
     def check_format(self) -> None:
         """Check index, rank, dtype and shapes; reads no tensor values."""
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
-        _check_tensor_format(self._stored())
+        _check_tensor_format(self.held())
 
     def validate(self, names: Iterable[str] = REQUIRED_TENSORS) -> None:
         """check_format, then the named tensors' values (all by default).
@@ -162,7 +185,7 @@ def _check_tensor_format(tensors: Mapping) -> None:
     shapes = {}
     for name in REQUIRED_TENSORS:
         arr = tensors[name]
-        if not isinstance(arr, (np.ndarray, _Payload)) or arr.ndim != 3:
+        if not isinstance(arr, (np.ndarray, Payload)) or arr.ndim != 3:
             raise ValueError(f"tensor {name!r} must be a 3-d ndarray")
         if arr.dtype != np.float32:
             raise ValueError(f"tensor {name!r} must be float32, got {arr.dtype}")
@@ -218,12 +241,14 @@ class _OmcfFile:
         weakref.finalize(self, self.f.close)
 
 
-class _Payload:
+class Payload:
     """A float32 tensor's header and its place in an OMCF file, unread.
 
-    `read` uses `preadv`, which does not move the file position, so a
+    Reads use `preadv`, which does not move the file position, so a
     payload can be read while the header walk goes on, or after it has
-    ended.
+    ended. `read` reads the whole tensor; `read_cells` and `take_cells`
+    read cells of an (H, W, C) tensor, taken in row-major order as the
+    rows of an (H*W, C) matrix, without reading the rest.
     """
 
     dtype = np.dtype(np.float32)
@@ -241,20 +266,42 @@ class _Payload:
     def read(self) -> np.ndarray:
         """Read the little-endian payload straight into a new array."""
         arr = np.empty(self.shape, dtype="<f4")
-        buf = memoryview(arr.reshape(-1).view(np.uint8))
+        self._read_into(_bytes_of(arr), 0)
+        return arr
+
+    def read_cells(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Read cells start .. start + len(out) into out, a (n, C) float32 array."""
+        self._read_into(_bytes_of(out), start * out.shape[1] * 4)
+        return out
+
+    def take_cells(self, index: np.ndarray) -> np.ndarray:
+        """The cells at the given row-major indices, as a new (n, C) array."""
+        out = np.empty((len(index), self.shape[-1]), dtype="<f4")
+        buf, size = _bytes_of(out), 4 * out.shape[1]
+        for k, cell in enumerate(index.tolist()):
+            self._read_into(buf[k * size:(k + 1) * size], cell * size)
+        return out
+
+    def _read_into(self, buf: memoryview, start: int) -> None:
+        """Fill buf from the payload's bytes at start onward."""
+        fd = self.source.f.fileno()
         done = 0
         while done < len(buf):
-            n = os.preadv(self.source.f.fileno(), [buf[done:]], self.offset + done)
+            n = os.preadv(fd, [buf[done:]], self.offset + start + done)
             if n == 0:
                 raise ContainerFormatError(
                     f"truncated file while reading tensor {self.name!r} payload",
                     self.offset,
                 )
             done += n
-        return arr
 
 
-def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, _Payload]]:
+def _bytes_of(arr: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, writable in place."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
+def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, Payload]]:
     """Walk the headers of an OMCF file, frame by frame, reading no payload.
 
     Each payload's size is checked against the bytes left in the file
@@ -271,7 +318,7 @@ def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, _Payload]]:
         raise ContainerFormatError(f"unsupported version {version}", 4)
     for _ in range(frame_count):
         (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-        payloads: dict[str, _Payload] = {}
+        payloads: dict[str, Payload] = {}
         for _ in range(tensor_count):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
             name = _read_exact(f, name_len, "tensor name").decode("utf-8")
@@ -290,7 +337,7 @@ def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, _Payload]]:
                     f"truncated file while reading tensor {name!r} payload", offset
                 )
             f.seek(nbytes, os.SEEK_CUR)
-            payloads[name] = _Payload(source, name, dims, offset)
+            payloads[name] = Payload(source, name, dims, offset)
         yield payloads
 
 
@@ -377,10 +424,13 @@ def iter_container(path) -> Iterator[FrameContainer]:
     """Stream frames whose format is checked; each tensor keeps frame 1's shape.
 
     Format and shapes come from the headers, before any payload is read.
-    prob, boxes and embed are then read with the frame; feat is only
-    size-checked and is read on first access to `frame.feat`, so a run
-    that never uses it never reads its bytes. A file cut short after the
-    walk makes that access raise ContainerFormatError.
+    prob and boxes are then read with the frame; embed and feat are only
+    size-checked and stay in the file as payloads (`FrameContainer.held`).
+    The tracker reads embed from there, block by block in the embedding
+    search and cell by cell in the readout, and feat only under learned
+    refinement; the first access to `frame.embed` or `frame.feat` reads
+    that tensor whole. A file cut short after the walk makes any of these
+    reads raise ContainerFormatError naming the tensor.
 
     Tensor values are not checked here: Tracker.step checks the values it
     reads and counts a frame with a non-finite value it reads, or a prob
@@ -401,8 +451,8 @@ def iter_container(path) -> Iterator[FrameContainer]:
                     f"{name!r} has shape {shape}, expected {expected}"
                 )
         yield FrameContainer(
-            i + 1, *(payloads[n].read() for n in ("prob", "boxes", "embed")),
-            payloads["feat"],
+            i + 1, payloads["prob"].read(), payloads["boxes"].read(),
+            payloads["embed"], payloads["feat"],
         )
 
 

@@ -16,17 +16,25 @@ output column scaled by its cell's 1/norm (one BLAS thread, 2-vCPU Xeon).
 The detector and re-check networks it stands in for are float32 too.
 Finite cells whose float32 squares overflow go through `normalize_cells`.
 
-The search runs over the whole grid, not in row blocks: OpenBLAS `sgemm`
-chooses its kernel by matrix size, so its bits depended on the block
-width, and a template correlated alone (`gemv`) can differ in the last
-bits from the same template inside a stack (`gemm`). The responses agree
-with the float64 cosines within (2*C + 6) * 2**-24, the tolerance the
-tests derive. Measured against the float64 search it replaced: MOT rows
-are byte-identical on the 152x272 worlds (seeds 0 and 7); on the
-20x20 desk worlds (seeds 0, 7 and 8), the 12x12 clutter worlds (seeds 0
-and 7) and the golden worlds, every frame, id and box field is identical
-and the printed `conf` differs by 1e-6 on 0 to 61 rows a world, which
-`tests/test_row_contract.py` keeps as the contract.
+The search walks the grid's H*W cells in near-equal blocks of at most
+`recheck.SEARCH_BLOCK_VALUES` values (2048 cells at C = 512), each a view
+of an array or a read from a container's unread payload, so a container
+grid is never held whole. The split depends only on (H*W, C), so a grid in
+memory and the same grid in a container give the same bits, and a grid
+that fits in one block (the 20x20 desk and 12x12 clutter worlds) gets one
+whole-grid `sgemm`. OpenBLAS chooses its kernel by matrix size: on
+152x272x512 grids, near-equal blocks of 1024 to 4096 cells gave the
+whole-grid product's bits with 3, 5 and 20 templates, while one template
+(`gemv`), or a last block much smaller than the others, can move the last
+bits; that is why the blocks are near-equal, not full blocks and a tail.
+The responses agree with the float64 cosines within (2*C + 6) * 2**-24,
+the tolerance the tests derive. Measured against the float64 search it
+replaced: MOT rows are byte-identical on the 152x272 worlds (seeds 0 and
+7); on the 20x20 desk worlds (seeds 0, 7 and 8), the 12x12 clutter worlds
+(seeds 0 and 7) and the golden worlds, every frame, id and box field is
+identical and the printed `conf` differs by 1e-6 on 0 to 61 rows a world,
+which `tests/test_row_contract.py` keeps as the contract. The blocks left
+the 152x272 rows byte-identical to the whole-grid search.
 
 `l2_normalize_grid` walks the grid in blocks of whole rows, about
 `BLOCK_CELLS` cells each (`grid_row_blocks`), so its float64 temporaries

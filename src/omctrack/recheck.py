@@ -1,9 +1,9 @@
 """Tracklet propagation by global embedding search.
 
 Every active tracklet embedding is dotted against every cell of the current
-identity-embedding grid in one float32 matrix multiply over the raw grid,
-each output column scaled by its cell's 1/norm, which yields one response
-map per tracklet. Each map is shrunk to a window around its peak (look-alike
+identity-embedding grid in float32 matrix multiplies over near-equal,
+cache-sized blocks of the raw grid's cells, each output column scaled by
+its cell's 1/norm, which yields one response map per tracklet. Each map is shrunk to a window around its peak (look-alike
 objects elsewhere produce spurious highs), the masked maps are summed into
 one aggregate, and an optional learned refinement mixes the visual feature
 back in to filter false positives. Swapping the refined map in as the
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .detection import Boxes, greedy_nms
-from .frame_io import read_omcf
+from .frame_io import Payload, read_omcf
 from .numerics import (
     NORM_EPS,
     as_grid,
@@ -45,6 +46,15 @@ __all__ = [
 ]
 
 DEFAULT_SHRINK_RADIUS = 3
+
+# Values (cells x channels) in one block of the embedding search: 4 MiB of
+# float32, 2048 cells at C = 512, so a block read from a container is still
+# in cache when its norms and product use it. On 152x272x512 grids, near-
+# equal blocks of 1024 to 4096 cells gave the whole-grid product's bits for
+# 3, 5 and 20 templates; one template (gemv), or a last block much smaller
+# than the others, can make OpenBLAS pick another kernel and move the last
+# bits, which is why the blocks are near-equal rather than full-then-tail.
+SEARCH_BLOCK_VALUES = 1 << 20
 
 _WEIGHT_NAMES = (
     "conv1.w", "conv1.b", "conv2.w", "conv2.b",
@@ -79,21 +89,37 @@ class EmbeddingSet:
         return cls(np.zeros((0, dim), dtype=np.float32))
 
 
-def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
+def _search_blocks(cells: int, channels: int) -> Iterator[tuple[int, int]]:
+    """Near-equal (start, stop) cell ranges, each at most SEARCH_BLOCK_VALUES values.
+
+    The split depends only on the cell and channel counts, so a grid in
+    memory and the same grid read from a container share their blocks.
+    """
+    count = max(1, -(-cells * channels // SEARCH_BLOCK_VALUES))
+    for k in range(count):
+        yield cells * k // count, cells * (k + 1) // count
+
+
+def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndarray:
     """Cosine response maps of every template against every grid cell.
 
-    One float32 pass over the raw grid: per-cell squared norms from one
-    `einsum`, one (n, C) x (C, H*W) `sgemm` of the templates against the
-    raw cells, and each output column scaled by its cell's 1/norm. Cells
-    with norm <= NORM_EPS keep scale 1, so all-zero cells respond exactly
-    0. A cell whose squared norm is not finite goes through
-    `normalize_cells` (float64), which raises FrameValueError when one of
-    its values is not finite and otherwise gives the cosines of cells whose
-    float32 squares overflow. This is where embed's values are checked;
-    with no templates they are not read.
+    embed is an (H, W, C) array or a container frame's unread `embed`
+    Payload. The H*W cells are walked in near-equal blocks of at most
+    SEARCH_BLOCK_VALUES values (`_search_blocks`): a view of an array, or a
+    payload's cells read into one buffer that every block reuses, so a
+    container grid is never held whole. Each block is one float32 pass:
+    per-cell squared norms from one `einsum`, one (n, C) x (C, cells)
+    `sgemm` of the templates against the raw cells, and each output column
+    scaled by its cell's 1/norm. Cells with norm <= NORM_EPS keep scale 1,
+    so all-zero cells respond exactly 0. A cell whose squared norm is not
+    finite goes through `normalize_cells` (float64), which raises
+    FrameValueError when one of its values is not finite and otherwise
+    gives the cosines of cells whose float32 squares overflow. This is
+    where embed's values are checked; with no templates they are not read.
     Returns an (n, H, W) stack, float32 for a float32 grid.
     """
-    grid = as_grid(embed, name="embed")
+    unread = isinstance(embed, Payload)
+    grid = embed if unread else as_grid(embed, name="embed")
     h, w, c = grid.shape
     n = len(e_set)
     if n == 0:
@@ -102,18 +128,26 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
-    cells = grid.reshape(-1, c)
-    sq = np.einsum("ij,ij->i", cells, cells)
-    overflow = ~np.isfinite(sq)
-    if overflow.any():
-        unit = normalize_cells(cells[overflow])
-        sq[overflow] = 0.0  # scale 1; these columns are replaced below
-    norms = np.sqrt(sq)
-    scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
-    responses = e_set.vectors @ cells.T
-    responses *= scale
-    if overflow.any():
-        responses[:, overflow] = e_set.vectors @ unit.T
+    blocks = list(_search_blocks(h * w, c))
+    if unread:
+        buf = np.empty((max(stop - start for start, stop in blocks), c), grid.dtype)
+    else:
+        cells = grid.reshape(-1, c)
+    responses = np.empty((n, h * w), np.result_type(e_set.vectors, grid.dtype))
+    for start, stop in blocks:
+        block = grid.read_cells(start, buf[:stop - start]) if unread else cells[start:stop]
+        out = responses[:, start:stop]
+        sq = np.einsum("ij,ij->i", block, block)
+        overflow = ~np.isfinite(sq)
+        if overflow.any():
+            unit = normalize_cells(block[overflow])
+            sq[overflow] = 0.0  # scale 1; these columns are replaced below
+        norms = np.sqrt(sq)
+        scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
+        np.matmul(e_set.vectors, block.T, out=out)
+        out *= scale
+        if overflow.any():
+            out[:, overflow] = e_set.vectors @ unit.T
     return responses.reshape(n, h, w)
 
 

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from omctrack import frame_io
+from omctrack import association, frame_io, recheck
 from omctrack.association import track_sequence
+from omctrack.detection import Box, Boxes
 from omctrack.numerics import FrameValueError
 from omctrack.frame_io import (
     ContainerFormatError,
@@ -425,12 +426,37 @@ class TestLazyFeat:
         for fc in frames:
             fc.check_format()
             repr(fc)
+        assert sum(n for _, n in reads) == sum(f.prob.nbytes + f.boxes.nbytes for f in written)
+        # Four ragged blocks of 7 or 8 cells, so the search reads embed in parts.
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 130)
+        by_kernel = {"cross_correlate": [], "extract_embeddings": []}
+        for name, calls in by_kernel.items():
+            def recorded(boxes_or_set, embed, kernel=getattr(association, name), calls=calls):
+                before = len(reads)
+                out = kernel(boxes_or_set, embed)
+                calls.append((embed.offset, len(boxes_or_set), reads[before:]))
+                return out
+            monkeypatch.setattr(association, name, recorded)
+        before = len(reads)
         track_sequence(frames)
-        eager = sum(f.prob.nbytes + f.boxes.nbytes + f.embed.nbytes for f in written)
-        assert sum(n for _, n in reads) == eager
+
         data = path.read_bytes()
         feat_starts = {data.index(f.feat.tobytes()) for f in written}
         assert not feat_starts & {offset for offset, _ in reads}
+        kernel_reads = [r for calls in by_kernel.values() for *_, rs in calls for r in rs]
+        assert sorted(kernel_reads) == sorted(reads[before:])
+        nbytes = written[0].embed.nbytes
+        assert by_kernel["cross_correlate"]
+        for start, _, search in by_kernel["cross_correlate"]:
+            # Each embed byte is read at most once, and none outside embed.
+            spans = sorted((offset, offset + n) for offset, n in search)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+            assert start <= spans[0][0] and spans[-1][1] <= start + nbytes
+            assert sum(b - a for a, b in spans) == nbytes and len(spans) >= 4
+        cell_bytes = 4 * written[0].embed.shape[2]
+        for start, boxes, readout in by_kernel["extract_embeddings"]:
+            assert sum(n for _, n in readout) == cell_bytes * boxes
+            assert all(start <= offset < start + nbytes for offset, _ in readout)
 
     def test_feat_reads_the_written_values_once(self, tmp_path, monkeypatch):
         written, path = self.write(tmp_path)
@@ -444,10 +470,13 @@ class TestLazyFeat:
     def test_assigned_feat_replaces_the_unread_payload(self, tmp_path, monkeypatch):
         _, path = self.write(tmp_path, frames=1)
         (fc,) = read_container(path)
+        feat = fc.held()["feat"]
         reads = self.count_reads(monkeypatch)
         fc.feat = np.zeros((6, 5, 24), dtype=np.float32)
         assert not fc.feat.any() and not fc.tensors()["feat"].any()
-        assert reads == []
+        # tensors() reads the unread embed; nothing reads the feat payload.
+        feat_bytes = range(feat.offset, feat.offset + 4 * 6 * 5 * 24)
+        assert not any(offset in feat_bytes for offset, _ in reads)
 
     def test_file_cut_after_iteration_fails_on_access(self, tmp_path):
         written, path = self.write(tmp_path, frames=2)
@@ -470,3 +499,48 @@ class TestLazyFeat:
         with pytest.raises(ContainerFormatError, match="frame 1: tensor spatial sizes differ"):
             read_container(path)
         assert reads == []
+
+
+class TestStreamedEmbed:
+    """iter_container leaves embed in the file; the kernels read it there."""
+
+    def write(self, tmp_path, frames=2):
+        rng = np.random.default_rng(18)
+        written = [random_frame(rng, i + 1, h=6, w=5, embed_dim=24) for i in range(frames)]
+        path = tmp_path / "x.omcf"
+        write_container(written, path)
+        return written, path
+
+    @staticmethod
+    def search(embed):
+        e_set = recheck.EmbeddingSet(np.eye(3, 24, dtype=np.float32))
+        return recheck.cross_correlate(e_set, embed)
+
+    @staticmethod
+    def readout(embed):
+        boxes = Boxes.of([Box(cx=4.5, cy=5.5, w=1.0, h=1.0, score=1.0)])
+        return association.extract_embeddings(boxes, embed)
+
+    @pytest.mark.parametrize("reader", ["whole", "search", "readout"])
+    def test_file_cut_after_iteration_fails_on_read(self, tmp_path, reader):
+        written, path = self.write(tmp_path)
+        frames = read_container(path)
+        data = path.read_bytes()
+        start = data.index(written[1].embed.tobytes())
+        path.write_bytes(data[: start + 10])
+        read = {"whole": lambda fc: fc.embed,
+                "search": lambda fc: self.search(fc.held()["embed"]),
+                "readout": lambda fc: self.readout(fc.held()["embed"])}[reader]
+        read(frames[0])
+        with pytest.raises(ContainerFormatError, match="tensor 'embed' payload") as err:
+            read(frames[1])
+        assert err.value.offset == start
+
+    def test_bypass_tracking_leaves_embed_unread(self, tmp_path):
+        written, path = self.write(tmp_path, frames=4)
+        frames = read_container(path)
+        rows, _ = track_sequence(frames)
+        assert rows
+        assert all(isinstance(fc.held()["embed"], frame_io.Payload) for fc in frames)
+        for fc, want in zip(frames, written):
+            assert np.array_equal(fc.embed, want.embed)

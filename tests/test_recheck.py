@@ -1,11 +1,19 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from omctrack import numerics
-from omctrack.detection import Box, decode_boxes
-from omctrack.frame_io import write_omcf
+from omctrack import numerics, recheck
+from omctrack.association import PipelineConfig, Tracker, extract_embeddings
+from omctrack.detection import Box, Boxes, decode_boxes
+from omctrack.frame_io import (
+    FrameContainer,
+    Payload,
+    read_container,
+    write_container,
+    write_omcf,
+)
 from omctrack.numerics import (
     FrameValueError,
     conv3x3_forward,
@@ -22,6 +30,7 @@ from omctrack.recheck import (
     shrink_mask,
     transductive_detections,
 )
+from omctrack.synth import ScenarioConfig, generate
 
 from test_numerics import RAGGED_SHAPES, matmul, whole_grid_normalize
 
@@ -528,3 +537,88 @@ class TestShrinkReducesOffTargetMass:
         full = aggregate(stack, math.inf)
         shrunk = aggregate(stack, 3)
         assert shrunk[~on_target].sum() <= full[~on_target].sum()
+
+
+class TestContainerSearch:
+    """A container frame's unread embed gives the bits of the same grid in memory."""
+
+    SHAPE = (45, 29)  # 1305 cells
+
+    @staticmethod
+    def container_frame(tmp_path, grid):
+        h, w, _ = grid.shape
+        frame = FrameContainer(
+            1, np.zeros((h, w, 1), np.float32), np.zeros((h, w, 4), np.float32),
+            grid, np.zeros((h, w, 2), np.float32),
+        )
+        write_omcf(tmp_path / "x.omcf", [frame.tensors()])  # values unchecked
+        (back,) = read_container(tmp_path / "x.omcf")
+        assert isinstance(back.held()["embed"], Payload)
+        return back
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_same_bits_as_in_memory_over_ragged_blocks(self, tmp_path, monkeypatch, n):
+        rng = np.random.default_rng(40 + n)
+        grid = raw_grid(rng, self.SHAPE, 32)
+        grid[44, 20:] *= np.float32(1e20)  # overflow fallback in the last block
+        frame = self.container_frame(tmp_path, grid)
+        e = unit_rows(rng, n, 32)
+        # 1305 * 32 values in six blocks of 217 or 218 cells.
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
+        assert {b - a for a, b in recheck._search_blocks(1305, 32)} == {217, 218}
+        streamed = cross_correlate(EmbeddingSet(e), frame.held()["embed"])
+        in_memory = cross_correlate(EmbeddingSet(e), grid)
+        assert np.array_equal(streamed, in_memory)
+        oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
+        assert np.all(np.abs(streamed - oracle) <= cosine_atol(32))
+
+        boxes = Boxes.of([Box(cx=x, cy=y, w=1.0, h=1.0, score=1.0)
+                          for x, y in rng.uniform(-2.0, 47.0, size=(40, 2))])
+        assert np.array_equal(
+            extract_embeddings(boxes, frame.held()["embed"]).vectors,
+            extract_embeddings(boxes, grid).vectors,
+        )
+
+    def test_one_block_is_one_product(self):
+        rng = np.random.default_rng(44)
+        grid = raw_grid(rng, self.SHAPE, 32)
+        e = unit_rows(rng, 5, 32)
+        assert list(recheck._search_blocks(1305, 32)) == [(0, 1305)]
+        cells = grid.reshape(-1, 32)
+        norms = np.sqrt(np.einsum("ij,ij->i", cells, cells))
+        want = (e @ cells.T) * np.divide(1.0, norms, out=np.ones_like(norms),
+                                         where=norms > 1e-12)
+        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid),
+                              want.reshape(5, *self.SHAPE))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_last_block_of_unread_embed_raises(self, tmp_path, monkeypatch, bad):
+        grid = raw_grid(np.random.default_rng(45), self.SHAPE, 32)
+        grid[-1, -1, 7] = bad
+        frame = self.container_frame(tmp_path, grid)
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
+        e = unit_rows(np.random.default_rng(3), 2, 32)
+        with pytest.raises(FrameValueError, match="non-finite"):
+            cross_correlate(EmbeddingSet(e), frame.held()["embed"])
+
+    def test_nan_in_last_block_of_unread_embed_is_all_miss(self, tmp_path, monkeypatch, caplog):
+        cfg = ScenarioConfig(num_targets=3, height=14, width=14, frames=3,
+                             dropout_prob=0.0, seed=11, embed_dim=32, feat_dim=8)
+        path = tmp_path / "w.omcf"
+        write_container(generate(cfg)[0], path)
+        frames = read_container(path)
+        # Frame 2's last value, far from every target: only the search reads it.
+        last = frames[1].held()["embed"]
+        with open(path, "r+b") as f:
+            f.seek(last.offset + 4 * math.prod(last.shape) - 4)
+            f.write(np.float32(np.nan).tobytes())
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 1000)
+        tracker = Tracker(PipelineConfig(stride=cfg.stride))
+        assert tracker.step(frames[0])
+        misses = {t.id: t.miss_count for t in tracker.tracklets}
+        with caplog.at_level(logging.WARNING, logger="omctrack"):
+            assert tracker.step(frames[1]) == []
+        assert {t.id: t.miss_count for t in tracker.tracklets} == {
+            tid: m + 1 for tid, m in misses.items()}
+        assert "frame 2 failed validation" in caplog.text
+        assert tracker.step(frames[2])
