@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -352,6 +353,22 @@ class Tracker:
         self.rows_emitted += len(rows)
         return rows
 
+    def run(
+        self,
+        frames: Iterable[FrameContainer],
+        public_dets: list[MotBox] | None = None,
+    ) -> Iterator[list[MotBox]]:
+        """Step through frames in order, yielding each frame's rows as it ends.
+
+        public_dets may span the sequence; each frame gets its own rows.
+        """
+        by_frame: dict[int, list[MotBox]] = {}
+        for d in public_dets or []:
+            by_frame.setdefault(d.frame, []).append(d)
+        for frame in frames:
+            dets = None if public_dets is None else by_frame.get(frame.frame_index, [])
+            yield self.step(frame, dets)
+
     def _match(
         self,
         frame: FrameContainer,
@@ -428,12 +445,6 @@ def track_sequence(
 
     public_dets may span the sequence; each frame gets its own rows.
     """
-    by_frame: dict[int, list[MotBox]] = {}
-    for d in public_dets or []:
-        by_frame.setdefault(d.frame, []).append(d)
     tracker = Tracker(pipeline, tracker_cfg, weights)
-    rows: list[MotBox] = []
-    for frame in frames:
-        dets = None if public_dets is None else by_frame.get(frame.frame_index, [])
-        rows.extend(tracker.step(frame, dets))
+    rows = [row for frame_rows in tracker.run(frames, public_dets) for row in frame_rows]
     return rows, tracker

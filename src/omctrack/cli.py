@@ -8,8 +8,11 @@ they are read, so a bad value nothing reads (in feat under bypass
 refinement, or in an embed cell neither the search nor the readout reads)
 changes nothing. embed is read from the container block by block by the
 search and cell by cell by the readout, never whole; feat is read only
-under learned refinement. The OMC_LOG environment variable (debug|info) raises log
-verbosity; default output is just the command's own summary.
+under learned refinement. track writes its rows frame by frame: a data
+error partway still replaces --out with the rows of every frame that
+finished (the printed frames= count) before exiting 2. The OMC_LOG
+environment variable (debug|info) raises log verbosity; default output is
+just the command's own summary.
 
 Flag values may also come from a --config file of flat key=value lines
 (same keys as the long flag names with dashes turned into underscores);
@@ -27,12 +30,13 @@ import time
 
 import numpy as np
 
-from .association import PipelineConfig, TrackerConfig, track_sequence
+from .association import PipelineConfig, Tracker, TrackerConfig, track_sequence
 from .frame_io import (
     ContainerFormatError,
     MotBox,
     MotParseError,
     iter_container,
+    mot_results_writer,
     read_mot_boxes,
     write_container,
     write_mot_results,
@@ -266,19 +270,29 @@ def _cmd_track(args) -> int:
     if args.public is not None:
         public = read_mot_boxes(args.public)
 
+    tracker = Tracker(pipeline, tracker_cfg, weights)
+    frames = 0
+    failure = None
     started = time.perf_counter()
-    rows, tracker = track_sequence(
-        iter_container(args.container), pipeline, tracker_cfg, weights, public
-    )
+    with mot_results_writer(args.out) as write:
+        try:
+            for rows in tracker.run(iter_container(args.container), public):
+                write(rows)
+                frames += 1
+        except (OSError, ValueError) as exc:  # the data errors main reports
+            if frames == 0:
+                raise
+            failure = exc  # --out keeps frames 1..frames; exit 2 below
     elapsed = time.perf_counter() - started
-    write_mot_results(rows, args.out)
 
-    fps = tracker.frames_seen / elapsed if elapsed > 0 else float("inf")
-    print(f"frames={tracker.frames_seen}")
+    fps = frames / elapsed if elapsed > 0 else float("inf")
+    print(f"frames={frames}")
     print(f"boxes={tracker.rows_emitted}")
     print(f"restored={tracker.restored_emitted}")
     print(f"fps={fps:.1f}")
     print(f"out={args.out}")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

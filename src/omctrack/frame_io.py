@@ -29,7 +29,7 @@ import struct
 import uuid
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "iter_container",
     "read_mot_boxes",
     "write_mot_results",
+    "mot_results_writer",
 ]
 
 MAGIC = b"OMCF"
@@ -522,13 +523,30 @@ def write_mot_results(tracks: list[MotBox], path) -> None:
     rows go to a temporary file in the same directory, which then replaces
     path, so a failed write leaves any earlier file at path intact.
     """
-    for b in tracks:
-        if b.id < 1:
-            raise ValueError(f"result rows need ids >= 1, got {b.id}")
-    rows = sorted(tracks, key=lambda b: (b.frame, b.id))
+    with mot_results_writer(path) as write:
+        write(tracks)
+
+
+@contextlib.contextmanager
+def mot_results_writer(path) -> Iterator[Callable[[list[MotBox]], None]]:
+    """Write result rows as they come; path is replaced when the block ends.
+
+    Yields a function that writes one batch of rows, sorted by (frame, id),
+    in the format of `write_mot_results`. Batches go to a temporary file
+    beside path in call order, so writing each frame's rows in frame order
+    gives the bytes of one `write_mot_results` call with every row. When
+    the block ends cleanly the file replaces path; on an exception it is
+    removed and any earlier file at path stays.
+    """
     with _replacing(path, "x", encoding="utf-8") as f:
-        for b in rows:
-            f.write(
-                f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
-                f"{b.conf:.6f},-1,-1,-1\n"
-            )
+        def write(tracks: list[MotBox]) -> None:
+            for b in tracks:
+                if b.id < 1:
+                    raise ValueError(f"result rows need ids >= 1, got {b.id}")
+            for b in sorted(tracks, key=lambda b: (b.frame, b.id)):
+                f.write(
+                    f"{b.frame},{b.id},{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},"
+                    f"{b.conf:.6f},-1,-1,-1\n"
+                )
+
+        yield write

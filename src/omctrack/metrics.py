@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .detection import _edge_iou
 from .frame_io import MotBox
@@ -39,6 +38,17 @@ DEFAULT_GATE_IOU = 0.5
 # Cost assigned to sub-gate pairs so the assignment prefers any number of
 # valid matches over one forced invalid pair.
 _DISALLOWED = 1e6
+
+
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-cost assignment over a cost matrix.
+
+    scipy is imported here, on first use, so that importing omctrack (and
+    tracking) does not load it; only evaluation does.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
 
 
 @dataclass
@@ -139,7 +149,7 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
         if rest_i and rest_j:
             ov = overlap[np.ix_(rest_i, rest_j)]
             cost = np.where(ov >= iou_thr, 1.0 - ov, _DISALLOWED)
-            rows, cols = linear_sum_assignment(cost)
+            rows, cols = _assign(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] >= _DISALLOWED:
                     continue
@@ -200,7 +210,7 @@ def idf1(
         p_cols = np.array([p_index[b.id] for b in p_boxes], dtype=np.intp)
         np.add.at(cooc, (g_cols[hit_g], p_cols[hit_p]), 1)
 
-    rows, cols = linear_sum_assignment(-cooc)
+    rows, cols = _assign(-cooc)
     idtp = float(cooc[rows, cols].sum())
     idfp = len(pred) - idtp
     idfn = len(gt) - idtp

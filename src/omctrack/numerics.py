@@ -13,6 +13,10 @@ its float64 passes (norm, scaling, round trip, `dgemm`) took about 136 ms
 a frame, against about 47 ms for per-cell squared norms from one float32
 `einsum`, one `sgemm` of the templates against the raw cells, and each
 output column scaled by its cell's 1/norm (one BLAS thread, 2-vCPU Xeon).
+The product is now cells-major, (cells, C) x (C, n) into a small
+(cells, n) buffer whose rows are scaled and written transposed into the
+contiguous (n, H*W) output; with the same bits, that search takes about
+40 ms a frame.
 The detector and re-check networks it stands in for are float32 too.
 Finite cells whose float32 squares overflow go through `normalize_cells`.
 

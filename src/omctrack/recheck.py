@@ -2,12 +2,14 @@
 
 Every active tracklet embedding is dotted against every cell of the current
 identity-embedding grid in float32 matrix multiplies over near-equal,
-cache-sized blocks of the raw grid's cells, each output column scaled by
-its cell's 1/norm, which yields one response map per tracklet. Each map is shrunk to a window around its peak (look-alike
-objects elsewhere produce spurious highs), the masked maps are summed into
-one aggregate, and an optional learned refinement mixes the visual feature
-back in to filter false positives. Swapping the refined map in as the
-score array of the decoded `Boxes` and running NMS produces the
+cache-sized blocks of the raw grid's cells. Each block is multiplied
+cells-major, (cells, C) x (C, n), each cell's row of the product scaled by
+its 1/norm, and the block is written transposed into one contiguous
+response map per tracklet. Each map is shrunk to a window around its peak
+(look-alike objects elsewhere produce spurious highs), the masked maps are
+summed into one aggregate, and an optional learned refinement mixes the
+visual feature back in to filter false positives. Swapping the refined map
+in as the score array of the decoded `Boxes` and running NMS produces the
 transductive detections that can restore targets the detector scored as
 background.
 
@@ -54,6 +56,23 @@ DEFAULT_SHRINK_RADIUS = 3
 # 3, 5 and 20 templates; one template (gemv), or a last block much smaller
 # than the others, can make OpenBLAS pick another kernel and move the last
 # bits, which is why the blocks are near-equal rather than full-then-tail.
+# The product is cells-major, block @ templates.T into a (cells, n) buffer:
+# one 1968x512 block against 20 templates, 21 times (a frame's blocks),
+# took 15.3 ms where templates @ block.T took 19.8 ms, and it gives the
+# same bits for 1, 3, 5 and 20 templates. Each block's scaled product is
+# written back transposed into the C-contiguous (n, H*W) output (1.1 ms a
+# frame, against 0.6 ms for scaling the old output in place), because a
+# transposed view of a (H*W, n) output makes aggregate's per-map argmax
+# walk strided memory: 2.5 ms against 0.4 ms for 20 maps.
+# Tried on 152x272x512 grids and left out (one BLAS thread, 2-vCPU box):
+# - reading the next block on a second thread into a second buffer took the
+#   search from 40 to 24 ms a frame, but tracking ran at 23-38 frames/s
+#   against a steady 29-32 single-threaded, with 3.7 MiB more RSS;
+# - blocks of 256 to 4096 cells gave no gain over 2048 (34.0 ms at 2048,
+#   36.8-38.8 ms at the others) and moved the one-template bits at every
+#   size but 2048;
+# - np.vecdot norms are faster than the einsum (about 1 ms a frame inside
+#   the search) but move the bits of the squared norms.
 SEARCH_BLOCK_VALUES = 1 << 20
 
 _WEIGHT_NAMES = (
@@ -108,9 +127,13 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     SEARCH_BLOCK_VALUES values (`_search_blocks`): a view of an array, or a
     payload's cells read into one buffer that every block reuses, so a
     container grid is never held whole. Each block is one float32 pass:
-    per-cell squared norms from one `einsum`, one (n, C) x (C, cells)
-    `sgemm` of the templates against the raw cells, and each output column
-    scaled by its cell's 1/norm. Cells with norm <= NORM_EPS keep scale 1,
+    per-cell squared norms from one `einsum`, one cells-major (cells, C) x
+    (C, n) `sgemm` of the raw cells against the templates into a reused
+    (cells, n) buffer, and that buffer, each cell's row scaled by its
+    1/norm, written transposed into the block's columns of the (n, H*W)
+    output. The output stays C-contiguous, so each response map is one
+    contiguous (H, W) array for the per-map reductions downstream (see
+    SEARCH_BLOCK_VALUES). Cells with norm <= NORM_EPS keep scale 1,
     so all-zero cells respond exactly 0. A cell whose squared norm is not
     finite goes through `normalize_cells` (float64), which raises
     FrameValueError when one of its values is not finite and otherwise
@@ -129,11 +152,14 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
     blocks = list(_search_blocks(h * w, c))
+    most = max(stop - start for start, stop in blocks)
     if unread:
-        buf = np.empty((max(stop - start for start, stop in blocks), c), grid.dtype)
+        buf = np.empty((most, c), grid.dtype)
     else:
         cells = grid.reshape(-1, c)
-    responses = np.empty((n, h * w), np.result_type(e_set.vectors, grid.dtype))
+    dtype = np.result_type(e_set.vectors, grid.dtype)
+    responses = np.empty((n, h * w), dtype)
+    products = np.empty((most, n), dtype)
     for start, stop in blocks:
         block = grid.read_cells(start, buf[:stop - start]) if unread else cells[start:stop]
         out = responses[:, start:stop]
@@ -144,8 +170,9 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
             sq[overflow] = 0.0  # scale 1; these columns are replaced below
         norms = np.sqrt(sq)
         scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
-        np.matmul(e_set.vectors, block.T, out=out)
-        out *= scale
+        product = products[:stop - start]
+        np.matmul(block, e_set.vectors.T, out=product)
+        np.multiply(product.T, scale, out=out)
         if overflow.any():
             out[:, overflow] = e_set.vectors @ unit.T
     return responses.reshape(n, h, w)

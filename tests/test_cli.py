@@ -171,6 +171,46 @@ class TestTrackCommand:
         assert [r for r in rows if r.frame < 3] == [r for r in clean_rows if r.frame < 3]
         assert {r.frame for r in rows} == {1, 2, 4, 5, 6}
 
+    def test_truncated_container_keeps_rows_of_complete_frames(self, tmp_path, capsys):
+        container = tmp_path / "world.omcf"
+        assert run(capsys, "synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),
+                   "--targets", "2", "--frames", "20", "--grid", "10x10",
+                   "--seed", "0")[0] == 0
+        data = container.read_bytes()
+        cut = tmp_path / "cut.omcf"
+        cut.write_bytes(data[:len(data) * 7 // 10])
+        clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
+        assert run(capsys, "track", "--container", str(container),
+                   "--out", str(clean))[0] == 0
+        out_path.write_text("an earlier run\n")
+        code, out, err = run(capsys, "track", "--container", str(cut),
+                             "--out", str(out_path))
+        assert code == 2
+        assert "truncated" in err
+        done = int(parse_kv(out)["frames"])
+        assert 0 < done < 20
+        rows = read_mot_boxes(out_path)
+        assert {r.frame for r in rows} == set(range(1, done + 1))
+        assert rows == [r for r in read_mot_boxes(clean) if r.frame <= done]
+        assert int(parse_kv(out)["boxes"]) == len(rows)
+
+    def test_container_cut_in_its_first_frame_leaves_out_intact(self, tmp_path, capsys):
+        container = tmp_path / "world.omcf"
+        assert run(capsys, "synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),
+                   "--targets", "2", "--frames", "3", "--grid", "10x10",
+                   "--seed", "0")[0] == 0
+        cut = tmp_path / "cut.omcf"
+        cut.write_bytes(container.read_bytes()[:200])
+        out_path = tmp_path / "r.txt"
+        out_path.write_text("an earlier run\n")
+        code, out, err = run(capsys, "track", "--container", str(cut),
+                             "--out", str(out_path))
+        assert code == 2
+        assert "truncated" in err
+        assert out == ""
+        assert out_path.read_text() == "an earlier run\n"
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
     def test_missing_container_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "track", "--container", str(tmp_path / "nope.omcf"),

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from scipy.optimize import linear_sum_assignment
 
+import omctrack
 from omctrack import metrics
-from omctrack.frame_io import MotBox
+from omctrack.association import track_sequence
+from omctrack.frame_io import (
+    MotBox,
+    iter_container,
+    read_mot_boxes,
+    write_container,
+    write_mot_results,
+)
 from omctrack.metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml, row_iou
+from omctrack.synth import ScenarioConfig, generate
 
 
 def mot_iou(a, b):
@@ -340,3 +353,38 @@ class TestRelabelingInvariance:
         assert report.gt_count == len(gt)
         assert report.restored_count == 4
         assert abs(report.mota - (1 - (fp + fn + idsw) / len(gt))) < 1e-12
+
+
+NO_SCIPY_WHILE_TRACKING = """
+import sys
+import omctrack, omctrack.cli
+from omctrack.association import Tracker
+from omctrack.frame_io import iter_container, read_mot_boxes
+from omctrack.metrics import evaluate
+
+container, gt = sys.argv[1:]
+tracker = Tracker()
+rows = [row for frame in iter_container(container) for row in tracker.step(frame)]
+assert rows
+assert "scipy" not in sys.modules, "tracking loaded scipy"
+print(evaluate(read_mot_boxes(gt), rows).csv_row())
+assert "scipy" in sys.modules
+"""
+
+
+def test_tracking_never_loads_scipy_and_evaluation_does(tmp_path):
+    # In a fresh interpreter: this one has loaded scipy already.
+    frames, gt, _ = generate(ScenarioConfig(num_targets=2, height=8, width=8,
+                                            frames=12, dropout_prob=0.3, seed=0))
+    container, gt_path = tmp_path / "tiny.omcf", tmp_path / "gt.txt"
+    write_container(frames, container)
+    write_mot_results(gt, gt_path)
+    src = str(Path(omctrack.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_WHILE_TRACKING, str(container), str(gt_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    rows, _ = track_sequence(iter_container(container))
+    assert done.stdout.strip() == evaluate(read_mot_boxes(gt_path), rows).csv_row()

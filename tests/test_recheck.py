@@ -579,6 +579,20 @@ class TestContainerSearch:
             extract_embeddings(boxes, grid).vectors,
         )
 
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_responses_are_contiguous_over_ragged_blocks(self, tmp_path, monkeypatch, n):
+        # A strided (transposed) stack would still compare equal, but makes
+        # every per-map argmax in aggregate walk memory with a large stride.
+        grid = raw_grid(np.random.default_rng(46), self.SHAPE, 32)
+        frame = self.container_frame(tmp_path, grid)
+        e = EmbeddingSet(unit_rows(np.random.default_rng(n), n, 32))
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
+        for embed in (grid, frame.held()["embed"]):
+            out = cross_correlate(e, embed)
+            assert out.shape == (n, *self.SHAPE)
+            assert out.dtype == np.float32
+            assert out.flags.c_contiguous
+
     def test_one_block_is_one_product(self):
         rng = np.random.default_rng(44)
         grid = raw_grid(rng, self.SHAPE, 32)
