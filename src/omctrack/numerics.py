@@ -15,8 +15,14 @@ a frame, against about 47 ms for per-cell squared norms from one float32
 output column scaled by its cell's 1/norm (one BLAS thread, 2-vCPU Xeon).
 The product is now cells-major, (cells, C) x (C, n) into a small
 (cells, n) buffer whose rows are scaled and written transposed into the
-contiguous (n, H*W) output; with the same bits, that search takes about
-40 ms a frame.
+contiguous (n, H*W) output; with the same bits, that search took about
+37 to 50 ms a frame on one thread. A grid of more than one block is now
+searched on two threads, each block cut in half between the calling
+thread and one worker thread (see `recheck.cross_correlate`); each thread
+has its own buffers and writes its own columns of the output, so
+concurrent searches stay safe (their second halves take turns on the
+worker), and on 152x272x512 grids the search takes about 25 ms a frame
+against 37 on one thread (one BLAS thread each).
 The detector and re-check networks it stands in for are float32 too.
 Finite cells whose float32 squares overflow go through `normalize_cells`.
 
@@ -31,6 +37,10 @@ whole-grid `sgemm`. OpenBLAS chooses its kernel by matrix size: on
 whole-grid product's bits with 3, 5 and 20 templates, while one template
 (`gemv`), or a last block much smaller than the others, can move the last
 bits; that is why the blocks are near-equal, not full blocks and a tail.
+The two halves of a 152x272x512 block (984 or 985 cells) gave the whole
+block's bits for 1, 2, 3, 5 and 20 templates with one BLAS thread; much
+smaller halves, or more BLAS threads, can move the last bits of a few
+cells, within the same tolerance.
 The responses agree with the float64 cosines within (2*C + 6) * 2**-24,
 the tolerance the tests derive. Measured against the float64 search it
 replaced: MOT rows are byte-identical on the 152x272 worlds (seeds 0 and

@@ -5,13 +5,15 @@ identity-embedding grid in float32 matrix multiplies over near-equal,
 cache-sized blocks of the raw grid's cells. Each block is multiplied
 cells-major, (cells, C) x (C, n), each cell's row of the product scaled by
 its 1/norm, and the block is written transposed into one contiguous
-response map per tracklet. Each map is shrunk to a window around its peak
-(look-alike objects elsewhere produce spurious highs), the masked maps are
-summed into one aggregate, and an optional learned refinement mixes the
-visual feature back in to filter false positives. Swapping the refined map
-in as the score array of the decoded `Boxes` and running NMS produces the
-transductive detections that can restore targets the detector scored as
-background.
+response map per tracklet. A grid of more than one block (paper scale) is
+searched on two CPUs: each block is cut in half, the calling thread walks
+the first halves and one worker thread the second. Each map is shrunk to
+a window around its peak (look-alike objects elsewhere produce spurious
+highs), the masked maps are summed into one aggregate, and an optional
+learned refinement mixes the visual feature back in to filter false
+positives. Swapping the refined map in as the score array of the decoded
+`Boxes` and running NMS produces the transductive detections that can
+restore targets the detector scored as background.
 
 `cross_correlate` normalizes the grid cells; templates must be unit-length
 or zero. So all responses are cosine similarities and the shrink threshold
@@ -21,6 +23,8 @@ is scale-free.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -64,16 +68,37 @@ DEFAULT_SHRINK_RADIUS = 3
 # frame, against 0.6 ms for scaling the old output in place), because a
 # transposed view of a (H*W, n) output makes aggregate's per-map argmax
 # walk strided memory: 2.5 ms against 0.4 ms for 20 maps.
+# A grid of more than one block is searched on two threads: each block is
+# cut in half, and the calling thread and one worker each walk one half of
+# every block with their own half-size buffers (about 2 MiB of cells, one
+# core's L2). The two halves add up to one block's 4 MiB, so mot17's peak
+# RSS grows by only 0.5-0.7 MiB, and there is one hand-off a frame with
+# equal work on each side, so neither thread waits long on the other. A read-ahead thread tried before (the
+# next block read on a second thread into a second whole buffer) cost
+# 3.7 MiB more RSS and handed off every block, the reader and the product
+# waiting on each other; it took the search from 40 to 24 ms a frame, but
+# tracking ran at 23-38 frames/s against a steady 29-32 single-threaded.
+# The split search takes 25 ms a frame against 37 on one thread (mot17
+# seed-0 payload, 20 templates), and mot17 tracking rises from 24 to 38
+# frames/s. Both numbers hold with one BLAS thread, as the benchmark runs;
+# with OpenBLAS's default of one thread per CPU, each search thread asks
+# for two, and the split search is no faster (43-66 ms against 45-51).
+# With one BLAS thread the halves (984 or 985 cells) give their blocks'
+# bits for 1, 2, 3, 5 and 20 templates; with two, one template (gemv)
+# moves 20-26 of 41344 cells by at most 1.5e-8. Much smaller halves can
+# move more, within the tests' cosine tolerance.
 # Tried on 152x272x512 grids and left out (one BLAS thread, 2-vCPU box):
-# - reading the next block on a second thread into a second buffer took the
-#   search from 40 to 24 ms a frame, but tracking ran at 23-38 frames/s
-#   against a steady 29-32 single-threaded, with 3.7 MiB more RSS;
 # - blocks of 256 to 4096 cells gave no gain over 2048 (34.0 ms at 2048,
 #   36.8-38.8 ms at the others) and moved the one-template bits at every
 #   size but 2048;
 # - np.vecdot norms are faster than the einsum (about 1 ms a frame inside
 #   the search) but move the bits of the squared norms.
 SEARCH_BLOCK_VALUES = 1 << 20
+
+# The search worker (`_search_worker`); None until the first grid of more
+# than one block, and again in a forked child.
+_worker = None
+_worker_lock = threading.Lock()
 
 _WEIGHT_NAMES = (
     "conv1.w", "conv1.b", "conv2.w", "conv2.b",
@@ -125,21 +150,37 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     embed is an (H, W, C) array or a container frame's unread `embed`
     Payload. The H*W cells are walked in near-equal blocks of at most
     SEARCH_BLOCK_VALUES values (`_search_blocks`): a view of an array, or a
-    payload's cells read into one buffer that every block reuses, so a
-    container grid is never held whole. Each block is one float32 pass:
-    per-cell squared norms from one `einsum`, one cells-major (cells, C) x
-    (C, n) `sgemm` of the raw cells against the templates into a reused
-    (cells, n) buffer, and that buffer, each cell's row scaled by its
-    1/norm, written transposed into the block's columns of the (n, H*W)
+    payload's cells read into a buffer that every block reuses, so a
+    container grid is never held whole. Each block is one float32 pass
+    (`_search`): per-cell squared norms from one `einsum`, one cells-major
+    (cells, C) x (C, n) `sgemm` of the raw cells against the templates into
+    a reused (cells, n) buffer, and that buffer, each cell's row scaled by
+    its 1/norm, written transposed into the block's columns of the (n, H*W)
     output. The output stays C-contiguous, so each response map is one
     contiguous (H, W) array for the per-map reductions downstream (see
-    SEARCH_BLOCK_VALUES). Cells with norm <= NORM_EPS keep scale 1,
-    so all-zero cells respond exactly 0. A cell whose squared norm is not
-    finite goes through `normalize_cells` (float64), which raises
-    FrameValueError when one of its values is not finite and otherwise
-    gives the cosines of cells whose float32 squares overflow. This is
-    where embed's values are checked; with no templates they are not read.
-    Returns an (n, H, W) stack, float32 for a float32 grid.
+    SEARCH_BLOCK_VALUES).
+
+    A grid of one block is searched on the calling thread. A grid of more
+    blocks is searched on two: each block is cut in half, the calling
+    thread walks the first halves and the process's one search worker
+    (`_search_worker`, made on the first such grid) the second halves,
+    each with its own half-size buffers and its own columns of the output.
+    Every stage releases the GIL, so the halves run on two CPUs at once. A
+    half is a serial walk's arithmetic on a smaller product; on 152x272x512
+    grids with one BLAS thread it keeps every bit (see SEARCH_BLOCK_VALUES).
+    The calling thread waits for the worker's half before it returns or
+    raises, and an error from either half propagates as it was raised.
+    Concurrent calls are safe; their second halves take turns on the
+    worker.
+
+    Cells with norm <= NORM_EPS keep scale 1, so all-zero cells respond
+    exactly 0. A cell whose squared norm is not finite goes through
+    `normalize_cells` (float64), which raises FrameValueError when one of
+    its values is not finite and otherwise gives the cosines of cells whose
+    float32 squares overflow. This is where embed's values are checked;
+    with no templates they are not read. A payload cut short raises
+    ContainerFormatError naming the tensor. Returns an (n, H, W) stack,
+    float32 for a float32 grid.
     """
     unread = isinstance(embed, Payload)
     grid = embed if unread else as_grid(embed, name="embed")
@@ -151,17 +192,42 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
         raise ValueError(
             f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
         )
+    source = grid if unread else grid.reshape(-1, c)
     blocks = list(_search_blocks(h * w, c))
-    most = max(stop - start for start, stop in blocks)
-    if unread:
-        buf = np.empty((most, c), grid.dtype)
+    responses = np.empty((n, h * w), np.result_type(e_set.vectors, grid.dtype))
+    if len(blocks) == 1:
+        _search(e_set.vectors, source, blocks, responses)
     else:
-        cells = grid.reshape(-1, c)
-    dtype = np.result_type(e_set.vectors, grid.dtype)
-    responses = np.empty((n, h * w), dtype)
-    products = np.empty((most, n), dtype)
-    for start, stop in blocks:
-        block = grid.read_cells(start, buf[:stop - start]) if unread else cells[start:stop]
+        cuts = [start + (stop - start) // 2 for start, stop in blocks]
+        second = _search_worker().submit(
+            _search, e_set.vectors, source,
+            [(cut, stop) for cut, (_, stop) in zip(cuts, blocks)], responses,
+        )
+        try:
+            _search(e_set.vectors, source,
+                    [(start, cut) for cut, (start, _) in zip(cuts, blocks)], responses)
+        finally:
+            second.exception()  # wait for the worker's half, even if ours raised
+        second.result()
+    return responses.reshape(n, h, w)
+
+
+def _search(vectors: np.ndarray, source: np.ndarray | Payload,
+            ranges: list[tuple[int, int]], responses: np.ndarray) -> None:
+    """Search the cells start..stop of each range into responses[:, start:stop].
+
+    One thread's walk: source is an (H*W, C) array or an unread payload,
+    and the walk has its own read buffer and (cells, n) product buffer,
+    sized for its largest range.
+    """
+    c = vectors.shape[1]
+    most = max(stop - start for start, stop in ranges)
+    unread = isinstance(source, Payload)
+    if unread:
+        buf = np.empty((most, c), source.dtype)
+    products = np.empty((most, len(vectors)), responses.dtype)
+    for start, stop in ranges:
+        block = source.read_cells(start, buf[:stop - start]) if unread else source[start:stop]
         out = responses[:, start:stop]
         sq = np.einsum("ij,ij->i", block, block)
         overflow = ~np.isfinite(sq)
@@ -171,11 +237,34 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
         norms = np.sqrt(sq)
         scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
         product = products[:stop - start]
-        np.matmul(block, e_set.vectors.T, out=product)
+        np.matmul(block, vectors.T, out=product)
         np.multiply(product.T, scale, out=out)
         if overflow.any():
-            out[:, overflow] = e_set.vectors @ unit.T
-    return responses.reshape(n, h, w)
+            out[:, overflow] = vectors @ unit.T
+
+
+def _search_worker():
+    """The process's one search worker thread, as an executor made on first use.
+
+    concurrent.futures is imported here, so a process that never searches
+    a grid of more than one block neither loads it nor starts the thread.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="omctrack-search")
+        return _worker
+
+
+def _forget_worker() -> None:
+    """Drop the parent's worker in a forked child, where its thread is gone."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _peak_window(m: np.ndarray, r: float) -> tuple[slice, slice]:

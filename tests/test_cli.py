@@ -1,10 +1,22 @@
 import logging
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from omctrack import recheck
 from omctrack.cli import main
-from omctrack.frame_io import read_mot_boxes, read_omcf, write_mot_results, write_omcf
+from omctrack.frame_io import (
+    read_container,
+    read_mot_boxes,
+    read_omcf,
+    write_mot_results,
+    write_omcf,
+)
 
 
 def run(capsys, *argv):
@@ -20,6 +32,31 @@ def parse_kv(out):
             key, _, value = line.partition("=")
             values[key] = value
     return values
+
+
+TRACK_ON_THE_SEARCH_WORKER = """
+import sys
+from omctrack import recheck
+from omctrack.cli import main
+
+recheck.SEARCH_BLOCK_VALUES = 20000
+code = main(["track", *sys.argv[1:]])
+assert recheck._worker is not None, "no search ran on the worker"
+sys.exit(code)
+"""
+
+
+class InlineWorker:
+    """Stands in for the search worker: runs each submitted half at once."""
+
+    @staticmethod
+    def submit(fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def write_random_weights(path, seed=0):
@@ -210,6 +247,42 @@ class TestTrackCommand:
         assert out == ""
         assert out_path.read_text() == "an earlier run\n"
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_split_search_gives_the_serial_rows_and_exits_clean(self, scenario, tmp_path,
+                                                               capsys, monkeypatch):
+        # 14x14x512 embed grids in blocks of at most 20000 values: six blocks,
+        # each cut in half between the main thread and the search worker.
+        split, serial = tmp_path / "split.txt", tmp_path / "serial.txt"
+        src = str(Path(recheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", TRACK_ON_THE_SEARCH_WORKER,
+             "--container", str(scenario["container"]), "--out", str(split)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert parse_kv(done.stdout)["frames"] == "25"
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 20000)
+        monkeypatch.setattr(recheck, "_search_worker", lambda: InlineWorker)
+        assert run(capsys, "track", "--container", str(scenario["container"]),
+                   "--out", str(serial))[0] == 0
+        assert split.read_bytes() == serial.read_bytes()
+
+    def test_container_cut_mid_embed_under_split_search_keeps_complete_frames(
+        self, scenario, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 20000)
+        embed = read_container(scenario["container"])[14].held()["embed"]
+        cut = tmp_path / "cut.omcf"
+        cut.write_bytes(scenario["container"].read_bytes()[:embed.offset + 50000])
+        clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
+        assert run(capsys, "track", "--container", str(scenario["container"]),
+                   "--out", str(clean))[0] == 0
+        code, out, err = run(capsys, "track", "--container", str(cut), "--out", str(out_path))
+        assert code == 2
+        assert "truncated" in err
+        assert parse_kv(out)["frames"] == "14"
+        rows = read_mot_boxes(out_path)
+        assert rows == [r for r in read_mot_boxes(clean) if r.frame <= 14]
 
     def test_missing_container_is_data_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,5 +1,11 @@
 import logging
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from omctrack import numerics, recheck
 from omctrack.association import PipelineConfig, Tracker, extract_embeddings
 from omctrack.detection import Box, Boxes, decode_boxes
 from omctrack.frame_io import (
+    ContainerFormatError,
     FrameContainer,
     Payload,
     read_container,
@@ -636,3 +643,168 @@ class TestContainerSearch:
             tid: m + 1 for tid, m in misses.items()}
         assert "frame 2 failed validation" in caplog.text
         assert tracker.step(frames[2])
+
+
+
+def serial_walk(e, grid, split=False):
+    """The search's blocks, or their halves, walked in order on the calling thread."""
+    h, w, c = grid.shape
+    ranges = list(recheck._search_blocks(h * w, c))
+    if split:
+        cuts = [a + (b - a) // 2 for a, b in ranges]
+        ranges = [(a, cut) for (a, _), cut in zip(ranges, cuts)] + [
+            (cut, b) for (_, b), cut in zip(ranges, cuts)]
+    out = np.empty((len(e), h * w), np.float32)
+    recheck._search(e, grid.reshape(-1, c), ranges, out)
+    return out.reshape(len(e), h, w)
+
+
+class TestSplitSearch:
+    """Grids of several blocks: first halves on the caller, second halves on the worker.
+
+    A half is a smaller product than its block, for which OpenBLAS may pick
+    another kernel or thread split; so the split is compared bit for bit
+    with a serial walk of the same halves, and with the walk of whole
+    blocks within the tolerance of two BLAS summation orders.
+    """
+
+    SHAPE = (45, 29)  # 1305 cells; at 7000 values, six blocks of 217 or 218 cells
+    WORKER_CELL = (6, 26)  # cell 200, in block 0's second half (108 .. 217)
+
+    @pytest.fixture(autouse=True)
+    def six_blocks(self, monkeypatch):
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
+
+    @staticmethod
+    def grid(seed):
+        grid = raw_grid(np.random.default_rng(seed), TestSplitSearch.SHAPE, 32)
+        grid[44, 20:] *= np.float32(1e20)  # overflow fallback in a worker half
+        return grid
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    @pytest.mark.parametrize("stored", ["array", "container"])
+    def test_halves_walked_on_two_threads_give_the_serial_bits(
+        self, tmp_path, monkeypatch, n, stored
+    ):
+        grid = self.grid(50 + n)
+        embed = grid if stored == "array" else (
+            TestContainerSearch.container_frame(tmp_path, grid).held()["embed"])
+        e = unit_rows(np.random.default_rng(n), n, 32)
+        walks = []
+        search = recheck._search
+
+        def recording(vectors, source, ranges, responses):
+            walks.append((threading.current_thread() is threading.main_thread(), ranges))
+            search(vectors, source, ranges, responses)
+
+        monkeypatch.setattr(recheck, "_search", recording)
+        maps = cross_correlate(EmbeddingSet(e), embed)
+        monkeypatch.setattr(recheck, "_search", search)
+        blocks = list(recheck._search_blocks(1305, 32))
+        cuts = [a + (b - a) // 2 for a, b in blocks]
+        assert len(blocks) == 6
+        assert sorted(walks, reverse=True) == [
+            (True, [(a, cut) for (a, _), cut in zip(blocks, cuts)]),
+            (False, [(cut, b) for (_, b), cut in zip(blocks, cuts)]),
+        ]
+        assert maps.flags.c_contiguous
+        assert np.array_equal(maps, serial_walk(e, grid, split=True))
+        assert np.array_equal(maps, cross_correlate(EmbeddingSet(e), embed))
+        assert np.all(np.abs(maps - serial_walk(e, grid)) <= cosine_atol(32))
+
+    @pytest.mark.parametrize("stored", ["array", "container"])
+    def test_nan_in_a_worker_half_raises_and_the_worker_goes_on(self, tmp_path, stored):
+        grid = self.grid(60)
+        bad = grid.copy()
+        bad[self.WORKER_CELL + (5,)] = np.nan
+        embed = bad if stored == "array" else (
+            TestContainerSearch.container_frame(tmp_path, bad).held()["embed"])
+        e = EmbeddingSet(unit_rows(np.random.default_rng(61), 3, 32))
+        with pytest.raises(FrameValueError, match="non-finite"):
+            cross_correlate(e, embed)
+        assert np.array_equal(cross_correlate(e, grid), serial_walk(e.vectors, grid, split=True))
+
+    def test_container_cut_in_a_worker_half_raises_and_the_worker_goes_on(self, tmp_path):
+        grid = self.grid(62)
+        embed = TestContainerSearch.container_frame(tmp_path, grid).held()["embed"]
+        # The last block is cells 1087 .. 1305, its second half 1196 .. 1305.
+        os.truncate(tmp_path / "x.omcf", embed.offset + 4 * 32 * 1250)
+        e = EmbeddingSet(unit_rows(np.random.default_rng(63), 5, 32))
+        with pytest.raises(ContainerFormatError, match="'embed'"):
+            cross_correlate(e, embed)
+        assert np.array_equal(cross_correlate(e, grid), serial_walk(e.vectors, grid, split=True))
+
+    def test_concurrent_callers_each_get_their_serial_bits(self):
+        grids = [self.grid(70 + k) for k in range(4)]
+        es = [unit_rows(np.random.default_rng(80 + k), 1 + 4 * k, 32) for k in range(4)]
+        want = [serial_walk(e, g, split=True) for e, g in zip(es, grids)]
+        wrong = []
+
+        def caller(k):
+            for _ in range(5):
+                if not np.array_equal(cross_correlate(EmbeddingSet(es[k]), grids[k]), want[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_one_block_grid_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 1 << 20)
+        monkeypatch.setattr(recheck, "_worker", None)
+        grid = self.grid(90)
+        e = unit_rows(np.random.default_rng(91), 20, 32)
+        threads = threading.active_count()
+        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), serial_walk(e, grid))
+        assert threading.active_count() == threads
+        assert recheck._worker is None
+
+    def test_forked_child_searches_on_a_worker_of_its_own(self):
+        grid = self.grid(92)
+        e = EmbeddingSet(unit_rows(np.random.default_rng(93), 3, 32))
+        want = cross_correlate(e, grid)
+        assert recheck._worker is not None  # the parent's, which the child lacks
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(cross_correlate, (e, grid)).get(timeout=60)
+        assert np.array_equal(got, want)
+
+
+PAPER_BLOCKS_KEEP_THE_BITS = """
+import numpy as np
+from omctrack import recheck
+from omctrack.recheck import EmbeddingSet, cross_correlate
+
+grid = np.random.default_rng(0).normal(size=(11, 537, 512)).astype(np.float32)
+cells = grid.reshape(-1, 512)
+blocks = list(recheck._search_blocks(len(cells), 512))
+assert [b - a for a, b in blocks] == [1969] * 3, blocks
+for n in (1, 2, 3, 5, 20):
+    e = np.random.default_rng(n).normal(size=(n, 512))
+    e = (e / np.linalg.norm(e, axis=1, keepdims=True)).astype(np.float32)
+    whole = np.empty((n, len(cells)), np.float32)
+    recheck._search(e, cells, blocks, whole)
+    split = cross_correlate(EmbeddingSet(e), grid).reshape(n, -1)
+    assert recheck._worker is not None
+    assert np.array_equal(split, whole), (n, np.count_nonzero((split != whole).any(0)))
+"""
+
+
+def test_split_keeps_the_bits_of_whole_paper_sized_blocks():
+    # mot17's blocks (1968 or 1969 cells of 512 channels), searched with one
+    # BLAS thread as the benchmark runs it; in a fresh interpreter, because
+    # the thread count is fixed when numpy loads OpenBLAS.
+    src = str(Path(recheck.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", PAPER_BLOCKS_KEEP_THE_BITS], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
