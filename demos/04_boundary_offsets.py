@@ -12,16 +12,16 @@ import math
 
 import numpy as np
 
-from omctrack.detection import BarParams, decode_offset_bar, decode_offset_sigmoid
+from omctrack.detection import DEFAULT_H_SCALE, decode_offset_bar, decode_offset_sigmoid
 
-bar = BarParams(h_scale=10.0)
+h_scale = DEFAULT_H_SCALE
 raw_sweep = np.linspace(-50, 50, 4001)
 
 print(f"{'true offset':>12} {'bar decode':>11} {'bar err':>9} {'best sigmoid err':>17}")
 for offset in (0.25, 0.75, 1.5, 2.0, 2.5, 3.0, 4.0):
-    u = offset / bar.h_scale + 0.5
+    u = offset / h_scale + 0.5
     exact_raw = math.log(u) - math.log1p(-u)
-    decoded, _ = decode_offset_bar((exact_raw, 0.0), bar)
+    decoded, _ = decode_offset_bar((exact_raw, 0.0), h_scale)
     sigmoid_best = min(
         abs(offset - decode_offset_sigmoid((raw, 0.0))[0]) for raw in raw_sweep
     )

@@ -21,7 +21,6 @@ from .association import (
     update_tracklets,
 )
 from .detection import (
-    BarParams,
     Box,
     Boxes,
     decode_boxes,
@@ -40,7 +39,7 @@ from .frame_io import (
     write_container,
     write_mot_results,
 )
-from .fusion import FusionConfig, fuse, targetness_score
+from .fusion import fuse, targetness_score
 from .metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml
 from .numerics import (
     FrameValueError,

@@ -24,17 +24,19 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .detection import (
-    BarParams,
     Box,
     Boxes,
+    DECODE_MODES,
+    DEFAULT_H_SCALE,
     DEFAULT_IOU_THR,
     DEFAULT_SCORE_THR,
+    DEFAULT_STRIDE,
     decode_boxes,
     greedy_nms,
     iou,
 )
 from .frame_io import FrameContainer, MotBox, Payload
-from .fusion import FusionConfig, fuse
+from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
 from .numerics import (
@@ -58,6 +60,7 @@ __all__ = [
     "Tracklet",
     "TrackerConfig",
     "PipelineConfig",
+    "EMBEDDING_MODES",
     "Tracker",
     "extract_embeddings",
     "associate",
@@ -70,6 +73,8 @@ log = logging.getLogger(__name__)
 # IOU above which a public detection counts as "near" an existing track and
 # must not start a new trajectory.
 PUBLIC_NEAR_IOU = 0.5
+
+EMBEDDING_MODES = ("first", "last", "updated")
 
 
 @dataclass
@@ -108,7 +113,7 @@ class TrackerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.embedding_mode not in ("first", "last", "updated"):
+        if self.embedding_mode not in EMBEDDING_MODES:
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
 
 
@@ -117,19 +122,19 @@ class PipelineConfig:
     """Per-frame pipeline settings shared by the CLI and the test harness."""
 
     decode_mode: str = "bar"                           # bar | sigmoid
-    h_scale: float = 10.0
+    h_scale: float = DEFAULT_H_SCALE
     score_thr: float = DEFAULT_SCORE_THR
     nms_iou_thr: float = DEFAULT_IOU_THR
     fusion_epsilon: float = 0.5
     shrink_radius: float = DEFAULT_SHRINK_RADIUS       # math.inf = no shrink
-    stride: int = 8
+    stride: int = DEFAULT_STRIDE
     recheck_enabled: bool = True
 
     def __post_init__(self):
-        if self.decode_mode not in ("bar", "sigmoid"):
+        if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {self.decode_mode!r}")
         if not self.h_scale > 0:
-            raise ValueError("h_scale must be positive")
+            raise ValueError(f"h_scale must be positive, got {self.h_scale}")
         for name in ("score_thr", "nms_iou_thr", "fusion_epsilon"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -307,7 +312,6 @@ class Tracker:
         self.weights = weights or RefineWeights.bypass()
         self.tracklets: list[Tracklet] = []
         self.next_id = 1
-        self.frames_seen = 0
         self.rows_emitted = 0
         self.restored_emitted = 0
 
@@ -327,7 +331,6 @@ class Tracker:
         emits no rows. Tracklet state changes only after every value has
         been read, and any other exception propagates.
         """
-        self.frames_seen += 1
         try:
             d_final, e_set, matches, spawnable = self._match(frame, public_dets)
         except FrameValueError as exc:
@@ -381,9 +384,7 @@ class Tracker:
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
-        decoded = decode_boxes(
-            frame.prob, frame.boxes, p.decode_mode, BarParams(p.h_scale)
-        )
+        decoded = decode_boxes(frame.prob, frame.boxes, p.decode_mode, p.h_scale)
 
         public_mode = public_dets is not None
         if public_mode:
@@ -403,7 +404,7 @@ class Tracker:
             d_trans = transductive_detections(
                 m_p, decoded, p.score_thr, p.nms_iou_thr
             )
-            d_final = fuse(d_trans, d_base, FusionConfig(p.fusion_epsilon))
+            d_final = fuse(d_trans, d_base, p.fusion_epsilon)
         else:
             d_final = d_base
 

@@ -14,34 +14,47 @@ finished (the printed frames= count) before exiting 2. The OMC_LOG
 environment variable (debug|info) raises log verbosity; default output is
 just the command's own summary.
 
-Flag values may also come from a --config file of flat key=value lines
-(same keys as the long flag names with dashes turned into underscores);
-explicit flags win over the file, the file wins over built-in defaults.
+A --config file of key=value lines may set any optional flag of the
+command except --config itself. A key is the flag's long name with dashes
+turned into underscores (score_thr for --score-thr); a switch such as
+disable_recheck takes true or false. A key takes effect as its flag would,
+below explicit flags and above the defaults. Any other key, or a value the
+flag refuses, is a usage error (exit 1) naming the file, the line and the
+key. Tracking and scenario defaults are those of the config dataclass
+fields that the flag tables below name.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .association import PipelineConfig, Tracker, TrackerConfig, track_sequence
+from .association import (
+    EMBEDDING_MODES,
+    PipelineConfig,
+    Tracker,
+    TrackerConfig,
+    track_sequence,
+)
+from .detection import DECODE_MODES
 from .frame_io import (
     ContainerFormatError,
     MotBox,
-    MotParseError,
     iter_container,
     mot_results_writer,
     read_mot_boxes,
     write_container,
     write_mot_results,
 )
-from .metrics import EvalReport, evaluate
+from .metrics import DEFAULT_GATE_IOU, EvalReport, evaluate
 from .recheck import RefineWeights
 from .supervision import gaussian_target, logistic_mse_loss, loss_gradient
 from .synth import ScenarioConfig, generate, iter_generate
@@ -53,8 +66,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-log = logging.getLogger("omctrack")
-
 
 class UsageError(Exception):
     pass
@@ -62,46 +73,6 @@ class UsageError(Exception):
 
 class CheckFailure(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; this artifact reserves 2 for data
-    # errors, so route parse failures through UsageError instead.
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _read_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
-
-
-def _merged(args: argparse.Namespace, key: str, default, convert):
-    """Resolve one option: explicit flag > config file > default."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    file_values = getattr(args, "_config_values", {})
-    if key in file_values:
-        try:
-            return convert(file_values[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from exc
-    return default
 
 
 def _parse_bool(text: str) -> bool:
@@ -119,125 +90,182 @@ def _parse_radius(text: str) -> float:
     return float(text)
 
 
+def _parse_pair(sep: str, kind: type, form: str) -> Callable[[str], tuple]:
+    """A parser of text that looks like form, two kind values around sep."""
+    def parse(text: str) -> tuple:
+        first, found, second = text.lower().partition(sep)
+        try:
+            if found:
+                return kind(first), kind(second)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must look like {form}, got {text!r}")
+    return parse
+
+
+def _file_value(action: argparse.Action, text: str):
+    """text taken as the flag of action takes it; a switch takes a boolean."""
+    value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(action.choices)
+        raise ValueError(f"invalid choice {value!r} (choose from {choices})")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with 2 on bad flags; this artifact reserves 2 for data
+    # errors, so route parse failures through UsageError instead.
+    def error(self, message):
+        raise UsageError(message)
+
+    def apply_config_file(self, path) -> None:
+        """Make each key=value line of a --config file the default of its flag.
+
+        An explicit flag still wins, as it wins over any default.
+        """
+        flags = {a.dest: a for a in self._actions if a.option_strings
+                 and not a.required and a.dest not in ("help", "config")}
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                lines = f.read().splitlines()
+        except OSError as exc:
+            raise UsageError(f"cannot read config file: {exc}") from exc
+        values = {}
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, text = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
+            if not sep:
+                raise UsageError(f"{where}: expected key=value, got {line!r}")
+            if key not in flags:
+                raise UsageError(f"{where}: unknown key {key!r}; "
+                                 f"accepted keys: {', '.join(sorted(flags))}")
+            try:
+                values[key] = _file_value(flags[key], text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{where}: {key}: {exc}") from exc
+        self.set_defaults(**values)
+
+
+def _add_flag(p: _Parser, flag: str, default, help: str, **kwargs) -> None:
+    """Add --flag whose help ends in its default."""
+    shown = f"{default:g}" if isinstance(default, float) else default
+    p.add_argument(f"--{flag}", default=default, help=f"{help} (default {shown})", **kwargs)
+
+
+def _field_default(owner, name: str):
+    return next(f.default for f in dataclasses.fields(owner) if f.name == name)
+
+
+class _Flag(NamedTuple):
+    """A flag that sets one field of a config dataclass."""
+
+    flag: str
+    owner: type
+    field: str
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_TRACKING_FLAGS = (
+    _Flag("epsilon", PipelineConfig, "fusion_epsilon", float, "fusion vote threshold"),
+    _Flag("radius", PipelineConfig, "shrink_radius", _parse_radius,
+          "response shrink radius in cells, 'inf' disables"),
+    _Flag("hscale", PipelineConfig, "h_scale", float, "boundary-aware offset scale"),
+    _Flag("k", TrackerConfig, "retention_frames", int,
+          "frames a tracklet survives without a match"),
+    _Flag("alpha", TrackerConfig, "embedding_momentum", float,
+          "embedding momentum for mode 'updated'"),
+    _Flag("stride", PipelineConfig, "stride", int, "pixels per feature cell"),
+    _Flag("score-thr", PipelineConfig, "score_thr", float, "detection keep threshold"),
+    _Flag("iou-thr", PipelineConfig, "nms_iou_thr", float, "NMS suppression threshold"),
+    _Flag("emb-match-thr", TrackerConfig, "emb_match_thr", float,
+          "min cosine similarity for association"),
+    _Flag("iou-match-thr", TrackerConfig, "iou_match_thr", float,
+          "min IOU for fallback association"),
+    _Flag("decode", PipelineConfig, "decode_mode", str, "offset decoding mode",
+          DECODE_MODES),
+    _Flag("embedding-mode", TrackerConfig, "embedding_mode", str,
+          "tracklet embedding update rule", EMBEDDING_MODES),
+)
+
+_SCENARIO_FLAGS = (
+    _Flag("targets", ScenarioConfig, "num_targets", int, "number of targets"),
+    _Flag("frames", ScenarioConfig, "frames", int, "sequence length"),
+    _Flag("dropout", ScenarioConfig, "dropout_prob", float,
+          "per-frame detection dropout probability"),
+    _Flag("clutter", ScenarioConfig, "clutter_similarity", float,
+          "max background cosine vs any identity"),
+    _Flag("noise", ScenarioConfig, "embedding_noise", float,
+          "gaussian noise sigma on target embeddings"),
+    _Flag("seed", ScenarioConfig, "seed", int, "scenario seed"),
+)
+
+# The world's grid geometry. synth adds these flags; sweep reads the same
+# names from its tracking flags, so one value sets both world and tracker.
+_GEOMETRY_FLAGS = (
+    _Flag("stride", ScenarioConfig, "stride", int, "pixels per feature cell"),
+    _Flag("hscale", ScenarioConfig, "bar_h_scale", float, "boundary-aware offset scale"),
+)
+
+
+def _add_flags(p: _Parser, flags: tuple[_Flag, ...]) -> None:
+    for f in flags:
+        _add_flag(p, f.flag, _field_default(f.owner, f.field), f.help,
+                  type=f.parse, choices=f.choices)
+
+
+def _fill(owner, args, flags: tuple[_Flag, ...], **fixed):
+    """An owner whose fields come from the flags that set them, then fixed."""
+    values = {f.field: getattr(args, f.flag.replace("-", "_"))
+              for f in flags if f.owner is owner}
+    try:
+        return owner(**{**values, **fixed})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _add_tracking_flags(p: _Parser) -> None:
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="fusion vote threshold (default 0.5)")
-    p.add_argument("--radius", type=_parse_radius, default=None,
-                   help="response shrink radius in cells, 'inf' disables (default 3)")
-    p.add_argument("--hscale", type=float, default=None,
-                   help="boundary-aware offset scale (default 10)")
-    p.add_argument("--k", type=int, default=None,
-                   help="frames a tracklet survives without a match (default 30)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="embedding momentum for mode 'updated' (default 0.9)")
-    p.add_argument("--stride", type=int, default=None,
-                   help="pixels per feature cell (default 8)")
-    p.add_argument("--score-thr", type=float, default=None, dest="score_thr",
-                   help="detection keep threshold (default 0.5)")
-    p.add_argument("--iou-thr", type=float, default=None, dest="iou_thr",
-                   help="NMS suppression threshold (default 0.45)")
-    p.add_argument("--emb-match-thr", type=float, default=None, dest="emb_match_thr",
-                   help="min cosine similarity for association (default 0.6)")
-    p.add_argument("--iou-match-thr", type=float, default=None, dest="iou_match_thr",
-                   help="min IOU for fallback association (default 0.5)")
-    p.add_argument("--decode", choices=("bar", "sigmoid"), default=None,
-                   help="offset decoding mode (default bar)")
-    p.add_argument("--refine", choices=("bypass", "learned"), default=None,
-                   help="refinement mode; learned needs --weights (default bypass)")
-    p.add_argument("--weights", default=None,
-                   help="OMCF file with refinement weights")
-    p.add_argument("--disable-recheck", action="store_true", default=None,
-                   dest="disable_recheck",
+    _add_flags(p, _TRACKING_FLAGS)
+    _add_flag(p, "refine", _field_default(RefineWeights, "mode"),
+              "refinement mode; learned needs --weights",
+              choices=("bypass", "learned"))
+    p.add_argument("--weights", help="OMCF file with refinement weights")
+    p.add_argument("--disable-recheck", action="store_true",
                    help="turn tracklet propagation off (detector only)")
-    p.add_argument("--disable-shrink", action="store_true", default=None,
-                   dest="disable_shrink",
+    p.add_argument("--disable-shrink", action="store_true",
                    help="aggregate full response maps without peak windows")
-    p.add_argument("--embedding-mode", choices=("first", "last", "updated"),
-                   default=None, dest="embedding_mode",
-                   help="tracklet embedding update rule (default updated)")
 
 
 def _add_scenario_flags(p: _Parser) -> None:
-    p.add_argument("--targets", type=int, default=None, help="number of targets (default 6)")
-    p.add_argument("--frames", type=int, default=None, help="sequence length (default 200)")
-    p.add_argument("--grid", default=None, help="feature grid as HxW (default 20x20)")
-    p.add_argument("--dropout", type=float, default=None,
-                   help="per-frame detection dropout probability (default 0)")
-    p.add_argument("--clutter", type=float, default=None,
-                   help="max background cosine vs any identity (default 0.3)")
-    p.add_argument("--noise", type=float, default=None,
-                   help="gaussian noise sigma on target embeddings (default 0)")
-    p.add_argument("--speed", default=None,
-                   help="target speed range in cells/frame as LO:HI (default 0.12:0.35)")
-    p.add_argument("--size", default=None,
-                   help="target box size range in cells as LO:HI (default 2:3)")
+    _add_flags(p, _SCENARIO_FLAGS)
+    # argparse parses a string default with the flag's type.
+    d = ScenarioConfig()
+    in_range = _parse_pair(":", float, "LO:HI")
+    _add_flag(p, "grid", f"{d.height}x{d.width}", "feature grid as HxW",
+              type=_parse_pair("x", int, "20x20"))
+    _add_flag(p, "speed", f"{d.speed_min:g}:{d.speed_max:g}",
+              "target speed range in cells/frame as LO:HI", type=in_range)
+    _add_flag(p, "size", f"{d.size_min:g}:{d.size_max:g}",
+              "target box size range in cells as LO:HI", type=in_range)
 
 
 def _build_configs(args) -> tuple[PipelineConfig, TrackerConfig]:
-    disable_recheck = _merged(args, "disable_recheck", False, _parse_bool)
-    disable_shrink = _merged(args, "disable_shrink", False, _parse_bool)
-    radius = _merged(args, "radius", 3.0, _parse_radius)
-    if disable_shrink:
-        radius = math.inf
-    try:
-        pipeline = PipelineConfig(
-            decode_mode=_merged(args, "decode", "bar", str),
-            h_scale=_merged(args, "hscale", 10.0, float),
-            score_thr=_merged(args, "score_thr", 0.5, float),
-            nms_iou_thr=_merged(args, "iou_thr", 0.45, float),
-            fusion_epsilon=_merged(args, "epsilon", 0.5, float),
-            shrink_radius=radius,
-            stride=_merged(args, "stride", 8, int),
-            recheck_enabled=not disable_recheck,
-        )
-        tracker_cfg = TrackerConfig(
-            retention_frames=_merged(args, "k", 30, int),
-            embedding_momentum=_merged(args, "alpha", 0.9, float),
-            emb_match_thr=_merged(args, "emb_match_thr", 0.6, float),
-            iou_match_thr=_merged(args, "iou_match_thr", 0.5, float),
-            embedding_mode=_merged(args, "embedding_mode", "updated", str),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return pipeline, tracker_cfg
-
-
-def _parse_range(text: str, what: str) -> tuple[float, float]:
-    lo_txt, sep, hi_txt = text.partition(":")
-    if not sep:
-        raise UsageError(f"--{what} must look like LO:HI, got {text!r}")
-    try:
-        return float(lo_txt), float(hi_txt)
-    except ValueError as exc:
-        raise UsageError(f"--{what} must look like LO:HI, got {text!r}") from exc
+    shrink = {"shrink_radius": math.inf} if args.disable_shrink else {}
+    pipeline = _fill(PipelineConfig, args, _TRACKING_FLAGS,
+                     recheck_enabled=not args.disable_recheck, **shrink)
+    return pipeline, _fill(TrackerConfig, args, _TRACKING_FLAGS)
 
 
 def _build_scenario(args) -> ScenarioConfig:
-    grid = _merged(args, "grid", "20x20", str)
-    try:
-        h_txt, _, w_txt = grid.lower().partition("x")
-        height, width = int(h_txt), int(w_txt)
-    except ValueError as exc:
-        raise UsageError(f"--grid must look like 20x20, got {grid!r}") from exc
-    speed_min, speed_max = _parse_range(
-        _merged(args, "speed", "0.12:0.35", str), "speed"
-    )
-    size_min, size_max = _parse_range(_merged(args, "size", "2:3", str), "size")
-    cfg = ScenarioConfig(
-        num_targets=_merged(args, "targets", 6, int),
-        height=height,
-        width=width,
-        frames=_merged(args, "frames", 200, int),
-        speed_min=speed_min,
-        speed_max=speed_max,
-        size_min=size_min,
-        size_max=size_max,
-        dropout_prob=_merged(args, "dropout", 0.0, float),
-        embedding_noise=_merged(args, "noise", 0.0, float),
-        clutter_similarity=_merged(args, "clutter", 0.3, float),
-        seed=_merged(args, "seed", 0, int),
-        stride=_merged(args, "stride", 8, int),
-        bar_h_scale=_merged(args, "hscale", 10.0, float),
+    cfg = _fill(
+        ScenarioConfig, args, _SCENARIO_FLAGS + _GEOMETRY_FLAGS,
+        height=args.grid[0], width=args.grid[1],
+        speed_min=args.speed[0], speed_max=args.speed[1],
+        size_min=args.size[0], size_max=args.size[1],
     )
     try:
         cfg.validate()
@@ -247,13 +275,11 @@ def _build_scenario(args) -> ScenarioConfig:
 
 
 def _load_weights(args) -> RefineWeights:
-    refine_mode = _merged(args, "refine", "bypass", str)
-    weights_path = _merged(args, "weights", None, str)
-    if refine_mode == "learned":
-        if not weights_path:
+    if args.refine == "learned":
+        if not args.weights:
             raise UsageError("--refine learned requires --weights")
-        return RefineWeights.load(weights_path)
-    if weights_path:
+        return RefineWeights.load(args.weights)
+    if args.weights:
         raise UsageError("--weights requires --refine learned")
     return RefineWeights.bypass()
 
@@ -266,9 +292,7 @@ def _load_weights(args) -> RefineWeights:
 def _cmd_track(args) -> int:
     pipeline, tracker_cfg = _build_configs(args)
     weights = _load_weights(args)
-    public = None
-    if args.public is not None:
-        public = read_mot_boxes(args.public)
+    public = None if args.public is None else read_mot_boxes(args.public)
 
     tracker = Tracker(pipeline, tracker_cfg, weights)
     frames = 0
@@ -301,8 +325,7 @@ def _cmd_eval(args) -> int:
     pred = read_mot_boxes(args.results)
     if not gt:
         raise ContainerFormatError("ground-truth file holds no boxes")
-    iou_thr = _merged(args, "iou_thr", 0.5, float)
-    report = evaluate(gt, pred, iou_thr=iou_thr)
+    report = evaluate(gt, pred, iou_thr=args.iou_thr)
     print(report.pretty())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
@@ -338,8 +361,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.param not in ("epsilon", "r"):
-        raise UsageError(f"--param must be epsilon or r, got {args.param!r}")
     try:
         values = [_parse_radius(v) if args.param == "r" else float(v)
                   for v in args.values.split(",") if v.strip()]
@@ -350,24 +371,17 @@ def _cmd_sweep(args) -> int:
 
     scenario = _build_scenario(args)
     pipeline, tracker_cfg = _build_configs(args)
+    field = "fusion_epsilon" if args.param == "epsilon" else "shrink_radius"
+    try:
+        pipelines = [dataclasses.replace(pipeline, **{field: v}) for v in values]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     weights = _load_weights(args)
     frames, gt, dropped = generate(scenario)
 
     results = []
-    for value in values:
-        if args.param == "epsilon":
-            if not 0.0 <= value <= 1.0:
-                raise UsageError(f"epsilon value {value} outside [0, 1]")
-            run_pipeline = PipelineConfig(
-                **{**pipeline.__dict__, "fusion_epsilon": value}
-            )
-        else:
-            run_pipeline = PipelineConfig(
-                **{**pipeline.__dict__, "shrink_radius": value}
-            )
-        rows, tracker = track_sequence(
-            frames, run_pipeline, TrackerConfig(**tracker_cfg.__dict__), weights
-        )
+    for value, run_pipeline in zip(values, pipelines):
+        rows, tracker = track_sequence(frames, run_pipeline, tracker_cfg, weights)
         report = evaluate(gt, rows, restored_count=tracker.restored_emitted)
         results.append((value, report))
 
@@ -394,24 +408,23 @@ def _cmd_sweep(args) -> int:
                 )
         else:
             by_value = {v: report.fp for v, report in results}
-            if math.inf in by_value and 3.0 in by_value:
-                if by_value[3.0] > by_value[math.inf]:
+            r = _field_default(PipelineConfig, "shrink_radius")
+            if math.inf in by_value and r in by_value:
+                if by_value[r] > by_value[math.inf]:
                     raise CheckFailure(
-                        f"FP at r=3 ({by_value[3.0]}) exceeds no-shrink "
+                        f"FP at r={r} ({by_value[r]}) exceeds no-shrink "
                         f"({by_value[math.inf]})"
                     )
     return EXIT_OK
 
 
 def _cmd_gradcheck(args) -> int:
-    instances = _merged(args, "instances", 20, int)
-    if instances < 1:
-        raise UsageError(f"--instances must be >= 1, got {instances}")
-    seed = _merged(args, "seed", 0, int)
-    rng = np.random.default_rng(seed)
+    if args.instances < 1:
+        raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    rng = np.random.default_rng(args.seed)
     step = 1e-4
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(args.instances):
         height = width = 16
         n_targets = int(rng.integers(1, 6))
         centers = [
@@ -438,7 +451,7 @@ def _cmd_gradcheck(args) -> int:
                 rel = abs(grad[r, c] - fd) / max(abs(fd), 1e-6)
                 worst = max(worst, rel)
     ok = worst < 1e-4
-    print(f"instances={instances}")
+    print(f"instances={args.instances}")
     print(f"max_rel_err={worst:.3e}")
     print(f"status={'pass' if ok else 'fail'}")
     if not ok:
@@ -451,65 +464,55 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the parser of each command, by name."""
     parser = _Parser(prog="omctrack", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="run the tracker over a container file")
     p_track.add_argument("--container", required=True, help="input OMCF container")
     p_track.add_argument("--out", required=True, help="output MOT results file")
-    p_track.add_argument("--public", default=None,
-                         help="MOT det file replacing the detector output")
+    p_track.add_argument("--public", help="MOT det file replacing the detector output")
     _add_tracking_flags(p_track)
-    p_track.add_argument("--config", default=None, help="key=value config file")
-    p_track.add_argument("--seed", type=int, default=None, help="unused; accepted for config symmetry")
+    p_track.add_argument("--seed", type=int, help="unused; accepted for config symmetry")
     p_track.set_defaults(func=_cmd_track)
 
     p_eval = sub.add_parser("eval", help="score a results file against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth MOT file")
     p_eval.add_argument("--results", required=True, help="tracker MOT results file")
-    p_eval.add_argument("--csv", default=None, help="also write the report as CSV")
-    p_eval.add_argument("--iou-thr", type=float, default=None, dest="iou_thr",
-                        help="match gate (default 0.5)")
-    p_eval.add_argument("--config", default=None, help="key=value config file")
+    p_eval.add_argument("--csv", help="also write the report as CSV")
+    _add_flag(p_eval, "iou-thr", DEFAULT_GATE_IOU, "match gate", type=float)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario")
     p_synth.add_argument("--out", required=True, help="output OMCF container")
     p_synth.add_argument("--gt", required=True, help="output ground-truth MOT file")
-    p_synth.add_argument("--dropped", default=None,
-                         help="output CSV listing dropped (frame, id) pairs")
+    p_synth.add_argument("--dropped", help="output CSV listing dropped (frame, id) pairs")
     _add_scenario_flags(p_synth)
-    p_synth.add_argument("--stride", type=int, default=None,
-                         help="pixels per feature cell (default 8)")
-    p_synth.add_argument("--hscale", type=float, default=None,
-                         help="boundary-aware offset scale (default 10)")
-    p_synth.add_argument("--seed", type=int, default=None, help="scenario seed (default 0)")
-    p_synth.add_argument("--config", default=None, help="key=value config file")
+    _add_flags(p_synth, _GEOMETRY_FLAGS)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="run the tracker across parameter values")
-    p_sweep.add_argument("--param", required=True, help="epsilon or r")
+    p_sweep.add_argument("--param", required=True, choices=("epsilon", "r"),
+                         help="epsilon or r")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values; 'inf' allowed for r")
-    p_sweep.add_argument("--out", default=None, help="output CSV path")
+    p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.add_argument("--check", action="store_true",
                          help="fail (exit 3) if the expected FP direction is violated")
     _add_scenario_flags(p_sweep)
     _add_tracking_flags(p_sweep)
-    p_sweep.add_argument("--seed", type=int, default=None, help="scenario seed (default 0)")
-    p_sweep.add_argument("--config", default=None, help="key=value config file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare the loss gradient against finite differences")
-    p_grad.add_argument("--seed", type=int, default=None, help="instance seed (default 0)")
-    p_grad.add_argument("--instances", type=int, default=None,
-                        help="random instances to test (default 20)")
-    p_grad.add_argument("--config", default=None, help="key=value config file")
+    _add_flag(p_grad, "seed", 0, "instance seed", type=int)
+    _add_flag(p_grad, "instances", 20, "random instances to test", type=int)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
-    return parser
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file")
+    return parser, sub.choices
 
 
 def _setup_logging() -> None:
@@ -522,12 +525,12 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args._config_values = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
-        )
+        if args.config:
+            commands[args.command].apply_config_file(args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -535,13 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (ContainerFormatError, MotParseError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ContainerFormatError, MotParseError too
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

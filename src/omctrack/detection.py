@@ -23,7 +23,6 @@ from .numerics import sigmoid
 __all__ = [
     "Box",
     "Boxes",
-    "BarParams",
     "decode_offset_sigmoid",
     "decode_offset_bar",
     "decode_boxes",
@@ -31,10 +30,16 @@ __all__ = [
     "greedy_nms",
     "DEFAULT_SCORE_THR",
     "DEFAULT_IOU_THR",
+    "DEFAULT_H_SCALE",
+    "DEFAULT_STRIDE",
+    "DECODE_MODES",
 ]
 
 DEFAULT_SCORE_THR = 0.5
 DEFAULT_IOU_THR = 0.45
+DEFAULT_H_SCALE = 10.0  # boundary-aware offset scale, in cells
+DEFAULT_STRIDE = 8  # pixels per grid cell
+DECODE_MODES = ("bar", "sigmoid")
 
 _FIELDS = ("cx", "cy", "w", "h", "score", "restored")  # of Box and of Boxes
 
@@ -103,17 +108,6 @@ class Boxes:
         return Boxes(*map(np.concatenate, zip(self._columns(), other._columns())))
 
 
-@dataclass
-class BarParams:
-    """Scale parameter of the boundary-aware offset decoder."""
-
-    h_scale: float = 10.0
-
-    def __post_init__(self):
-        if not self.h_scale > 0:
-            raise ValueError(f"h_scale must be positive, got {self.h_scale}")
-
-
 def decode_offset_sigmoid(raw):
     """Legacy offset decode: sigmoid squashes each component into (0, 1).
 
@@ -122,7 +116,7 @@ def decode_offset_sigmoid(raw):
     return (sigmoid(raw[0]), sigmoid(raw[1]))
 
 
-def decode_offset_bar(raw, p: BarParams):
+def decode_offset_bar(raw, h_scale: float):
     """Boundary-aware offset decode: (sigmoid(raw) - 0.5) * h_scale.
 
     Ranges over (-h_scale/2, h_scale/2) per axis and is exactly zero at
@@ -130,8 +124,8 @@ def decode_offset_bar(raw, p: BarParams):
     in decode_offset_sigmoid.
     """
     return (
-        (sigmoid(raw[0]) - 0.5) * p.h_scale,
-        (sigmoid(raw[1]) - 0.5) * p.h_scale,
+        (sigmoid(raw[0]) - 0.5) * h_scale,
+        (sigmoid(raw[1]) - 0.5) * h_scale,
     )
 
 
@@ -139,7 +133,7 @@ def decode_boxes(
     prob: np.ndarray,
     raw: np.ndarray,
     mode: str = "bar",
-    bar: BarParams | None = None,
+    h_scale: float = DEFAULT_H_SCALE,
 ) -> Boxes:
     """Decode per-cell regressions into grid-aligned boxes.
 
@@ -148,6 +142,7 @@ def decode_boxes(
     prob : (H, W, 1) foreground probability map (box scores)
     raw : (H, W, 4) regression values (raw_dx, raw_dy, raw_logw, raw_logh)
     mode : "bar" or "sigmoid" offset decoding
+    h_scale : offset scale of the "bar" decoder
 
     Returns H*W boxes, one per cell in row-major order; widths and heights
     come from exponentiating the raw values so they stay positive. NaN
@@ -165,14 +160,13 @@ def decode_boxes(
         )
     if np.isnan(prob).any() or np.isnan(raw).any():
         raise ValueError("frame rejected: NaN in detection maps")
-    if mode not in ("bar", "sigmoid"):
+    if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
-    bar = bar or BarParams()
 
     height, width = prob.shape[:2]
     raw64 = raw.reshape(-1, 4).astype(np.float64)
     pair = (raw64[:, 0], raw64[:, 1])
-    dx, dy = decode_offset_bar(pair, bar) if mode == "bar" else decode_offset_sigmoid(pair)
+    dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
     anchor_x = np.tile(np.arange(width, dtype=np.float64) + 0.5, height)
     anchor_y = np.repeat(np.arange(height, dtype=np.float64) + 0.5, width)
     return Boxes(

@@ -10,22 +10,13 @@ detection, and every restored box overlaps the basic set by at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .detection import Boxes, iou
 
-__all__ = ["FusionConfig", "targetness_score", "fuse"]
-
-
-@dataclass
-class FusionConfig:
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+__all__ = ["targetness_score", "fuse"]
 
 
 def targetness_score(boxes: Boxes, d_base: Boxes) -> np.ndarray:
@@ -35,11 +26,11 @@ def targetness_score(boxes: Boxes, d_base: Boxes) -> np.ndarray:
     return 1.0 - iou(boxes, d_base).max(axis=1)
 
 
-def fuse(d_trans: Boxes, d_base: Boxes, cfg: FusionConfig) -> Boxes:
+def fuse(d_trans: Boxes, d_base: Boxes, epsilon: float) -> Boxes:
     """Basic detections plus transductive boxes voted in by targetness.
 
     A tie at exactly epsilon counts as restored. Restored boxes carry the
     restored flag so downstream consumers can count them.
     """
-    voted = d_trans[targetness_score(d_trans, d_base) >= cfg.epsilon]
+    voted = d_trans[targetness_score(d_trans, d_base) >= epsilon]
     return d_base.concat(replace(voted, restored=np.ones(len(voted), dtype=bool)))

@@ -34,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .detection import DEFAULT_H_SCALE, DEFAULT_STRIDE
 from .frame_io import FrameContainer, MotBox
 from .metrics import _by_frame, row_iou
 from .numerics import grid_row_blocks
@@ -70,8 +71,8 @@ class ScenarioConfig:
     size_max: float = 3.0
     embed_dim: int = 512
     feat_dim: int = 256
-    stride: int = 8
-    bar_h_scale: float = 10.0
+    stride: int = DEFAULT_STRIDE
+    bar_h_scale: float = DEFAULT_H_SCALE
 
     def validate(self) -> None:
         if self.num_targets < 1:

@@ -15,7 +15,7 @@ import pytest
 
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.cli import main
-from omctrack.detection import BarParams, decode_offset_bar, decode_offset_sigmoid
+from omctrack.detection import decode_offset_bar, decode_offset_sigmoid
 from omctrack.frame_io import FrameContainer, read_container, write_container
 from omctrack.metrics import clear_mot, evaluate, idf1, mt_ml
 from omctrack.recheck import EmbeddingSet, cross_correlate, shrink_mask
@@ -155,12 +155,12 @@ def test_criterion_5_shrink_ablation(clutter_scenario):
 
 
 def test_criterion_6_boundary_aware_regression():
-    bar = BarParams(10.0)
+    h_scale = 10.0
     raw_sweep = np.linspace(-50.0, 50.0, 2001)
     for offset in np.linspace(1.5, 3.0, 7):
-        u = offset / bar.h_scale + 0.5
+        u = offset / h_scale + 0.5
         exact_raw = math.log(u) - math.log1p(-u)
-        decoded, _ = decode_offset_bar((exact_raw, 0.0), bar)
+        decoded, _ = decode_offset_bar((exact_raw, 0.0), h_scale)
         assert abs(decoded - offset) <= 0.1
 
         sigmoid_best = min(

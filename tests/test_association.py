@@ -272,6 +272,16 @@ class TestUpdateTracklets:
         assert new[0].last_box.cx == 8
 
 
+class TestPipelineConfig:
+    def test_h_scale_must_be_positive(self):
+        with pytest.raises(ValueError, match="h_scale"):
+            PipelineConfig(h_scale=0.0)
+
+    def test_fusion_epsilon_must_lie_in_unit_interval(self):
+        with pytest.raises(ValueError, match="fusion_epsilon"):
+            PipelineConfig(fusion_epsilon=1.5)
+
+
 def small_scenario(**kw):
     defaults = dict(num_targets=3, height=14, width=14, frames=20,
                     dropout_prob=0.0, seed=11, embed_dim=32, feat_dim=8)

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omctrack import recheck
+from omctrack import cli, recheck
 from omctrack.cli import main
 from omctrack.frame_io import (
     read_container,
@@ -17,6 +19,9 @@ from omctrack.frame_io import (
     write_mot_results,
     write_omcf,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -32,6 +37,17 @@ def parse_kv(out):
             key, _, value = line.partition("=")
             values[key] = value
     return values
+
+
+def readme_default(text):
+    """A default as the README's flag table writes it, parsed."""
+    text = text.strip().strip("`")
+    if text in ("—", "off"):
+        return {"—": None, "off": False}[text]
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 TRACK_ON_THE_SEARCH_WORKER = """
@@ -327,6 +343,22 @@ class TestTrackCommand:
         )
         assert code == 0
 
+        def rows(*argv):
+            out = tmp_path / "rows.txt"
+            assert run(capsys, "track", "--container", str(scenario["container"]),
+                       "--out", str(out), *argv)[0] == 0
+            return out.read_bytes()
+
+        assert results.read_bytes() == rows("--epsilon", "0.5", "--radius", "5")
+        # On this world epsilon 1.0 and recheck off each change the rows.
+        default = rows()
+        strict, no_recheck = tmp_path / "strict.cfg", tmp_path / "no-recheck.cfg"
+        strict.write_text("epsilon=1.0\n")
+        no_recheck.write_text("disable_recheck=true\n")
+        assert rows("--config", str(strict)) == rows("--epsilon", "1.0") != default
+        assert rows("--config", str(strict), "--epsilon", "0.5") == default
+        assert rows("--config", str(no_recheck)) == rows("--disable-recheck") != default
+
     def test_bad_epsilon_is_usage_error(self, scenario, tmp_path, capsys):
         code, _, err = run(
             capsys, "track", "--container", str(scenario["container"]),
@@ -366,6 +398,62 @@ class TestTrackCommand:
         assert code == 2
         assert "line 2" in err
         assert not results.exists()
+
+
+class TestConfigFile:
+    def test_public_key_gives_the_public_flag_rows(self, scenario, tmp_path, capsys):
+        dets = tmp_path / "public.txt"
+        with open(dets, "w", encoding="utf-8") as f:
+            for b in read_mot_boxes(scenario["gt"]):
+                if b.id == 1:
+                    f.write(f"{b.frame},-1,{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"public={dets}\n")
+        outs = {name: tmp_path / f"{name}.txt" for name in ("file", "flag", "private")}
+        for name, extra in (("file", ["--config", str(cfg)]),
+                            ("flag", ["--public", str(dets)]),
+                            ("private", [])):
+            assert run(capsys, "track", "--container", str(scenario["container"]),
+                       "--out", str(outs[name]), *extra)[0] == 0
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["file"].read_bytes() != outs["private"].read_bytes()
+
+    @pytest.mark.parametrize("line", ["epsilom=0.9", "container=x.omcf",
+                                      "config=other.cfg", "decode=banana",
+                                      "disable_recheck=maybe"])
+    def test_bad_key_or_value_is_usage_error_naming_file_line_key(
+        self, scenario, tmp_path, capsys, line
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nk=30\n{line}\n")
+        results = tmp_path / "r.txt"
+        code, out, err = run(
+            capsys, "track", "--container", str(scenario["container"]),
+            "--out", str(results), "--config", str(cfg),
+        )
+        assert code == 1
+        assert f"{cfg}:3:" in err
+        assert line.partition("=")[0] in err
+        assert out == ""
+        assert not results.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("eval", "csv"), ("synth", "dropped"), ("sweep", "out"),
+    ])
+    def test_output_keys_write_their_file(self, scenario, tmp_path, capsys,
+                                          command, key):
+        world = ["--frames", "3", "--grid", "8x8", "--targets", "1"]
+        argv = {
+            "eval": ["--gt", str(scenario["gt"]), "--results", str(scenario["gt"])],
+            "synth": ["--out", str(tmp_path / "w.omcf"), "--gt", str(tmp_path / "gt.txt"),
+                      *world],
+            "sweep": ["--param", "epsilon", "--values", "0.5", *world],
+        }[command]
+        written = tmp_path / f"{key}.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={written}\n")
+        assert run(capsys, command, *argv, "--config", str(cfg))[0] == 0
+        assert written.read_text()
 
 
 class TestEvalCommand:
@@ -465,6 +553,26 @@ class TestParserBehaviour:
                      "--disable-shrink", "--embedding-mode", "--config",
                      "--public", "--weights"):
             assert flag in out
+
+    def test_readme_flag_defaults_are_the_config_defaults(self):
+        # Each tracking flag defaults to its config field, and each default
+        # in the README's flag table is what the track parser gives.
+        track = cli._build_parser()[1]["track"]
+        defaults = vars(track.parse_args(["--container", "c", "--out", "o"]))
+        for flag in cli._TRACKING_FLAGS:
+            field = {f.name: f for f in dataclasses.fields(flag.owner)}[flag.field]
+            assert defaults[flag.flag.replace("-", "_")] == field.default, flag.flag
+        table = README.read_text(encoding="utf-8").split("### Main flags and defaults")[1]
+        rows = table.strip().split("\n\n")[0].splitlines()[2:]
+        flags_seen = 0
+        for row in rows:
+            flag_col, _, default_col = row.strip("|").split("|")
+            flags = re.findall(r"`--([a-z-]+)`", flag_col)
+            texts = default_col.split(" / ")
+            for flag, text in zip(flags, texts * len(flags) if len(texts) == 1 else texts):
+                assert defaults[flag.replace("-", "_")] == readme_default(text), flag
+                flags_seen += 1
+        assert flags_seen >= len(rows) > 10
 
     def test_log_env_var_accepted(self, scenario, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OMC_LOG", "debug")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omctrack.detection import (
-    BarParams,
     Box,
     Boxes,
     decode_boxes,
@@ -91,37 +90,33 @@ class TestOffsetDecoders:
             assert 0.0 < dx < 1.0 and 0.0 < dy < 1.0
 
     def test_bar_zero_is_exact(self):
-        assert decode_offset_bar((0.0, 0.0), BarParams(10.0)) == (0.0, 0.0)
+        assert decode_offset_bar((0.0, 0.0), 10.0) == (0.0, 0.0)
 
     def test_bar_range_bound(self):
-        p = BarParams(10.0)
+        h_scale = 10.0
         rng = np.random.default_rng(1)
         for _ in range(200):
             raw = tuple(rng.uniform(-30, 30, size=2))
-            dx, dy = decode_offset_bar(raw, p)
+            dx, dy = decode_offset_bar(raw, h_scale)
             assert abs(dx) < 5.0 and abs(dy) < 5.0
         # extreme raws saturate at the bound but never cross it
-        dx, dy = decode_offset_bar((1e4, -1e4), p)
+        dx, dy = decode_offset_bar((1e4, -1e4), h_scale)
         assert abs(dx) <= 5.0 and abs(dy) <= 5.0
 
     def test_bar_log3(self):
-        dx, dy = decode_offset_bar((LN3, LN3), BarParams(10.0))
+        dx, dy = decode_offset_bar((LN3, LN3), 10.0)
         assert abs(dx - 2.5) < 1e-9 and abs(dy - 2.5) < 1e-9
-
-    def test_bar_params_validation(self):
-        with pytest.raises(ValueError):
-            BarParams(0.0)
 
 
 class TestRepresentableRange:
     def test_bar_inverts_analytically(self):
         # Any offset below h/2 decodes back with tiny error from its
         # analytic raw value.
-        p = BarParams(10.0)
+        h_scale = 10.0
         for d in np.linspace(-4.9, 4.9, 23):
-            u = d / p.h_scale + 0.5
+            u = d / h_scale + 0.5
             raw = math.log(u) - math.log1p(-u)
-            dx, _ = decode_offset_bar((raw, 0.0), p)
+            dx, _ = decode_offset_bar((raw, 0.0), h_scale)
             assert abs(dx - d) < 1e-3
 
     def test_sigmoid_irreducible_error_beyond_one_cell(self):
@@ -169,7 +164,7 @@ class TestDecodeBoxes:
         prob = np.ones((1, 1, 1), dtype=np.float32)
         raw = np.zeros((1, 1, 4), dtype=np.float32)
         raw[0, 0, 0] = 2.0
-        (box,) = decode_boxes(prob, raw, "bar", BarParams(10.0))
+        (box,) = decode_boxes(prob, raw, "bar", 10.0)
         assert box.cx - 0.5 > 1.0
 
     def test_nan_rejected(self):
@@ -301,11 +296,11 @@ class TestBoxes:
         rng = np.random.default_rng(6)
         prob = rng.uniform(0, 1, size=(3, 4, 1)).astype(np.float32)
         raw = rng.normal(size=(3, 4, 4)).astype(np.float32)
-        p = BarParams(10.0)
+        h_scale = 10.0
         for mode in ("bar", "sigmoid"):
-            boxes = decode_boxes(prob, raw, mode, p)
+            boxes = decode_boxes(prob, raw, mode, h_scale)
             for k, box in enumerate(boxes):
                 r, c = divmod(k, 4)
                 pair = (float(raw[r, c, 0]), float(raw[r, c, 1]))
-                dx, dy = decode_offset_bar(pair, p) if mode == "bar" else decode_offset_sigmoid(pair)
+                dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
                 assert (box.cx, box.cy) == (c + 0.5 + dx, r + 0.5 + dy)

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from omctrack.detection import Box, Boxes, iou
-from omctrack.fusion import FusionConfig, fuse, targetness_score
+from omctrack.fusion import fuse, targetness_score
 
 
 def box(cx, cy, w=2.0, h=2.0, score=1.0):
@@ -14,8 +13,8 @@ def score_one(b, base):
     return s
 
 
-def fuse_lists(trans, base, cfg):
-    return list(fuse(Boxes.of(trans), Boxes.of(base), cfg))
+def fuse_lists(trans, base, epsilon):
+    return list(fuse(Boxes.of(trans), Boxes.of(base), epsilon))
 
 
 class TestTargetnessScore:
@@ -39,12 +38,12 @@ class TestTargetnessScore:
 class TestFuse:
     def test_duplicates_excluded_at_default_epsilon(self):
         base = [box(3, 3), box(8, 8)]
-        fused = fuse_lists(list(base), base, FusionConfig(0.5))
+        fused = fuse_lists(list(base), base, 0.5)
         assert fused == base
 
     def test_empty_base_keeps_all_transductive(self):
         trans = [box(1, 1), box(5, 5)]
-        fused = fuse_lists(trans, [], FusionConfig(0.5))
+        fused = fuse_lists(trans, [], 0.5)
         assert len(fused) == 2
         assert all(b.restored for b in fused)
 
@@ -52,7 +51,7 @@ class TestFuse:
         base = [box(3.0, 3.0)]
         touching = box(5.0, 3.0)          # shares an edge, iou 0
         overlapping = box(4.0, 3.0)       # iou > 0
-        fused = fuse_lists([touching, overlapping], base, FusionConfig(1.0))
+        fused = fuse_lists([touching, overlapping], base, 1.0)
         restored = [b for b in fused if b.restored]
         assert len(restored) == 1
         assert (restored[0].cx, restored[0].cy) == (5.0, 3.0)
@@ -62,7 +61,7 @@ class TestFuse:
         for _ in range(25):
             base = [box(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(4)]
             trans = [box(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(4)]
-            fused = fuse_lists(trans, base, FusionConfig(float(rng.uniform(0, 1))))
+            fused = fuse_lists(trans, base, float(rng.uniform(0, 1)))
             for b in base:
                 assert b in fused
 
@@ -71,7 +70,7 @@ class TestFuse:
         eps = 0.6
         base = [box(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(5)]
         trans = [box(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(40)]
-        fused = fuse_lists(trans, base, FusionConfig(eps))
+        fused = fuse_lists(trans, base, eps)
         for b in fused:
             if b.restored:
                 assert iou(Boxes.of([b]), Boxes.of(base)).max() <= 1.0 - eps + 1e-12
@@ -81,7 +80,7 @@ class TestFuse:
         # overlap of exactly half the union: iou = 1/3 -> s = 2/3
         cand = box(1.0, 0.0, 2.0, 2.0)
         s = score_one(cand, base)
-        fused = fuse_lists([cand], base, FusionConfig(s))
+        fused = fuse_lists([cand], base, s)
         assert any(b.restored for b in fused)
 
     def test_size_non_increasing_in_epsilon(self):
@@ -89,11 +88,7 @@ class TestFuse:
         base = [box(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(4)]
         trans = [box(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(30)]
         sizes = [
-            len(fuse_lists(trans, base, FusionConfig(eps)))
+            len(fuse_lists(trans, base, eps))
             for eps in np.linspace(0.0, 1.0, 11)
         ]
         assert sizes == sorted(sizes, reverse=True)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            FusionConfig(1.5)
