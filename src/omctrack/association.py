@@ -6,12 +6,13 @@ last box as a fallback for the leftovers. Matched tracklets refresh their
 state, unmatched ones age out after a retention window, unmatched boxes
 spawn new identities from a monotone id counter.
 
-The pipeline step stitches the whole frame together: decode boxes, build
-basic detections (or ingest public ones), propagate active tracklets with
-the global embedding search, fuse the transductive detections back in,
-associate, and emit result rows in pixel units. There is deliberately no
-motion model: propagation by embedding search is the mechanism under test,
-and a motion prior would mask its contribution.
+The pipeline step stitches the whole frame together: propagate active
+tracklets with the global embedding search, decode boxes at the cells a
+score threshold keeps, build basic detections (or ingest public ones),
+fuse the transductive detections back in, associate, and emit result rows
+in pixel units. There is deliberately no motion model: propagation by
+embedding search is the mechanism under test, and a motion prior would
+mask its contribution.
 """
 
 from __future__ import annotations
@@ -381,32 +382,48 @@ class Tracker:
 
         Returns the fused boxes, their embeddings, the (tracklet id, box
         index) matches and the box indices that may found new tracklets.
+
+        The propagated map comes first, so the frame is decoded once and
+        only at the cells that can give a box: where the detector score
+        (for the basic set; public boxes replace it) or the propagated
+        score (for the transductive set, when tracklets propagate) is at
+        or above the score threshold. Both NMS passes take that one set.
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
-        decoded = decode_boxes(frame.prob, frame.boxes, p.decode_mode, p.h_scale)
-
         public_mode = public_dets is not None
-        if public_mode:
-            d_base = _public_to_cells(public_dets, p.stride)
-        else:
-            d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
 
         # The search and the readout read embed from whatever the frame
         # holds, so a container frame's grid is never held whole.
         embed = frame.held()["embed"]
+        m_p = None
         if p.recheck_enabled and self.tracklets:
             e_prev = EmbeddingSet(np.stack([t.embedding for t in self.tracklets]))
             stack = cross_correlate(e_prev, embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None
             m_p = refine(m_s, f_t, self.weights)
+
+        # Compared in float64, as greedy_nms compares the decoded scores.
+        thr = np.float64(p.score_thr)
+        prob = frame.prob.reshape(-1)
+        keep = np.zeros(prob.shape, dtype=bool) if public_mode else prob >= thr
+        if m_p is not None:
+            keep |= m_p.reshape(-1) >= thr
+        cells = np.flatnonzero(keep)
+        decoded = decode_boxes(frame.prob, frame.boxes, p.decode_mode, p.h_scale, cells)
+
+        if public_mode:
+            d_base = _public_to_cells(public_dets, p.stride)
+        else:
+            d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
+        if m_p is None:
+            d_final = d_base
+        else:
             d_trans = transductive_detections(
-                m_p, decoded, p.score_thr, p.nms_iou_thr
+                m_p, decoded, cells, p.score_thr, p.nms_iou_thr
             )
             d_final = fuse(d_trans, d_base, p.fusion_epsilon)
-        else:
-            d_final = d_base
 
         e_set = extract_embeddings(d_final, embed)
         matches, _, unmatched_boxes = associate(

@@ -21,7 +21,10 @@ disable_recheck takes true or false. A key takes effect as its flag would,
 below explicit flags and above the defaults. Any other key, or a value the
 flag refuses, is a usage error (exit 1) naming the file, the line and the
 key. Tracking and scenario defaults are those of the config dataclass
-fields that the flag tables below name.
+fields that the flag tables below name. sweep refuses, as a usage error,
+a flag or key that sets what the swept parameter sets on every run:
+--epsilon under --param epsilon, --radius or --disable-shrink under
+--param r.
 """
 
 from __future__ import annotations
@@ -123,8 +126,7 @@ class _Parser(argparse.ArgumentParser):
 
         An explicit flag still wins, as it wins over any default.
         """
-        flags = {a.dest: a for a in self._actions if a.option_strings
-                 and not a.required and a.dest not in ("help", "config")}
+        flags = self._flags()
         try:
             with open(path, "r", encoding="utf-8") as f:
                 lines = f.read().splitlines()
@@ -147,6 +149,28 @@ class _Parser(argparse.ArgumentParser):
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{where}: {key}: {exc}") from exc
         self.set_defaults(**values)
+
+    def given(self, parse: Callable[[], argparse.Namespace]) -> set[str]:
+        """Dests of the optional flags that the command line or --config sets.
+
+        parse() parses the command line again while every flag's own
+        default is suppressed; a --config key applied before is a default
+        of the parser, not of the flag, so it still lands.
+        """
+        flags = self._flags()
+        saved = [(a, a.default) for a in flags.values()]
+        for a, _ in saved:
+            a.default = argparse.SUPPRESS
+        try:
+            return set(vars(parse())) & flags.keys()
+        finally:
+            for a, default in saved:
+                a.default = default
+
+    def _flags(self) -> dict[str, argparse.Action]:
+        """The optional flags a --config key may set, by dest."""
+        return {a.dest: a for a in self._actions if a.option_strings
+                and not a.required and a.dest not in ("help", "config")}
 
 
 def _add_flag(p: _Parser, flag: str, default, help: str, **kwargs) -> None:
@@ -360,7 +384,17 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# The flags that set what each sweep parameter sets on every run.
+_SWEPT_FLAGS = {"epsilon": ("epsilon",), "r": ("radius", "disable_shrink")}
+
+
 def _cmd_sweep(args) -> int:
+    field = "fusion_epsilon" if args.param == "epsilon" else "shrink_radius"
+    for dest in _SWEPT_FLAGS[args.param]:
+        if dest in args.given:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} conflicts with --param {args.param}, "
+                             f"which sets {field} on every run")
     try:
         values = [_parse_radius(v) if args.param == "r" else float(v)
                   for v in args.values.split(",") if v.strip()]
@@ -371,7 +405,6 @@ def _cmd_sweep(args) -> int:
 
     scenario = _build_scenario(args)
     pipeline, tracker_cfg = _build_configs(args)
-    field = "fusion_epsilon" if args.param == "epsilon" else "shrink_radius"
     try:
         pipelines = [dataclasses.replace(pipeline, **{field: v}) for v in values]
     except ValueError as exc:
@@ -528,9 +561,11 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        command = commands[args.command]
         if args.config:
-            commands[args.command].apply_config_file(args.config)
+            command.apply_config_file(args.config)
             args = parser.parse_args(argv)
+        args.given = command.given(lambda: parser.parse_args(argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

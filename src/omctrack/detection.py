@@ -40,6 +40,11 @@ DEFAULT_IOU_THR = 0.45
 DEFAULT_H_SCALE = 10.0  # boundary-aware offset scale, in cells
 DEFAULT_STRIDE = 8  # pixels per grid cell
 DECODE_MODES = ("bar", "sigmoid")
+# Candidates per greedy_nms block. The tracker's candidate sets (cells at or
+# above the score threshold) fit in one; a whole grid's boxes take one
+# (kept, NMS_BLOCK) and one (NMS_BLOCK, NMS_BLOCK) IOU matrix per block,
+# not one (n, n) matrix.
+NMS_BLOCK = 256
 
 _FIELDS = ("cx", "cy", "w", "h", "score", "restored")  # of Box and of Boxes
 
@@ -134,6 +139,7 @@ def decode_boxes(
     raw: np.ndarray,
     mode: str = "bar",
     h_scale: float = DEFAULT_H_SCALE,
+    cells: np.ndarray | None = None,
 ) -> Boxes:
     """Decode per-cell regressions into grid-aligned boxes.
 
@@ -143,10 +149,15 @@ def decode_boxes(
     raw : (H, W, 4) regression values (raw_dx, raw_dy, raw_logw, raw_logh)
     mode : "bar" or "sigmoid" offset decoding
     h_scale : offset scale of the "bar" decoder
+    cells : ascending row-major cell indices to decode, or None for all
 
-    Returns H*W boxes, one per cell in row-major order; widths and heights
-    come from exponentiating the raw values so they stay positive. NaN
-    anywhere in the maps rejects the frame.
+    Returns one box per decoded cell, in row-major order: all H*W cells,
+    or only those in cells. The tracker passes the cells that some score
+    threshold keeps, so the rest of the grid is never decoded. Each box
+    has the bits of the same cell's box in the whole-grid decode. Widths
+    and heights come from exponentiating the raw values so they stay
+    positive. NaN anywhere in the maps, decoded cells or not, rejects the
+    frame.
     """
     prob = np.asarray(prob)
     raw = np.asarray(raw)
@@ -164,18 +175,36 @@ def decode_boxes(
         raise ValueError(f"unknown decode mode {mode!r}")
 
     height, width = prob.shape[:2]
-    raw64 = raw.reshape(-1, 4).astype(np.float64)
+    flat_raw, scores = raw.reshape(-1, 4), prob.reshape(-1)
+    if cells is None:
+        cells = np.arange(height * width)
+    else:
+        cells = _check_cells(cells, height * width)
+        flat_raw, scores = flat_raw[cells], scores[cells]
+    raw64 = flat_raw.astype(np.float64)
     pair = (raw64[:, 0], raw64[:, 1])
     dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
-    anchor_x = np.tile(np.arange(width, dtype=np.float64) + 0.5, height)
-    anchor_y = np.repeat(np.arange(height, dtype=np.float64) + 0.5, width)
+    row, col = np.divmod(cells, width)
     return Boxes(
-        cx=anchor_x + dx,
-        cy=anchor_y + dy,
+        cx=(col + 0.5) + dx,
+        cy=(row + 0.5) + dy,
         w=np.exp(raw64[:, 2]),
         h=np.exp(raw64[:, 3]),
-        score=prob.reshape(-1).astype(np.float64),
+        score=scores.astype(np.float64),
     )
+
+
+def _check_cells(cells, count: int) -> np.ndarray:
+    """cells as an intp array, if they ascend strictly within [0, count)."""
+    cells = np.asarray(cells)
+    if cells.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if cells.ndim != 1 or cells.dtype.kind not in "iu":
+        raise ValueError(f"cells must be a 1-d integer array, got {cells.dtype} {cells.shape}")
+    cells = cells.astype(np.intp, copy=False)
+    if cells[0] < 0 or cells[-1] >= count or (np.diff(cells) <= 0).any():
+        raise ValueError(f"cells must ascend strictly within [0, {count})")
+    return cells
 
 
 def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,18 +250,23 @@ def greedy_nms(
     Boxes scoring below score_thr are discarded; the survivor set is built
     by repeatedly keeping the highest-scoring candidate and suppressing
     every remaining box whose IOU with it exceeds iou_thr. Ties in score
-    resolve in input order. Output is score-descending. Each kept box
-    takes one IOU row against the candidates after it.
+    resolve in input order. Output is score-descending. The candidates go
+    in blocks of NMS_BLOCK: one IOU matrix against the boxes kept from
+    earlier blocks, and one within the block, which a loop over the block
+    reads in order.
     """
     above = np.flatnonzero(boxes.score >= score_thr)
     candidates = boxes[above[np.argsort(-boxes.score[above], kind="stable")]]
     edges = _edges(candidates)
-    alive = np.ones(len(candidates), dtype=bool)
-    kept = []
-    while alive.any():
-        top = int(np.argmax(alive))  # every candidate before it is dead
-        kept.append(top)
-        alive[top] = False
-        row = _edge_iou(edges[:, top:top + 1], edges[:, top + 1:])[0]
-        alive[top + 1:] &= row <= iou_thr
+    kept: list[int] = []
+    for start in range(0, len(candidates), NMS_BLOCK):
+        block = edges[:, start:start + NMS_BLOCK]
+        alive = np.ones(block.shape[1], dtype=bool)
+        if kept:
+            alive &= (_edge_iou(edges[:, kept], block) <= iou_thr).all(axis=0)
+        ok = _edge_iou(block, block) <= iou_thr
+        for i in range(len(alive)):
+            if alive[i]:
+                kept.append(start + i)
+                alive[i + 1:] &= ok[i, i + 1:]
     return candidates[kept]

@@ -11,9 +11,10 @@ the first halves and one worker thread the second. Each map is shrunk to
 a window around its peak (look-alike objects elsewhere produce spurious
 highs), the masked maps are summed into one aggregate, and an optional
 learned refinement mixes the visual feature back in to filter false
-positives. Swapping the refined map in as the score array of the decoded
-`Boxes` and running NMS produces the transductive detections that can
-restore targets the detector scored as background.
+positives. Swapping the refined map in as the score array of the boxes
+decoded at the cells where it reaches the score threshold, and running
+NMS, produces the transductive detections that can restore targets the
+detector scored as background.
 
 `cross_correlate` normalizes the grid cells; templates must be unit-length
 or zero. So all responses are cosine similarities and the shrink threshold
@@ -432,20 +433,25 @@ def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> n
 def transductive_detections(
     m_p: np.ndarray,
     boxes: Boxes,
+    cells: np.ndarray,
     score_thr: float,
     iou_thr: float,
 ) -> Boxes:
-    """Re-score grid-aligned boxes with the propagated map and run NMS.
+    """Re-score decoded grid boxes with the propagated map and run NMS.
 
-    boxes must be the full row-major cell-aligned set produced by
-    decode_boxes for the same frame: geometry is kept, only the score array
-    is replaced by the map values at each source cell.
+    boxes is decode_boxes(..., cells) for the same frame: the box of each
+    cell in cells, ascending row-major indices into m_p. Geometry is kept,
+    only the score array is replaced by the map values at those cells.
+    Only cells whose m_p value is at or above score_thr can give a
+    detection, so the tracker decodes no cell below it; any cell left out
+    of cells gives none.
     """
     m_p = np.asarray(m_p)
     if m_p.ndim != 2:
         raise ValueError(f"m_p must be 2-d, got shape {m_p.shape}")
-    if len(boxes) != m_p.size:
-        raise ValueError(
-            f"box count {len(boxes)} != grid cell count {m_p.size}"
-        )
-    return greedy_nms(replace(boxes, score=m_p.ravel()), score_thr, iou_thr)
+    cells = np.asarray(cells, dtype=np.intp)
+    if len(boxes) != len(cells):
+        raise ValueError(f"box count {len(boxes)} != cell count {len(cells)}")
+    if len(cells) and not (0 <= cells.min() and cells.max() < m_p.size):
+        raise ValueError(f"cells must lie within the map's {m_p.size} cells")
+    return greedy_nms(replace(boxes, score=m_p.reshape(-1)[cells]), score_thr, iou_thr)

@@ -514,6 +514,35 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--param", "banana", "--values", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("param,flag,value", [
+        ("r", "--disable-shrink", None),
+        ("r", "--radius", "3"),
+        ("epsilon", "--epsilon", "0.9"),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_flag_the_sweep_overrides_is_usage_error(self, tmp_path, capsys,
+                                                    param, flag, value, by_config):
+        if by_config:
+            config = tmp_path / "sweep.cfg"
+            key = flag[2:].replace("-", "_")
+            config.write_text(f"{key}={value or 'true'}\n")
+            extra = ["--config", str(config)]
+        else:
+            extra = [flag] + ([value] if value else [])
+        code, stdout, err = run(capsys, "sweep", "--param", param, "--values", "0.5",
+                                "--frames", "2", *extra)
+        assert code == 1
+        assert flag in err and f"--param {param}" in err
+        assert stdout == ""
+
+    def test_flag_of_the_other_parameter_is_kept(self, capsys):
+        code, stdout, _ = run(
+            capsys, "sweep", "--param", "r", "--values", "3", "--epsilon", "0.9",
+            "--disable-recheck", "--targets", "1", "--frames", "2", "--grid", "8x8",
+        )
+        assert code == 0
+        assert stdout.splitlines()[-1].startswith("3,")
+
 
 class TestGradcheckCommand:
     def test_defaults_pass(self, capsys):

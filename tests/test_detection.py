@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from omctrack import detection
 from omctrack.detection import (
+    DECODE_MODES,
     Box,
     Boxes,
     decode_boxes,
@@ -221,7 +223,9 @@ class TestGreedyNms:
         b = Box(cx=1, cy=1, w=1, h=1, score=0.4)
         assert list(greedy_nms(Boxes.of([b]), 0.5, 0.45)) == []
 
-    def test_matches_oracle_on_random_instances(self):
+    @pytest.mark.parametrize("block", [1, 7, detection.NMS_BLOCK])
+    def test_matches_oracle_on_random_instances(self, monkeypatch, block):
+        monkeypatch.setattr(detection, "NMS_BLOCK", block)
         rng = np.random.default_rng(4)
         for _ in range(20):
             boxes = random_boxes(rng, 50)
@@ -240,6 +244,50 @@ class TestGreedyNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
                 assert pair_iou(a, b) <= 0.4
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def decode_inputs(draw):
+    """A small grid's maps, an ascending cell index and one cell."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = h * w
+    raw = draw(st.lists(st.floats(-F32_MAX, F32_MAX, width=32), min_size=4 * n, max_size=4 * n))
+    prob = draw(st.lists(st.floats(0.0, 1.0, width=32), min_size=n, max_size=n))
+    cells = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return (np.array(prob, np.float32).reshape(h, w, 1),
+            np.array(raw, np.float32).reshape(h, w, 4),
+            np.array(cells, np.intp), draw(st.integers(0, n - 1)),
+            draw(st.floats(0.1, 100.0)))
+
+
+class TestSubsetDecode:
+    @pytest.mark.parametrize("mode", DECODE_MODES)
+    @given(decode_inputs())
+    def test_subset_has_whole_grid_bits(self, mode, inputs):
+        prob, raw, cells, one, h_scale = inputs
+        with np.errstate(over="ignore"):  # exp of raw sizes near float32 max
+            whole = decode_boxes(prob, raw, mode, h_scale)
+            for index in (cells, np.zeros(0, np.intp), np.array([one])):
+                got = decode_boxes(prob, raw, mode, h_scale, index)
+                for name in ("cx", "cy", "w", "h", "score", "restored"):
+                    assert getattr(got, name).tobytes() == getattr(whole, name)[index].tobytes()
+
+    @pytest.mark.parametrize("cells", [[1, 0], [2, 2], [-1], [6], [[0, 1]], [0.0]])
+    def test_index_must_ascend_within_grid(self, cells):
+        prob = np.zeros((2, 3, 1), dtype=np.float32)
+        raw = np.zeros((2, 3, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="cells must"):
+            decode_boxes(prob, raw, "bar", cells=cells)
+
+    def test_nan_outside_index_rejected(self):
+        prob = np.ones((2, 2, 1), dtype=np.float32)
+        raw = np.zeros((2, 2, 4), dtype=np.float32)
+        raw[1, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            decode_boxes(prob, raw, "bar", cells=np.array([0]))
 
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -504,29 +504,36 @@ class TestRefine:
 
 
 class TestTransductiveDetections:
-    def grid_boxes(self, h, w):
+    def grid_boxes(self, h, w, cells):
         prob = np.zeros((h, w, 1), dtype=np.float32)
         raw = np.zeros((h, w, 4), dtype=np.float32)
-        return decode_boxes(prob, raw, "bar")
+        return decode_boxes(prob, raw, "bar", cells=cells)
 
     def test_zero_map_gives_nothing(self):
-        boxes = self.grid_boxes(4, 4)
+        cells = np.arange(16)
+        boxes = self.grid_boxes(4, 4, cells)
         m_p = np.zeros((4, 4), dtype=np.float32)
-        assert list(transductive_detections(m_p, boxes, 0.5, 0.45)) == []
+        assert list(transductive_detections(m_p, boxes, cells, 0.5, 0.45)) == []
 
     def test_single_peak_keeps_geometry(self):
-        boxes = self.grid_boxes(4, 4)
         m_p = np.zeros((4, 4), dtype=np.float32)
         m_p[1, 2] = 0.9
-        (got,) = transductive_detections(m_p, boxes, 0.5, 0.45)
-        source = boxes[1 * 4 + 2]
-        assert (got.cx, got.cy, got.w, got.h) == (source.cx, source.cy, source.w, source.h)
-        assert abs(got.score - 0.9) < 1e-6
+        whole = self.grid_boxes(4, 4, None)
+        for cells in (np.arange(16), np.flatnonzero(m_p >= 0.5)):
+            (got,) = transductive_detections(
+                m_p, self.grid_boxes(4, 4, cells), cells, 0.5, 0.45
+            )
+            source = whole[1 * 4 + 2]
+            assert (got.cx, got.cy, got.w, got.h) == (source.cx, source.cy, source.w, source.h)
+            assert abs(got.score - 0.9) < 1e-6
 
     def test_count_mismatch_rejected(self):
-        boxes = self.grid_boxes(4, 4)
+        cells = np.arange(16)
+        boxes = self.grid_boxes(4, 4, cells)
         with pytest.raises(ValueError, match="cell count"):
-            transductive_detections(np.zeros((3, 3)), boxes, 0.5, 0.45)
+            transductive_detections(np.zeros((4, 4)), boxes, cells[:9], 0.5, 0.45)
+        with pytest.raises(ValueError, match="within the map"):
+            transductive_detections(np.zeros((3, 3)), boxes, cells, 0.5, 0.45)
 
 
 class TestShrinkReducesOffTargetMass:

@@ -5,11 +5,17 @@ perfbench/tracing.py rebinds every stage name in `STEP_CHILDREN` on
 directly under `Tracker.step`. A refactor that drops one of those names, or
 calls one traced stage from inside another through the module's globals,
 would break every benchmark run; this test catches it in the tier-1 suite.
-The benchmark's files are imported as they are, not edited.
+So does a stage that reaches a traced name a second time: the benchmark's
+counters must add up (basic_dets + restored == fused, matches + births ==
+rows), and a transductive NMS sent through `association.greedy_nms` would
+count its boxes as basic detections. The benchmark's files are imported as
+they are, not edited.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -30,8 +36,14 @@ def test_every_traced_stage_name_is_bound_in_association():
     assert missing == []
 
 
-def test_tiny_world_spans_nest_under_tracker_step():
-    scenario = WORKLOADS["tiny"]
+# The tiny workload, and a small world whose dropouts restoration recovers.
+WORLDS = {
+    "tiny": WORKLOADS["tiny"],
+    "small": dict(num_targets=3, height=12, width=12, frames=20, dropout_prob=0.4),
+}
+
+
+def traced_run(scenario: dict) -> tracing.Tracer:
     frames, _, _ = generate(ScenarioConfig(seed=0, **scenario))
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer):
@@ -39,7 +51,20 @@ def test_tiny_world_spans_nest_under_tracker_step():
         for frame in frames:
             tracer.frame = frame.frame_index
             tracker.step(frame)
+    return tracer
+
+
+def test_tiny_world_spans_nest_under_tracker_step():
+    tracer = traced_run(WORLDS["tiny"])
     names = {span[0] for span in tracer.spans}
     assert tracing.STEP in names
     assert "recheck.cross_correlate" in names  # tracklets were propagated
     assert tracing.nesting_errors(tracer.spans) == []
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_counters_add_up(world):
+    c = traced_run(WORLDS[world]).counts
+    assert c["fusion.restored"] > 0  # restoration fired
+    assert c["detection.basic_dets"] + c["fusion.restored"] == c["fusion.fused"]
+    assert c["association.matches"] + c["association.births"] == c["association.rows"]
