@@ -2,17 +2,20 @@
 
 Association runs in two greedy stages: cosine similarity between tracklet
 embeddings and candidate-box embeddings first, IOU against each tracklet's
-last box as a fallback for the leftovers. Matched tracklets refresh their
-state, unmatched ones age out after a retention window, unmatched boxes
-spawn new identities from a monotone id counter.
+last box as a fallback for the leftovers, computed only when the first
+stage leaves both a tracklet and a box open. Matched tracklets refresh
+their state, unmatched ones age out after a retention window, unmatched
+boxes spawn new identities from a monotone id counter.
 
 The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units. There is deliberately no motion model: propagation by
-embedding search is the mechanism under test, and a motion prior would
-mask its contribution.
+in pixel units, built from the fused boxes' arrays. The tracklet
+embeddings are stacked once a frame, for the search, the first matching
+stage and the birth gate. There is deliberately no motion model:
+propagation by embedding search is the mechanism under test, and a motion
+prior would mask its contribution.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
 from .numerics import (
+    NORM_EPS,
     FrameValueError,
     as_grid,
-    l2_normalize,
     l2_normalize_grid,
     normalize_cells,
 )
@@ -178,7 +181,7 @@ def _greedy_matrix_match(
     pairs: list[tuple[int, int]] = []
     if not row_open or not col_open:
         return pairs
-    work = scores[np.ix_(row_open, col_open)].astype(np.float64).copy()
+    work = scores[np.ix_(row_open, col_open)].astype(np.float64)
     rmap = list(row_open)
     cmap = list(col_open)
     while work.size:
@@ -197,12 +200,16 @@ def associate(
     boxes: Boxes,
     e_set: EmbeddingSet,
     cfg: TrackerConfig,
+    tracklet_vectors: np.ndarray | None = None,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage greedy matching of tracklets to candidate boxes.
 
     Returns (matches, unmatched_tracklet_ids, unmatched_box_indices) where
     matches pairs tracklet ids with box indices. Every tracklet and box is
-    matched at most once.
+    matched at most once. The IOU fallback runs only when the embedding
+    stage leaves both a tracklet and a box open; otherwise it could match
+    nothing. tracklet_vectors, when given, are the tracklets' embeddings
+    stacked as float64 rows, so a caller that has them need not restack.
     """
     if len(boxes) != len(e_set):
         raise ValueError(
@@ -211,17 +218,19 @@ def associate(
     matches: list[tuple[int, int]] = []
     open_rows = list(range(len(tracklets)))
     open_cols = list(range(len(boxes)))
+
+    def take(scores: np.ndarray, thr: float) -> None:
+        for i, j in _greedy_matrix_match(scores, thr, open_rows, open_cols):
+            matches.append((tracklets[i].id, j))
+            open_rows.remove(i)
+            open_cols.remove(j)
+
     if tracklets and len(boxes):
-        trk_emb = np.stack([t.embedding for t in tracklets]).astype(np.float64)
-        stages = (
-            (trk_emb @ e_set.vectors.astype(np.float64).T, cfg.emb_match_thr),
-            (iou(Boxes.of([t.last_box for t in tracklets]), boxes), cfg.iou_match_thr),
-        )
-        for scores, thr in stages:
-            for i, j in _greedy_matrix_match(scores, thr, open_rows, open_cols):
-                matches.append((tracklets[i].id, j))
-                open_rows.remove(i)
-                open_cols.remove(j)
+        if tracklet_vectors is None:
+            tracklet_vectors = np.stack([t.embedding for t in tracklets]).astype(np.float64)
+        take(tracklet_vectors @ e_set.vectors.astype(np.float64).T, cfg.emb_match_thr)
+        if open_rows and open_cols:
+            take(iou(Boxes.of([t.last_box for t in tracklets]), boxes), cfg.iou_match_thr)
     unmatched_tracklets = [tracklets[i].id for i in open_rows]
     return matches, unmatched_tracklets, open_cols
 
@@ -238,27 +247,28 @@ def update_tracklets(
     """Apply one frame's assignment to the tracklet population.
 
     Matched tracklets reset their miss counter, take the new box and update
-    their embedding per cfg.embedding_mode. Unmatched tracklets age and are
-    removed once the miss count reaches the retention window. Unmatched
-    boxes (restricted to spawnable indices when given) found new tracklets
-    with fresh ids; returns (surviving tracklets, new tracklets, next_id).
+    their embedding per cfg.embedding_mode; in "updated" mode every matched
+    row is blended and renormalized in one pass (`_blend`). Unmatched
+    tracklets age and are removed once the miss count reaches the
+    retention window. Unmatched boxes (restricted to spawnable indices when
+    given) found new tracklets with fresh ids; returns (surviving
+    tracklets, new tracklets, next_id).
     """
     matched = dict(matches)
+    hits = [t for t in tracklets if t.id in matched]
+    cols = [matched[t.id] for t in hits]
+    for t, j in zip(hits, cols):
+        t.miss_count = 0
+        t.last_box = boxes[j]
+    if hits and cfg.embedding_mode != "first":   # "first": frozen at birth
+        new = e_set.vectors[cols]
+        if cfg.embedding_mode == "updated":
+            old = np.stack([t.embedding for t in hits])
+            new = _blend(old, new, cfg.embedding_momentum)
+        for t, emb in zip(hits, new):
+            t.embedding = emb
     for t in tracklets:
-        if t.id in matched:
-            j = matched[t.id]
-            box = boxes[j]
-            new_emb = e_set.vectors[j]
-            t.miss_count = 0
-            t.last_box = box
-            if cfg.embedding_mode == "last":
-                t.embedding = new_emb.copy()
-            elif cfg.embedding_mode == "updated":
-                a = cfg.embedding_momentum
-                blended = a * t.embedding.astype(np.float64) + (1.0 - a) * new_emb.astype(np.float64)
-                t.embedding = l2_normalize(blended)
-            # mode "first": embedding stays frozen at its birth value
-        else:
+        if t.id not in matched:
             t.miss_count += 1
             if t.miss_count >= cfg.retention_frames:
                 t.state = "removed"
@@ -274,6 +284,26 @@ def update_tracklets(
     return survivors, new_tracklets, next_id + len(born)
 
 
+def _blend(old: np.ndarray, new: np.ndarray, momentum: float) -> np.ndarray:
+    """Rows of momentum * old + (1 - momentum) * new, each scaled to unit norm.
+
+    Each row gets `numerics.l2_normalize`'s bits for that row's blend:
+    the float64 blend rounds to float32, then divides by the float64 norm
+    of the rounded row, and a row with norm <= NORM_EPS passes through.
+    `np.vecdot` takes each row's squared norm as one `ddot`, as
+    `np.linalg.norm` does for one vector.
+    """
+    rows = old.astype(np.float64)
+    rows *= momentum
+    step = new.astype(np.float64)
+    step *= 1.0 - momentum
+    rows += step
+    rows[...] = rows.astype(np.float32)
+    norms = np.sqrt(np.vecdot(rows, rows))[:, None]
+    np.divide(rows, norms, out=rows, where=~(norms <= NORM_EPS))
+    return rows.astype(np.float32)
+
+
 def _public_to_cells(dets: list[MotBox], stride: int) -> Boxes:
     x, y, w, h, conf = np.array(
         [(d.x, d.y, d.w, d.h, d.conf) for d in dets], dtype=np.float64
@@ -282,16 +312,19 @@ def _public_to_cells(dets: list[MotBox], stride: int) -> Boxes:
                  w=w / stride, h=h / stride, score=np.clip(conf, 0.0, 1.0))
 
 
-def _to_mot_row(frame_index: int, track_id: int, box: Box, stride: int) -> MotBox:
-    return MotBox(
-        frame=frame_index,
-        id=track_id,
-        x=(box.cx - box.w / 2.0) * stride,
-        y=(box.cy - box.h / 2.0) * stride,
-        w=box.w * stride,
-        h=box.h * stride,
-        conf=min(max(box.score, 0.0), 1.0),
-    )
+def _mot_rows(frame_index: int, ids: list[int], boxes: Boxes,
+              cells: np.ndarray, stride: int) -> list[MotBox]:
+    """One pixel-unit MOT row per (id, box index) pair, read from the box arrays.
+
+    x, y is the top-left corner; conf is the score clipped to [0, 1]. Each
+    field is one Python float operation on the box's float64 values.
+    """
+    columns = (a[cells].tolist() for a in (boxes.cx, boxes.cy, boxes.w, boxes.h, boxes.score))
+    return [
+        MotBox(frame_index, tid, (cx - w / 2.0) * stride, (cy - h / 2.0) * stride,
+               w * stride, h * stride, min(max(score, 0.0), 1.0))
+        for tid, cx, cy, w, h, score in zip(ids, *columns)
+    ]
 
 
 class Tracker:
@@ -331,6 +364,11 @@ class Tracker:
         the frame then logs a warning, ages every tracklet by one miss and
         emits no rows. Tracklet state changes only after every value has
         been read, and any other exception propagates.
+
+        Association's IOU fallback runs only when its embedding stage
+        leaves both a tracklet and a box open. The rows, matched boxes
+        first and then the boxes that found tracklets, are built from the
+        fused boxes' arrays.
         """
         try:
             d_final, e_set, matches, spawnable = self._match(frame, public_dets)
@@ -345,15 +383,15 @@ class Tracker:
 
         survivors, new_tracklets, self.next_id = update_tracklets(
             self.tracklets, matches, d_final, e_set,
-            self.cfg, self.next_id, spawnable,
+            self.cfg, self.next_id, set(spawnable),
         )
         self.tracklets = survivors + new_tracklets
 
-        emitted = [(tid, d_final[j]) for tid, j in matches]
-        emitted += [(t.id, t.last_box) for t in new_tracklets]
-        rows = [_to_mot_row(frame.frame_index, tid, box, self.pipeline.stride)
-                for tid, box in emitted]
-        self.restored_emitted += sum(box.restored for _, box in emitted)
+        # Every spawnable box founds a tracklet, in ascending index order.
+        ids = [tid for tid, _ in matches] + [t.id for t in new_tracklets]
+        cells = np.array([j for _, j in matches] + spawnable, dtype=np.intp)
+        rows = _mot_rows(frame.frame_index, ids, d_final, cells, self.pipeline.stride)
+        self.restored_emitted += int(np.count_nonzero(d_final.restored[cells]))
         self.rows_emitted += len(rows)
         return rows
 
@@ -377,11 +415,12 @@ class Tracker:
         self,
         frame: FrameContainer,
         public_dets: list[MotBox] | None,
-    ) -> tuple[Boxes, EmbeddingSet, list[tuple[int, int]], set[int]]:
+    ) -> tuple[Boxes, EmbeddingSet, list[tuple[int, int]], list[int]]:
         """Read the frame and match it against the tracklets, changing neither.
 
         Returns the fused boxes, their embeddings, the (tracklet id, box
-        index) matches and the box indices that may found new tracklets.
+        index) matches and the ascending indices of the unmatched boxes
+        that may found new tracklets.
 
         The propagated map comes first, so the frame is decoded once and
         only at the cells that can give a box: where the detector score
@@ -396,10 +435,12 @@ class Tracker:
         # The search and the readout read embed from whatever the frame
         # holds, so a container frame's grid is never held whole.
         embed = frame.held()["embed"]
+        # The tracklet embeddings, stacked once for the search, association
+        # and the birth gate.
+        trk_emb = np.stack([t.embedding for t in self.tracklets]) if self.tracklets else None
         m_p = None
-        if p.recheck_enabled and self.tracklets:
-            e_prev = EmbeddingSet(np.stack([t.embedding for t in self.tracklets]))
-            stack = cross_correlate(e_prev, embed)
+        if p.recheck_enabled and trk_emb is not None:
+            stack = cross_correlate(EmbeddingSet(trk_emb), embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None
             m_p = refine(m_s, f_t, self.weights)
@@ -426,8 +467,11 @@ class Tracker:
             d_final = fuse(d_trans, d_base, p.fusion_epsilon)
 
         e_set = extract_embeddings(d_final, embed)
+        # Shaped (tracklets, C) even with no tracklets: every box is then novel.
+        trk64 = (np.zeros((0, e_set.vectors.shape[1])) if trk_emb is None
+                 else trk_emb.astype(np.float64))
         matches, _, unmatched_boxes = associate(
-            self.tracklets, d_final, e_set, self.cfg
+            self.tracklets, d_final, e_set, self.cfg, trk64
         )
 
         # Birth gate: a new identity must not already be explained by an
@@ -435,20 +479,20 @@ class Tracker:
         # live identity (overlap readout, propagation leftovers) founds a
         # twin tracklet, twin response maps stack past the score threshold,
         # and ghost tracks snowball.
-        # Shaped (tracklets, C) even with no tracklets: every box is then novel.
-        trk_emb = np.array([t.embedding for t in self.tracklets], dtype=np.float64)
-        sims = trk_emb.reshape(-1, e_set.vectors.shape[1]) @ e_set.vectors[unmatched_boxes].T
-        novel = (sims < self.cfg.emb_match_thr).all(axis=0)
-        spawnable = {j for j, ok in zip(unmatched_boxes, novel) if ok}
-        if public_mode:
+        spawnable = []
+        if unmatched_boxes:
+            sims = trk64 @ e_set.vectors[unmatched_boxes].T
+            novel = (sims < self.cfg.emb_match_thr).all(axis=0)
+            spawnable = [j for j, ok in zip(unmatched_boxes, novel) if ok]
+        if public_mode and spawnable:
             # Public boxes may found trajectories only away from boxes that
             # are already tracked this frame; propagated boxes never spawn
             # under the public protocol.
             tracked_now = d_final[[j for _, j in matches]]
             near = (iou(d_final, tracked_now) >= PUBLIC_NEAR_IOU).any(axis=1)
-            spawnable = {
+            spawnable = [
                 j for j in spawnable if not (d_final.restored[j] or near[j])
-            }
+            ]
         return d_final, e_set, matches, spawnable
 
 

@@ -208,10 +208,11 @@ def sigmoid(x):
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit L2 norm; vectors with norm <= NORM_EPS pass through."""
     v = np.asarray(v, dtype=np.float32)
-    norm = float(np.linalg.norm(v.astype(np.float64)))
+    v64 = v.astype(np.float64)
+    norm = float(np.linalg.norm(v64))
     if norm <= NORM_EPS:
         return v.copy()
-    return (v.astype(np.float64) / norm).astype(np.float32)
+    return (v64 / norm).astype(np.float32)
 
 
 def normalize_cells(cells) -> np.ndarray:

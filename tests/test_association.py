@@ -2,8 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omctrack import association
+from omctrack import association, detection
 from omctrack.association import (
     PipelineConfig,
     Tracker,
@@ -41,6 +42,41 @@ def tracklet(tid, emb, cx=1.0, cy=1.0, w=2.0, h=2.0):
         embedding=np.asarray(emb, dtype=np.float32),
         last_box=Box(cx=cx, cy=cy, w=w, h=h, score=1.0),
     )
+
+
+def per_tracklet_update(embedding, new_emb, cfg):
+    """One matched tracklet's new embedding, one vector at a time.
+
+    The reference for update_tracklets, which updates every matched row in
+    one pass.
+    """
+    if cfg.embedding_mode == "last":
+        return new_emb.copy()
+    if cfg.embedding_mode == "updated":
+        a = cfg.embedding_momentum
+        return l2_normalize(a * embedding.astype(np.float64)
+                            + (1.0 - a) * new_emb.astype(np.float64))
+    return embedding
+
+
+def to_mot_row(frame_index, track_id, box, stride):
+    """One emitted row from one Box record: the reference for Tracker.step's rows."""
+    return MotBox(
+        frame=frame_index,
+        id=track_id,
+        x=(box.cx - box.w / 2.0) * stride,
+        y=(box.cy - box.h / 2.0) * stride,
+        w=box.w * stride,
+        h=box.h * stride,
+        conf=min(max(box.score, 0.0), 1.0),
+    )
+
+
+def row_bits(row):
+    """A row's fields with each float as its exact bits (-0.0 and 0.0 differ)."""
+    floats = (row.x, row.y, row.w, row.h, row.conf)
+    assert all(type(v) is float for v in floats)
+    return (row.frame, row.id, *(v.hex() for v in floats))
 
 
 def greedy_oracle(matrix, thr):
@@ -191,6 +227,67 @@ class TestAssociate:
         assert sorted(cols + un_b) == [0, 1, 2, 3, 4]
 
 
+class TestLazyIouFallback:
+    """associate computes the IOU matrix only when a tracklet and a box stay open."""
+
+    @pytest.fixture
+    def iou_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return detection.iou(a, b)
+
+        monkeypatch.setattr(association, "iou", counted)
+        return calls
+
+    def test_every_tracklet_matched_by_embedding_makes_no_iou_call(self, iou_calls):
+        trk = [tracklet(1, basis_vec(0)), tracklet(2, basis_vec(1))]
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 3)
+        es = EmbeddingSet(np.stack([basis_vec(1), basis_vec(2), basis_vec(0)]))
+        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        assert sorted(matches) == [(1, 2), (2, 0)]
+        assert un_t == [] and un_b == [1]
+        assert iou_calls == []
+
+    def test_every_box_matched_by_embedding_makes_no_iou_call(self, iou_calls):
+        trk = [tracklet(i + 1, basis_vec(i)) for i in range(3)]
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 2)
+        es = EmbeddingSet(np.stack([basis_vec(2), basis_vec(0)]))
+        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        assert sorted(matches) == [(1, 1), (3, 0)]
+        assert un_t == [2] and un_b == []
+        assert iou_calls == []
+
+    def test_open_pairs_make_one_iou_call_and_match_the_oracle(self, iou_calls):
+        rng = np.random.default_rng(5)
+        cfg = TrackerConfig(emb_match_thr=0.6, iou_match_thr=0.1)
+        fallbacks = 0
+        for trial in range(60):
+            n, m = rng.integers(1, 7, size=2)
+            trk_vecs = np.stack([unit(v) for v in rng.normal(size=(n, 4))])
+            box_vecs = np.stack([unit(v) for v in rng.normal(size=(m, 4))])
+            trk = [tracklet(i + 1, trk_vecs[i], *rng.uniform(0, 4, size=2))
+                   for i in range(n)]
+            boxes = Boxes.of([Box(cx=x, cy=y, w=2, h=2, score=1.0)
+                              for x, y in rng.uniform(0, 4, size=(m, 2))])
+            iou_calls.clear()
+            matches, _, _ = associate(trk, boxes, EmbeddingSet(box_vecs), cfg)
+
+            sims = trk_vecs.astype(np.float64) @ box_vecs.astype(np.float64).T
+            expected = greedy_oracle(sims, cfg.emb_match_thr)
+            rows = [i for i in range(n) if i not in {i for i, _ in expected}]
+            cols = [j for j in range(m) if j not in {j for _, j in expected}]
+            if rows and cols:
+                fallbacks += 1
+                ious = detection.iou(Boxes.of([t.last_box for t in trk]), boxes)
+                expected += [(rows[a], cols[b]) for a, b in
+                             greedy_oracle(ious[np.ix_(rows, cols)], cfg.iou_match_thr)]
+            assert len(iou_calls) == (1 if rows and cols else 0)
+            assert sorted((tid - 1, j) for tid, j in matches) == sorted(expected)
+        assert 0 < fallbacks < 60
+
+
 class TestUpdateTracklets:
     def test_removal_at_exactly_k_misses(self):
         cfg = TrackerConfig(retention_frames=30)
@@ -270,6 +367,50 @@ class TestUpdateTracklets:
                                      spawnable={1})
         assert len(new) == 1
         assert new[0].last_box.cx == 8
+
+
+@st.composite
+def update_inputs(draw):
+    """Tracklets, matched to unit or zero rows, and the config to update them with.
+
+    Tracklet embeddings span magnitudes 1e-30 to 1e30, and some are set to
+    cancel their row's blend, to zero or nearly so.
+    """
+    mode = draw(st.sampled_from(["updated", "first", "last"]))
+    momentum = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    k = draw(st.integers(1, 20))
+    unmatched = draw(st.integers(0, 3))
+    dim = draw(st.sampled_from([1, 2, 5, 12, 64, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    new = np.stack([unit(v) for v in rng.normal(size=(k, dim))])
+    new[draw(st.lists(st.integers(0, k - 1), max_size=3))] = 0.0
+    old = rng.normal(size=(k + unmatched, dim))
+    old *= 10.0 ** rng.uniform(-30, 30, size=(k + unmatched, 1))
+    old = old.astype(np.float32)
+    order = rng.permutation(k)                 # tracklet i matches box order[i]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=5)):
+        old[i] = -new[order[i]] * ((1.0 - momentum) / momentum if momentum else 1.0)
+    cfg = TrackerConfig(embedding_mode=mode, embedding_momentum=momentum)
+    return cfg, old, new, order
+
+
+class TestOnePassUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(update_inputs())
+    def test_matches_the_per_tracklet_update_bit_for_bit(self, inputs):
+        cfg, old, new, order = inputs
+        trk = [tracklet(i + 1, old[i]) for i in range(len(old))]
+        boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
+        matches = [(i + 1, int(j)) for i, j in enumerate(order)]
+        expected = [per_tracklet_update(old[i], new[j], cfg) for i, j in enumerate(order)]
+        active, _, _ = update_tracklets(trk, matches, boxes, EmbeddingSet(new),
+                                        cfg, next_id=len(trk) + 1, spawnable=set())
+        for t, want in zip(active, expected):
+            assert t.embedding.dtype == np.float32
+            assert t.embedding.tobytes() == want.tobytes()
+        for t in active[len(order):]:
+            assert t.embedding.tobytes() == old[t.id - 1].tobytes()
+            assert t.miss_count == 1
 
 
 class TestPipelineConfig:
@@ -403,6 +544,59 @@ class TestTrackerStep:
             born.extend(range(before, tracker.next_id))
         assert len(born) == len(set(born))
         assert born == sorted(born)
+
+
+@st.composite
+def emitted_boxes(draw):
+    """Boxes, the distinct indices a frame emits and their ids, and a stride."""
+    n = draw(st.integers(0, 8))
+    coord = st.floats(-1e6, 1e6)
+    size = st.floats(1e-6, 1e6)
+    score = st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-0.0, 0.0, 1.0, -1e-300]))
+    boxes = Boxes(*(draw(st.lists(s, min_size=n, max_size=n))
+                    for s in (coord, coord, size, size, score, st.booleans())))
+    cells = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=len(cells), max_size=len(cells)))
+    return boxes, cells, ids, draw(st.sampled_from([1, 4, 8]))
+
+
+class TestRowsFromArrays:
+    @given(emitted_boxes(), st.integers(1, 10**6))
+    def test_rows_match_the_per_box_rows_bit_for_bit(self, inputs, frame_index):
+        boxes, cells, ids, stride = inputs
+        rows = association._mot_rows(frame_index, ids, boxes,
+                                     np.array(cells, dtype=np.intp), stride)
+        expected = [to_mot_row(frame_index, tid, boxes[j], stride)
+                    for tid, j in zip(ids, cells)]
+        assert [row_bits(r) for r in rows] == [row_bits(r) for r in expected]
+
+    @pytest.mark.parametrize("stride", [1, 4, 8])
+    def test_step_rows_and_counters_match_the_per_box_rows(self, stride):
+        frames, _, _ = generate(small_scenario(frames=25, dropout_prob=0.3, seed=5,
+                                               stride=stride))
+        tracker = Tracker(PipelineConfig(stride=stride))
+        match = tracker._match
+        seen = {}
+
+        def spy(*args):
+            seen["out"] = out = match(*args)
+            return out
+
+        tracker._match = spy
+        rows_emitted = restored_emitted = 0
+        for frame in frames:
+            first_new_id = tracker.next_id
+            rows = tracker.step(frame)
+            d_final, _, matches, _ = seen["out"]
+            emitted = [(tid, d_final[j]) for tid, j in matches]
+            emitted += [(t.id, t.last_box) for t in tracker.tracklets if t.id >= first_new_id]
+            expected = [to_mot_row(frame.frame_index, tid, box, stride) for tid, box in emitted]
+            assert [row_bits(r) for r in rows] == [row_bits(r) for r in expected]
+            rows_emitted += len(expected)
+            restored_emitted += sum(box.restored for _, box in emitted)
+            assert (tracker.rows_emitted, tracker.restored_emitted) == (
+                rows_emitted, restored_emitted)
+        assert restored_emitted > 0
 
 
 class TestTrackerStepMemory:
