@@ -3,7 +3,8 @@
 Association runs in two greedy stages: cosine similarity between tracklet
 embeddings and candidate-box embeddings first, IOU against each tracklet's
 last box as a fallback for the leftovers, computed only when the first
-stage leaves both a tracklet and a box open. Matched tracklets refresh
+stage leaves both a tracklet and a box open. Each stage takes its pairs in
+one sweep over the matrix sorted once. Matched tracklets refresh
 their state, unmatched ones age out after a retention window, unmatched
 boxes spawn new identities from a monotone id counter.
 
@@ -11,7 +12,9 @@ The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units, built from the fused boxes' arrays. The tracklet
+in pixel units, built from the fused boxes' arrays. One IOU table over
+the decoded boxes a frame serves the base NMS, the transductive NMS and
+the fusion vote, which pick boxes by index into it. The tracklet
 embeddings are stacked once a frame, for the search, the first matching
 stage and the birth gate. There is deliberately no motion model:
 propagation by embedding search is the mechanism under test, and a motion
@@ -27,6 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import detection
 from .detection import (
     Box,
     Boxes,
@@ -176,22 +180,34 @@ def _greedy_matrix_match(
     """Repeatedly take the globally largest open entry at or above thr.
 
     Ties resolve to the first row-major occurrence, which keeps results
-    identical run to run.
+    identical run to run. NaN entries rank above every number, first
+    row-major, as np.argmax ranks them. One sort gives that order, and one
+    sweep takes each entry whose row and column are both still open; that
+    is the entry a repeated argmax over the open entries would take next.
     """
     pairs: list[tuple[int, int]] = []
     if not row_open or not col_open:
         return pairs
-    work = scores[np.ix_(row_open, col_open)].astype(np.float64)
-    rmap = list(row_open)
-    cmap = list(col_open)
-    while work.size:
-        flat = int(np.argmax(work))
-        i, j = divmod(flat, work.shape[1])
-        if work[i, j] < thr:
+    work = scores.take(row_open, axis=0).take(col_open, axis=1).astype(np.float64).ravel()
+    # A stable sort of -work puts ties in row-major order and NaNs last;
+    # moving the NaNs to the front gives np.argmax's order.
+    order = np.argsort(-work, kind="stable")
+    nans = np.count_nonzero(np.isnan(work))
+    if nans:
+        order = np.concatenate((order[-nans:], order[:-nans]))
+    width = len(col_open)
+    rows_free, cols_free = [True] * len(row_open), [True] * width
+    left = min(len(row_open), width)
+    for flat, value in zip(order.tolist(), work[order].tolist()):
+        if value < thr:
             break
-        pairs.append((rmap[i], cmap[j]))
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
+        i, j = divmod(flat, width)
+        if rows_free[i] and cols_free[j]:
+            pairs.append((row_open[i], col_open[j]))
+            rows_free[i] = cols_free[j] = False
+            left -= 1
+            if not left:
+                break
     return pairs
 
 
@@ -426,7 +442,9 @@ class Tracker:
         only at the cells that can give a box: where the detector score
         (for the basic set; public boxes replace it) or the propagated
         score (for the transductive set, when tracklets propagate) is at
-        or above the score threshold. Both NMS passes take that one set.
+        or above the score threshold. Both NMS passes take that one set,
+        and with the fusion vote they read one IOU table over it
+        (`_fused_detections`).
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
@@ -454,17 +472,8 @@ class Tracker:
         cells = np.flatnonzero(keep)
         decoded = decode_boxes(frame.prob, frame.boxes, p.decode_mode, p.h_scale, cells)
 
-        if public_mode:
-            d_base = _public_to_cells(public_dets, p.stride)
-        else:
-            d_base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr)
-        if m_p is None:
-            d_final = d_base
-        else:
-            d_trans = transductive_detections(
-                m_p, decoded, cells, p.score_thr, p.nms_iou_thr
-            )
-            d_final = fuse(d_trans, d_base, p.fusion_epsilon)
+        public = _public_to_cells(public_dets, p.stride) if public_mode else None
+        d_final = _fused_detections(decoded, cells, m_p, p, public)
 
         e_set = extract_embeddings(d_final, embed)
         # Shaped (tracklets, C) even with no tracklets: every box is then novel.
@@ -494,6 +503,42 @@ class Tracker:
                 j for j in spawnable if not (d_final.restored[j] or near[j])
             ]
         return d_final, e_set, matches, spawnable
+
+
+def _fused_detections(
+    decoded: Boxes,
+    cells: np.ndarray,
+    m_p: np.ndarray | None,
+    p: PipelineConfig,
+    public: Boxes | None = None,
+) -> Boxes:
+    """A frame's fused boxes: the basic detections, then the restored ones.
+
+    decoded holds the boxes of cells, the cells that some score threshold
+    keeps; m_p is the propagated map, or None when nothing propagates.
+    public, when given, replaces the base NMS. Up to NMS_BLOCK candidates,
+    one IOU table over decoded is built here, and the base NMS, the
+    transductive NMS and the fusion vote read it by index; past that, each
+    computes its own IOU per block. The vote against public boxes always
+    computes its own.
+    """
+    overlap = None
+    if len(decoded) <= detection.NMS_BLOCK and (public is None or m_p is not None):
+        overlap = iou(decoded, decoded)
+    if public is None:
+        base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr, overlap)
+        d_base = decoded[base]
+    else:
+        d_base = public
+    if m_p is None:
+        return d_base
+    trans = transductive_detections(m_p, decoded, cells, p.score_thr, p.nms_iou_thr, overlap)
+    d_trans = Boxes(decoded.cx[trans], decoded.cy[trans], decoded.w[trans], decoded.h[trans],
+                    m_p.reshape(-1)[cells[trans]])
+    vote = None
+    if overlap is not None and public is None:
+        vote = overlap.take(trans, axis=0).take(base, axis=1)
+    return fuse(d_trans, d_base, p.fusion_epsilon, vote)
 
 
 def track_sequence(

@@ -30,12 +30,15 @@ a flag or key that sets what the swept parameter sets on every run:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import logging
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -507,7 +510,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_track.add_argument("--out", required=True, help="output MOT results file")
     p_track.add_argument("--public", help="MOT det file replacing the detector output")
     _add_tracking_flags(p_track)
-    p_track.add_argument("--seed", type=int, help="unused; accepted for config symmetry")
     p_track.set_defaults(func=_cmd_track)
 
     p_eval = sub.add_parser("eval", help="score a results file against ground truth")
@@ -556,6 +558,48 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+# numpy's bundled OpenBLAS library and its thread-count calls.
+_OPENBLAS_LIBRARY = "libscipy_openblas*.so*"
+_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore the previous count.
+
+    The embedding search already splits a paper-scale grid between two
+    threads; with OpenBLAS at one thread per CPU, each of them asks for
+    more, and on a 2-CPU machine the search ran at half the speed. An
+    explicit OPENBLAS_NUM_THREADS is left as set, and so is a numpy whose
+    BLAS library does not export both thread-count calls.
+    """
+    calls = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_threads = calls
+    previous = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of numpy's loaded OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob(_OPENBLAS_LIBRARY)):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same handle
+        if hasattr(lib, _OPENBLAS_GET) and hasattr(lib, _OPENBLAS_SET):
+            get, set_threads = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser, commands = _build_parser()
@@ -566,7 +610,8 @@ def main(argv: list[str] | None = None) -> int:
             command.apply_config_file(args.config)
             args = parser.parse_args(argv)
         args.given = command.given(lambda: parser.parse_args(argv))
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

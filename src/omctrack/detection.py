@@ -10,6 +10,9 @@ image edge remain representable.
 Box sets are `Boxes`, one array per field; `Box` is the record for one box.
 Every overlap decision, from NMS to the metrics, reads one pairwise IOU
 kernel, which `iou` feeds grid boxes and `metrics.row_iou` pixel rows.
+`greedy_nms` returns the indices of the boxes it keeps and reads a
+caller's IOU table of its input when given one, so a tracker frame's two
+NMS passes and its fusion vote all read one table.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ DEFAULT_H_SCALE = 10.0  # boundary-aware offset scale, in cells
 DEFAULT_STRIDE = 8  # pixels per grid cell
 DECODE_MODES = ("bar", "sigmoid")
 # Candidates per greedy_nms block. The tracker's candidate sets (cells at or
-# above the score threshold) fit in one; a whole grid's boxes take one
-# (kept, NMS_BLOCK) and one (NMS_BLOCK, NMS_BLOCK) IOU matrix per block,
-# not one (n, n) matrix.
+# above the score threshold) fit in one, and up to this size the tracker
+# builds one (n, n) IOU table a frame for both NMS passes and the fusion
+# vote. Without a table, a whole grid's boxes take one (kept, NMS_BLOCK)
+# and one (NMS_BLOCK, NMS_BLOCK) IOU matrix per block, not one (n, n)
+# matrix.
 NMS_BLOCK = 256
 
 _FIELDS = ("cx", "cy", "w", "h", "score", "restored")  # of Box and of Boxes
@@ -81,12 +86,18 @@ class Boxes:
     restored: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in _FIELDS[:-1]:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.restored is None:
-            self.restored = np.zeros(self.cx.shape, dtype=bool)
-        self.restored = np.asarray(self.restored, dtype=bool)
-        if self.cx.ndim != 1 or any(a.shape != self.cx.shape for a in self._columns()):
+        # Unrolled: the same casts and checks as a loop over the fields,
+        # in fewer calls, since the tracker builds a few Boxes a frame.
+        cx = self.cx = np.asarray(self.cx, dtype=np.float64)
+        cy = self.cy = np.asarray(self.cy, dtype=np.float64)
+        w = self.w = np.asarray(self.w, dtype=np.float64)
+        h = self.h = np.asarray(self.h, dtype=np.float64)
+        score = self.score = np.asarray(self.score, dtype=np.float64)
+        shape = cx.shape
+        restored = self.restored = (np.zeros(shape, dtype=bool) if self.restored is None
+                                    else np.asarray(self.restored, dtype=bool))
+        if (len(shape) != 1 or cy.shape != shape or w.shape != shape
+                or h.shape != shape or score.shape != shape or restored.shape != shape):
             raise ValueError("box fields must be 1-d arrays of one length")
 
     def _columns(self) -> tuple[np.ndarray, ...]:
@@ -108,9 +119,6 @@ class Boxes:
     def of(cls, boxes: list[Box]) -> "Boxes":
         """Pack a list of Box records into arrays."""
         return cls(*([getattr(b, name) for b in boxes] for name in _FIELDS))
-
-    def concat(self, other: "Boxes") -> "Boxes":
-        return Boxes(*map(np.concatenate, zip(self._columns(), other._columns())))
 
 
 def decode_offset_sigmoid(raw):
@@ -227,46 +235,71 @@ def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _edges(boxes: Boxes) -> np.ndarray:
     hw, hh = boxes.w / 2.0, boxes.h / 2.0
-    return np.stack([boxes.cx - hw, boxes.cy - hh, boxes.cx + hw, boxes.cy + hh,
-                     boxes.w * boxes.h])
+    edges = np.empty((5, len(boxes)))
+    np.subtract(boxes.cx, hw, out=edges[0])
+    np.subtract(boxes.cy, hh, out=edges[1])
+    np.add(boxes.cx, hw, out=edges[2])
+    np.add(boxes.cy, hh, out=edges[3])
+    np.multiply(boxes.w, boxes.h, out=edges[4])
+    return edges
 
 
 def iou(a: Boxes, b: Boxes) -> np.ndarray:
     """(len(a), len(b)) matrix of intersection over union, each in [0, 1].
 
     Pairs without a positive-width, positive-height overlap, or with a
-    union <= 0, read 0.
+    union <= 0, read 0. iou(a, a) computes a's edges once.
     """
-    return _edge_iou(_edges(a), _edges(b))
+    edges = _edges(a)
+    return _edge_iou(edges, edges if b is a else _edges(b))
 
 
 def greedy_nms(
     boxes: Boxes,
     score_thr: float = DEFAULT_SCORE_THR,
     iou_thr: float = DEFAULT_IOU_THR,
-) -> Boxes:
+    overlap: np.ndarray | None = None,
+    *,
+    scores: np.ndarray | None = None,
+) -> np.ndarray:
     """Threshold by score, then greedily keep maxima and drop overlaps.
 
-    Boxes scoring below score_thr are discarded; the survivor set is built
-    by repeatedly keeping the highest-scoring candidate and suppressing
-    every remaining box whose IOU with it exceeds iou_thr. Ties in score
-    resolve in input order. Output is score-descending. The candidates go
-    in blocks of NMS_BLOCK: one IOU matrix against the boxes kept from
-    earlier blocks, and one within the block, which a loop over the block
-    reads in order.
+    Returns the indices into boxes of the kept boxes, score-descending, as
+    torchvision.ops.nms does. Boxes scoring below score_thr are discarded;
+    the survivor set is built by repeatedly keeping the highest-scoring
+    candidate and suppressing every remaining box whose IOU with it exceeds
+    iou_thr. Ties in score resolve in input order. scores, when given,
+    rank the boxes in place of boxes.score.
+
+    overlap is iou(boxes, boxes) when the caller already holds it (a
+    cache, not an option): the loop then reads its entries, which are the
+    values it would compute. Without it, the candidates go in blocks of
+    NMS_BLOCK: one IOU matrix against the boxes kept from earlier blocks,
+    and one within the block, which a loop over the block reads in order.
     """
-    above = np.flatnonzero(boxes.score >= score_thr)
-    candidates = boxes[above[np.argsort(-boxes.score[above], kind="stable")]]
-    edges = _edges(candidates)
+    score = boxes.score if scores is None else np.asarray(scores, dtype=np.float64)
+    if score.shape != boxes.score.shape:
+        raise ValueError(f"{score.shape} scores for {len(boxes)} boxes")
+    above = np.flatnonzero(score >= score_thr)
+    order = above[np.argsort(-score[above], kind="stable")]
+    if overlap is None:
+        edges = _edges(boxes[order])
+
+        def pair_iou(rows, cols):
+            return _edge_iou(edges[:, rows], edges[:, cols])
+    else:
+        def pair_iou(rows, cols):
+            return overlap.take(order[rows], axis=0).take(order[cols], axis=1)
+
     kept: list[int] = []
-    for start in range(0, len(candidates), NMS_BLOCK):
-        block = edges[:, start:start + NMS_BLOCK]
-        alive = np.ones(block.shape[1], dtype=bool)
+    for start in range(0, len(order), NMS_BLOCK):
+        block = slice(start, min(start + NMS_BLOCK, len(order)))
+        alive = np.ones(block.stop - start, dtype=bool)
         if kept:
-            alive &= (_edge_iou(edges[:, kept], block) <= iou_thr).all(axis=0)
-        ok = _edge_iou(block, block) <= iou_thr
+            alive &= (pair_iou(kept, block) <= iou_thr).all(axis=0)
+        ok = pair_iou(block, block) <= iou_thr
         for i in range(len(alive)):
             if alive[i]:
                 kept.append(start + i)
                 alive[i + 1:] &= ok[i, i + 1:]
-    return candidates[kept]
+    return order[kept]

@@ -11,10 +11,11 @@ the first halves and one worker thread the second. Each map is shrunk to
 a window around its peak (look-alike objects elsewhere produce spurious
 highs), the masked maps are summed into one aggregate, and an optional
 learned refinement mixes the visual feature back in to filter false
-positives. Swapping the refined map in as the score array of the boxes
-decoded at the cells where it reaches the score threshold, and running
-NMS, produces the transductive detections that can restore targets the
-detector scored as background.
+positives. Ranking the boxes decoded at the cells where the refined map
+reaches the score threshold by that map, and running NMS over them, picks
+the transductive detections (as indices into the decoded boxes, read
+against the frame's one IOU table when the tracker holds it) that can
+restore targets the detector scored as background.
 
 `cross_correlate` normalizes the grid cells; templates must be unit-length
 or zero. So all responses are cosine similarities and the shrink threshold
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -436,15 +437,18 @@ def transductive_detections(
     cells: np.ndarray,
     score_thr: float,
     iou_thr: float,
-) -> Boxes:
+    overlap: np.ndarray | None = None,
+) -> np.ndarray:
     """Re-score decoded grid boxes with the propagated map and run NMS.
 
     boxes is decode_boxes(..., cells) for the same frame: the box of each
     cell in cells, ascending row-major indices into m_p. Geometry is kept,
-    only the score array is replaced by the map values at those cells.
-    Only cells whose m_p value is at or above score_thr can give a
-    detection, so the tracker decodes no cell below it; any cell left out
-    of cells gives none.
+    only the scores are replaced by the map values at those cells.
+    Returns the indices into boxes of the transductive detections,
+    score-descending by those map values, as greedy_nms does; overlap is
+    iou(boxes, boxes) when the caller holds it. Only cells whose m_p value
+    is at or above score_thr can give a detection, so the tracker decodes
+    no cell below it; any cell left out of cells gives none.
     """
     m_p = np.asarray(m_p)
     if m_p.ndim != 2:
@@ -454,4 +458,4 @@ def transductive_detections(
         raise ValueError(f"box count {len(boxes)} != cell count {len(cells)}")
     if len(cells) and not (0 <= cells.min() and cells.max() < m_p.size):
         raise ValueError(f"cells must lie within the map's {m_p.size} cells")
-    return greedy_nms(replace(boxes, score=m_p.reshape(-1)[cells]), score_thr, iou_thr)
+    return greedy_nms(boxes, score_thr, iou_thr, overlap, scores=m_p.reshape(-1)[cells])

@@ -235,7 +235,7 @@ def test_criterion_9_determinism(tmp_path):
     for name in ("run1.txt", "run2.txt"):
         out = tmp_path / name
         assert main(["track", "--container", str(container),
-                     "--out", str(out), "--seed", "9"]) == 0
+                     "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 0

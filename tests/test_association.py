@@ -1,4 +1,7 @@
 import logging
+import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from omctrack.association import (
     track_sequence,
     update_tracklets,
 )
-from omctrack.detection import Box, Boxes
+from omctrack.detection import Box, Boxes, iou
 from omctrack.frame_io import MotBox
 from omctrack.numerics import l2_normalize
 from omctrack.recheck import EmbeddingSet, RefineWeights
@@ -750,3 +753,205 @@ class TestFrameValuePolicy:
         with pytest.raises(exc, match="kernel fault"):
             tracker.step(frames[1])
         assert [(t.id, t.miss_count, t.last_box) for t in tracker.tracklets] == before
+
+
+# The per-frame chain before the overlap table, kept as the oracle: each
+# stage built its own edges, IOU matrices and Boxes.
+
+
+def old_edges(boxes):
+    hw, hh = boxes.w / 2.0, boxes.h / 2.0
+    return np.stack([boxes.cx - hw, boxes.cy - hh, boxes.cx + hw, boxes.cy + hh,
+                     boxes.w * boxes.h])
+
+
+def old_greedy_nms(boxes, score_thr, iou_thr):
+    """Boxes-level greedy NMS: the kept boxes, score-descending."""
+    above = np.flatnonzero(boxes.score >= score_thr)
+    candidates = boxes[above[np.argsort(-boxes.score[above], kind="stable")]]
+    edges = old_edges(candidates)
+    kept = []
+    for start in range(0, len(candidates), detection.NMS_BLOCK):
+        block = edges[:, start:start + detection.NMS_BLOCK]
+        alive = np.ones(block.shape[1], dtype=bool)
+        if kept:
+            alive &= (detection._edge_iou(edges[:, kept], block) <= iou_thr).all(axis=0)
+        ok = detection._edge_iou(block, block) <= iou_thr
+        for i in range(len(alive)):
+            if alive[i]:
+                kept.append(start + i)
+                alive[i + 1:] &= ok[i, i + 1:]
+    return candidates[kept]
+
+
+def old_fuse(d_trans, d_base, epsilon):
+    if not len(d_base):
+        targetness = np.ones(len(d_trans))
+    else:
+        targetness = 1.0 - detection._edge_iou(old_edges(d_trans), old_edges(d_base)).max(axis=1)
+    voted = d_trans[targetness >= epsilon]
+    voted = replace(voted, restored=np.ones(len(voted), dtype=bool))
+    return Boxes(*map(np.concatenate, zip(d_base._columns(), voted._columns())))
+
+
+def old_chain(decoded, cells, m_p, p, public=None):
+    d_base = old_greedy_nms(decoded, p.score_thr, p.nms_iou_thr) if public is None else public
+    if m_p is None:
+        return d_base
+    rescored = replace(decoded, score=m_p.reshape(-1)[cells])
+    d_trans = old_greedy_nms(rescored, p.score_thr, p.nms_iou_thr)
+    return old_fuse(d_trans, d_base, p.fusion_epsilon)
+
+
+def same_boxes(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("cx", "cy", "w", "h", "score", "restored"))
+
+
+GRID = 7
+TIED = [0.0, 0.3, 0.5, 0.5, 0.7, 0.9, 0.9, 1.0]
+# Zero, negative and infinite sizes make the IOU read 0 or NaN.
+ODD_SIZE = st.one_of(st.sampled_from([0.0, -1.0, math.inf, 1.5, 2.0]),
+                     st.floats(min_value=0.1, max_value=4.0))
+
+
+@st.composite
+def frame_candidates(draw, public=False):
+    """Decoded boxes at ascending cells of a 7x7 map, a map, settings, public boxes."""
+    cells = np.array(sorted(draw(st.sets(st.integers(0, GRID * GRID - 1), max_size=40))),
+                     dtype=np.intp)
+    n = len(cells)
+    coord = st.floats(min_value=0.0, max_value=float(GRID))
+    decoded = Boxes(*(draw(st.lists(field, min_size=n, max_size=n))
+                      for field in (coord, coord, ODD_SIZE, ODD_SIZE, st.sampled_from(TIED))))
+    m_p = draw(st.none() | st.lists(st.sampled_from(TIED), min_size=GRID * GRID,
+                                    max_size=GRID * GRID))
+    m_p = None if m_p is None else np.array(m_p, np.float32).reshape(GRID, GRID)
+    # Thresholds on and one step either side of an IOU the frame holds, so
+    # every comparison of a table entry meets its boundary cases.
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = iou(decoded, decoded)[~np.eye(n, dtype=bool)]
+    x = draw(st.sampled_from(sorted(set(values[np.isfinite(values)].tolist())) or [0.5]))
+    near = [x, float(np.nextafter(x, -1.0)), float(np.nextafter(x, 2.0))]
+    clip = [min(max(v, 0.0), 1.0) for v in near + [1.0 - v for v in near]]
+    p = PipelineConfig(score_thr=draw(st.sampled_from([0.3, 0.5, 0.7])),
+                       nms_iou_thr=draw(st.sampled_from([0.0, 0.45, 1.0] + clip[:3])),
+                       fusion_epsilon=draw(st.sampled_from([0.0, 0.5, 1.0] + clip[3:])))
+    boxes = None
+    if public:
+        records = draw(st.lists(st.builds(Box, cx=coord, cy=coord,
+                                          w=st.floats(0.5, 4.0), h=st.floats(0.5, 4.0),
+                                          score=st.sampled_from(TIED)), max_size=6))
+        boxes = Boxes.of(records)
+    return decoded, cells, m_p, p, boxes
+
+
+class TestOverlapTableChain:
+    """One IOU table a frame gives the fused boxes of the per-stage chain, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, detection.NMS_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(frame_candidates())
+    def test_private_mode(self, block, inputs):
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(detection, "NMS_BLOCK", block):
+            assert same_boxes(association._fused_detections(*inputs), old_chain(*inputs))
+
+    @pytest.mark.parametrize("block", [1, 7, detection.NMS_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(frame_candidates(public=True))
+    def test_public_mode(self, block, inputs):
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(detection, "NMS_BLOCK", block):
+            assert same_boxes(association._fused_detections(*inputs), old_chain(*inputs))
+
+    def test_empty_base_set(self):
+        # No detector score reaches the threshold: every propagated box is restored.
+        cells = np.arange(6, dtype=np.intp)
+        decoded = Boxes(cx=[0.5, 1.5, 2.5, 3.5, 4.5, 5.5], cy=[0.5] * 6, w=[1.5] * 6,
+                        h=[1.0] * 6, score=[0.2] * 6)
+        m_p = np.zeros((GRID, GRID), np.float32)
+        m_p[0, :6] = [0.9, 0.9, 0.6, 0.8, 0.1, 0.7]
+        p = PipelineConfig()
+        got = association._fused_detections(decoded, cells, m_p, p)
+        assert same_boxes(got, old_chain(decoded, cells, m_p, p))
+        assert len(got) > 0 and got.restored.all()
+
+    @pytest.mark.parametrize("step, restored", [(0, True), (1, False)])
+    def test_vote_on_its_boundary(self, step, restored):
+        # One basic box (cell 0) and one transductive box (cell 1) with IOU
+        # 1/3: targetness 2/3 is restored at epsilon 2/3, not one step above.
+        cells = np.array([0, 1], dtype=np.intp)
+        decoded = Boxes(cx=[1.0, 2.0], cy=[1.0, 1.0], w=[2.0, 2.0], h=[2.0, 2.0],
+                        score=[0.9, 0.1])
+        m_p = np.zeros((GRID, GRID), np.float32)
+        m_p[0, :2] = [0.1, 0.9]
+        tie = 1.0 - float(iou(decoded[[0]], decoded[[1]])[0, 0])
+        p = PipelineConfig(fusion_epsilon=float(np.nextafter(tie, 2.0)) if step else tie)
+        got = association._fused_detections(decoded, cells, m_p, p)
+        assert same_boxes(got, old_chain(decoded, cells, m_p, p))
+        assert got.restored.tolist() == ([False, True] if restored else [False])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tracker_rows_without_the_table(self, monkeypatch, block):
+        # A small NMS_BLOCK makes every stage compute its own IOU per block.
+        frames, _, _ = generate(ScenarioConfig(num_targets=3, height=12, width=12,
+                                               frames=20, dropout_prob=0.4, seed=0))
+        want, _ = track_sequence(frames)
+        monkeypatch.setattr(detection, "NMS_BLOCK", block)
+        got, tracker = track_sequence(frames)
+        assert got == want
+        assert tracker.restored_emitted > 0
+
+
+def argmax_match_oracle(scores, thr, row_open, col_open):
+    """The argmax-per-match loop that the sorted sweep replaced."""
+    pairs = []
+    if not row_open or not col_open:
+        return pairs
+    work = scores[np.ix_(row_open, col_open)].astype(np.float64)
+    rmap = list(row_open)
+    cmap = list(col_open)
+    while work.size:
+        flat = int(np.argmax(work))
+        i, j = divmod(flat, work.shape[1])
+        if work[i, j] < thr:
+            break
+        pairs.append((rmap[i], cmap[j]))
+        work[i, :] = -np.inf
+        work[:, j] = -np.inf
+    return pairs
+
+
+# Ties, NaN (an IOU of infinite-size boxes), infinities and both zeros.
+MATCH_VALUE = st.one_of(
+    st.sampled_from([math.nan, -math.inf, math.inf, -0.0, 0.0, 0.5, 0.6, 0.6, 1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@st.composite
+def match_problems(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = draw(st.lists(MATCH_VALUE, min_size=rows * cols, max_size=rows * cols))
+    scores = np.array(values, dtype=np.float64).reshape(rows, cols)
+    row_open = sorted(draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)))
+    col_open = sorted(draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)))
+    return scores, draw(st.sampled_from([0.0, 0.5, 0.6, 1.0])), row_open, col_open
+
+
+class TestSortedSweepMatch:
+    @settings(max_examples=400)
+    @given(match_problems())
+    def test_same_pairs_as_the_argmax_loop(self, problem):
+        assert association._greedy_matrix_match(*problem) == argmax_match_oracle(*problem)
+
+    def test_nan_entries_first_in_row_major_order(self):
+        scores = np.array([[0.9, math.nan], [math.nan, 1.0], [math.nan, 0.2]])
+        got = association._greedy_matrix_match(scores, 0.5, [0, 1, 2], [0, 1])
+        assert got == [(0, 1), (1, 0)] == argmax_match_oracle(scores, 0.5, [0, 1, 2], [0, 1])
+
+    def test_ties_row_major(self):
+        scores = np.full((3, 3), 0.7)
+        got = association._greedy_matrix_match(scores, 0.6, [0, 1, 2], [0, 1, 2])
+        assert got == [(0, 0), (1, 1), (2, 2)]

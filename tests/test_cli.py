@@ -171,7 +171,7 @@ class TestTrackCommand:
         for path in (a, b):
             code, _, _ = run(
                 capsys, "track", "--container", str(scenario["container"]),
-                "--out", str(path), "--seed", "0",
+                "--out", str(path),
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
@@ -568,6 +568,20 @@ class TestParserBehaviour:
         code, _, err = run(capsys, "track", "--frobnicate")
         assert code == 1
 
+    def test_track_seed_is_usage_error_naming_the_flag(self, scenario, tmp_path, capsys):
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--seed", "3")
+        assert code == 1
+        assert "--seed" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\n")
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:1: unknown key 'seed'" in err
+        assert not results.exists()
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
@@ -610,3 +624,82 @@ class TestParserBehaviour:
             "--out", str(tmp_path / "r.txt"),
         )
         assert code == 0
+
+
+class TestBlasThreads:
+    """While a command runs, numpy's OpenBLAS is held at one thread."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        calls = cli._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_threads = calls
+        before = get()
+        set_threads(2)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        seen = []
+
+        def command(args):
+            seen.append(get())
+            return cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "_cmd_gradcheck", command)
+        yield get, seen
+        set_threads(before)
+
+    def test_one_thread_while_the_command_runs(self, blas, capsys):
+        get, seen = blas
+        assert run(capsys, "gradcheck")[0] == 0
+        assert seen == [1]
+        assert get() == 2
+
+    def test_count_restored_when_the_command_fails(self, blas, monkeypatch, capsys):
+        get, seen = blas
+
+        def failing(args):
+            seen.append(get())
+            raise ValueError("bad data")
+
+        monkeypatch.setattr(cli, "_cmd_gradcheck", failing)
+        assert run(capsys, "gradcheck")[0] == cli.EXIT_DATA
+        assert seen == [1]
+        assert get() == 2
+
+    def test_explicit_setting_left_alone(self, blas, monkeypatch, capsys):
+        get, seen = blas
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run(capsys, "gradcheck")[0] == 0
+        assert seen == [2]
+
+    def test_missing_symbol_does_nothing(self, blas, monkeypatch, capsys):
+        get, seen = blas
+        monkeypatch.setattr(cli, "_OPENBLAS_SET", "no_such_symbol")
+        assert cli._openblas_thread_calls() is None
+        assert run(capsys, "gradcheck")[0] == 0
+        assert seen == [2]
+
+    def test_track_subprocess_runs_on_one_thread(self, scenario, tmp_path):
+        # omctrack track as users run it, in a fresh interpreter.
+        script = (
+            "import sys\n"
+            "from omctrack import association, cli\n"
+            "get, _ = cli._openblas_thread_calls()\n"
+            "step = association.Tracker.step\n"
+            "def counted(self, frame, *rest):\n"
+            "    print('blas_threads', get(), file=sys.stderr)\n"
+            "    return step(self, frame, *rest)\n"
+            "association.Tracker.step = counted\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", script, "track", "--container",
+                str(scenario["container"]), "--out", str(tmp_path / "r.txt")]
+        for extra, want in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+            done = subprocess.run(argv, env={**env, **extra}, capture_output=True,
+                                  text=True, check=True)
+            counts = {line.split()[1] for line in done.stderr.splitlines()
+                      if line.startswith("blas_threads")}
+            assert counts == {want}

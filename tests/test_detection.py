@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from omctrack import detection
 from omctrack.detection import (
@@ -69,6 +71,12 @@ def random_boxes(rng, n):
         )
         for _ in range(n)
     ]
+
+
+coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+odd_size = st.one_of(st.sampled_from([0.0, -1.0, math.inf, 1.0, 2.0]),
+                     st.floats(min_value=0.0, max_value=8.0))
+tied_score = st.sampled_from([0.0, 0.3, 0.5, 0.5, 0.9, 0.9, 1.0])
 
 
 class TestOffsetDecoders:
@@ -211,17 +219,23 @@ class TestIou:
             assert 0.0 <= pair_iou(a, b) <= 1.0
 
 
+def kept_boxes(boxes, score_thr, iou_thr, **kwargs):
+    """greedy_nms's kept boxes as Box records, in the order it returns them."""
+    packed = Boxes.of(boxes)
+    return list(packed[greedy_nms(packed, score_thr, iou_thr, **kwargs)])
+
+
 class TestGreedyNms:
     def test_single_box(self):
         b = Box(cx=1, cy=1, w=1, h=1, score=0.9)
-        assert list(greedy_nms(Boxes.of([b]), 0.5, 0.45)) == [b]
+        assert kept_boxes([b], 0.5, 0.45) == [b]
 
     def test_empty(self):
-        assert list(greedy_nms(Boxes.of([]), 0.5, 0.45)) == []
+        assert kept_boxes([], 0.5, 0.45) == []
 
     def test_below_threshold_dropped(self):
         b = Box(cx=1, cy=1, w=1, h=1, score=0.4)
-        assert list(greedy_nms(Boxes.of([b]), 0.5, 0.45)) == []
+        assert kept_boxes([b], 0.5, 0.45) == []
 
     @pytest.mark.parametrize("block", [1, 7, detection.NMS_BLOCK])
     def test_matches_oracle_on_random_instances(self, monkeypatch, block):
@@ -229,14 +243,14 @@ class TestGreedyNms:
         rng = np.random.default_rng(4)
         for _ in range(20):
             boxes = random_boxes(rng, 50)
-            got = list(greedy_nms(Boxes.of(boxes), 0.3, 0.45))
+            got = kept_boxes(boxes, 0.3, 0.45)
             want = nms_oracle(boxes, 0.3, 0.45)
             assert got == want
 
     def test_output_properties(self):
         rng = np.random.default_rng(5)
         boxes = random_boxes(rng, 80)
-        kept = list(greedy_nms(Boxes.of(boxes), 0.2, 0.4))
+        kept = kept_boxes(boxes, 0.2, 0.4)
         scores = [b.score for b in kept]
         assert scores == sorted(scores, reverse=True)
         for b in kept:
@@ -244,6 +258,57 @@ class TestGreedyNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
                 assert pair_iou(a, b) <= 0.4
+
+
+class TestNmsIndices:
+    """greedy_nms returns indices into its input, and reads a caller's table."""
+
+    def test_indices_are_intp_and_score_descending(self):
+        boxes = Boxes.of(random_boxes(np.random.default_rng(7), 40))
+        kept = greedy_nms(boxes, 0.3, 0.45)
+        assert kept.dtype == np.intp
+        assert len(set(kept.tolist())) == len(kept)
+        assert (np.diff(boxes.score[kept]) <= 0).all()
+        assert greedy_nms(Boxes.of([]), 0.5, 0.45).dtype == np.intp
+
+    @pytest.mark.parametrize("block", [1, 7, detection.NMS_BLOCK])
+    @settings(max_examples=60)
+    @given(st.lists(st.builds(Box, cx=coord, cy=coord, w=odd_size, h=odd_size,
+                              score=tied_score), max_size=24),
+           st.sampled_from([0.0, 0.3, 0.5]), st.sampled_from([0.0, 0.45, 1.0]))
+    def test_table_gives_the_computed_result(self, block, records, score_thr, iou_thr):
+        # Zero, negative and infinite sizes make the IOU read 0 or NaN.
+        boxes = Boxes.of(records)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(detection, "NMS_BLOCK", block):
+            table = iou(boxes, boxes)
+            got = greedy_nms(boxes, score_thr, iou_thr, table)
+            want = greedy_nms(boxes, score_thr, iou_thr)
+        assert got.tolist() == want.tolist()
+
+    def test_scores_rank_in_place_of_box_scores(self):
+        records = random_boxes(np.random.default_rng(8), 30)
+        rescored = np.random.default_rng(9).uniform(0, 1, 30).astype(np.float32)
+        boxes = Boxes.of(records)
+        want = kept_boxes([Box(b.cx, b.cy, b.w, b.h, float(s))
+                           for b, s in zip(records, rescored)], 0.3, 0.45)
+        got = greedy_nms(boxes, 0.3, 0.45, scores=rescored)
+        assert [(b.cx, b.cy, b.w, b.h, b.score) for b in want] == [
+            (boxes.cx[k], boxes.cy[k], boxes.w[k], boxes.h[k], float(rescored[k]))
+            for k in got]
+
+    def test_score_count_checked(self):
+        boxes = Boxes.of(random_boxes(np.random.default_rng(8), 3))
+        with pytest.raises(ValueError, match="scores for 3 boxes"):
+            greedy_nms(boxes, 0.3, 0.45, scores=np.ones(4))
+
+    def test_float32_scores_compared_in_float64(self):
+        # float32(0.7) lies below 0.7; a float32 comparison would round the
+        # threshold to it and keep the box.
+        b = Box(cx=1, cy=1, w=1, h=1, score=1.0)
+        score = np.array([0.7], np.float32)
+        assert float(score[0]) < 0.7
+        assert greedy_nms(Boxes.of([b]), 0.7, 0.45, scores=score).tolist() == []
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -290,7 +355,6 @@ class TestSubsetDecode:
             decode_boxes(prob, raw, "bar", cells=np.array([0]))
 
 
-coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 size = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 box_strategy = st.builds(Box, cx=coord, cy=coord, w=size, h=size,
                          score=st.just(1.0))
@@ -339,6 +403,33 @@ class TestBoxes:
     def test_mismatched_field_lengths_rejected(self):
         with pytest.raises(ValueError, match="one length"):
             Boxes(cx=[0.0, 1.0], cy=[0.0], w=[1.0], h=[1.0], score=[1.0])
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "score", "restored"])
+    @pytest.mark.parametrize("bad", [[1.0], [[1.0, 1.0]], 1.0], ids=["short", "2-d", "scalar"])
+    def test_each_field_checked(self, field, bad):
+        fields = dict(cx=[0.0, 1.0], cy=[0.0, 1.0], w=[1.0, 1.0], h=[1.0, 1.0],
+                      score=[1.0, 1.0], restored=[False, True])
+        fields[field] = bad
+        with pytest.raises(ValueError, match="one length"):
+            Boxes(**fields)
+
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h", "score"])
+    def test_non_numeric_field_rejected(self, field):
+        fields = dict(cx=[0.0], cy=[0.0], w=[1.0], h=[1.0], score=[1.0])
+        fields[field] = ["wide"]
+        with pytest.raises(ValueError):
+            Boxes(**fields)
+
+    def test_all_2d_fields_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            Boxes(*([[1.0]] for _ in range(5)))
+
+    def test_fields_cast(self):
+        boxes = Boxes(cx=[1], cy=np.float32([2]), w=[3], h=[4], score=[1], restored=[1])
+        assert [getattr(boxes, f).dtype for f in ("cx", "cy", "w", "h", "score")] == \
+            [np.float64] * 5
+        assert boxes.restored.dtype == bool and boxes.restored.tolist() == [True]
+        assert Boxes.of([]).restored.dtype == bool
 
     def test_decode_matches_scalar_offset_helpers(self):
         rng = np.random.default_rng(6)

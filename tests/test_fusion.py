@@ -92,3 +92,26 @@ class TestFuse:
             for eps in np.linspace(0.0, 1.0, 11)
         ]
         assert sizes == sorted(sizes, reverse=True)
+
+
+class TestGivenOverlap:
+    """fuse and targetness_score read a caller's IOU matrix as they would compute it."""
+
+    def test_same_arrays_as_computed(self):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            base = Boxes.of([box(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(4)])
+            trans = Boxes.of([box(rng.uniform(0, 12), rng.uniform(0, 12), score=0.7)
+                              for _ in range(12)])
+            eps = float(rng.uniform(0, 1))
+            want = fuse(trans, base, eps)
+            got = fuse(trans, base, eps, iou(trans, base))
+            for name in ("cx", "cy", "w", "h", "score", "restored"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert targetness_score(trans, base, iou(trans, base)).tobytes() == \
+                targetness_score(trans, base).tobytes()
+
+    def test_basic_boxes_keep_their_restored_flags(self):
+        base = Boxes.of([Box(0.0, 0.0, 2.0, 2.0, 1.0, restored=True), box(9, 9)])
+        fused = fuse(Boxes.of([box(4, 4)]), base, 0.5)
+        assert fused.restored.tolist() == [True, False, True]

@@ -12,7 +12,7 @@ import pytest
 
 from omctrack import numerics, recheck
 from omctrack.association import PipelineConfig, Tracker, extract_embeddings
-from omctrack.detection import Box, Boxes, decode_boxes
+from omctrack.detection import Box, Boxes, decode_boxes, iou
 from omctrack.frame_io import (
     ContainerFormatError,
     FrameContainer,
@@ -520,12 +520,26 @@ class TestTransductiveDetections:
         m_p[1, 2] = 0.9
         whole = self.grid_boxes(4, 4, None)
         for cells in (np.arange(16), np.flatnonzero(m_p >= 0.5)):
-            (got,) = transductive_detections(
-                m_p, self.grid_boxes(4, 4, cells), cells, 0.5, 0.45
-            )
+            boxes = self.grid_boxes(4, 4, cells)
+            (k,) = transductive_detections(m_p, boxes, cells, 0.5, 0.45)
+            got = boxes[int(k)]
             source = whole[1 * 4 + 2]
+            assert cells[k] == 1 * 4 + 2
             assert (got.cx, got.cy, got.w, got.h) == (source.cx, source.cy, source.w, source.h)
-            assert abs(got.score - 0.9) < 1e-6
+            assert abs(m_p.reshape(-1)[cells[k]] - 0.9) < 1e-6
+
+    def test_table_gives_the_computed_result(self):
+        rng = np.random.default_rng(3)
+        prob = np.zeros((9, 9, 1), dtype=np.float32)
+        raw = rng.normal(0, 1, (9, 9, 4)).astype(np.float32)
+        m_p = rng.uniform(0, 1, (9, 9)).astype(np.float32)
+        cells = np.flatnonzero(m_p >= 0.4)
+        boxes = decode_boxes(prob, raw, "bar", cells=cells)
+        want = transductive_detections(m_p, boxes, cells, 0.4, 0.3)
+        got = transductive_detections(m_p, boxes, cells, 0.4, 0.3, iou(boxes, boxes))
+        assert len(want) > 1
+        assert got.tolist() == want.tolist()
+        assert (np.diff(m_p.reshape(-1)[cells[want]]) <= 0).all()
 
     def test_count_mismatch_rejected(self):
         cells = np.arange(16)
