@@ -12,13 +12,13 @@ The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units, built from the fused boxes' arrays. One IOU table over
-the decoded boxes a frame serves the base NMS, the transductive NMS and
-the fusion vote, which pick boxes by index into it. The tracklet
-embeddings are stacked once a frame, for the search, the first matching
-stage and the birth gate. There is deliberately no motion model:
-propagation by embedding search is the mechanism under test, and a motion
-prior would mask its contribution.
+in pixel units, built from the fused boxes' arrays. When the base NMS,
+the transductive NMS and the fusion vote all run over the decoded boxes,
+one IOU table over them a frame serves the three, which pick boxes by
+index into it. The tracklet embeddings are stacked once a frame, for the
+search, the first matching stage and the birth gate. There is
+deliberately no motion model: propagation by embedding search is the
+mechanism under test, and a motion prior would mask its contribution.
 """
 
 from __future__ import annotations
@@ -443,8 +443,8 @@ class Tracker:
         (for the basic set; public boxes replace it) or the propagated
         score (for the transductive set, when tracklets propagate) is at
         or above the score threshold. Both NMS passes take that one set,
-        and with the fusion vote they read one IOU table over it
-        (`_fused_detections`).
+        and with the fusion vote they read one IOU table over it when all
+        three run (`_fused_detections`).
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
@@ -516,14 +516,13 @@ def _fused_detections(
 
     decoded holds the boxes of cells, the cells that some score threshold
     keeps; m_p is the propagated map, or None when nothing propagates.
-    public, when given, replaces the base NMS. Up to NMS_BLOCK candidates,
-    one IOU table over decoded is built here, and the base NMS, the
-    transductive NMS and the fusion vote read it by index; past that, each
-    computes its own IOU per block. The vote against public boxes always
-    computes its own.
+    public, when given, replaces the base NMS. When the base NMS, the
+    transductive NMS and the fusion vote all run over decoded, and it holds
+    up to NMS_BLOCK candidates, one IOU table over decoded is built here
+    and the three read it by index; otherwise each computes its own IOU.
     """
     overlap = None
-    if len(decoded) <= detection.NMS_BLOCK and (public is None or m_p is not None):
+    if public is None and m_p is not None and len(decoded) <= detection.NMS_BLOCK:
         overlap = iou(decoded, decoded)
     if public is None:
         base = greedy_nms(decoded, p.score_thr, p.nms_iou_thr, overlap)
@@ -535,9 +534,7 @@ def _fused_detections(
     trans = transductive_detections(m_p, decoded, cells, p.score_thr, p.nms_iou_thr, overlap)
     d_trans = Boxes(decoded.cx[trans], decoded.cy[trans], decoded.w[trans], decoded.h[trans],
                     m_p.reshape(-1)[cells[trans]])
-    vote = None
-    if overlap is not None and public is None:
-        vote = overlap.take(trans, axis=0).take(base, axis=1)
+    vote = None if overlap is None else overlap.take(trans, axis=0).take(base, axis=1)
     return fuse(d_trans, d_base, p.fusion_epsilon, vote)
 
 

@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -558,10 +558,16 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-# numpy's bundled OpenBLAS library and its thread-count calls.
+# numpy's bundled OpenBLAS library, its thread-count calls, and the
+# environment variables it reads its thread count from.
 _OPENBLAS_LIBRARY = "libscipy_openblas*.so*"
 _OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
 _OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
+_OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# The commands that run the tracker, whose embedding search splits a
+# paper-scale grid between two threads of its own.
+_TRACKING_COMMANDS = frozenset({"track", "sweep"})
 
 
 @contextmanager
@@ -570,11 +576,13 @@ def _one_blas_thread():
 
     The embedding search already splits a paper-scale grid between two
     threads; with OpenBLAS at one thread per CPU, each of them asks for
-    more, and on a 2-CPU machine the search ran at half the speed. An
-    explicit OPENBLAS_NUM_THREADS is left as set, and so is a numpy whose
-    BLAS library does not export both thread-count calls.
+    more, and on a 2-CPU machine the search ran at half the speed. A thread
+    count set in any variable of _OPENBLAS_THREAD_VARS is left as set, and
+    so is a numpy whose BLAS library cannot be loaded or does not export
+    both thread-count calls.
     """
-    calls = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas_thread_calls()
+    explicit = any(name in os.environ for name in _OPENBLAS_THREAD_VARS)
+    calls = None if explicit else _openblas_thread_calls()
     if calls is None:
         yield
         return
@@ -591,7 +599,10 @@ def _openblas_thread_calls():
     """(get, set) thread-count functions of numpy's loaded OpenBLAS, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob(_OPENBLAS_LIBRARY)):
-        lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same handle
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same handle
+        except OSError:
+            continue
         if hasattr(lib, _OPENBLAS_GET) and hasattr(lib, _OPENBLAS_SET):
             get, set_threads = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
             get.argtypes, get.restype = [], ctypes.c_int
@@ -610,7 +621,8 @@ def main(argv: list[str] | None = None) -> int:
             command.apply_config_file(args.config)
             args = parser.parse_args(argv)
         args.given = command.given(lambda: parser.parse_args(argv))
-        with _one_blas_thread():
+        tracking = args.command in _TRACKING_COMMANDS
+        with _one_blas_thread() if tracking else nullcontext():
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

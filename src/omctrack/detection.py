@@ -259,8 +259,6 @@ def greedy_nms(
     score_thr: float = DEFAULT_SCORE_THR,
     iou_thr: float = DEFAULT_IOU_THR,
     overlap: np.ndarray | None = None,
-    *,
-    scores: np.ndarray | None = None,
 ) -> np.ndarray:
     """Threshold by score, then greedily keep maxima and drop overlaps.
 
@@ -268,8 +266,7 @@ def greedy_nms(
     torchvision.ops.nms does. Boxes scoring below score_thr are discarded;
     the survivor set is built by repeatedly keeping the highest-scoring
     candidate and suppressing every remaining box whose IOU with it exceeds
-    iou_thr. Ties in score resolve in input order. scores, when given,
-    rank the boxes in place of boxes.score.
+    iou_thr. Ties in score resolve in input order.
 
     overlap is iou(boxes, boxes) when the caller already holds it (a
     cache, not an option): the loop then reads its entries, which are the
@@ -277,9 +274,7 @@ def greedy_nms(
     NMS_BLOCK: one IOU matrix against the boxes kept from earlier blocks,
     and one within the block, which a loop over the block reads in order.
     """
-    score = boxes.score if scores is None else np.asarray(scores, dtype=np.float64)
-    if score.shape != boxes.score.shape:
-        raise ValueError(f"{score.shape} scores for {len(boxes)} boxes")
+    score = boxes.score
     above = np.flatnonzero(score >= score_thr)
     order = above[np.argsort(-score[above], kind="stable")]
     if overlap is None:

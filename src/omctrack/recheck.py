@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -458,4 +458,5 @@ def transductive_detections(
         raise ValueError(f"box count {len(boxes)} != cell count {len(cells)}")
     if len(cells) and not (0 <= cells.min() and cells.max() < m_p.size):
         raise ValueError(f"cells must lie within the map's {m_p.size} cells")
-    return greedy_nms(boxes, score_thr, iou_thr, overlap, scores=m_p.reshape(-1)[cells])
+    rescored = replace(boxes, score=m_p.reshape(-1)[cells])
+    return greedy_nms(rescored, score_thr, iou_thr, overlap)

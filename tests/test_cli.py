@@ -626,8 +626,15 @@ class TestParserBehaviour:
         assert code == 0
 
 
+# argv that reaches each command's function; the functions are replaced.
+_TRACKING_ARGV = {
+    "track": ("track", "--container", "in.omcf", "--out", "r.txt"),
+    "sweep": ("sweep", "--param", "epsilon", "--values", "0.5"),
+}
+
+
 class TestBlasThreads:
-    """While a command runs, numpy's OpenBLAS is held at one thread."""
+    """While a tracking command runs, numpy's OpenBLAS is held at one thread."""
 
     @pytest.fixture
     def blas(self, monkeypatch):
@@ -637,22 +644,31 @@ class TestBlasThreads:
         get, set_threads = calls
         before = get()
         set_threads(2)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        for name in cli._OPENBLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
         seen = []
 
         def command(args):
             seen.append(get())
             return cli.EXIT_OK
 
-        monkeypatch.setattr(cli, "_cmd_gradcheck", command)
+        for name in ("_cmd_track", "_cmd_sweep", "_cmd_gradcheck", "_cmd_synth"):
+            monkeypatch.setattr(cli, name, command)
         yield get, seen
         set_threads(before)
 
-    def test_one_thread_while_the_command_runs(self, blas, capsys):
+    @pytest.mark.parametrize("command", sorted(_TRACKING_ARGV))
+    def test_one_thread_while_tracking(self, blas, command, capsys):
         get, seen = blas
-        assert run(capsys, "gradcheck")[0] == 0
+        assert run(capsys, *_TRACKING_ARGV[command])[0] == 0
         assert seen == [1]
         assert get() == 2
+
+    @pytest.mark.parametrize("argv", [("gradcheck",), ("synth", "--out", "c", "--gt", "g")])
+    def test_other_commands_left_alone(self, blas, argv, capsys):
+        get, seen = blas
+        assert run(capsys, *argv)[0] == 0
+        assert seen == [2]
 
     def test_count_restored_when_the_command_fails(self, blas, monkeypatch, capsys):
         get, seen = blas
@@ -661,22 +677,35 @@ class TestBlasThreads:
             seen.append(get())
             raise ValueError("bad data")
 
-        monkeypatch.setattr(cli, "_cmd_gradcheck", failing)
-        assert run(capsys, "gradcheck")[0] == cli.EXIT_DATA
+        monkeypatch.setattr(cli, "_cmd_track", failing)
+        assert run(capsys, *_TRACKING_ARGV["track"])[0] == cli.EXIT_DATA
         assert seen == [1]
         assert get() == 2
 
-    def test_explicit_setting_left_alone(self, blas, monkeypatch, capsys):
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS"])
+    def test_explicit_setting_left_alone(self, blas, name, monkeypatch, capsys):
         get, seen = blas
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert run(capsys, "gradcheck")[0] == 0
+        monkeypatch.setenv(name, "2")
+        assert run(capsys, *_TRACKING_ARGV["track"])[0] == 0
         assert seen == [2]
 
     def test_missing_symbol_does_nothing(self, blas, monkeypatch, capsys):
         get, seen = blas
         monkeypatch.setattr(cli, "_OPENBLAS_SET", "no_such_symbol")
         assert cli._openblas_thread_calls() is None
-        assert run(capsys, "gradcheck")[0] == 0
+        assert run(capsys, *_TRACKING_ARGV["track"])[0] == 0
+        assert seen == [2]
+
+    def test_library_that_cannot_load_does_nothing(self, blas, monkeypatch, capsys):
+        get, seen = blas
+
+        def cannot_load(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cannot_load)
+        assert cli._openblas_thread_calls() is None
+        assert run(capsys, *_TRACKING_ARGV["track"])[0] == 0
         assert seen == [2]
 
     def test_track_subprocess_runs_on_one_thread(self, scenario, tmp_path):
@@ -692,12 +721,14 @@ class TestBlasThreads:
             "association.Tracker.step = counted\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env = {k: v for k, v in os.environ.items() if k not in cli._OPENBLAS_THREAD_VARS}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
                                                           env.get("PYTHONPATH")]))
         argv = [sys.executable, "-c", script, "track", "--container",
                 str(scenario["container"]), "--out", str(tmp_path / "r.txt")]
-        for extra, want in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        # OpenBLAS caps an environment-set count at the CPUs the process may use.
+        explicit = str(min(2, len(os.sched_getaffinity(0))))
+        for extra, want in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, explicit)):
             done = subprocess.run(argv, env={**env, **extra}, capture_output=True,
                                   text=True, check=True)
             counts = {line.split()[1] for line in done.stderr.splitlines()

@@ -286,30 +286,6 @@ class TestNmsIndices:
             want = greedy_nms(boxes, score_thr, iou_thr)
         assert got.tolist() == want.tolist()
 
-    def test_scores_rank_in_place_of_box_scores(self):
-        records = random_boxes(np.random.default_rng(8), 30)
-        rescored = np.random.default_rng(9).uniform(0, 1, 30).astype(np.float32)
-        boxes = Boxes.of(records)
-        want = kept_boxes([Box(b.cx, b.cy, b.w, b.h, float(s))
-                           for b, s in zip(records, rescored)], 0.3, 0.45)
-        got = greedy_nms(boxes, 0.3, 0.45, scores=rescored)
-        assert [(b.cx, b.cy, b.w, b.h, b.score) for b in want] == [
-            (boxes.cx[k], boxes.cy[k], boxes.w[k], boxes.h[k], float(rescored[k]))
-            for k in got]
-
-    def test_score_count_checked(self):
-        boxes = Boxes.of(random_boxes(np.random.default_rng(8), 3))
-        with pytest.raises(ValueError, match="scores for 3 boxes"):
-            greedy_nms(boxes, 0.3, 0.45, scores=np.ones(4))
-
-    def test_float32_scores_compared_in_float64(self):
-        # float32(0.7) lies below 0.7; a float32 comparison would round the
-        # threshold to it and keep the box.
-        b = Box(cx=1, cy=1, w=1, h=1, score=1.0)
-        score = np.array([0.7], np.float32)
-        assert float(score[0]) < 0.7
-        assert greedy_nms(Boxes.of([b]), 0.7, 0.45, scores=score).tolist() == []
-
 
 F32_MAX = float(np.finfo(np.float32).max)
 

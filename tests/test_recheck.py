@@ -541,6 +541,16 @@ class TestTransductiveDetections:
         assert got.tolist() == want.tolist()
         assert (np.diff(m_p.reshape(-1)[cells[want]]) <= 0).all()
 
+    def test_float32_map_compared_in_float64(self):
+        # float32(0.7) lies below 0.7; a float32 comparison would round the
+        # threshold to it and keep the box.
+        m_p = np.zeros((4, 4), dtype=np.float32)
+        m_p[1, 2] = 0.7
+        assert float(m_p[1, 2]) < 0.7
+        cells = np.arange(16)
+        boxes = self.grid_boxes(4, 4, cells)
+        assert list(transductive_detections(m_p, boxes, cells, 0.7, 0.45)) == []
+
     def test_count_mismatch_rejected(self):
         cells = np.arange(16)
         boxes = self.grid_boxes(4, 4, cells)
