@@ -120,7 +120,8 @@ class EmbeddingSet:
             raise ValueError(
                 f"vectors must have shape (n, C), got {self.vectors.shape}"
             )
-        norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        rows = self.vectors.astype(np.float64)
+        norms = np.sqrt(np.vecdot(rows, rows))
         bad = ~((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-5))
         if bad.any():
             raise ValueError(
@@ -269,19 +270,23 @@ def _forget_worker() -> None:
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _peak_window(m: np.ndarray, r: float) -> tuple[slice, slice]:
-    """Rows and columns within r cells of the peak of a 2-d response map.
+def _peak_windows(stack: np.ndarray, r: float) -> list[tuple[slice, slice]]:
+    """Rows and columns within r cells of the peak of each map of an (n, H, W) stack.
 
-    The peak is the first row-major occurrence of the maximum. r may be
-    math.inf, which keeps the whole map.
+    A map's peak is the first row-major occurrence of its maximum; one
+    argmax finds every map's. r may be math.inf, which keeps whole maps.
     """
+    n, h, w = stack.shape
     if math.isinf(r):
-        return slice(None), slice(None)
+        return [(slice(None), slice(None))] * n
     if not r >= 0:
         raise ValueError(f"shrink radius must be >= 0, got {r}")
     k = math.floor(r)
-    cy, cx = divmod(int(np.argmax(m)), m.shape[1])
-    return slice(max(cy - k, 0), cy + k + 1), slice(max(cx - k, 0), cx + k + 1)
+    windows = []
+    for peak in stack.reshape(n, h * w).argmax(axis=1).tolist():
+        cy, cx = divmod(peak, w)
+        windows.append((slice(max(cy - k, 0), cy + k + 1), slice(max(cx - k, 0), cx + k + 1)))
+    return windows
 
 
 def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
@@ -294,7 +299,7 @@ def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"response map must be 2-d, got shape {m.shape}")
     mask = np.zeros(m.shape, dtype=np.float32)
-    mask[_peak_window(m, r)] = 1.0
+    mask[_peak_windows(m[None], r)[0]] = 1.0
     return mask
 
 
@@ -308,8 +313,7 @@ def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
     if stack.ndim != 3:
         raise ValueError(f"stack must have shape (n, H, W), got {stack.shape}")
     out = np.zeros(stack.shape[1:], dtype=np.float64)
-    for m in stack:
-        window = _peak_window(m, r)
+    for m, window in zip(stack, _peak_windows(stack, r)):
         out[window] += m[window]
     return out.astype(np.float32)
 

@@ -13,14 +13,25 @@ the analytic inverse of the boundary-aware decode, so any covered cell
 reconstructs the exact box.
 
 `iter_generate` builds the world one frame at a time, so a written world
-never holds more than a frame in memory. Each frame's background grid is
-one float64 normal draw per cell and channel, with the identity components
-projected out by two products over the whole grid (OpenBLAS bits depend on
-the block shape, so these are not split). The rest of the chain (subtract,
-normalize, mix in each cell's identity, round to float32) runs over row
-blocks of about `numerics.BLOCK_CELLS` cells, straight into the frame's
-float32 grid; each element sees the same float64 operations in the same
-order as a whole-grid pass, so the bytes do not depend on the block size.
+never holds more than a frame in memory. The seed's one `Generator` makes
+every draw in a fixed order: identities, sizes, positions and velocities,
+then per frame the dropout mask (from frame 2 on), one float64 normal per
+background cell and channel, each cell's clutter cosine c and identity
+pick j, and, with embedding noise, one noise vector per target. A frame's
+draws (`_draw`) run on one worker thread, a frame ahead: while the calling
+thread builds frame t from one float64 scratch grid, the worker fills the
+other with frame t + 1's normals. Nothing else touches the generator once
+the frames begin, so the draws, and the bytes, are those of one thread.
+
+A background grid has its identity components projected out: the product
+onto the identities is taken over the whole grid, and the product back
+and the rest of the chain (subtract, normalize, mix in each cell's
+identity, round to float32) run over row blocks of about
+`numerics.BLOCK_CELLS` cells, straight into the frame's float32 grid. Each
+element sees the same float64 operations in the same order as a
+whole-grid pass. OpenBLAS bits could depend on a product's shape, but the
+blockwise product back gives the whole-grid product's bits on every world
+`tests/test_container_bytes.py` pins.
 
 `restoration_report` scores each frame on one `metrics.row_iou` matrix.
 """
@@ -30,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,8 +103,16 @@ class ScenarioConfig:
                 f"targets of size {self.size_max} cannot fit a "
                 f"{self.height}x{self.width} grid"
             )
-        if self.num_targets > self.embed_dim:
-            raise ValueError("cannot build that many orthogonal identities")
+        # Background cells need a direction orthogonal to every identity.
+        if self.num_targets >= self.embed_dim:
+            raise ValueError(
+                f"num_targets ({self.num_targets}) must be below embed_dim "
+                f"({self.embed_dim}): background cells need a direction "
+                "orthogonal to every identity"
+            )
+        # Channels 0 and 1 of feat hold each cell's x and y.
+        if self.feat_dim < 2:
+            raise ValueError(f"feat_dim must be >= 2, got {self.feat_dim}")
         if not 0.0 < self.speed_min <= self.speed_max:
             raise ValueError("speeds must satisfy 0 < speed_min <= speed_max")
         # Offsets from any covered cell must stay decodable by the
@@ -156,7 +175,10 @@ def iter_generate(
 
     Each item is (frame, gt, dropped) for that frame alone; concatenated,
     they are exactly what `generate` returns. The config is checked here,
-    before the first frame is asked for.
+    before the first frame is asked for. While a frame is in the caller's
+    hands, one worker thread draws the next frame's random numbers;
+    exhausting or closing the iterator, or an error on either thread, waits
+    for that draw and ends the thread.
     """
     cfg.validate()
     return _frames(cfg)
@@ -165,6 +187,10 @@ def iter_generate(
 def _frames(
     cfg: ScenarioConfig,
 ) -> Iterator[tuple[FrameContainer, list[MotBox], list[tuple[int, int]]]]:
+    # Imported here, not with the module: the tracking process imports
+    # this module for restoration_report and never starts the worker.
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_targets
     h, w = cfg.height, cfg.width
@@ -194,107 +220,137 @@ def _frames(
     speeds = rng.uniform(cfg.speed_min, cfg.speed_max, size=n)
     vel = np.stack([speeds * np.cos(angles), speeds * np.sin(angles)], axis=1)
 
+    # Each frame's feat is zero but for each cell's x and y in channels 0
+    # and 1. It is built afresh, not copied from a whole template that would
+    # stay in memory all along.
     xs = (np.arange(w, dtype=np.float64) + 0.5) / w
     ys = (np.arange(h, dtype=np.float64) + 0.5) / h
-    feat = np.zeros((h, w, cfg.feat_dim), dtype=np.float32)
-    feat[:, :, 0] = np.broadcast_to(xs[None, :], (h, w)).astype(np.float32)
-    feat[:, :, 1] = np.broadcast_to(ys[:, None], (h, w)).astype(np.float32)
+    cell_x = np.broadcast_to(xs[None, :], (h, w)).astype(np.float32)
+    cell_y = np.broadcast_to(ys[:, None], (h, w)).astype(np.float32)
 
-    v = np.empty((h * w, cfg.embed_dim))
-    proj = np.empty_like(v)
-    for t in range(1, cfg.frames + 1):
-        if t > 1:
+    # Frame t's normal grid is drawn into grids[t % 2] while frame t - 1 is
+    # built from the other one.
+    grids = (np.empty((h * w, cfg.embed_dim)), np.empty((h * w, cfg.embed_dim)))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(_draw, rng, cfg, 1, grids[1])
+        for t in range(1, cfg.frames + 1):
+            draws = pending.result()
+            if t < cfg.frames:
+                pending = worker.submit(_draw, rng, cfg, t + 1, grids[(t + 1) % 2])
+            if t > 1:
+                for i in range(n):
+                    half_w, half_h = sizes[i, 0] / 2.0, sizes[i, 1] / 2.0
+                    x, vx = _reflect(pos[i, 0] + vel[i, 0], vel[i, 0], half_w, w - half_w)
+                    y, vy = _reflect(pos[i, 1] + vel[i, 1], vel[i, 1], half_h, h - half_h)
+                    pos[i] = (x, y)
+                    vel[i] = (vx, vy)
+
+            embed = _background(identities, h, w, draws)
+
+            prob = np.zeros((h, w, 1), dtype=np.float32)
+            # Background cells decode to a clutter-sized box at their own
+            # center, so spurious responses turn into plausible-looking
+            # candidates rather than degenerate slivers.
+            raw = np.zeros((h, w, 4), dtype=np.float32)
+            raw[:, :, 2] = math.log(CLUTTER_BOX_SIZE)
+            raw[:, :, 3] = math.log(CLUTTER_BOX_SIZE)
+
+            gt: list[MotBox] = []
+            dropped: list[tuple[int, int]] = []
             for i in range(n):
-                half_w, half_h = sizes[i, 0] / 2.0, sizes[i, 1] / 2.0
-                x, vx = _reflect(pos[i, 0] + vel[i, 0], vel[i, 0], half_w, w - half_w)
-                y, vy = _reflect(pos[i, 1] + vel[i, 1], vel[i, 1], half_h, h - half_h)
-                pos[i] = (x, y)
-                vel[i] = (vx, vy)
-            drop_now = rng.random(n) < cfg.dropout_prob
-        else:
-            drop_now = np.zeros(n, dtype=bool)
-
-        embed = _background(rng, identities, h, w, cfg.clutter_similarity, v, proj)
-
-        prob = np.zeros((h, w, 1), dtype=np.float32)
-        # Background cells decode to a clutter-sized box at their own
-        # center, so spurious responses turn into plausible-looking
-        # candidates rather than degenerate slivers.
-        raw = np.zeros((h, w, 4), dtype=np.float32)
-        raw[:, :, 2] = math.log(CLUTTER_BOX_SIZE)
-        raw[:, :, 3] = math.log(CLUTTER_BOX_SIZE)
-
-        gt: list[MotBox] = []
-        dropped: list[tuple[int, int]] = []
-        for i in range(n):
-            cx, cy = pos[i]
-            bw, bh = sizes[i]
-            vec = identities[i]
-            if cfg.embedding_noise > 0.0:
-                noisy = vec + rng.normal(0.0, cfg.embedding_noise, cfg.embed_dim)
-                vec = noisy / np.linalg.norm(noisy)
-            cols = _covered_cells(cx, bw, w)
-            rows_r = _covered_cells(cy, bh, h)
-            for r in rows_r:
-                for col in cols:
-                    # Assignment rounds the float64 vector to float32.
-                    embed[r, col] = vec
-                    dx = cx - (col + 0.5)
-                    dy = cy - (r + 0.5)
-                    raw[r, col, 0] = _logit(dx / cfg.bar_h_scale + 0.5)
-                    raw[r, col, 1] = _logit(dy / cfg.bar_h_scale + 0.5)
-                    raw[r, col, 2] = math.log(bw)
-                    raw[r, col, 3] = math.log(bh)
-            center = (int(math.floor(cy)), int(math.floor(cx)))
-            if drop_now[i]:
-                prob[center[0], center[1], 0] = 0.01
-                dropped.append((t, i + 1))
-            else:
-                prob[center[0], center[1], 0] = 1.0
-            gt.append(
-                MotBox(
-                    frame=t,
-                    id=i + 1,
-                    x=(cx - bw / 2.0) * cfg.stride,
-                    y=(cy - bh / 2.0) * cfg.stride,
-                    w=bw * cfg.stride,
-                    h=bh * cfg.stride,
-                    conf=1.0,
+                cx, cy = pos[i]
+                bw, bh = sizes[i]
+                vec = identities[i]
+                if draws.noise is not None:
+                    noisy = vec + draws.noise[i]
+                    vec = noisy / np.linalg.norm(noisy)
+                cols = _covered_cells(cx, bw, w)
+                rows_r = _covered_cells(cy, bh, h)
+                for r in rows_r:
+                    for col in cols:
+                        # Assignment rounds the float64 vector to float32.
+                        embed[r, col] = vec
+                        dx = cx - (col + 0.5)
+                        dy = cy - (r + 0.5)
+                        raw[r, col, 0] = _logit(dx / cfg.bar_h_scale + 0.5)
+                        raw[r, col, 1] = _logit(dy / cfg.bar_h_scale + 0.5)
+                        raw[r, col, 2] = math.log(bw)
+                        raw[r, col, 3] = math.log(bh)
+                center = (int(math.floor(cy)), int(math.floor(cx)))
+                if draws.drop[i]:
+                    prob[center[0], center[1], 0] = 0.01
+                    dropped.append((t, i + 1))
+                else:
+                    prob[center[0], center[1], 0] = 1.0
+                gt.append(
+                    MotBox(
+                        frame=t,
+                        id=i + 1,
+                        x=(cx - bw / 2.0) * cfg.stride,
+                        y=(cy - bh / 2.0) * cfg.stride,
+                        w=bw * cfg.stride,
+                        h=bh * cfg.stride,
+                        conf=1.0,
+                    )
                 )
-            )
 
-        # Every frame gets its own feat, so writing into one changes no other.
-        frame = FrameContainer(
-            frame_index=t, prob=prob, boxes=raw, embed=embed, feat=feat.copy()
-        )
-        yield frame, gt, dropped
+            feat = np.zeros((h, w, cfg.feat_dim), dtype=np.float32)
+            feat[:, :, 0] = cell_x
+            feat[:, :, 1] = cell_y
+            frame = FrameContainer(frame_index=t, prob=prob, boxes=raw, embed=embed, feat=feat)
+            yield frame, gt, dropped
 
 
-def _background(
-    rng: np.random.Generator, identities: np.ndarray, h: int, w: int,
-    clutter: float, v: np.ndarray, proj: np.ndarray,
-) -> np.ndarray:
+class _Draws(NamedTuple):
+    """One frame's random draws (see `_draw`)."""
+
+    drop: np.ndarray        # (n,) bool: the target's probability is suppressed
+    normal: np.ndarray      # (h * w, embed_dim) float64 standard normals
+    c: np.ndarray           # (h * w,) cosine of each cell to its drawn identity
+    j: np.ndarray           # (h * w,) the identity each cell is drawn toward
+    noise: np.ndarray | None  # (n, embed_dim) per-target embedding noise
+
+
+def _draw(rng: np.random.Generator, cfg: ScenarioConfig, t: int, out: np.ndarray) -> _Draws:
+    """Every random number frame t takes, in the order the world is defined by.
+
+    The dropout mask (never on frame 1), the background's normal grid into
+    out, the clutter cosines c and identity picks j, then one noise vector
+    per target, in target order, when the embeddings are noisy.
+    """
+    n = cfg.num_targets
+    cells = cfg.height * cfg.width
+    if t > 1:
+        drop = rng.random(n) < cfg.dropout_prob
+    else:
+        drop = np.zeros(n, dtype=bool)
+    rng.standard_normal(out=out)  # the draws of rng.normal(size=out.shape)
+    c = rng.uniform(0.0, cfg.clutter_similarity, size=cells)
+    j = rng.integers(0, n, size=cells)
+    noise = None
+    if cfg.embedding_noise > 0.0:
+        # One call draws what n calls of size embed_dim would, in turn.
+        noise = rng.normal(0.0, cfg.embedding_noise, (n, cfg.embed_dim))
+    return _Draws(drop, out, c, j, noise)
+
+
+def _background(identities: np.ndarray, h: int, w: int, draws: _Draws) -> np.ndarray:
     """One frame's background embeddings as an (h, w, embed_dim) float32 grid.
 
     cos(cell, identity_k) = c * delta_jk <= clutter: each cell mixes its
     drawn identity j, at cosine c, with a unit vector orthogonal to every
-    identity. The draws come in a fixed order (normal, c, j). v and proj
-    are (h * w, embed_dim) float64 scratch, overwritten; reusing them saves
-    faulting in two fresh grids a frame.
+    identity. The normal grid is overwritten.
     """
-    n = len(identities)
     cells = h * w
-    rng.standard_normal(out=v)  # the draws of rng.normal(size=v.shape)
-    np.matmul(v @ identities.T, identities, out=proj)
-    c = rng.uniform(0.0, clutter, size=cells)
-    j = rng.integers(0, n, size=cells)
+    v, c, j = draws.normal, draws.c, draws.j
+    a = v @ identities.T  # (cells, n) components along each identity
     s = np.sqrt(1.0 - c * c)
 
     embed = np.empty((h, w, v.shape[1]), dtype=np.float32)
     out = embed.reshape(cells, -1)
     for rows in grid_row_blocks(embed):
         block = slice(rows.start * w, rows.stop * w)
-        v_perp = np.subtract(v[block], proj[block], out=v[block])
+        v_perp = np.subtract(v[block], a[block] @ identities, out=v[block])
         v_perp /= np.linalg.norm(v_perp, axis=1, keepdims=True)
         v_perp *= s[block, None]
         mix = identities[j[block]]

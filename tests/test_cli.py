@@ -131,6 +131,18 @@ class TestSynthCommand:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("targets", ["512", "600"])
+    def test_no_spare_embedding_dimension_is_usage_error(self, targets, tmp_path, capsys):
+        # 512 targets fill the 512-d embedding space: no background direction.
+        out = tmp_path / "x.omcf"
+        code, _, err = run(
+            capsys, "synth", "--out", str(out), "--gt", str(tmp_path / "gt.txt"),
+            "--targets", targets, "--grid", "24x24", "--size", "1:2", "--frames", "2",
+        )
+        assert code == 1
+        assert "usage error" in err and "embed_dim" in err
+        assert not out.exists()
+
 
 class TestTrackCommand:
     def test_track_then_eval(self, scenario, tmp_path, capsys):

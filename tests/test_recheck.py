@@ -78,6 +78,29 @@ class TestEmbeddingSet:
         es = EmbeddingSet(np.zeros((2, 4), dtype=np.float32))
         assert len(es) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        rows = np.zeros((2, 4), dtype=np.float32)
+        rows[1, 0] = 1.0
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="norms"):
+            EmbeddingSet(rows)
+
+    def test_norm_rule_matches_the_float64_norm(self):
+        # Rows whose norms straddle the 1e-5 tolerance on both sides, each
+        # accepted or rejected as the float64 np.linalg.norm rule decides.
+        rng = np.random.default_rng(3)
+        for offset in np.linspace(-3e-5, 3e-5, 61):
+            row = rng.normal(size=(1, 512))
+            row *= (1.0 + offset) / np.linalg.norm(row)
+            row = row.astype(np.float32)
+            norm = np.linalg.norm(row.astype(np.float64), axis=1)[0]
+            if norm == 0.0 or abs(norm - 1.0) <= 1e-5:
+                assert len(EmbeddingSet(row)) == 1
+            else:
+                with pytest.raises(ValueError, match="norms"):
+                    EmbeddingSet(row)
+
 
 class TestCrossCorrelate:
     def test_empty_set(self):
@@ -372,6 +395,23 @@ class TestAggregateWindowedSum:
         want = masked_sum_aggregate(stack, r)
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("r", [0, 1, 2.5, math.inf])
+    def test_repeated_maximum_windows_its_first_occurrence(self, r):
+        rng = np.random.default_rng(8)
+        stack = rng.uniform(-1.0, 0.9, size=(4, 9, 13)).astype(np.float32)
+        stack[0, [2, 2, 7], [11, 3, 0]] = 1.0   # first row-major at (2, 3)
+        stack[1, [0, 8], [12, 0]] = 0.95        # first at (0, 12)
+        stack[2] = 0.5                          # every cell ties: (0, 0)
+        stack[3, 4, [6, 7]] = 1.0               # adjacent: (4, 6)
+        got = aggregate(stack, r)
+        want = masked_sum_aggregate(stack, r)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        if r == 0:
+            windowed = np.zeros((9, 13))
+            for i, (y, x) in enumerate([(2, 3), (0, 12), (0, 0), (4, 6)]):
+                windowed[y, x] += stack[i, y, x]
+            assert np.array_equal(got, windowed.astype(np.float32))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):

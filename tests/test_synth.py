@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from omctrack.association import PipelineConfig, track_sequence
 from omctrack.frame_io import MotBox, write_container
 from omctrack.metrics import clear_mot, evaluate
 from omctrack.recheck import EmbeddingSet, cross_correlate
+from omctrack import synth
 from omctrack.synth import (
     RESTORE_IOU,
     ScenarioConfig,
@@ -16,6 +18,7 @@ from omctrack.synth import (
     iter_generate,
     restoration_report,
 )
+from test_container_bytes import CASES, sha256_file
 from test_golden_rows import CLUTTER, DESK
 from test_metrics import evaluate_oracle, loose_rows, mot_iou
 
@@ -117,6 +120,44 @@ class TestGenerate:
         with pytest.raises(ValueError, match="fit"):
             generate(small(size_min=15.0, size_max=15.0)).__len__()
 
+    @pytest.mark.parametrize("num_targets", [3, 8, 9])
+    def test_targets_must_leave_a_spare_dimension(self, num_targets):
+        # With as many identities as dimensions no direction is orthogonal
+        # to all of them, and background cells become normalized rounding
+        # noise (NaN for some cells at 3 targets in 3 dimensions).
+        with pytest.raises(ValueError, match="embed_dim"):
+            iter_generate(small(num_targets=num_targets, embed_dim=min(num_targets, 8)))
+
+    @pytest.mark.parametrize("feat_dim", [0, 1])
+    def test_feat_dim_must_hold_the_cell_coordinates(self, feat_dim):
+        with pytest.raises(ValueError, match="feat_dim"):
+            iter_generate(small(feat_dim=feat_dim))
+
+    def test_one_spare_dimension_meets_the_clutter_bound(self):
+        cfg = small(num_targets=7, embed_dim=8, clutter_similarity=0.3, frames=3,
+                    size_min=1.0, size_max=2.0, seed=5)
+        frames, gt, _ = generate(cfg)
+        for frame in frames:
+            boxes = [b for b in gt if b.frame == frame.frame_index]
+            # A target stamps its identity into every cell whose center its
+            # box covers; the rest are background.
+            covered = np.zeros((cfg.height, cfg.width), dtype=bool)
+            centers_x = (np.arange(cfg.width) + 0.5) * cfg.stride
+            centers_y = (np.arange(cfg.height) + 0.5) * cfg.stride
+            identities = []
+            for b in sorted(boxes, key=lambda b: b.id):
+                in_x = (b.x <= centers_x) & (centers_x <= b.x + b.w)
+                in_y = (b.y <= centers_y) & (centers_y <= b.y + b.h)
+                covered |= in_y[:, None] & in_x[None, :]
+                cy = int((b.y + b.h / 2) / cfg.stride)
+                cx = int((b.x + b.w / 2) / cfg.stride)
+                identities.append(frame.embed[cy, cx].astype(np.float64))
+            background = frame.embed[~covered].astype(np.float64)
+            assert len(background) > 0
+            assert np.all(np.isfinite(background))
+            cosines = background @ np.stack(identities).T
+            assert np.max(np.abs(cosines)) <= cfg.clutter_similarity + 1e-5
+
     def test_clutter_boxes_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="clutter boxes"):
             small(height=2, width=2, size_min=1.0, size_max=2.0).validate()
@@ -173,6 +214,69 @@ class TestStreaming:
         two = traced_peak_bytes(write, 2)
         twelve = traced_peak_bytes(write, 12)
         assert twelve <= 1.5 * two
+
+
+class TestDrawThread:
+    """Each frame's random numbers are drawn on a worker, one frame ahead."""
+
+    def test_closing_early_leaves_no_thread_and_the_world_unchanged(self, tmp_path):
+        before = threading.active_count()
+        stream = iter_generate(small(frames=6))
+        next(stream)
+        assert threading.active_count() == before + 1  # drawing frame 2
+        stream.close()
+        assert threading.active_count() == before
+        scenario, container_digest, _ = CASES["noisy20"]
+        frames, _, _ = generate(ScenarioConfig(**scenario))
+        write_container(frames, tmp_path / "world.omcf")
+        assert sha256_file(tmp_path / "world.omcf") == container_digest
+
+    def test_draw_error_reraises_from_next(self, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        draw = synth._draw
+        raised = DrawFailed("frame 3")
+
+        def failing_draw(rng, cfg, t, out):
+            if t == 3:
+                raise raised
+            return draw(rng, cfg, t, out)
+
+        monkeypatch.setattr(synth, "_draw", failing_draw)
+        before = threading.active_count()
+        stream = iter_generate(small(frames=6))
+        assert [next(stream)[0].frame_index for _ in range(2)] == [1, 2]
+        with pytest.raises(DrawFailed) as info:
+            next(stream)
+        assert info.value is raised
+        assert threading.active_count() == before
+        with pytest.raises(StopIteration):
+            next(stream)
+
+    def test_build_error_waits_for_the_draw_and_leaves_no_thread(self, monkeypatch):
+        background = synth._background
+        calls = []
+
+        def failing_background(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("frame 2")
+            return background(*args)
+
+        monkeypatch.setattr(synth, "_background", failing_background)
+        before = threading.active_count()
+        stream = iter_generate(small(frames=6))
+        next(stream)
+        with pytest.raises(RuntimeError, match="frame 2"):
+            next(stream)
+        assert threading.active_count() == before
+
+    def test_generate_leaves_the_thread_count(self):
+        before = threading.active_count()
+        frames, _, _ = generate(small(frames=12))
+        assert len(frames) == 12
+        assert threading.active_count() == before
 
 
 class TestNoiseFreeSeparation:
