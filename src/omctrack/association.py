@@ -12,13 +12,15 @@ The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units, built from the fused boxes' arrays. When the base NMS,
-the transductive NMS and the fusion vote all run over the decoded boxes,
-one IOU table over them a frame serves the three, which pick boxes by
-index into it. The tracklet embeddings are stacked once a frame, for the
-search, the first matching stage and the birth gate. There is
-deliberately no motion model: propagation by embedding search is the
-mechanism under test, and a motion prior would mask its contribution.
+in pixel units, built from the fused boxes' arrays. A container grid that
+the search takes in one block is read once a frame, for the search and
+the readout. When the base NMS, the transductive NMS and the fusion vote
+all run over the decoded boxes, one IOU table over them a frame serves
+the three, which pick boxes by index into it. The tracklet embeddings are
+stacked once a frame, for the search, the first matching stage and the
+birth gate. There is deliberately no motion model: propagation by
+embedding search is the mechanism under test, and a motion prior would
+mask its contribution.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .recheck import (
     aggregate,
     cross_correlate,
     refine,
+    searched_in_one_block,
     transductive_detections,
 )
 
@@ -165,8 +168,8 @@ def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSe
     unread = isinstance(embed, Payload)
     grid = embed if unread else as_grid(embed, name="embed")
     h, w = grid.shape[:2]
-    cols = np.clip(np.floor(boxes.cx), 0, w - 1).astype(np.intp)
-    rows = np.clip(np.floor(boxes.cy), 0, h - 1).astype(np.intp)
+    cols = np.minimum(np.maximum(np.floor(boxes.cx), 0), w - 1).astype(np.intp)
+    rows = np.minimum(np.maximum(np.floor(boxes.cy), 0), h - 1).astype(np.intp)
     cells = grid.take_cells(rows * w + cols) if unread else grid[rows, cols]
     return EmbeddingSet(normalize_cells(cells))
 
@@ -279,7 +282,7 @@ def update_tracklets(
     if hits and cfg.embedding_mode != "first":   # "first": frozen at birth
         new = e_set.vectors[cols]
         if cfg.embedding_mode == "updated":
-            old = np.stack([t.embedding for t in hits])
+            old = np.array([t.embedding for t in hits])
             new = _blend(old, new, cfg.embedding_momentum)
         for t, emb in zip(hits, new):
             t.embedding = emb
@@ -445,19 +448,30 @@ class Tracker:
         or above the score threshold. Both NMS passes take that one set,
         and with the fusion vote they read one IOU table over it when all
         three run (`_fused_detections`).
+
+        Each value is read and checked once. `FrameContainer.validate`
+        checks prob and boxes before anything reads them. When tracklets
+        propagate and a container frame's unread `embed` fits one search
+        block (`recheck.searched_in_one_block`), it is read whole once, and
+        the search and the readout both take that array; otherwise the
+        search reads the payload block by block and the readout cell by
+        cell. The frame keeps holding the unread payload either way.
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
         public_mode = public_dets is not None
 
         # The search and the readout read embed from whatever the frame
-        # holds, so a container frame's grid is never held whole.
+        # holds; the frame keeps holding a container's grid unread.
         embed = frame.held()["embed"]
         # The tracklet embeddings, stacked once for the search, association
         # and the birth gate.
-        trk_emb = np.stack([t.embedding for t in self.tracklets]) if self.tracklets else None
+        trk_emb = np.array([t.embedding for t in self.tracklets]) if self.tracklets else None
         m_p = None
         if p.recheck_enabled and trk_emb is not None:
+            if isinstance(embed, Payload) and searched_in_one_block(embed.shape):
+                # One read of the grid serves the search and the readout.
+                embed = embed.read()
             stack = cross_correlate(EmbeddingSet(trk_emb), embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None

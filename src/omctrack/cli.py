@@ -6,9 +6,10 @@ tracker reads (non-finite, prob outside [0, 1]) is not a data error: track
 logs a warning, emits no rows for it and goes on. Values are checked where
 they are read, so a bad value nothing reads (in feat under bypass
 refinement, or in an embed cell neither the search nor the readout reads)
-changes nothing. embed is read from the container block by block by the
-search and cell by cell by the readout, never whole; feat is read only
-under learned refinement. track writes its rows frame by frame: a data
+changes nothing. embed is read from the container whole once a frame when
+the search takes it in one block (the 20x20 and 12x12 worlds), or else
+block by block by the search and cell by cell by the readout; feat is read
+only under learned refinement. track writes its rows frame by frame: a data
 error partway still replaces --out with the rows of every frame that
 finished (the printed frames= count) before exiting 2. The OMC_LOG
 environment variable (debug|info) raises log verbosity; default output is
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -565,21 +566,21 @@ _OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
 _OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 _OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# The commands that run the tracker, whose embedding search splits a
-# paper-scale grid between two threads of its own.
-_TRACKING_COMMANDS = frozenset({"track", "sweep"})
-
-
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS at one thread, then restore the previous count.
 
-    The embedding search already splits a paper-scale grid between two
-    threads; with OpenBLAS at one thread per CPU, each of them asks for
-    more, and on a 2-CPU machine the search ran at half the speed. A thread
-    count set in any variable of _OPENBLAS_THREAD_VARS is left as set, and
-    so is a numpy whose BLAS library cannot be loaded or does not export
-    both thread-count calls.
+    Every command runs under it. The embedding search already splits a
+    paper-scale grid between two threads; with OpenBLAS at one thread per
+    CPU, each of them asks for more, and on a 2-CPU machine the search ran
+    at half the speed. synth draws each frame's random numbers on a second
+    thread while its BLAS products build the frame before, and a second
+    BLAS thread competes with that draw (8 frames at 152x272x512: 6.0-6.7 s
+    and 658 MiB at two threads, 3.9-4.4 s and 615 MiB at one, the same
+    bytes; 5 alternating runs on a 2-CPU Xeon). eval and gradcheck
+    timed the same either way. A thread count set in any variable of
+    _OPENBLAS_THREAD_VARS is left as set, and so is a numpy whose BLAS
+    library cannot be loaded or does not export both thread-count calls.
     """
     explicit = any(name in os.environ for name in _OPENBLAS_THREAD_VARS)
     calls = None if explicit else _openblas_thread_calls()
@@ -621,8 +622,7 @@ def main(argv: list[str] | None = None) -> int:
             command.apply_config_file(args.config)
             args = parser.parse_args(argv)
         args.given = command.given(lambda: parser.parse_args(argv))
-        tracking = args.command in _TRACKING_COMMANDS
-        with _one_blas_thread() if tracking else nullcontext():
+        with _one_blas_thread():
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -108,7 +108,9 @@ class Boxes:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return Box(*[a.item(key) for a in self._columns()])
+            # Unrolled like __post_init__: the tracker reads a few boxes a frame.
+            return Box(self.cx.item(key), self.cy.item(key), self.w.item(key),
+                       self.h.item(key), self.score.item(key), self.restored.item(key))
         return Boxes(*(a[key] for a in self._columns()))
 
     def __iter__(self):
@@ -164,8 +166,10 @@ def decode_boxes(
     threshold keeps, so the rest of the grid is never decoded. Each box
     has the bits of the same cell's box in the whole-grid decode. Widths
     and heights come from exponentiating the raw values so they stay
-    positive. NaN anywhere in the maps, decoded cells or not, rejects the
-    frame.
+    positive. The values are not read beyond the decoded cells, nor
+    checked: `FrameContainer.validate` checks a frame's prob and boxes
+    once, before the tracker decodes them, and a NaN there decodes to a
+    NaN box.
     """
     prob = np.asarray(prob)
     raw = np.asarray(raw)
@@ -177,8 +181,6 @@ def decode_boxes(
         raise ValueError(
             f"prob and boxes grids differ: {prob.shape[:2]} vs {raw.shape[:2]}"
         )
-    if np.isnan(prob).any() or np.isnan(raw).any():
-        raise ValueError("frame rejected: NaN in detection maps")
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
 
@@ -210,7 +212,7 @@ def _check_cells(cells, count: int) -> np.ndarray:
     if cells.ndim != 1 or cells.dtype.kind not in "iu":
         raise ValueError(f"cells must be a 1-d integer array, got {cells.dtype} {cells.shape}")
     cells = cells.astype(np.intp, copy=False)
-    if cells[0] < 0 or cells[-1] >= count or (np.diff(cells) <= 0).any():
+    if cells[0] < 0 or cells[-1] >= count or (cells[1:] <= cells[:-1]).any():
         raise ValueError(f"cells must ascend strictly within [0, {count})")
     return cells
 
@@ -219,18 +221,23 @@ def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) IOU matrix of a (5, n) and a (5, m) array of x1, y1, x2, y2, area.
 
     Pairs without a positive-width, positive-height overlap, or with a
-    union <= 0, read 0; the rest are clamped to [0, 1].
+    union <= 0, read 0; the rest are clamped to [0, 1]. The x and y edges
+    go through each broadcast max and min together, as two planes.
     """
-    ax1, ay1, ax2, ay2, a_area = (v[:, None] for v in a)
-    bx1, by1, bx2, by2, b_area = b
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    iwh = np.minimum(a[2:4, :, None], b[2:4, None, :])
+    iwh -= np.maximum(a[:2, :, None], b[:2, None, :])
+    iw, ih = iwh
     inter = iw * ih
-    union = a_area + b_area - inter
+    union = a[4][:, None] + b[4]
+    union -= inter
     # A NaN union (from infinite sizes) is not "<= 0": it stays NaN.
-    overlap = (iw > 0.0) & (ih > 0.0) & ~(union <= 0.0)
+    overlap = iw > 0.0
+    overlap &= ih > 0.0
+    overlap &= ~(union <= 0.0)
     out = np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    # Where overlap holds, inter > 0 and union > 0 (or NaN), so no value
+    # lies below 0; only the top needs the clamp.
+    return np.minimum(out, 1.0, out=out)
 
 
 def _edges(boxes: Boxes) -> np.ndarray:

@@ -114,10 +114,16 @@ class FrameContainer:
 
     A frame from iter_container holds `embed` and `feat` unread, as their
     places in the file (`held`), and reads each whole on first access to
-    the attribute. The tracker never does: the embedding search reads
-    `embed` from the file block by block and the readout cell by cell, and
-    only learned refinement reads `feat`. Assigning `embed` or `feat`
-    replaces it like any other attribute.
+    the attribute. The tracker never does, and the frame keeps holding them
+    unread: a step with live tracklets on a grid of one search block reads
+    `embed` whole into an array of its own for the search and the readout;
+    otherwise the search reads it from the file block by block and the
+    readout cell by cell. Only learned refinement reads `feat`. Assigning
+    `embed` or `feat` replaces it like any other attribute.
+
+    `validate` is the one check of prob's and boxes' values: the tracker
+    calls it before it decodes a frame, and `decode_boxes` does not check
+    them again.
     """
 
     embed = _ReadOnFirstAccess()
@@ -302,44 +308,48 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1).view(np.uint8))
 
 
-def _iter_payloads(source: _OmcfFile) -> Iterator[dict[str, Payload]]:
-    """Walk the headers of an OMCF file, frame by frame, reading no payload.
-
-    Each payload's size is checked against the bytes left in the file
-    before the walk seeks past it, so a corrupt header cannot ask for more
-    than the file holds.
-    """
-    f = source.f
-    size = os.fstat(f.fileno()).st_size
+def _read_preamble(f) -> int:
+    """Check the magic and version at the start of f; return the frame count."""
     magic = _read_exact(f, 4, "magic")
     if magic != MAGIC:
         raise ContainerFormatError(f"bad magic {magic!r}", 0)
     version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header"))
     if version != VERSION:
         raise ContainerFormatError(f"unsupported version {version}", 4)
-    for _ in range(frame_count):
-        (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
-        payloads: dict[str, Payload] = {}
-        for _ in range(tensor_count):
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
-            dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
-            dtype_offset = f.tell()
-            (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
-            if dtype_code != DTYPE_F32:
-                raise ContainerFormatError(
-                    f"unknown dtype code {dtype_code}", dtype_offset
-                )
-            offset = f.tell()
-            nbytes = 4 * math.prod(dims)
-            if nbytes > size - offset:
-                raise ContainerFormatError(
-                    f"truncated file while reading tensor {name!r} payload", offset
-                )
-            f.seek(nbytes, os.SEEK_CUR)
-            payloads[name] = Payload(source, name, dims, offset)
-        yield payloads
+    return frame_count
+
+
+def _walk_frame(source: _OmcfFile, size: int) -> list[Payload]:
+    """Walk the headers of the frame at the file position, reading no payload.
+
+    Returns its tensors in file order and leaves the file at the frame's
+    end. Each payload's size is checked against the file's size before the
+    walk seeks past it, so a corrupt header cannot ask for more than the
+    file holds.
+    """
+    f = source.f
+    (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+    payloads = []
+    for _ in range(tensor_count):
+        (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
+        name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
+        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
+        dtype_offset = f.tell()
+        (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
+        if dtype_code != DTYPE_F32:
+            raise ContainerFormatError(
+                f"unknown dtype code {dtype_code}", dtype_offset
+            )
+        offset = f.tell()
+        nbytes = 4 * math.prod(dims)
+        if nbytes > size - offset:
+            raise ContainerFormatError(
+                f"truncated file while reading tensor {name!r} payload", offset
+            )
+        f.seek(nbytes, os.SEEK_CUR)
+        payloads.append(Payload(source, name, dims, offset))
+    return payloads
 
 
 def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
@@ -381,8 +391,10 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
 
 def iter_omcf(path) -> Iterator[dict[str, np.ndarray]]:
     """Stream named-tensor frames from an OMCF file, every payload read."""
-    for payloads in _iter_payloads(_OmcfFile(path)):
-        yield {name: p.read() for name, p in payloads.items()}
+    source = _OmcfFile(path)
+    size = os.fstat(source.f.fileno()).st_size
+    for _ in range(_read_preamble(source.f)):
+        yield {p.name: p.read() for p in _walk_frame(source, size)}
 
 
 def read_omcf(path) -> list[dict[str, np.ndarray]]:
@@ -421,40 +433,143 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
     return write_omcf(path, tensor_stream())
 
 
+# The tensors iter_container reads with each frame; the rest stay in the file.
+_READ_WITH_FRAME = ("prob", "boxes")
+
+
+class _FrameLayout:
+    """Frame 1's bytes, for reading each later frame of a container at them.
+
+    A frame is header bytes and payloads in file order. The layout cuts it
+    into spans at every payload not read with the frame (embed, feat, any
+    other tensor): each span is a run of header bytes with the prob and
+    boxes payloads between them, read by one `preadv` straight into the
+    header buffer and the new arrays. In the order the writer uses, that is
+    one span for the headers, prob, boxes and embed's header, and one for
+    feat's header. A later frame whose header bytes equal frame 1's has
+    frame 1's tensors, shapes and dtype codes, so it passes the format and
+    homogeneity checks frame 1 passed; `read` gives None for any other
+    frame, which the caller then walks.
+    """
+
+    def __init__(self, source: _OmcfFile, start: int, end: int, payloads: list[Payload]):
+        fd = source.f.fileno()
+        kept = {p.name: p for p in payloads}  # the walk keeps a name's last tensor
+        self.size = end - start
+        self.shapes = [kept[name].shape for name in _READ_WITH_FRAME]
+        self.unread = [(name, kept[name].shape, kept[name].offset - start)
+                       for name in REQUIRED_TENSORS if name not in _READ_WITH_FRAME]
+        # Per span: its offset in the frame, its length and its parts, each
+        # a header's (start, stop) in self.header or the index of a read tensor.
+        self.spans: list[tuple[int, int, list]] = []
+        headers, parts = bytearray(), []
+        cursor = span_start = start
+        for p in payloads:
+            parts.append((len(headers), len(headers) + p.offset - cursor))
+            headers += os.pread(fd, p.offset - cursor, cursor)
+            cursor = p.offset + 4 * math.prod(p.shape)
+            if p.name in _READ_WITH_FRAME and kept[p.name] is p:
+                parts.append(_READ_WITH_FRAME.index(p.name))
+            else:
+                self.spans.append((span_start - start, p.offset - span_start, parts))
+                parts, span_start = [], cursor
+        if parts:
+            self.spans.append((span_start - start, cursor - span_start, parts))
+        self.header = bytes(headers)
+
+    def read(self, source: _OmcfFile, start: int, size: int) -> list | None:
+        """The frame at start laid out as frame 1, or None if it is not.
+
+        Returns [prob, boxes, embed, feat]: the first two read, the others
+        as unread payloads. None when the frame would run past size, a read
+        comes up short or its header bytes differ from frame 1's.
+        """
+        if size - start < self.size:
+            return None
+        fd = source.f.fileno()
+        header = bytearray(len(self.header))
+        view = memoryview(header)
+        arrays = [np.empty(shape, dtype="<f4") for shape in self.shapes]
+        for offset, length, parts in self.spans:
+            buffers = [_bytes_of(arrays[part]) if isinstance(part, int)
+                       else view[part[0]:part[1]] for part in parts]
+            if os.preadv(fd, buffers, start + offset) != length:
+                return None
+        if header != self.header:
+            return None
+        return arrays + [Payload(source, name, shape, start + offset)
+                         for name, shape, offset in self.unread]
+
+
+def _checked_tensors(index: int, payloads: list[Payload],
+                     first: dict[str, tuple[int, ...]]) -> list:
+    """A walked frame's tensors, [prob, boxes, embed, feat], once its format holds.
+
+    Checks the format and each tensor's shape against `first`, frame 1's
+    shapes (filled from frame 1), then reads prob and boxes.
+    """
+    tensors = {p.name: p for p in payloads}
+    try:
+        _check_tensor_format(tensors)
+    except ValueError as exc:
+        raise ContainerFormatError(f"frame {index}: {exc}") from exc
+    for name in REQUIRED_TENSORS:
+        shape = tensors[name].shape
+        expected = first.setdefault(name, shape)
+        if shape != expected:
+            raise ContainerFormatError(
+                f"sequence must be homogeneous: frame {index} tensor "
+                f"{name!r} has shape {shape}, expected {expected}"
+            )
+    return [tensors[name].read() if name in _READ_WITH_FRAME else tensors[name]
+            for name in REQUIRED_TENSORS]
+
+
 def iter_container(path) -> Iterator[FrameContainer]:
     """Stream frames whose format is checked; each tensor keeps frame 1's shape.
 
-    Format and shapes come from the headers, before any payload is read.
-    prob and boxes are then read with the frame; embed and feat are only
+    Frame 1's headers are walked and checked before any payload is read.
+    Each later frame is read at frame 1's layout (`_FrameLayout`): one
+    `preadv` fills its headers, prob and boxes, one small read the header
+    after embed, and the frame's format holds when its header bytes equal
+    frame 1's. A frame laid out otherwise, or cut short, is walked and
+    checked like frame 1, so a fault raises the ContainerFormatError the
+    walk gives, with its frame number or byte offset, after the frames
+    before it have been yielded.
+
+    prob and boxes are read with the frame; embed and feat are only
     size-checked and stay in the file as payloads (`FrameContainer.held`).
-    The tracker reads embed from there, block by block in the embedding
+    The tracker reads embed from there, whole once a frame when the
+    embedding search takes it in one block, or else block by block in the
     search and cell by cell in the readout, and feat only under learned
     refinement; the first access to `frame.embed` or `frame.feat` reads
     that tensor whole. A file cut short after the walk makes any of these
     reads raise ContainerFormatError naming the tensor.
 
-    Tensor values are not checked here: Tracker.step checks the values it
-    reads and counts a frame with a non-finite value it reads, or a prob
-    outside [0, 1], as all-miss.
+    Tensor values are not checked here: Tracker.step checks prob and boxes
+    (`FrameContainer.validate`) and the other values it reads, and counts
+    a frame with a non-finite value it reads, or a prob outside [0, 1], as
+    all-miss.
     """
+    source = _OmcfFile(path)
+    f = source.f
+    size = os.fstat(f.fileno()).st_size
     first: dict[str, tuple[int, ...]] = {}
-    for i, payloads in enumerate(_iter_payloads(_OmcfFile(path))):
-        try:
-            _check_tensor_format(payloads)
-        except ValueError as exc:
-            raise ContainerFormatError(f"frame {i + 1}: {exc}") from exc
-        for name in REQUIRED_TENSORS:
-            shape = payloads[name].shape
-            expected = first.setdefault(name, shape)
-            if shape != expected:
-                raise ContainerFormatError(
-                    f"sequence must be homogeneous: frame {i + 1} tensor "
-                    f"{name!r} has shape {shape}, expected {expected}"
-                )
-        yield FrameContainer(
-            i + 1, payloads["prob"].read(), payloads["boxes"].read(),
-            payloads["embed"], payloads["feat"],
-        )
+    layout = None
+    start = len(MAGIC) + 8
+    for index in range(1, _read_preamble(f) + 1):
+        tensors = None if layout is None else layout.read(source, start, size)
+        if tensors is None:
+            f.seek(start)
+            payloads = _walk_frame(source, size)
+            tensors = _checked_tensors(index, payloads, first)
+            end = f.tell()
+            if layout is None:
+                layout = _FrameLayout(source, start, end, payloads)
+        else:
+            end = start + layout.size
+        start = end
+        yield FrameContainer(index, *tensors)
 
 
 def read_container(path) -> list[FrameContainer]:

@@ -29,10 +29,10 @@ Finite cells whose float32 squares overflow go through `normalize_cells`.
 The search walks the grid's H*W cells in near-equal blocks of at most
 `recheck.SEARCH_BLOCK_VALUES` values (2048 cells at C = 512), each a view
 of an array or a read from a container's unread payload, so a container
-grid is never held whole. The split depends only on (H*W, C), so a grid in
-memory and the same grid in a container give the same bits, and a grid
-that fits in one block (the 20x20 desk and 12x12 clutter worlds) gets one
-whole-grid `sgemm`. OpenBLAS chooses its kernel by matrix size: on
+grid of more than one block is never held whole. The split depends only
+on (H*W, C), so a grid in memory and the same grid in a container give
+the same bits, and a grid that fits in one block (the 20x20 desk and
+12x12 clutter worlds) gets one whole-grid `sgemm`. OpenBLAS chooses its kernel by matrix size: on
 152x272x512 grids, near-equal blocks of 1024 to 4096 cells gave the
 whole-grid product's bits with 3, 5 and 20 templates, while one template
 (`gemv`), or a last block much smaller than the others, can move the last
@@ -188,16 +188,17 @@ def sigmoid(x):
 
     Accepts scalars or arrays. Scalars come back as Python floats; float32
     arrays come back as float32, everything else as float64. Computation is
-    done in float64 through the numerically stable split so large-magnitude
-    inputs saturate without overflowing.
+    done in float64 through the numerically stable split, so large-magnitude
+    inputs saturate without overflowing: with e = exp(-|x|), 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere. One exp over every element
+    serves both sides; -|x| is taken as min(x, -x), which keeps a NaN's
+    sign, so each value has the bits of the split taken one side at a time.
     """
     arr = np.asarray(x)
     work = arr.astype(np.float64)
-    out = np.empty_like(work)
-    pos = work >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-work[pos]))
-    ex = np.exp(work[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(np.minimum(work, -work))
+    out = np.where(work >= 0, 1.0, ex)
+    out /= 1.0 + ex
     if arr.ndim == 0:
         return float(out)
     if arr.dtype == np.float32:

@@ -20,7 +20,7 @@ from omctrack.association import (
 )
 from omctrack.detection import Box, Boxes, iou
 from omctrack.frame_io import MotBox
-from omctrack.numerics import l2_normalize
+from omctrack.numerics import l2_normalize, normalize_cells
 from omctrack.recheck import EmbeddingSet, RefineWeights
 from omctrack.synth import ScenarioConfig, generate
 
@@ -148,6 +148,17 @@ class TestExtractEmbeddings:
         rows = np.clip(np.floor(boxes.cy), 0, 8).astype(int)
         expected = np.stack([l2_normalize(f_id[r, c]) for r, c in zip(rows, cols)])
         assert np.array_equal(extract_embeddings(boxes, grid).vectors, expected)
+
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
+                                          st.floats(-1e300, 1e300))] * 2),
+                    min_size=1, max_size=8))
+    def test_center_cells_match_the_clip_formula(self, centers):
+        grid = np.random.default_rng(3).normal(size=(5, 7, 4)).astype(np.float32)
+        boxes = Boxes.of([Box(cx=x, cy=y, w=1, h=1, score=1.0) for x, y in centers])
+        cols = np.clip(np.floor(boxes.cx), 0, 6).astype(np.intp)
+        rows = np.clip(np.floor(boxes.cy), 0, 4).astype(np.intp)
+        expected = EmbeddingSet(normalize_cells(grid[rows, cols])).vectors
+        assert extract_embeddings(boxes, grid).vectors.tobytes() == expected.tobytes()
 
 
 class TestAssociate:

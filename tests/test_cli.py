@@ -646,7 +646,7 @@ _TRACKING_ARGV = {
 
 
 class TestBlasThreads:
-    """While a tracking command runs, numpy's OpenBLAS is held at one thread."""
+    """While any command runs, numpy's OpenBLAS is held at one thread."""
 
     @pytest.fixture
     def blas(self, monkeypatch):
@@ -664,7 +664,7 @@ class TestBlasThreads:
             seen.append(get())
             return cli.EXIT_OK
 
-        for name in ("_cmd_track", "_cmd_sweep", "_cmd_gradcheck", "_cmd_synth"):
+        for name in ("_cmd_track", "_cmd_sweep", "_cmd_gradcheck", "_cmd_synth", "_cmd_eval"):
             monkeypatch.setattr(cli, name, command)
         yield get, seen
         set_threads(before)
@@ -676,11 +676,13 @@ class TestBlasThreads:
         assert seen == [1]
         assert get() == 2
 
-    @pytest.mark.parametrize("argv", [("gradcheck",), ("synth", "--out", "c", "--gt", "g")])
-    def test_other_commands_left_alone(self, blas, argv, capsys):
+    @pytest.mark.parametrize("argv", [("gradcheck",), ("synth", "--out", "c", "--gt", "g"),
+                                      ("eval", "--gt", "g", "--results", "r")])
+    def test_other_commands_held_too(self, blas, argv, capsys):
         get, seen = blas
         assert run(capsys, *argv)[0] == 0
-        assert seen == [2]
+        assert seen == [1]
+        assert get() == 2
 
     def test_count_restored_when_the_command_fails(self, blas, monkeypatch, capsys):
         get, seen = blas

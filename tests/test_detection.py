@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from omctrack import detection
+from omctrack import association, detection
+from omctrack.association import Tracker
 from omctrack.detection import (
     DECODE_MODES,
     Box,
@@ -17,6 +19,8 @@ from omctrack.detection import (
     greedy_nms,
     iou,
 )
+from omctrack.frame_io import FrameContainer
+from omctrack.numerics import FrameValueError
 
 LN3 = math.log(3.0)
 
@@ -177,12 +181,12 @@ class TestDecodeBoxes:
         (box,) = decode_boxes(prob, raw, "bar", 10.0)
         assert box.cx - 0.5 > 1.0
 
-    def test_nan_rejected(self):
+    @pytest.mark.parametrize("tensor", ["prob", "boxes"])
+    def test_nan_rejected(self, tensor, caplog):
         prob = np.ones((2, 2, 1), dtype=np.float32)
         raw = np.zeros((2, 2, 4), dtype=np.float32)
-        raw[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            decode_boxes(prob, raw, "bar")
+        {"prob": prob, "boxes": raw}[tensor][0, 0, 0] = np.nan
+        assert_frame_rejected(prob, raw, tensor, caplog)
 
     def test_row_major_order(self):
         prob = np.zeros((2, 3, 1), dtype=np.float32)
@@ -290,6 +294,25 @@ class TestNmsIndices:
 F32_MAX = float(np.finfo(np.float32).max)
 
 
+def assert_frame_rejected(prob, raw, tensor, caplog):
+    """A frame holding these maps fails its one value check, so it is never decoded.
+
+    decode_boxes does not check values: FrameContainer.validate checks prob
+    and boxes once, and Tracker.step counts a frame that fails it as
+    all-miss, emitting no rows.
+    """
+    h, w = prob.shape[:2]
+    embed = np.zeros((h, w, 4), np.float32)
+    embed[..., 0] = 1.0
+    frame = FrameContainer(1, prob, raw, embed, np.zeros((h, w, 2), np.float32))
+    with pytest.raises(FrameValueError, match=f"tensor '{tensor}' contains non-finite"):
+        frame.validate(("prob", "boxes"))
+    with mock.patch.object(association, "decode_boxes") as decode:
+        assert Tracker().step(frame) == []
+    decode.assert_not_called()
+    assert "failed validation" in caplog.text
+
+
 @st.composite
 def decode_inputs(draw):
     """A small grid's maps, an ascending cell index and one cell."""
@@ -323,12 +346,13 @@ class TestSubsetDecode:
         with pytest.raises(ValueError, match="cells must"):
             decode_boxes(prob, raw, "bar", cells=cells)
 
-    def test_nan_outside_index_rejected(self):
-        prob = np.ones((2, 2, 1), dtype=np.float32)
+    @pytest.mark.parametrize("tensor", ["prob", "boxes"])
+    def test_nan_outside_index_rejected(self, tensor, caplog):
+        # Cell 3 scores below the threshold, so the tracker would not decode it.
+        prob = np.array([1.0, 1.0, 1.0, 0.0], dtype=np.float32).reshape(2, 2, 1)
         raw = np.zeros((2, 2, 4), dtype=np.float32)
-        raw[1, 1, 3] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            decode_boxes(prob, raw, "bar", cells=np.array([0]))
+        {"prob": prob, "boxes": raw}[tensor][1, 1, -1] = np.nan
+        assert_frame_rejected(prob, raw, tensor, caplog)
 
 
 size = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -358,7 +382,49 @@ class TestIouMatrix:
         assert got.tobytes() == want.tobytes()
 
 
+def broadcast_edge_iou(a, b):
+    """Reference: the IOU table with one broadcast op per edge, clamped both ways."""
+    ax1, ay1, ax2, ay2, a_area = (v[:, None] for v in a)
+    bx1, by1, bx2, by2, b_area = b
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = a_area + b_area - inter
+    overlap = (iw > 0.0) & (ih > 0.0) & ~(union <= 0.0)
+    out = np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+any_float = st.one_of(st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                      st.floats(-1e3, 1e3), st.floats())
+any_box = st.builds(Box, cx=any_float, cy=any_float, w=any_float, h=any_float,
+                    score=any_float, restored=st.booleans())
+
+
+def box_bits(box):
+    return struct.pack("<5d?", box.cx, box.cy, box.w, box.h, box.score, box.restored)
+
+
+class TestIouOracle:
+    @given(st.lists(any_box, max_size=7), st.lists(any_box, max_size=7))
+    def test_bits_match_the_per_edge_broadcasts(self, a, b):
+        a, b = Boxes.of(a), Boxes.of(b)
+        with np.errstate(all="ignore"):
+            want = broadcast_edge_iou(detection._edges(a), detection._edges(b))
+            assert iou(a, b).tobytes() == want.tobytes()
+            assert iou(a, a).tobytes() == broadcast_edge_iou(
+                detection._edges(a), detection._edges(a)).tobytes()
+
+
 class TestBoxes:
+    @given(st.lists(any_box, min_size=1, max_size=5), st.data())
+    def test_int_index_reads_each_column(self, records, data):
+        boxes = Boxes.of(records)
+        k = data.draw(st.integers(-len(records), len(records) - 1))
+        columns = (boxes.cx, boxes.cy, boxes.w, boxes.h, boxes.score, boxes.restored)
+        for key in (k, np.intp(k)):
+            assert box_bits(boxes[key]) == box_bits(Box(*[a.item(key) for a in columns]))
+
     def test_int_index_and_iteration_give_records(self):
         records = [Box(cx=1.0, cy=2.0, w=3.0, h=4.0, score=0.5),
                    Box(cx=5.0, cy=6.0, w=7.0, h=8.0, score=0.25, restored=True)]

@@ -426,7 +426,18 @@ class TestLazyFeat:
         for fc in frames:
             fc.check_format()
             repr(fc)
-        assert sum(n for _, n in reads) == sum(f.prob.nbytes + f.boxes.nbytes for f in written)
+        # Header bytes come in the same reads; count only the payloads' bytes.
+        data = path.read_bytes()
+
+        def payload_bytes_read(name):
+            spans = [(data.index(getattr(f, name).tobytes()), getattr(f, name).nbytes)
+                     for f in written]
+            return sum(max(0, min(offset + n, start + size) - max(offset, start))
+                       for offset, n in reads for start, size in spans)
+
+        for name in ("prob", "boxes"):
+            assert payload_bytes_read(name) == sum(getattr(f, name).nbytes for f in written)
+        assert payload_bytes_read("embed") == payload_bytes_read("feat") == 0
         # Four ragged blocks of 7 or 8 cells, so the search reads embed in parts.
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 130)
         by_kernel = {"cross_correlate": [], "extract_embeddings": []}
@@ -544,3 +555,164 @@ class TestStreamedEmbed:
         assert all(isinstance(fc.held()["embed"], frame_io.Payload) for fc in frames)
         for fc, want in zip(frames, written):
             assert np.array_equal(fc.embed, want.embed)
+
+
+class TestLaidOutFrames:
+    """Frames after the first are read at frame 1's layout, or walked."""
+
+    def write(self, tmp_path, frames=4, tensors=None):
+        rng = np.random.default_rng(19)
+        written = [random_frame(rng, i + 1, h=5, w=3) for i in range(frames)]
+        path = tmp_path / "x.omcf"
+        write_omcf(path, tensors or [f.tensors() for f in written])
+        return written, path
+
+    @staticmethod
+    def record_reads(monkeypatch):
+        """Record (call, offset, bytes) of every os.preadv and os.pread."""
+        calls = []
+        preadv, pread = os.preadv, os.pread
+
+        def recording_preadv(fd, buffers, offset):
+            n = preadv(fd, buffers, offset)
+            calls.append(("preadv", offset, n))
+            return n
+
+        def recording_pread(fd, n, offset):
+            data = pread(fd, n, offset)
+            calls.append(("pread", offset, len(data)))
+            return data
+
+        monkeypatch.setattr(os, "preadv", recording_preadv)
+        monkeypatch.setattr(os, "pread", recording_pread)
+        return calls
+
+    def test_one_preadv_carries_headers_prob_and_boxes(self, tmp_path, monkeypatch):
+        written, path = self.write(tmp_path)
+        data = path.read_bytes()
+        calls = self.record_reads(monkeypatch)
+        frames = frame_io.iter_container(path)
+        next(frames)
+        for before, want in zip(written, written[1:]):
+            calls.clear()
+            fc = next(frames)
+            start = data.index(before.feat.tobytes()) + before.feat.nbytes
+            embed, feat = fc.held()["embed"], fc.held()["feat"]
+            # From the frame's start to embed's payload: the headers, prob
+            # and boxes; then feat's header, between embed and feat.
+            assert calls == [("preadv", start, embed.offset - start),
+                             ("preadv", embed.offset + want.embed.nbytes,
+                              feat.offset - embed.offset - want.embed.nbytes)]
+            assert start < data.index(want.prob.tobytes()) < data.index(want.boxes.tobytes())
+            assert np.array_equal(fc.prob, want.prob) and np.array_equal(fc.boxes, want.boxes)
+            assert np.array_equal(fc.embed, want.embed) and np.array_equal(fc.feat, want.feat)
+
+    @staticmethod
+    def patched_frame_2(path, old: bytes, new: bytes):
+        """Replace the first occurrence of old after frame 1's feat payload."""
+        data = bytearray(path.read_bytes())
+        at = data.index(old, data.index(b"feat") + 4)
+        data[at:at + len(old)] = new
+        path.write_bytes(bytes(data))
+        return at
+
+    @pytest.mark.parametrize("change", ["shape", "channels", "dtype code", "name"])
+    def test_differing_header_raises_the_walk_error(self, tmp_path, change):
+        rng = np.random.default_rng(20)
+        frames = [random_frame(rng, 1, h=5, w=3), random_frame(rng, 2, h=5, w=3)]
+        tensors = [f.tensors() for f in frames]
+        path = tmp_path / "x.omcf"
+        offset = None
+        if change == "shape":
+            tensors[1] = random_frame(rng, 2, h=6, w=3).tensors()
+            message = ("sequence must be homogeneous: frame 2 tensor 'prob' has "
+                       "shape (6, 3, 1), expected (5, 3, 1)")
+        elif change == "channels":
+            tensors[1] = random_frame(rng, 2, h=5, w=3, embed_dim=12).tensors()
+            message = ("sequence must be homogeneous: frame 2 tensor 'embed' has "
+                       "shape (5, 3, 12), expected (5, 3, 16)")
+        write_omcf(path, tensors)
+        if change == "dtype code":
+            # boxes' header: name, ndim 3, dims 5 x 3 x 4, dtype code.
+            header = b"boxes" + struct.pack("<4I", 3, 5, 3, 4)
+            offset = self.patched_frame_2(path, header + b"\0", header + b"\x09") + len(header)
+            message = f"unknown dtype code 9 (byte offset {offset})"
+        elif change == "name":
+            self.patched_frame_2(path, b"feat", b"fear")
+            message = "frame 2: container frame missing tensors: ['feat']"
+        reader = frame_io.iter_container(path)
+        assert np.array_equal(next(reader).prob, frames[0].prob)
+        with pytest.raises(ContainerFormatError) as err:
+            next(reader)
+        assert str(err.value) == message
+        assert err.value.offset == offset
+
+    def test_frame_in_another_tensor_order_is_walked(self, tmp_path):
+        rng = np.random.default_rng(21)
+        frames = [random_frame(rng, i + 1, h=5, w=3) for i in range(3)]
+        tensors = [f.tensors() for f in frames]
+        tensors[1] = {name: tensors[1][name] for name in ("feat", "boxes", "embed", "prob")}
+        path = tmp_path / "x.omcf"
+        write_omcf(path, tensors)
+        for fc, want in zip(read_container(path), frames, strict=True):
+            for name in frame_io.REQUIRED_TENSORS:
+                assert np.array_equal(getattr(fc, name), getattr(want, name))
+
+    @pytest.mark.parametrize("where", ["tensor count", "prob", "embed", "feat header", "feat"])
+    def test_cut_inside_frame_k_yields_the_frames_before(self, tmp_path, where):
+        written, path = self.write(tmp_path)
+        data = path.read_bytes()
+        third = written[2]
+        start = data.index(written[1].feat.tobytes()) + written[1].feat.nbytes
+        embed_end = data.index(third.embed.tobytes()) + third.embed.nbytes
+        cut, message, offset = {
+            "tensor count": (start + 2, "tensor count", start),
+            "prob": (data.index(third.prob.tobytes()) + 8, "tensor 'prob' payload",
+                     data.index(third.prob.tobytes())),
+            "embed": (embed_end - 4, "tensor 'embed' payload",
+                      data.index(third.embed.tobytes())),
+            # name length, "feat", then 2 of ndim's 4 bytes.
+            "feat header": (embed_end + 10, "ndim", embed_end + 8),
+            "feat": (data.index(third.feat.tobytes()) + 4, "tensor 'feat' payload",
+                     data.index(third.feat.tobytes())),
+        }[where]
+        path.write_bytes(data[:cut])
+        reader = frame_io.iter_container(path)
+        for want in written[:2]:
+            assert np.array_equal(next(reader).boxes, want.boxes)
+        with pytest.raises(ContainerFormatError) as err:
+            next(reader)
+        assert str(err.value) == f"truncated file while reading {message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+
+class TestOneGridRead:
+    """With live tracklets on a one-block grid, the step reads embed once, whole."""
+
+    def test_search_and_readout_share_one_read(self, tmp_path, monkeypatch):
+        from omctrack.synth import ScenarioConfig, generate
+
+        frames, _, _ = generate(ScenarioConfig(seed=0, num_targets=2, height=8, width=8,
+                                               frames=5))
+        path = tmp_path / "x.omcf"
+        write_container(frames, path)
+        reads = TestLazyFeat.count_reads(monkeypatch)
+        tracker = association.Tracker()
+        propagated = 0
+        for fc in frame_io.iter_container(path):
+            embed = fc.held()["embed"]
+            assert recheck.searched_in_one_block(embed.shape)
+            nbytes = 4 * np.prod(embed.shape)
+            live = bool(tracker.tracklets)
+            before = len(reads)
+            assert tracker.step(fc)
+            in_embed = [(offset, n) for offset, n in reads[before:]
+                        if embed.offset <= offset < embed.offset + nbytes]
+            if live:
+                propagated += 1
+                assert in_embed == [(embed.offset, nbytes)]
+            else:
+                # No search: only the boxes' centre cells are read.
+                assert in_embed and all(n == 4 * embed.shape[2] for _, n in in_embed)
+            assert isinstance(fc.held()["embed"], frame_io.Payload)
+        assert propagated == 4

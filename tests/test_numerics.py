@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from omctrack import numerics
 from omctrack.numerics import (
@@ -25,6 +28,22 @@ def whole_grid_normalize(g, eps=NORM_EPS):
     norms = np.linalg.norm(g64, axis=2, keepdims=True)
     scale = np.where(norms > eps, 1.0 / np.where(norms > eps, norms, 1.0), 1.0)
     return (g64 * scale).astype(np.float32)
+
+
+def split_sigmoid(x):
+    """Reference: the logistic in two boolean-indexed passes, one per sign."""
+    arr = np.asarray(x)
+    work = arr.astype(np.float64)
+    out = np.empty_like(work)
+    pos = work >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-work[pos]))
+    ex = np.exp(work[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    if arr.ndim == 0:
+        return float(out)
+    if arr.dtype == np.float32:
+        return out.astype(np.float32)
+    return out
 
 
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -186,6 +205,18 @@ class TestSigmoid:
     def test_grid_keeps_float32(self):
         g = np.zeros((2, 2, 1), dtype=np.float32)
         assert sigmoid(g).dtype == np.float32
+
+    @given(st.data())
+    def test_bits_match_the_two_pass_split(self, data):
+        width = data.draw(st.sampled_from([32, 64]))
+        special = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+        values = st.one_of(special, st.floats(width=width))
+        dtype = np.float32 if width == 32 else np.float64
+        x = np.array(data.draw(st.lists(values, max_size=50)), dtype=dtype)
+        assert sigmoid(x).tobytes() == split_sigmoid(x).tobytes()
+        scalar = data.draw(values)
+        for v in (scalar, dtype(scalar), np.array(scalar, dtype=dtype)):
+            assert struct.pack("<d", sigmoid(v)) == struct.pack("<d", split_sigmoid(v))
 
 
 class TestL2Normalize:
