@@ -362,7 +362,7 @@ class Tracker:
     ):
         self.pipeline = pipeline or PipelineConfig()
         self.cfg = tracker_cfg or TrackerConfig()
-        self.weights = weights or RefineWeights.bypass()
+        self.weights = weights or RefineWeights()
         self.tracklets: list[Tracklet] = []
         self.next_id = 1
         self.rows_emitted = 0

@@ -9,11 +9,12 @@ refinement, or in an embed cell neither the search nor the readout reads)
 changes nothing. embed is read from the container whole once a frame when
 the search takes it in one block (the 20x20 and 12x12 worlds), or else
 block by block by the search and cell by cell by the readout; feat is read
-only under learned refinement. track writes its rows frame by frame: a data
-error partway still replaces --out with the rows of every frame that
-finished (the printed frames= count) before exiting 2. The OMC_LOG
-environment variable (debug|info) raises log verbosity; default output is
-just the command's own summary.
+only under learned refinement, which runs exactly when --weights names a
+weight file (refinement is otherwise a clamp). track writes its rows frame
+by frame: a data error partway still replaces --out with the rows of every
+frame that finished (the printed frames= count) before exiting 2. The
+OMC_LOG environment variable (debug|info) raises log verbosity; default
+output is just the command's own summary.
 
 A --config file of key=value lines may set any optional flag of the
 command except --config itself. A key is the flag's long name with dashes
@@ -22,10 +23,11 @@ disable_recheck takes true or false. A key takes effect as its flag would,
 below explicit flags and above the defaults. Any other key, or a value the
 flag refuses, is a usage error (exit 1) naming the file, the line and the
 key. Tracking and scenario defaults are those of the config dataclass
-fields that the flag tables below name. sweep refuses, as a usage error,
-a flag or key that sets what the swept parameter sets on every run:
---epsilon under --param epsilon, --radius or --disable-shrink under
---param r.
+fields that the flag tables below name, and each field is set by one
+flag only (--radius inf, or none, turns the shrink window off). sweep
+refuses, as a usage error, the flag or key that sets what the swept
+parameter sets on every run: --epsilon under --param epsilon, --radius
+under --param r.
 """
 
 from __future__ import annotations
@@ -258,14 +260,10 @@ def _fill(owner, args, flags: tuple[_Flag, ...], **fixed):
 
 def _add_tracking_flags(p: _Parser) -> None:
     _add_flags(p, _TRACKING_FLAGS)
-    _add_flag(p, "refine", _field_default(RefineWeights, "mode"),
-              "refinement mode; learned needs --weights",
-              choices=("bypass", "learned"))
-    p.add_argument("--weights", help="OMCF file with refinement weights")
+    p.add_argument("--weights", help="OMCF file of learned refinement weights; "
+                   "without it refinement clamps the aggregate (bypass)")
     p.add_argument("--disable-recheck", action="store_true",
                    help="turn tracklet propagation off (detector only)")
-    p.add_argument("--disable-shrink", action="store_true",
-                   help="aggregate full response maps without peak windows")
 
 
 def _add_scenario_flags(p: _Parser) -> None:
@@ -282,34 +280,22 @@ def _add_scenario_flags(p: _Parser) -> None:
 
 
 def _build_configs(args) -> tuple[PipelineConfig, TrackerConfig]:
-    shrink = {"shrink_radius": math.inf} if args.disable_shrink else {}
     pipeline = _fill(PipelineConfig, args, _TRACKING_FLAGS,
-                     recheck_enabled=not args.disable_recheck, **shrink)
+                     recheck_enabled=not args.disable_recheck)
     return pipeline, _fill(TrackerConfig, args, _TRACKING_FLAGS)
 
 
 def _build_scenario(args) -> ScenarioConfig:
-    cfg = _fill(
+    return _fill(
         ScenarioConfig, args, _SCENARIO_FLAGS + _GEOMETRY_FLAGS,
         height=args.grid[0], width=args.grid[1],
         speed_min=args.speed[0], speed_max=args.speed[1],
         size_min=args.size[0], size_max=args.size[1],
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _load_weights(args) -> RefineWeights:
-    if args.refine == "learned":
-        if not args.weights:
-            raise UsageError("--refine learned requires --weights")
-        return RefineWeights.load(args.weights)
-    if args.weights:
-        raise UsageError("--weights requires --refine learned")
-    return RefineWeights.bypass()
+    return RefineWeights.load(args.weights) if args.weights else RefineWeights()
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +374,18 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# The flags that set what each sweep parameter sets on every run.
-_SWEPT_FLAGS = {"epsilon": ("epsilon",), "r": ("radius", "disable_shrink")}
+# Each sweep --param and the tracking flag whose field it sets on every run.
+_SWEEP_PARAMS = {param: next(f for f in _TRACKING_FLAGS if f.flag == flag)
+                 for param, flag in (("epsilon", "epsilon"), ("r", "radius"))}
 
 
 def _cmd_sweep(args) -> int:
-    field = "fusion_epsilon" if args.param == "epsilon" else "shrink_radius"
-    for dest in _SWEPT_FLAGS[args.param]:
-        if dest in args.given:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} conflicts with --param {args.param}, "
-                             f"which sets {field} on every run")
+    swept = _SWEEP_PARAMS[args.param]
+    if swept.flag.replace("-", "_") in args.given:
+        raise UsageError(f"--{swept.flag} conflicts with --param {args.param}, "
+                         f"which sets {swept.field} on every run")
     try:
-        values = [_parse_radius(v) if args.param == "r" else float(v)
-                  for v in args.values.split(",") if v.strip()]
+        values = [swept.parse(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}") from exc
     if not values:
@@ -410,7 +394,7 @@ def _cmd_sweep(args) -> int:
     scenario = _build_scenario(args)
     pipeline, tracker_cfg = _build_configs(args)
     try:
-        pipelines = [dataclasses.replace(pipeline, **{field: v}) for v in values]
+        pipelines = [dataclasses.replace(pipeline, **{swept.field: v}) for v in values]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     weights = _load_weights(args)
@@ -529,7 +513,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_synth.set_defaults(func=_cmd_synth)
 
     p_sweep = sub.add_parser("sweep", help="run the tracker across parameter values")
-    p_sweep.add_argument("--param", required=True, choices=("epsilon", "r"),
+    p_sweep.add_argument("--param", required=True, choices=tuple(_SWEEP_PARAMS),
                          help="epsilon or r")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values; 'inf' allowed for r")

@@ -231,9 +231,14 @@ def _replacing(path, mode: str, **kwargs):
             os.remove(tmp)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
+def _read_exact(f, n: int, what: str, size: int) -> bytes:
+    """n bytes at f's position in a file of size bytes.
+
+    A field longer than the bytes left raises before anything is read, so
+    a corrupt length cannot ask for more memory than the file holds.
+    """
     offset = f.tell()
-    data = f.read(n)
+    data = f.read(n) if n <= size - offset else b""
     if len(data) != n:
         raise ContainerFormatError(f"truncated file while reading {what}", offset)
     return data
@@ -308,12 +313,12 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1).view(np.uint8))
 
 
-def _read_preamble(f) -> int:
+def _read_preamble(f, size: int) -> int:
     """Check the magic and version at the start of f; return the frame count."""
-    magic = _read_exact(f, 4, "magic")
+    magic = _read_exact(f, 4, "magic", size)
     if magic != MAGIC:
         raise ContainerFormatError(f"bad magic {magic!r}", 0)
-    version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header"))
+    version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header", size))
     if version != VERSION:
         raise ContainerFormatError(f"unsupported version {version}", 4)
     return frame_count
@@ -323,20 +328,25 @@ def _walk_frame(source: _OmcfFile, size: int) -> list[Payload]:
     """Walk the headers of the frame at the file position, reading no payload.
 
     Returns its tensors in file order and leaves the file at the frame's
-    end. Each payload's size is checked against the file's size before the
-    walk seeks past it, so a corrupt header cannot ask for more than the
-    file holds.
+    end. Each header field and payload is checked against the file's size
+    before the walk reads or seeks past it, so a corrupt header cannot ask
+    for more than the file holds.
     """
     f = source.f
-    (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
+    (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count", size))
     payloads = []
     for _ in range(tensor_count):
-        (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-        name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
-        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
+        (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length", size))
+        name_offset = f.tell()
+        try:
+            name = _read_exact(f, name_len, "tensor name", size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerFormatError(f"tensor name is not UTF-8: {exc.reason}",
+                                       name_offset) from exc
+        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim", size))
+        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims", size))
         dtype_offset = f.tell()
-        (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
+        (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code", size))
         if dtype_code != DTYPE_F32:
             raise ContainerFormatError(
                 f"unknown dtype code {dtype_code}", dtype_offset
@@ -393,7 +403,7 @@ def iter_omcf(path) -> Iterator[dict[str, np.ndarray]]:
     """Stream named-tensor frames from an OMCF file, every payload read."""
     source = _OmcfFile(path)
     size = os.fstat(source.f.fileno()).st_size
-    for _ in range(_read_preamble(source.f)):
+    for _ in range(_read_preamble(source.f, size)):
         yield {p.name: p.read() for p in _walk_frame(source, size)}
 
 
@@ -406,12 +416,32 @@ def read_omcf(path) -> list[dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_homogeneous(index: int, tensors: Mapping, first: dict) -> None:
+    """Check that frame index's required tensors keep frame 1's shapes.
+
+    first maps each tensor's name to frame 1's shape, filled from frame 1
+    itself. The writer and the reader both keep a sequence to this rule.
+    """
+    for name in REQUIRED_TENSORS:
+        shape = tensors[name].shape
+        expected = first.setdefault(name, shape)
+        if shape != expected:
+            raise ContainerFormatError(
+                f"sequence must be homogeneous: frame {index} tensor "
+                f"{name!r} has shape {shape}, expected {expected}"
+            )
+
+
 def write_container(frames: Iterable[FrameContainer], path) -> int:
-    """Write a homogeneous, consecutively numbered container sequence."""
+    """Write a homogeneous, consecutively numbered container sequence.
+
+    A frame that breaks the sequence (`_check_homogeneous`) raises before
+    any of it is written, and no file is left at path.
+    """
 
     def tensor_stream():
         expected = 1
-        hw: tuple[int, int] | None = None
+        first: dict[str, tuple[int, ...]] = {}
         for fc in frames:
             fc.validate()
             if fc.frame_index != expected:
@@ -419,14 +449,7 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
                     f"frames must be numbered consecutively from 1; "
                     f"expected {expected}, got {fc.frame_index}"
                 )
-            size = (fc.height, fc.width)
-            if hw is None:
-                hw = size
-            elif hw != size:
-                raise ValueError(
-                    f"sequence must be homogeneous: frame {fc.frame_index} "
-                    f"has size {size}, expected {hw}"
-                )
+            _check_homogeneous(fc.frame_index, fc.held(), first)
             expected += 1
             yield fc.tensors()
 
@@ -513,14 +536,7 @@ def _checked_tensors(index: int, payloads: list[Payload],
         _check_tensor_format(tensors)
     except ValueError as exc:
         raise ContainerFormatError(f"frame {index}: {exc}") from exc
-    for name in REQUIRED_TENSORS:
-        shape = tensors[name].shape
-        expected = first.setdefault(name, shape)
-        if shape != expected:
-            raise ContainerFormatError(
-                f"sequence must be homogeneous: frame {index} tensor "
-                f"{name!r} has shape {shape}, expected {expected}"
-            )
+    _check_homogeneous(index, tensors, first)
     return [tensors[name].read() if name in _READ_WITH_FRAME else tensors[name]
             for name in REQUIRED_TENSORS]
 
@@ -557,7 +573,7 @@ def iter_container(path) -> Iterator[FrameContainer]:
     first: dict[str, tuple[int, ...]] = {}
     layout = None
     start = len(MAGIC) + 8
-    for index in range(1, _read_preamble(f) + 1):
+    for index in range(1, _read_preamble(f, size) + 1):
         tensors = None if layout is None else layout.read(source, start, size)
         if tensors is None:
             f.seek(start)

@@ -337,16 +337,18 @@ def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass
 class RefineWeights:
-    """Weights of the refinement head, or bypass mode when none are loaded.
+    """Weights of the refinement head; its mode follows from which are held.
 
-    Learned mode encodes the aggregated map through an inverted bottleneck
+    With all eight weights (`load`, or every field given) the head is
+    learned: it encodes the aggregated map through an inverted bottleneck
     (1 -> wide -> 1 channels), multiplies the result into the visual
     feature, and squashes two further 3x3 convolutions into a probability
-    map. Bypass mode clamps the aggregate to [0, 1] directly, which keeps
-    the pipeline runnable without any trained weights.
+    map. With none (`RefineWeights()`) it is bypassed: the aggregate is
+    clamped to [0, 1] directly, which keeps the pipeline runnable without
+    any trained weights. Some but not all of them raise ValueError naming
+    those missing.
     """
 
-    mode: str = "bypass"
     conv1_w: np.ndarray | None = None
     conv1_b: np.ndarray | None = None
     conv2_w: np.ndarray | None = None
@@ -357,21 +359,13 @@ class RefineWeights:
     head2_b: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in ("bypass", "learned"):
-            raise ValueError(f"unknown refine mode {self.mode!r}")
-        if self.mode == "learned":
-            self._validate_chain()
-
-    def _validate_chain(self):
-        arrays = {
-            "conv1.w": self.conv1_w, "conv1.b": self.conv1_b,
-            "conv2.w": self.conv2_w, "conv2.b": self.conv2_b,
-            "head1.w": self.head1_w, "head1.b": self.head1_b,
-            "head2.w": self.head2_w, "head2.b": self.head2_b,
-        }
+        arrays = {name: getattr(self, name.replace(".", "_")) for name in _WEIGHT_NAMES}
+        missing = [name for name, arr in arrays.items() if arr is None]
+        if len(missing) == len(arrays):
+            return
+        if missing:
+            raise ValueError(f"learned mode requires weights {missing}")
         for name, arr in arrays.items():
-            if arr is None:
-                raise ValueError(f"learned mode requires weight {name!r}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight {name!r} contains non-finite values")
         for name in ("conv1.w", "conv2.w", "head1.w", "head2.w"):
@@ -392,9 +386,10 @@ class RefineWeights:
         if self.head2_w.shape[0] != 1:
             raise ValueError("head2 must produce 1 output channel")
 
-    @classmethod
-    def bypass(cls) -> "RefineWeights":
-        return cls(mode="bypass")
+    @property
+    def mode(self) -> str:
+        """The head's mode: "learned" when the eight weights are held, else "bypass"."""
+        return "bypass" if self.conv1_w is None else "learned"
 
     @classmethod
     def load(cls, path) -> "RefineWeights":
@@ -408,19 +403,19 @@ class RefineWeights:
         missing = [n for n in _WEIGHT_NAMES if n not in tensors]
         if missing:
             raise ValueError(f"weight file missing tensors: {missing}")
-        kwargs = {n.replace(".", "_"): tensors[n] for n in _WEIGHT_NAMES}
-        return cls(mode="learned", **kwargs)
+        return cls(**{n.replace(".", "_"): tensors[n] for n in _WEIGHT_NAMES})
 
 
 def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> np.ndarray:
     """Turn the aggregated response map into a foreground probability map.
 
-    Returns an (H, W) float32 map. In bypass mode this is clamp(m_s, 0, 1)
-    and f_t is not read (it may be None); in learned mode the
-    bottleneck/head convolutions described on RefineWeights are applied to
-    f_t and the result passes through a sigmoid, so values always land in
-    (0, 1). A non-finite value in f_t, or a finite f_t that overflows the
-    head to a non-finite value before the sigmoid, raises FrameValueError.
+    Returns an (H, W) float32 map. With no weights held (weights.mode
+    "bypass") this is clamp(m_s, 0, 1) and f_t is not read (it may be
+    None); with the eight weights held ("learned") the bottleneck/head
+    convolutions described on RefineWeights are applied to f_t and the
+    result passes through a sigmoid, so values always land in (0, 1). A
+    non-finite value in f_t, or a finite f_t that overflows the head to a
+    non-finite value before the sigmoid, raises FrameValueError.
     """
     m_s = np.asarray(m_s, dtype=np.float32)
     if m_s.ndim != 2:

@@ -66,7 +66,11 @@ CLUTTER_BOX_SIZE = 2.5
 
 @dataclass
 class ScenarioConfig:
-    """Knobs of the generated world; everything derives from the seed."""
+    """Knobs of the generated world; everything derives from the seed.
+
+    A config checks itself when it is made: values no world can be built
+    from raise ValueError.
+    """
 
     num_targets: int = 6
     height: int = 20
@@ -85,7 +89,7 @@ class ScenarioConfig:
     stride: int = DEFAULT_STRIDE
     bar_h_scale: float = DEFAULT_H_SCALE
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_targets < 1:
             raise ValueError("need at least one target")
         if self.frames < 1:
@@ -174,19 +178,11 @@ def iter_generate(
     """Yield `generate`'s world one frame at a time.
 
     Each item is (frame, gt, dropped) for that frame alone; concatenated,
-    they are exactly what `generate` returns. The config is checked here,
-    before the first frame is asked for. While a frame is in the caller's
-    hands, one worker thread draws the next frame's random numbers;
+    they are exactly what `generate` returns. While a frame is in the
+    caller's hands, one worker thread draws the next frame's random numbers;
     exhausting or closing the iterator, or an error on either thread, waits
     for that draw and ends the thread.
     """
-    cfg.validate()
-    return _frames(cfg)
-
-
-def _frames(
-    cfg: ScenarioConfig,
-) -> Iterator[tuple[FrameContainer, list[MotBox], list[tuple[int, int]]]]:
     # Imported here, not with the module: the tracking process imports
     # this module for restoration_report and never starts the worker.
     from concurrent.futures import ThreadPoolExecutor

@@ -646,7 +646,6 @@ def zero_refine_weights(feat_dim, mid=4, head=3):
         return np.zeros(shape, dtype=np.float32)
 
     return RefineWeights(
-        mode="learned",
         conv1_w=z(mid, 1, 3, 3), conv1_b=z(mid),
         conv2_w=z(1, mid, 3, 3), conv2_b=z(1),
         head1_w=z(head, feat_dim, 3, 3), head1_b=z(head),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omctrack import cli, recheck
+from omctrack.association import PipelineConfig, Tracker, TrackerConfig
 from omctrack.cli import main
 from omctrack.frame_io import (
     read_container,
@@ -19,6 +20,7 @@ from omctrack.frame_io import (
     write_mot_results,
     write_omcf,
 )
+from omctrack.recheck import RefineWeights
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -221,8 +223,7 @@ class TestTrackCommand:
         frames[2]["feat"][4, 4, 0] = 3e38
         bad = tmp_path / "bad.omcf"
         write_omcf(bad, frames)
-        learned = ["--refine", "learned",
-                   "--weights", str(write_random_weights(tmp_path / "w.omcf"))]
+        learned = ["--weights", str(write_random_weights(tmp_path / "w.omcf"))]
         clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
         assert run(capsys, "track", "--container", str(container),
                    "--out", str(clean), *learned)[0] == 0
@@ -379,25 +380,60 @@ class TestTrackCommand:
         assert code == 1
         assert "usage error" in err
 
-    def test_learned_refine_without_weights_is_usage_error(self, scenario, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "track", "--container", str(scenario["container"]),
-            "--out", str(tmp_path / "r.txt"), "--refine", "learned",
-        )
-        assert code == 1
-        assert "weights" in err
-
-
-    def test_weights_without_learned_refine_is_usage_error(self, scenario, tmp_path, capsys):
-        weights = write_random_weights(tmp_path / "w.omcf")
+    @pytest.mark.parametrize("given", [["--refine", "learned"], ["--disable-shrink"],
+                                       "refine=learned", "disable_shrink=true"])
+    def test_removed_spelling_is_usage_error(self, scenario, tmp_path, capsys, given):
+        # --weights alone turns learned refinement on, and --radius inf (or
+        # none) alone turns the shrink window off.
+        if isinstance(given, str):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(given + "\n")
+            given = ["--config", str(cfg)]
         results = tmp_path / "r.txt"
-        code, _, err = run(
-            capsys, "track", "--container", str(scenario["container"]),
-            "--out", str(results), "--weights", str(weights),
-        )
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), *given)
         assert code == 1
-        assert "--refine learned" in err
+        assert "usage error" in err
+        assert out == ""
         assert not results.exists()
+
+    def test_weights_alone_run_learned_refinement(self, scenario, tmp_path, capsys):
+        weights = write_random_weights(tmp_path / "w.omcf")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"weights={weights}\n")
+        outs = {name: tmp_path / f"{name}.txt" for name in ("flag", "file", "bypass")}
+        for name, extra in (("flag", ["--weights", str(weights)]),
+                            ("file", ["--config", str(cfg)]), ("bypass", [])):
+            assert run(capsys, "track", "--container", str(scenario["container"]),
+                       "--out", str(outs[name]), *extra)[0] == 0
+        tracker = Tracker(PipelineConfig(), TrackerConfig(), RefineWeights.load(weights))
+        assert tracker.weights.mode == "learned"
+        write_mot_results([b for rows in tracker.run(read_container(scenario["container"]))
+                           for b in rows], tmp_path / "api.txt")
+        assert outs["flag"].read_bytes() == (tmp_path / "api.txt").read_bytes()
+        assert outs["file"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["bypass"].read_bytes() != outs["flag"].read_bytes()
+
+    def test_corrupt_ndim_is_data_error_without_traceback(self, scenario, tmp_path, capsys):
+        # ndim 0xFFFFFFFF would ask the file for 16 GiB of dims.
+        data = bytearray(scenario["container"].read_bytes())
+        data[24:28] = b"\xff\xff\xff\xff"  # frame 1's first tensor's ndim
+        bad = tmp_path / "bad.omcf"
+        bad.write_bytes(bytes(data))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "omctrack.cli", "track", "--container", str(bad),
+             "--out", str(tmp_path / "r.txt")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("data error: truncated file while reading dims")
+        assert "Traceback" not in done.stderr
+        code, _, err = run(capsys, "track", "--container", str(scenario["container"]),
+                           "--out", str(tmp_path / "r.txt"), "--weights", str(bad))
+        assert code == 2
+        assert err.startswith("data error: truncated file while reading dims")
 
     def test_public_row_with_zero_width_is_data_error(self, scenario, tmp_path, capsys):
         dets = tmp_path / "public.txt"
@@ -527,7 +563,6 @@ class TestSweepCommand:
         assert code == 1
 
     @pytest.mark.parametrize("param,flag,value", [
-        ("r", "--disable-shrink", None),
         ("r", "--radius", "3"),
         ("epsilon", "--epsilon", "0.9"),
     ])
@@ -604,10 +639,55 @@ class TestParserBehaviour:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--epsilon", "--radius", "--hscale", "--k", "--alpha",
-                     "--stride", "--decode", "--refine", "--disable-recheck",
-                     "--disable-shrink", "--embedding-mode", "--config",
-                     "--public", "--weights"):
+                     "--stride", "--decode", "--disable-recheck",
+                     "--embedding-mode", "--config", "--public", "--weights"):
             assert flag in out
+        assert "--refine" not in out and "--disable-shrink" not in out
+
+    # A value other than the default for each optional flag of track and
+    # sweep that takes a free value; a switch is given bare, and a flag with
+    # choices takes its first choice that is not the default.
+    NON_DEFAULT = {
+        "epsilon": "0.9", "radius": "2", "hscale": "9", "k": "7", "alpha": "0.5",
+        "stride": "4", "score_thr": "0.3", "iou_thr": "0.3", "emb_match_thr": "0.3",
+        "iou_match_thr": "0.1", "weights": "w.omcf", "public": "det.txt",
+        "targets": "3", "frames": "9", "dropout": "0.2", "clutter": "0.5",
+        "noise": "0.1", "seed": "4", "grid": "12x16", "speed": "0.2:0.3",
+        "size": "1.5:2.5", "out": "o.csv",
+    }
+
+    @pytest.mark.parametrize("command, required", [
+        ("track", ["--container", "c", "--out", "o"]),
+        ("sweep", ["--param", "epsilon", "--values", "0.5"]),
+    ])
+    def test_no_config_field_is_set_by_two_flags(self, command, required):
+        parser = cli._build_parser()[1][command]
+
+        def fields(argv):
+            args = parser.parse_args(required + argv)
+            configs = [*cli._build_configs(args)]
+            if command == "sweep":
+                configs.append(cli._build_scenario(args))
+            return {(type(c).__name__, f.name): getattr(c, f.name)
+                    for c in configs for f in dataclasses.fields(c)}
+
+        default = fields([])
+        set_by: dict[tuple[str, str], list[str]] = {}
+        for dest, action in parser._flags().items():
+            if action.nargs == 0:
+                value = []
+            elif action.choices:
+                value = [next(c for c in action.choices if c != action.default)]
+            else:
+                value = [self.NON_DEFAULT[dest]]
+            moved = fields([action.option_strings[0], *value])
+            for key in moved:
+                if moved[key] != default[key]:
+                    set_by.setdefault(key, []).append(action.option_strings[0])
+        assert {key: flags for key, flags in set_by.items() if len(flags) > 1} == {}
+        scenario = cli._SCENARIO_FLAGS if command == "sweep" else ()
+        for flag in cli._TRACKING_FLAGS + scenario:
+            assert set_by[flag.owner.__name__, flag.field] == [f"--{flag.flag}"]
 
     def test_readme_flag_defaults_are_the_config_defaults(self):
         # Each tracking flag defaults to its config field, and each default

@@ -2,6 +2,7 @@ import builtins
 import errno
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ class TestContainerRoundTrip:
         with pytest.raises(ValueError, match="homogeneous"):
             write_container(frames, tmp_path / "bad.omcf")
 
+    def test_channel_count_change_rejected_before_frame_2_is_written(self, tmp_path,
+                                                                      monkeypatch):
+        # The reader's rule: every tensor keeps frame 1's shape, not just H x W.
+        rng = np.random.default_rng(9)
+        frames = [random_frame(rng, 1, embed_dim=16), random_frame(rng, 2, embed_dim=12)]
+        written = []
+        tensors = FrameContainer.tensors
+        monkeypatch.setattr(FrameContainer, "tensors",
+                            lambda self: written.append(self.frame_index) or tensors(self))
+        with pytest.raises(ContainerFormatError,
+                           match=r"frame 2 tensor 'embed' has shape \(4, 4, 12\), "
+                                 r"expected \(4, 4, 16\)"):
+            write_container(frames, tmp_path / "bad.omcf")
+        assert written == [1]
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconsecutive_numbering_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         frames = [random_frame(rng, 1), random_frame(rng, 3)]
@@ -125,6 +142,36 @@ class TestContainerErrors:
             read_container(path)
         assert err.value.offset == len(header) + len(tensor)
 
+    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    def test_huge_ndim_is_truncation_not_allocation(self, tmp_path, reader, traced_peak_bytes):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "x.omcf"
+        write_container([random_frame(rng, 1)], path)
+        data = bytearray(path.read_bytes())
+        # magic(4) version(4) count(4) tcount(4) name_len(4) name(4) -> ndim at 24
+        data[24:28] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+
+        def read():
+            with pytest.raises(ContainerFormatError, match="while reading dims") as err:
+                reader(path)
+            assert err.value.offset == 28
+
+        assert traced_peak_bytes(read) < 64 * 1024
+
+    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    def test_name_not_utf8_reports_its_offset(self, tmp_path, reader):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "x.omcf"
+        write_container([random_frame(rng, 1)], path)
+        data = bytearray(path.read_bytes())
+        assert data[20:24] == b"prob"
+        data[21] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerFormatError, match="tensor name is not UTF-8") as err:
+            reader(path)
+        assert err.value.offset == 20
+
     def test_unknown_dtype_code(self, tmp_path):
         rng = np.random.default_rng(6)
         path = tmp_path / "x.omcf"
@@ -153,6 +200,61 @@ class TestContainerErrors:
         frame.prob[0, 0, 0] = 1.5
         with pytest.raises(ValueError, match="prob"):
             write_container([frame], tmp_path / "x.omcf")
+
+
+class TestCorruptBytes:
+    """Every single-byte corruption of a container reads, or raises
+    ContainerFormatError, and allocates about what a clean read does."""
+
+    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    def test_every_byte_at_three_values(self, tmp_path, reader):
+        rng = np.random.default_rng(30)
+        path = tmp_path / "x.omcf"
+        write_container([random_frame(rng, i, h=3, w=2, embed_dim=4, feat_dim=4)
+                         for i in (1, 2)], path)
+        clean = path.read_bytes()
+
+        def outcome():
+            """reader's outcome on path and the peak bytes it allocated."""
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            try:
+                reader(path)
+                result = "read"
+            except ContainerFormatError:
+                result = "rejected"
+            except Exception as exc:  # any other exception is the failure
+                result = f"{type(exc).__name__}: {exc}"
+            return result, tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            # A corrupt ndim can have the walk parse up to a file's worth of
+            # dims, each 4 bytes a 36-byte Python int in a tuple, so the
+            # bound is a small multiple of the file's size beyond a clean
+            # read's peak.
+            bound = outcome()[1] + 8 * len(clean)
+            counts = {"read": 0, "rejected": 0}
+            faults = []
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                for offset, byte in enumerate(clean):
+                    for value in (0x00, 0x7F, 0xFF):
+                        if value == byte:
+                            continue
+                        os.pwrite(fd, bytes([value]), offset)
+                        result, peak = outcome()
+                        if result in counts and peak <= bound:
+                            counts[result] += 1
+                        elif len(faults) < 5:
+                            faults.append((offset, value, result, peak))
+                    os.pwrite(fd, bytes([byte]), offset)
+            finally:
+                os.close(fd)
+        finally:
+            tracemalloc.stop()
+        assert faults == []
+        assert counts["read"] > 0 and counts["rejected"] > 0
 
 
 class TestContainerArrays:

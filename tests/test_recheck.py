@@ -425,7 +425,6 @@ def tiny_weights(rng, mid=6, head=5, feat=4, zero=False):
         return rng.normal(scale=0.4, size=shape).astype(np.float32)
 
     return RefineWeights(
-        mode="learned",
         conv1_w=arr(mid, 1, 3, 3), conv1_b=arr(mid),
         conv2_w=arr(1, mid, 3, 3), conv2_b=arr(1),
         head1_w=arr(head, feat, 3, 3), head1_b=arr(head),
@@ -437,20 +436,20 @@ class TestRefine:
     def test_bypass_preserves_masked_peak(self):
         m_s = np.zeros((5, 5), dtype=np.float32)
         m_s[2, 3] = 1.0
-        out = refine(m_s, np.zeros((5, 5, 4), dtype=np.float32), RefineWeights.bypass())
+        out = refine(m_s, np.zeros((5, 5, 4), dtype=np.float32), RefineWeights())
         assert out[2, 3] == 1.0
         assert out.max() == 1.0
 
     def test_bypass_clamps(self):
         m_s = np.array([[-0.5, 0.25], [1.5, 0.75]], dtype=np.float32)
-        out = refine(m_s, np.zeros((2, 2, 4), dtype=np.float32), RefineWeights.bypass())
+        out = refine(m_s, np.zeros((2, 2, 4), dtype=np.float32), RefineWeights())
         assert np.array_equal(out, np.array([[0.0, 0.25], [1.0, 0.75]], dtype=np.float32))
 
     def test_bypass_preserves_argmax_below_one(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             m_s = rng.uniform(-1.0, 1.0, size=(7, 9)).astype(np.float32)
-            out = refine(m_s, np.zeros((7, 9, 4), dtype=np.float32), RefineWeights.bypass())
+            out = refine(m_s, np.zeros((7, 9, 4), dtype=np.float32), RefineWeights())
             assert np.argmax(out) == np.argmax(m_s)
 
     def test_all_zero_weights_give_half(self):
@@ -497,7 +496,7 @@ class TestRefine:
 
     def test_bypass_reads_no_feature(self):
         m_s = np.array([[0.5]], dtype=np.float32)
-        assert refine(m_s, None, RefineWeights.bypass())[0, 0] == 0.5
+        assert refine(m_s, None, RefineWeights())[0, 0] == 0.5
 
     def test_feature_size_mismatch_rejected(self):
         rng = np.random.default_rng(9)
@@ -506,16 +505,29 @@ class TestRefine:
             refine(np.zeros((4, 4), dtype=np.float32),
                    np.zeros((5, 5, 4), dtype=np.float32), w)
 
+    def test_mode_follows_the_weights_held(self):
+        assert RefineWeights().mode == "bypass"
+        assert tiny_weights(np.random.default_rng(10)).mode == "learned"
+        with pytest.raises(AttributeError):
+            RefineWeights().mode = "learned"
+        with pytest.raises(TypeError, match="mode"):
+            RefineWeights(mode="bypass")
+
     def test_incomplete_weights_rejected(self):
-        with pytest.raises(ValueError, match="requires weight"):
-            RefineWeights(mode="learned")
+        w = tiny_weights(np.random.default_rng(10))
+        with pytest.raises(ValueError, match=r"requires weights \['conv1.b', 'conv2.w', "
+                                             r"'conv2.b', 'head1.w', 'head1.b', 'head2.w', "
+                                             r"'head2.b'\]"):
+            RefineWeights(conv1_w=w.conv1_w)
+        with pytest.raises(ValueError, match=r"requires weights \['head2.b'\]"):
+            RefineWeights(**{name: getattr(w, name) for name in (
+                "conv1_w", "conv1_b", "conv2_w", "conv2_b", "head1_w", "head1_b", "head2_w")})
 
     def test_chain_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         w = tiny_weights(rng)
         with pytest.raises(ValueError, match="conv2"):
             RefineWeights(
-                mode="learned",
                 conv1_w=w.conv1_w, conv1_b=w.conv1_b,
                 conv2_w=np.zeros((1, 3, 3, 3), dtype=np.float32), conv2_b=w.conv2_b,
                 head1_w=w.head1_w, head1_b=w.head1_b,

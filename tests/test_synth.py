@@ -160,7 +160,7 @@ class TestGenerate:
 
     def test_clutter_boxes_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="clutter boxes"):
-            small(height=2, width=2, size_min=1.0, size_max=2.0).validate()
+            small(height=2, width=2, size_min=1.0, size_max=2.0)
 
     def test_gt_self_evaluates_perfect(self):
         _, gt, _ = generate(small())
