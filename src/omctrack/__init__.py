@@ -14,7 +14,7 @@ from .association import (
     PipelineConfig,
     Tracker,
     TrackerConfig,
-    Tracklet,
+    TrackletTable,
     associate,
     extract_embeddings,
     track_sequence,

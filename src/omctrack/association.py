@@ -1,12 +1,15 @@
 """Tracklet lifecycle, greedy matching and the per-frame pipeline step.
 
-Association runs in two greedy stages: cosine similarity between tracklet
-embeddings and candidate-box embeddings first, IOU against each tracklet's
-last box as a fallback for the leftovers, computed only when the first
-stage leaves both a tracklet and a box open. Each stage takes its pairs in
-one sweep over the matrix sorted once. Matched tracklets refresh
-their state, unmatched ones age out after a retention window, unmatched
-boxes spawn new identities from a monotone id counter.
+The live tracklets are one table of arrays (`TrackletTable`): ids,
+embeddings, last boxes and miss counts, one row each, in the order the
+tracklets were founded. Association runs in two greedy stages: cosine
+similarity between tracklet embeddings and candidate-box embeddings first,
+IOU against each tracklet's last box as a fallback for the leftovers,
+computed only when the first stage leaves both a tracklet and a box open.
+Each stage takes its pairs in one sweep over the matrix sorted once.
+Matched rows are refreshed in place, unmatched ones age out after a
+retention window, unmatched boxes append rows with new identities from a
+monotone id counter.
 
 The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
@@ -16,9 +19,9 @@ in pixel units, built from the fused boxes' arrays. A container grid that
 the search takes in one block is read once a frame, for the search and
 the readout. When the base NMS, the transductive NMS and the fusion vote
 all run over the decoded boxes, one IOU table over them a frame serves
-the three, which pick boxes by index into it. The tracklet embeddings are
-stacked once a frame, for the search, the first matching stage and the
-birth gate. There is deliberately no motion model: propagation by
+the three, which pick boxes by index into it. The search, the first
+matching stage and the birth gate read the table's embedding rows as it
+holds them. There is deliberately no motion model: propagation by
 embedding search is the mechanism under test, and a motion prior would
 mask its contribution.
 """
@@ -28,13 +31,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
 from . import detection
 from .detection import (
-    Box,
     Boxes,
     DECODE_MODES,
     DEFAULT_H_SCALE,
@@ -68,7 +70,7 @@ from .recheck import (
 )
 
 __all__ = [
-    "Tracklet",
+    "TrackletTable",
     "TrackerConfig",
     "PipelineConfig",
     "EMBEDDING_MODES",
@@ -88,15 +90,23 @@ PUBLIC_NEAR_IOU = 0.5
 EMBEDDING_MODES = ("first", "last", "updated")
 
 
-@dataclass
-class Tracklet:
-    """One persistent identity: smoothed embedding, last box, lifecycle."""
+@dataclass(eq=False)
+class TrackletTable:
+    """The live tracklets, one row each, in the order they were founded.
 
-    id: int
-    embedding: np.ndarray
-    last_box: Box
-    miss_count: int = 0
-    state: str = "active"                              # active | removed
+    ids: (n,) int64 identities. emb: their (n, C) embeddings, each row unit
+    or zero. last: the box each one last matched. misses: (n,) int64
+    consecutive frames without a match. `update_tracklets` changes a table
+    in place.
+    """
+
+    ids: np.ndarray
+    emb: EmbeddingSet
+    last: Boxes
+    misses: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -215,92 +225,96 @@ def _greedy_matrix_match(
 
 
 def associate(
-    tracklets: list[Tracklet],
+    live: TrackletTable,
     boxes: Boxes,
     e_set: EmbeddingSet,
     cfg: TrackerConfig,
-    tracklet_vectors: np.ndarray | None = None,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Two-stage greedy matching of tracklets to candidate boxes.
+    """Two-stage greedy matching of the live tracklets to candidate boxes.
 
     Returns (matches, unmatched_tracklet_ids, unmatched_box_indices) where
     matches pairs tracklet ids with box indices. Every tracklet and box is
     matched at most once. The IOU fallback runs only when the embedding
     stage leaves both a tracklet and a box open; otherwise it could match
-    nothing. tracklet_vectors, when given, are the tracklets' embeddings
-    stacked as float64 rows, so a caller that has them need not restack.
+    nothing.
     """
     if len(boxes) != len(e_set):
         raise ValueError(
             f"box count {len(boxes)} != embedding count {len(e_set)}"
         )
     matches: list[tuple[int, int]] = []
-    open_rows = list(range(len(tracklets)))
+    ids = live.ids.tolist()
+    open_rows = list(range(len(ids)))
     open_cols = list(range(len(boxes)))
 
     def take(scores: np.ndarray, thr: float) -> None:
         for i, j in _greedy_matrix_match(scores, thr, open_rows, open_cols):
-            matches.append((tracklets[i].id, j))
+            matches.append((ids[i], j))
             open_rows.remove(i)
             open_cols.remove(j)
 
-    if tracklets and len(boxes):
-        if tracklet_vectors is None:
-            tracklet_vectors = np.stack([t.embedding for t in tracklets]).astype(np.float64)
-        take(tracklet_vectors @ e_set.vectors.astype(np.float64).T, cfg.emb_match_thr)
+    if ids and len(boxes):
+        sims = live.emb.vectors.astype(np.float64) @ e_set.vectors.astype(np.float64).T
+        take(sims, cfg.emb_match_thr)
         if open_rows and open_cols:
-            take(iou(Boxes.of([t.last_box for t in tracklets]), boxes), cfg.iou_match_thr)
-    unmatched_tracklets = [tracklets[i].id for i in open_rows]
-    return matches, unmatched_tracklets, open_cols
+            take(iou(live.last, boxes), cfg.iou_match_thr)
+    return matches, [ids[i] for i in open_rows], open_cols
 
 
 def update_tracklets(
-    tracklets: list[Tracklet],
+    live: TrackletTable,
     matches: list[tuple[int, int]],
     boxes: Boxes,
     e_set: EmbeddingSet,
     cfg: TrackerConfig,
     next_id: int,
-    spawnable: set[int] | None = None,
-) -> tuple[list[Tracklet], list[Tracklet], int]:
-    """Apply one frame's assignment to the tracklet population.
+    spawnable: Collection[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Apply one frame's assignment to the table of live tracklets, in place.
 
-    Matched tracklets reset their miss counter, take the new box and update
-    their embedding per cfg.embedding_mode; in "updated" mode every matched
-    row is blended and renormalized in one pass (`_blend`). Unmatched
-    tracklets age and are removed once the miss count reaches the
-    retention window. Unmatched boxes (restricted to spawnable indices when
-    given) found new tracklets with fresh ids; returns (surviving
-    tracklets, new tracklets, next_id).
+    Matched rows reset their miss count, take their box and update their
+    embedding per cfg.embedding_mode; in "updated" mode every matched row
+    is blended and renormalized in one pass (`_blend`). Every other row
+    ages by one miss, and rows whose count reaches the retention window are
+    dropped. Unmatched boxes (restricted to spawnable indices when given)
+    found new rows with fresh ids, in box order, after the survivors. Only
+    a frame that drops or founds rows builds (and checks) a new embedding
+    set. Returns (surviving ids, new ids, next_id); the ids are views of the
+    table's.
     """
     matched = dict(matches)
-    hits = [t for t in tracklets if t.id in matched]
-    cols = [matched[t.id] for t in hits]
-    for t, j in zip(hits, cols):
-        t.miss_count = 0
-        t.last_box = boxes[j]
-    if hits and cfg.embedding_mode != "first":   # "first": frozen at birth
-        new = e_set.vectors[cols]
-        if cfg.embedding_mode == "updated":
-            old = np.array([t.embedding for t in hits])
-            new = _blend(old, new, cfg.embedding_momentum)
-        for t, emb in zip(hits, new):
-            t.embedding = emb
-    for t in tracklets:
-        if t.id not in matched:
-            t.miss_count += 1
-            if t.miss_count >= cfg.retention_frames:
-                t.state = "removed"
-    survivors = [t for t in tracklets if t.state == "active"]
+    ids = live.ids.tolist()
+    rows = [i for i, tid in enumerate(ids) if tid in matched]
+    cols = [matched[ids[i]] for i in rows]
+    live.misses += 1
+    if rows:
+        live.misses[rows] = 0
+        for held, seen in zip(live.last._columns(), boxes._columns()):
+            held[rows] = seen[cols]
+        if cfg.embedding_mode != "first":   # "first": frozen at birth
+            new = e_set.vectors[cols]
+            if cfg.embedding_mode == "updated":
+                new = _blend(live.emb.vectors[rows], new, cfg.embedding_momentum)
+            live.emb.vectors[rows] = new
 
-    matched_boxes = set(matched.values())
+    keep = live.misses < cfg.retention_frames
+    taken = set(matched.values())
     born = [j for j in range(len(boxes))
-            if j not in matched_boxes and (spawnable is None or j in spawnable)]
-    new_tracklets = [
-        Tracklet(id=next_id + k, embedding=e_set.vectors[j].copy(), last_box=boxes[j])
-        for k, j in enumerate(born)
-    ]
-    return survivors, new_tracklets, next_id + len(born)
+            if j not in taken and (spawnable is None or j in spawnable)]
+    if born or not keep.all():
+        vectors = live.emb.vectors[keep]
+        if born:
+            # A table that has never held a row has no channel count yet.
+            vectors = (np.concatenate((vectors, e_set.vectors[born])) if len(vectors)
+                       else e_set.vectors[born])
+        new_ids = np.arange(next_id, next_id + len(born), dtype=np.int64)
+        live.ids = np.concatenate((live.ids[keep], new_ids))
+        live.emb = EmbeddingSet(vectors)
+        live.last = Boxes(*(np.concatenate((held[keep], seen[born]))
+                            for held, seen in zip(live.last._columns(), boxes._columns())))
+        live.misses = np.concatenate((live.misses[keep], np.zeros(len(born), dtype=np.int64)))
+    kept = len(live) - len(born)
+    return live.ids[:kept], live.ids[kept:], next_id + len(born)
 
 
 def _blend(old: np.ndarray, new: np.ndarray, momentum: float) -> np.ndarray:
@@ -349,9 +363,10 @@ def _mot_rows(frame_index: int, ids: list[int], boxes: Boxes,
 class Tracker:
     """Stateful per-sequence tracker; one instance per video sequence.
 
-    Holds the tracklet population, the monotone id counter and running
-    counts. step() consumes one FrameContainer and returns the MOT rows
-    emitted for that frame. Distinct sequences need distinct instances.
+    Holds the live tracklets as one table (`live`), the monotone id
+    counter and running counts. step() consumes one FrameContainer and
+    returns the MOT rows emitted for that frame. Distinct sequences need
+    distinct instances.
     """
 
     def __init__(
@@ -363,7 +378,8 @@ class Tracker:
         self.pipeline = pipeline or PipelineConfig()
         self.cfg = tracker_cfg or TrackerConfig()
         self.weights = weights or RefineWeights()
-        self.tracklets: list[Tracklet] = []
+        self.live = TrackletTable(np.zeros(0, dtype=np.int64), EmbeddingSet.empty(0),
+                                  Boxes.of([]), np.zeros(0, dtype=np.int64))
         self.next_id = 1
         self.rows_emitted = 0
         self.restored_emitted = 0
@@ -394,20 +410,16 @@ class Tracker:
         except FrameValueError as exc:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
-            self.tracklets, _, _ = update_tracklets(
-                self.tracklets, [], Boxes.of([]), EmbeddingSet.empty(0),
-                self.cfg, self.next_id,
-            )
+            update_tracklets(self.live, [], Boxes.of([]), EmbeddingSet.empty(0),
+                             self.cfg, self.next_id)
             return []
 
-        survivors, new_tracklets, self.next_id = update_tracklets(
-            self.tracklets, matches, d_final, e_set,
-            self.cfg, self.next_id, set(spawnable),
+        _, born, self.next_id = update_tracklets(
+            self.live, matches, d_final, e_set, self.cfg, self.next_id, spawnable,
         )
-        self.tracklets = survivors + new_tracklets
 
         # Every spawnable box founds a tracklet, in ascending index order.
-        ids = [tid for tid, _ in matches] + [t.id for t in new_tracklets]
+        ids = [tid for tid, _ in matches] + born.tolist()
         cells = np.array([j for _, j in matches] + spawnable, dtype=np.intp)
         rows = _mot_rows(frame.frame_index, ids, d_final, cells, self.pipeline.stride)
         self.restored_emitted += int(np.count_nonzero(d_final.restored[cells]))
@@ -464,15 +476,12 @@ class Tracker:
         # The search and the readout read embed from whatever the frame
         # holds; the frame keeps holding a container's grid unread.
         embed = frame.held()["embed"]
-        # The tracklet embeddings, stacked once for the search, association
-        # and the birth gate.
-        trk_emb = np.array([t.embedding for t in self.tracklets]) if self.tracklets else None
         m_p = None
-        if p.recheck_enabled and trk_emb is not None:
+        if p.recheck_enabled and len(self.live):
             if isinstance(embed, Payload) and searched_in_one_block(embed.shape):
                 # One read of the grid serves the search and the readout.
                 embed = embed.read()
-            stack = cross_correlate(EmbeddingSet(trk_emb), embed)
+            stack = cross_correlate(self.live.emb, embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None
             m_p = refine(m_s, f_t, self.weights)
@@ -490,21 +499,16 @@ class Tracker:
         d_final = _fused_detections(decoded, cells, m_p, p, public)
 
         e_set = extract_embeddings(d_final, embed)
-        # Shaped (tracklets, C) even with no tracklets: every box is then novel.
-        trk64 = (np.zeros((0, e_set.vectors.shape[1])) if trk_emb is None
-                 else trk_emb.astype(np.float64))
-        matches, _, unmatched_boxes = associate(
-            self.tracklets, d_final, e_set, self.cfg, trk64
-        )
+        matches, _, unmatched_boxes = associate(self.live, d_final, e_set, self.cfg)
 
         # Birth gate: a new identity must not already be explained by an
         # active tracklet. Without this, a box whose embedding duplicates a
         # live identity (overlap readout, propagation leftovers) founds a
         # twin tracklet, twin response maps stack past the score threshold,
         # and ghost tracks snowball.
-        spawnable = []
-        if unmatched_boxes:
-            sims = trk64 @ e_set.vectors[unmatched_boxes].T
+        spawnable = unmatched_boxes
+        if unmatched_boxes and len(self.live):
+            sims = self.live.emb.vectors.astype(np.float64) @ e_set.vectors[unmatched_boxes].T
             novel = (sims < self.cfg.emb_match_thr).all(axis=0)
             spawnable = [j for j, ok in zip(unmatched_boxes, novel) if ok]
         if public_mode and spawnable:

@@ -12,9 +12,11 @@ block by block by the search and cell by cell by the readout; feat is read
 only under learned refinement, which runs exactly when --weights names a
 weight file (refinement is otherwise a clamp). track writes its rows frame
 by frame: a data error partway still replaces --out with the rows of every
-frame that finished (the printed frames= count) before exiting 2. The
-OMC_LOG environment variable (debug|info) raises log verbosity; default
-output is just the command's own summary.
+frame that finished (the printed frames= count) before exiting 2. Every
+output file (--out, --gt, --dropped, --csv) is written beside its path and
+replaces it only once complete, so a failed write leaves any earlier file
+as it was. The OMC_LOG environment variable (debug|info) raises log
+verbosity; default output is just the command's own summary.
 
 A --config file of key=value lines may set any optional flag of the
 command except --config itself. A key is the flag's long name with dashes
@@ -57,6 +59,7 @@ from .detection import DECODE_MODES
 from .frame_io import (
     ContainerFormatError,
     MotBox,
+    _replacing,
     iter_container,
     mot_results_writer,
     read_mot_boxes,
@@ -342,7 +345,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(gt, pred, iou_thr=args.iou_thr)
     print(report.pretty())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
+        with _replacing(args.csv, "x", encoding="utf-8") as f:
             f.write(EvalReport.CSV_HEADER + "\n")
             f.write(report.csv_row() + "\n")
     return EXIT_OK
@@ -363,7 +366,7 @@ def _cmd_synth(args) -> int:
     count = write_container(frames(), args.out)
     write_mot_results(gt, args.gt)
     if args.dropped:
-        with open(args.dropped, "w", encoding="utf-8") as f:
+        with _replacing(args.dropped, "x", encoding="utf-8") as f:
             f.write("frame,id\n")
             for frame, gid in dropped:
                 f.write(f"{frame},{gid}\n")
@@ -415,7 +418,7 @@ def _cmd_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with _replacing(args.out, "x", encoding="utf-8") as f:
             f.write(text)
     print(text, end="")
 

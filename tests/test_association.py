@@ -1,6 +1,6 @@
 import logging
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from omctrack import association, detection
 from omctrack.association import (
+    EMBEDDING_MODES,
     PipelineConfig,
     Tracker,
     TrackerConfig,
-    Tracklet,
+    TrackletTable,
     associate,
     extract_embeddings,
     track_sequence,
@@ -39,12 +40,93 @@ def basis_vec(i, dim=8):
     return v
 
 
+@dataclass
+class Tracklet:
+    """One identity as one object: the tracker's state before its table.
+
+    With `reference_update`, the oracle of the table and `update_tracklets`.
+    """
+
+    id: int
+    embedding: np.ndarray
+    last_box: Box
+    miss_count: int = 0
+    state: str = "active"                              # active | removed
+
+
+def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, spawnable=None):
+    """The per-object update that `update_tracklets` replaced.
+
+    Returns (surviving tracklets, new tracklets, next_id) and changes the
+    tracklets it is given.
+    """
+    matched = dict(matches)
+    hits = [t for t in tracklets if t.id in matched]
+    cols = [matched[t.id] for t in hits]
+    for t, j in zip(hits, cols):
+        t.miss_count = 0
+        t.last_box = boxes[j]
+    if hits and cfg.embedding_mode != "first":   # "first": frozen at birth
+        new = e_set.vectors[cols]
+        if cfg.embedding_mode == "updated":
+            old = np.array([t.embedding for t in hits])
+            new = association._blend(old, new, cfg.embedding_momentum)
+        for t, emb in zip(hits, new):
+            t.embedding = emb
+    for t in tracklets:
+        if t.id not in matched:
+            t.miss_count += 1
+            if t.miss_count >= cfg.retention_frames:
+                t.state = "removed"
+    survivors = [t for t in tracklets if t.state == "active"]
+
+    matched_boxes = set(matched.values())
+    born = [j for j in range(len(boxes))
+            if j not in matched_boxes and (spawnable is None or j in spawnable)]
+    new_tracklets = [
+        Tracklet(id=next_id + k, embedding=e_set.vectors[j].copy(), last_box=boxes[j])
+        for k, j in enumerate(born)
+    ]
+    return survivors, new_tracklets, next_id + len(born)
+
+
 def tracklet(tid, emb, cx=1.0, cy=1.0, w=2.0, h=2.0):
     return Tracklet(
         id=tid,
         embedding=np.asarray(emb, dtype=np.float32),
         last_box=Box(cx=cx, cy=cy, w=w, h=h, score=1.0),
     )
+
+
+def table(tracklets):
+    """A TrackletTable holding the records' values, one row each, in list order.
+
+    Its rows are copies, so updating the table leaves the records as they
+    are. They are set after EmbeddingSet's norm check, so the blend tests
+    can hold rows of any magnitude, which a tracker's table never holds.
+    """
+    dim = len(tracklets[0].embedding) if tracklets else 0
+    emb = EmbeddingSet.empty(dim)
+    vectors = np.array([t.embedding for t in tracklets], np.float32)
+    emb.vectors = vectors.reshape(len(tracklets), dim)
+    return TrackletTable(
+        ids=np.array([t.id for t in tracklets], dtype=np.int64),
+        emb=emb,
+        last=Boxes.of([t.last_box for t in tracklets]),
+        misses=np.array([t.miss_count for t in tracklets], dtype=np.int64),
+    )
+
+
+def row_records(live):
+    """Each row of a table as (id, embedding bytes, last box bits, misses)."""
+    return [(tid, emb.tobytes(), box_bits(box), misses) for tid, emb, box, misses
+            in zip(live.ids.tolist(), live.emb.vectors, live.last, live.misses.tolist())]
+
+
+def box_bits(box):
+    """A Box record's fields, each float as its exact bits."""
+    return (*(float(getattr(box, f)).hex() for f in ("cx", "cy", "w", "h", "score")),
+            bool(box.restored))
 
 
 def per_tracklet_update(embedding, new_emb, cfg):
@@ -167,7 +249,7 @@ class TestAssociate:
         trk = [tracklet(7, e)]
         boxes = Boxes.of([Box(cx=9, cy=9, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([e]))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         assert matches == [(7, 0)]
         assert un_t == [] and un_b == []
 
@@ -175,20 +257,20 @@ class TestAssociate:
         trk = [tracklet(3, basis_vec(0), cx=5, cy=5)]
         boxes = Boxes.of([Box(cx=5.1, cy=5.0, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         assert matches == [(3, 0)]
 
     def test_below_both_thresholds_unmatched(self):
         trk = [tracklet(3, basis_vec(0), cx=0, cy=0)]
         boxes = Boxes.of([Box(cx=30, cy=30, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         assert matches == []
         assert un_t == [3] and un_b == [0]
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            associate([], Boxes.of([Box(cx=0, cy=0, w=1, h=1, score=1)]),
+            associate(table([]), Boxes.of([Box(cx=0, cy=0, w=1, h=1, score=1)]),
                       EmbeddingSet.empty(8), TrackerConfig())
 
     def test_matches_sorted_pairs_oracle(self):
@@ -217,7 +299,7 @@ class TestAssociate:
                               for j in range(n)])
             es = EmbeddingSet(box_vecs.astype(np.float32))
             actual_sims = trk_vecs @ box_vecs.T
-            matches, _, _ = associate(trk, boxes, es, cfg)
+            matches, _, _ = associate(table(trk), boxes, es, cfg)
             got = sorted((tid - 1, j) for tid, j in matches)
             assert got == greedy_oracle(actual_sims, 0.3)
 
@@ -232,7 +314,7 @@ class TestAssociate:
         boxes = Boxes.of([Box(cx=rng.uniform(0, 10), cy=rng.uniform(0, 10),
                               w=2, h=2, score=1.0) for _ in range(5)])
         es = EmbeddingSet(vecs[[0, 0, 1, 2, 5]].astype(np.float32))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         tids = [t for t, _ in matches]
         cols = [j for _, j in matches]
         assert len(set(tids)) == len(tids)
@@ -259,7 +341,7 @@ class TestLazyIouFallback:
         trk = [tracklet(1, basis_vec(0)), tracklet(2, basis_vec(1))]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 3)
         es = EmbeddingSet(np.stack([basis_vec(1), basis_vec(2), basis_vec(0)]))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         assert sorted(matches) == [(1, 2), (2, 0)]
         assert un_t == [] and un_b == [1]
         assert iou_calls == []
@@ -268,7 +350,7 @@ class TestLazyIouFallback:
         trk = [tracklet(i + 1, basis_vec(i)) for i in range(3)]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 2)
         es = EmbeddingSet(np.stack([basis_vec(2), basis_vec(0)]))
-        matches, un_t, un_b = associate(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate(table(trk), boxes, es, TrackerConfig())
         assert sorted(matches) == [(1, 1), (3, 0)]
         assert un_t == [2] and un_b == []
         assert iou_calls == []
@@ -286,7 +368,7 @@ class TestLazyIouFallback:
             boxes = Boxes.of([Box(cx=x, cy=y, w=2, h=2, score=1.0)
                               for x, y in rng.uniform(0, 4, size=(m, 2))])
             iou_calls.clear()
-            matches, _, _ = associate(trk, boxes, EmbeddingSet(box_vecs), cfg)
+            matches, _, _ = associate(table(trk), boxes, EmbeddingSet(box_vecs), cfg)
 
             sims = trk_vecs.astype(np.float64) @ box_vecs.astype(np.float64).T
             expected = greedy_oracle(sims, cfg.emb_match_thr)
@@ -305,71 +387,69 @@ class TestLazyIouFallback:
 class TestUpdateTracklets:
     def test_removal_at_exactly_k_misses(self):
         cfg = TrackerConfig(retention_frames=30)
-        t = tracklet(1, basis_vec(0))
-        active = [t]
+        live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 32):
+            assert live.ids.tolist() == [1] and live.misses.tolist() == [frame - 2]
             active, new, _ = update_tracklets(
-                active, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
+                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
             )
-        assert active == []
-        assert t.state == "removed"
-        assert t.miss_count == 30
+        # Dropped by the update that gave it its 30th miss.
+        assert len(active) == 0 and len(new) == 0
+        assert len(live) == 0 and live.emb.vectors.shape == (0, 8)
 
     def test_survives_through_k_minus_one(self):
         cfg = TrackerConfig(retention_frames=30)
-        active = [tracklet(1, basis_vec(0))]
+        live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 31):
             active, _, _ = update_tracklets(
-                active, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
+                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
             )
-        assert len(active) == 1
-        assert active[0].miss_count == 29
+        assert active.tolist() == [1]
+        assert live.misses.tolist() == [29]
 
     def test_updated_mode_fixed_point(self):
         cfg = TrackerConfig(embedding_mode="updated", embedding_momentum=0.9)
         e = unit(np.arange(1, 9))
-        t = tracklet(1, e)
+        live = table([tracklet(1, e)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-        active, _, _ = update_tracklets(
-            [t], [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg, next_id=2
-        )
-        assert np.allclose(active[0].embedding, e, atol=1e-6)
+        update_tracklets(live, [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg, next_id=2)
+        assert np.allclose(live.emb.vectors[0], e, atol=1e-6)
 
     def test_first_mode_frozen(self):
         cfg = TrackerConfig(embedding_mode="first")
         e0 = basis_vec(0)
-        t = tracklet(1, e0)
+        live = table([tracklet(1, e0)])
         for frame in range(2, 6):
             es = EmbeddingSet(np.stack([basis_vec(frame % 8)]))
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-            update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
-        assert np.array_equal(t.embedding, e0)
+            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+        assert np.array_equal(live.emb.vectors[0], e0)
 
     def test_last_mode_replaces(self):
         cfg = TrackerConfig(embedding_mode="last")
-        t = tracklet(1, basis_vec(0))
+        live = table([tracklet(1, basis_vec(0))])
         es = EmbeddingSet(np.stack([basis_vec(3)]))
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-        update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
-        assert np.array_equal(t.embedding, basis_vec(3))
+        update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+        assert np.array_equal(live.emb.vectors[0], basis_vec(3))
 
     def test_updated_mode_keeps_unit_norm(self):
         rng = np.random.default_rng(4)
         cfg = TrackerConfig(embedding_mode="updated", embedding_momentum=0.7)
-        t = tracklet(1, unit(rng.normal(size=8)))
+        live = table([tracklet(1, unit(rng.normal(size=8)))])
         for frame in range(2, 12):
             es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-            update_tracklets([t], [(1, 0)], boxes, es, cfg, next_id=2)
-            assert abs(np.linalg.norm(t.embedding.astype(np.float64)) - 1.0) < 1e-6
+            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+            assert abs(np.linalg.norm(live.emb.vectors[0].astype(np.float64)) - 1.0) < 1e-6
 
     def test_unmatched_boxes_spawn_with_monotone_ids(self):
         cfg = TrackerConfig()
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
-        active, new, next_id = update_tracklets([], [], boxes, es, cfg, next_id=5)
-        assert [t.id for t in new] == [5, 6]
+        active, new, next_id = update_tracklets(table([]), [], boxes, es, cfg, next_id=5)
+        assert new.tolist() == [5, 6]
         assert next_id == 7
 
     def test_spawnable_filter(self):
@@ -377,10 +457,11 @@ class TestUpdateTracklets:
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
-        _, new, _ = update_tracklets([], [], boxes, es, cfg, next_id=1,
+        live = table([])
+        _, new, _ = update_tracklets(live, [], boxes, es, cfg, next_id=1,
                                      spawnable={1})
         assert len(new) == 1
-        assert new[0].last_box.cx == 8
+        assert live.last.cx.tolist() == [8]
 
 
 @st.composite
@@ -413,18 +494,81 @@ class TestOnePassUpdate:
     @given(update_inputs())
     def test_matches_the_per_tracklet_update_bit_for_bit(self, inputs):
         cfg, old, new, order = inputs
-        trk = [tracklet(i + 1, old[i]) for i in range(len(old))]
+        live = table([tracklet(i + 1, old[i]) for i in range(len(old))])
         boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
         matches = [(i + 1, int(j)) for i, j in enumerate(order)]
         expected = [per_tracklet_update(old[i], new[j], cfg) for i, j in enumerate(order)]
-        active, _, _ = update_tracklets(trk, matches, boxes, EmbeddingSet(new),
-                                        cfg, next_id=len(trk) + 1, spawnable=set())
-        for t, want in zip(active, expected):
-            assert t.embedding.dtype == np.float32
-            assert t.embedding.tobytes() == want.tobytes()
-        for t in active[len(order):]:
-            assert t.embedding.tobytes() == old[t.id - 1].tobytes()
-            assert t.miss_count == 1
+        update_tracklets(live, matches, boxes, EmbeddingSet(new),
+                         cfg, next_id=len(old) + 1, spawnable=set())
+        assert live.emb.vectors.dtype == np.float32
+        for row, want in zip(live.emb.vectors, expected):
+            assert row.tobytes() == want.tobytes()
+        for tid, row, misses in zip(live.ids[len(order):], live.emb.vectors[len(order):],
+                                    live.misses[len(order):]):
+            assert row.tobytes() == old[tid - 1].tobytes()
+            assert misses == 1
+
+
+@st.composite
+def table_updates(draw):
+    """A population of live tracklets, one frame's assignment and the config.
+
+    Ids ascend with gaps; embeddings are unit or zero rows; each row's miss
+    count is below the retention window, so any unmatched one may be at its
+    last frame. Boxes carry restored flags, and spawnable is None or any
+    set of box indices, matched ones included.
+    """
+    retention = draw(st.integers(1, 3))
+    cfg = TrackerConfig(retention_frames=retention,
+                        embedding_mode=draw(st.sampled_from(EMBEDDING_MODES)),
+                        embedding_momentum=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    dim = draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit_or_zero_rows(k):
+        rows = np.array([unit(v) for v in rng.normal(size=(k, dim))],
+                        np.float32).reshape(k, dim)
+        rows[draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=2 if k else 0))] = 0.0
+        return rows
+
+    def random_boxes(k):
+        return Boxes(*rng.uniform(0.5, 9.0, size=(5, k)), restored=rng.random(k) < 0.5)
+
+    ids = draw(st.integers(1, 50)) + np.cumsum(
+        draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=np.int64)
+    misses = draw(st.lists(st.integers(0, retention - 1), min_size=n, max_size=n))
+    trk = [Tracklet(id=int(tid), embedding=emb, last_box=box, miss_count=miss)
+           for tid, emb, box, miss in zip(ids, unit_or_zero_rows(n), random_boxes(n), misses)]
+    k = draw(st.integers(0, min(n, m)))
+    rows = draw(st.permutations(range(n)))[:k]
+    cols = draw(st.permutations(range(m)))[:k]
+    matches = [(trk[i].id, j) for i, j in zip(rows, cols)]
+    spawnable = draw(st.none() | st.sets(st.integers(0, max(m - 1, 0)), max_size=m))
+    next_id = int(ids[-1]) + 1 if n else draw(st.integers(1, 50))
+    return (trk, matches, random_boxes(m), EmbeddingSet(unit_or_zero_rows(m)), cfg,
+            next_id, spawnable)
+
+
+class TestTableUpdate:
+    @settings(max_examples=400, deadline=None)
+    @given(table_updates())
+    def test_matches_the_per_object_update_bit_for_bit(self, inputs):
+        trk, matches, boxes, e_set, cfg, next_id, spawnable = inputs
+        live = table(trk)
+        survivors, new, want_next = reference_update(trk, matches, boxes, e_set, cfg,
+                                                     next_id, spawnable)
+        kept, born, got_next = update_tracklets(live, matches, boxes, e_set, cfg,
+                                                next_id, spawnable)
+        assert got_next == want_next
+        assert kept.tolist() == [t.id for t in survivors]
+        assert born.tolist() == [t.id for t in new]
+        assert row_records(live) == [
+            (t.id, t.embedding.tobytes(), box_bits(t.last_box), t.miss_count)
+            for t in survivors + new
+        ]
+        assert live.ids.dtype == live.misses.dtype == np.int64
+        assert live.emb.vectors.dtype == np.float32
 
 
 class TestPipelineConfig:
@@ -507,11 +651,11 @@ class TestTrackerStep:
         frames, _, _ = generate(small_scenario(frames=3))
         tracker = Tracker(tracker_cfg=TrackerConfig(retention_frames=2))
         tracker.step(frames[0])
-        assert len(tracker.tracklets) == 3
+        assert len(tracker.live) == 3
         bad = frames[1]
         bad.prob = np.full_like(bad.prob, 2.0)  # invalid: outside [0, 1]
         assert tracker.step(bad) == []
-        assert all(t.miss_count == 1 for t in tracker.tracklets)
+        assert all(misses == 1 for misses in tracker.live.misses)
 
     def test_public_mode_uses_supplied_detections(self):
         cfg = small_scenario(frames=6)
@@ -603,7 +747,9 @@ class TestRowsFromArrays:
             rows = tracker.step(frame)
             d_final, _, matches, _ = seen["out"]
             emitted = [(tid, d_final[j]) for tid, j in matches]
-            emitted += [(t.id, t.last_box) for t in tracker.tracklets if t.id >= first_new_id]
+            emitted += [(tid, box) for tid, box in zip(tracker.live.ids.tolist(),
+                                                       tracker.live.last)
+                        if tid >= first_new_id]
             expected = [to_mot_row(frame.frame_index, tid, box, stride) for tid, box in emitted]
             assert [row_bits(r) for r in rows] == [row_bits(r) for r in expected]
             rows_emitted += len(expected)
@@ -622,9 +768,14 @@ class TestTrackerStepMemory:
         frames, _, _ = generate(cfg)
         tracker = Tracker(PipelineConfig(stride=cfg.stride))
         tracker.step(frames[0])
-        assert len(tracker.tracklets) == 20
+        assert len(tracker.live) == 20
         peak = traced_peak_bytes(tracker.step, frames[1])
         assert peak <= 0.75 * frames[1].embed.nbytes
+
+
+def miss_counts(tracker):
+    """Each live tracklet's miss count, by id."""
+    return dict(zip(tracker.live.ids.tolist(), tracker.live.misses.tolist()))
 
 
 def center_cells(rows, stride):
@@ -671,11 +822,11 @@ class TestFrameValuePolicy:
         return tracker, frames
 
     def assert_all_miss(self, tracker, frame, caplog):
-        misses = {t.id: t.miss_count for t in tracker.tracklets}
+        misses = miss_counts(tracker)
         assert misses
         with caplog.at_level(logging.WARNING, logger="omctrack"):
             assert tracker.step(frame) == []
-        assert {t.id: t.miss_count for t in tracker.tracklets} == {
+        assert miss_counts(tracker) == {
             tid: m + 1 for tid, m in misses.items()
         }
         assert any(f"frame {frame.frame_index} failed validation" in r.getMessage()
@@ -754,7 +905,7 @@ class TestFrameValuePolicy:
     @pytest.mark.parametrize("exc", [ValueError, TypeError])
     def test_other_errors_propagate_and_leave_tracklets(self, monkeypatch, kernel, exc):
         tracker, frames = self.primed()
-        before = [(t.id, t.miss_count, t.last_box) for t in tracker.tracklets]
+        before = row_records(tracker.live)
 
         def broken(*args, **kwargs):
             raise exc("kernel fault")
@@ -762,7 +913,7 @@ class TestFrameValuePolicy:
         monkeypatch.setattr(association, kernel, broken)
         with pytest.raises(exc, match="kernel fault"):
             tracker.step(frames[1])
-        assert [(t.id, t.miss_count, t.last_box) for t in tracker.tracklets] == before
+        assert row_records(tracker.live) == before
 
 
 # The per-frame chain before the overlap table, kept as the oracle: each

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import logging
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omctrack import cli, recheck
+from omctrack import cli, frame_io, recheck
 from omctrack.association import PipelineConfig, Tracker, TrackerConfig
 from omctrack.cli import main
 from omctrack.frame_io import (
@@ -21,6 +22,8 @@ from omctrack.frame_io import (
     write_omcf,
 )
 from omctrack.recheck import RefineWeights
+
+from test_frame_io import _DiskFullAfter
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -589,6 +592,67 @@ class TestSweepCommand:
         )
         assert code == 0
         assert stdout.splitlines()[-1].startswith("3,")
+
+
+def disk_full_beside(monkeypatch, path, limit=5):
+    """frame_io's files opened beside path fail to write after limit characters."""
+    def opener(file, *args, **kwargs):
+        f = builtins.open(file, *args, **kwargs)
+        return _DiskFullAfter(f, limit) if os.fspath(file).startswith(str(path)) else f
+
+    monkeypatch.setattr(frame_io, "open", opener, raising=False)
+
+
+class TestAtomicOutputs:
+    """A failed write of an output file leaves the earlier file and no temporary."""
+
+    def test_eval_csv(self, scenario, tmp_path, capsys, monkeypatch):
+        results = tmp_path / "echo.txt"
+        write_mot_results(read_mot_boxes(scenario["gt"])[:20], results)
+        csv = tmp_path / "report.csv"
+        assert run(capsys, "eval", "--gt", str(scenario["gt"]), "--results",
+                   str(scenario["gt"]), "--csv", str(csv))[0] == 0
+        before = csv.read_bytes()
+        disk_full_beside(monkeypatch, csv)
+        code, _, err = run(capsys, "eval", "--gt", str(scenario["gt"]), "--results",
+                           str(results), "--csv", str(csv))
+        assert code == 2 and "No space" in err
+        assert csv.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["echo.txt", "report.csv"]
+
+    def test_synth_dropped(self, tmp_path, capsys, monkeypatch):
+        dropped = tmp_path / "dropped.csv"
+
+        def synth(seed):
+            return run(capsys, "synth", "--out", str(tmp_path / "w.omcf"),
+                       "--gt", str(tmp_path / "gt.txt"), "--dropped", str(dropped),
+                       "--targets", "2", "--frames", "6", "--grid", "8x8",
+                       "--dropout", "0.5", "--seed", str(seed))
+
+        assert synth(0)[0] == 0
+        before = dropped.read_bytes()
+        disk_full_beside(monkeypatch, dropped)
+        code, _, err = synth(1)
+        assert code == 2 and "No space" in err
+        assert dropped.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dropped.csv", "gt.txt",
+                                                              "w.omcf"]
+
+    def test_sweep_out(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sweep.csv"
+
+        def sweep(values):
+            return run(capsys, "sweep", "--param", "epsilon", "--values", values,
+                       "--out", str(out), "--targets", "2", "--frames", "4",
+                       "--grid", "8x8", "--seed", "1")
+
+        assert sweep("0.5")[0] == 0
+        before = out.read_bytes()
+        disk_full_beside(monkeypatch, out)
+        code, _, err = sweep("0.3,0.5")
+        assert code == 2 and "No space" in err
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 class TestGradcheckCommand:

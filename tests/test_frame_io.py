@@ -805,7 +805,7 @@ class TestOneGridRead:
             embed = fc.held()["embed"]
             assert recheck.searched_in_one_block(embed.shape)
             nbytes = 4 * np.prod(embed.shape)
-            live = bool(tracker.tracklets)
+            live = len(tracker.live) > 0
             before = len(reads)
             assert tracker.step(fc)
             in_embed = [(offset, n) for offset, n in reads[before:]

@@ -719,10 +719,10 @@ class TestContainerSearch:
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 1000)
         tracker = Tracker(PipelineConfig(stride=cfg.stride))
         assert tracker.step(frames[0])
-        misses = {t.id: t.miss_count for t in tracker.tracklets}
+        misses = dict(zip(tracker.live.ids.tolist(), tracker.live.misses.tolist()))
         with caplog.at_level(logging.WARNING, logger="omctrack"):
             assert tracker.step(frames[1]) == []
-        assert {t.id: t.miss_count for t in tracker.tracklets} == {
+        assert dict(zip(tracker.live.ids.tolist(), tracker.live.misses.tolist())) == {
             tid: m + 1 for tid, m in misses.items()}
         assert "frame 2 failed validation" in caplog.text
         assert tracker.step(frames[2])

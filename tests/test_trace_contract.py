@@ -26,7 +26,7 @@ finally:
     sys.path.remove(str(PERFBENCH))
 
 from omctrack import association
-from omctrack.association import PipelineConfig, Tracker
+from omctrack.association import PipelineConfig, Tracker, TrackerConfig
 from omctrack.synth import ScenarioConfig, generate
 
 
@@ -67,4 +67,31 @@ def test_counters_add_up(world):
     c = traced_run(WORLDS[world]).counts
     assert c["fusion.restored"] > 0  # restoration fired
     assert c["detection.basic_dets"] + c["fusion.restored"] == c["fusion.fused"]
+    assert c["association.matches"] + c["association.births"] == c["association.rows"]
+
+
+def test_live_count_is_the_largest_table_through_removals():
+    # With the search off, a target the detector drops for two frames
+    # running outlives a retention window of 2 frames, so tracklets are
+    # dropped as well as founded (the table even empties). The tracer's live
+    # count must still be the most rows the tracker held after any step, as
+    # perfbench reads it off the lengths update_tracklets returns.
+    scenario = WORLDS["small"]
+    frames, _, _ = generate(ScenarioConfig(seed=0, **scenario))
+    tracer = tracing.Tracer()
+    held, removed = [], 0
+    with tracing.instrumented(tracer):
+        tracker = Tracker(PipelineConfig(stride=scenario.get("stride", 8),
+                                         recheck_enabled=False),
+                          TrackerConfig(retention_frames=2))
+        for frame in frames:
+            tracer.frame = frame.frame_index
+            before = set(tracker.live.ids.tolist())
+            tracker.step(frame)
+            removed += len(before - set(tracker.live.ids.tolist()))
+            held.append(len(tracker.live))
+    c = tracer.counts
+    assert removed > 0 and 0 in held
+    assert c["association.live_tracklets_max"] == max(held)
+    assert c["association.births"] == tracker.next_id - 1
     assert c["association.matches"] + c["association.births"] == c["association.rows"]
