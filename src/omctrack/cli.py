@@ -15,8 +15,13 @@ by frame: a data error partway still replaces --out with the rows of every
 frame that finished (the printed frames= count) before exiting 2. Every
 output file (--out, --gt, --dropped, --csv) is written beside its path and
 replaces it only once complete, so a failed write leaves any earlier file
-as it was. The OMC_LOG environment variable (debug|info) raises log
-verbosity; default output is just the command's own summary.
+as it was; synth's outputs replace theirs only once all are written. A MOT
+text row (--public, --gt, --results) whose frame or id is not an integer
+(3.0 is), whose frame is below 1, or that is otherwise malformed is a data
+error naming its line. eval's --iou-thr must lie in (0, 1]; any other
+value, NaN included, is a usage error. The OMC_LOG environment variable
+(debug|info) raises log verbosity; default output is just the command's
+own summary.
 
 A --config file of key=value lines may set any optional flag of the
 command except --config itself. A key is the flag's long name with dashes
@@ -60,13 +65,14 @@ from .frame_io import (
     ContainerFormatError,
     MotBox,
     _replacing,
+    _staged,
     iter_container,
     mot_results_writer,
     read_mot_boxes,
     write_container,
     write_mot_results,
 )
-from .metrics import DEFAULT_GATE_IOU, EvalReport, evaluate
+from .metrics import DEFAULT_GATE_IOU, EvalReport, _check_gate, evaluate
 from .recheck import RefineWeights
 from .supervision import gaussian_target, logistic_mse_loss, loss_gradient
 from .synth import ScenarioConfig, generate, iter_generate
@@ -100,6 +106,14 @@ def _parse_radius(text: str) -> float:
     if text.lower() in ("inf", "none"):
         return math.inf
     return float(text)
+
+
+def _parse_gate(text: str) -> float:
+    """An eval match gate: a number in (0, 1]."""
+    try:
+        return _check_gate(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_pair(sep: str, kind: type, form: str) -> Callable[[str], tuple]:
@@ -363,13 +377,16 @@ def _cmd_synth(args) -> int:
             dropped.extend(frame_dropped)
             yield frame
 
-    count = write_container(frames(), args.out)
-    write_mot_results(gt, args.gt)
-    if args.dropped:
-        with _replacing(args.dropped, "x", encoding="utf-8") as f:
-            f.write("frame,id\n")
-            for frame, gid in dropped:
-                f.write(f"{frame},{gid}\n")
+    # The outputs replace their paths only once the last of them is written.
+    outputs = [args.out, args.gt] + ([args.dropped] if args.dropped else [])
+    with _staged(*outputs) as (out, gt_path, *dropped_path):
+        count = write_container(frames(), out)
+        write_mot_results(gt, gt_path)
+        if args.dropped:
+            with _replacing(dropped_path[0], "x", encoding="utf-8") as f:
+                f.write("frame,id\n")
+                for frame, gid in dropped:
+                    f.write(f"{frame},{gid}\n")
     print(f"frames={count}")
     print(f"gt_boxes={len(gt)}")
     print(f"dropped={len(dropped)}")
@@ -504,7 +521,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_eval.add_argument("--gt", required=True, help="ground-truth MOT file")
     p_eval.add_argument("--results", required=True, help="tracker MOT results file")
     p_eval.add_argument("--csv", help="also write the report as CSV")
-    _add_flag(p_eval, "iou-thr", DEFAULT_GATE_IOU, "match gate", type=float)
+    _add_flag(p_eval, "iou-thr", DEFAULT_GATE_IOU, "match gate, in (0, 1]",
+              type=_parse_gate)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scenario")

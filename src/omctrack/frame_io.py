@@ -212,23 +212,35 @@ def _check_tensor_format(tensors: Mapping) -> None:
 
 
 @contextlib.contextmanager
+def _staged(*paths) -> Iterator[list[str]]:
+    """New paths beside paths; once the block ends cleanly, each replaces its own.
+
+    The block writes the new paths. On an exception every one of them is
+    removed, so a failed write leaves every earlier file at paths intact.
+    """
+    paths = [os.fspath(p) for p in paths]
+    # Not tempfile.mkstemp: its files are private (0600), while open(..., "x")
+    # creates the file with the permissions a plain open would give path.
+    tmps = [f"{path}.{uuid.uuid4().hex}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+@contextlib.contextmanager
 def _replacing(path, mode: str, **kwargs):
     """Open a new file beside path; once the block ends cleanly, it replaces path.
 
     On an exception the new file is removed, so a failed write leaves any
     earlier file at path intact.
     """
-    path = os.fspath(path)
-    # Not tempfile.mkstemp: its files are private (0600), while open(..., "x")
-    # creates the file with the permissions a plain open would give path.
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+    with _staged(path) as (tmp,), open(tmp, mode, **kwargs) as f:
+        yield f
 
 
 def _read_exact(f, n: int, what: str, size: int) -> bytes:
@@ -617,9 +629,10 @@ def read_mot_boxes(path) -> list[MotBox]:
     """Parse "frame,id,x,y,w,h,conf,..." rows in file order.
 
     Fields beyond conf are ignored. Blank lines are skipped. A non-numeric
-    or non-finite field, or a box with w <= 0 or h <= 0, raises
-    MotParseError with the offending line number, so readers downstream
-    see only well-formed boxes.
+    or non-finite field, a frame or id that is not integral (3.0 is), a
+    frame below 1, or a box with w <= 0 or h <= 0, raises MotParseError
+    with the offending line number, so readers downstream see only
+    well-formed boxes.
     """
     boxes: list[MotBox] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -640,6 +653,11 @@ def read_mot_boxes(path) -> list[MotBox]:
             frame, track_id, x, y, w, h, conf = values
             if not all(math.isfinite(v) for v in values):
                 raise MotParseError(f"non-finite field in {values}", lineno)
+            if not (frame.is_integer() and track_id.is_integer()):
+                raise MotParseError(
+                    f"frame and id must be integers, got {parts[0]} and {parts[1]}", lineno)
+            if frame < 1:
+                raise MotParseError(f"frame must be >= 1, got {parts[0]}", lineno)
             if w <= 0.0 or h <= 0.0:
                 raise MotParseError(f"box size must be positive, got w={w} h={h}", lineno)
             boxes.append(MotBox(int(frame), int(track_id), x, y, w, h, conf))

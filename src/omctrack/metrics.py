@@ -11,6 +11,8 @@ optimal one-to-one identity correspondence instead.
 Each frame is scored on one `row_iou` matrix of its ground-truth boxes
 against its predictions, read off the tracker's IOU kernel in `detection`.
 
+Every metric takes an IOU gate in (0, 1] and raises ValueError for any
+other (NaN included): a gate of 0 would match boxes that do not overlap.
 All metrics are invariant under consistent relabeling of prediction ids.
 """
 
@@ -107,12 +109,23 @@ def _by_frame(boxes: Iterable[MotBox]) -> dict[int, list[MotBox]]:
     return frames
 
 
+def _check_gate(iou_thr: float) -> float:
+    """iou_thr, or ValueError unless 0 < iou_thr <= 1 (NaN too).
+
+    A gate of 0 or below matches every pair of boxes, however far apart.
+    """
+    if not 0.0 < iou_thr <= 1.0:
+        raise ValueError(f"IOU gate must lie in (0, 1], got {iou_thr}")
+    return iou_thr
+
+
 def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
     """Run the frame-by-frame correspondence protocol.
 
     Returns (fp, fn, idsw, gt_total, matched_frames) where matched_frames
     maps each gt id to the number of frames it held a correspondence.
     """
+    _check_gate(iou_thr)
     if not gt:
         raise ValueError("ground truth is empty; MOTA is undefined")
     gt_frames = _by_frame(gt)
@@ -192,6 +205,7 @@ def idf1(
     boxes overlap at or above the gate; an exact assignment maximizes the
     total (IDTP) and the score is 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
+    _check_gate(iou_thr)
     if not gt:
         raise ValueError("ground truth is empty; IDF1 is undefined")
     if not pred:

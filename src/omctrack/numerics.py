@@ -7,48 +7,10 @@ Conventions used throughout the package:
   fixed reduction order, so repeated runs produce identical bits.
 
 The one float32-accumulated kernel is the embedding search,
-`recheck.cross_correlate`. It reads the whole grid against every live
-tracklet on every frame, and at paper scale (152x272x512, 20 tracklets)
-its float64 passes (norm, scaling, round trip, `dgemm`) took about 136 ms
-a frame, against about 47 ms for per-cell squared norms from one float32
-`einsum`, one `sgemm` of the templates against the raw cells, and each
-output column scaled by its cell's 1/norm (one BLAS thread, 2-vCPU Xeon).
-The product is now cells-major, (cells, C) x (C, n) into a small
-(cells, n) buffer whose rows are scaled and written transposed into the
-contiguous (n, H*W) output; with the same bits, that search took about
-37 to 50 ms a frame on one thread. A grid of more than one block is now
-searched on two threads, each block cut in half between the calling
-thread and one worker thread (see `recheck.cross_correlate`); each thread
-has its own buffers and writes its own columns of the output, so
-concurrent searches stay safe (their second halves take turns on the
-worker), and on 152x272x512 grids the search takes about 25 ms a frame
-against 37 on one thread (one BLAS thread each).
-The detector and re-check networks it stands in for are float32 too.
-Finite cells whose float32 squares overflow go through `normalize_cells`.
-
-The search walks the grid's H*W cells in near-equal blocks of at most
-`recheck.SEARCH_BLOCK_VALUES` values (2048 cells at C = 512), each a view
-of an array or a read from a container's unread payload, so a container
-grid of more than one block is never held whole. The split depends only
-on (H*W, C), so a grid in memory and the same grid in a container give
-the same bits, and a grid that fits in one block (the 20x20 desk and
-12x12 clutter worlds) gets one whole-grid `sgemm`. OpenBLAS chooses its kernel by matrix size: on
-152x272x512 grids, near-equal blocks of 1024 to 4096 cells gave the
-whole-grid product's bits with 3, 5 and 20 templates, while one template
-(`gemv`), or a last block much smaller than the others, can move the last
-bits; that is why the blocks are near-equal, not full blocks and a tail.
-The two halves of a 152x272x512 block (984 or 985 cells) gave the whole
-block's bits for 1, 2, 3, 5 and 20 templates with one BLAS thread; much
-smaller halves, or more BLAS threads, can move the last bits of a few
-cells, within the same tolerance.
-The responses agree with the float64 cosines within (2*C + 6) * 2**-24,
-the tolerance the tests derive. Measured against the float64 search it
-replaced: MOT rows are byte-identical on the 152x272 worlds (seeds 0 and
-7); on the 20x20 desk worlds (seeds 0, 7 and 8), the 12x12 clutter worlds
-(seeds 0 and 7) and the golden worlds, every frame, id and box field is
-identical and the printed `conf` differs by 1e-6 on 0 to 61 rows a world,
-which `tests/test_row_contract.py` keeps as the contract. The blocks left
-the 152x272 rows byte-identical to the whole-grid search.
+`recheck.cross_correlate`, whose docstring and `SEARCH_BLOCK_VALUES` note
+give its blocks, threads, bits and timings. Its responses agree with the
+float64 cosines within (2*C + 6) * 2**-24, the tolerance the tests derive;
+`tests/test_row_contract.py` keeps the rows whose printed `conf` it moved.
 
 `l2_normalize_grid` walks the grid in blocks of whole rows, about
 `BLOCK_CELLS` cells each (`grid_row_blocks`), so its float64 temporaries

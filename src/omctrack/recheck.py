@@ -7,15 +7,15 @@ cells-major, (cells, C) x (C, n), each cell's row of the product scaled by
 its 1/norm, and the block is written transposed into one contiguous
 response map per tracklet. A grid of more than one block (paper scale) is
 searched on two CPUs: each block is cut in half, the calling thread walks
-the first halves and one worker thread the second. Each map is shrunk to
-a window around its peak (look-alike objects elsewhere produce spurious
-highs), the masked maps are summed into one aggregate, and an optional
-learned refinement mixes the visual feature back in to filter false
-positives. Ranking the boxes decoded at the cells where the refined map
-reaches the score threshold by that map, and running NMS over them, picks
-the transductive detections (as indices into the decoded boxes, read
-against the frame's one IOU table when the tracker holds it) that can
-restore targets the detector scored as background.
+the first halves and a helper thread started for the call the second.
+Each map is shrunk to a window around its peak (look-alike objects
+elsewhere produce spurious highs), the masked maps are summed into one
+aggregate, and an optional learned refinement mixes the visual feature
+back in to filter false positives. Ranking the boxes decoded at the cells
+where the refined map reaches the score threshold by that map, and running
+NMS over them, picks the transductive detections (as indices into the
+decoded boxes, read against the frame's one IOU table when the tracker
+holds it) that can restore targets the detector scored as background.
 
 `cross_correlate` normalizes the grid cells; templates must be unit-length
 or zero. So all responses are cosine similarities and the shrink threshold
@@ -25,9 +25,8 @@ is scale-free.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
+from threading import Thread
 from typing import Iterator
 
 import numpy as np
@@ -71,14 +70,17 @@ DEFAULT_SHRINK_RADIUS = 3
 # transposed view of a (H*W, n) output makes aggregate's per-map argmax
 # walk strided memory: 2.5 ms against 0.4 ms for 20 maps.
 # A grid of more than one block is searched on two threads: each block is
-# cut in half, and the calling thread and one worker each walk one half of
-# every block with their own half-size buffers (about 2 MiB of cells, one
+# cut in half, and the calling thread and a helper thread each walk one half
+# of every block with their own half-size buffers (about 2 MiB of cells, one
 # core's L2). The two halves add up to one block's 4 MiB, so mot17's peak
 # RSS grows by only 0.5-0.7 MiB, and there is one hand-off a frame with
-# equal work on each side, so neither thread waits long on the other. A read-ahead thread tried before (the
-# next block read on a second thread into a second whole buffer) cost
-# 3.7 MiB more RSS and handed off every block, the reader and the product
-# waiting on each other; it took the search from 40 to 24 ms a frame, but
+# equal work on each side, so neither thread waits long on the other. The
+# helper is started and joined by each call: 91-140 us against 35-53 us to
+# hand the half to a kept executor thread (2-vCPU box), about 0.3% of a
+# mot17 step, for no thread, lock or fork hook that outlives the call. A
+# read-ahead thread tried before (the next block read on a second thread
+# into a second whole buffer) cost 3.7 MiB more RSS and handed off every
+# block, the reader and the product waiting on each other; it took the search from 40 to 24 ms a frame, but
 # tracking ran at 23-38 frames/s against a steady 29-32 single-threaded.
 # The split search takes 25 ms a frame against 37 on one thread (mot17
 # seed-0 payload, 20 templates), and mot17 tracking rises from 24 to 38
@@ -96,11 +98,6 @@ DEFAULT_SHRINK_RADIUS = 3
 # - np.vecdot norms are faster than the einsum (about 1 ms a frame inside
 #   the search) but move the bits of the squared norms.
 SEARCH_BLOCK_VALUES = 1 << 20
-
-# The search worker (`_search_worker`); None until the first grid of more
-# than one block, and again in a forked child.
-_worker = None
-_worker_lock = threading.Lock()
 
 _WEIGHT_NAMES = (
     "conv1.w", "conv1.b", "conv2.w", "conv2.b",
@@ -182,16 +179,16 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
 
     A grid of one block is searched on the calling thread. A grid of more
     blocks is searched on two: each block is cut in half, the calling
-    thread walks the first halves and the process's one search worker
-    (`_search_worker`, made on the first such grid) the second halves,
-    each with its own half-size buffers and its own columns of the output.
-    Every stage releases the GIL, so the halves run on two CPUs at once. A
-    half is a serial walk's arithmetic on a smaller product; on 152x272x512
-    grids with one BLAS thread it keeps every bit (see SEARCH_BLOCK_VALUES).
-    The calling thread waits for the worker's half before it returns or
-    raises, and an error from either half propagates as it was raised.
-    Concurrent calls are safe; their second halves take turns on the
-    worker.
+    thread walks the first halves and a helper thread (`omctrack-search`),
+    started for this call, the second halves, each with its own half-size
+    buffers and its own columns of the output. Every stage releases the
+    GIL, so the halves run on two CPUs at once. A half is a serial walk's
+    arithmetic on a smaller product; on 152x272x512 grids with one BLAS
+    thread it keeps every bit (see SEARCH_BLOCK_VALUES). The calling
+    thread joins the helper before it returns or raises, so no thread
+    outlives the call; an error from either half propagates as it was
+    raised, the calling thread's when both halves fail. Concurrent calls
+    are safe: each starts its own helper.
 
     Cells with norm <= NORM_EPS keep scale 1, so all-zero cells respond
     exactly 0. A cell whose squared norm is not finite goes through
@@ -219,16 +216,24 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
         _search(e_set.vectors, source, blocks, responses)
     else:
         cuts = [start + (stop - start) // 2 for start, stop in blocks]
-        second = _search_worker().submit(
-            _search, e_set.vectors, source,
-            [(cut, stop) for cut, (_, stop) in zip(cuts, blocks)], responses,
-        )
+        failed = []
+
+        def second_halves():
+            try:
+                _search(e_set.vectors, source,
+                        [(cut, stop) for cut, (_, stop) in zip(cuts, blocks)], responses)
+            except BaseException as exc:
+                failed.append(exc)
+
+        helper = Thread(target=second_halves, name="omctrack-search")
+        helper.start()
         try:
             _search(e_set.vectors, source,
                     [(start, cut) for cut, (start, _) in zip(cuts, blocks)], responses)
         finally:
-            second.exception()  # wait for the worker's half, even if ours raised
-        second.result()
+            helper.join()  # even if our half raised, which then wins
+        if failed:
+            raise failed[0]
     return responses.reshape(n, h, w)
 
 
@@ -261,30 +266,6 @@ def _search(vectors: np.ndarray, source: np.ndarray | Payload,
         np.multiply(product.T, scale, out=out)
         if overflow.any():
             out[:, overflow] = vectors @ unit.T
-
-
-def _search_worker():
-    """The process's one search worker thread, as an executor made on first use.
-
-    concurrent.futures is imported here, so a process that never searches
-    a grid of more than one block neither loads it nor starts the thread.
-    """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="omctrack-search")
-        return _worker
-
-
-def _forget_worker() -> None:
-    """Drop the parent's worker in a forked child, where its thread is gone."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _peak_windows(stack: np.ndarray, r: float) -> list[tuple[slice, slice]]:

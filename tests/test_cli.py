@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -55,29 +54,38 @@ def readme_default(text):
         return text
 
 
-TRACK_ON_THE_SEARCH_WORKER = """
+TRACK_ON_THE_SEARCH_HELPER = """
 import sys
+import threading
 from omctrack import recheck
 from omctrack.cli import main
 
+walkers = set()
+search = recheck._search
+
+def recording(*args):
+    walkers.add(threading.current_thread().name)
+    search(*args)
+
+recheck._search = recording
 recheck.SEARCH_BLOCK_VALUES = 20000
 code = main(["track", *sys.argv[1:]])
-assert recheck._worker is not None, "no search ran on the worker"
+assert "omctrack-search" in walkers, f"no search ran on a helper thread: {walkers}"
 sys.exit(code)
 """
 
 
-class InlineWorker:
-    """Stands in for the search worker: runs each submitted half at once."""
+class InlineThread:
+    """Stands in for the search's helper thread: runs its target when started."""
 
-    @staticmethod
-    def submit(fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+    def __init__(self, target, name):
+        self.target = target
+
+    def start(self):
+        self.target()
+
+    def join(self):
+        pass
 
 
 def write_random_weights(path, seed=0):
@@ -283,18 +291,18 @@ class TestTrackCommand:
     def test_split_search_gives_the_serial_rows_and_exits_clean(self, scenario, tmp_path,
                                                                capsys, monkeypatch):
         # 14x14x512 embed grids in blocks of at most 20000 values: six blocks,
-        # each cut in half between the main thread and the search worker.
+        # each cut in half between the main thread and the search's helper.
         split, serial = tmp_path / "split.txt", tmp_path / "serial.txt"
         src = str(Path(recheck.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", TRACK_ON_THE_SEARCH_WORKER,
+            [sys.executable, "-c", TRACK_ON_THE_SEARCH_HELPER,
              "--container", str(scenario["container"]), "--out", str(split)],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
         )
         assert done.returncode == 0, done.stderr
         assert parse_kv(done.stdout)["frames"] == "25"
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 20000)
-        monkeypatch.setattr(recheck, "_search_worker", lambda: InlineWorker)
+        monkeypatch.setattr(recheck, "Thread", InlineThread)
         assert run(capsys, "track", "--container", str(scenario["container"]),
                    "--out", str(serial))[0] == 0
         assert split.read_bytes() == serial.read_bytes()
@@ -451,6 +459,22 @@ class TestTrackCommand:
         assert not results.exists()
 
 
+    @pytest.mark.parametrize("row", ["1.5,-1,8,8,16,16,1.0", "0,-1,8,8,16,16,1.0"])
+    def test_public_row_with_fractional_or_zero_frame_is_data_error(
+        self, scenario, tmp_path, capsys, row
+    ):
+        dets = tmp_path / "public.txt"
+        dets.write_text(f"1,-1,8.00,8.00,16.00,16.00,1.0\n{row}\n")
+        results = tmp_path / "r.txt"
+        code, _, err = run(
+            capsys, "track", "--container", str(scenario["container"]),
+            "--out", str(results), "--public", str(dets),
+        )
+        assert code == 2
+        assert err.startswith("data error: line 2: ")
+        assert not results.exists()
+
+
 class TestConfigFile:
     def test_public_key_gives_the_public_flag_rows(self, scenario, tmp_path, capsys):
         dets = tmp_path / "public.txt"
@@ -535,6 +559,21 @@ class TestEvalCommand:
         res.write_text("1,1,0,0,10,10,1.0,-1,-1,-1\n")
         code, _, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res))
         assert code == 2
+
+
+    @pytest.mark.parametrize("gate", ["-5", "0", "nan", "1.5", "half"])
+    @pytest.mark.parametrize("given", ["flag", "key"])
+    def test_gate_outside_unit_interval_is_usage_error(self, tmp_path, capsys, gate, given):
+        gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
+        gt.write_text("1,1,0,0,10,10,1.0,-1,-1,-1\n")
+        res.write_text("1,1,500,500,10,10,1.0,-1,-1,-1\n")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"iou_thr={gate}\n")
+        extra = ["--iou-thr", gate] if given == "flag" else ["--config", str(cfg)]
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res), *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "iou" in err
 
 
 class TestSweepCommand:
@@ -630,11 +669,12 @@ class TestAtomicOutputs:
                        "--dropout", "0.5", "--seed", str(seed))
 
         assert synth(0)[0] == 0
-        before = dropped.read_bytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         disk_full_beside(monkeypatch, dropped)
         code, _, err = synth(1)
         assert code == 2 and "No space" in err
-        assert dropped.read_bytes() == before
+        # The seed-0 world, ground truth and drops stay together.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dropped.csv", "gt.txt",
                                                               "w.omcf"]
 

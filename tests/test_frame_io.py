@@ -342,6 +342,26 @@ class TestMotText:
         with pytest.raises(MotParseError, match="line 2"):
             read_mot_boxes(path)
 
+    @pytest.mark.parametrize("row, fault", [
+        ("1.5,-1,10,20,30,40,0.9", "must be integers"),
+        ("2,2.7,10,20,30,40,0.9", "must be integers"),
+        ("-3,2.7,10,20,30,40,0.9", "must be integers"),
+        ("0,-1,10,20,30,40,0.9", "must be >= 1"),
+        ("-3,2,10,20,30,40,0.9", "must be >= 1"),
+    ])
+    def test_fractional_or_non_positive_frame_rejected(self, tmp_path, row, fault):
+        path = tmp_path / "det.txt"
+        path.write_text(f"1,-1,10,20,30,40,0.9\n{row}\n")
+        with pytest.raises(MotParseError, match=f"line 2: .*{fault}"):
+            read_mot_boxes(path)
+
+    def test_integral_float_frame_and_id_accepted(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("3.0,7.0,1,2,3,4,0.25\n")
+        (box,) = read_mot_boxes(path)
+        assert (box.frame, box.id) == (3, 7)
+        assert type(box.frame) is int and type(box.id) is int
+
     def test_trailing_fields_ignored(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("3,7,1,2,3,4,0.25,9,9,9,extra-way-beyond\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,18 @@ class TestClearMot:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
             clear_mot([], [row(1, 1, x=0)])
+
+    @pytest.mark.parametrize("gate", [0.0, -5.0, 1.5, math.nan])
+    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
+    def test_gate_outside_unit_interval_rejected(self, metric, gate):
+        # A prediction 500 px from its only gt box, which a gate of 0 would match.
+        with pytest.raises(ValueError, match=r"IOU gate must lie in \(0, 1\]"):
+            metric([row(1, 1, x=0)], [row(1, 1, x=500)], iou_thr=gate)
+
+    def test_gate_of_one_matches_equal_boxes_only(self):
+        gt = [row(1, 1, x=0)]
+        assert clear_mot(gt, [row(1, 1, x=0)], iou_thr=1.0)[:3] == (0, 0, 0)
+        assert clear_mot(gt, [row(1, 1, x=1)], iou_thr=1.0)[:3] == (1, 1, 0)
 
     def test_correspondence_inertia(self):
         # two predictions both overlap the single gt; the one matched first

@@ -729,6 +729,11 @@ class TestContainerSearch:
 
 
 
+def search_threads():
+    """The search's helper threads alive now (an executor's would be omctrack-search_0)."""
+    return [t for t in threading.enumerate() if t.name.startswith("omctrack-search")]
+
+
 def serial_walk(e, grid, split=False):
     """The search's blocks, or their halves, walked in order on the calling thread."""
     h, w, c = grid.shape
@@ -743,7 +748,7 @@ def serial_walk(e, grid, split=False):
 
 
 class TestSplitSearch:
-    """Grids of several blocks: first halves on the caller, second halves on the worker.
+    """Grids of several blocks: first halves on the caller, second halves on a helper thread.
 
     A half is a smaller product than its block, for which OpenBLAS may pick
     another kernel or thread split; so the split is compared bit for bit
@@ -752,7 +757,7 @@ class TestSplitSearch:
     """
 
     SHAPE = (45, 29)  # 1305 cells; at 7000 values, six blocks of 217 or 218 cells
-    WORKER_CELL = (6, 26)  # cell 200, in block 0's second half (108 .. 217)
+    HELPER_CELL = (6, 26)  # cell 200, in block 0's second half (108 .. 217)
 
     @pytest.fixture(autouse=True)
     def six_blocks(self, monkeypatch):
@@ -761,7 +766,7 @@ class TestSplitSearch:
     @staticmethod
     def grid(seed):
         grid = raw_grid(np.random.default_rng(seed), TestSplitSearch.SHAPE, 32)
-        grid[44, 20:] *= np.float32(1e20)  # overflow fallback in a worker half
+        grid[44, 20:] *= np.float32(1e20)  # overflow fallback in a helper half
         return grid
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
@@ -796,10 +801,10 @@ class TestSplitSearch:
         assert np.all(np.abs(maps - serial_walk(e, grid)) <= cosine_atol(32))
 
     @pytest.mark.parametrize("stored", ["array", "container"])
-    def test_nan_in_a_worker_half_raises_and_the_worker_goes_on(self, tmp_path, stored):
+    def test_nan_in_a_helper_half_raises_and_the_search_goes_on(self, tmp_path, stored):
         grid = self.grid(60)
         bad = grid.copy()
-        bad[self.WORKER_CELL + (5,)] = np.nan
+        bad[self.HELPER_CELL + (5,)] = np.nan
         embed = bad if stored == "array" else (
             TestContainerSearch.container_frame(tmp_path, bad).held()["embed"])
         e = EmbeddingSet(unit_rows(np.random.default_rng(61), 3, 32))
@@ -807,7 +812,7 @@ class TestSplitSearch:
             cross_correlate(e, embed)
         assert np.array_equal(cross_correlate(e, grid), serial_walk(e.vectors, grid, split=True))
 
-    def test_container_cut_in_a_worker_half_raises_and_the_worker_goes_on(self, tmp_path):
+    def test_container_cut_in_a_helper_half_raises_and_the_search_goes_on(self, tmp_path):
         grid = self.grid(62)
         embed = TestContainerSearch.container_frame(tmp_path, grid).held()["embed"]
         # The last block is cells 1087 .. 1305, its second half 1196 .. 1305.
@@ -841,30 +846,74 @@ class TestSplitSearch:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
+    @pytest.mark.parametrize("stored", ["array", "container"])
+    def test_no_helper_thread_outlives_the_call(self, tmp_path, stored):
+        grid = self.grid(64)
+        bad = grid.copy()
+        bad[self.HELPER_CELL + (5,)] = np.nan
+        if stored == "container":
+            (tmp_path / "bad").mkdir()
+            grid = TestContainerSearch.container_frame(tmp_path, grid).held()["embed"]
+            bad = TestContainerSearch.container_frame(tmp_path / "bad", bad).held()["embed"]
+        e = EmbeddingSet(unit_rows(np.random.default_rng(65), 4, 32))
+        cross_correlate(e, grid)
+        assert search_threads() == []
+        with pytest.raises(FrameValueError, match="non-finite"):
+            cross_correlate(e, bad)
+        assert search_threads() == []
+
+    def test_first_half_error_wins_over_the_helpers(self, monkeypatch):
+        search = recheck._search
+
+        def failing(vectors, source, ranges, responses):
+            search(vectors, source, ranges, responses)
+            raise RuntimeError("caller" if threading.current_thread() is
+                               threading.main_thread() else "helper")
+
+        monkeypatch.setattr(recheck, "_search", failing)
+        e = EmbeddingSet(unit_rows(np.random.default_rng(66), 2, 32))
+        with pytest.raises(RuntimeError, match="caller"):
+            cross_correlate(e, self.grid(66))
+        assert search_threads() == []
+
     def test_one_block_grid_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 1 << 20)
-        monkeypatch.setattr(recheck, "_worker", None)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block search started a thread")
+
+        monkeypatch.setattr(recheck, "Thread", no_thread)
         grid = self.grid(90)
         e = unit_rows(np.random.default_rng(91), 20, 32)
         threads = threading.active_count()
         assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), serial_walk(e, grid))
         assert threading.active_count() == threads
-        assert recheck._worker is None
 
-    def test_forked_child_searches_on_a_worker_of_its_own(self):
+    def test_forked_child_searches_on_a_helper_of_its_own(self):
         grid = self.grid(92)
         e = EmbeddingSet(unit_rows(np.random.default_rng(93), 3, 32))
         want = cross_correlate(e, grid)
-        assert recheck._worker is not None  # the parent's, which the child lacks
+        assert search_threads() == []  # nothing of the parent's search is left to fork
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(cross_correlate, (e, grid)).get(timeout=60)
         assert np.array_equal(got, want)
 
 
 PAPER_BLOCKS_KEEP_THE_BITS = """
+import threading
+
 import numpy as np
 from omctrack import recheck
 from omctrack.recheck import EmbeddingSet, cross_correlate
+
+walks = []
+search = recheck._search
+
+def recording(*args):
+    walks.append(threading.current_thread().name)
+    search(*args)
+
+recheck._search = recording
 
 grid = np.random.default_rng(0).normal(size=(11, 537, 512)).astype(np.float32)
 cells = grid.reshape(-1, 512)
@@ -874,9 +923,10 @@ for n in (1, 2, 3, 5, 20):
     e = np.random.default_rng(n).normal(size=(n, 512))
     e = (e / np.linalg.norm(e, axis=1, keepdims=True)).astype(np.float32)
     whole = np.empty((n, len(cells)), np.float32)
-    recheck._search(e, cells, blocks, whole)
+    search(e, cells, blocks, whole)
+    walks.clear()
     split = cross_correlate(EmbeddingSet(e), grid).reshape(n, -1)
-    assert recheck._worker is not None
+    assert sorted(walks) == ["MainThread", "omctrack-search"], walks
     assert np.array_equal(split, whole), (n, np.count_nonzero((split != whole).any(0)))
 """
 
