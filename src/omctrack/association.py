@@ -15,15 +15,15 @@ The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units, built from the fused boxes' arrays. A container grid that
-the search takes in one block is read once a frame, for the search and
-the readout. When the base NMS, the transductive NMS and the fusion vote
-all run over the decoded boxes, one IOU table over them a frame serves
-the three, which pick boxes by index into it. The search, the first
-matching stage and the birth gate read the table's embedding rows as it
-holds them. There is deliberately no motion model: propagation by
-embedding search is the mechanism under test, and a motion prior would
-mask its contribution.
+in pixel units, built from the fused boxes' arrays. The search reads
+`embed` from whatever the frame holds, a container's grid block by block,
+and the readout reads the fused boxes' centre cells. When the base NMS,
+the transductive NMS and the fusion vote all run over the decoded boxes,
+one IOU table over them a frame serves the three, which pick boxes by
+index into it. The search, the first matching stage and the birth gate
+read the table's embedding rows as it holds them. There is deliberately
+no motion model: propagation by embedding search is the mechanism under
+test, and a motion prior would mask its contribution.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .recheck import (
     aggregate,
     cross_correlate,
     refine,
-    searched_in_one_block,
     transductive_detections,
 )
 
@@ -392,19 +391,24 @@ class Tracker:
         """Run the full pipeline on one frame and emit its result rows.
 
         public_dets, when given, must hold this frame's rows only; they
-        replace the detector's boxes. A frame's values are checked where
-        they are read: prob (finite, within [0, 1]) and boxes (finite) up
-        front, embed by the embedding search and by the readout cells, feat
-        by learned refinement only. A bad value raises FrameValueError;
-        the frame then logs a warning, ages every tracklet by one miss and
-        emits no rows. Tracklet state changes only after every value has
-        been read, and any other exception propagates.
+        replace the detector's boxes. A row of another frame raises
+        ValueError before any tracklet changes. A frame's values are
+        checked where they are read: prob (finite, within [0, 1]) and boxes
+        (finite) up front, embed by the embedding search and by the readout
+        cells, feat by learned refinement only. A bad value raises
+        FrameValueError; the frame then logs a warning, ages every tracklet
+        by one miss and emits no rows. Tracklet state changes only after
+        every value has been read, and any other exception propagates.
 
         Association's IOU fallback runs only when its embedding stage
         leaves both a tracklet and a box open. The rows, matched boxes
         first and then the boxes that found tracklets, are built from the
         fused boxes' arrays.
         """
+        for d in public_dets or ():
+            if d.frame != frame.frame_index:
+                raise ValueError(f"public detection of frame {d.frame} given to "
+                                 f"frame {frame.frame_index}")
         try:
             d_final, e_set, matches, spawnable = self._match(frame, public_dets)
         except FrameValueError as exc:
@@ -462,12 +466,10 @@ class Tracker:
         three run (`_fused_detections`).
 
         Each value is read and checked once. `FrameContainer.validate`
-        checks prob and boxes before anything reads them. When tracklets
-        propagate and a container frame's unread `embed` fits one search
-        block (`recheck.searched_in_one_block`), it is read whole once, and
-        the search and the readout both take that array; otherwise the
-        search reads the payload block by block and the readout cell by
-        cell. The frame keeps holding the unread payload either way.
+        checks prob and boxes before anything reads them. A container
+        frame's unread `embed` is read block by block by the search, when
+        tracklets propagate, and cell by cell by the readout; the frame
+        keeps holding the unread payload.
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
@@ -478,9 +480,6 @@ class Tracker:
         embed = frame.held()["embed"]
         m_p = None
         if p.recheck_enabled and len(self.live):
-            if isinstance(embed, Payload) and searched_in_one_block(embed.shape):
-                # One read of the grid serves the search and the readout.
-                embed = embed.read()
             stack = cross_correlate(self.live.emb, embed)
             m_s = aggregate(stack, p.shrink_radius)
             f_t = frame.feat if self.weights.mode == "learned" else None

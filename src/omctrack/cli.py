@@ -6,13 +6,12 @@ tracker reads (non-finite, prob outside [0, 1]) is not a data error: track
 logs a warning, emits no rows for it and goes on. Values are checked where
 they are read, so a bad value nothing reads (in feat under bypass
 refinement, or in an embed cell neither the search nor the readout reads)
-changes nothing. embed is read from the container whole once a frame when
-the search takes it in one block (the 20x20 and 12x12 worlds), or else
-block by block by the search and cell by cell by the readout; feat is read
-only under learned refinement, which runs exactly when --weights names a
-weight file (refinement is otherwise a clamp). track writes its rows frame
-by frame: a data error partway still replaces --out with the rows of every
-frame that finished (the printed frames= count) before exiting 2. Every
+changes nothing. embed is read from the container block by block by the
+search and cell by cell by the readout; feat is read only under learned
+refinement, which runs exactly when --weights names a weight file
+(refinement is otherwise a clamp). track writes its rows frame by frame:
+a data error partway still replaces --out with the rows of every frame
+that finished (the printed frames= count) before exiting 2. Every
 output file (--out, --gt, --dropped, --csv) is written beside its path and
 replaces it only once complete, so a failed write leaves any earlier file
 as it was; synth's outputs replace theirs only once all are written. A MOT
@@ -29,12 +28,12 @@ turned into underscores (score_thr for --score-thr); a switch such as
 disable_recheck takes true or false. A key takes effect as its flag would,
 below explicit flags and above the defaults. Any other key, or a value the
 flag refuses, is a usage error (exit 1) naming the file, the line and the
-key. Tracking and scenario defaults are those of the config dataclass
-fields that the flag tables below name, and each field is set by one
-flag only (--radius inf, or none, turns the shrink window off). sweep
-refuses, as a usage error, the flag or key that sets what the swept
-parameter sets on every run: --epsilon under --param epsilon, --radius
-under --param r.
+key; so is a key given twice, naming both lines. Tracking and scenario
+defaults are those of the config dataclass fields that the flag tables
+below name, and each field is set by one flag only (--radius inf, or
+none, turns the shrink window off). sweep refuses, as a usage error, the
+flag or key that sets what the swept parameter sets on every run:
+--epsilon under --param epsilon, --radius under --param r.
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ class _Parser(argparse.ArgumentParser):
                 lines = f.read().splitlines()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        values = {}
+        values, first_line = {}, {}
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -167,6 +166,10 @@ class _Parser(argparse.ArgumentParser):
             if key not in flags:
                 raise UsageError(f"{where}: unknown key {key!r}; "
                                  f"accepted keys: {', '.join(sorted(flags))}")
+            if key in first_line:
+                raise UsageError(f"{where}: key {key!r} already set on line "
+                                 f"{first_line[key]}")
+            first_line[key] = lineno
             try:
                 values[key] = _file_value(flags[key], text)
             except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -115,11 +115,9 @@ class FrameContainer:
     A frame from iter_container holds `embed` and `feat` unread, as their
     places in the file (`held`), and reads each whole on first access to
     the attribute. The tracker never does, and the frame keeps holding them
-    unread: a step with live tracklets on a grid of one search block reads
-    `embed` whole into an array of its own for the search and the readout;
-    otherwise the search reads it from the file block by block and the
-    readout cell by cell. Only learned refinement reads `feat`. Assigning
-    `embed` or `feat` replaces it like any other attribute.
+    unread: the embedding search reads `embed` from the file block by block
+    and the readout cell by cell. Only learned refinement reads `feat`.
+    Assigning `embed` or `feat` replaces it like any other attribute.
 
     `validate` is the one check of prob's and boxes' values: the tracker
     calls it before it decodes a frame, and `decode_boxes` does not check
@@ -299,11 +297,19 @@ class Payload:
         return out
 
     def take_cells(self, index: np.ndarray) -> np.ndarray:
-        """The cells at the given row-major indices, as a new (n, C) array."""
+        """The cells at the given row-major indices, as a new (n, C) array.
+
+        Each cell is one `preadv` straight into its row of the array; only
+        a short read goes on through `_read_into`, which raises on a file
+        cut short.
+        """
         out = np.empty((len(index), self.shape[-1]), dtype="<f4")
         buf, size = _bytes_of(out), 4 * out.shape[1]
+        fd = self.source.f.fileno()
         for k, cell in enumerate(index.tolist()):
-            self._read_into(buf[k * size:(k + 1) * size], cell * size)
+            row = buf[k * size:(k + 1) * size]
+            if os.preadv(fd, [row], self.offset + cell * size) != size:
+                self._read_into(row, cell * size)
         return out
 
     def _read_into(self, buf: memoryview, start: int) -> None:
@@ -567,8 +573,7 @@ def iter_container(path) -> Iterator[FrameContainer]:
 
     prob and boxes are read with the frame; embed and feat are only
     size-checked and stay in the file as payloads (`FrameContainer.held`).
-    The tracker reads embed from there, whole once a frame when the
-    embedding search takes it in one block, or else block by block in the
+    The tracker reads embed from there, block by block in the embedding
     search and cell by cell in the readout, and feat only under learned
     refinement; the first access to `frame.embed` or `frame.feat` reads
     that tensor whole. A file cut short after the walk makes any of these

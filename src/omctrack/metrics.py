@@ -13,6 +13,9 @@ against its predictions, read off the tracker's IOU kernel in `detection`.
 
 Every metric takes an IOU gate in (0, 1] and raises ValueError for any
 other (NaN included): a gate of 0 would match boxes that do not overlap.
+Every metric also raises ValueError when the ground truth or the
+predictions hold one (frame, id) pair twice, naming the input, the frame
+and the id.
 All metrics are invariant under consistent relabeling of prediction ids.
 """
 
@@ -119,15 +122,32 @@ def _check_gate(iou_thr: float) -> float:
     return iou_thr
 
 
+def _check_inputs(gt: list[MotBox], pred: list[MotBox], iou_thr: float, metric: str) -> None:
+    """ValueError unless the gate holds, gt has rows and no (frame, id) repeats.
+
+    Each frame's rows are scored by id, so a repeated pair would be scored
+    as one box but counted as two, and the score would hang on row order.
+    The error names the input, the frame and the id of the first repeat.
+    """
+    _check_gate(iou_thr)
+    if not gt:
+        raise ValueError(f"ground truth is empty; {metric} is undefined")
+    for rows, what in ((gt, "ground truth"), (pred, "predictions")):
+        seen: set[tuple[int, int]] = set()
+        for r in rows:
+            if (r.frame, r.id) in seen:
+                raise ValueError(f"{what}: frame {r.frame} holds id {r.id} more than once")
+            seen.add((r.frame, r.id))
+
+
 def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
     """Run the frame-by-frame correspondence protocol.
 
     Returns (fp, fn, idsw, gt_total, matched_frames) where matched_frames
     maps each gt id to the number of frames it held a correspondence.
+    A (frame, id) pair repeated in gt or pred raises ValueError.
     """
-    _check_gate(iou_thr)
-    if not gt:
-        raise ValueError("ground truth is empty; MOTA is undefined")
+    _check_inputs(gt, pred, iou_thr, "MOTA")
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
     frames = sorted(set(gt_frames) | set(pred_frames))
@@ -203,11 +223,10 @@ def idf1(
 
     The co-occurrence matrix counts, per id pair, the frames in which their
     boxes overlap at or above the gate; an exact assignment maximizes the
-    total (IDTP) and the score is 2*IDTP / (2*IDTP + IDFP + IDFN).
+    total (IDTP) and the score is 2*IDTP / (2*IDTP + IDFP + IDFN). A
+    (frame, id) pair repeated in gt or pred raises ValueError.
     """
-    _check_gate(iou_thr)
-    if not gt:
-        raise ValueError("ground truth is empty; IDF1 is undefined")
+    _check_inputs(gt, pred, iou_thr, "IDF1")
     if not pred:
         return 0.0
     gt_ids = sorted({b.id for b in gt})

@@ -139,24 +139,9 @@ def _search_blocks(cells: int, channels: int) -> Iterator[tuple[int, int]]:
     The split depends only on the cell and channel counts, so a grid in
     memory and the same grid read from a container share their blocks.
     """
-    count = _block_count(cells, channels)
+    count = max(1, -(-cells * channels // SEARCH_BLOCK_VALUES))
     for k in range(count):
         yield cells * k // count, cells * (k + 1) // count
-
-
-def _block_count(cells: int, channels: int) -> int:
-    return max(1, -(-cells * channels // SEARCH_BLOCK_VALUES))
-
-
-def searched_in_one_block(shape: tuple[int, int, int]) -> bool:
-    """Whether cross_correlate searches an (H, W, C) grid as one block.
-
-    Such a grid is one whole-grid `sgemm` on the calling thread, whether it
-    is an array or a payload read into one buffer; so the tracker can read
-    a container grid whole once, for the search and the readout alike.
-    """
-    h, w, c = shape
-    return _block_count(h * w, c) == 1
 
 
 def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndarray:
@@ -166,9 +151,7 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     Payload. The H*W cells are walked in near-equal blocks of at most
     SEARCH_BLOCK_VALUES values (`_search_blocks`): a view of an array, or a
     payload's cells read into a buffer that every block reuses, so a
-    payload of more than one block is never held whole. (The tracker reads
-    a one-block payload whole itself, `searched_in_one_block`, and passes
-    the array, which the readout then indexes too.) Each block is one
+    payload of more than one block is never held whole. Each block is one
     float32 pass (`_search`): per-cell squared norms from one `einsum`, one
     cells-major (cells, C) x (C, n) `sgemm` of the raw cells against the
     templates into a reused (cells, n) buffer, and that buffer, each cell's

@@ -684,6 +684,17 @@ class TestTrackerStep:
         rows, tracker = track_sequence(frames, public_dets=[])
         assert rows == []
 
+    def test_public_row_of_another_frame_is_refused(self):
+        frames, gt, _ = generate(small_scenario(frames=3))
+        tracker = Tracker()
+        tracker.step(frames[0])
+        live, next_id = row_records(tracker.live), tracker.next_id
+        other = next(b for b in gt if b.frame == 3)
+        with pytest.raises(ValueError, match="public detection of frame 3 given to frame 2"):
+            tracker.step(frames[1], [MotBox(3, -1, other.x, other.y, other.w, other.h, 1.0)])
+        assert row_records(tracker.live) == live
+        assert tracker.next_id == next_id
+
     def test_determinism_identical_rows(self):
         cfg = small_scenario(frames=12, dropout_prob=0.25)
         frames, _, _ = generate(cfg)

@@ -512,6 +512,21 @@ class TestConfigFile:
         assert out == ""
         assert not results.exists()
 
+    def test_key_given_twice_is_usage_error_naming_both_lines(
+        self, scenario, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("score_thr=0.3\n# a comment\nscore_thr=0.9\n")
+        results = tmp_path / "r.txt"
+        code, out, err = run(
+            capsys, "track", "--container", str(scenario["container"]),
+            "--out", str(results), "--config", str(cfg),
+        )
+        assert code == 1
+        assert f"{cfg}:3: key 'score_thr' already set on line 1" in err
+        assert out == ""
+        assert not results.exists()
+
     @pytest.mark.parametrize("command, key", [
         ("eval", "csv"), ("synth", "dropped"), ("sweep", "out"),
     ])
@@ -560,6 +575,16 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res))
         assert code == 2
 
+    def test_repeated_frame_and_id_is_data_error(self, tmp_path, capsys):
+        gt, res, csv = tmp_path / "gt.txt", tmp_path / "res.txt", tmp_path / "r.csv"
+        gt.write_text("1,1,0,0,10,10,1.0,-1,-1,-1\n")
+        res.write_text("1,7,0,0,10,10,1.0,-1,-1,-1\n1,7,300,0,10,10,1.0,-1,-1,-1\n")
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res),
+                             "--csv", str(csv))
+        assert code == 2
+        assert out == ""
+        assert err == "data error: predictions: frame 1 holds id 7 more than once\n"
+        assert not csv.exists()
 
     @pytest.mark.parametrize("gate", ["-5", "0", "nan", "1.5", "half"])
     @pytest.mark.parametrize("given", ["flag", "key"])

@@ -809,32 +809,45 @@ class TestLaidOutFrames:
 
 
 class TestOneGridRead:
-    """With live tracklets on a one-block grid, the step reads embed once, whole."""
+    """On a one-block grid the search reads embed whole and the readout its cells."""
 
-    def test_search_and_readout_share_one_read(self, tmp_path, monkeypatch):
+    def test_search_reads_the_grid_once_and_readout_reads_centre_cells(
+            self, tmp_path, monkeypatch):
         from omctrack.synth import ScenarioConfig, generate
 
         frames, _, _ = generate(ScenarioConfig(seed=0, num_targets=2, height=8, width=8,
                                                frames=5))
         path = tmp_path / "x.omcf"
         write_container(frames, path)
+        fused = []
+        extract = association.extract_embeddings
+
+        def recording(boxes, embed):
+            fused.append(len(boxes))
+            return extract(boxes, embed)
+
+        monkeypatch.setattr(association, "extract_embeddings", recording)
         reads = TestLazyFeat.count_reads(monkeypatch)
         tracker = association.Tracker()
         propagated = 0
         for fc in frame_io.iter_container(path):
             embed = fc.held()["embed"]
-            assert recheck.searched_in_one_block(embed.shape)
-            nbytes = 4 * np.prod(embed.shape)
+            h, w, c = embed.shape
+            assert len(list(recheck._search_blocks(h * w, c))) == 1
+            nbytes, cell = 4 * h * w * c, 4 * c
             live = len(tracker.live) > 0
             before = len(reads)
             assert tracker.step(fc)
             in_embed = [(offset, n) for offset, n in reads[before:]
                         if embed.offset <= offset < embed.offset + nbytes]
             if live:
+                # The search reads the whole one-block grid in one read.
                 propagated += 1
-                assert in_embed == [(embed.offset, nbytes)]
-            else:
-                # No search: only the boxes' centre cells are read.
-                assert in_embed and all(n == 4 * embed.shape[2] for _, n in in_embed)
+                assert in_embed[0] == (embed.offset, nbytes)
+                in_embed = in_embed[1:]
+            # The readout reads one centre cell per fused box, and a step
+            # with no tracklets reads nothing else.
+            assert [n for _, n in in_embed] == [cell] * fused[-1]
+            assert fused[-1] > 0
             assert isinstance(fc.held()["embed"], frame_io.Payload)
         assert propagated == 4

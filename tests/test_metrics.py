@@ -293,13 +293,15 @@ mot_rows = st.lists(
 ).map(lambda rs: [row(f, tid, x) for f, tid, x in rs])
 
 
-# Rows that may repeat a (frame, id) key, and whose boxes coincide, touch,
-# or nest at an IOU of exactly 0.5 (a 5x10 box inside a 10x10 one).
+# Rows whose boxes coincide, touch, or nest at an IOU of exactly 0.5 (a
+# 5x10 box inside a 10x10 one). Each (frame, id) appears at most once: the
+# metrics refuse a repeated one (TestRepeatedKeys).
 loose_rows = st.lists(
     st.tuples(st.integers(1, 4), st.integers(1, 4),
               st.sampled_from([0.0, 2.5, 5.0, 40.0]), st.sampled_from([0.0, 5.0]),
               st.sampled_from([5.0, 10.0])),
-    max_size=30,
+    max_size=16,
+    unique_by=lambda r: r[:2],
 ).map(lambda rs: [MotBox(f, tid, x, y, w, 10.0, 1.0) for f, tid, x, y, w in rs])
 
 pixel = st.floats(min_value=-2e3, max_value=2e3, allow_nan=False)
@@ -336,6 +338,27 @@ class TestAgainstLoopOracles:
              [row(1, 1, x=0, w=5.0), row(2, 1, x=0, w=5.0), row(2, 2, x=0)], 0.5)
     def test_evaluate_equals_loop_oracle(self, gt, pred, iou_thr):
         assert evaluate(gt, pred, iou_thr, 3) == evaluate_oracle(gt, pred, iou_thr, 3)
+
+
+class TestRepeatedKeys:
+    """A (frame, id) pair given twice is refused, whatever the row order."""
+
+    # One gt box; id 7 twice in frame 1, at the box and 300 px away. Scored
+    # by id alone, one row order would give MOTA -2.0 and the other 0.0.
+    GT = [row(1, 1, x=0)]
+    PRED = [row(1, 7, x=0), row(1, 7, x=300)]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["near_first", "far_first"])
+    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
+    def test_repeated_prediction_raises(self, metric, order):
+        with pytest.raises(ValueError, match="^predictions: frame 1 holds id 7 more than once$"):
+            metric(self.GT, self.PRED[::order])
+
+    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
+    def test_repeated_ground_truth_raises(self, metric):
+        gt = [row(1, 1, x=0), row(2, 1, x=0), row(2, 1, x=300)]
+        with pytest.raises(ValueError, match="^ground truth: frame 2 holds id 1 more than once$"):
+            metric(gt, [row(1, 1, x=0)])
 
 
 class TestReportMtMl:
