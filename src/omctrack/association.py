@@ -72,7 +72,6 @@ __all__ = [
     "TrackletTable",
     "TrackerConfig",
     "PipelineConfig",
-    "EMBEDDING_MODES",
     "Tracker",
     "extract_embeddings",
     "associate",
@@ -85,8 +84,6 @@ log = logging.getLogger(__name__)
 # IOU above which a public detection counts as "near" an existing track and
 # must not start a new trajectory.
 PUBLIC_NEAR_IOU = 0.5
-
-EMBEDDING_MODES = ("first", "last", "updated")
 
 
 @dataclass(eq=False)
@@ -113,16 +110,15 @@ class TrackerConfig:
     """Association and lifecycle settings.
 
     retention_frames: consecutive misses before a tracklet is removed.
-    embedding_momentum: weight of the old embedding in "updated" mode.
-    embedding_mode: first (frozen at birth) | last (replaced) | updated
-    (momentum-smoothed and renormalized).
+    embedding_momentum: alpha of the one embedding update, f <- alpha * f
+    + (1 - alpha) * f_new, renormalized: 1 keeps the birth embedding, 0
+    takes each match's.
     """
 
     retention_frames: int = 30
     embedding_momentum: float = 0.9
     emb_match_thr: float = 0.6
     iou_match_thr: float = 0.5
-    embedding_mode: str = "updated"
 
     def __post_init__(self):
         if self.retention_frames < 1:
@@ -133,8 +129,6 @@ class TrackerConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.embedding_mode not in EMBEDDING_MODES:
-            raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
 
 
 @dataclass
@@ -271,9 +265,9 @@ def update_tracklets(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply one frame's assignment to the table of live tracklets, in place.
 
-    Matched rows reset their miss count, take their box and update their
-    embedding per cfg.embedding_mode; in "updated" mode every matched row
-    is blended and renormalized in one pass (`_blend`). Every other row
+    Matched rows reset their miss count, take their box and blend their
+    embedding with the match's by cfg.embedding_momentum, renormalized,
+    every matched row in one pass (`_blend`). Every other row
     ages by one miss, and rows whose count reaches the retention window are
     dropped. Unmatched boxes (restricted to spawnable indices when given)
     found new rows with fresh ids, in box order, after the survivors. Only
@@ -290,11 +284,8 @@ def update_tracklets(
         live.misses[rows] = 0
         for held, seen in zip(live.last._columns(), boxes._columns()):
             held[rows] = seen[cols]
-        if cfg.embedding_mode != "first":   # "first": frozen at birth
-            new = e_set.vectors[cols]
-            if cfg.embedding_mode == "updated":
-                new = _blend(live.emb.vectors[rows], new, cfg.embedding_momentum)
-            live.emb.vectors[rows] = new
+        live.emb.vectors[rows] = _blend(live.emb.vectors[rows], e_set.vectors[cols],
+                                        cfg.embedding_momentum)
 
     keep = live.misses < cfg.retention_frames
     taken = set(matched.values())
@@ -394,8 +385,9 @@ class Tracker:
         replace the detector's boxes. A row of another frame raises
         ValueError before any tracklet changes. A frame's values are
         checked where they are read: prob (finite, within [0, 1]) and boxes
-        (finite) up front, embed by the embedding search and by the readout
-        cells, feat by learned refinement only. A bad value raises
+        (finite) up front, the decoded sizes (finite, positive) by the
+        decode, embed by the embedding search and by the readout cells,
+        feat by learned refinement only. A bad value raises
         FrameValueError; the frame then logs a warning, ages every tracklet
         by one miss and emits no rows. Tracklet state changes only after
         every value has been read, and any other exception propagates.

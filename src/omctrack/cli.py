@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 failed
 gradcheck or sweep assertion. A container frame with a bad value that the
-tracker reads (non-finite, prob outside [0, 1]) is not a data error: track
-logs a warning, emits no rows for it and goes on. Values are checked where
-they are read, so a bad value nothing reads (in feat under bypass
-refinement, or in an embed cell neither the search nor the readout reads)
-changes nothing. embed is read from the container block by block by the
-search and cell by cell by the readout; feat is read only under learned
-refinement, which runs exactly when --weights names a weight file
-(refinement is otherwise a clamp). track writes its rows frame by frame:
-a data error partway still replaces --out with the rows of every frame
-that finished (the printed frames= count) before exiting 2. Every
+tracker reads (non-finite, prob outside [0, 1], a box size that decodes
+to inf or 0) is not a data error: track logs a warning, emits no rows for
+it and goes on. Values are checked where they are read, so a bad value
+nothing reads (in feat under bypass refinement, or in an embed cell
+neither the search nor the readout reads) changes nothing. embed is read
+from the container block by block by the search and cell by cell by the
+readout; feat is read only under learned refinement, which runs exactly
+when --weights names a weight file (refinement is otherwise a clamp).
+track writes its rows frame by frame: a data error partway still replaces
+--out with the rows of every frame that finished (the printed frames=
+count) before exiting 2. Every
 output file (--out, --gt, --dropped, --csv) is written beside its path and
 replaces it only once complete, so a failed write leaves any earlier file
 as it was; synth's outputs replace theirs only once all are written. A MOT
@@ -53,7 +54,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .association import (
-    EMBEDDING_MODES,
     PipelineConfig,
     Tracker,
     TrackerConfig,
@@ -228,7 +228,8 @@ _TRACKING_FLAGS = (
     _Flag("k", TrackerConfig, "retention_frames", int,
           "frames a tracklet survives without a match"),
     _Flag("alpha", TrackerConfig, "embedding_momentum", float,
-          "embedding momentum for mode 'updated'"),
+          "weight of a tracklet's embedding against each match's; "
+          "1 freezes it, 0 replaces it"),
     _Flag("stride", PipelineConfig, "stride", int, "pixels per feature cell"),
     _Flag("score-thr", PipelineConfig, "score_thr", float, "detection keep threshold"),
     _Flag("iou-thr", PipelineConfig, "nms_iou_thr", float, "NMS suppression threshold"),
@@ -238,8 +239,6 @@ _TRACKING_FLAGS = (
           "min IOU for fallback association"),
     _Flag("decode", PipelineConfig, "decode_mode", str, "offset decoding mode",
           DECODE_MODES),
-    _Flag("embedding-mode", TrackerConfig, "embedding_mode", str,
-          "tracklet embedding update rule", EMBEDDING_MODES),
 )
 
 _SCENARIO_FLAGS = (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sigmoid
+from .numerics import FrameValueError, sigmoid
 
 __all__ = [
     "Box",
@@ -165,11 +165,12 @@ def decode_boxes(
     or only those in cells. The tracker passes the cells that some score
     threshold keeps, so the rest of the grid is never decoded. Each box
     has the bits of the same cell's box in the whole-grid decode. Widths
-    and heights come from exponentiating the raw values so they stay
-    positive. The values are not read beyond the decoded cells, nor
-    checked: `FrameContainer.validate` checks a frame's prob and boxes
-    once, before the tracker decodes them, and a NaN there decodes to a
-    NaN box.
+    and heights come from exponentiating the raw values; a decoded cell
+    whose width or height is not finite and positive (a finite raw
+    log-size can overflow to inf or underflow to 0) raises
+    FrameValueError naming boxes. The values are not read beyond the
+    decoded cells, nor otherwise checked: `FrameContainer.validate`
+    checks a frame's prob and boxes once, before the tracker decodes them.
     """
     prob = np.asarray(prob)
     raw = np.asarray(raw)
@@ -194,12 +195,17 @@ def decode_boxes(
     raw64 = flat_raw.astype(np.float64)
     pair = (raw64[:, 0], raw64[:, 1])
     dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
+    with np.errstate(over="ignore"):
+        w, h = np.exp(raw64[:, 2]), np.exp(raw64[:, 3])
+    if not (((w > 0) & (w < np.inf)).all() and ((h > 0) & (h < np.inf)).all()):
+        raise FrameValueError("tensor 'boxes' decodes to a width or height "
+                              "that is not finite and positive")
     row, col = np.divmod(cells, width)
     return Boxes(
         cx=(col + 0.5) + dx,
         cy=(row + 0.5) + dy,
-        w=np.exp(raw64[:, 2]),
-        h=np.exp(raw64[:, 3]),
+        w=w,
+        h=h,
         score=scores.astype(np.float64),
     )
 

@@ -120,8 +120,8 @@ class FrameContainer:
     Assigning `embed` or `feat` replaces it like any other attribute.
 
     `validate` is the one check of prob's and boxes' values: the tracker
-    calls it before it decodes a frame, and `decode_boxes` does not check
-    them again.
+    calls it before it decodes a frame, and `decode_boxes` checks only the
+    sizes it decodes from boxes.
     """
 
     embed = _ReadOnFirstAccess()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from omctrack import association, detection
 from omctrack.association import (
-    EMBEDDING_MODES,
     PipelineConfig,
     Tracker,
     TrackerConfig,
@@ -66,11 +65,9 @@ def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, spawnable=N
     for t, j in zip(hits, cols):
         t.miss_count = 0
         t.last_box = boxes[j]
-    if hits and cfg.embedding_mode != "first":   # "first": frozen at birth
-        new = e_set.vectors[cols]
-        if cfg.embedding_mode == "updated":
-            old = np.array([t.embedding for t in hits])
-            new = association._blend(old, new, cfg.embedding_momentum)
+    if hits:
+        old = np.array([t.embedding for t in hits])
+        new = association._blend(old, e_set.vectors[cols], cfg.embedding_momentum)
         for t, emb in zip(hits, new):
             t.embedding = emb
     for t in tracklets:
@@ -135,13 +132,9 @@ def per_tracklet_update(embedding, new_emb, cfg):
     The reference for update_tracklets, which updates every matched row in
     one pass.
     """
-    if cfg.embedding_mode == "last":
-        return new_emb.copy()
-    if cfg.embedding_mode == "updated":
-        a = cfg.embedding_momentum
-        return l2_normalize(a * embedding.astype(np.float64)
-                            + (1.0 - a) * new_emb.astype(np.float64))
-    return embedding
+    a = cfg.embedding_momentum
+    return l2_normalize(a * embedding.astype(np.float64)
+                        + (1.0 - a) * new_emb.astype(np.float64))
 
 
 def to_mot_row(frame_index, track_id, box, stride):
@@ -407,16 +400,16 @@ class TestUpdateTracklets:
         assert active.tolist() == [1]
         assert live.misses.tolist() == [29]
 
-    def test_updated_mode_fixed_point(self):
-        cfg = TrackerConfig(embedding_mode="updated", embedding_momentum=0.9)
+    def test_blend_fixed_point(self):
+        cfg = TrackerConfig(embedding_momentum=0.9)
         e = unit(np.arange(1, 9))
         live = table([tracklet(1, e)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
         update_tracklets(live, [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg, next_id=2)
         assert np.allclose(live.emb.vectors[0], e, atol=1e-6)
 
-    def test_first_mode_frozen(self):
-        cfg = TrackerConfig(embedding_mode="first")
+    def test_alpha_one_keeps_the_birth_embedding(self):
+        cfg = TrackerConfig(embedding_momentum=1.0)
         e0 = basis_vec(0)
         live = table([tracklet(1, e0)])
         for frame in range(2, 6):
@@ -425,17 +418,17 @@ class TestUpdateTracklets:
             update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
         assert np.array_equal(live.emb.vectors[0], e0)
 
-    def test_last_mode_replaces(self):
-        cfg = TrackerConfig(embedding_mode="last")
+    def test_alpha_zero_takes_the_match(self):
+        cfg = TrackerConfig(embedding_momentum=0.0)
         live = table([tracklet(1, basis_vec(0))])
         es = EmbeddingSet(np.stack([basis_vec(3)]))
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
         update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
         assert np.array_equal(live.emb.vectors[0], basis_vec(3))
 
-    def test_updated_mode_keeps_unit_norm(self):
+    def test_blend_keeps_unit_norm(self):
         rng = np.random.default_rng(4)
-        cfg = TrackerConfig(embedding_mode="updated", embedding_momentum=0.7)
+        cfg = TrackerConfig(embedding_momentum=0.7)
         live = table([tracklet(1, unit(rng.normal(size=8)))])
         for frame in range(2, 12):
             es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
@@ -471,7 +464,6 @@ def update_inputs(draw):
     Tracklet embeddings span magnitudes 1e-30 to 1e30, and some are set to
     cancel their row's blend, to zero or nearly so.
     """
-    mode = draw(st.sampled_from(["updated", "first", "last"]))
     momentum = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     k = draw(st.integers(1, 20))
     unmatched = draw(st.integers(0, 3))
@@ -485,7 +477,7 @@ def update_inputs(draw):
     order = rng.permutation(k)                 # tracklet i matches box order[i]
     for i in draw(st.lists(st.integers(0, k - 1), max_size=5)):
         old[i] = -new[order[i]] * ((1.0 - momentum) / momentum if momentum else 1.0)
-    cfg = TrackerConfig(embedding_mode=mode, embedding_momentum=momentum)
+    cfg = TrackerConfig(embedding_momentum=momentum)
     return cfg, old, new, order
 
 
@@ -510,6 +502,45 @@ class TestOnePassUpdate:
 
 
 @st.composite
+def unit_row_pairs(draw):
+    """Old and new (k, C) rows as the tracker holds them: unit, or zero.
+
+    The rows come from `normalize_cells`, as the readout's do.
+    """
+    k = draw(st.integers(1, 20))
+    dim = draw(st.sampled_from([1, 2, 3, 5, 8, 12, 64, 512]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    old, new = normalize_cells(rng.normal(size=(2, k, dim)))
+    old[draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0.0
+    new[draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0.0
+    return old, new
+
+
+class TestAlphaEndpoints:
+    """alpha = 1 keeps each row and alpha = 0 takes each match's, to one ulp.
+
+    Both still renormalize a row that is already unit. That moves no
+    component by more than one float32 ulp of it: measured on 20,000 random
+    rows a C, about 1% of rows move at C = 2 to 8 and none at C = 64 or
+    512, the worlds' channel count. Repeated at alpha = 1 at small C, a
+    few rows in 10,000 keep moving by an ulp an update.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_row_pairs(), st.sampled_from([1.0, 0.0]))
+    def test_each_row_within_one_ulp_of_its_endpoint(self, rows, alpha):
+        old, new = rows
+        live = table([tracklet(i + 1, row) for i, row in enumerate(old)])
+        boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
+        update_tracklets(live, [(i + 1, i) for i in range(len(new))], boxes,
+                         EmbeddingSet(new), TrackerConfig(embedding_momentum=alpha),
+                         next_id=len(old) + 1, spawnable=set())
+        want = old if alpha == 1.0 else new
+        got = live.emb.vectors
+        assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+
+
+@st.composite
 def table_updates(draw):
     """A population of live tracklets, one frame's assignment and the config.
 
@@ -520,7 +551,6 @@ def table_updates(draw):
     """
     retention = draw(st.integers(1, 3))
     cfg = TrackerConfig(retention_frames=retention,
-                        embedding_mode=draw(st.sampled_from(EMBEDDING_MODES)),
                         embedding_momentum=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
     n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     dim = draw(st.sampled_from([1, 3, 8]))
@@ -889,6 +919,19 @@ class TestFrameValuePolicy:
         getattr(frames[1], tensor)[3, 4, 0] = value
         self.assert_all_miss(tracker, frames[1], caplog)
 
+    @pytest.mark.parametrize("log_width", [800.0, -800.0])
+    def test_size_decoding_to_inf_or_zero_is_all_miss(self, caplog, log_width):
+        # Finite, so the frame check passes it, but exp(800) is inf and
+        # exp(-800) is 0; unchecked, they made rows of x = -inf, w = inf
+        # and of w = 0.
+        tracker, frames = self.primed()
+        prob = frames[1].prob[..., 0]
+        y, x = np.unravel_index(np.argmax(prob), prob.shape)
+        frames[1].boxes[y, x, 2] = log_width
+        self.assert_all_miss(tracker, frames[1], caplog)
+        assert "tensor 'boxes' decodes" in caplog.text
+        assert all(tracker.step(frame) for frame in frames[2:])
+
     def test_nan_feat_under_learned_refine_is_all_miss(self, caplog):
         weights = zero_refine_weights(self.CFG.feat_dim)
         tracker, frames = self.primed(weights=weights)
@@ -897,14 +940,16 @@ class TestFrameValuePolicy:
         self.assert_all_miss(tracker, frames[2], caplog)
 
     def test_overflowing_feat_under_learned_refine_is_all_miss(self, caplog):
-        # 3e38 is finite, but its product with the bottleneck output
-        # overflows float32, and the head output turns non-finite.
+        # 3e38 is finite, but the head's products and sums over it overflow
+        # float32, and the head output turns non-finite. The whole channel
+        # holds it, so the overflow does not hang on the response at any
+        # one cell.
         cfg = small_scenario(num_targets=2, height=8, width=8, frames=6)
         weights = tiny_weights(np.random.default_rng(0), feat=cfg.feat_dim)
         pipeline = PipelineConfig(stride=cfg.stride)
         clean, _ = track_sequence(generate(cfg)[0], pipeline, weights=weights)
         frames, _, _ = generate(cfg)
-        frames[2].feat[4, 4, 0] = 3e38
+        frames[2].feat[:, :, 0] = 3e38
         tracker = Tracker(pipeline, weights=weights)
         before = tracker.step(frames[0]) + tracker.step(frames[1])
         self.assert_all_miss(tracker, frames[2], caplog)

@@ -392,10 +392,12 @@ class TestTrackCommand:
         assert "usage error" in err
 
     @pytest.mark.parametrize("given", [["--refine", "learned"], ["--disable-shrink"],
-                                       "refine=learned", "disable_shrink=true"])
+                                       ["--embedding-mode", "first"], "refine=learned",
+                                       "disable_shrink=true", "embedding_mode=first"])
     def test_removed_spelling_is_usage_error(self, scenario, tmp_path, capsys, given):
-        # --weights alone turns learned refinement on, and --radius inf (or
-        # none) alone turns the shrink window off.
+        # --weights alone turns learned refinement on, --radius inf (or
+        # none) alone turns the shrink window off, and --alpha alone sets
+        # the embedding update (1 keeps the birth embedding, 0 replaces it).
         if isinstance(given, str):
             cfg = tmp_path / "run.cfg"
             cfg.write_text(given + "\n")
@@ -769,9 +771,10 @@ class TestParserBehaviour:
         out = capsys.readouterr().out
         for flag in ("--epsilon", "--radius", "--hscale", "--k", "--alpha",
                      "--stride", "--decode", "--disable-recheck",
-                     "--embedding-mode", "--config", "--public", "--weights"):
+                     "--config", "--public", "--weights"):
             assert flag in out
-        assert "--refine" not in out and "--disable-shrink" not in out
+        for removed in ("--refine", "--disable-shrink", "--embedding-mode"):
+            assert removed not in out
 
     # A value other than the default for each optional flag of track and
     # sweep that takes a free value; a switch is given bare, and a flag with

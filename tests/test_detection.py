@@ -297,9 +297,9 @@ F32_MAX = float(np.finfo(np.float32).max)
 def assert_frame_rejected(prob, raw, tensor, caplog):
     """A frame holding these maps fails its one value check, so it is never decoded.
 
-    decode_boxes does not check values: FrameContainer.validate checks prob
-    and boxes once, and Tracker.step counts a frame that fails it as
-    all-miss, emitting no rows.
+    decode_boxes checks no value but the sizes it decodes:
+    FrameContainer.validate checks prob and boxes once, and Tracker.step
+    counts a frame that fails it as all-miss, emitting no rows.
     """
     h, w = prob.shape[:2]
     embed = np.zeros((h, w, 4), np.float32)
@@ -331,13 +331,39 @@ class TestSubsetDecode:
     @pytest.mark.parametrize("mode", DECODE_MODES)
     @given(decode_inputs())
     def test_subset_has_whole_grid_bits(self, mode, inputs):
+        # A cell whose raw log-size exponentiates to inf or 0 fails any
+        # decode that takes it; every other cell has the bits of a whole
+        # grid decode in which the failing cells' sizes are set to 0.
         prob, raw, cells, one, h_scale = inputs
         with np.errstate(over="ignore"):  # exp of raw sizes near float32 max
-            whole = decode_boxes(prob, raw, mode, h_scale)
-            for index in (cells, np.zeros(0, np.intp), np.array([one])):
-                got = decode_boxes(prob, raw, mode, h_scale, index)
-                for name in ("cx", "cy", "w", "h", "score", "restored"):
-                    assert getattr(got, name).tobytes() == getattr(whole, name)[index].tobytes()
+            sizes = np.exp(raw[..., 2:].astype(np.float64)).reshape(-1, 2)
+        good = ((sizes > 0) & (sizes < np.inf)).all(axis=1)
+        tamed = raw.copy()
+        tamed.reshape(-1, 4)[~good, 2:] = 0.0
+        whole = decode_boxes(prob, tamed, mode, h_scale)
+        for index in (None, cells, np.zeros(0, np.intp), np.array([one])):
+            if not good[index].all():
+                with pytest.raises(FrameValueError, match="tensor 'boxes' decodes"):
+                    decode_boxes(prob, raw, mode, h_scale, index)
+                continue
+            got = decode_boxes(prob, raw, mode, h_scale, index)
+            for name in ("cx", "cy", "w", "h", "score", "restored"):
+                want = getattr(whole, name)
+                assert getattr(got, name).tobytes() == (
+                    want if index is None else want[index]).tobytes()
+
+    @pytest.mark.parametrize("channel", [2, 3])
+    @pytest.mark.parametrize("log_size", [800.0, -800.0, 1e30, -1e30])
+    def test_size_that_is_not_finite_and_positive_is_a_frame_value_error(
+            self, channel, log_size):
+        # exp(800) overflows to inf and exp(-800) underflows to 0, though
+        # both raw values are finite, so the frame check passes them.
+        prob = np.ones((2, 3, 1), dtype=np.float32)
+        raw = np.zeros((2, 3, 4), dtype=np.float32)
+        raw[1, 2, channel] = log_size
+        with pytest.raises(FrameValueError, match="tensor 'boxes' decodes"):
+            decode_boxes(prob, raw, "bar", cells=np.array([0, 5]))
+        assert len(decode_boxes(prob, raw, "bar", cells=np.arange(5))) == 5
 
     @pytest.mark.parametrize("cells", [[1, 0], [2, 2], [-1], [6], [[0, 1]], [0.0]])
     def test_index_must_ascend_within_grid(self, cells):

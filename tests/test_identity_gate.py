@@ -1,10 +1,11 @@
 """Identity gate: the identities founded follow the number of targets.
 
 Restored boxes must not found identities (ROADMAP item 1). Each case runs
-the default pipeline on one seeded world and asserts that it founds at
-most two identities per target; on the desk world re-check must also beat
-the detector alone by at least 0.15 MOTA. The cases that today's tracker
-fails are strict xfails, so the fix for item 1 must remove their marks.
+the default pipeline on one seeded world, seeds 0-9 of each, and asserts
+that it founds at most two identities per target; on the desk world
+re-check must also beat the detector alone by at least 0.15 MOTA. The
+cases that today's tracker fails are strict xfails, so the fix for item 1
+must remove their marks.
 """
 
 import pytest
@@ -26,10 +27,14 @@ GHOSTS = pytest.mark.xfail(
 )
 
 
+# Desk seed 8 founds 280 identities and loses 0.589 MOTA to the detector
+# alone; every clutter seed founds 153 to 175.
+FAILING = {("desk", 8)} | {("clutter", seed) for seed in range(10)}
+
+
 @pytest.mark.parametrize("world, seed", [
-    ("desk", 0),
-    pytest.param("desk", 8, marks=GHOSTS),
-    pytest.param("clutter", 0, marks=GHOSTS),
+    pytest.param(world, seed, marks=GHOSTS if (world, seed) in FAILING else ())
+    for world in WORLDS for seed in range(10)
 ])
 def test_identities_follow_targets(world, seed):
     cfg = ScenarioConfig(seed=seed, **WORLDS[world])
