@@ -2,16 +2,13 @@
 
 A propagated candidate box joins the final detections only when its
 targetness (1 - best IOU against the detector's boxes) reaches the
-threshold. With heavy background clutter the propagation stage emits
-plenty of spurious candidates; raising the threshold prunes the ones that
-overlap real detections, so false positives fall while false negatives
-creep up. The runs share one generated scenario, so the sweep isolates
-the threshold alone.
-
-The absolute numbers are deliberately bleak: this world's clutter cosine
-(0.6) clears the detection threshold, and the weight-free bypass
-refinement passes every response straight through. A trained refinement
-head is what normally suppresses this background before fusion.
+threshold, so raising the threshold restores fewer boxes. On this world
+no clutter cell outranks a target's own embedding, and restored boxes
+only continue tracks, never start them: false positives stay at 0 or 1
+across the sweep, and what the threshold trades is false negatives.
+MOTA falls from 0.98 at the low thresholds to 0.90 at 1.0 as restored
+boxes drop from 81 to 57. The runs share one generated scenario, so the
+sweep isolates the threshold alone.
 """
 
 import omctrack as ot

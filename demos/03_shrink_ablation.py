@@ -5,9 +5,9 @@ from the true target. Zeroing everything outside a (2r+1)^2 window around
 the peak removes that ambiguous mass before the maps are aggregated. The
 ablation compares window radii against no shrinking on a clutter-heavy
 world, both as raw off-target response mass and as end-to-end false
-positives. As in the threshold sweep, the weight-free bypass refinement
-lets all surviving clutter through, so the absolute false-positive counts
-are large by design; what matters is how they move with the radius.
+positives. The window cuts the off-target mass several-fold, but on this
+world end-to-end FP is 0 at every radius: restored boxes only continue
+tracks, and no clutter cell here outranks a target's own embedding.
 """
 
 import math

@@ -8,8 +8,12 @@ IOU against each tracklet's last box as a fallback for the leftovers,
 computed only when the first stage leaves both a tracklet and a box open.
 Each stage takes its pairs in one sweep over the matrix sorted once.
 Matched rows are refreshed in place, unmatched ones age out after a
-retention window, unmatched boxes append rows with new identities from a
-monotone id counter.
+retention window. One birth rule, applied in `Tracker._match` under both
+protocols, picks the boxes that append rows with new identities from a
+monotone id counter: a box founds a tracklet when it is unmatched, not
+restored, and novel (cosine below emb_match_thr against every live row);
+under the public protocol it must also not be near a box tracked this
+frame. Restored boxes repair tracklets; they never start one.
 
 The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
@@ -20,7 +24,7 @@ in pixel units, built from the fused boxes' arrays. The search reads
 and the readout reads the fused boxes' centre cells. When the base NMS,
 the transductive NMS and the fusion vote all run over the decoded boxes,
 one IOU table over them a frame serves the three, which pick boxes by
-index into it. The search, the first matching stage and the birth gate
+index into it. The search, the first matching stage and the birth rule
 read the table's embedding rows as it holds them. There is deliberately
 no motion model: propagation by embedding search is the mechanism under
 test, and a motion prior would mask its contribution.
@@ -31,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -261,19 +265,19 @@ def update_tracklets(
     e_set: EmbeddingSet,
     cfg: TrackerConfig,
     next_id: int,
-    spawnable: Collection[int] | None = None,
+    born: list[int],
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply one frame's assignment to the table of live tracklets, in place.
 
     Matched rows reset their miss count, take their box and blend their
     embedding with the match's by cfg.embedding_momentum, renormalized,
-    every matched row in one pass (`_blend`). Every other row
-    ages by one miss, and rows whose count reaches the retention window are
-    dropped. Unmatched boxes (restricted to spawnable indices when given)
-    found new rows with fresh ids, in box order, after the survivors. Only
-    a frame that drops or founds rows builds (and checks) a new embedding
-    set. Returns (surviving ids, new ids, next_id); the ids are views of the
-    table's.
+    every matched row in one pass (`_blend`). Every other row ages by one
+    miss, and rows whose count reaches the retention window are dropped.
+    The boxes at the indices in born found new rows with fresh ids, in that
+    order, after the survivors; `Tracker._match` picks them by the one
+    birth rule (unmatched, not restored, novel). Only a frame that drops or
+    founds rows builds (and checks) a new embedding set. Returns (surviving
+    ids, new ids, next_id); the ids are views of the table's.
     """
     matched = dict(matches)
     ids = live.ids.tolist()
@@ -288,9 +292,6 @@ def update_tracklets(
                                         cfg.embedding_momentum)
 
     keep = live.misses < cfg.retention_frames
-    taken = set(matched.values())
-    born = [j for j in range(len(boxes))
-            if j not in taken and (spawnable is None or j in spawnable)]
     if born or not keep.all():
         vectors = live.emb.vectors[keep]
         if born:
@@ -402,21 +403,19 @@ class Tracker:
                 raise ValueError(f"public detection of frame {d.frame} given to "
                                  f"frame {frame.frame_index}")
         try:
-            d_final, e_set, matches, spawnable = self._match(frame, public_dets)
+            d_final, e_set, matches, born = self._match(frame, public_dets)
         except FrameValueError as exc:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
             update_tracklets(self.live, [], Boxes.of([]), EmbeddingSet.empty(0),
-                             self.cfg, self.next_id)
+                             self.cfg, self.next_id, [])
             return []
 
-        _, born, self.next_id = update_tracklets(
-            self.live, matches, d_final, e_set, self.cfg, self.next_id, spawnable,
+        _, new_ids, self.next_id = update_tracklets(
+            self.live, matches, d_final, e_set, self.cfg, self.next_id, born,
         )
-
-        # Every spawnable box founds a tracklet, in ascending index order.
-        ids = [tid for tid, _ in matches] + born.tolist()
-        cells = np.array([j for _, j in matches] + spawnable, dtype=np.intp)
+        ids = [tid for tid, _ in matches] + new_ids.tolist()
+        cells = np.array([j for _, j in matches] + born, dtype=np.intp)
         rows = _mot_rows(frame.frame_index, ids, d_final, cells, self.pipeline.stride)
         self.restored_emitted += int(np.count_nonzero(d_final.restored[cells]))
         self.rows_emitted += len(rows)
@@ -446,8 +445,8 @@ class Tracker:
         """Read the frame and match it against the tracklets, changing neither.
 
         Returns the fused boxes, their embeddings, the (tracklet id, box
-        index) matches and the ascending indices of the unmatched boxes
-        that may found new tracklets.
+        index) matches and the ascending indices of the boxes that found
+        new tracklets. This is the one place that decides births.
 
         The propagated map comes first, so the frame is decoded once and
         only at the cells that can give a box: where the detector score
@@ -492,25 +491,23 @@ class Tracker:
         e_set = extract_embeddings(d_final, embed)
         matches, _, unmatched_boxes = associate(self.live, d_final, e_set, self.cfg)
 
-        # Birth gate: a new identity must not already be explained by an
-        # active tracklet. Without this, a box whose embedding duplicates a
-        # live identity (overlap readout, propagation leftovers) founds a
-        # twin tracklet, twin response maps stack past the score threshold,
-        # and ghost tracks snowball.
-        spawnable = unmatched_boxes
-        if unmatched_boxes and len(self.live):
-            sims = self.live.emb.vectors.astype(np.float64) @ e_set.vectors[unmatched_boxes].T
+        # Birth rule: a box founds a tracklet when it is unmatched, not
+        # restored and novel. Restored boxes repair tracklets and never start
+        # one. Novel means below emb_match_thr against every live row: a box
+        # whose embedding duplicates a live identity (overlap readout,
+        # propagation leftovers) would otherwise found a twin tracklet, twin
+        # response maps stack past the score threshold, and ghosts snowball.
+        spawnable = [j for j in unmatched_boxes if not d_final.restored[j]]
+        if spawnable and len(self.live):
+            sims = self.live.emb.vectors.astype(np.float64) @ e_set.vectors[spawnable].T
             novel = (sims < self.cfg.emb_match_thr).all(axis=0)
-            spawnable = [j for j, ok in zip(unmatched_boxes, novel) if ok]
+            spawnable = [j for j, ok in zip(spawnable, novel) if ok]
         if public_mode and spawnable:
-            # Public boxes may found trajectories only away from boxes that
-            # are already tracked this frame; propagated boxes never spawn
-            # under the public protocol.
+            # Under the public protocol a box must also not be near a box
+            # tracked this frame.
             tracked_now = d_final[[j for _, j in matches]]
             near = (iou(d_final, tracked_now) >= PUBLIC_NEAR_IOU).any(axis=1)
-            spawnable = [
-                j for j in spawnable if not (d_final.restored[j] or near[j])
-            ]
+            spawnable = [j for j in spawnable if not near[j]]
         return d_final, e_set, matches, spawnable
 
 

@@ -442,13 +442,12 @@ def _cmd_sweep(args) -> int:
     print(text, end="")
 
     if args.check:
-        fps = [report.fp for _, report in results]
         if args.param == "epsilon":
-            bad = [i for i in range(1, len(fps)) if fps[i] > fps[i - 1]]
-            if bad:
-                raise CheckFailure(
-                    f"FP column is not non-increasing at positions {bad}: {fps}"
-                )
+            restored = [report.restored_count for _, report in sorted(results, key=lambda r: r[0])]
+            if (any(b > a for a, b in zip(restored, restored[1:]))
+                    or (len(set(values)) > 1 and restored[-1] >= restored[0])):
+                raise CheckFailure(f"restored count by ascending epsilon is not "
+                                   f"non-increasing and falling: {restored}")
         else:
             by_value = {v: report.fp for v, report in results}
             r = _field_default(PipelineConfig, "shrink_radius")
@@ -542,7 +541,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                          help="comma-separated values; 'inf' allowed for r")
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.add_argument("--check", action="store_true",
-                         help="fail (exit 3) if the expected FP direction is violated")
+                         help="fail (exit 3) if restored rises with epsilon or is not lower "
+                              "at its largest; if FP at the default r exceeds FP at r=inf")
     _add_scenario_flags(p_sweep)
     _add_tracking_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

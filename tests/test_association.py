@@ -53,7 +53,7 @@ class Tracklet:
     state: str = "active"                              # active | removed
 
 
-def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, spawnable=None):
+def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, born):
     """The per-object update that `update_tracklets` replaced.
 
     Returns (surviving tracklets, new tracklets, next_id) and changes the
@@ -76,10 +76,6 @@ def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, spawnable=N
             if t.miss_count >= cfg.retention_frames:
                 t.state = "removed"
     survivors = [t for t in tracklets if t.state == "active"]
-
-    matched_boxes = set(matched.values())
-    born = [j for j in range(len(boxes))
-            if j not in matched_boxes and (spawnable is None or j in spawnable)]
     new_tracklets = [
         Tracklet(id=next_id + k, embedding=e_set.vectors[j].copy(), last_box=boxes[j])
         for k, j in enumerate(born)
@@ -384,7 +380,7 @@ class TestUpdateTracklets:
         for frame in range(2, 32):
             assert live.ids.tolist() == [1] and live.misses.tolist() == [frame - 2]
             active, new, _ = update_tracklets(
-                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
+                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2, born=[]
             )
         # Dropped by the update that gave it its 30th miss.
         assert len(active) == 0 and len(new) == 0
@@ -395,7 +391,7 @@ class TestUpdateTracklets:
         live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 31):
             active, _, _ = update_tracklets(
-                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2
+                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2, born=[]
             )
         assert active.tolist() == [1]
         assert live.misses.tolist() == [29]
@@ -405,7 +401,8 @@ class TestUpdateTracklets:
         e = unit(np.arange(1, 9))
         live = table([tracklet(1, e)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-        update_tracklets(live, [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg, next_id=2)
+        update_tracklets(live, [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg,
+                         next_id=2, born=[])
         assert np.allclose(live.emb.vectors[0], e, atol=1e-6)
 
     def test_alpha_one_keeps_the_birth_embedding(self):
@@ -415,7 +412,7 @@ class TestUpdateTracklets:
         for frame in range(2, 6):
             es = EmbeddingSet(np.stack([basis_vec(frame % 8)]))
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
         assert np.array_equal(live.emb.vectors[0], e0)
 
     def test_alpha_zero_takes_the_match(self):
@@ -423,7 +420,7 @@ class TestUpdateTracklets:
         live = table([tracklet(1, basis_vec(0))])
         es = EmbeddingSet(np.stack([basis_vec(3)]))
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-        update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+        update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
         assert np.array_equal(live.emb.vectors[0], basis_vec(3))
 
     def test_blend_keeps_unit_norm(self):
@@ -433,7 +430,7 @@ class TestUpdateTracklets:
         for frame in range(2, 12):
             es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2)
+            update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
             assert abs(np.linalg.norm(live.emb.vectors[0].astype(np.float64)) - 1.0) < 1e-6
 
     def test_unmatched_boxes_spawn_with_monotone_ids(self):
@@ -441,20 +438,21 @@ class TestUpdateTracklets:
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
-        active, new, next_id = update_tracklets(table([]), [], boxes, es, cfg, next_id=5)
+        active, new, next_id = update_tracklets(table([]), [], boxes, es, cfg, next_id=5,
+                                                born=[0, 1])
         assert new.tolist() == [5, 6]
         assert next_id == 7
 
-    def test_spawnable_filter(self):
+    def test_founds_exactly_the_given_indices_in_order(self):
         cfg = TrackerConfig()
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
-                          Box(cx=8, cy=8, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
+                          Box(cx=8, cy=8, w=2, h=2, score=1.0),
+                          Box(cx=4, cy=4, w=2, h=2, score=1.0)])
+        es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1), basis_vec(2)]))
         live = table([])
-        _, new, _ = update_tracklets(live, [], boxes, es, cfg, next_id=1,
-                                     spawnable={1})
-        assert len(new) == 1
-        assert live.last.cx.tolist() == [8]
+        _, new, _ = update_tracklets(live, [], boxes, es, cfg, next_id=1, born=[2, 1])
+        assert new.tolist() == [1, 2]
+        assert live.last.cx.tolist() == [4, 8]
 
 
 @st.composite
@@ -491,7 +489,7 @@ class TestOnePassUpdate:
         matches = [(i + 1, int(j)) for i, j in enumerate(order)]
         expected = [per_tracklet_update(old[i], new[j], cfg) for i, j in enumerate(order)]
         update_tracklets(live, matches, boxes, EmbeddingSet(new),
-                         cfg, next_id=len(old) + 1, spawnable=set())
+                         cfg, next_id=len(old) + 1, born=[])
         assert live.emb.vectors.dtype == np.float32
         for row, want in zip(live.emb.vectors, expected):
             assert row.tobytes() == want.tobytes()
@@ -534,7 +532,7 @@ class TestAlphaEndpoints:
         boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
         update_tracklets(live, [(i + 1, i) for i in range(len(new))], boxes,
                          EmbeddingSet(new), TrackerConfig(embedding_momentum=alpha),
-                         next_id=len(old) + 1, spawnable=set())
+                         next_id=len(old) + 1, born=[])
         want = old if alpha == 1.0 else new
         got = live.emb.vectors
         assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
@@ -546,8 +544,8 @@ def table_updates(draw):
 
     Ids ascend with gaps; embeddings are unit or zero rows; each row's miss
     count is below the retention window, so any unmatched one may be at its
-    last frame. Boxes carry restored flags, and spawnable is None or any
-    set of box indices, matched ones included.
+    last frame. Boxes carry restored flags, and the boxes that found
+    tracklets are any of the unmatched ones, in any order.
     """
     retention = draw(st.integers(1, 3))
     cfg = TrackerConfig(retention_frames=retention,
@@ -574,25 +572,26 @@ def table_updates(draw):
     rows = draw(st.permutations(range(n)))[:k]
     cols = draw(st.permutations(range(m)))[:k]
     matches = [(trk[i].id, j) for i, j in zip(rows, cols)]
-    spawnable = draw(st.none() | st.sets(st.integers(0, max(m - 1, 0)), max_size=m))
+    unmatched = [j for j in range(m) if j not in cols]
+    born = draw(st.permutations(unmatched))[:draw(st.integers(0, len(unmatched)))]
     next_id = int(ids[-1]) + 1 if n else draw(st.integers(1, 50))
     return (trk, matches, random_boxes(m), EmbeddingSet(unit_or_zero_rows(m)), cfg,
-            next_id, spawnable)
+            next_id, born)
 
 
 class TestTableUpdate:
     @settings(max_examples=400, deadline=None)
     @given(table_updates())
     def test_matches_the_per_object_update_bit_for_bit(self, inputs):
-        trk, matches, boxes, e_set, cfg, next_id, spawnable = inputs
+        trk, matches, boxes, e_set, cfg, next_id, born = inputs
         live = table(trk)
         survivors, new, want_next = reference_update(trk, matches, boxes, e_set, cfg,
-                                                     next_id, spawnable)
-        kept, born, got_next = update_tracklets(live, matches, boxes, e_set, cfg,
-                                                next_id, spawnable)
+                                                     next_id, born)
+        kept, new_ids, got_next = update_tracklets(live, matches, boxes, e_set, cfg,
+                                                   next_id, born)
         assert got_next == want_next
         assert kept.tolist() == [t.id for t in survivors]
-        assert born.tolist() == [t.id for t in new]
+        assert new_ids.tolist() == [t.id for t in new]
         assert row_records(live) == [
             (t.id, t.embedding.tobytes(), box_bits(t.last_box), t.miss_count)
             for t in survivors + new
@@ -743,6 +742,35 @@ class TestTrackerStep:
             born.extend(range(before, tracker.next_id))
         assert len(born) == len(set(born))
         assert born == sorted(born)
+
+    def test_only_unmatched_novel_basic_boxes_found_tracklets(self):
+        # A look-alike-heavy world: many restored boxes go unmatched.
+        frames, _, _ = generate(ScenarioConfig(num_targets=4, height=12, width=12, frames=40,
+                                               dropout_prob=0.2, clutter_similarity=0.6))
+        tracker = Tracker()
+        match = tracker._match
+        seen = {}
+
+        def spy(*args):
+            seen["out"] = out = match(*args)
+            return out
+
+        tracker._match = spy
+        unmatched_restored = 0
+        for frame in frames:
+            live = tracker.live.emb.vectors.copy()
+            tracker.step(frame)
+            d_final, e_set, matches, born = seen["out"]
+            matched = {j for _, j in matches}
+            assert matched.isdisjoint(born) and born == sorted(born)
+            assert not d_final.restored[born].any()
+            if len(live):
+                sims = live.astype(np.float64) @ e_set.vectors[born].T
+                assert (sims < tracker.cfg.emb_match_thr).all()
+            unmatched_restored += sum(bool(d_final.restored[j])
+                                      for j in range(len(d_final)) if j not in matched)
+        assert unmatched_restored > 0
+        assert tracker.next_id - 1 <= 2 * 4
 
 
 @st.composite

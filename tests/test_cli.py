@@ -627,6 +627,24 @@ class TestSweepCommand:
         lines = stdout.strip().splitlines()
         assert lines[-1].startswith("inf,")
 
+    def test_readme_epsilon_check_passes(self, tmp_path, capsys):
+        # The quick start's epsilon sweep, as the README writes it.
+        text = README.read_text(encoding="utf-8")
+        command = re.search(r"omctrack (sweep --param epsilon.*?--check)", text, re.S).group(1)
+        argv = command.replace("\\", " ").split()
+        argv[argv.index("--out") + 1] = str(tmp_path / "sweep.csv")
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        restored = [int(line.split(",")[-1]) for line in stdout.splitlines()[1:]]
+        assert len(restored) == 6 and restored[-1] < restored[0]
+
+    def test_epsilon_check_fails_when_nothing_is_restored(self, capsys):
+        code, _, err = run(capsys, "sweep", "--param", "epsilon", "--values", "0.1,0.9",
+                           "--check", "--disable-recheck", "--targets", "2", "--frames", "4",
+                           "--grid", "8x8")
+        assert code == 3
+        assert "restored count" in err and "[0, 0]" in err
+
     def test_bad_param_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--param", "banana", "--values", "1")
         assert code == 1

@@ -16,16 +16,18 @@ from omctrack.synth import ScenarioConfig, generate
 
 DESK = dict(num_targets=6, height=20, width=20, frames=40,
             dropout_prob=0.3, clutter_similarity=0.3, seed=0)
-# The acceptance clutter world, shortened; its ghost tracks keep well over
-# a hundred tracklets alive, so every association path runs.
+# The acceptance clutter world, shortened: look-alike clutter, so many
+# restored boxes, which continue its 4 tracklets and found none. It keeps
+# few tracklets alive; ROADMAP item 12's crowd world is to cover
+# association under many live tracklets.
 CLUTTER = dict(num_targets=4, height=12, width=12, frames=40,
                dropout_prob=0.2, clutter_similarity=0.6, seed=0)
 
 CASES = {
     "desk": (DESK, False, "f5f460d3250ae241906fc6fcfaa6069c79e32c52afe1043dc048e43664f947ce"),
-    # Re-pinned for the float32 embedding search, which moved the printed
-    # conf of 23 rows by 1e-6; test_row_contract.py checks the other fields.
-    "clutter": (CLUTTER, False, "c9fe31971b745527aa0eda80f1a1c5d8a1ea250834ebda1f99ec7863d4475884"),
+    # Re-pinned when restored boxes stopped founding identities: 116
+    # identities and 1235 rows became 4 and 153.
+    "clutter": (CLUTTER, False, "fc2a24dda1e22f805c55eb3af387ca4da7f7cc2f2b75037b070f772d37712ad6"),
     # Public mode: every ground-truth box that was not dropped, at conf 0.9.
     "desk_public": (DESK, True, "9a432277ad162ee77077642e91b65d7a9ed62a7ee8e95764d23659d36684348d"),
 }

@@ -5,7 +5,9 @@ for byte, while `conf` (printed with 6 decimals) may move by at most one
 unit in its last printed place. `row_contract.json` holds, for each world
 of `test_golden_rows.CASES`, the SHA-256 of its rows with the `conf` field
 blanked and every `conf` in millionths, both recorded with the float64
-search that preceded the float32 one. Re-record it with
+search that preceded the float32 one; the clutter entry was re-recorded
+with the float32 search when restored boxes stopped founding identities.
+Re-record it with
 
     PYTHONPATH=src python tests/test_row_contract.py > tests/row_contract.json
 
