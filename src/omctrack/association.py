@@ -51,7 +51,7 @@ from .detection import (
     greedy_nms,
     iou,
 )
-from .frame_io import FrameContainer, MotBox, Payload
+from .frame_io import FrameContainer, MotBox, Payload, mot_box_fault
 from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
@@ -382,16 +382,17 @@ class Tracker:
     ) -> list[MotBox]:
         """Run the full pipeline on one frame and emit its result rows.
 
-        public_dets, when given, must hold this frame's rows only; they
-        replace the detector's boxes. A row of another frame raises
-        ValueError before any tracklet changes. A frame's values are
-        checked where they are read: prob (finite, within [0, 1]) and boxes
-        (finite) up front, the decoded sizes (finite, positive) by the
-        decode, embed by the embedding search and by the readout cells,
-        feat by learned refinement only. A bad value raises
-        FrameValueError; the frame then logs a warning, ages every tracklet
-        by one miss and emits no rows. Tracklet state changes only after
-        every value has been read, and any other exception propagates.
+        public_dets, when given, must hold this frame's rows only, each a
+        well-formed box (`mot_box_fault`); they replace the detector's boxes.
+        A row of another frame, or a malformed row, raises ValueError naming
+        the frame before any tracklet changes. A frame's values are checked
+        where they are read: prob (finite, within [0, 1]) and boxes (finite)
+        up front, the decoded sizes (finite, positive) by the decode, embed by
+        the embedding search and by the readout cells, feat by learned
+        refinement only. A bad value raises FrameValueError; the frame then
+        logs a warning, ages every tracklet by one miss and emits no rows.
+        Tracklet state changes only after every value has been read, and any
+        other exception propagates.
 
         Association's IOU fallback runs only when its embedding stage
         leaves both a tracklet and a box open. The rows, matched boxes
@@ -402,6 +403,8 @@ class Tracker:
             if d.frame != frame.frame_index:
                 raise ValueError(f"public detection of frame {d.frame} given to "
                                  f"frame {frame.frame_index}")
+            if (fault := mot_box_fault(d)) is not None:
+                raise ValueError(f"public detection of frame {d.frame}: {fault}")
         try:
             d_final, e_set, matches, born = self._match(frame, public_dets)
         except FrameValueError as exc:

@@ -108,7 +108,8 @@ class Boxes:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            # Unrolled like __post_init__: the tracker reads a few boxes a frame.
+            # One Box record of Python scalars. The pipeline reads the arrays,
+            # never a record by index.
             return Box(self.cx.item(key), self.cy.item(key), self.w.item(key),
                        self.h.item(key), self.score.item(key), self.restored.item(key))
         return Boxes(*(a[key] for a in self._columns()))

@@ -15,6 +15,7 @@ OMCF layout, all integers little-endian:
             dtype    u8 (0 = float32)
             payload  raw little-endian values
 
+A frame names each tensor once; a reader refuses a repeated name.
 The format carries no explicit frame numbers, so container sequences must be
 numbered consecutively from 1; readers re-derive the index from position.
 Readers are reentrant; a writer needs exclusive access to its output path.
@@ -46,6 +47,7 @@ __all__ = [
     "write_container",
     "read_container",
     "iter_container",
+    "mot_box_fault",
     "read_mot_boxes",
     "write_mot_results",
     "mot_results_writer",
@@ -138,14 +140,6 @@ class FrameContainer:
     def __repr__(self) -> str:
         shapes = ", ".join(f"{name}={arr.shape}" for name, arr in self.held().items())
         return f"FrameContainer(frame_index={self.frame_index}, {shapes})"
-
-    @property
-    def height(self) -> int:
-        return self.prob.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.prob.shape[1]
 
     def held(self) -> dict[str, np.ndarray | Payload]:
         """The four tensors by name as the frame holds them; reads nothing.
@@ -348,7 +342,8 @@ def _walk_frame(source: _OmcfFile, size: int) -> list[Payload]:
     Returns its tensors in file order and leaves the file at the frame's
     end. Each header field and payload is checked against the file's size
     before the walk reads or seeks past it, so a corrupt header cannot ask
-    for more than the file holds.
+    for more than the file holds. A frame names each tensor once: a
+    repeated name raises at its offset.
     """
     f = source.f
     (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count", size))
@@ -361,6 +356,8 @@ def _walk_frame(source: _OmcfFile, size: int) -> list[Payload]:
         except UnicodeDecodeError as exc:
             raise ContainerFormatError(f"tensor name is not UTF-8: {exc.reason}",
                                        name_offset) from exc
+        if any(p.name == name for p in payloads):
+            raise ContainerFormatError(f"frame names tensor {name!r} twice", name_offset)
         (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim", size))
         dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims", size))
         dtype_offset = f.tell()
@@ -417,16 +414,12 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
     return count
 
 
-def iter_omcf(path) -> Iterator[dict[str, np.ndarray]]:
-    """Stream named-tensor frames from an OMCF file, every payload read."""
+def read_omcf(path) -> list[dict[str, np.ndarray]]:
+    """Read every named-tensor frame of an OMCF file, every payload read."""
     source = _OmcfFile(path)
     size = os.fstat(source.f.fileno()).st_size
-    for _ in range(_read_preamble(source.f, size)):
-        yield {p.name: p.read() for p in _walk_frame(source, size)}
-
-
-def read_omcf(path) -> list[dict[str, np.ndarray]]:
-    return list(iter_omcf(path))
+    return [{p.name: p.read() for p in _walk_frame(source, size)}
+            for _ in range(_read_preamble(source.f, size))]
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +483,17 @@ class _FrameLayout:
     feat's header. A later frame whose header bytes equal frame 1's has
     frame 1's tensors, shapes and dtype codes, so it passes the format and
     homogeneity checks frame 1 passed; `read` gives None for any other
-    frame, which the caller then walks.
+    frame, which the caller then walks. payloads are frame 1's walked
+    headers and tensors its checked tensors (`_checked_tensors`).
     """
 
-    def __init__(self, source: _OmcfFile, start: int, end: int, payloads: list[Payload]):
+    def __init__(self, source: _OmcfFile, start: int, end: int, payloads: list[Payload],
+                 tensors: list):
         fd = source.f.fileno()
-        kept = {p.name: p for p in payloads}  # the walk keeps a name's last tensor
         self.size = end - start
-        self.shapes = [kept[name].shape for name in _READ_WITH_FRAME]
-        self.unread = [(name, kept[name].shape, kept[name].offset - start)
-                       for name in REQUIRED_TENSORS if name not in _READ_WITH_FRAME]
+        self.shapes = [t.shape for t in tensors if not isinstance(t, Payload)]
+        self.unread = [(t.name, t.shape, t.offset - start) for t in tensors
+                       if isinstance(t, Payload)]
         # Per span: its offset in the frame, its length and its parts, each
         # a header's (start, stop) in self.header or the index of a read tensor.
         self.spans: list[tuple[int, int, list]] = []
@@ -509,7 +503,7 @@ class _FrameLayout:
             parts.append((len(headers), len(headers) + p.offset - cursor))
             headers += os.pread(fd, p.offset - cursor, cursor)
             cursor = p.offset + 4 * math.prod(p.shape)
-            if p.name in _READ_WITH_FRAME and kept[p.name] is p:
+            if p.name in _READ_WITH_FRAME:
                 parts.append(_READ_WITH_FRAME.index(p.name))
             else:
                 self.spans.append((span_start - start, p.offset - span_start, parts))
@@ -598,7 +592,7 @@ def iter_container(path) -> Iterator[FrameContainer]:
             tensors = _checked_tensors(index, payloads, first)
             end = f.tell()
             if layout is None:
-                layout = _FrameLayout(source, start, end, payloads)
+                layout = _FrameLayout(source, start, end, payloads, tensors)
         else:
             end = start + layout.size
         start = end
@@ -630,14 +624,30 @@ class MotBox:
     conf: float
 
 
+def mot_box_fault(box: MotBox) -> str | None:
+    """What keeps box from being well-formed, naming the field, or None.
+
+    A well-formed box has finite x, y, w, h and conf, and w > 0 and h > 0.
+    Both readers of outside boxes refuse any other: `read_mot_boxes` and
+    `Tracker.step`, for its public detections.
+    """
+    for name in ("x", "y", "w", "h", "conf"):
+        value = getattr(box, name)
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value}"
+    if box.w <= 0.0 or box.h <= 0.0:
+        return f"box size must be positive, got w={box.w} h={box.h}"
+    return None
+
+
 def read_mot_boxes(path) -> list[MotBox]:
     """Parse "frame,id,x,y,w,h,conf,..." rows in file order.
 
     Fields beyond conf are ignored. Blank lines are skipped. A non-numeric
-    or non-finite field, a frame or id that is not integral (3.0 is), a
-    frame below 1, or a box with w <= 0 or h <= 0, raises MotParseError
-    with the offending line number, so readers downstream see only
-    well-formed boxes.
+    field, a frame or id that is not integral (3.0 is), a frame below 1,
+    or a box that is not well-formed (`mot_box_fault`), raises
+    MotParseError with the offending line number, so readers downstream
+    see only well-formed boxes.
     """
     boxes: list[MotBox] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -656,16 +666,16 @@ def read_mot_boxes(path) -> list[MotBox]:
             except ValueError as exc:
                 raise MotParseError(f"non-numeric field: {exc}", lineno) from exc
             frame, track_id, x, y, w, h, conf = values
-            if not all(math.isfinite(v) for v in values):
-                raise MotParseError(f"non-finite field in {values}", lineno)
+            # A non-finite frame or id is not integral either.
             if not (frame.is_integer() and track_id.is_integer()):
                 raise MotParseError(
                     f"frame and id must be integers, got {parts[0]} and {parts[1]}", lineno)
             if frame < 1:
                 raise MotParseError(f"frame must be >= 1, got {parts[0]}", lineno)
-            if w <= 0.0 or h <= 0.0:
-                raise MotParseError(f"box size must be positive, got w={w} h={h}", lineno)
-            boxes.append(MotBox(int(frame), int(track_id), x, y, w, h, conf))
+            box = MotBox(int(frame), int(track_id), x, y, w, h, conf)
+            if (fault := mot_box_fault(box)) is not None:
+                raise MotParseError(fault, lineno)
+            boxes.append(box)
     return boxes
 
 

@@ -8,8 +8,11 @@ whenever a ground-truth track forms a correspondence with a different
 prediction id than its last known one. IDF1 is computed over a globally
 optimal one-to-one identity correspondence instead.
 
-Each frame is scored on one `row_iou` matrix of its ground-truth boxes
-against its predictions, read off the tracker's IOU kernel in `detection`.
+The protocol is the one walk over a sequence. Each frame is scored on one
+`row_iou` matrix of its ground-truth boxes against its predictions, read
+off the tracker's IOU kernel in `detection`, and IDF1 is scored in the same
+walk, from the same per-frame overlaps at the same gate: the walk counts
+the frames in which each (gt id, pred id) pair overlaps.
 
 Every metric takes an IOU gate in (0, 1] and raises ValueError for any
 other (NaN included): a gate of 0 would match boxes that do not overlap.
@@ -21,6 +24,7 @@ All metrics are invariant under consistent relabeling of prediction ids.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,7 +126,7 @@ def _check_gate(iou_thr: float) -> float:
     return iou_thr
 
 
-def _check_inputs(gt: list[MotBox], pred: list[MotBox], iou_thr: float, metric: str) -> None:
+def _check_inputs(gt: list[MotBox], pred: list[MotBox], iou_thr: float) -> None:
     """ValueError unless the gate holds, gt has rows and no (frame, id) repeats.
 
     Each frame's rows are scored by id, so a repeated pair would be scored
@@ -131,7 +135,7 @@ def _check_inputs(gt: list[MotBox], pred: list[MotBox], iou_thr: float, metric: 
     """
     _check_gate(iou_thr)
     if not gt:
-        raise ValueError(f"ground truth is empty; {metric} is undefined")
+        raise ValueError("ground truth is empty; the metrics are undefined")
     for rows, what in ((gt, "ground truth"), (pred, "predictions")):
         seen: set[tuple[int, int]] = set()
         for r in rows:
@@ -141,13 +145,16 @@ def _check_inputs(gt: list[MotBox], pred: list[MotBox], iou_thr: float, metric: 
 
 
 def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
-    """Run the frame-by-frame correspondence protocol.
+    """Run the frame-by-frame correspondence protocol, the one walk over a sequence.
 
-    Returns (fp, fn, idsw, gt_total, matched_frames) where matched_frames
-    maps each gt id to the number of frames it held a correspondence.
-    A (frame, id) pair repeated in gt or pred raises ValueError.
+    Returns (fp, fn, idsw, gt_total, matched_frames, pair_frames) where
+    matched_frames maps each gt id to the number of frames it held a
+    correspondence, and pair_frames each (gt id, pred id) pair to the
+    number of frames their boxes overlap at or above the gate, IDF1's
+    co-occurrence counts. A (frame, id) pair repeated in gt or pred raises
+    ValueError.
     """
-    _check_inputs(gt, pred, iou_thr, "MOTA")
+    _check_inputs(gt, pred, iou_thr)
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
     frames = sorted(set(gt_frames) | set(pred_frames))
@@ -155,6 +162,7 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
     last_match: dict[int, int] = {}
     fp = fn = idsw = gt_total = 0
     matched_frames: dict[int, int] = {}
+    pair_frames: Counter[tuple[int, int]] = Counter()
 
     for f in frames:
         g_boxes = gt_frames.get(f, [])
@@ -164,6 +172,8 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
         gids, pids = sorted(gid_box), sorted(pid_box)
         col = {pid: j for j, pid in enumerate(pids)}
         overlap = row_iou([gid_box[g] for g in gids], [pid_box[p] for p in pids])
+        gated = overlap >= iou_thr
+        pair_frames.update((gids[i], pids[j]) for i, j in zip(*np.nonzero(gated)))
 
         corr: dict[int, int] = {}
         used_pids: set[int] = set()
@@ -172,7 +182,7 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
             pid = last_match.get(gid)
             if pid is None or pid in used_pids or pid not in col:
                 continue
-            if overlap[i, col[pid]] >= iou_thr:
+            if gated[i, col[pid]]:
                 corr[gid] = pid
                 used_pids.add(pid)
 
@@ -180,8 +190,8 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
         rest_i = [i for i, gid in enumerate(gids) if gid not in corr]
         rest_j = [j for j, pid in enumerate(pids) if pid not in used_pids]
         if rest_i and rest_j:
-            ov = overlap[np.ix_(rest_i, rest_j)]
-            cost = np.where(ov >= iou_thr, 1.0 - ov, _DISALLOWED)
+            rest = np.ix_(rest_i, rest_j)
+            cost = np.where(gated[rest], 1.0 - overlap[rest], _DISALLOWED)
             rows, cols = _assign(cost)
             for i, j in zip(rows, cols):
                 if cost[i, j] >= _DISALLOWED:
@@ -200,7 +210,7 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
         fn += len(g_boxes) - len(corr)
         gt_total += len(g_boxes)
 
-    return fp, fn, idsw, gt_total, matched_frames
+    return fp, fn, idsw, gt_total, matched_frames, pair_frames
 
 
 def clear_mot(
@@ -209,7 +219,7 @@ def clear_mot(
     iou_thr: float = DEFAULT_GATE_IOU,
 ) -> tuple[int, int, int, float]:
     """Return (fp, fn, idsw, mota) for a sequence."""
-    fp, fn, idsw, gt_total, _ = _protocol(gt, pred, iou_thr)
+    fp, fn, idsw, gt_total, _, _ = _protocol(gt, pred, iou_thr)
     mota = 1.0 - (fp + fn + idsw) / gt_total
     return fp, fn, idsw, mota
 
@@ -221,33 +231,32 @@ def idf1(
 ) -> float:
     """Identity F1 over the optimal global gt-id/pred-id correspondence.
 
-    The co-occurrence matrix counts, per id pair, the frames in which their
-    boxes overlap at or above the gate; an exact assignment maximizes the
-    total (IDTP) and the score is 2*IDTP / (2*IDTP + IDFP + IDFN). A
-    (frame, id) pair repeated in gt or pred raises ValueError.
+    The co-occurrence counts come from `_protocol`'s walk: per id pair, the
+    frames in which their boxes overlap at or above the gate. An exact
+    assignment maximizes their total (IDTP) and the score is
+    2*IDTP / (2*IDTP + IDFP + IDFN). A (frame, id) pair repeated in gt or
+    pred raises ValueError.
     """
-    _check_inputs(gt, pred, iou_thr, "IDF1")
-    if not pred:
-        return 0.0
-    gt_ids = sorted({b.id for b in gt})
-    pred_ids = sorted({b.id for b in pred})
-    g_index = {gid: i for i, gid in enumerate(gt_ids)}
-    p_index = {pid: j for j, pid in enumerate(pred_ids)}
+    *_, pair_frames = _protocol(gt, pred, iou_thr)
+    return _idf1_score(pair_frames, len(gt), len(pred))
 
-    cooc = np.zeros((len(gt_ids), len(pred_ids)))
-    pred_frames = _by_frame(pred)
-    for f, g_boxes in _by_frame(gt).items():
-        p_boxes = pred_frames.get(f, [])
-        hit_g, hit_p = np.nonzero(row_iou(g_boxes, p_boxes) >= iou_thr)
-        g_cols = np.array([g_index[b.id] for b in g_boxes], dtype=np.intp)
-        p_cols = np.array([p_index[b.id] for b in p_boxes], dtype=np.intp)
-        np.add.at(cooc, (g_cols[hit_g], p_cols[hit_p]), 1)
 
+def _idf1_score(pair_frames: Counter[tuple[int, int]], gt_rows: int, pred_rows: int) -> float:
+    """IDF1 from _protocol's co-occurrence counts and the two row counts.
+
+    Ids that overlap nothing would add only a zero row or column to the
+    co-occurrence matrix, which leaves the optimal total unchanged, so the
+    matrix holds only the ids of some counted pair. 2*IDTP + IDFP + IDFN
+    is the row count of gt and pred together.
+    """
+    g_index = {gid: i for i, gid in enumerate({gid for gid, _ in pair_frames})}
+    p_index = {pid: j for j, pid in enumerate({pid for _, pid in pair_frames})}
+    cooc = np.zeros((len(g_index), len(p_index)))
+    for (gid, pid), n in pair_frames.items():
+        cooc[g_index[gid], p_index[pid]] = n
     rows, cols = _assign(-cooc)
     idtp = float(cooc[rows, cols].sum())
-    idfp = len(pred) - idtp
-    idfn = len(gt) - idtp
-    return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
+    return 2.0 * idtp / (gt_rows + pred_rows)
 
 
 def _mt_ml_ratios(gt: list[MotBox], matched_frames: dict[int, int]) -> tuple[float, float]:
@@ -271,7 +280,7 @@ def mt_ml(
     Coverage of an id is the fraction of its frames holding a
     correspondence; >= 0.8 counts as mostly tracked, <= 0.2 as mostly lost.
     """
-    _, _, _, _, matched_frames = _protocol(gt, pred, iou_thr)
+    _, _, _, _, matched_frames, _ = _protocol(gt, pred, iou_thr)
     return _mt_ml_ratios(gt, matched_frames)
 
 
@@ -282,12 +291,12 @@ def evaluate(
     restored_count: int = 0,
 ) -> EvalReport:
     """Full report over one sequence pair."""
-    fp, fn, idsw, gt_total, matched_frames = _protocol(gt, pred, iou_thr)
+    fp, fn, idsw, gt_total, matched_frames, pair_frames = _protocol(gt, pred, iou_thr)
     mota = 1.0 - (fp + fn + idsw) / gt_total
     mt_ratio, ml_ratio = _mt_ml_ratios(gt, matched_frames)
     return EvalReport(
         mota=mota,
-        idf1=idf1(gt, pred, iou_thr),
+        idf1=_idf1_score(pair_frames, len(gt), len(pred)),
         mt_ratio=mt_ratio,
         ml_ratio=ml_ratio,
         fp=fp,

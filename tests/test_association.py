@@ -609,6 +609,32 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="fusion_epsilon"):
             PipelineConfig(fusion_epsilon=1.5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("decode_mode", "linear", "unknown decode mode 'linear'"),
+        ("score_thr", -0.1, "score_thr must lie in [0, 1], got -0.1"),
+        ("nms_iou_thr", math.nan, "nms_iou_thr must lie in [0, 1], got nan"),
+        ("shrink_radius", -1.0, "shrink_radius must be >= 0 or inf"),
+        ("stride", 0, "stride must be >= 1"),
+    ])
+    def test_refusals(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            PipelineConfig(**{field: value})
+        assert str(err.value) == message
+
+
+class TestTrackerConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("retention_frames", 0, "retention_frames must be >= 1"),
+        ("embedding_momentum", 1.5, "embedding_momentum must lie in [0, 1]"),
+        ("embedding_momentum", math.nan, "embedding_momentum must lie in [0, 1]"),
+        ("emb_match_thr", -0.5, "emb_match_thr must lie in [0, 1], got -0.5"),
+        ("iou_match_thr", 2.0, "iou_match_thr must lie in [0, 1], got 2.0"),
+    ])
+    def test_refusals(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            TrackerConfig(**{field: value})
+        assert str(err.value) == message
+
 
 def small_scenario(**kw):
     defaults = dict(num_targets=3, height=14, width=14, frames=20,
@@ -721,6 +747,24 @@ class TestTrackerStep:
         other = next(b for b in gt if b.frame == 3)
         with pytest.raises(ValueError, match="public detection of frame 3 given to frame 2"):
             tracker.step(frames[1], [MotBox(3, -1, other.x, other.y, other.w, other.h, 1.0)])
+        assert row_records(tracker.live) == live
+        assert tracker.next_id == next_id
+
+    @pytest.mark.parametrize("field, value, fault", [
+        ("w", math.inf, "w must be finite, got inf"),
+        ("x", math.nan, "x must be finite, got nan"),
+        ("w", -4.0, "box size must be positive, got w=-4.0"),
+    ])
+    def test_malformed_public_row_is_refused(self, field, value, fault):
+        frames, gt, _ = generate(small_scenario(frames=3))
+        tracker = Tracker()
+        for frame in frames[:2]:
+            tracker.step(frame)
+        live, next_id = row_records(tracker.live), tracker.next_id
+        public = [MotBox(3, -1, b.x, b.y, b.w, b.h, 1.0) for b in gt if b.frame == 3]
+        public.append(replace(public[0], **{field: value}))
+        with pytest.raises(ValueError, match=f"public detection of frame 3: {fault}"):
+            tracker.step(frames[2], public)
         assert row_records(tracker.live) == live
         assert tracker.next_id == next_id
 

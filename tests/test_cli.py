@@ -645,6 +645,30 @@ class TestSweepCommand:
         assert code == 3
         assert "restored count" in err and "[0, 0]" in err
 
+    RADIUS_CHECK = ("sweep", "--param", "r", "--values",
+                    f"{PipelineConfig().shrink_radius:g},inf", "--check", "--targets", "2",
+                    "--frames", "6", "--grid", "10x10", "--dropout", "0.3")
+
+    def test_radius_check_passes(self, capsys):
+        code, stdout, err = run(capsys, *self.RADIUS_CHECK)
+        assert code == 0, err
+        assert len(stdout.splitlines()) == 3
+
+    def test_radius_check_fails_when_shrinking_adds_fp(self, capsys, monkeypatch):
+        # The first run, at the default radius, reads 100 more FP than it has.
+        evaluate, runs = cli.evaluate, []
+
+        def more_fp_at_first(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            runs.append(report.fp)
+            return dataclasses.replace(report, fp=report.fp + 100 * (len(runs) == 1))
+
+        monkeypatch.setattr(cli, "evaluate", more_fp_at_first)
+        code, _, err = run(capsys, *self.RADIUS_CHECK)
+        assert code == 3
+        r = PipelineConfig().shrink_radius
+        assert f"FP at r={r} ({runs[0] + 100}) exceeds no-shrink ({runs[1]})" in err
+
     def test_bad_param_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--param", "banana", "--values", "1")
         assert code == 1

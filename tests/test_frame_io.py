@@ -202,6 +202,106 @@ class TestContainerErrors:
             write_container([frame], tmp_path / "x.omcf")
 
 
+class TestFormatRefusals:
+    """`_check_tensor_format`'s, `check_format`'s and `write_omcf`'s refusals."""
+
+    # (tensor, the bad array made from its good one, the refusal)
+    BAD_TENSORS = {
+        "rank": ("prob", lambda a: a[..., 0], "tensor 'prob' must be a 3-d ndarray"),
+        "prob channels": ("prob", lambda a: np.concatenate([a, a], axis=2),
+                          "prob must have 1 channel, got 2"),
+        "boxes channels": ("boxes", lambda a: a[..., :3], "boxes must have 4 channels, got 3"),
+        "dtype": ("embed", lambda a: a.astype(np.float64),
+                  "tensor 'embed' must be float32, got float64"),
+    }
+
+    def bad_frame(self, index, case):
+        frame = random_frame(np.random.default_rng(32), index)
+        name, make, message = self.BAD_TENSORS[case]
+        setattr(frame, name, make(getattr(frame, name)))
+        return frame, message
+
+    # A container's only dtype code is float32's.
+    @pytest.mark.parametrize("case", ["rank", "prob channels", "boxes channels"])
+    def test_container_frame_names_the_frame(self, tmp_path, case):
+        good = random_frame(np.random.default_rng(33), 1)
+        bad, message = self.bad_frame(2, case)
+        path = tmp_path / "x.omcf"
+        write_omcf(path, [good.tensors(), bad.tensors()])
+        reader = frame_io.iter_container(path)
+        next(reader)
+        with pytest.raises(ContainerFormatError) as err:
+            next(reader)
+        assert str(err.value) == f"frame 2: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+    def test_in_memory_frame(self, tmp_path, case):
+        frame, message = self.bad_frame(1, case)
+        with pytest.raises(ValueError) as err:
+            write_container([frame], tmp_path / "x.omcf")
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+        tracker = association.Tracker()
+        with pytest.raises(ValueError) as err:
+            tracker.step(frame)
+        assert str(err.value) == message
+        assert len(tracker.live) == 0 and tracker.next_id == 1
+
+    def test_frame_index_below_one(self, tmp_path):
+        frame = random_frame(np.random.default_rng(34), 0)
+        with pytest.raises(ValueError, match="frame_index must be >= 1, got 0"):
+            frame.check_format()
+        with pytest.raises(ValueError, match="frame_index must be >= 1, got 0"):
+            write_container([frame], tmp_path / "x.omcf")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_omcf_refuses_other_dtypes(self, tmp_path):
+        path = tmp_path / "x.omcf"
+        with pytest.raises(ValueError, match="tensor 'w' must be float32, got float64"):
+            write_omcf(path, [{"w": np.zeros((2, 2))}])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRepeatedName:
+    """A frame names each tensor once; a repeated name raises at its offset."""
+
+    @staticmethod
+    def write_renamed(path, tensors, stand_in, name):
+        """Write one frame of tensors, then rename stand_in to name, which the
+        frame already holds; return the byte offset of the renamed name."""
+        assert len(stand_in) == len(name) and name in tensors
+        write_omcf(path, [tensors])
+        data = bytearray(path.read_bytes())
+        at = data.index(stand_in.encode())
+        data[at:at + len(name)] = name.encode()
+        path.write_bytes(bytes(data))
+        return at
+
+    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    def test_container_frame(self, tmp_path, reader):
+        tensors = random_frame(np.random.default_rng(35), 1).tensors()
+        tensors["xrob"] = np.zeros_like(tensors["prob"])
+        path = tmp_path / "x.omcf"
+        offset = self.write_renamed(path, tensors, "xrob", "prob")
+        with pytest.raises(ContainerFormatError) as err:
+            reader(path)
+        assert str(err.value) == f"frame names tensor 'prob' twice (byte offset {offset})"
+        assert err.value.offset == offset
+
+    def test_weight_file(self, tmp_path):
+        from test_recheck import tiny_weights
+
+        w = tiny_weights(np.random.default_rng(36))
+        tensors = {name: getattr(w, name.replace(".", "_")) for name in recheck._WEIGHT_NAMES}
+        tensors["xonv1.w"] = np.zeros_like(w.conv1_w)
+        path = tmp_path / "weights.omcf"
+        offset = self.write_renamed(path, tensors, "xonv1.w", "conv1.w")
+        with pytest.raises(ContainerFormatError) as err:
+            recheck.RefineWeights.load(path)
+        assert err.value.offset == offset
+        assert "'conv1.w' twice" in str(err.value)
+
+
 class TestCorruptBytes:
     """Every single-byte corruption of a container reads, or raises
     ContainerFormatError, and allocates about what a clean read does."""
@@ -779,6 +879,23 @@ class TestLaidOutFrames:
         for fc, want in zip(read_container(path), frames, strict=True):
             for name in frame_io.REQUIRED_TENSORS:
                 assert np.array_equal(getattr(fc, name), getattr(want, name))
+
+    def test_prob_and_boxes_after_embed_and_feat_read_at_the_layout(self, tmp_path,
+                                                                    monkeypatch):
+        # prob and boxes last: the layout's last span runs to the frame's end.
+        rng = np.random.default_rng(22)
+        frames = [random_frame(rng, i + 1, h=5, w=3) for i in range(3)]
+        order = ("embed", "feat", "prob", "boxes")
+        path = tmp_path / "x.omcf"
+        write_omcf(path, [{name: f.tensors()[name] for name in order} for f in frames])
+        walks = []
+        walk = frame_io._walk_frame
+        monkeypatch.setattr(frame_io, "_walk_frame",
+                            lambda *args: walks.append(1) or walk(*args))
+        for fc, want in zip(read_container(path), frames, strict=True):
+            for name in frame_io.REQUIRED_TENSORS:
+                assert np.array_equal(getattr(fc, name), getattr(want, name))
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("where", ["tensor count", "prob", "embed", "feat header", "feat"])
     def test_cut_inside_frame_k_yields_the_frames_before(self, tmp_path, where):

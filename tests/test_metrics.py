@@ -361,6 +361,29 @@ class TestRepeatedKeys:
             metric(gt, [row(1, 1, x=0)])
 
 
+class TestOneWalk:
+    """One metrics call walks the sequence once: one input check, one
+    `row_iou` matrix a frame, whichever metrics it reports."""
+
+    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
+    def test_one_protocol_one_check_one_matrix_a_frame(self, metric, monkeypatch):
+        gt, pred = toy_swap_sequence()
+        calls = {"_protocol": 0, "_check_inputs": 0, "row_iou": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(metrics, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(metrics, name, counted)
+        metric(gt, pred)
+        frames = len({b.frame for b in gt + pred})
+        assert calls == {"_protocol": 1, "_check_inputs": 1, "row_iou": frames}
+
+    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
+    def test_empty_ground_truth_names_no_single_metric(self, metric):
+        with pytest.raises(ValueError, match="^ground truth is empty; the metrics are undefined$"):
+            metric([], [row(1, 1, x=0)])
+
+
 class TestReportMtMl:
     @given(mot_rows.filter(bool), mot_rows)
     def test_evaluate_ratios_equal_mt_ml(self, gt, pred):
