@@ -44,7 +44,6 @@ from .metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml
 from .numerics import (
     FrameValueError,
     conv3x3_forward,
-    l2_normalize,
     l2_normalize_grid,
     sigmoid,
 )

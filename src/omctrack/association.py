@@ -24,8 +24,9 @@ in pixel units, built from the fused boxes' arrays. The search reads
 and the readout reads the fused boxes' centre cells. When the base NMS,
 the transductive NMS and the fusion vote all run over the decoded boxes,
 one IOU table over them a frame serves the three, which pick boxes by
-index into it. The search, the first matching stage and the birth rule
-read the table's embedding rows as it holds them. There is deliberately
+index into it. The search reads the table's embedding rows as it holds
+them, and one cosine matrix a frame, those rows against the fused boxes'
+embeddings, serves association and births. There is deliberately
 no motion model: propagation by embedding search is the mechanism under
 test, and a motion prior would mask its contribution.
 """
@@ -56,7 +57,6 @@ from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
 from .numerics import (
-    NORM_EPS,
     FrameValueError,
     as_grid,
     l2_normalize_grid,
@@ -224,21 +224,23 @@ def _greedy_matrix_match(
 def associate(
     live: TrackletTable,
     boxes: Boxes,
-    e_set: EmbeddingSet,
+    sims: np.ndarray,
     cfg: TrackerConfig,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage greedy matching of the live tracklets to candidate boxes.
 
-    Returns (matches, unmatched_tracklet_ids, unmatched_box_indices) where
-    matches pairs tracklet ids with box indices. Every tracklet and box is
-    matched at most once. The IOU fallback runs only when the embedding
-    stage leaves both a tracklet and a box open; otherwise it could match
+    sims is the (len(live), len(boxes)) cosine matrix of the table's
+    embedding rows against the boxes' embeddings, the one `Tracker._match`
+    builds a frame; the embedding stage matches on it as given. Returns
+    (matches, unmatched_tracklet_ids, unmatched_box_indices) where matches
+    pairs tracklet ids with box indices. Every tracklet and box is matched
+    at most once. The IOU fallback runs only when the embedding stage
+    leaves both a tracklet and a box open; otherwise it could match
     nothing.
     """
-    if len(boxes) != len(e_set):
-        raise ValueError(
-            f"box count {len(boxes)} != embedding count {len(e_set)}"
-        )
+    if sims.shape != (len(live), len(boxes)):
+        raise ValueError(f"similarity matrix of shape {sims.shape} for "
+                         f"{len(live)} tracklets and {len(boxes)} boxes")
     matches: list[tuple[int, int]] = []
     ids = live.ids.tolist()
     open_rows = list(range(len(ids)))
@@ -251,7 +253,6 @@ def associate(
             open_cols.remove(j)
 
     if ids and len(boxes):
-        sims = live.emb.vectors.astype(np.float64) @ e_set.vectors.astype(np.float64).T
         take(sims, cfg.emb_match_thr)
         if open_rows and open_cols:
             take(iou(live.last, boxes), cfg.iou_match_thr)
@@ -270,9 +271,11 @@ def update_tracklets(
     """Apply one frame's assignment to the table of live tracklets, in place.
 
     Matched rows reset their miss count, take their box and blend their
-    embedding with the match's by cfg.embedding_momentum, renormalized,
-    every matched row in one pass (`_blend`). Every other row ages by one
-    miss, and rows whose count reaches the retention window are dropped.
+    embedding with the match's by cfg.embedding_momentum, every matched row
+    in one pass: the blend is taken in float64, rounded to float32 and
+    scaled to unit length by `normalize_cells`, the readout's rule. Every
+    other row ages by one miss, and rows whose count reaches the retention
+    window are dropped.
     The boxes at the indices in born found new rows with fresh ids, in that
     order, after the survivors; `Tracker._match` picks them by the one
     birth rule (unmatched, not restored, novel). Only a frame that drops or
@@ -288,8 +291,10 @@ def update_tracklets(
         live.misses[rows] = 0
         for held, seen in zip(live.last._columns(), boxes._columns()):
             held[rows] = seen[cols]
-        live.emb.vectors[rows] = _blend(live.emb.vectors[rows], e_set.vectors[cols],
-                                        cfg.embedding_momentum)
+        a = cfg.embedding_momentum
+        blend = (live.emb.vectors[rows].astype(np.float64) * a
+                 + e_set.vectors[cols].astype(np.float64) * (1.0 - a))
+        live.emb.vectors[rows] = normalize_cells(blend.astype(np.float32))
 
     keep = live.misses < cfg.retention_frames
     if born or not keep.all():
@@ -306,26 +311,6 @@ def update_tracklets(
         live.misses = np.concatenate((live.misses[keep], np.zeros(len(born), dtype=np.int64)))
     kept = len(live) - len(born)
     return live.ids[:kept], live.ids[kept:], next_id + len(born)
-
-
-def _blend(old: np.ndarray, new: np.ndarray, momentum: float) -> np.ndarray:
-    """Rows of momentum * old + (1 - momentum) * new, each scaled to unit norm.
-
-    Each row gets `numerics.l2_normalize`'s bits for that row's blend:
-    the float64 blend rounds to float32, then divides by the float64 norm
-    of the rounded row, and a row with norm <= NORM_EPS passes through.
-    `np.vecdot` takes each row's squared norm as one `ddot`, as
-    `np.linalg.norm` does for one vector.
-    """
-    rows = old.astype(np.float64)
-    rows *= momentum
-    step = new.astype(np.float64)
-    step *= 1.0 - momentum
-    rows += step
-    rows[...] = rows.astype(np.float32)
-    norms = np.sqrt(np.vecdot(rows, rows))[:, None]
-    np.divide(rows, norms, out=rows, where=~(norms <= NORM_EPS))
-    return rows.astype(np.float32)
 
 
 def _public_to_cells(dets: list[MotBox], stride: int) -> Boxes:
@@ -432,13 +417,21 @@ class Tracker:
         """Step through frames in order, yielding each frame's rows as it ends.
 
         public_dets may span the sequence; each frame gets its own rows.
+        After the last frame, public rows of a frame the sequence does not
+        hold raise ValueError naming the first such frames.
         """
         by_frame: dict[int, list[MotBox]] = {}
         for d in public_dets or []:
             by_frame.setdefault(d.frame, []).append(d)
+        held = set()
         for frame in frames:
+            held.add(frame.frame_index)
             dets = None if public_dets is None else by_frame.get(frame.frame_index, [])
             yield self.step(frame, dets)
+        if unused := sorted(by_frame.keys() - held):
+            more = f" and {len(unused) - 5} more" if len(unused) > 5 else ""
+            raise ValueError("public detections of frames the sequence does not hold: "
+                             + ", ".join(map(str, unused[:5])) + more)
 
     def _match(
         self,
@@ -492,19 +485,21 @@ class Tracker:
         d_final = _fused_detections(decoded, cells, m_p, p, public)
 
         e_set = extract_embeddings(d_final, embed)
-        matches, _, unmatched_boxes = associate(self.live, d_final, e_set, self.cfg)
+        # One cosine matrix a frame, the live rows against the fused boxes,
+        # for the first matching stage and the birth rule. A table that has
+        # never held a row has no channel count yet.
+        live_rows = self.live.emb.vectors if len(self.live) else e_set.vectors[:0]
+        sims = live_rows.astype(np.float64) @ e_set.vectors.astype(np.float64).T
+        matches, _, unmatched_boxes = associate(self.live, d_final, sims, self.cfg)
 
-        # Birth rule: a box founds a tracklet when it is unmatched, not
-        # restored and novel. Restored boxes repair tracklets and never start
-        # one. Novel means below emb_match_thr against every live row: a box
+        # Birth rule: a box founds a tracklet when it is unmatched, novel and
+        # not restored. Restored boxes repair tracklets and never start one.
+        # Novel means below emb_match_thr against every live row: a box
         # whose embedding duplicates a live identity (overlap readout,
         # propagation leftovers) would otherwise found a twin tracklet, twin
         # response maps stack past the score threshold, and ghosts snowball.
-        spawnable = [j for j in unmatched_boxes if not d_final.restored[j]]
-        if spawnable and len(self.live):
-            sims = self.live.emb.vectors.astype(np.float64) @ e_set.vectors[spawnable].T
-            novel = (sims < self.cfg.emb_match_thr).all(axis=0)
-            spawnable = [j for j, ok in zip(spawnable, novel) if ok]
+        novel = (sims < self.cfg.emb_match_thr).all(axis=0)
+        spawnable = [j for j in unmatched_boxes if novel[j] and not d_final.restored[j]]
         if public_mode and spawnable:
             # Under the public protocol a box must also not be near a box
             # tracked this frame.
@@ -556,7 +551,9 @@ def track_sequence(
 ) -> tuple[list[MotBox], Tracker]:
     """Run a fresh tracker over an iterable of frames; returns (rows, tracker).
 
-    public_dets may span the sequence; each frame gets its own rows.
+    public_dets may span the sequence; each frame gets its own rows, and a
+    row of a frame the sequence does not hold raises ValueError
+    (`Tracker.run`).
     """
     tracker = Tracker(pipeline, tracker_cfg, weights)
     rows = [row for frame_rows in tracker.run(frames, public_dets) for row in frame_rows]

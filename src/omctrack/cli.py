@@ -12,10 +12,16 @@ readout; feat is read only under learned refinement, which runs exactly
 when --weights names a weight file (refinement is otherwise a clamp).
 track writes its rows frame by frame: a data error partway still replaces
 --out with the rows of every frame that finished (the printed frames=
-count) before exiting 2. Every
-output file (--out, --gt, --dropped, --csv) is written beside its path and
-replaces it only once complete, so a failed write leaves any earlier file
-as it was; synth's outputs replace theirs only once all are written. A MOT
+count) before exiting 2. --public rows of a frame the container does not
+hold are such an error, raised after the last frame, so --out holds every
+frame's rows. Every output file (--out, --gt, --dropped, --csv) is
+written beside its path and replaces it only once complete, so a failed
+write leaves any earlier file as it was; synth's outputs replace theirs
+only once all are written. An output path that names the same file as
+another path flag of its command (compared after os.path.realpath) is a
+usage error naming both flags, raised before anything is written. eval
+refuses an empty ground truth as a data error: its metrics are
+undefined. A MOT
 text row (--public, --gt, --results) whose frame or id is not an integer
 (3.0 is), whose frame is below 1, or that is otherwise malformed is a data
 error naming its line. eval's --iou-thr must lie in (0, 1]; any other
@@ -61,7 +67,6 @@ from .association import (
 )
 from .detection import DECODE_MODES
 from .frame_io import (
-    ContainerFormatError,
     MotBox,
     _replacing,
     _staged,
@@ -356,8 +361,6 @@ def _cmd_track(args) -> int:
 def _cmd_eval(args) -> int:
     gt = read_mot_boxes(args.gt)
     pred = read_mot_boxes(args.results)
-    if not gt:
-        raise ContainerFormatError("ground-truth file holds no boxes")
     report = evaluate(gt, pred, iou_thr=args.iou_thr)
     print(report.pretty())
     if args.csv:
@@ -501,6 +504,27 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+# Each command's output path flags and its other path flags, by dest.
+_PATH_FLAGS = {"track": (("out",), ("container", "public", "weights", "config")),
+               "eval": (("csv",), ("gt", "results", "config")),
+               "synth": (("out", "gt", "dropped"), ("config",)),
+               "sweep": (("out",), ("weights", "config"))}
+
+
+def _check_paths(args) -> None:
+    """UsageError when an output path names the file of another path flag.
+
+    Paths are compared after os.path.realpath, so a relative path, a
+    symlink or a `..` detour to the same file clashes too.
+    """
+    outputs, others = _PATH_FLAGS.get(args.command, ((), ()))
+    given = [(d, os.path.realpath(getattr(args, d))) for d in outputs + others if getattr(args, d)]
+    for k, (first, path) in enumerate(given):
+        for second, other in given[k + 1:]:
+            if first in outputs and path == other:
+                raise UsageError(f"--{first} and --{second} name the same file {path}")
+
+
 # ---------------------------------------------------------------------------
 # Argument wiring
 # ---------------------------------------------------------------------------
@@ -629,6 +653,7 @@ def main(argv: list[str] | None = None) -> int:
             command.apply_config_file(args.config)
             args = parser.parse_args(argv)
         args.given = command.given(lambda: parser.parse_args(argv))
+        _check_paths(args)
         with _one_blas_thread():
             return args.func(args)
     except UsageError as exc:

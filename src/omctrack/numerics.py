@@ -15,12 +15,14 @@ float64 cosines within (2*C + 6) * 2**-24, the tolerance the tests derive;
 `l2_normalize_grid` walks the grid in blocks of whole rows, about
 `BLOCK_CELLS` cells each (`grid_row_blocks`), so its float64 temporaries
 stay cache-sized; `check_finite`'s fallback scan uses the same blocks.
-`l2_normalize_grid`, the per-cell readout in
-`association.extract_embeddings` and the search's overflow fallback take
-their unit cells from `normalize_cells`. A cell's result depends only on that cell, and each
-element keeps its reduction order over the channels, so the block size
-does not change the output; the tests compare it bit for bit with the
-whole-grid computation.
+Outside the search's float32 scaling, `normalize_cells` is the tracker's
+one unit normalization: `l2_normalize_grid`, the per-cell readout in
+`association.extract_embeddings`, the momentum update of tracklet
+embeddings in `association.update_tracklets` and the search's overflow
+fallback take their unit vectors from it. A cell's result depends only on
+that cell, and each element keeps its reduction order over the channels,
+so the block size does not change the output; the tests compare it bit
+for bit with the whole-grid computation.
 
 The kernels that read a frame's values raise `FrameValueError` on a value
 they cannot use: `normalize_cells` (and so the search and the embedding
@@ -45,7 +47,6 @@ __all__ = [
     "grid_row_blocks",
     "conv3x3_forward",
     "sigmoid",
-    "l2_normalize",
     "normalize_cells",
     "l2_normalize_grid",
 ]
@@ -166,16 +167,6 @@ def sigmoid(x):
     if arr.dtype == np.float32:
         return out.astype(np.float32)
     return out
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit L2 norm; vectors with norm <= NORM_EPS pass through."""
-    v = np.asarray(v, dtype=np.float32)
-    v64 = v.astype(np.float64)
-    norm = float(np.linalg.norm(v64))
-    if norm <= NORM_EPS:
-        return v.copy()
-    return (v64 / norm).astype(np.float32)
 
 
 def normalize_cells(cells) -> np.ndarray:

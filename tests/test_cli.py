@@ -357,6 +357,29 @@ class TestTrackCommand:
         assert len(rows) == len(gt_boxes)
         assert len({r.id for r in rows}) == 3
 
+    def test_public_rows_of_a_frame_the_container_lacks_are_data_error(self, tmp_path,
+                                                                         capsys):
+        container, gt_path = tmp_path / "five.omcf", tmp_path / "gt.txt"
+        assert run(capsys, "synth", "--out", str(container), "--gt", str(gt_path),
+                   "--targets", "2", "--frames", "5", "--grid", "10x10", "--seed", "4")[0] == 0
+        rows = [f"{b.frame},-1,{b.x:.2f},{b.y:.2f},{b.w:.2f},{b.h:.2f},1.0"
+                for b in read_mot_boxes(gt_path)]
+        clean, extra = tmp_path / "clean.txt", tmp_path / "extra.txt"
+        clean.write_text("\n".join(rows) + "\n")
+        extra.write_text("\n".join(rows + ["99,-1,8.00,8.00,16.00,16.00,1.0"]) + "\n")
+
+        def track(dets, out):
+            return run(capsys, "track", "--container", str(container), "--out", str(out),
+                       "--public", str(dets))
+
+        assert track(clean, tmp_path / "want.txt")[0] == 0
+        code, out, err = track(extra, tmp_path / "got.txt")
+        assert code == 2
+        assert parse_kv(out)["frames"] == "5"
+        assert err == ("data error: public detections of frames the sequence does not "
+                       "hold: 99\n")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
     def test_config_file_and_flag_precedence(self, scenario, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epsilon=0.7\nradius=5\ndisable_recheck=false\n")
@@ -574,8 +597,9 @@ class TestEvalCommand:
         gt.write_text("")
         res = tmp_path / "res.txt"
         res.write_text("1,1,0,0,10,10,1.0,-1,-1,-1\n")
-        code, _, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res))
-        assert code == 2
+        code, out, err = run(capsys, "eval", "--gt", str(gt), "--results", str(res))
+        assert code == 2 and out == ""
+        assert err == "data error: ground truth is empty; the metrics are undefined\n"
 
     def test_repeated_frame_and_id_is_data_error(self, tmp_path, capsys):
         gt, res, csv = tmp_path / "gt.txt", tmp_path / "res.txt", tmp_path / "r.csv"
@@ -762,6 +786,44 @@ class TestAtomicOutputs:
         assert code == 2 and "No space" in err
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class TestRepeatedPaths:
+    """An output path may not name the file of another path flag of its command."""
+
+    SYNTH = ("--targets", "2", "--frames", "3", "--grid", "8x8")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("synth", "--out", "{same}", "--gt", "{same}", *SYNTH), ("--out", "--gt")),
+        (("synth", "--out", "{same}", "--gt", "{other}", "--dropped", "{same}", *SYNTH),
+         ("--out", "--dropped")),
+        (("synth", "--out", "{other}", "--gt", "{dir}/../same.txt", "--dropped", "{same}",
+          *SYNTH), ("--gt", "--dropped")),
+        (("track", "--container", "{same}", "--out", "{same}"), ("--out", "--container")),
+        (("eval", "--gt", "{other}", "--results", "{same}", "--csv", "{same}"),
+         ("--csv", "--results")),
+        (("sweep", "--param", "epsilon", "--values", "0.5", "--out", "{same}",
+          "--config", "{same}"), ("--out", "--config")),
+    ], ids=["synth-out-gt", "synth-out-dropped", "synth-gt-dropped-via-dotdot",
+            "track-out-container", "eval-csv-results", "sweep-out-config"])
+    def test_is_usage_error_naming_both_flags_and_writing_nothing(self, tmp_path, capsys,
+                                                                  argv, flags):
+        same, other = tmp_path / "same.txt", tmp_path / "other.txt"
+        (tmp_path / "sub").mkdir()
+        same.write_text("# before\n")
+        names = dict(same=same, other=other, dir=tmp_path / "sub")
+        code, out, err = run(capsys, *(a.format(**names) for a in argv))
+        assert code == 1 and out == ""
+        assert err == (f"usage error: {flags[0]} and {flags[1]} name the same file "
+                       f"{os.path.realpath(same)}\n")
+        assert same.read_text() == "# before\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["same.txt", "sub"]
+
+    def test_two_inputs_may_share_a_path(self, scenario, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "eval", "--gt", str(scenario["gt"]),
+                         "--results", str(scenario["gt"]), "--csv", str(csv))
+        assert code == 0 and csv.exists()
 
 
 class TestGradcheckCommand:

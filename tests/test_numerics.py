@@ -8,8 +8,8 @@ from omctrack import numerics
 from omctrack.numerics import (
     NORM_EPS,
     conv3x3_forward,
-    l2_normalize,
     l2_normalize_grid,
+    normalize_cells,
     sigmoid,
 )
 
@@ -221,21 +221,21 @@ class TestSigmoid:
 
 class TestL2Normalize:
     def test_three_four(self):
-        assert np.allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
+        assert np.allclose(normalize_cells([3.0, 4.0]), [0.6, 0.8])
 
     def test_unit_unchanged(self):
         v = np.array([0.0, 1.0, 0.0], dtype=np.float32)
-        assert np.allclose(l2_normalize(v), v, atol=1e-7)
+        assert np.allclose(normalize_cells(v), v, atol=1e-7)
 
     def test_zero_vector_passthrough(self):
         v = np.zeros(8, dtype=np.float32)
-        assert np.array_equal(l2_normalize(v), v)
+        assert np.array_equal(normalize_cells(v), v)
 
     def test_norms_zero_or_one(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             v = rng.normal(size=16) * rng.choice([0.0, 1e-3, 1.0, 1e4])
-            n = np.linalg.norm(l2_normalize(v).astype(np.float64))
+            n = np.linalg.norm(normalize_cells(v).astype(np.float64))
             assert n == 0.0 or abs(n - 1.0) < 1e-6
 
     def test_grid_normalization(self):

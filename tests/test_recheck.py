@@ -24,7 +24,6 @@ from omctrack.frame_io import (
 from omctrack.numerics import (
     FrameValueError,
     conv3x3_forward,
-    l2_normalize,
     l2_normalize_grid,
     sigmoid,
 )
