@@ -43,7 +43,6 @@ import numpy as np
 from . import detection
 from .detection import (
     Boxes,
-    DECODE_MODES,
     DEFAULT_H_SCALE,
     DEFAULT_IOU_THR,
     DEFAULT_SCORE_THR,
@@ -139,7 +138,6 @@ class TrackerConfig:
 class PipelineConfig:
     """Per-frame pipeline settings shared by the CLI and the test harness."""
 
-    decode_mode: str = "bar"                           # bar | sigmoid
     h_scale: float = DEFAULT_H_SCALE
     score_thr: float = DEFAULT_SCORE_THR
     nms_iou_thr: float = DEFAULT_IOU_THR
@@ -149,10 +147,8 @@ class PipelineConfig:
     recheck_enabled: bool = True
 
     def __post_init__(self):
-        if self.decode_mode not in DECODE_MODES:
-            raise ValueError(f"unknown decode mode {self.decode_mode!r}")
-        if not self.h_scale > 0:
-            raise ValueError(f"h_scale must be positive, got {self.h_scale}")
+        if not 0.0 < self.h_scale < math.inf:
+            raise ValueError(f"h_scale must be finite and positive, got {self.h_scale}")
         for name in ("score_thr", "nms_iou_thr", "fusion_epsilon"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -479,7 +475,7 @@ class Tracker:
         if m_p is not None:
             keep |= m_p.reshape(-1) >= thr
         cells = np.flatnonzero(keep)
-        decoded = decode_boxes(frame.prob, frame.boxes, p.decode_mode, p.h_scale, cells)
+        decoded = decode_boxes(frame.prob, frame.boxes, p.h_scale, cells)
 
         public = _public_to_cells(public_dets, p.stride) if public_mode else None
         d_final = _fused_detections(decoded, cells, m_p, p, public)

@@ -25,9 +25,14 @@ undefined. A MOT
 text row (--public, --gt, --results) whose frame or id is not an integer
 (3.0 is), whose frame is below 1, or that is otherwise malformed is a data
 error naming its line. eval's --iou-thr must lie in (0, 1]; any other
-value, NaN included, is a usage error. The OMC_LOG environment variable
-(debug|info) raises log verbosity; default output is just the command's
-own summary.
+value, NaN included, is a usage error. So is a scenario value that is
+not finite (synth's and sweep's --noise nan, --hscale inf, --speed
+0.1:inf) and a tracking --hscale that is not finite and positive. A
+--weights file is checked when it loads, before --out is opened: a bias
+that does not hold one value per output channel of its kernel, or a
+non-finite weight, is a data error naming the tensor. The OMC_LOG
+environment variable (debug|info) raises log verbosity; default output
+is just the command's own summary.
 
 A --config file of key=value lines may set any optional flag of the
 command except --config itself. A key is the flag's long name with dashes
@@ -65,7 +70,6 @@ from .association import (
     TrackerConfig,
     track_sequence,
 )
-from .detection import DECODE_MODES
 from .frame_io import (
     MotBox,
     _replacing,
@@ -135,11 +139,7 @@ def _parse_pair(sep: str, kind: type, form: str) -> Callable[[str], tuple]:
 
 def _file_value(action: argparse.Action, text: str):
     """text taken as the flag of action takes it; a switch takes a boolean."""
-    value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(action.choices)
-        raise ValueError(f"invalid choice {value!r} (choose from {choices})")
-    return value
+    return _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +222,6 @@ class _Flag(NamedTuple):
     field: str
     parse: Callable[[str], object]
     help: str
-    choices: tuple[str, ...] | None = None
 
 
 _TRACKING_FLAGS = (
@@ -242,8 +241,6 @@ _TRACKING_FLAGS = (
           "min cosine similarity for association"),
     _Flag("iou-match-thr", TrackerConfig, "iou_match_thr", float,
           "min IOU for fallback association"),
-    _Flag("decode", PipelineConfig, "decode_mode", str, "offset decoding mode",
-          DECODE_MODES),
 )
 
 _SCENARIO_FLAGS = (
@@ -268,8 +265,7 @@ _GEOMETRY_FLAGS = (
 
 def _add_flags(p: _Parser, flags: tuple[_Flag, ...]) -> None:
     for f in flags:
-        _add_flag(p, f.flag, _field_default(f.owner, f.field), f.help,
-                  type=f.parse, choices=f.choices)
+        _add_flag(p, f.flag, _field_default(f.owner, f.field), f.help, type=f.parse)
 
 
 def _fill(owner, args, flags: tuple[_Flag, ...], **fixed):

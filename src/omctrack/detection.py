@@ -2,10 +2,11 @@
 
 Boxes live on the feature grid: centers and sizes are measured in cells,
 with the anchor of each prediction at its cell center (col + 0.5,
-row + 0.5). Two offset decoders are provided: the legacy sigmoid decoder
-confines centers to one cell, while the boundary-aware decoder (bar) can
-reach offsets up to half its scale parameter, so truncated targets at the
-image edge remain representable.
+row + 0.5). `decode_boxes` decodes offsets with the boundary-aware decoder
+(bar), which reaches up to half its scale parameter from the anchor, so
+truncated targets at the image edge remain representable. The legacy
+sigmoid decoder, which confines centers to one cell, is kept as
+`decode_offset_sigmoid` for comparison; the tracker never calls it.
 
 Box sets are `Boxes`, one array per field; `Box` is the record for one box.
 Every overlap decision, from NMS to the metrics, reads one pairwise IOU
@@ -17,6 +18,7 @@ NMS passes and its fusion vote all read one table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +37,12 @@ __all__ = [
     "DEFAULT_IOU_THR",
     "DEFAULT_H_SCALE",
     "DEFAULT_STRIDE",
-    "DECODE_MODES",
 ]
 
 DEFAULT_SCORE_THR = 0.5
 DEFAULT_IOU_THR = 0.45
 DEFAULT_H_SCALE = 10.0  # boundary-aware offset scale, in cells
 DEFAULT_STRIDE = 8  # pixels per grid cell
-DECODE_MODES = ("bar", "sigmoid")
 # Candidates per greedy_nms block. The tracker's candidate sets (cells at or
 # above the score threshold) fit in one, and up to this size the tracker
 # builds one (n, n) IOU table a frame for both NMS passes and the fusion
@@ -148,18 +148,19 @@ def decode_offset_bar(raw, h_scale: float):
 def decode_boxes(
     prob: np.ndarray,
     raw: np.ndarray,
-    mode: str = "bar",
     h_scale: float = DEFAULT_H_SCALE,
     cells: np.ndarray | None = None,
 ) -> Boxes:
     """Decode per-cell regressions into grid-aligned boxes.
 
+    Centers are the cell's anchor plus the boundary-aware offsets
+    (decode_offset_bar).
+
     Parameters
     ----------
     prob : (H, W, 1) foreground probability map (box scores)
     raw : (H, W, 4) regression values (raw_dx, raw_dy, raw_logw, raw_logh)
-    mode : "bar" or "sigmoid" offset decoding
-    h_scale : offset scale of the "bar" decoder
+    h_scale : offset scale of the boundary-aware decoder, finite and positive
     cells : ascending row-major cell indices to decode, or None for all
 
     Returns one box per decoded cell, in row-major order: all H*W cells,
@@ -183,8 +184,8 @@ def decode_boxes(
         raise ValueError(
             f"prob and boxes grids differ: {prob.shape[:2]} vs {raw.shape[:2]}"
         )
-    if mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode mode {mode!r}")
+    if not 0.0 < h_scale < math.inf:
+        raise ValueError(f"h_scale must be finite and positive, got {h_scale}")
 
     height, width = prob.shape[:2]
     flat_raw, scores = raw.reshape(-1, 4), prob.reshape(-1)
@@ -195,7 +196,7 @@ def decode_boxes(
         flat_raw, scores = flat_raw[cells], scores[cells]
     raw64 = flat_raw.astype(np.float64)
     pair = (raw64[:, 0], raw64[:, 1])
-    dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
+    dx, dy = decode_offset_bar(pair, h_scale)
     with np.errstate(over="ignore"):
         w, h = np.exp(raw64[:, 2]), np.exp(raw64[:, 3])
     if not (((w > 0) & (w < np.inf)).all() and ((h > 0) & (h < np.inf)).all()):

@@ -310,7 +310,8 @@ class RefineWeights:
     map. With none (`RefineWeights()`) it is bypassed: the aggregate is
     clamped to [0, 1] directly, which keeps the pipeline runnable without
     any trained weights. Some but not all of them raise ValueError naming
-    those missing.
+    those missing; so does a weight whose shape does not fit the chain (a
+    bias holds one value per output channel of its kernel), naming it.
     """
 
     conv1_w: np.ndarray | None = None
@@ -339,6 +340,11 @@ class RefineWeights:
                     f"weight {name!r} must have shape (Cout, Cin, 3, 3), "
                     f"got {arr.shape}"
                 )
+        for name in ("conv1", "conv2", "head1", "head2"):
+            cout, shape = arrays[f"{name}.w"].shape[0], np.shape(arrays[f"{name}.b"])
+            if shape != (cout,):
+                raise ValueError(f"weight '{name}.b' must have shape ({cout},) "
+                                 f"to match {name}.w, got {shape}")
         if self.conv1_w.shape[1] != 1:
             raise ValueError("conv1 must take 1 input channel")
         if self.conv2_w.shape[1] != self.conv1_w.shape[0]:

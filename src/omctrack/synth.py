@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -69,7 +69,7 @@ class ScenarioConfig:
     """Knobs of the generated world; everything derives from the seed.
 
     A config checks itself when it is made: values no world can be built
-    from raise ValueError.
+    from raise ValueError, and so does a float field that is not finite.
     """
 
     num_targets: int = 6
@@ -90,6 +90,10 @@ class ScenarioConfig:
     bar_h_scale: float = DEFAULT_H_SCALE
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.num_targets < 1:
             raise ValueError("need at least one target")
         if self.frames < 1:

@@ -617,7 +617,7 @@ class TestPipelineConfig:
             PipelineConfig(fusion_epsilon=1.5)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("decode_mode", "linear", "unknown decode mode 'linear'"),
+        ("h_scale", math.inf, "h_scale must be finite and positive, got inf"),
         ("score_thr", -0.1, "score_thr must lie in [0, 1], got -0.1"),
         ("nms_iou_thr", math.nan, "nms_iou_thr must lie in [0, 1], got nan"),
         ("shrink_radius", -1.0, "shrink_radius must be >= 0 or inf"),

@@ -156,6 +156,21 @@ class TestSynthCommand:
         assert "usage error" in err and "embed_dim" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "nan", "embedding_noise must be finite, got nan"),
+        ("--noise", "inf", "embedding_noise must be finite, got inf"),
+        ("--hscale", "nan", "bar_h_scale must be finite, got nan"),
+        ("--hscale", "inf", "bar_h_scale must be finite, got inf"),
+        ("--speed", "0.1:inf", "speed_max must be finite, got inf"),
+    ])
+    def test_value_that_is_not_finite_is_usage_error(self, flag, value, message,
+                                                     tmp_path, capsys):
+        out = tmp_path / "x.omcf"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--gt",
+                           str(tmp_path / "gt.txt"), "--frames", "2", flag, value)
+        assert (code, err) == (1, f"usage error: {message}\n")
+        assert not out.exists()
+
 
 class TestTrackCommand:
     def test_track_then_eval(self, scenario, tmp_path, capsys):
@@ -415,12 +430,14 @@ class TestTrackCommand:
         assert "usage error" in err
 
     @pytest.mark.parametrize("given", [["--refine", "learned"], ["--disable-shrink"],
-                                       ["--embedding-mode", "first"], "refine=learned",
-                                       "disable_shrink=true", "embedding_mode=first"])
+                                       ["--embedding-mode", "first"], ["--decode", "bar"],
+                                       "refine=learned", "disable_shrink=true",
+                                       "embedding_mode=first", "decode=bar"])
     def test_removed_spelling_is_usage_error(self, scenario, tmp_path, capsys, given):
         # --weights alone turns learned refinement on, --radius inf (or
-        # none) alone turns the shrink window off, and --alpha alone sets
-        # the embedding update (1 keeps the birth embedding, 0 replaces it).
+        # none) alone turns the shrink window off, --alpha alone sets the
+        # embedding update (1 keeps the birth embedding, 0 replaces it), and
+        # the tracker decodes boundary-aware offsets only.
         if isinstance(given, str):
             cfg = tmp_path / "run.cfg"
             cfg.write_text(given + "\n")
@@ -431,6 +448,37 @@ class TestTrackCommand:
         assert code == 1
         assert "usage error" in err
         assert out == ""
+        assert not results.exists()
+
+    @pytest.mark.parametrize("command", ["track", "sweep"])
+    def test_hscale_that_is_not_finite_is_usage_error(self, scenario, tmp_path, capsys,
+                                                      command):
+        # sweep's --hscale sets the world's scale too, which is checked first.
+        results = tmp_path / "r.txt"
+        args, message = {
+            "track": (["--container", str(scenario["container"]), "--out", str(results)],
+                      "h_scale must be finite and positive, got inf"),
+            "sweep": (["--param", "epsilon", "--values", "0.5", "--frames", "2",
+                       "--out", str(results)], "bar_h_scale must be finite, got inf"),
+        }[command]
+        code, out, err = run(capsys, command, *args, "--hscale", "inf")
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not results.exists()
+
+    def test_bias_that_does_not_match_its_kernel_is_data_error(self, scenario, tmp_path,
+                                                               capsys):
+        # Learned refinement first runs at frame 2; the weights are refused
+        # when they load, before --out is opened.
+        weights = write_random_weights(tmp_path / "w.omcf")
+        tensors = read_omcf(weights)[0]
+        tensors["conv1.b"] = np.zeros(3, dtype=np.float32)
+        write_omcf(weights, [tensors])
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--weights", str(weights))
+        assert (code, out) == (2, "")
+        assert err == ("data error: weight 'conv1.b' must have shape (2,) "
+                       "to match conv1.w, got (3,)\n")
         assert not results.exists()
 
     def test_weights_alone_run_learned_refinement(self, scenario, tmp_path, capsys):
@@ -874,15 +922,14 @@ class TestParserBehaviour:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--epsilon", "--radius", "--hscale", "--k", "--alpha",
-                     "--stride", "--decode", "--disable-recheck",
+                     "--stride", "--disable-recheck",
                      "--config", "--public", "--weights"):
             assert flag in out
-        for removed in ("--refine", "--disable-shrink", "--embedding-mode"):
+        for removed in ("--refine", "--disable-shrink", "--embedding-mode", "--decode"):
             assert removed not in out
 
     # A value other than the default for each optional flag of track and
-    # sweep that takes a free value; a switch is given bare, and a flag with
-    # choices takes its first choice that is not the default.
+    # sweep that takes a value; a switch is given bare.
     NON_DEFAULT = {
         "epsilon": "0.9", "radius": "2", "hscale": "9", "k": "7", "alpha": "0.5",
         "stride": "4", "score_thr": "0.3", "iou_thr": "0.3", "emb_match_thr": "0.3",
@@ -910,12 +957,7 @@ class TestParserBehaviour:
         default = fields([])
         set_by: dict[tuple[str, str], list[str]] = {}
         for dest, action in parser._flags().items():
-            if action.nargs == 0:
-                value = []
-            elif action.choices:
-                value = [next(c for c in action.choices if c != action.default)]
-            else:
-                value = [self.NON_DEFAULT[dest]]
+            value = [] if action.nargs == 0 else [self.NON_DEFAULT[dest]]
             moved = fields([action.option_strings[0], *value])
             for key in moved:
                 if moved[key] != default[key]:
@@ -924,6 +966,9 @@ class TestParserBehaviour:
         scenario = cli._SCENARIO_FLAGS if command == "sweep" else ()
         for flag in cli._TRACKING_FLAGS + scenario:
             assert set_by[flag.owner.__name__, flag.field] == [f"--{flag.flag}"]
+        for owner in (PipelineConfig, TrackerConfig):
+            for f in dataclasses.fields(owner):
+                assert len(set_by.get((owner.__name__, f.name), [])) == 1, f.name
 
     def test_readme_flag_defaults_are_the_config_defaults(self):
         # Each tracking flag defaults to its config field, and each default

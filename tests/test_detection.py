@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from omctrack import association, detection
 from omctrack.association import Tracker
 from omctrack.detection import (
-    DECODE_MODES,
     Box,
     Boxes,
     decode_boxes,
@@ -150,7 +149,7 @@ class TestDecodeBoxes:
         prob = np.zeros((h, w, 1), dtype=np.float32)
         prob[2, 3, 0] = 0.7
         raw = np.zeros((h, w, 4), dtype=np.float32)
-        boxes = decode_boxes(prob, raw, "bar")
+        boxes = decode_boxes(prob, raw)
         box = boxes[2 * w + 3]
         assert (box.cx, box.cy) == (3.5, 2.5)
         assert (box.w, box.h) == (1.0, 1.0)
@@ -160,26 +159,23 @@ class TestDecodeBoxes:
         prob = np.ones((1, 1, 1), dtype=np.float32)
         raw = np.zeros((1, 1, 4), dtype=np.float32)
         raw[0, 0, 2] = math.log(4.0)
-        (box,) = decode_boxes(prob, raw, "bar")
+        (box,) = decode_boxes(prob, raw)
         assert abs(box.w - 4.0) < 1e-5
-
-    def test_sigmoid_mode_confined_to_anchor_cell(self):
-        # The center never drifts a full cell away from its anchor center.
-        rng = np.random.default_rng(2)
-        prob = np.ones((3, 3, 1), dtype=np.float32)
-        raw = rng.uniform(-40, 40, size=(3, 3, 4)).astype(np.float32)
-        boxes = decode_boxes(prob, raw, "sigmoid")
-        for k, box in enumerate(boxes):
-            r, c = divmod(k, 3)
-            assert 0.0 <= box.cx - (c + 0.5) <= 1.0
-            assert 0.0 <= box.cy - (r + 0.5) <= 1.0
 
     def test_bar_mode_reaches_past_anchor_cell(self):
         prob = np.ones((1, 1, 1), dtype=np.float32)
         raw = np.zeros((1, 1, 4), dtype=np.float32)
         raw[0, 0, 0] = 2.0
-        (box,) = decode_boxes(prob, raw, "bar", 10.0)
+        (box,) = decode_boxes(prob, raw, 10.0)
         assert box.cx - 0.5 > 1.0
+
+    @pytest.mark.parametrize("h_scale", [0.0, -1.0, math.inf, math.nan])
+    def test_h_scale_must_be_finite_and_positive(self, h_scale):
+        prob = np.ones((1, 1, 1), dtype=np.float32)
+        raw = np.zeros((1, 1, 4), dtype=np.float32)
+        with pytest.raises(ValueError) as err:
+            decode_boxes(prob, raw, h_scale)
+        assert str(err.value) == f"h_scale must be finite and positive, got {h_scale}"
 
     @pytest.mark.parametrize("tensor", ["prob", "boxes"])
     def test_nan_rejected(self, tensor, caplog):
@@ -191,7 +187,7 @@ class TestDecodeBoxes:
     def test_row_major_order(self):
         prob = np.zeros((2, 3, 1), dtype=np.float32)
         raw = np.zeros((2, 3, 4), dtype=np.float32)
-        boxes = decode_boxes(prob, raw, "bar")
+        boxes = decode_boxes(prob, raw)
         centers = [(b.cx, b.cy) for b in boxes]
         assert centers == [
             (0.5, 0.5), (1.5, 0.5), (2.5, 0.5),
@@ -328,9 +324,8 @@ def decode_inputs(draw):
 
 
 class TestSubsetDecode:
-    @pytest.mark.parametrize("mode", DECODE_MODES)
     @given(decode_inputs())
-    def test_subset_has_whole_grid_bits(self, mode, inputs):
+    def test_subset_has_whole_grid_bits(self, inputs):
         # A cell whose raw log-size exponentiates to inf or 0 fails any
         # decode that takes it; every other cell has the bits of a whole
         # grid decode in which the failing cells' sizes are set to 0.
@@ -340,13 +335,13 @@ class TestSubsetDecode:
         good = ((sizes > 0) & (sizes < np.inf)).all(axis=1)
         tamed = raw.copy()
         tamed.reshape(-1, 4)[~good, 2:] = 0.0
-        whole = decode_boxes(prob, tamed, mode, h_scale)
+        whole = decode_boxes(prob, tamed, h_scale)
         for index in (None, cells, np.zeros(0, np.intp), np.array([one])):
             if not good[index].all():
                 with pytest.raises(FrameValueError, match="tensor 'boxes' decodes"):
-                    decode_boxes(prob, raw, mode, h_scale, index)
+                    decode_boxes(prob, raw, h_scale, index)
                 continue
-            got = decode_boxes(prob, raw, mode, h_scale, index)
+            got = decode_boxes(prob, raw, h_scale, index)
             for name in ("cx", "cy", "w", "h", "score", "restored"):
                 want = getattr(whole, name)
                 assert getattr(got, name).tobytes() == (
@@ -362,15 +357,15 @@ class TestSubsetDecode:
         raw = np.zeros((2, 3, 4), dtype=np.float32)
         raw[1, 2, channel] = log_size
         with pytest.raises(FrameValueError, match="tensor 'boxes' decodes"):
-            decode_boxes(prob, raw, "bar", cells=np.array([0, 5]))
-        assert len(decode_boxes(prob, raw, "bar", cells=np.arange(5))) == 5
+            decode_boxes(prob, raw, cells=np.array([0, 5]))
+        assert len(decode_boxes(prob, raw, cells=np.arange(5))) == 5
 
     @pytest.mark.parametrize("cells", [[1, 0], [2, 2], [-1], [6], [[0, 1]], [0.0]])
     def test_index_must_ascend_within_grid(self, cells):
         prob = np.zeros((2, 3, 1), dtype=np.float32)
         raw = np.zeros((2, 3, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="cells must"):
-            decode_boxes(prob, raw, "bar", cells=cells)
+            decode_boxes(prob, raw, cells=cells)
 
     @pytest.mark.parametrize("tensor", ["prob", "boxes"])
     def test_nan_outside_index_rejected(self, tensor, caplog):
@@ -504,10 +499,8 @@ class TestBoxes:
         prob = rng.uniform(0, 1, size=(3, 4, 1)).astype(np.float32)
         raw = rng.normal(size=(3, 4, 4)).astype(np.float32)
         h_scale = 10.0
-        for mode in ("bar", "sigmoid"):
-            boxes = decode_boxes(prob, raw, mode, h_scale)
-            for k, box in enumerate(boxes):
-                r, c = divmod(k, 4)
-                pair = (float(raw[r, c, 0]), float(raw[r, c, 1]))
-                dx, dy = decode_offset_bar(pair, h_scale) if mode == "bar" else decode_offset_sigmoid(pair)
-                assert (box.cx, box.cy) == (c + 0.5 + dx, r + 0.5 + dy)
+        boxes = decode_boxes(prob, raw, h_scale)
+        for k, box in enumerate(boxes):
+            r, c = divmod(k, 4)
+            dx, dy = decode_offset_bar((float(raw[r, c, 0]), float(raw[r, c, 1])), h_scale)
+            assert (box.cx, box.cy) == (c + 0.5 + dx, r + 0.5 + dy)

@@ -533,6 +533,17 @@ class TestRefine:
                 head2_w=w.head2_w, head2_b=w.head2_b,
             )
 
+    @pytest.mark.parametrize("layer", ["conv1", "conv2", "head1", "head2"])
+    def test_bias_must_match_its_kernel(self, layer):
+        w = tiny_weights(np.random.default_rng(10))
+        fields = dict(vars(w))
+        cout = fields[f"{layer}_w"].shape[0]
+        fields[f"{layer}_b"] = np.zeros(cout + 1, dtype=np.float32)
+        with pytest.raises(ValueError) as err:
+            RefineWeights(**fields)
+        assert str(err.value) == (f"weight '{layer}.b' must have shape ({cout},) "
+                                  f"to match {layer}.w, got ({cout + 1},)")
+
     def test_load_from_omcf(self, tmp_path):
         rng = np.random.default_rng(11)
         w = tiny_weights(rng)
@@ -558,7 +569,7 @@ class TestTransductiveDetections:
     def grid_boxes(self, h, w, cells):
         prob = np.zeros((h, w, 1), dtype=np.float32)
         raw = np.zeros((h, w, 4), dtype=np.float32)
-        return decode_boxes(prob, raw, "bar", cells=cells)
+        return decode_boxes(prob, raw, cells=cells)
 
     def test_zero_map_gives_nothing(self):
         cells = np.arange(16)
@@ -585,7 +596,7 @@ class TestTransductiveDetections:
         raw = rng.normal(0, 1, (9, 9, 4)).astype(np.float32)
         m_p = rng.uniform(0, 1, (9, 9)).astype(np.float32)
         cells = np.flatnonzero(m_p >= 0.4)
-        boxes = decode_boxes(prob, raw, "bar", cells=cells)
+        boxes = decode_boxes(prob, raw, cells=cells)
         want = transductive_detections(m_p, boxes, cells, 0.4, 0.3)
         got = transductive_detections(m_p, boxes, cells, 0.4, 0.3, iou(boxes, boxes))
         assert len(want) > 1

@@ -158,6 +158,17 @@ class TestGenerate:
             cosines = background @ np.stack(identities).T
             assert np.max(np.abs(cosines)) <= cfg.clutter_similarity + 1e-5
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["speed_min", "speed_max", "dropout_prob",
+                                       "embedding_noise", "clutter_similarity",
+                                       "size_min", "size_max", "bar_h_scale"])
+    def test_float_field_that_is_not_finite_is_named(self, field, value):
+        # A NaN passes every range check written as a comparison, and an
+        # infinity passes the one-sided ones.
+        with pytest.raises(ValueError) as err:
+            small(**{field: value})
+        assert str(err.value) == f"{field} must be finite, got {value}"
+
     def test_clutter_boxes_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="clutter boxes"):
             small(height=2, width=2, size_min=1.0, size_max=2.0)
