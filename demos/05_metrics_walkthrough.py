@@ -8,7 +8,7 @@ trajectory the best fixed id assignment explains (IDF1 0.6).
 """
 
 from omctrack.frame_io import MotBox
-from omctrack.metrics import clear_mot, evaluate, idf1
+from omctrack.metrics import evaluate
 
 
 def box(frame, tid, x):
@@ -23,17 +23,18 @@ for f in range(1, 6):
     else:  # ids swapped from frame 3 on
         pred += [box(f, 2, x=0.0), box(f, 1, x=100.0)]
 
-fp, fn, idsw, mota = clear_mot(gt, pred)
+report = evaluate(gt, pred)
+fp, fn, idsw, mota = report.fp, report.fn, report.idsw, report.mota
 print("frame-by-frame protocol:")
 print(f"  FP={fp} FN={fn} IDSW={idsw} over {len(gt)} gt boxes")
 print(f"  MOTA = 1 - ({fp}+{fn}+{idsw})/{len(gt)} = {mota}")
 
 print("\nglobal identity measure:")
-print(f"  IDF1 = {idf1(gt, pred)}")
+print(f"  IDF1 = {report.idf1}")
 print("  (the best fixed correspondence explains 3 of 5 frames per target)")
 
 print("\nfull report:")
-print(evaluate(gt, pred).pretty())
+print(report.pretty())
 
 print("\nperfect tracking for contrast:")
 print(evaluate(gt, list(gt)).pretty())

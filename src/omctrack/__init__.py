@@ -34,13 +34,12 @@ from .frame_io import (
     FrameContainer,
     MotBox,
     MotParseError,
-    read_container,
     read_mot_boxes,
     write_container,
     write_mot_results,
 )
 from .fusion import fuse, targetness_score
-from .metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml
+from .metrics import EvalReport, evaluate
 from .numerics import (
     FrameValueError,
     conv3x3_forward,

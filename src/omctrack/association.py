@@ -153,7 +153,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not (math.isinf(self.shrink_radius) or self.shrink_radius >= 0):
+        if not self.shrink_radius >= 0:
             raise ValueError("shrink_radius must be >= 0 or inf")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -336,9 +336,11 @@ class Tracker:
     """Stateful per-sequence tracker; one instance per video sequence.
 
     Holds the live tracklets as one table (`live`), the monotone id
-    counter and running counts. step() consumes one FrameContainer and
-    returns the MOT rows emitted for that frame. Distinct sequences need
-    distinct instances.
+    counter and running counts. weights are the learned refinement head,
+    or None for none: refinement then clamps the aggregate and no frame's
+    feat is read. step() consumes one FrameContainer and returns the MOT
+    rows emitted for that frame. Distinct sequences need distinct
+    instances.
     """
 
     def __init__(
@@ -349,7 +351,7 @@ class Tracker:
     ):
         self.pipeline = pipeline or PipelineConfig()
         self.cfg = tracker_cfg or TrackerConfig()
-        self.weights = weights or RefineWeights()
+        self.weights = weights
         self.live = TrackletTable(np.zeros(0, dtype=np.int64), EmbeddingSet.empty(0),
                                   Boxes.of([]), np.zeros(0, dtype=np.int64))
         self.next_id = 1
@@ -465,7 +467,7 @@ class Tracker:
         if p.recheck_enabled and len(self.live):
             stack = cross_correlate(self.live.emb, embed)
             m_s = aggregate(stack, p.shrink_radius)
-            f_t = frame.feat if self.weights.mode == "learned" else None
+            f_t = None if self.weights is None else frame.feat
             m_p = refine(m_s, f_t, self.weights)
 
         # Compared in float64, as greedy_nms compares the decoded scores.

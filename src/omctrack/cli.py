@@ -5,8 +5,8 @@ gradcheck or sweep assertion. A container frame with a bad value that the
 tracker reads (non-finite, prob outside [0, 1], a box size that decodes
 to inf or 0) is not a data error: track logs a warning, emits no rows for
 it and goes on. Values are checked where they are read, so a bad value
-nothing reads (in feat under bypass refinement, or in an embed cell
-neither the search nor the readout reads) changes nothing. embed is read
+nothing reads (in feat without --weights, or in an embed cell neither
+the search nor the readout reads) changes nothing. embed is read
 from the container block by block by the search and cell by cell by the
 readout; feat is read only under learned refinement, which runs exactly
 when --weights names a weight file (refinement is otherwise a clamp).
@@ -27,7 +27,9 @@ text row (--public, --gt, --results) whose frame or id is not an integer
 error naming its line. eval's --iou-thr must lie in (0, 1]; any other
 value, NaN included, is a usage error. So is a scenario value that is
 not finite (synth's and sweep's --noise nan, --hscale inf, --speed
-0.1:inf) and a tracking --hscale that is not finite and positive. A
+0.1:inf), a negative --seed (synth, sweep, gradcheck), a tracking
+--hscale that is not finite and positive, and a --radius (or a swept r)
+of -inf or nan: only inf, or none, turns the shrink window off. A
 --weights file is checked when it loads, before --out is opened: a bias
 that does not hold one value per output channel of its kernel, or a
 non-finite weight, is a data error naming the tensor. The OMC_LOG
@@ -281,7 +283,7 @@ def _fill(owner, args, flags: tuple[_Flag, ...], **fixed):
 def _add_tracking_flags(p: _Parser) -> None:
     _add_flags(p, _TRACKING_FLAGS)
     p.add_argument("--weights", help="OMCF file of learned refinement weights; "
-                   "without it refinement clamps the aggregate (bypass)")
+                   "without it refinement clamps the aggregate")
     p.add_argument("--disable-recheck", action="store_true",
                    help="turn tracklet propagation off (detector only)")
 
@@ -314,8 +316,9 @@ def _build_scenario(args) -> ScenarioConfig:
     )
 
 
-def _load_weights(args) -> RefineWeights:
-    return RefineWeights.load(args.weights) if args.weights else RefineWeights()
+def _load_weights(args) -> RefineWeights | None:
+    """The --weights file's weights, or None (no learned head) without it."""
+    return RefineWeights.load(args.weights) if args.weights else None
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +432,8 @@ def _cmd_sweep(args) -> int:
 
     lines = ["value,mota,fp,fn,restored"]
     for value, report in results:
-        value_txt = "inf" if math.isinf(value) else f"{value:g}"
-        lines.append(
-            f"{value_txt},{report.mota:.6f},{report.fp},{report.fn},"
-            f"{report.restored_count}"
-        )
+        lines.append(f"{value:g},{report.mota:.6f},{report.fp},{report.fn},"
+                     f"{report.restored_count}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with _replacing(args.out, "x", encoding="utf-8") as f:
@@ -462,6 +462,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     step = 1e-4
     worst = 0.0
@@ -476,7 +478,7 @@ def _cmd_gradcheck(args) -> int:
             (float(rng.uniform(1, 8)), float(rng.uniform(1, 8)))
             for _ in range(n_targets)
         ]
-        target = gaussian_target(centers, sizes, height, width).grid
+        target = gaussian_target(centers, sizes, height, width)
         m_p = rng.uniform(0.01, 0.99, size=(height, width))
         grad = loss_gradient(m_p, target, n_targets)
         for r in range(height):

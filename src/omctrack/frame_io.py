@@ -45,7 +45,6 @@ __all__ = [
     "write_omcf",
     "read_omcf",
     "write_container",
-    "read_container",
     "iter_container",
     "mot_box_fault",
     "read_mot_boxes",
@@ -153,19 +152,18 @@ class FrameContainer:
         """The four tensors by name as arrays; reads any still unread."""
         return {name: getattr(self, name) for name in REQUIRED_TENSORS}
 
-    def check_format(self) -> None:
-        """Check index, rank, dtype and shapes; reads no tensor values."""
+    def validate(self, names: Iterable[str] = REQUIRED_TENSORS) -> None:
+        """Check the format, then the named tensors' values (all by default).
+
+        The format is the index (>= 1) and each tensor's rank, dtype and
+        shape, read without reading a value; `validate(())` checks only
+        that. Each named tensor's values must be finite (`check_finite`),
+        and prob's must lie within [0, 1]. A bad format raises ValueError,
+        a bad value FrameValueError.
+        """
         if self.frame_index < 1:
             raise ValueError(f"frame_index must be >= 1, got {self.frame_index}")
         _check_tensor_format(self.held())
-
-    def validate(self, names: Iterable[str] = REQUIRED_TENSORS) -> None:
-        """check_format, then the named tensors' values (all by default).
-
-        Every value must be finite (`check_finite`), and prob must lie
-        within [0, 1]. A bad value raises FrameValueError.
-        """
-        self.check_format()
         for name in names:
             check_finite(getattr(self, name), name)
         if "prob" in names and (self.prob.min() < 0.0 or self.prob.max() > 1.0):
@@ -597,10 +595,6 @@ def iter_container(path) -> Iterator[FrameContainer]:
             end = start + layout.size
         start = end
         yield FrameContainer(index, *tensors)
-
-
-def read_container(path) -> list[FrameContainer]:
-    return list(iter_container(path))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ off the tracker's IOU kernel in `detection`, and IDF1 is scored in the same
 walk, from the same per-frame overlaps at the same gate: the walk counts
 the frames in which each (gt id, pred id) pair overlaps.
 
-Every metric takes an IOU gate in (0, 1] and raises ValueError for any
-other (NaN included): a gate of 0 would match boxes that do not overlap.
-Every metric also raises ValueError when the ground truth or the
-predictions hold one (frame, id) pair twice, naming the input, the frame
-and the id.
-All metrics are invariant under consistent relabeling of prediction ids.
+`evaluate` is the one scorer: one walk gives every figure of its report.
+It takes an IOU gate in (0, 1] and raises ValueError for any other (NaN
+included): a gate of 0 would match boxes that do not overlap. It also
+raises ValueError when the ground truth is empty, or when the ground truth
+or the predictions hold one (frame, id) pair twice, naming the input, the
+frame and the id. Every figure is invariant under consistent relabeling of
+prediction ids.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .frame_io import MotBox
 __all__ = [
     "EvalReport",
     "row_iou",
-    "clear_mot",
-    "idf1",
-    "mt_ml",
     "evaluate",
 ]
 
@@ -213,34 +211,6 @@ def _protocol(gt: list[MotBox], pred: list[MotBox], iou_thr: float):
     return fp, fn, idsw, gt_total, matched_frames, pair_frames
 
 
-def clear_mot(
-    gt: list[MotBox],
-    pred: list[MotBox],
-    iou_thr: float = DEFAULT_GATE_IOU,
-) -> tuple[int, int, int, float]:
-    """Return (fp, fn, idsw, mota) for a sequence."""
-    fp, fn, idsw, gt_total, _, _ = _protocol(gt, pred, iou_thr)
-    mota = 1.0 - (fp + fn + idsw) / gt_total
-    return fp, fn, idsw, mota
-
-
-def idf1(
-    gt: list[MotBox],
-    pred: list[MotBox],
-    iou_thr: float = DEFAULT_GATE_IOU,
-) -> float:
-    """Identity F1 over the optimal global gt-id/pred-id correspondence.
-
-    The co-occurrence counts come from `_protocol`'s walk: per id pair, the
-    frames in which their boxes overlap at or above the gate. An exact
-    assignment maximizes their total (IDTP) and the score is
-    2*IDTP / (2*IDTP + IDFP + IDFN). A (frame, id) pair repeated in gt or
-    pred raises ValueError.
-    """
-    *_, pair_frames = _protocol(gt, pred, iou_thr)
-    return _idf1_score(pair_frames, len(gt), len(pred))
-
-
 def _idf1_score(pair_frames: Counter[tuple[int, int]], gt_rows: int, pred_rows: int) -> float:
     """IDF1 from _protocol's co-occurrence counts and the two row counts.
 
@@ -270,27 +240,21 @@ def _mt_ml_ratios(gt: list[MotBox], matched_frames: dict[int, int]) -> tuple[flo
     return mt / len(lifespan), ml / len(lifespan)
 
 
-def mt_ml(
-    gt: list[MotBox],
-    pred: list[MotBox],
-    iou_thr: float = DEFAULT_GATE_IOU,
-) -> tuple[float, float]:
-    """(mostly-tracked ratio, mostly-lost ratio) over ground-truth ids.
-
-    Coverage of an id is the fraction of its frames holding a
-    correspondence; >= 0.8 counts as mostly tracked, <= 0.2 as mostly lost.
-    """
-    _, _, _, _, matched_frames, _ = _protocol(gt, pred, iou_thr)
-    return _mt_ml_ratios(gt, matched_frames)
-
-
 def evaluate(
     gt: list[MotBox],
     pred: list[MotBox],
     iou_thr: float = DEFAULT_GATE_IOU,
     restored_count: int = 0,
 ) -> EvalReport:
-    """Full report over one sequence pair."""
+    """Full report over one sequence pair, from one `_protocol` walk.
+
+    MOTA is 1 - (FP + FN + IDSW) / GT. IDF1 is 2*IDTP / (2*IDTP + IDFP +
+    IDFN) over the exact gt-id/pred-id assignment that maximizes IDTP, the
+    frames in which paired ids overlap at or above the gate
+    (`_idf1_score`). An id's coverage is the fraction of its frames holding
+    a correspondence; >= 0.8 counts as mostly tracked, <= 0.2 as mostly
+    lost (`_mt_ml_ratios`).
+    """
     fp, fn, idsw, gt_total, matched_frames, pair_frames = _protocol(gt, pred, iou_thr)
     mota = 1.0 - (fp + fn + idsw) / gt_total
     mt_ratio, ml_ratio = _mt_ml_ratios(gt, matched_frames)

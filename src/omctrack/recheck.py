@@ -255,13 +255,14 @@ def _peak_windows(stack: np.ndarray, r: float) -> list[tuple[slice, slice]]:
     """Rows and columns within r cells of the peak of each map of an (n, H, W) stack.
 
     A map's peak is the first row-major occurrence of its maximum; one
-    argmax finds every map's. r may be math.inf, which keeps whole maps.
+    argmax finds every map's. r may be math.inf, which keeps whole maps;
+    a negative r, -inf and NaN raise ValueError.
     """
     n, h, w = stack.shape
-    if math.isinf(r):
-        return [(slice(None), slice(None))] * n
     if not r >= 0:
         raise ValueError(f"shrink radius must be >= 0, got {r}")
+    if r == math.inf:
+        return [(slice(None), slice(None))] * n
     k = math.floor(r)
     windows = []
     for peak in stack.reshape(n, h * w).argmax(axis=1).tolist():
@@ -274,7 +275,8 @@ def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
     """Binary window of half-width r around the peak of a response map.
 
     The peak is the first row-major occurrence of the maximum. r may be
-    math.inf, which keeps the whole map (shrinking disabled).
+    math.inf, which keeps the whole map (shrinking disabled); a negative
+    r, -inf and NaN raise ValueError.
     """
     m = np.asarray(m)
     if m.ndim != 2:
@@ -301,35 +303,28 @@ def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
 
 @dataclass
 class RefineWeights:
-    """Weights of the refinement head; its mode follows from which are held.
+    """The eight weights of the learned refinement head, all required.
 
-    With all eight weights (`load`, or every field given) the head is
-    learned: it encodes the aggregated map through an inverted bottleneck
+    The head encodes the aggregated map through an inverted bottleneck
     (1 -> wide -> 1 channels), multiplies the result into the visual
     feature, and squashes two further 3x3 convolutions into a probability
-    map. With none (`RefineWeights()`) it is bypassed: the aggregate is
-    clamped to [0, 1] directly, which keeps the pipeline runnable without
-    any trained weights. Some but not all of them raise ValueError naming
-    those missing; so does a weight whose shape does not fit the chain (a
-    bias holds one value per output channel of its kernel), naming it.
+    map. "No learned head" is no weights at all (`refine(m_s, f_t, None)`),
+    not an instance of this class. A weight that is not finite, or whose
+    shape does not fit the chain (a bias holds one value per output
+    channel of its kernel), raises ValueError naming it.
     """
 
-    conv1_w: np.ndarray | None = None
-    conv1_b: np.ndarray | None = None
-    conv2_w: np.ndarray | None = None
-    conv2_b: np.ndarray | None = None
-    head1_w: np.ndarray | None = None
-    head1_b: np.ndarray | None = None
-    head2_w: np.ndarray | None = None
-    head2_b: np.ndarray | None = None
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+    head1_w: np.ndarray
+    head1_b: np.ndarray
+    head2_w: np.ndarray
+    head2_b: np.ndarray
 
     def __post_init__(self):
         arrays = {name: getattr(self, name.replace(".", "_")) for name in _WEIGHT_NAMES}
-        missing = [name for name, arr in arrays.items() if arr is None]
-        if len(missing) == len(arrays):
-            return
-        if missing:
-            raise ValueError(f"learned mode requires weights {missing}")
         for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight {name!r} contains non-finite values")
@@ -356,11 +351,6 @@ class RefineWeights:
         if self.head2_w.shape[0] != 1:
             raise ValueError("head2 must produce 1 output channel")
 
-    @property
-    def mode(self) -> str:
-        """The head's mode: "learned" when the eight weights are held, else "bypass"."""
-        return "bypass" if self.conv1_w is None else "learned"
-
     @classmethod
     def load(cls, path) -> "RefineWeights":
         """Load learned weights from an OMCF tensor file (one frame)."""
@@ -376,21 +366,22 @@ class RefineWeights:
         return cls(**{n.replace(".", "_"): tensors[n] for n in _WEIGHT_NAMES})
 
 
-def refine(m_s: np.ndarray, f_t: np.ndarray | None, weights: RefineWeights) -> np.ndarray:
+def refine(m_s: np.ndarray, f_t: np.ndarray | None,
+           weights: RefineWeights | None) -> np.ndarray:
     """Turn the aggregated response map into a foreground probability map.
 
-    Returns an (H, W) float32 map. With no weights held (weights.mode
-    "bypass") this is clamp(m_s, 0, 1) and f_t is not read (it may be
-    None); with the eight weights held ("learned") the bottleneck/head
-    convolutions described on RefineWeights are applied to f_t and the
-    result passes through a sigmoid, so values always land in (0, 1). A
-    non-finite value in f_t, or a finite f_t that overflows the head to a
-    non-finite value before the sigmoid, raises FrameValueError.
+    Returns an (H, W) float32 map. With weights None this is
+    clamp(m_s, 0, 1) and f_t is not read (it may be None); with weights
+    the bottleneck/head convolutions described on RefineWeights are
+    applied to f_t and the result passes through a sigmoid, so values
+    always land in (0, 1). A non-finite value in f_t, or a finite f_t that
+    overflows the head to a non-finite value before the sigmoid, raises
+    FrameValueError.
     """
     m_s = np.asarray(m_s, dtype=np.float32)
     if m_s.ndim != 2:
         raise ValueError(f"aggregated map must be 2-d, got shape {m_s.shape}")
-    if weights.mode == "bypass":
+    if weights is None:
         return np.clip(m_s, 0.0, 1.0)
 
     f_t = as_grid(np.asarray(f_t, dtype=np.float32), name="f_t")

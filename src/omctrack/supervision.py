@@ -15,12 +15,10 @@ a network is out of scope here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GaussianSupervision",
     "size_adaptive_sigma",
     "gaussian_target",
     "logistic_mse_loss",
@@ -28,15 +26,6 @@ __all__ = [
 ]
 
 LOSS_EPS = 1e-7
-
-
-@dataclass
-class GaussianSupervision:
-    """Clamped sum of per-target Gaussian masks plus their parameters."""
-
-    grid: np.ndarray                      # (H, W) float32 in [0, 1]
-    centers: list[tuple[int, int]]        # rounded (col, row) cells
-    sigmas: list[float]
 
 
 def size_adaptive_sigma(w: float, h: float) -> float:
@@ -53,20 +42,20 @@ def gaussian_target(
     sizes: list[tuple[float, float]],
     height: int,
     width: int,
-) -> GaussianSupervision:
-    """Build the supervision grid for a set of targets.
+) -> np.ndarray:
+    """The (H, W) float32 supervision grid of a set of targets, in [0, 1].
 
-    centers are (cx, cy) in cell units and round down to the cell that
-    contains them (cell k spans [k, k+1)); each rounded center cell carries
-    an exact 1. An empty target list yields the all-zero grid.
+    The grid is the clamped sum of one Gaussian per target, of spread
+    `size_adaptive_sigma` of its size. centers are (cx, cy) in cell units
+    and round down to the cell that contains them (cell k spans [k, k+1));
+    each rounded center cell carries an exact 1. An empty target list
+    yields the all-zero grid.
     """
     if len(centers) != len(sizes):
         raise ValueError("centers and sizes must have equal length")
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
     total = np.zeros((height, width), dtype=np.float64)
-    cells: list[tuple[int, int]] = []
-    sigmas: list[float] = []
     for (cx, cy), (w, h) in zip(centers, sizes):
         col = int(math.floor(cx))
         row = int(math.floor(cy))
@@ -77,10 +66,7 @@ def gaussian_target(
         sigma = size_adaptive_sigma(w, h)
         d2 = (xs - col)[None, :] ** 2 + (ys - row)[:, None] ** 2
         total += np.exp(-d2 / (2.0 * sigma * sigma))
-        cells.append((col, row))
-        sigmas.append(sigma)
-    grid = np.clip(total, 0.0, 1.0).astype(np.float32)
-    return GaussianSupervision(grid=grid, centers=cells, sigmas=sigmas)
+    return np.clip(total, 0.0, 1.0).astype(np.float32)
 
 
 def _check_shapes(m_p, target):

@@ -94,6 +94,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_targets < 1:
             raise ValueError("need at least one target")
         if self.frames < 1:

@@ -16,8 +16,8 @@ import pytest
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.cli import main
 from omctrack.detection import decode_offset_bar, decode_offset_sigmoid
-from omctrack.frame_io import FrameContainer, read_container, write_container
-from omctrack.metrics import clear_mot, evaluate, idf1, mt_ml
+from omctrack.frame_io import FrameContainer, iter_container, write_container
+from omctrack.metrics import evaluate
 from omctrack.recheck import EmbeddingSet, cross_correlate, shrink_mask
 from omctrack.supervision import gaussian_target, logistic_mse_loss, loss_gradient
 from omctrack.synth import ScenarioConfig, generate, restoration_report
@@ -76,7 +76,7 @@ def test_criterion_2_loss_value_and_gradient():
                    for _ in range(n)]
         sizes = [(float(rng.uniform(1, 8)), float(rng.uniform(1, 8)))
                  for _ in range(n)]
-        sup = gaussian_target(centers, sizes, 16, 16).grid
+        sup = gaussian_target(centers, sizes, 16, 16)
         m_p = rng.uniform(0.01, 0.99, size=(16, 16))
         grad = loss_gradient(m_p, sup, n)
         for r in range(16):
@@ -178,18 +178,16 @@ def test_criterion_6_boundary_aware_regression():
 
 def test_criterion_7_metrics_oracle():
     gt, pred = toy_swap_sequence()
-    fp, fn, idsw, mota = clear_mot(gt, pred)
+    scored = evaluate(gt, pred)
+    fp, fn, idsw, mota, value = scored.fp, scored.fn, scored.idsw, scored.mota, scored.idf1
     assert (fp, fn, idsw) == (0, 0, 2)
     assert abs(mota - 0.8) < 1e-12
-    value = idf1(gt, pred)
     assert abs(value - idf1_bijection_oracle(gt, pred)) < 1e-12
 
     from omctrack.frame_io import MotBox
     relabeled = [MotBox(frame=b.frame, id=b.id * 13 + 5, x=b.x, y=b.y,
                         w=b.w, h=b.h, conf=b.conf) for b in pred]
-    assert clear_mot(gt, relabeled) == (fp, fn, idsw, mota)
-    assert idf1(gt, relabeled) == value
-    assert mt_ml(gt, relabeled) == mt_ml(gt, pred)
+    assert evaluate(gt, relabeled) == scored
     report(7, f"toy swap sequence: MOTA {mota}, IDSW {idsw}, IDF1 {value} "
               f"(= exhaustive bijection oracle), invariant under relabeling")
 
@@ -208,7 +206,7 @@ def test_criterion_8_serialization_round_trips(tmp_path):
     p1 = tmp_path / "a.omcf"
     p2 = tmp_path / "b.omcf"
     write_container(frames, p1)
-    back = read_container(p1)
+    back = list(iter_container(p1))
     for orig, rt in zip(frames, back):
         for name, arr in orig.tensors().items():
             assert np.array_equal(rt.tensors()[name], arr)

@@ -621,6 +621,8 @@ class TestPipelineConfig:
         ("score_thr", -0.1, "score_thr must lie in [0, 1], got -0.1"),
         ("nms_iou_thr", math.nan, "nms_iou_thr must lie in [0, 1], got nan"),
         ("shrink_radius", -1.0, "shrink_radius must be >= 0 or inf"),
+        ("shrink_radius", -math.inf, "shrink_radius must be >= 0 or inf"),
+        ("shrink_radius", math.nan, "shrink_radius must be >= 0 or inf"),
         ("stride", 0, "stride must be >= 1"),
     ])
     def test_refusals(self, field, value, message):

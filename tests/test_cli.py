@@ -14,7 +14,7 @@ from omctrack import cli, frame_io, recheck
 from omctrack.association import PipelineConfig, Tracker, TrackerConfig
 from omctrack.cli import main
 from omctrack.frame_io import (
-    read_container,
+    iter_container,
     read_mot_boxes,
     read_omcf,
     write_mot_results,
@@ -172,6 +172,28 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("given, message", [
+        (["--targets", "0"], "need at least one target"),
+        (["--frames", "0"], "need at least one frame"),
+        (["--dropout", "1"], "dropout_prob must lie in [0, 1)"),
+        (["--clutter", "1"], "clutter_similarity must lie in [0, 1)"),
+        (["--noise", "-0.1"], "embedding_noise must be >= 0"),
+        (["--size", "3:2"], "sizes must satisfy 1 <= size_min <= size_max"),
+        (["--size", "2:21"], "targets of size 21.0 cannot fit a 20x20 grid"),
+        (["--speed", "0:0.3"], "speeds must satisfy 0 < speed_min <= speed_max"),
+        (["--hscale", "4"], "bar_h_scale too small for the target sizes"),
+        (["--stride", "0"], "stride must be >= 1"),
+        (["--grid", "2x2", "--size", "1:2"], "clutter boxes must fit the grid"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_scenario_refusal_is_usage_error(self, given, message, tmp_path, capsys):
+        out = tmp_path / "x.omcf"
+        code, stdout, err = run(capsys, "synth", "--out", str(out),
+                                "--gt", str(tmp_path / "gt.txt"), *given)
+        assert (code, stdout, err) == (1, "", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrackCommand:
     def test_track_then_eval(self, scenario, tmp_path, capsys):
         results = tmp_path / "results.txt"
@@ -326,7 +348,7 @@ class TestTrackCommand:
         self, scenario, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 20000)
-        embed = read_container(scenario["container"])[14].held()["embed"]
+        embed = list(iter_container(scenario["container"]))[14].held()["embed"]
         cut = tmp_path / "cut.omcf"
         cut.write_bytes(scenario["container"].read_bytes()[:embed.offset + 50000])
         clean, out_path = tmp_path / "clean.txt", tmp_path / "r.txt"
@@ -481,6 +503,47 @@ class TestTrackCommand:
                        "to match conv1.w, got (3,)\n")
         assert not results.exists()
 
+    @pytest.mark.parametrize("changed, message", [
+        ({"conv2.b": np.array([np.nan], np.float32)},
+         "weight 'conv2.b' contains non-finite values"),
+        ({"head1.w": np.zeros((2, 256, 1, 1), np.float32)},
+         "weight 'head1.w' must have shape (Cout, Cin, 3, 3), got (2, 256, 1, 1)"),
+        ({"conv1.w": np.zeros((2, 2, 3, 3), np.float32)}, "conv1 must take 1 input channel"),
+        ({"conv2.w": np.zeros((2, 2, 3, 3), np.float32), "conv2.b": np.zeros(2, np.float32)},
+         "conv2 must produce 1 output channel"),
+        ({"head2.w": np.zeros((1, 3, 3, 3), np.float32)},
+         "head2 input channels must match head1 output"),
+        ({"head2.w": np.zeros((2, 2, 3, 3), np.float32), "head2.b": np.zeros(2, np.float32)},
+         "head2 must produce 1 output channel"),
+        (None, "weight file must hold exactly one frame, got 2"),
+    ], ids=["non-finite", "kernel", "conv1-inputs", "conv2-outputs", "head2-inputs",
+            "head2-outputs", "two-frames"])
+    def test_bad_weight_file_is_data_error(self, scenario, tmp_path, capsys, changed,
+                                           message):
+        weights = write_random_weights(tmp_path / "w.omcf")
+        tensors = read_omcf(weights)[0]
+        write_omcf(weights, [tensors, tensors] if changed is None else [{**tensors, **changed}])
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--weights", str(weights))
+        assert (code, out, err) == (2, "", f"data error: {message}\n")
+        assert not results.exists()
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_radius_minus_inf_is_usage_error(self, scenario, tmp_path, capsys, by_config):
+        # -inf is not "no shrink": only inf (or none) turns the window off.
+        if by_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("radius=-inf\n")
+            given = ["--config", str(cfg)]
+        else:
+            given = ["--radius=-inf"]
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), *given)
+        assert (code, out, err) == (1, "", "usage error: shrink_radius must be >= 0 or inf\n")
+        assert not results.exists()
+
     def test_weights_alone_run_learned_refinement(self, scenario, tmp_path, capsys):
         weights = write_random_weights(tmp_path / "w.omcf")
         cfg = tmp_path / "run.cfg"
@@ -491,8 +554,8 @@ class TestTrackCommand:
             assert run(capsys, "track", "--container", str(scenario["container"]),
                        "--out", str(outs[name]), *extra)[0] == 0
         tracker = Tracker(PipelineConfig(), TrackerConfig(), RefineWeights.load(weights))
-        assert tracker.weights.mode == "learned"
-        write_mot_results([b for rows in tracker.run(read_container(scenario["container"]))
+        assert tracker.weights is not None and Tracker().weights is None
+        write_mot_results([b for rows in tracker.run(iter_container(scenario["container"]))
                            for b in rows], tmp_path / "api.txt")
         assert outs["flag"].read_bytes() == (tmp_path / "api.txt").read_bytes()
         assert outs["file"].read_bytes() == outs["flag"].read_bytes()
@@ -741,6 +804,20 @@ class TestSweepCommand:
         r = PipelineConfig().shrink_radius
         assert f"FP at r={r} ({runs[0] + 100}) exceeds no-shrink ({runs[1]})" in err
 
+    @pytest.mark.parametrize("given, message", [
+        (["--param", "epsilon", "--values", "abc"],
+         "bad --values: could not convert string to float: 'abc'"),
+        (["--param", "epsilon", "--values", ","], "--values is empty"),
+        (["--param", "epsilon", "--values", "2"], "fusion_epsilon must lie in [0, 1], got 2.0"),
+        (["--param", "r", "--values=-inf"], "shrink_radius must be >= 0 or inf"),
+        (["--param", "r", "--values", "3,nan"], "shrink_radius must be >= 0 or inf"),
+    ])
+    def test_bad_values_are_usage_error(self, tmp_path, capsys, given, message):
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run(capsys, "sweep", *given, "--frames", "2", "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"usage error: {message}\n")
+        assert not out.exists()
+
     def test_bad_param_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--param", "banana", "--values", "1")
         assert code == 1
@@ -910,6 +987,44 @@ class TestParserBehaviour:
                              "--out", str(results), "--config", str(cfg))
         assert code == 1
         assert f"{cfg}:1: unknown key 'seed'" in err
+        assert not results.exists()
+
+    @pytest.mark.parametrize("command, given, message", [
+        ("synth", ["--out", "x.omcf", "--gt", "gt.txt"], "seed must be >= 0, got -1"),
+        ("sweep", ["--param", "epsilon", "--values", "0.5", "--frames", "2"],
+         "seed must be >= 0, got -1"),
+        ("gradcheck", [], "--seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_is_usage_error_naming_seed(self, tmp_path, capsys, monkeypatch,
+                                                      command, given, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command, *given, "--seed", "-1")
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_that_is_not_h_by_w_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "x.omcf"),
+                             "--gt", str(tmp_path / "gt.txt"), "--grid", "20")
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --grid: must look like 20x20, got '20'\n"
+
+    def test_unreadable_config_is_usage_error(self, scenario, tmp_path, capsys):
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--config", str(tmp_path / "none.cfg"))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: cannot read config file: ")
+        assert "none.cfg" in err
+        assert not results.exists()
+
+    def test_config_line_without_equals_is_usage_error(self, scenario, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# radius\nradius 3\n")
+        results = tmp_path / "r.txt"
+        code, out, err = run(capsys, "track", "--container", str(scenario["container"]),
+                             "--out", str(results), "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {cfg}:2: expected key=value, got 'radius 3'\n"
         assert not results.exists()
 
     def test_missing_subcommand_is_usage_error(self, capsys):

@@ -177,6 +177,18 @@ class TestDecodeBoxes:
             decode_boxes(prob, raw, h_scale)
         assert str(err.value) == f"h_scale must be finite and positive, got {h_scale}"
 
+    @pytest.mark.parametrize("prob_shape, raw_shape, message", [
+        ((2, 3), (2, 3, 4), "prob must have shape (H, W, 1), got (2, 3)"),
+        ((2, 3, 2), (2, 3, 4), "prob must have shape (H, W, 1), got (2, 3, 2)"),
+        ((2, 3, 1), (2, 3, 5), "boxes must have shape (H, W, 4), got (2, 3, 5)"),
+        ((2, 3, 1), (6, 4), "boxes must have shape (H, W, 4), got (6, 4)"),
+        ((2, 3, 1), (3, 2, 4), "prob and boxes grids differ: (2, 3) vs (3, 2)"),
+    ])
+    def test_shape_refusals(self, prob_shape, raw_shape, message):
+        with pytest.raises(ValueError) as err:
+            decode_boxes(np.zeros(prob_shape, np.float32), np.zeros(raw_shape, np.float32))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("tensor", ["prob", "boxes"])
     def test_nan_rejected(self, tensor, caplog):
         prob = np.ones((2, 2, 1), dtype=np.float32)

@@ -16,7 +16,7 @@ from omctrack.frame_io import (
     FrameContainer,
     MotBox,
     MotParseError,
-    read_container,
+    iter_container,
     read_mot_boxes,
     read_omcf,
     write_container,
@@ -42,7 +42,7 @@ class TestContainerRoundTrip:
         frame = random_frame(rng, 1)
         path = tmp_path / "one.omcf"
         write_container([frame], path)
-        (back,) = read_container(path)
+        (back,) = list(iter_container(path))
         assert back.frame_index == 1
         for name, arr in frame.tensors().items():
             assert np.array_equal(back.tensors()[name], arr), name
@@ -52,13 +52,13 @@ class TestContainerRoundTrip:
         frames = [random_frame(rng, i + 1) for i in range(3)]
         p1, p2 = tmp_path / "a.omcf", tmp_path / "b.omcf"
         write_container(frames, p1)
-        write_container(read_container(p1), p2)
+        write_container(list(iter_container(p1)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_sequence(self, tmp_path):
         path = tmp_path / "empty.omcf"
         assert write_container([], path) == 0
-        assert read_container(path) == []
+        assert list(iter_container(path)) == []
 
     def test_zero_size_tensor_round_trips(self, tmp_path):
         path = tmp_path / "zero.omcf"
@@ -108,7 +108,7 @@ class TestContainerErrors:
         data[0:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerFormatError, match="magic"):
-            read_container(path)
+            list(iter_container(path))
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -117,7 +117,7 @@ class TestContainerErrors:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 10])
         with pytest.raises(ContainerFormatError) as err:
-            read_container(path)
+            list(iter_container(path))
         assert err.value.offset is not None
         assert "offset" in str(err.value)
 
@@ -130,7 +130,7 @@ class TestContainerErrors:
         start = data.index(frame.embed.tobytes())
         path.write_bytes(data[: start + 100])
         with pytest.raises(ContainerFormatError, match="tensor 'embed' payload") as err:
-            read_container(path)
+            list(iter_container(path))
         assert err.value.offset == start
 
     def test_oversized_dims_are_truncation_not_allocation(self, tmp_path):
@@ -139,10 +139,10 @@ class TestContainerErrors:
         tensor = struct.pack("<I4sI3IB", 4, b"prob", 3, 100_000, 100_000, 512, 0)
         path.write_bytes(header + tensor + bytes(64))
         with pytest.raises(ContainerFormatError, match="payload") as err:
-            read_container(path)
+            list(iter_container(path))
         assert err.value.offset == len(header) + len(tensor)
 
-    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    @pytest.mark.parametrize("reader", [lambda p: list(iter_container(p)), read_omcf])
     def test_huge_ndim_is_truncation_not_allocation(self, tmp_path, reader, traced_peak_bytes):
         rng = np.random.default_rng(6)
         path = tmp_path / "x.omcf"
@@ -159,7 +159,7 @@ class TestContainerErrors:
 
         assert traced_peak_bytes(read) < 64 * 1024
 
-    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    @pytest.mark.parametrize("reader", [lambda p: list(iter_container(p)), read_omcf])
     def test_name_not_utf8_reports_its_offset(self, tmp_path, reader):
         rng = np.random.default_rng(6)
         path = tmp_path / "x.omcf"
@@ -184,7 +184,7 @@ class TestContainerErrors:
         data[offset] = 9
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerFormatError, match="dtype"):
-            read_container(path)
+            list(iter_container(path))
 
     def test_channel_count_change_names_the_frame(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -192,7 +192,7 @@ class TestContainerErrors:
         path = tmp_path / "x.omcf"
         write_omcf(path, [f.tensors() for f in frames])
         with pytest.raises(ContainerFormatError, match="frame 2 tensor 'embed'"):
-            read_container(path)
+            list(iter_container(path))
 
     def test_prob_out_of_range_rejected(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -203,7 +203,7 @@ class TestContainerErrors:
 
 
 class TestFormatRefusals:
-    """`_check_tensor_format`'s, `check_format`'s and `write_omcf`'s refusals."""
+    """`_check_tensor_format`'s, `validate`'s and `write_omcf`'s refusals."""
 
     # (tensor, the bad array made from its good one, the refusal)
     BAD_TENSORS = {
@@ -250,7 +250,7 @@ class TestFormatRefusals:
     def test_frame_index_below_one(self, tmp_path):
         frame = random_frame(np.random.default_rng(34), 0)
         with pytest.raises(ValueError, match="frame_index must be >= 1, got 0"):
-            frame.check_format()
+            frame.validate(())
         with pytest.raises(ValueError, match="frame_index must be >= 1, got 0"):
             write_container([frame], tmp_path / "x.omcf")
         assert list(tmp_path.iterdir()) == []
@@ -277,7 +277,7 @@ class TestRepeatedName:
         path.write_bytes(bytes(data))
         return at
 
-    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    @pytest.mark.parametrize("reader", [lambda p: list(iter_container(p)), read_omcf])
     def test_container_frame(self, tmp_path, reader):
         tensors = random_frame(np.random.default_rng(35), 1).tensors()
         tensors["xrob"] = np.zeros_like(tensors["prob"])
@@ -306,7 +306,7 @@ class TestCorruptBytes:
     """Every single-byte corruption of a container reads, or raises
     ContainerFormatError, and allocates about what a clean read does."""
 
-    @pytest.mark.parametrize("reader", [read_container, read_omcf])
+    @pytest.mark.parametrize("reader", [lambda p: list(iter_container(p)), read_omcf])
     def test_every_byte_at_three_values(self, tmp_path, reader):
         rng = np.random.default_rng(30)
         path = tmp_path / "x.omcf"
@@ -363,7 +363,7 @@ class TestContainerArrays:
         frames = [random_frame(rng, i + 1) for i in range(2)]
         path = tmp_path / "x.omcf"
         write_container(frames, path)
-        arrays = [a for fc in read_container(path) for a in fc.tensors().values()]
+        arrays = [a for fc in iter_container(path) for a in fc.tensors().values()]
         assert all(a.flags.writeable and a.flags.owndata for a in arrays)
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
@@ -379,7 +379,7 @@ class TestContainerArrays:
         frame.prob[1, 1, 0] = 1.5
         path = tmp_path / "x.omcf"
         write_omcf(path, [frame.tensors()])
-        (back,) = read_container(path)
+        (back,) = list(iter_container(path))
         with pytest.raises(ValueError, match="non-finite"):
             back.validate()
 
@@ -454,6 +454,16 @@ class TestMotText:
         path.write_text(f"1,-1,10,20,30,40,0.9\n{row}\n")
         with pytest.raises(MotParseError, match=f"line 2: .*{fault}"):
             read_mot_boxes(path)
+
+    def test_short_row_rejected_and_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("1,-1,10,20,30,40,0.9\n\n   \n2,-1,10,20,30,40\n")
+        with pytest.raises(MotParseError) as err:
+            read_mot_boxes(path)
+        assert str(err.value) == "line 4: expected at least 7 comma-separated fields, got 6"
+        assert err.value.line == 4
+        path.write_text("1,-1,10,20,30,40,0.9\n\n2,-1,10,20,30,40,0.9\n")
+        assert [b.frame for b in read_mot_boxes(path)] == [1, 2]
 
     def test_integral_float_frame_and_id_accepted(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -646,7 +656,7 @@ class TestLazyFeat:
         reads = self.count_reads(monkeypatch)
         frames = list(frame_io.iter_container(path))
         for fc in frames:
-            fc.check_format()
+            fc.validate(())
             repr(fc)
         # Header bytes come in the same reads; count only the payloads' bytes.
         data = path.read_bytes()
@@ -693,7 +703,7 @@ class TestLazyFeat:
 
     def test_feat_reads_the_written_values_once(self, tmp_path, monkeypatch):
         written, path = self.write(tmp_path)
-        frames = read_container(path)
+        frames = list(iter_container(path))
         reads = self.count_reads(monkeypatch)
         for fc, want in zip(frames, written):
             assert np.array_equal(fc.feat, want.feat)
@@ -702,7 +712,7 @@ class TestLazyFeat:
 
     def test_assigned_feat_replaces_the_unread_payload(self, tmp_path, monkeypatch):
         _, path = self.write(tmp_path, frames=1)
-        (fc,) = read_container(path)
+        (fc,) = list(iter_container(path))
         feat = fc.held()["feat"]
         reads = self.count_reads(monkeypatch)
         fc.feat = np.zeros((6, 5, 24), dtype=np.float32)
@@ -713,7 +723,7 @@ class TestLazyFeat:
 
     def test_file_cut_after_iteration_fails_on_access(self, tmp_path):
         written, path = self.write(tmp_path, frames=2)
-        frames = read_container(path)
+        frames = list(iter_container(path))
         data = path.read_bytes()
         start = data.index(written[1].feat.tobytes())
         path.write_bytes(data[: start + 10])
@@ -730,7 +740,7 @@ class TestLazyFeat:
         write_omcf(path, [tensors])
         reads = self.count_reads(monkeypatch)
         with pytest.raises(ContainerFormatError, match="frame 1: tensor spatial sizes differ"):
-            read_container(path)
+            list(iter_container(path))
         assert reads == []
 
 
@@ -757,7 +767,7 @@ class TestStreamedEmbed:
     @pytest.mark.parametrize("reader", ["whole", "search", "readout"])
     def test_file_cut_after_iteration_fails_on_read(self, tmp_path, reader):
         written, path = self.write(tmp_path)
-        frames = read_container(path)
+        frames = list(iter_container(path))
         data = path.read_bytes()
         start = data.index(written[1].embed.tobytes())
         path.write_bytes(data[: start + 10])
@@ -771,7 +781,7 @@ class TestStreamedEmbed:
 
     def test_bypass_tracking_leaves_embed_unread(self, tmp_path):
         written, path = self.write(tmp_path, frames=4)
-        frames = read_container(path)
+        frames = list(iter_container(path))
         rows, _ = track_sequence(frames)
         assert rows
         assert all(isinstance(fc.held()["embed"], frame_io.Payload) for fc in frames)
@@ -876,7 +886,7 @@ class TestLaidOutFrames:
         tensors[1] = {name: tensors[1][name] for name in ("feat", "boxes", "embed", "prob")}
         path = tmp_path / "x.omcf"
         write_omcf(path, tensors)
-        for fc, want in zip(read_container(path), frames, strict=True):
+        for fc, want in zip(list(iter_container(path)), frames, strict=True):
             for name in frame_io.REQUIRED_TENSORS:
                 assert np.array_equal(getattr(fc, name), getattr(want, name))
 
@@ -892,7 +902,7 @@ class TestLaidOutFrames:
         walk = frame_io._walk_frame
         monkeypatch.setattr(frame_io, "_walk_frame",
                             lambda *args: walks.append(1) or walk(*args))
-        for fc, want in zip(read_container(path), frames, strict=True):
+        for fc, want in zip(list(iter_container(path)), frames, strict=True):
             for name in frame_io.REQUIRED_TENSORS:
                 assert np.array_equal(getattr(fc, name), getattr(want, name))
         assert len(walks) == 1

@@ -11,7 +11,7 @@ identities and every clutter seed 153 to 175.
 import pytest
 
 from omctrack.association import PipelineConfig, TrackerConfig, track_sequence
-from omctrack.metrics import clear_mot
+from omctrack.metrics import evaluate
 from omctrack.synth import ScenarioConfig, generate
 
 WORLDS = {
@@ -33,7 +33,7 @@ def test_identities_follow_targets(world, seed):
     assert identities <= 2 * cfg.num_targets
     if world == "desk":
         detector_rows, _ = track_sequence(frames, PipelineConfig(recheck_enabled=False))
-        gain = clear_mot(gt, rows)[3] - clear_mot(gt, detector_rows)[3]
+        gain = evaluate(gt, rows).mota - evaluate(gt, detector_rows).mota
         assert gain >= 0.15
 
 
@@ -41,7 +41,7 @@ def test_clutter_mota():
     # Measured 0.978; ghost identities took it to -11.578.
     frames, gt, _ = generate(ScenarioConfig(seed=0, **WORLDS["clutter"]))
     rows, _ = track_sequence(frames, PipelineConfig())
-    assert clear_mot(gt, rows)[3] >= 0.9
+    assert evaluate(gt, rows).mota >= 0.9
 
 
 # Measured 7 and 12 identities at alpha 0, 6 and 10 at 0.5; seed 7 at alpha

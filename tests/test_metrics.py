@@ -21,7 +21,7 @@ from omctrack.frame_io import (
     write_container,
     write_mot_results,
 )
-from omctrack.metrics import EvalReport, clear_mot, evaluate, idf1, mt_ml, row_iou
+from omctrack.metrics import EvalReport, evaluate, row_iou
 from omctrack.synth import ScenarioConfig, generate
 
 
@@ -172,46 +172,57 @@ def idf1_bijection_oracle(gt, pred, iou_thr=0.5):
     return 2.0 * best / (len(gt) + len(pred))
 
 
+def clear_fields(gt, pred, iou_thr=metrics.DEFAULT_GATE_IOU):
+    """(fp, fn, idsw, mota) of `evaluate`'s report."""
+    r = evaluate(gt, pred, iou_thr)
+    return r.fp, r.fn, r.idsw, r.mota
+
+
+def mt_ml_fields(gt, pred):
+    """(mt_ratio, ml_ratio) of `evaluate`'s report."""
+    r = evaluate(gt, pred)
+    return r.mt_ratio, r.ml_ratio
+
+
 class TestClearMot:
     def test_perfect_tracking(self):
         gt, _ = toy_swap_sequence()
-        fp, fn, idsw, mota = clear_mot(gt, list(gt))
+        fp, fn, idsw, mota = clear_fields(gt, list(gt))
         assert (fp, fn, idsw, mota) == (0, 0, 0, 1.0)
 
     def test_empty_predictions(self):
         gt, _ = toy_swap_sequence()
-        fp, fn, idsw, mota = clear_mot(gt, [])
+        fp, fn, idsw, mota = clear_fields(gt, [])
         assert (fp, fn, idsw) == (0, len(gt), 0)
         assert mota == 0.0
 
     def test_toy_swap_hand_values(self):
         gt, pred = toy_swap_sequence()
-        fp, fn, idsw, mota = clear_mot(gt, pred)
+        fp, fn, idsw, mota = clear_fields(gt, pred)
         assert (fp, fn, idsw) == (0, 0, 2)
         assert abs(mota - 0.8) < 1e-12
 
     def test_pure_false_positives(self):
         gt, _ = toy_swap_sequence()
         pred = list(gt) + [row(f, 9, x=500) for f in range(1, 6)]
-        fp, fn, idsw, mota = clear_mot(gt, pred)
+        fp, fn, idsw, mota = clear_fields(gt, pred)
         assert (fp, fn, idsw) == (5, 0, 0)
         assert abs(mota - 0.5) < 1e-12
 
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
-            clear_mot([], [row(1, 1, x=0)])
+            evaluate([], [row(1, 1, x=0)])
 
     @pytest.mark.parametrize("gate", [0.0, -5.0, 1.5, math.nan])
-    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
-    def test_gate_outside_unit_interval_rejected(self, metric, gate):
+    def test_gate_outside_unit_interval_rejected(self, gate):
         # A prediction 500 px from its only gt box, which a gate of 0 would match.
         with pytest.raises(ValueError, match=r"IOU gate must lie in \(0, 1\]"):
-            metric([row(1, 1, x=0)], [row(1, 1, x=500)], iou_thr=gate)
+            evaluate([row(1, 1, x=0)], [row(1, 1, x=500)], iou_thr=gate)
 
     def test_gate_of_one_matches_equal_boxes_only(self):
         gt = [row(1, 1, x=0)]
-        assert clear_mot(gt, [row(1, 1, x=0)], iou_thr=1.0)[:3] == (0, 0, 0)
-        assert clear_mot(gt, [row(1, 1, x=1)], iou_thr=1.0)[:3] == (1, 1, 0)
+        assert clear_fields(gt, [row(1, 1, x=0)], iou_thr=1.0)[:3] == (0, 0, 0)
+        assert clear_fields(gt, [row(1, 1, x=1)], iou_thr=1.0)[:3] == (1, 1, 0)
 
     def test_correspondence_inertia(self):
         # two predictions both overlap the single gt; the one matched first
@@ -220,29 +231,29 @@ class TestClearMot:
         pred = [row(1, 7, x=1)]
         pred += [row(f, 7, x=2) for f in range(2, 4)]
         pred += [row(f, 8, x=0.5) for f in range(2, 4)]
-        fp, fn, idsw, _ = clear_mot(gt, pred)
+        fp, fn, idsw, _ = clear_fields(gt, pred)
         assert idsw == 0
         assert fp == 2  # id 8 never acquires the target
 
     def test_reappearance_with_new_id_counts_switch(self):
         gt = [row(f, 1, x=0) for f in (1, 2, 5, 6)]
         pred = [row(f, 4, x=0) for f in (1, 2)] + [row(f, 5, x=0) for f in (5, 6)]
-        _, _, idsw, _ = clear_mot(gt, pred)
+        _, _, idsw, _ = clear_fields(gt, pred)
         assert idsw == 1
 
 
 class TestIdf1:
     def test_perfect(self):
         gt, _ = toy_swap_sequence()
-        assert idf1(gt, list(gt)) == 1.0
+        assert evaluate(gt, list(gt)).idf1 == 1.0
 
     def test_empty_pred(self):
         gt, _ = toy_swap_sequence()
-        assert idf1(gt, []) == 0.0
+        assert evaluate(gt, []).idf1 == 0.0
 
     def test_toy_swap_matches_bijection_oracle(self):
         gt, pred = toy_swap_sequence()
-        value = idf1(gt, pred)
+        value = evaluate(gt, pred).idf1
         assert abs(value - idf1_bijection_oracle(gt, pred)) < 1e-12
         assert abs(value - 0.6) < 1e-12
 
@@ -256,7 +267,7 @@ class TestIdf1:
                 for pid in range(1, int(rng.integers(2, 5))):
                     slot = int(rng.integers(1, 5))
                     pred.append(row(f, pid, x=40 * slot + rng.uniform(-1, 1)))
-            got = idf1(gt, pred)
+            got = evaluate(gt, pred).idf1
             want = idf1_bijection_oracle(gt, pred)
             assert abs(got - want) < 1e-12
 
@@ -264,24 +275,24 @@ class TestIdf1:
 class TestMtMl:
     def test_fully_tracked(self):
         gt, _ = toy_swap_sequence()
-        assert mt_ml(gt, list(gt)) == (1.0, 0.0)
+        assert mt_ml_fields(gt, list(gt)) == (1.0, 0.0)
 
     def test_empty_pred(self):
         gt, _ = toy_swap_sequence()
-        assert mt_ml(gt, []) == (0.0, 1.0)
+        assert mt_ml_fields(gt, []) == (0.0, 1.0)
 
     def test_half_coverage_counts_neither(self):
         gt = [row(f, 1, x=0) for f in range(1, 11)]
         pred = [row(f, 1, x=0) for f in range(1, 6)]
-        mt, ml = mt_ml(gt, pred)
+        mt, ml = mt_ml_fields(gt, pred)
         assert (mt, ml) == (0.0, 0.0)
 
     def test_boundaries_inclusive(self):
         gt = [row(f, 1, x=0) for f in range(1, 11)]
         pred8 = [row(f, 1, x=0) for f in range(1, 9)]     # exactly 80%
-        assert mt_ml(gt, pred8)[0] == 1.0
+        assert mt_ml_fields(gt, pred8)[0] == 1.0
         pred2 = [row(f, 1, x=0) for f in range(1, 3)]     # exactly 20%
-        assert mt_ml(gt, pred2)[1] == 1.0
+        assert mt_ml_fields(gt, pred2)[1] == 1.0
 
 
 # Small worlds: few frames, ids and positions, so boxes overlap, gate and
@@ -349,24 +360,21 @@ class TestRepeatedKeys:
     PRED = [row(1, 7, x=0), row(1, 7, x=300)]
 
     @pytest.mark.parametrize("order", [1, -1], ids=["near_first", "far_first"])
-    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
-    def test_repeated_prediction_raises(self, metric, order):
+    def test_repeated_prediction_raises(self, order):
         with pytest.raises(ValueError, match="^predictions: frame 1 holds id 7 more than once$"):
-            metric(self.GT, self.PRED[::order])
+            evaluate(self.GT, self.PRED[::order])
 
-    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
-    def test_repeated_ground_truth_raises(self, metric):
+    def test_repeated_ground_truth_raises(self):
         gt = [row(1, 1, x=0), row(2, 1, x=0), row(2, 1, x=300)]
         with pytest.raises(ValueError, match="^ground truth: frame 2 holds id 1 more than once$"):
-            metric(gt, [row(1, 1, x=0)])
+            evaluate(gt, [row(1, 1, x=0)])
 
 
 class TestOneWalk:
-    """One metrics call walks the sequence once: one input check, one
-    `row_iou` matrix a frame, whichever metrics it reports."""
+    """One `evaluate` call walks the sequence once: one input check, one
+    `row_iou` matrix a frame, for every figure it reports."""
 
-    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
-    def test_one_protocol_one_check_one_matrix_a_frame(self, metric, monkeypatch):
+    def test_one_protocol_one_check_one_matrix_a_frame(self, monkeypatch):
         gt, pred = toy_swap_sequence()
         calls = {"_protocol": 0, "_check_inputs": 0, "row_iou": 0}
         for name in calls:
@@ -374,21 +382,20 @@ class TestOneWalk:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(metrics, name, counted)
-        metric(gt, pred)
+        evaluate(gt, pred)
         frames = len({b.frame for b in gt + pred})
         assert calls == {"_protocol": 1, "_check_inputs": 1, "row_iou": frames}
 
-    @pytest.mark.parametrize("metric", [clear_mot, mt_ml, idf1, evaluate])
-    def test_empty_ground_truth_names_no_single_metric(self, metric):
+    def test_empty_ground_truth_names_no_single_metric(self):
         with pytest.raises(ValueError, match="^ground truth is empty; the metrics are undefined$"):
-            metric([], [row(1, 1, x=0)])
+            evaluate([], [row(1, 1, x=0)])
 
 
 class TestReportMtMl:
     @given(mot_rows.filter(bool), mot_rows)
-    def test_evaluate_ratios_equal_mt_ml(self, gt, pred):
-        report = evaluate(gt, pred)
-        assert (report.mt_ratio, report.ml_ratio) == mt_ml(gt, pred)
+    def test_evaluate_ratios_equal_oracle_ratios(self, gt, pred):
+        *_, matched_frames = protocol_oracle(gt, pred, metrics.DEFAULT_GATE_IOU)
+        assert mt_ml_fields(gt, pred) == metrics._mt_ml_ratios(gt, matched_frames)
 
 
 class TestRelabelingInvariance:
@@ -399,14 +406,12 @@ class TestRelabelingInvariance:
                    conf=b.conf)
             for b in pred
         ]
-        assert clear_mot(gt, pred) == clear_mot(gt, relabeled)
-        assert idf1(gt, pred) == idf1(gt, relabeled)
-        assert mt_ml(gt, pred) == mt_ml(gt, relabeled)
+        assert evaluate(gt, pred) == evaluate(gt, relabeled)
 
     def test_report_assembles_consistent_fields(self):
         gt, pred = toy_swap_sequence()
         report = evaluate(gt, pred, restored_count=4)
-        fp, fn, idsw, mota = clear_mot(gt, pred)
+        fp, fn, idsw, mota = clear_fields(gt, pred)
         assert (report.fp, report.fn, report.idsw) == (fp, fn, idsw)
         assert report.mota == mota
         assert report.gt_count == len(gt)

@@ -17,7 +17,7 @@ from omctrack.frame_io import (
     ContainerFormatError,
     FrameContainer,
     Payload,
-    read_container,
+    iter_container,
     write_container,
     write_omcf,
 )
@@ -311,9 +311,10 @@ class TestShrinkMask:
         m = np.zeros((3, 4), dtype=np.float32)
         assert shrink_mask(m, math.inf).sum() == 12
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            shrink_mask(np.zeros((2, 2), dtype=np.float32), -1)
+    @pytest.mark.parametrize("r", [-1, -math.inf, math.nan])
+    def test_negative_radius_rejected(self, r):
+        with pytest.raises(ValueError, match=f"shrink radius must be >= 0, got {r}"):
+            shrink_mask(np.zeros((2, 2), dtype=np.float32), r)
 
     def test_argmax_tie_breaks_row_major(self):
         m = np.zeros((5, 5), dtype=np.float32)
@@ -412,9 +413,10 @@ class TestAggregateWindowedSum:
                 windowed[y, x] += stack[i, y, x]
             assert np.array_equal(got, windowed.astype(np.float32))
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError, match="radius"):
-            aggregate(np.zeros((1, 3, 3), dtype=np.float32), -1)
+    @pytest.mark.parametrize("r", [-1, -math.inf, math.nan])
+    def test_negative_radius_rejected(self, r):
+        with pytest.raises(ValueError, match=f"shrink radius must be >= 0, got {r}"):
+            aggregate(np.zeros((1, 3, 3), dtype=np.float32), r)
 
 
 def tiny_weights(rng, mid=6, head=5, feat=4, zero=False):
@@ -435,20 +437,20 @@ class TestRefine:
     def test_bypass_preserves_masked_peak(self):
         m_s = np.zeros((5, 5), dtype=np.float32)
         m_s[2, 3] = 1.0
-        out = refine(m_s, np.zeros((5, 5, 4), dtype=np.float32), RefineWeights())
+        out = refine(m_s, np.zeros((5, 5, 4), dtype=np.float32), None)
         assert out[2, 3] == 1.0
         assert out.max() == 1.0
 
     def test_bypass_clamps(self):
         m_s = np.array([[-0.5, 0.25], [1.5, 0.75]], dtype=np.float32)
-        out = refine(m_s, np.zeros((2, 2, 4), dtype=np.float32), RefineWeights())
+        out = refine(m_s, np.zeros((2, 2, 4), dtype=np.float32), None)
         assert np.array_equal(out, np.array([[0.0, 0.25], [1.0, 0.75]], dtype=np.float32))
 
     def test_bypass_preserves_argmax_below_one(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             m_s = rng.uniform(-1.0, 1.0, size=(7, 9)).astype(np.float32)
-            out = refine(m_s, np.zeros((7, 9, 4), dtype=np.float32), RefineWeights())
+            out = refine(m_s, np.zeros((7, 9, 4), dtype=np.float32), None)
             assert np.argmax(out) == np.argmax(m_s)
 
     def test_all_zero_weights_give_half(self):
@@ -495,7 +497,18 @@ class TestRefine:
 
     def test_bypass_reads_no_feature(self):
         m_s = np.array([[0.5]], dtype=np.float32)
-        assert refine(m_s, None, RefineWeights())[0, 0] == 0.5
+        assert refine(m_s, None, None)[0, 0] == 0.5
+
+    @pytest.mark.parametrize("m_s_shape, f_t_shape, learned, message", [
+        ((6, 5, 1), (6, 5, 4), False, "aggregated map must be 2-d, got shape (6, 5, 1)"),
+        ((30,), (6, 5, 4), True, "aggregated map must be 2-d, got shape (30,)"),
+        ((6, 5), (6, 5, 3), True, "head1 expects 4 channels, visual feature has 3"),
+    ])
+    def test_shape_refusals(self, m_s_shape, f_t_shape, learned, message):
+        weights = tiny_weights(np.random.default_rng(9), feat=4) if learned else None
+        with pytest.raises(ValueError) as err:
+            refine(np.zeros(m_s_shape, np.float32), np.zeros(f_t_shape, np.float32), weights)
+        assert str(err.value) == message
 
     def test_feature_size_mismatch_rejected(self):
         rng = np.random.default_rng(9)
@@ -504,23 +517,23 @@ class TestRefine:
             refine(np.zeros((4, 4), dtype=np.float32),
                    np.zeros((5, 5, 4), dtype=np.float32), w)
 
-    def test_mode_follows_the_weights_held(self):
-        assert RefineWeights().mode == "bypass"
-        assert tiny_weights(np.random.default_rng(10)).mode == "learned"
-        with pytest.raises(AttributeError):
-            RefineWeights().mode = "learned"
+    def test_weights_hold_no_mode(self):
+        # "No learned head" is weights=None, not a mode of some weights.
+        assert not hasattr(tiny_weights(np.random.default_rng(10)), "mode")
         with pytest.raises(TypeError, match="mode"):
             RefineWeights(mode="bypass")
 
     def test_incomplete_weights_rejected(self):
         w = tiny_weights(np.random.default_rng(10))
-        with pytest.raises(ValueError, match=r"requires weights \['conv1.b', 'conv2.w', "
-                                             r"'conv2.b', 'head1.w', 'head1.b', 'head2.w', "
-                                             r"'head2.b'\]"):
+        with pytest.raises(TypeError, match=r"missing 7 required positional arguments: "
+                                            r"'conv1_b', 'conv2_w', 'conv2_b', 'head1_w', "
+                                            r"'head1_b', 'head2_w', and 'head2_b'"):
             RefineWeights(conv1_w=w.conv1_w)
-        with pytest.raises(ValueError, match=r"requires weights \['head2.b'\]"):
+        with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'head2_b'"):
             RefineWeights(**{name: getattr(w, name) for name in (
                 "conv1_w", "conv1_b", "conv2_w", "conv2_b", "head1_w", "head1_b", "head2_w")})
+        with pytest.raises(TypeError, match="missing 8 required positional arguments"):
+            RefineWeights()
 
     def test_chain_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
@@ -555,7 +568,7 @@ class TestRefine:
             "head2.w": w.head2_w, "head2.b": w.head2_b,
         }])
         loaded = RefineWeights.load(path)
-        assert loaded.mode == "learned"
+        assert isinstance(loaded, RefineWeights)
         assert np.array_equal(loaded.conv1_w, w.conv1_w)
 
     def test_load_missing_tensor(self, tmp_path):
@@ -652,7 +665,7 @@ class TestContainerSearch:
             grid, np.zeros((h, w, 2), np.float32),
         )
         write_omcf(tmp_path / "x.omcf", [frame.tensors()])  # values unchecked
-        (back,) = read_container(tmp_path / "x.omcf")
+        (back,) = iter_container(tmp_path / "x.omcf")
         assert isinstance(back.held()["embed"], Payload)
         return back
 
@@ -720,7 +733,7 @@ class TestContainerSearch:
                              dropout_prob=0.0, seed=11, embed_dim=32, feat_dim=8)
         path = tmp_path / "w.omcf"
         write_container(generate(cfg)[0], path)
-        frames = read_container(path)
+        frames = list(iter_container(path))
         # Frame 2's last value, far from every target: only the search reads it.
         last = frames[1].held()["embed"]
         with open(path, "r+b") as f:

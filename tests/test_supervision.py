@@ -27,40 +27,38 @@ def fd_gradient(m_p, target, n, step=1e-4):
 
 class TestGaussianTarget:
     def test_center_cell_is_one(self):
-        sup = gaussian_target([(4.3, 2.7)], [(3.0, 3.0)], 8, 8)
-        assert sup.grid[2, 4] == 1.0
-        assert sup.centers == [(4, 2)]
+        grid = gaussian_target([(4.3, 2.7)], [(3.0, 3.0)], 8, 8)
+        assert grid[2, 4] == 1.0
+        assert np.unravel_index(grid.argmax(), grid.shape) == (2, 4)
 
     def test_unit_sigma_neighbor_value(self):
-        sup = gaussian_target([(4.0, 4.0)], [(6.0, 6.0)], 9, 9)
-        assert abs(sup.sigmas[0] - 1.0) < 1e-12
-        assert abs(sup.grid[4, 5] - math.exp(-0.5)) < 1e-6
-        assert abs(sup.grid[5, 4] - math.exp(-0.5)) < 1e-6
+        grid = gaussian_target([(4.0, 4.0)], [(6.0, 6.0)], 9, 9)
+        assert abs(size_adaptive_sigma(6.0, 6.0) - 1.0) < 1e-12
+        assert abs(grid[4, 5] - math.exp(-0.5)) < 1e-6
+        assert abs(grid[5, 4] - math.exp(-0.5)) < 1e-6
 
     def test_sigma_capped_for_huge_boxes(self):
         assert size_adaptive_sigma(60.0, 60.0) == 1.0
-        sup = gaussian_target([(10.0, 10.0)], [(60.0, 60.0)], 20, 20)
-        assert sup.sigmas == [1.0]
+        grid = gaussian_target([(10.0, 10.0)], [(60.0, 60.0)], 20, 20)
+        assert abs(grid[10, 11] - math.exp(-0.5)) < 1e-6
 
     def test_sigma_floor(self):
         assert size_adaptive_sigma(0.1, 0.1) == 0.1
 
     def test_empty_targets_zero_grid(self):
-        sup = gaussian_target([], [], 5, 7)
-        assert sup.grid.shape == (5, 7)
-        assert np.all(sup.grid == 0.0)
+        grid = gaussian_target([], [], 5, 7)
+        assert grid.shape == (5, 7) and grid.dtype == np.float32
+        assert np.all(grid == 0.0)
 
     def test_values_clamped_to_unit_interval(self):
         centers = [(3.0, 3.0), (3.6, 3.4), (4.0, 3.0)]
         sizes = [(6.0, 6.0)] * 3
-        sup = gaussian_target(centers, sizes, 8, 8)
-        assert sup.grid.max() <= 1.0
-        assert sup.grid.min() >= 0.0
+        grid = gaussian_target(centers, sizes, 8, 8)
+        assert grid.max() <= 1.0
+        assert grid.min() >= 0.0
 
     def test_radially_non_increasing(self):
-        sup = gaussian_target([(6.0, 6.0)], [(5.0, 5.0)], 13, 13)
-        center = np.array([6, 6])
-        values = sup.grid
+        values = gaussian_target([(6.0, 6.0)], [(5.0, 5.0)], 13, 13)
         for r in range(13):
             for c in range(13):
                 d = np.hypot(r - 6, c - 6)
@@ -140,7 +138,7 @@ class TestLossGradient:
                        for _ in range(n)]
             sizes = [(float(rng.uniform(1, 8)), float(rng.uniform(1, 8)))
                      for _ in range(n)]
-            target = gaussian_target(centers, sizes, 16, 16).grid
+            target = gaussian_target(centers, sizes, 16, 16)
             m_p = rng.uniform(0.01, 0.99, size=(16, 16))
             grad = loss_gradient(m_p, target, n)
             fd = fd_gradient(m_p, target, n)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.frame_io import MotBox, write_container
-from omctrack.metrics import clear_mot, evaluate
+from omctrack.metrics import evaluate
 from omctrack.recheck import EmbeddingSet, cross_correlate
 from omctrack import synth
 from omctrack.synth import (
@@ -175,8 +175,8 @@ class TestGenerate:
 
     def test_gt_self_evaluates_perfect(self):
         _, gt, _ = generate(small())
-        fp, fn, idsw, mota = clear_mot(gt, list(gt))
-        assert (fp, fn, idsw, mota) == (0, 0, 0, 1.0)
+        r = evaluate(gt, list(gt))
+        assert (r.fp, r.fn, r.idsw, r.mota) == (0, 0, 0, 1.0)
 
     def test_embedding_grid_is_unit_and_bounded(self):
         cfg = small(clutter_similarity=0.3)

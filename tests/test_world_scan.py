@@ -20,7 +20,7 @@ import random
 import pytest
 
 from omctrack.association import PipelineConfig, TrackerConfig, track_sequence
-from omctrack.metrics import clear_mot
+from omctrack.metrics import evaluate
 from omctrack.synth import ScenarioConfig, generate
 
 WORLD_COUNT = 80
@@ -72,7 +72,7 @@ def test_identities_and_gain(cfg, alpha):
     detector_rows, detector = track_sequence(frames, PipelineConfig(recheck_enabled=False),
                                              TrackerConfig(embedding_momentum=alpha))
     identities, detector_identities = tracker.next_id - 1, detector.next_id - 1
-    gain = clear_mot(gt, rows)[3] - clear_mot(gt, detector_rows)[3]
+    gain = evaluate(gt, rows).mota - evaluate(gt, detector_rows).mota
     world = f"{cfg!r}, alpha={alpha}"
     assert identities <= max(2 * cfg.num_targets, detector_identities), (
         f"{identities} identities on {world}")
