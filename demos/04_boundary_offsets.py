@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from omctrack.detection import DEFAULT_H_SCALE, decode_offset_bar, decode_offset_sigmoid
+from omctrack.detection import DEFAULT_H_SCALE, decode_offset_bar
+from omctrack.numerics import sigmoid
+
+
+def decode_offset_sigmoid(raw):
+    """The plain decoder: sigmoid squashes each offset into (0, 1) cells."""
+    return sigmoid(raw[0]), sigmoid(raw[1])
+
 
 h_scale = DEFAULT_H_SCALE
 raw_sweep = np.linspace(-50, 50, 4001)

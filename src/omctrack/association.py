@@ -55,12 +55,7 @@ from .frame_io import FrameContainer, MotBox, Payload, mot_box_fault
 from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
-from .numerics import (
-    FrameValueError,
-    as_grid,
-    l2_normalize_grid,
-    normalize_cells,
-)
+from .numerics import FrameValueError, l2_normalize_grid, normalize_cells
 from .recheck import (
     DEFAULT_SHRINK_RADIUS,
     EmbeddingSet,
@@ -169,7 +164,7 @@ def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSe
     FrameValueError.
     """
     unread = isinstance(embed, Payload)
-    grid = embed if unread else as_grid(embed, name="embed")
+    grid = embed if unread else np.asarray(embed)
     h, w = grid.shape[:2]
     cols = np.minimum(np.maximum(np.floor(boxes.cx), 0), w - 1).astype(np.intp)
     rows = np.minimum(np.maximum(np.floor(boxes.cy), 0), h - 1).astype(np.intp)
@@ -234,9 +229,6 @@ def associate(
     leaves both a tracklet and a box open; otherwise it could match
     nothing.
     """
-    if sims.shape != (len(live), len(boxes)):
-        raise ValueError(f"similarity matrix of shape {sims.shape} for "
-                         f"{len(live)} tracklets and {len(boxes)} boxes")
     matches: list[tuple[int, int]] = []
     ids = live.ids.tolist()
     open_rows = list(range(len(ids)))
@@ -368,14 +360,16 @@ class Tracker:
         public_dets, when given, must hold this frame's rows only, each a
         well-formed box (`mot_box_fault`); they replace the detector's boxes.
         A row of another frame, or a malformed row, raises ValueError naming
-        the frame before any tracklet changes. A frame's values are checked
-        where they are read: prob (finite, within [0, 1]) and boxes (finite)
-        up front, the decoded sizes (finite, positive) by the decode, embed by
-        the embedding search and by the readout cells, feat by learned
-        refinement only. A bad value raises FrameValueError; the frame then
-        logs a warning, ages every tracklet by one miss and emits no rows.
-        Tracklet state changes only after every value has been read, and any
-        other exception propagates.
+        the frame before any tracklet changes, and so does a frame whose
+        format is bad (`FrameContainer.validate`) or whose embed has another
+        channel count than the live tracklets' embeddings. A frame's values
+        are checked where they are read: prob (finite, within [0, 1]) and
+        boxes (finite) up front, the decoded sizes (finite, positive) by the
+        decode, embed by the embedding search and by the readout cells, feat
+        by learned refinement only. A bad value raises FrameValueError; the
+        frame then logs a warning, ages every tracklet by one miss and emits
+        no rows. Tracklet state changes only after every value has been
+        read, and any other exception propagates.
 
         Association's IOU fallback runs only when its embedding stage
         leaves both a tracklet and a box open. The rows, matched boxes
@@ -451,10 +445,13 @@ class Tracker:
         three run (`_fused_detections`).
 
         Each value is read and checked once. `FrameContainer.validate`
-        checks prob and boxes before anything reads them. A container
-        frame's unread `embed` is read block by block by the search, when
-        tracklets propagate, and cell by cell by the readout; the frame
-        keeps holding the unread payload.
+        checks the frame's format, prob and boxes before anything reads
+        them; the kernels trust those checks. The one shape no frame can
+        check alone, embed's channel count against the live tracklets'
+        embeddings, is checked here, with or without the re-check. A
+        container frame's unread `embed` is read block by block by the
+        search, when tracklets propagate, and cell by cell by the readout;
+        the frame keeps holding the unread payload.
         """
         p = self.pipeline
         frame.validate(("prob", "boxes"))
@@ -463,6 +460,10 @@ class Tracker:
         # The search and the readout read embed from whatever the frame
         # holds; the frame keeps holding a container's grid unread.
         embed = frame.held()["embed"]
+        dim = self.live.emb.vectors.shape[1]
+        if len(self.live) and embed.shape[2] != dim:
+            raise ValueError(f"frame {frame.frame_index}: tensor 'embed' has {embed.shape[2]} "
+                             f"channels, but the live tracklets' embeddings have {dim}")
         m_p = None
         if p.recheck_enabled and len(self.live):
             stack = cross_correlate(self.live.emb, embed)

@@ -4,9 +4,8 @@ Boxes live on the feature grid: centers and sizes are measured in cells,
 with the anchor of each prediction at its cell center (col + 0.5,
 row + 0.5). `decode_boxes` decodes offsets with the boundary-aware decoder
 (bar), which reaches up to half its scale parameter from the anchor, so
-truncated targets at the image edge remain representable. The legacy
-sigmoid decoder, which confines centers to one cell, is kept as
-`decode_offset_sigmoid` for comparison; the tracker never calls it.
+truncated targets at the image edge remain representable; a plain sigmoid
+offset would confine centers to one cell.
 
 Box sets are `Boxes`, one array per field; `Box` is the record for one box.
 Every overlap decision, from NMS to the metrics, reads one pairwise IOU
@@ -18,7 +17,6 @@ NMS passes and its fusion vote all read one table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ from .numerics import FrameValueError, sigmoid
 __all__ = [
     "Box",
     "Boxes",
-    "decode_offset_sigmoid",
     "decode_offset_bar",
     "decode_boxes",
     "iou",
@@ -124,20 +121,12 @@ class Boxes:
         return cls(*([getattr(b, name) for b in boxes] for name in _FIELDS))
 
 
-def decode_offset_sigmoid(raw):
-    """Legacy offset decode: sigmoid squashes each component into (0, 1).
-
-    raw is a (dx, dy) pair of scalars or of arrays; so is the result.
-    """
-    return (sigmoid(raw[0]), sigmoid(raw[1]))
-
-
 def decode_offset_bar(raw, h_scale: float):
     """Boundary-aware offset decode: (sigmoid(raw) - 0.5) * h_scale.
 
     Ranges over (-h_scale/2, h_scale/2) per axis and is exactly zero at
-    raw = 0, so centers beyond a single cell stay representable. Pairs as
-    in decode_offset_sigmoid.
+    raw = 0, so centers beyond a single cell stay representable. raw is a
+    (dx, dy) pair of scalars or of arrays; so is the result.
     """
     return (
         (sigmoid(raw[0]) - 0.5) * h_scale,
@@ -161,7 +150,9 @@ def decode_boxes(
     prob : (H, W, 1) foreground probability map (box scores)
     raw : (H, W, 4) regression values (raw_dx, raw_dy, raw_logw, raw_logh)
     h_scale : offset scale of the boundary-aware decoder, finite and positive
+        (`PipelineConfig` checks it)
     cells : ascending row-major cell indices to decode, or None for all
+        (`Tracker._match` takes them from `np.flatnonzero`)
 
     Returns one box per decoded cell, in row-major order: all H*W cells,
     or only those in cells. The tracker passes the cells that some score
@@ -171,28 +162,15 @@ def decode_boxes(
     whose width or height is not finite and positive (a finite raw
     log-size can overflow to inf or underflow to 0) raises
     FrameValueError naming boxes. The values are not read beyond the
-    decoded cells, nor otherwise checked: `FrameContainer.validate`
-    checks a frame's prob and boxes once, before the tracker decodes them.
+    decoded cells, nor otherwise checked, and neither are the shapes:
+    `FrameContainer.validate` checks a frame's format, prob and boxes once,
+    before the tracker decodes them.
     """
-    prob = np.asarray(prob)
-    raw = np.asarray(raw)
-    if prob.ndim != 3 or prob.shape[2] != 1:
-        raise ValueError(f"prob must have shape (H, W, 1), got {prob.shape}")
-    if raw.ndim != 3 or raw.shape[2] != 4:
-        raise ValueError(f"boxes must have shape (H, W, 4), got {raw.shape}")
-    if prob.shape[:2] != raw.shape[:2]:
-        raise ValueError(
-            f"prob and boxes grids differ: {prob.shape[:2]} vs {raw.shape[:2]}"
-        )
-    if not 0.0 < h_scale < math.inf:
-        raise ValueError(f"h_scale must be finite and positive, got {h_scale}")
-
     height, width = prob.shape[:2]
     flat_raw, scores = raw.reshape(-1, 4), prob.reshape(-1)
     if cells is None:
         cells = np.arange(height * width)
     else:
-        cells = _check_cells(cells, height * width)
         flat_raw, scores = flat_raw[cells], scores[cells]
     raw64 = flat_raw.astype(np.float64)
     pair = (raw64[:, 0], raw64[:, 1])
@@ -210,19 +188,6 @@ def decode_boxes(
         h=h,
         score=scores.astype(np.float64),
     )
-
-
-def _check_cells(cells, count: int) -> np.ndarray:
-    """cells as an intp array, if they ascend strictly within [0, count)."""
-    cells = np.asarray(cells)
-    if cells.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    if cells.ndim != 1 or cells.dtype.kind not in "iu":
-        raise ValueError(f"cells must be a 1-d integer array, got {cells.dtype} {cells.shape}")
-    cells = cells.astype(np.intp, copy=False)
-    if cells[0] < 0 or cells[-1] >= count or (cells[1:] <= cells[:-1]).any():
-        raise ValueError(f"cells must ascend strictly within [0, {count})")
-    return cells
 
 
 def _edge_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

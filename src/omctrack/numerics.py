@@ -43,7 +43,6 @@ __all__ = [
     "BLOCK_CELLS",
     "FrameValueError",
     "check_finite",
-    "as_grid",
     "grid_row_blocks",
     "conv3x3_forward",
     "sigmoid",
@@ -71,14 +70,6 @@ class FrameValueError(ValueError):
     outside [0, 1]. Tracker.step counts such a frame as all-miss and lets
     every other exception propagate.
     """
-
-
-def as_grid(g, name: str = "grid") -> np.ndarray:
-    """Return an (H, W, C) array as an ndarray; its values are not read."""
-    g = np.asarray(g)
-    if g.ndim != 3:
-        raise ValueError(f"{name} must have shape (H, W, C), got {g.shape}")
-    return g
 
 
 def grid_row_blocks(g: np.ndarray) -> Iterator[slice]:
@@ -117,23 +108,15 @@ def conv3x3_forward(x, kernel, bias) -> np.ndarray:
     kernel : (Cout, Cin, 3, 3) weights
     bias : (Cout,) per-channel bias
 
-    Returns an (H, W, Cout) float32 grid with the same spatial size.
+    Returns an (H, W, Cout) float32 grid with the same spatial size. The
+    shapes are not checked: `RefineWeights` checks that its kernels and
+    biases chain, and `refine` that head1 takes the visual feature's
+    channels.
     """
-    x = as_grid(x, name="input")
+    x = np.asarray(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
-        raise ValueError(
-            f"kernel must have shape (Cout, Cin, 3, 3), got {kernel.shape}"
-        )
     cout, cin = kernel.shape[:2]
-    if cin != x.shape[2]:
-        raise ValueError(
-            f"kernel expects {cin} input channels, grid has {x.shape[2]}"
-        )
-    if bias.shape != (cout,):
-        raise ValueError(f"bias must have shape ({cout},), got {bias.shape}")
-
     h, w = x.shape[:2]
     padded = np.zeros((h + 2, w + 2, cin), dtype=np.float64)
     padded[1:-1, 1:-1] = x
@@ -193,7 +176,7 @@ def l2_normalize_grid(g) -> np.ndarray:
     Works one row block at a time (`normalize_cells`) into a single float32
     output. Raises FrameValueError when a value is not finite.
     """
-    g = as_grid(g)
+    g = np.asarray(g)
     out = np.empty(g.shape, dtype=np.float32)
     for rows in grid_row_blocks(g):
         out[rows] = normalize_cells(g[rows])

@@ -35,7 +35,6 @@ from .detection import Boxes, greedy_nms
 from .frame_io import Payload, read_omcf
 from .numerics import (
     NORM_EPS,
-    as_grid,
     check_finite,
     conv3x3_forward,
     normalize_cells,
@@ -46,7 +45,6 @@ __all__ = [
     "EmbeddingSet",
     "RefineWeights",
     "cross_correlate",
-    "shrink_mask",
     "aggregate",
     "refine",
     "transductive_detections",
@@ -180,18 +178,15 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     float32 squares overflow. This is where embed's values are checked;
     with no templates they are not read. A payload cut short raises
     ContainerFormatError naming the tensor. Returns an (n, H, W) stack,
-    float32 for a float32 grid.
+    float32 for a float32 grid. The templates' dimension must be the
+    grid's channel count, which `Tracker._match` checks.
     """
     unread = isinstance(embed, Payload)
-    grid = embed if unread else as_grid(embed, name="embed")
+    grid = embed if unread else np.asarray(embed)
     h, w, c = grid.shape
     n = len(e_set)
     if n == 0:
         return np.zeros((0, h, w), dtype=np.float32)
-    if e_set.vectors.shape[1] != c:
-        raise ValueError(
-            f"embedding dim {e_set.vectors.shape[1]} != grid channels {c}"
-        )
     source = grid if unread else grid.reshape(-1, c)
     blocks = list(_search_blocks(h * w, c))
     responses = np.empty((n, h * w), np.result_type(e_set.vectors, grid.dtype))
@@ -271,30 +266,12 @@ def _peak_windows(stack: np.ndarray, r: float) -> list[tuple[slice, slice]]:
     return windows
 
 
-def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
-    """Binary window of half-width r around the peak of a response map.
-
-    The peak is the first row-major occurrence of the maximum. r may be
-    math.inf, which keeps the whole map (shrinking disabled); a negative
-    r, -inf and NaN raise ValueError.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"response map must be 2-d, got shape {m.shape}")
-    mask = np.zeros(m.shape, dtype=np.float32)
-    mask[_peak_windows(m[None], r)[0]] = 1.0
-    return mask
-
-
 def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
-    """Sum of per-target response maps, each masked around its own peak.
+    """Sum of an (n, H, W) stack's response maps, each masked around its own peak.
 
-    Each map's window (`shrink_mask`) is added straight into one float64
+    Each map's window (`_peak_windows`) is added straight into one float64
     sum; for finite maps this equals adding the masked maps.
     """
-    stack = np.asarray(stack)
-    if stack.ndim != 3:
-        raise ValueError(f"stack must have shape (n, H, W), got {stack.shape}")
     out = np.zeros(stack.shape[1:], dtype=np.float64)
     for m, window in zip(stack, _peak_windows(stack, r)):
         out[window] += m[window]
@@ -376,19 +353,14 @@ def refine(m_s: np.ndarray, f_t: np.ndarray | None,
     applied to f_t and the result passes through a sigmoid, so values
     always land in (0, 1). A non-finite value in f_t, or a finite f_t that
     overflows the head to a non-finite value before the sigmoid, raises
-    FrameValueError.
+    FrameValueError. m_s and f_t share one frame's grid size, which
+    `FrameContainer.validate` checks.
     """
     m_s = np.asarray(m_s, dtype=np.float32)
-    if m_s.ndim != 2:
-        raise ValueError(f"aggregated map must be 2-d, got shape {m_s.shape}")
     if weights is None:
         return np.clip(m_s, 0.0, 1.0)
 
-    f_t = as_grid(np.asarray(f_t, dtype=np.float32), name="f_t")
-    if f_t.shape[:2] != m_s.shape:
-        raise ValueError(
-            f"visual feature size {f_t.shape[:2]} != map size {m_s.shape}"
-        )
+    f_t = np.asarray(f_t, dtype=np.float32)
     if f_t.shape[2] != weights.head1_w.shape[1]:
         raise ValueError(
             f"head1 expects {weights.head1_w.shape[1]} channels, "
@@ -425,16 +397,10 @@ def transductive_detections(
     score-descending by those map values, as greedy_nms does; overlap is
     iou(boxes, boxes) when the caller holds it. Only cells whose m_p value
     is at or above score_thr can give a detection, so the tracker decodes
-    no cell below it; any cell left out of cells gives none.
+    no cell below it; any cell left out of cells gives none. m_p, boxes
+    and cells are not checked against each other: `Tracker._match` builds
+    all three from one frame.
     """
-    m_p = np.asarray(m_p)
-    if m_p.ndim != 2:
-        raise ValueError(f"m_p must be 2-d, got shape {m_p.shape}")
-    cells = np.asarray(cells, dtype=np.intp)
-    if len(boxes) != len(cells):
-        raise ValueError(f"box count {len(boxes)} != cell count {len(cells)}")
-    if len(cells) and not (0 <= cells.min() and cells.max() < m_p.size):
-        raise ValueError(f"cells must lie within the map's {m_p.size} cells")
     rescored = Boxes(boxes.cx, boxes.cy, boxes.w, boxes.h, m_p.reshape(-1)[cells],
                      boxes.restored)
     return greedy_nms(rescored, score_thr, iou_thr, overlap)

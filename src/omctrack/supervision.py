@@ -9,7 +9,9 @@ cells as foreground and everything else as weighted background:
 
 with m clamped to [eps, 1 - eps] before the logarithms. The analytic
 gradient is provided for finite-difference verification; actually training
-a network is out of scope here.
+a network is out of scope here. The arguments are not checked: the one
+caller, `omctrack gradcheck`, builds each of them (equal-length target
+lists with centers inside the grid, maps of the target's shape, n >= 0).
 """
 
 from __future__ import annotations
@@ -48,43 +50,27 @@ def gaussian_target(
     The grid is the clamped sum of one Gaussian per target, of spread
     `size_adaptive_sigma` of its size. centers are (cx, cy) in cell units
     and round down to the cell that contains them (cell k spans [k, k+1));
-    each rounded center cell carries an exact 1. An empty target list
-    yields the all-zero grid.
+    each rounded center cell carries an exact 1, so every center must lie
+    inside the grid. An empty target list yields the all-zero grid.
     """
-    if len(centers) != len(sizes):
-        raise ValueError("centers and sizes must have equal length")
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
     total = np.zeros((height, width), dtype=np.float64)
     for (cx, cy), (w, h) in zip(centers, sizes):
         col = int(math.floor(cx))
         row = int(math.floor(cy))
-        if not (0 <= col < width and 0 <= row < height):
-            raise ValueError(
-                f"center ({cx}, {cy}) falls outside the {height}x{width} grid"
-            )
         sigma = size_adaptive_sigma(w, h)
         d2 = (xs - col)[None, :] ** 2 + (ys - row)[:, None] ** 2
         total += np.exp(-d2 / (2.0 * sigma * sigma))
     return np.clip(total, 0.0, 1.0).astype(np.float32)
 
 
-def _check_shapes(m_p, target):
-    m = np.asarray(m_p, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if m.shape != t.shape:
-        raise ValueError(f"prediction shape {m.shape} != target shape {t.shape}")
-    return m, t
-
-
 def logistic_mse_loss(m_p, target, n: int, eps: float = LOSS_EPS) -> float:
     """Non-negative scalar loss, normalized by target count n (0 for n=0)."""
-    if n < 0:
-        raise ValueError(f"target count must be >= 0, got {n}")
-    m, t = _check_shapes(m_p, target)
     if n == 0:
         return 0.0
-    m = np.clip(m, eps, 1.0 - eps)
+    m = np.clip(np.asarray(m_p, dtype=np.float64), eps, 1.0 - eps)
+    t = np.asarray(target, dtype=np.float64)
     pos = t == 1.0
     terms = np.where(pos, (1.0 - m) * np.log(m), (1.0 - t) * m * np.log1p(-m))
     return float(-terms.sum() / n)
@@ -96,11 +82,10 @@ def loss_gradient(m_p, target, n: int, eps: float = LOSS_EPS) -> np.ndarray:
     Cells whose raw prediction sits outside the clamp interval contribute
     nothing to the loss under perturbation, so their gradient is zero.
     """
-    if n < 0:
-        raise ValueError(f"target count must be >= 0, got {n}")
-    raw, t = _check_shapes(m_p, target)
+    raw = np.asarray(m_p, dtype=np.float64)
     if n == 0:
         return np.zeros_like(raw)
+    t = np.asarray(target, dtype=np.float64)
     m = np.clip(raw, eps, 1.0 - eps)
     pos = t == 1.0
     grad_pos = (np.log(m) - (1.0 - m) / m) / n

@@ -15,13 +15,14 @@ import pytest
 
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.cli import main
-from omctrack.detection import decode_offset_bar, decode_offset_sigmoid
+from omctrack.detection import decode_offset_bar
 from omctrack.frame_io import FrameContainer, iter_container, write_container
 from omctrack.metrics import evaluate
-from omctrack.recheck import EmbeddingSet, cross_correlate, shrink_mask
+from omctrack.recheck import EmbeddingSet, cross_correlate
 from omctrack.supervision import gaussian_target, logistic_mse_loss, loss_gradient
 from omctrack.synth import ScenarioConfig, generate, restoration_report
 
+from oracles import decode_offset_sigmoid, shrink_mask
 from test_metrics import idf1_bijection_oracle, toy_swap_sequence
 
 

@@ -263,11 +263,6 @@ class TestAssociate:
         assert matches == []
         assert un_t == [3] and un_b == [0]
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"shape \(0, 0\) for 0 tracklets and 1 boxes"):
-            associate(table([]), Boxes.of([Box(cx=0, cy=0, w=1, h=1, score=1)]),
-                      np.zeros((0, 0)), TrackerConfig())
-
     def test_matches_sorted_pairs_oracle(self):
         rng = np.random.default_rng(2)
         # tracklet boxes are far from candidate boxes, so stage 2 never fires
@@ -617,7 +612,10 @@ class TestPipelineConfig:
             PipelineConfig(fusion_epsilon=1.5)
 
     @pytest.mark.parametrize("field, value, message", [
+        ("h_scale", 0.0, "h_scale must be finite and positive, got 0.0"),
+        ("h_scale", -1.0, "h_scale must be finite and positive, got -1.0"),
         ("h_scale", math.inf, "h_scale must be finite and positive, got inf"),
+        ("h_scale", math.nan, "h_scale must be finite and positive, got nan"),
         ("score_thr", -0.1, "score_thr must lie in [0, 1], got -0.1"),
         ("nms_iou_thr", math.nan, "nms_iou_thr must lie in [0, 1], got nan"),
         ("shrink_radius", -1.0, "shrink_radius must be >= 0 or inf"),
@@ -878,6 +876,25 @@ class TestTrackerStep:
             refused += len(open_basic) - len(born)
         assert live_frames == len(frames) - 1
         assert refused >= min_refused
+
+
+class TestEmbedChannelsAtTheBoundary:
+    """The one shape no single frame proves: embed's channels against the tracklets'."""
+
+    @pytest.mark.parametrize("recheck", [True, False])
+    def test_other_channel_count_names_the_frame_and_embed(self, recheck):
+        frames, _, _ = generate(small_scenario(frames=2, embed_dim=512))
+        tracker = Tracker(PipelineConfig(recheck_enabled=recheck))
+        assert tracker.step(frames[0])
+        before = (tracker.live.ids.copy(), tracker.live.misses.copy(), tracker.next_id)
+        frames[1].embed = frames[1].embed[:, :, :256].copy()
+        with pytest.raises(ValueError) as err:
+            tracker.step(frames[1])
+        assert str(err.value) == ("frame 2: tensor 'embed' has 256 channels, but the live "
+                                  "tracklets' embeddings have 512")
+        assert np.array_equal(tracker.live.ids, before[0])
+        assert np.array_equal(tracker.live.misses, before[1])
+        assert tracker.next_id == before[2]
 
 
 @st.composite

@@ -969,6 +969,15 @@ class TestGradcheckCommand:
         assert code == 1
         assert "usage error" in err
 
+    def test_wrong_gradient_fails_the_check(self, capsys, monkeypatch):
+        right = cli.loss_gradient
+        monkeypatch.setattr(cli, "loss_gradient",
+                            lambda m_p, target, n: 2.0 * right(m_p, target, n))
+        code, out, err = run(capsys, "gradcheck", "--instances", "1")
+        assert code == 3
+        assert parse_kv(out)["status"] == "fail"
+        assert err.startswith("check failed: gradient check failed: max_rel_err=")
+
 
 class TestParserBehaviour:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -1007,6 +1016,15 @@ class TestParserBehaviour:
                              "--gt", str(tmp_path / "gt.txt"), "--grid", "20")
         assert (code, out) == (1, "")
         assert err == "usage error: argument --grid: must look like 20x20, got '20'\n"
+
+    @pytest.mark.parametrize("flag, value, form", [("--grid", "axb", "20x20"),
+                                                   ("--speed", "a:b", "LO:HI")])
+    def test_pair_of_non_numbers_is_usage_error(self, tmp_path, capsys, flag, value, form):
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "x.omcf"),
+                             "--gt", str(tmp_path / "gt.txt"), flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument {flag}: must look like {form}, got '{value}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config_is_usage_error(self, scenario, tmp_path, capsys):
         results = tmp_path / "r.txt"

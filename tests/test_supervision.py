@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from omctrack.supervision import (
     gaussian_target,
@@ -67,10 +66,6 @@ class TestGaussianTarget:
                         if np.hypot(r2 - 6, c2 - 6) <= d:
                             assert values[r2, c2] >= values[r, c] - 1e-7
 
-    def test_center_outside_grid_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            gaussian_target([(9.5, 2.0)], [(2.0, 2.0)], 8, 8)
-
 
 class TestLogisticMseLoss:
     def test_hand_case_two_ln_two(self):
@@ -96,10 +91,6 @@ class TestLogisticMseLoss:
 
     def test_zero_targets_zero_loss(self):
         assert logistic_mse_loss(np.full((3, 3), 0.5), np.zeros((3, 3)), 0) == 0.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            logistic_mse_loss(np.zeros((2, 2)), np.zeros((3, 3)), 1)
 
     def test_non_negative_on_random_inputs(self):
         rng = np.random.default_rng(1)
