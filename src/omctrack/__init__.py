@@ -7,16 +7,16 @@ own output through an IOU vote, and associates the fused set into
 identity-consistent tracks. One `Tracker.step` a frame runs it all.
 
 The package exports what a user needs to run and score the tracker
-(`__all__`): the tracker and its configs, the refinement weights, the frame
-container and MOT readers and writers with their errors, the scorer, and
-the synthetic world with its restoration report. The pipeline's kernels
+(`__all__`): the tracker and its one config, the refinement weights, the
+frame container and MOT readers and writers with their errors, the
+scorer, and the synthetic world with its restoration report. The pipeline's kernels
 and their types are imported from their modules, e.g.
 `from omctrack.detection import iou`; they trust the checks the tracker
 makes where a frame enters (`FrameContainer.validate`, the config classes,
 `Tracker._match`).
 """
 
-from .association import PipelineConfig, Tracker, TrackerConfig, track_sequence
+from .association import PipelineConfig, Tracker, track_sequence
 from .frame_io import (
     ContainerFormatError,
     FrameContainer,
@@ -34,7 +34,6 @@ from .synth import ScenarioConfig, generate, iter_generate, restoration_report
 
 __all__ = [
     "Tracker",
-    "TrackerConfig",
     "PipelineConfig",
     "track_sequence",
     "RefineWeights",

@@ -19,7 +19,8 @@ The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
 score threshold keeps, build basic detections (or ingest public ones),
 fuse the transductive detections back in, associate, and emit result rows
-in pixel units, built from the fused boxes' arrays. The search reads
+in pixel units, built from the fused boxes' arrays. One `PipelineConfig`
+holds every setting the step and its kernels read. The search reads
 `embed` from whatever the frame holds, a container's grid block by block,
 and the readout reads the fused boxes' centre cells. When the base NMS,
 the transductive NMS and the fusion vote all run over the decoded boxes,
@@ -41,23 +42,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import detection
-from .detection import (
-    Boxes,
-    DEFAULT_H_SCALE,
-    DEFAULT_IOU_THR,
-    DEFAULT_SCORE_THR,
-    DEFAULT_STRIDE,
-    decode_boxes,
-    greedy_nms,
-    iou,
-)
+from .detection import Boxes, DEFAULT_H_SCALE, DEFAULT_STRIDE, decode_boxes, greedy_nms, iou
 from .frame_io import FrameContainer, MotBox, Payload, mot_box_fault
 from .fusion import fuse
 # l2_normalize_grid is unused here but stays bound: perfbench's tracer wraps
 # every stage name this module binds, that one included.
 from .numerics import FrameValueError, l2_normalize_grid, normalize_cells
 from .recheck import (
-    DEFAULT_SHRINK_RADIUS,
     EmbeddingSet,
     RefineWeights,
     aggregate,
@@ -68,7 +59,6 @@ from .recheck import (
 
 __all__ = [
     "TrackletTable",
-    "TrackerConfig",
     "PipelineConfig",
     "Tracker",
     "extract_embeddings",
@@ -104,8 +94,9 @@ class TrackletTable:
 
 
 @dataclass
-class TrackerConfig:
-    """Association and lifecycle settings.
+class PipelineConfig:
+    """The tracker's settings, each with its one default, shared by the CLI
+    and the test harness.
 
     retention_frames: consecutive misses before a tracklet is removed.
     embedding_momentum: alpha of the one embedding update, f <- alpha * f
@@ -113,38 +104,23 @@ class TrackerConfig:
     takes each match's.
     """
 
+    h_scale: float = DEFAULT_H_SCALE
+    score_thr: float = 0.5
+    nms_iou_thr: float = 0.45
+    fusion_epsilon: float = 0.5
+    shrink_radius: float = 3       # math.inf = no shrink
+    stride: int = DEFAULT_STRIDE
+    recheck_enabled: bool = True
     retention_frames: int = 30
     embedding_momentum: float = 0.9
     emb_match_thr: float = 0.6
     iou_match_thr: float = 0.5
 
     def __post_init__(self):
-        if self.retention_frames < 1:
-            raise ValueError("retention_frames must be >= 1")
-        if not 0.0 <= self.embedding_momentum <= 1.0:
-            raise ValueError("embedding_momentum must lie in [0, 1]")
-        for name in ("emb_match_thr", "iou_match_thr"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-@dataclass
-class PipelineConfig:
-    """Per-frame pipeline settings shared by the CLI and the test harness."""
-
-    h_scale: float = DEFAULT_H_SCALE
-    score_thr: float = DEFAULT_SCORE_THR
-    nms_iou_thr: float = DEFAULT_IOU_THR
-    fusion_epsilon: float = 0.5
-    shrink_radius: float = DEFAULT_SHRINK_RADIUS       # math.inf = no shrink
-    stride: int = DEFAULT_STRIDE
-    recheck_enabled: bool = True
-
-    def __post_init__(self):
         if not 0.0 < self.h_scale < math.inf:
             raise ValueError(f"h_scale must be finite and positive, got {self.h_scale}")
-        for name in ("score_thr", "nms_iou_thr", "fusion_epsilon"):
+        for name in ("score_thr", "nms_iou_thr", "fusion_epsilon", "emb_match_thr",
+                     "iou_match_thr"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -152,6 +128,10 @@ class PipelineConfig:
             raise ValueError("shrink_radius must be >= 0 or inf")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        if self.retention_frames < 1:
+            raise ValueError("retention_frames must be >= 1")
+        if not 0.0 <= self.embedding_momentum <= 1.0:
+            raise ValueError("embedding_momentum must lie in [0, 1]")
 
 
 def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSet:
@@ -216,7 +196,7 @@ def associate(
     live: TrackletTable,
     boxes: Boxes,
     sims: np.ndarray,
-    cfg: TrackerConfig,
+    cfg: PipelineConfig,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage greedy matching of the live tracklets to candidate boxes.
 
@@ -252,7 +232,7 @@ def update_tracklets(
     matches: list[tuple[int, int]],
     boxes: Boxes,
     e_set: EmbeddingSet,
-    cfg: TrackerConfig,
+    cfg: PipelineConfig,
     next_id: int,
     born: list[int],
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -327,8 +307,9 @@ def _mot_rows(frame_index: int, ids: list[int], boxes: Boxes,
 class Tracker:
     """Stateful per-sequence tracker; one instance per video sequence.
 
-    Holds the live tracklets as one table (`live`), the monotone id
-    counter and running counts. weights are the learned refinement head,
+    Holds its one config (`pipeline`; None gives `PipelineConfig()`), the
+    live tracklets as one table (`live`), the monotone id counter and
+    running counts. weights are the learned refinement head,
     or None for none: refinement then clamps the aggregate and no frame's
     feat is read. step() consumes one FrameContainer and returns the MOT
     rows emitted for that frame. Distinct sequences need distinct
@@ -338,11 +319,9 @@ class Tracker:
     def __init__(
         self,
         pipeline: PipelineConfig | None = None,
-        tracker_cfg: TrackerConfig | None = None,
         weights: RefineWeights | None = None,
     ):
         self.pipeline = pipeline or PipelineConfig()
-        self.cfg = tracker_cfg or TrackerConfig()
         self.weights = weights
         self.live = TrackletTable(np.zeros(0, dtype=np.int64), EmbeddingSet.empty(0),
                                   Boxes.of([]), np.zeros(0, dtype=np.int64))
@@ -388,11 +367,11 @@ class Tracker:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
             update_tracklets(self.live, [], Boxes.of([]), EmbeddingSet.empty(0),
-                             self.cfg, self.next_id, [])
+                             self.pipeline, self.next_id, [])
             return []
 
         _, new_ids, self.next_id = update_tracklets(
-            self.live, matches, d_final, e_set, self.cfg, self.next_id, born,
+            self.live, matches, d_final, e_set, self.pipeline, self.next_id, born,
         )
         ids = [tid for tid, _ in matches] + new_ids.tolist()
         cells = np.array([j for _, j in matches] + born, dtype=np.intp)
@@ -489,7 +468,7 @@ class Tracker:
         # never held a row has no channel count yet.
         live_rows = self.live.emb.vectors if len(self.live) else e_set.vectors[:0]
         sims = live_rows.astype(np.float64) @ e_set.vectors.astype(np.float64).T
-        matches, _, unmatched_boxes = associate(self.live, d_final, sims, self.cfg)
+        matches, _, unmatched_boxes = associate(self.live, d_final, sims, p)
 
         # Birth rule: a box founds a tracklet when it is unmatched, novel and
         # not restored. Restored boxes repair tracklets and never start one.
@@ -497,7 +476,7 @@ class Tracker:
         # whose embedding duplicates a live identity (overlap readout,
         # propagation leftovers) would otherwise found a twin tracklet, twin
         # response maps stack past the score threshold, and ghosts snowball.
-        novel = (sims < self.cfg.emb_match_thr).all(axis=0)
+        novel = (sims < p.emb_match_thr).all(axis=0)
         spawnable = [j for j in unmatched_boxes if novel[j] and not d_final.restored[j]]
         if public_mode and spawnable:
             # Under the public protocol a box must also not be near a box
@@ -544,7 +523,6 @@ def _fused_detections(
 def track_sequence(
     frames,
     pipeline: PipelineConfig | None = None,
-    tracker_cfg: TrackerConfig | None = None,
     weights: RefineWeights | None = None,
     public_dets: list[MotBox] | None = None,
 ) -> tuple[list[MotBox], Tracker]:
@@ -554,6 +532,6 @@ def track_sequence(
     row of a frame the sequence does not hold raises ValueError
     (`Tracker.run`).
     """
-    tracker = Tracker(pipeline, tracker_cfg, weights)
+    tracker = Tracker(pipeline, weights)
     rows = [row for frame_rows in tracker.run(frames, public_dets) for row in frame_rows]
     return rows, tracker

@@ -43,11 +43,14 @@ disable_recheck takes true or false. A key takes effect as its flag would,
 below explicit flags and above the defaults. Any other key, or a value the
 flag refuses, is a usage error (exit 1) naming the file, the line and the
 key; so is a key given twice, naming both lines. Tracking and scenario
-defaults are those of the config dataclass fields that the flag tables
-below name, and each field is set by one flag only (--radius inf, or
-none, turns the shrink window off). sweep refuses, as a usage error, the
-flag or key that sets what the swept parameter sets on every run:
---epsilon under --param epsilon, --radius under --param r.
+defaults are those of the config dataclass fields (PipelineConfig,
+ScenarioConfig) that the flag tables below name, and each field is set
+by one flag only (--radius inf, or none, turns the shrink window off).
+A flag of those tables that neither the command line nor --config sets
+is absent from the parsed arguments, and its field keeps its default.
+sweep refuses, as a usage error, the flag or key that sets what the
+swept parameter sets on every run, whatever its value: --epsilon under
+--param epsilon, --radius under --param r.
 """
 
 from __future__ import annotations
@@ -66,12 +69,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .association import (
-    PipelineConfig,
-    Tracker,
-    TrackerConfig,
-    track_sequence,
-)
+from .association import PipelineConfig, Tracker, track_sequence
 from .frame_io import (
     MotBox,
     _replacing,
@@ -183,33 +181,22 @@ class _Parser(argparse.ArgumentParser):
                 raise UsageError(f"{where}: {key}: {exc}") from exc
         self.set_defaults(**values)
 
-    def given(self, parse: Callable[[], argparse.Namespace]) -> set[str]:
-        """Dests of the optional flags that the command line or --config sets.
-
-        parse() parses the command line again while every flag's own
-        default is suppressed; a --config key applied before is a default
-        of the parser, not of the flag, so it still lands.
-        """
-        flags = self._flags()
-        saved = [(a, a.default) for a in flags.values()]
-        for a, _ in saved:
-            a.default = argparse.SUPPRESS
-        try:
-            return set(vars(parse())) & flags.keys()
-        finally:
-            for a, default in saved:
-                a.default = default
-
     def _flags(self) -> dict[str, argparse.Action]:
         """The optional flags a --config key may set, by dest."""
         return {a.dest: a for a in self._actions if a.option_strings
                 and not a.required and a.dest not in ("help", "config")}
 
 
-def _add_flag(p: _Parser, flag: str, default, help: str, **kwargs) -> None:
-    """Add --flag whose help ends in its default."""
+def _add_flag(p: _Parser, flag: str, default, help: str, suppress: bool = False,
+              **kwargs) -> None:
+    """Add --flag whose help ends in its default.
+
+    With suppress, the flag is absent from the parsed namespace unless the
+    command line or a --config key sets it.
+    """
     shown = f"{default:g}" if isinstance(default, float) else default
-    p.add_argument(f"--{flag}", default=default, help=f"{help} (default {shown})", **kwargs)
+    p.add_argument(f"--{flag}", default=argparse.SUPPRESS if suppress else default,
+                   help=f"{help} (default {shown})", **kwargs)
 
 
 def _field_default(owner, name: str):
@@ -231,17 +218,17 @@ _TRACKING_FLAGS = (
     _Flag("radius", PipelineConfig, "shrink_radius", _parse_radius,
           "response shrink radius in cells, 'inf' disables"),
     _Flag("hscale", PipelineConfig, "h_scale", float, "boundary-aware offset scale"),
-    _Flag("k", TrackerConfig, "retention_frames", int,
+    _Flag("k", PipelineConfig, "retention_frames", int,
           "frames a tracklet survives without a match"),
-    _Flag("alpha", TrackerConfig, "embedding_momentum", float,
+    _Flag("alpha", PipelineConfig, "embedding_momentum", float,
           "weight of a tracklet's embedding against each match's; "
           "1 freezes it, 0 replaces it"),
     _Flag("stride", PipelineConfig, "stride", int, "pixels per feature cell"),
     _Flag("score-thr", PipelineConfig, "score_thr", float, "detection keep threshold"),
     _Flag("iou-thr", PipelineConfig, "nms_iou_thr", float, "NMS suppression threshold"),
-    _Flag("emb-match-thr", TrackerConfig, "emb_match_thr", float,
+    _Flag("emb-match-thr", PipelineConfig, "emb_match_thr", float,
           "min cosine similarity for association"),
-    _Flag("iou-match-thr", TrackerConfig, "iou_match_thr", float,
+    _Flag("iou-match-thr", PipelineConfig, "iou_match_thr", float,
           "min IOU for fallback association"),
 )
 
@@ -267,13 +254,17 @@ _GEOMETRY_FLAGS = (
 
 def _add_flags(p: _Parser, flags: tuple[_Flag, ...]) -> None:
     for f in flags:
-        _add_flag(p, f.flag, _field_default(f.owner, f.field), f.help, type=f.parse)
+        _add_flag(p, f.flag, _field_default(f.owner, f.field), f.help, suppress=True,
+                  type=f.parse)
 
 
 def _fill(owner, args, flags: tuple[_Flag, ...], **fixed):
-    """An owner whose fields come from the flags that set them, then fixed."""
-    values = {f.field: getattr(args, f.flag.replace("-", "_"))
-              for f in flags if f.owner is owner}
+    """An owner whose fields come from the flags set, then fixed.
+
+    A field whose flag is unset keeps its dataclass default.
+    """
+    dests = {f.field: f.flag.replace("-", "_") for f in flags if f.owner is owner}
+    values = {field: getattr(args, dest) for field, dest in dests.items() if dest in args}
     try:
         return owner(**{**values, **fixed})
     except ValueError as exc:
@@ -301,10 +292,8 @@ def _add_scenario_flags(p: _Parser) -> None:
               "target box size range in cells as LO:HI", type=in_range)
 
 
-def _build_configs(args) -> tuple[PipelineConfig, TrackerConfig]:
-    pipeline = _fill(PipelineConfig, args, _TRACKING_FLAGS,
-                     recheck_enabled=not args.disable_recheck)
-    return pipeline, _fill(TrackerConfig, args, _TRACKING_FLAGS)
+def _build_pipeline(args) -> PipelineConfig:
+    return _fill(PipelineConfig, args, _TRACKING_FLAGS, recheck_enabled=not args.disable_recheck)
 
 
 def _build_scenario(args) -> ScenarioConfig:
@@ -327,11 +316,11 @@ def _load_weights(args) -> RefineWeights | None:
 
 
 def _cmd_track(args) -> int:
-    pipeline, tracker_cfg = _build_configs(args)
+    pipeline = _build_pipeline(args)
     weights = _load_weights(args)
     public = None if args.public is None else read_mot_boxes(args.public)
 
-    tracker = Tracker(pipeline, tracker_cfg, weights)
+    tracker = Tracker(pipeline, weights)
     frames = 0
     failure = None
     started = time.perf_counter()
@@ -405,7 +394,7 @@ _SWEEP_PARAMS = {param: next(f for f in _TRACKING_FLAGS if f.flag == flag)
 
 def _cmd_sweep(args) -> int:
     swept = _SWEEP_PARAMS[args.param]
-    if swept.flag.replace("-", "_") in args.given:
+    if swept.flag.replace("-", "_") in args:
         raise UsageError(f"--{swept.flag} conflicts with --param {args.param}, "
                          f"which sets {swept.field} on every run")
     try:
@@ -416,7 +405,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--values is empty")
 
     scenario = _build_scenario(args)
-    pipeline, tracker_cfg = _build_configs(args)
+    pipeline = _build_pipeline(args)
     try:
         pipelines = [dataclasses.replace(pipeline, **{swept.field: v}) for v in values]
     except ValueError as exc:
@@ -426,7 +415,7 @@ def _cmd_sweep(args) -> int:
 
     results = []
     for value, run_pipeline in zip(values, pipelines):
-        rows, tracker = track_sequence(frames, run_pipeline, tracker_cfg, weights)
+        rows, tracker = track_sequence(frames, run_pipeline, weights)
         report = evaluate(gt, rows, restored_count=tracker.restored_emitted)
         results.append((value, report))
 
@@ -646,11 +635,9 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        command = commands[args.command]
         if args.config:
-            command.apply_config_file(args.config)
+            commands[args.command].apply_config_file(args.config)
             args = parser.parse_args(argv)
-        args.given = command.given(lambda: parser.parse_args(argv))
         _check_paths(args)
         with _one_blas_thread():
             return args.func(args)

@@ -30,14 +30,10 @@ __all__ = [
     "decode_boxes",
     "iou",
     "greedy_nms",
-    "DEFAULT_SCORE_THR",
-    "DEFAULT_IOU_THR",
     "DEFAULT_H_SCALE",
     "DEFAULT_STRIDE",
 ]
 
-DEFAULT_SCORE_THR = 0.5
-DEFAULT_IOU_THR = 0.45
 DEFAULT_H_SCALE = 10.0  # boundary-aware offset scale, in cells
 DEFAULT_STRIDE = 8  # pixels per grid cell
 # Candidates per greedy_nms block. The tracker's candidate sets (cells at or
@@ -236,8 +232,8 @@ def iou(a: Boxes, b: Boxes) -> np.ndarray:
 
 def greedy_nms(
     boxes: Boxes,
-    score_thr: float = DEFAULT_SCORE_THR,
-    iou_thr: float = DEFAULT_IOU_THR,
+    score_thr: float,
+    iou_thr: float,
     overlap: np.ndarray | None = None,
 ) -> np.ndarray:
     """Threshold by score, then greedily keep maxima and drop overlaps.

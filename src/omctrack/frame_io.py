@@ -248,10 +248,15 @@ def _read_exact(f, n: int, what: str, size: int) -> bytes:
 
 class _OmcfFile:
     """An open OMCF file, closed once its header walk and every unread
-    payload that refers to it are gone."""
+    payload that refers to it are gone.
+
+    The file is unbuffered, so a header walk reads the bytes the file holds
+    when it reads them: a buffer filled by an earlier walk would hold bytes
+    a file cut short since no longer has.
+    """
 
     def __init__(self, path):
-        self.f = open(path, "rb")
+        self.f = open(path, "rb", buffering=0)
         weakref.finalize(self, self.f.close)
 
 

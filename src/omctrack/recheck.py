@@ -50,8 +50,6 @@ __all__ = [
     "transductive_detections",
 ]
 
-DEFAULT_SHRINK_RADIUS = 3
-
 # Values (cells x channels) in one block of the embedding search: 4 MiB of
 # float32, 2048 cells at C = 512, so a block read from a container is still
 # in cache when its norms and product use it. On 152x272x512 grids, near-

@@ -11,7 +11,6 @@ from omctrack import association, detection
 from omctrack.association import (
     PipelineConfig,
     Tracker,
-    TrackerConfig,
     TrackletTable,
     associate,
     extract_embeddings,
@@ -244,7 +243,7 @@ class TestAssociate:
         trk = [tracklet(7, e)]
         boxes = Boxes.of([Box(cx=9, cy=9, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([e]))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == [(7, 0)]
         assert un_t == [] and un_b == []
 
@@ -252,21 +251,21 @@ class TestAssociate:
         trk = [tracklet(3, basis_vec(0), cx=5, cy=5)]
         boxes = Boxes.of([Box(cx=5.1, cy=5.0, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == [(3, 0)]
 
     def test_below_both_thresholds_unmatched(self):
         trk = [tracklet(3, basis_vec(0), cx=0, cy=0)]
         boxes = Boxes.of([Box(cx=30, cy=30, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(1)]))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == []
         assert un_t == [3] and un_b == [0]
 
     def test_matches_sorted_pairs_oracle(self):
         rng = np.random.default_rng(2)
         # tracklet boxes are far from candidate boxes, so stage 2 never fires
-        cfg = TrackerConfig(emb_match_thr=0.3, iou_match_thr=1.0)
+        cfg = PipelineConfig(emb_match_thr=0.3, iou_match_thr=1.0)
         for trial in range(30):
             n = 5 if trial % 2 else 6
             sims = rng.uniform(-1, 1, size=(n, n))
@@ -304,7 +303,7 @@ class TestAssociate:
         boxes = Boxes.of([Box(cx=rng.uniform(0, 10), cy=rng.uniform(0, 10),
                               w=2, h=2, score=1.0) for _ in range(5)])
         es = EmbeddingSet(vecs[[0, 0, 1, 2, 5]].astype(np.float32))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         tids = [t for t, _ in matches]
         cols = [j for _, j in matches]
         assert len(set(tids)) == len(tids)
@@ -331,7 +330,7 @@ class TestLazyIouFallback:
         trk = [tracklet(1, basis_vec(0)), tracklet(2, basis_vec(1))]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 3)
         es = EmbeddingSet(np.stack([basis_vec(1), basis_vec(2), basis_vec(0)]))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert sorted(matches) == [(1, 2), (2, 0)]
         assert un_t == [] and un_b == [1]
         assert iou_calls == []
@@ -340,14 +339,14 @@ class TestLazyIouFallback:
         trk = [tracklet(i + 1, basis_vec(i)) for i in range(3)]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 2)
         es = EmbeddingSet(np.stack([basis_vec(2), basis_vec(0)]))
-        matches, un_t, un_b = associate_on(trk, boxes, es, TrackerConfig())
+        matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert sorted(matches) == [(1, 1), (3, 0)]
         assert un_t == [2] and un_b == []
         assert iou_calls == []
 
     def test_open_pairs_make_one_iou_call_and_match_the_oracle(self, iou_calls):
         rng = np.random.default_rng(5)
-        cfg = TrackerConfig(emb_match_thr=0.6, iou_match_thr=0.1)
+        cfg = PipelineConfig(emb_match_thr=0.6, iou_match_thr=0.1)
         fallbacks = 0
         for trial in range(60):
             n, m = rng.integers(1, 7, size=2)
@@ -376,7 +375,7 @@ class TestLazyIouFallback:
 
 class TestUpdateTracklets:
     def test_removal_at_exactly_k_misses(self):
-        cfg = TrackerConfig(retention_frames=30)
+        cfg = PipelineConfig(retention_frames=30)
         live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 32):
             assert live.ids.tolist() == [1] and live.misses.tolist() == [frame - 2]
@@ -388,7 +387,7 @@ class TestUpdateTracklets:
         assert len(live) == 0 and live.emb.vectors.shape == (0, 8)
 
     def test_survives_through_k_minus_one(self):
-        cfg = TrackerConfig(retention_frames=30)
+        cfg = PipelineConfig(retention_frames=30)
         live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 31):
             active, _, _ = update_tracklets(
@@ -398,7 +397,7 @@ class TestUpdateTracklets:
         assert live.misses.tolist() == [29]
 
     def test_blend_fixed_point(self):
-        cfg = TrackerConfig(embedding_momentum=0.9)
+        cfg = PipelineConfig(embedding_momentum=0.9)
         e = unit(np.arange(1, 9))
         live = table([tracklet(1, e)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
@@ -407,7 +406,7 @@ class TestUpdateTracklets:
         assert np.allclose(live.emb.vectors[0], e, atol=1e-6)
 
     def test_alpha_one_keeps_the_birth_embedding(self):
-        cfg = TrackerConfig(embedding_momentum=1.0)
+        cfg = PipelineConfig(embedding_momentum=1.0)
         e0 = basis_vec(0)
         live = table([tracklet(1, e0)])
         for frame in range(2, 6):
@@ -417,7 +416,7 @@ class TestUpdateTracklets:
         assert np.array_equal(live.emb.vectors[0], e0)
 
     def test_alpha_zero_takes_the_match(self):
-        cfg = TrackerConfig(embedding_momentum=0.0)
+        cfg = PipelineConfig(embedding_momentum=0.0)
         live = table([tracklet(1, basis_vec(0))])
         es = EmbeddingSet(np.stack([basis_vec(3)]))
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
@@ -426,7 +425,7 @@ class TestUpdateTracklets:
 
     def test_blend_keeps_unit_norm(self):
         rng = np.random.default_rng(4)
-        cfg = TrackerConfig(embedding_momentum=0.7)
+        cfg = PipelineConfig(embedding_momentum=0.7)
         live = table([tracklet(1, unit(rng.normal(size=8)))])
         for frame in range(2, 12):
             es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
@@ -435,7 +434,7 @@ class TestUpdateTracklets:
             assert abs(np.linalg.norm(live.emb.vectors[0].astype(np.float64)) - 1.0) < 1e-6
 
     def test_unmatched_boxes_spawn_with_monotone_ids(self):
-        cfg = TrackerConfig()
+        cfg = PipelineConfig()
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0)])
         es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
@@ -445,7 +444,7 @@ class TestUpdateTracklets:
         assert next_id == 7
 
     def test_founds_exactly_the_given_indices_in_order(self):
-        cfg = TrackerConfig()
+        cfg = PipelineConfig()
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0),
                           Box(cx=4, cy=4, w=2, h=2, score=1.0)])
@@ -476,7 +475,7 @@ def update_inputs(draw):
     order = rng.permutation(k)                 # tracklet i matches box order[i]
     for i in draw(st.lists(st.integers(0, k - 1), max_size=5)):
         old[i] = -new[order[i]] * ((1.0 - momentum) / momentum if momentum else 1.0)
-    cfg = TrackerConfig(embedding_momentum=momentum)
+    cfg = PipelineConfig(embedding_momentum=momentum)
     return cfg, old, new, order
 
 
@@ -533,7 +532,7 @@ class TestAlphaEndpoints:
         live = table([tracklet(i + 1, row) for i, row in enumerate(old)])
         boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
         update_tracklets(live, [(i + 1, i) for i in range(len(new))], boxes,
-                         EmbeddingSet(new), TrackerConfig(embedding_momentum=alpha),
+                         EmbeddingSet(new), PipelineConfig(embedding_momentum=alpha),
                          next_id=len(old) + 1, born=[])
         want = old if alpha == 1.0 else new
         got = live.emb.vectors
@@ -550,7 +549,7 @@ def table_updates(draw):
     tracklets are any of the unmatched ones, in any order.
     """
     retention = draw(st.integers(1, 3))
-    cfg = TrackerConfig(retention_frames=retention,
+    cfg = PipelineConfig(retention_frames=retention,
                         embedding_momentum=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
     n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     dim = draw(st.sampled_from([1, 3, 8]))
@@ -622,15 +621,6 @@ class TestPipelineConfig:
         ("shrink_radius", -math.inf, "shrink_radius must be >= 0 or inf"),
         ("shrink_radius", math.nan, "shrink_radius must be >= 0 or inf"),
         ("stride", 0, "stride must be >= 1"),
-    ])
-    def test_refusals(self, field, value, message):
-        with pytest.raises(ValueError) as err:
-            PipelineConfig(**{field: value})
-        assert str(err.value) == message
-
-
-class TestTrackerConfig:
-    @pytest.mark.parametrize("field, value, message", [
         ("retention_frames", 0, "retention_frames must be >= 1"),
         ("embedding_momentum", 1.5, "embedding_momentum must lie in [0, 1]"),
         ("embedding_momentum", math.nan, "embedding_momentum must lie in [0, 1]"),
@@ -639,7 +629,7 @@ class TestTrackerConfig:
     ])
     def test_refusals(self, field, value, message):
         with pytest.raises(ValueError) as err:
-            TrackerConfig(**{field: value})
+            PipelineConfig(**{field: value})
         assert str(err.value) == message
 
 
@@ -711,7 +701,7 @@ class TestTrackerStep:
 
     def test_invalid_frame_counts_as_all_miss(self):
         frames, _, _ = generate(small_scenario(frames=3))
-        tracker = Tracker(tracker_cfg=TrackerConfig(retention_frames=2))
+        tracker = Tracker(PipelineConfig(retention_frames=2))
         tracker.step(frames[0])
         assert len(tracker.live) == 3
         bad = frames[1]
@@ -792,7 +782,7 @@ class TestTrackerStep:
     def test_ids_never_reused(self):
         cfg = small_scenario(frames=25, dropout_prob=0.3, seed=5)
         frames, _, _ = generate(cfg)
-        tracker = Tracker(tracker_cfg=TrackerConfig(retention_frames=3))
+        tracker = Tracker(PipelineConfig(retention_frames=3))
         born = []
         for f in frames:
             before = tracker.next_id
@@ -824,7 +814,7 @@ class TestTrackerStep:
             assert not d_final.restored[born].any()
             if len(live):
                 sims = live.astype(np.float64) @ e_set.vectors[born].T
-                assert (sims < tracker.cfg.emb_match_thr).all()
+                assert (sims < tracker.pipeline.emb_match_thr).all()
             unmatched_restored += sum(bool(d_final.restored[j])
                                       for j in range(len(d_final)) if j not in matched)
         assert unmatched_restored > 0
@@ -833,7 +823,7 @@ class TestTrackerStep:
     # Under the default NMS no basic box of this desk-size world fails the
     # novelty test; with an NMS that suppresses nothing, twin boxes on one
     # target reach the birth rule and some are refused.
-    @pytest.mark.parametrize("nms_iou_thr, min_refused", [(detection.DEFAULT_IOU_THR, 0),
+    @pytest.mark.parametrize("nms_iou_thr, min_refused", [(PipelineConfig().nms_iou_thr, 0),
                                                           (1.0, 1)])
     def test_association_and_births_read_one_cosine_matrix(self, monkeypatch, nms_iou_thr,
                                                            min_refused):
@@ -841,7 +831,7 @@ class TestTrackerStep:
                                                dropout_prob=0.3, clutter_similarity=0.3,
                                                seed=1))
         tracker = Tracker(PipelineConfig(nms_iou_thr=nms_iou_thr))
-        thr = tracker.cfg.emb_match_thr
+        thr = tracker.pipeline.emb_match_thr
         seen = {}
 
         def spy_associate(live, boxes, sims, cfg):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from omctrack import cli, frame_io, recheck
-from omctrack.association import PipelineConfig, Tracker, TrackerConfig
+from omctrack.association import PipelineConfig, Tracker
 from omctrack.cli import main
 from omctrack.frame_io import (
     iter_container,
@@ -52,6 +52,16 @@ def readme_default(text):
         return float(text)
     except ValueError:
         return text
+
+
+def help_default(action):
+    """The default a flag's help names, parsed as the flag parses it.
+
+    A flag whose help names none (a path or a switch) defaults to what
+    argparse gives it.
+    """
+    shown = re.search(r"\(default (.+)\)$", action.help or "")
+    return action.default if shown is None else (action.type or str)(shown.group(1))
 
 
 TRACK_ON_THE_SEARCH_HELPER = """
@@ -553,7 +563,7 @@ class TestTrackCommand:
                             ("file", ["--config", str(cfg)]), ("bypass", [])):
             assert run(capsys, "track", "--container", str(scenario["container"]),
                        "--out", str(outs[name]), *extra)[0] == 0
-        tracker = Tracker(PipelineConfig(), TrackerConfig(), RefineWeights.load(weights))
+        tracker = Tracker(PipelineConfig(), RefineWeights.load(weights))
         assert tracker.weights is not None and Tracker().weights is None
         write_mot_results([b for rows in tracker.run(iter_container(scenario["container"]))
                            for b in rows], tmp_path / "api.txt")
@@ -822,9 +832,11 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--param", "banana", "--values", "1")
         assert code == 1
 
+    # A value equal to the default conflicts too: r's 3 and epsilon's 0.5.
     @pytest.mark.parametrize("param,flag,value", [
         ("r", "--radius", "3"),
         ("epsilon", "--epsilon", "0.9"),
+        ("epsilon", "--epsilon", "0.5"),
     ])
     @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
     def test_flag_the_sweep_overrides_is_usage_error(self, tmp_path, capsys,
@@ -1081,7 +1093,7 @@ class TestParserBehaviour:
 
         def fields(argv):
             args = parser.parse_args(required + argv)
-            configs = [*cli._build_configs(args)]
+            configs = [cli._build_pipeline(args)]
             if command == "sweep":
                 configs.append(cli._build_scenario(args))
             return {(type(c).__name__, f.name): getattr(c, f.name)
@@ -1099,15 +1111,17 @@ class TestParserBehaviour:
         scenario = cli._SCENARIO_FLAGS if command == "sweep" else ()
         for flag in cli._TRACKING_FLAGS + scenario:
             assert set_by[flag.owner.__name__, flag.field] == [f"--{flag.flag}"]
-        for owner in (PipelineConfig, TrackerConfig):
-            for f in dataclasses.fields(owner):
-                assert len(set_by.get((owner.__name__, f.name), [])) == 1, f.name
+            action = parser._flags()[flag.flag.replace("-", "_")]
+            assert help_default(action) == default[flag.owner.__name__, flag.field], flag.flag
+        for f in dataclasses.fields(PipelineConfig):
+            assert len(set_by.get(("PipelineConfig", f.name), [])) == 1, f.name
 
     def test_readme_flag_defaults_are_the_config_defaults(self):
-        # Each tracking flag defaults to its config field, and each default
-        # in the README's flag table is what the track parser gives.
+        # Each tracking flag's help names its config field's default, and
+        # each default in the README's flag table is the one track's help
+        # names.
         track = cli._build_parser()[1]["track"]
-        defaults = vars(track.parse_args(["--container", "c", "--out", "o"]))
+        defaults = {a.dest: help_default(a) for a in track._actions if a.option_strings}
         for flag in cli._TRACKING_FLAGS:
             field = {f.name: f for f in dataclasses.fields(flag.owner)}[flag.field]
             assert defaults[flag.flag.replace("-", "_")] == field.default, flag.flag

@@ -942,13 +942,17 @@ class TestLaidOutFrames:
         assert str(err.value) == f"truncated file while reading {message} (byte offset {offset})"
         assert err.value.offset == offset
 
-    def test_file_cut_after_frame_1_is_yielded_raises_on_next(self, tmp_path):
+    # Grid side and channels of embed and feat: frames of 1.5 KB, 3.5 KB
+    # and 213 KB, so frame 2's headers lie within, and past, the first
+    # block a buffered reader would have read.
+    @pytest.mark.parametrize("side, channels", [(4, 8), (4, 24), (20, 64)])
+    def test_file_cut_after_frame_1_is_yielded_raises_on_next(self, tmp_path, side, channels):
         # The reader sized the file when it opened it, so frame 2's read at
-        # frame 1's layout comes up short, and the walk then names the cut.
-        # Frames of 46 KB keep frame 2's headers out of the read buffer that
-        # frame 1's walk filled.
+        # frame 1's layout comes up short, and the walk then names the cut:
+        # it reads the file as it is now, not bytes read before the cut.
         rng = np.random.default_rng(23)
-        written = [random_frame(rng, i + 1, h=20, w=20) for i in range(3)]
+        written = [random_frame(rng, i + 1, h=side, w=side, embed_dim=channels,
+                                feat_dim=channels) for i in range(3)]
         path = tmp_path / "x.omcf"
         write_container(written, path)
         data = path.read_bytes()

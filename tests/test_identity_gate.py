@@ -10,7 +10,7 @@ identities and every clutter seed 153 to 175.
 
 import pytest
 
-from omctrack.association import PipelineConfig, TrackerConfig, track_sequence
+from omctrack.association import PipelineConfig, track_sequence
 from omctrack.metrics import evaluate
 from omctrack.synth import ScenarioConfig, generate
 
@@ -52,5 +52,5 @@ def test_clutter_mota():
 def test_identities_follow_targets_below_default_alpha(seed, alpha):
     cfg = ScenarioConfig(seed=seed, **WORLDS["desk"])
     frames, _, _ = generate(cfg)
-    _, tracker = track_sequence(frames, tracker_cfg=TrackerConfig(embedding_momentum=alpha))
+    _, tracker = track_sequence(frames, PipelineConfig(embedding_momentum=alpha))
     assert tracker.next_id - 1 <= 2 * cfg.num_targets

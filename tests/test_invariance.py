@@ -15,6 +15,11 @@ maps, the readout and the association matrix) and has no motion model, so:
   tie of ROADMAP items 10 and 13: a basic and a restored box of one target
   read the same embedding, so their cosines tie, and a permuted input can
   break the tie the other way.
+- Transposing the frame (prob, embed and feat transposed, boxes too with
+  its channels reordered [1, 0, 3, 2], so x and y swap, and w and h) gives
+  the transposed rows: mapped back with x <-> y and w <-> h, the (frame,
+  x, y, w, h) sets agree to 1e-4 px, and the ids map one-to-one, so the
+  identity and row counts stay.
 
 Worlds: the golden desk and clutter worlds (`test_golden_rows`), 40 frames
 each, at seeds 0 and 7.
@@ -24,6 +29,7 @@ import numpy as np
 import pytest
 
 from omctrack.association import track_sequence
+from omctrack.frame_io import FrameContainer
 from omctrack.synth import ScenarioConfig, generate
 
 from test_golden_rows import CLUTTER, DESK
@@ -68,3 +74,28 @@ def test_channel_permutation_keeps_the_identity_count(world, seed):
     permuted = tracked(frames, lambda embed: np.ascontiguousarray(embed[:, :, perm]))
     assert len({r.id for r in permuted}) == len({r.id for r in base}) == WORLDS[world, seed]
     assert len(permuted) == len(base)
+
+
+def transposed(frame):
+    def t(grid):
+        return np.ascontiguousarray(grid.transpose(1, 0, 2))
+
+    return FrameContainer(frame.frame_index, t(frame.prob), t(frame.boxes[:, :, [1, 0, 3, 2]]),
+                          t(frame.embed), t(frame.feat))
+
+
+@pytest.mark.parametrize("world, seed", sorted(WORLDS))
+def test_transposition_gives_the_transposed_rows(world, seed):
+    base, _ = track_sequence(frames_of(world, seed))
+    flipped, _ = track_sequence([transposed(f) for f in frames_of(world, seed)])
+
+    def ids_by_box(rows, *fields):
+        return {(r.frame, *(round(getattr(r, f), 4) for f in fields)): r.id for r in rows}
+
+    want = ids_by_box(base, "x", "y", "w", "h")
+    got = ids_by_box(flipped, "y", "x", "h", "w")
+    assert len(flipped) == len(base) == len(want) == len(got)
+    assert got.keys() == want.keys()
+    ids = {(want[key], got[key]) for key in want}
+    assert len({a for a, _ in ids}) == len({b for _, b in ids}) == len(ids)
+    assert len(ids) == WORLDS[world, seed]

@@ -1,10 +1,15 @@
-"""The package's declared surface: 20 names, each in the README's API section.
+"""The package's declared surface: 19 names, each in the README's API section.
 
 A name added to `omctrack.__all__` fails here until it is added to API
-below and to the README, so the surface grows only on purpose.
+below and to the README, so the surface grows only on purpose. The
+tracker's config fields and the parameters of `Tracker` and
+`track_sequence` are pinned too, so changing them is a deliberate edit
+here.
 """
 
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -15,7 +20,7 @@ import omctrack
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 API = [
-    "Tracker", "TrackerConfig", "PipelineConfig", "track_sequence", "RefineWeights",
+    "Tracker", "PipelineConfig", "track_sequence", "RefineWeights",
     "FrameContainer", "iter_container", "write_container", "MotBox", "read_mot_boxes",
     "write_mot_results",
     "ContainerFormatError", "MotParseError", "FrameValueError",
@@ -43,7 +48,7 @@ def test_star_import_binds_exactly_all():
 
 
 def test_all_is_the_declared_api():
-    assert len(API) == 20
+    assert len(API) == 19
     assert sorted(omctrack.__all__) == sorted(API)
 
 
@@ -59,3 +64,19 @@ def test_kernels_import_from_their_modules_only(module):
     for name in KERNELS[module]:
         assert name in mod.__all__
         assert not hasattr(omctrack, name)
+
+
+def test_tracker_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(omctrack.PipelineConfig)] == [
+        "h_scale", "score_thr", "nms_iou_thr", "fusion_epsilon", "shrink_radius", "stride",
+        "recheck_enabled", "retention_frames", "embedding_momentum", "emb_match_thr",
+        "iou_match_thr",
+    ]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("Tracker", ["pipeline", "weights"]),
+    ("track_sequence", ["frames", "pipeline", "weights", "public_dets"]),
+])
+def test_tracker_parameters_are_pinned(name, params):
+    assert list(inspect.signature(getattr(omctrack, name)).parameters) == params

@@ -26,7 +26,7 @@ finally:
     sys.path.remove(str(PERFBENCH))
 
 from omctrack import association
-from omctrack.association import PipelineConfig, Tracker, TrackerConfig
+from omctrack.association import PipelineConfig, Tracker
 from omctrack.synth import ScenarioConfig, generate
 
 
@@ -82,8 +82,7 @@ def test_live_count_is_the_largest_table_through_removals():
     held, removed = [], 0
     with tracing.instrumented(tracer):
         tracker = Tracker(PipelineConfig(stride=scenario.get("stride", 8),
-                                         recheck_enabled=False),
-                          TrackerConfig(retention_frames=2))
+                                         recheck_enabled=False, retention_frames=2))
         for frame in frames:
             tracer.frame = frame.frame_index
             before = set(tracker.live.ids.tolist())

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from omctrack.association import PipelineConfig, TrackerConfig, track_sequence
+from omctrack.association import PipelineConfig, track_sequence
 from omctrack.metrics import evaluate
 from omctrack.synth import ScenarioConfig, generate
 
@@ -67,10 +67,9 @@ FAILING = {3, 13, 16, 18}
 ])
 def test_identities_and_gain(cfg, alpha):
     frames, gt, _ = generate(cfg)
-    rows, tracker = track_sequence(frames, PipelineConfig(),
-                                   TrackerConfig(embedding_momentum=alpha))
-    detector_rows, detector = track_sequence(frames, PipelineConfig(recheck_enabled=False),
-                                             TrackerConfig(embedding_momentum=alpha))
+    rows, tracker = track_sequence(frames, PipelineConfig(embedding_momentum=alpha))
+    detector_rows, detector = track_sequence(
+        frames, PipelineConfig(recheck_enabled=False, embedding_momentum=alpha))
     identities, detector_identities = tracker.next_id - 1, detector.next_id - 1
     gain = evaluate(gt, rows).mota - evaluate(gt, detector_rows).mota
     world = f"{cfg!r}, alpha={alpha}"
