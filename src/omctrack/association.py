@@ -126,9 +126,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if not self.shrink_radius >= 0:
             raise ValueError("shrink_radius must be >= 0 or inf")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.retention_frames < 1:
+        if not 1 <= self.stride < math.inf:
+            raise ValueError(f"stride must be finite and >= 1, got {self.stride}")
+        if not self.retention_frames >= 1:
             raise ValueError("retention_frames must be >= 1")
         if not 0.0 <= self.embedding_momentum <= 1.0:
             raise ValueError("embedding_momentum must lie in [0, 1]")
@@ -424,7 +424,8 @@ class Tracker:
         three run (`_fused_detections`).
 
         Each value is read and checked once. `FrameContainer.validate`
-        checks the frame's format, prob and boxes before anything reads
+        checks the frame's format, then reads prob and boxes, a container
+        frame's from the file, and checks them before anything else reads
         them; the kernels trust those checks. The one shape no frame can
         check alone, embed's channel count against the live tracklets'
         embeddings, is checked here, with or without the re-check. A

@@ -6,13 +6,15 @@ tracker reads (non-finite, prob outside [0, 1], a box size that decodes
 to inf or 0) is not a data error: track logs a warning, emits no rows for
 it and goes on. Values are checked where they are read, so a bad value
 nothing reads (in feat without --weights, or in an embed cell neither
-the search nor the readout reads) changes nothing. embed is read
-from the container block by block by the search and cell by cell by the
-readout; feat is read only under learned refinement, which runs exactly
-when --weights names a weight file (refinement is otherwise a clamp).
-track writes its rows frame by frame: a data error partway still replaces
---out with the rows of every frame that finished (the printed frames=
-count) before exiting 2. --public rows of a frame the container does not
+the search nor the readout reads) changes nothing. track reads each
+container tensor from the file when it first uses it: prob and boxes
+whole when it checks them, embed block by block in the search and cell by
+cell in the readout, and feat only under learned refinement, which runs
+exactly when --weights names a weight file (refinement is otherwise a
+clamp). track writes its rows frame by frame: a data error partway still
+replaces --out with the rows of every frame that finished (the printed
+frames= count) before exiting 2; so do bytes after the last frame the
+container's header counts. --public rows of a frame the container does not
 hold are such an error, raised after the last frame, so --out holds every
 frame's rows. Every output file (--out, --gt, --dropped, --csv) is
 written beside its path and replaces it only once complete, so a failed

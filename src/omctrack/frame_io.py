@@ -15,7 +15,8 @@ OMCF layout, all integers little-endian:
             dtype    u8 (0 = float32)
             payload  raw little-endian values
 
-A frame names each tensor once; a reader refuses a repeated name.
+A frame names each tensor once; a reader refuses a repeated name. A file
+holds exactly frame_count frames; a reader refuses bytes after the last.
 The format carries no explicit frame numbers, so container sequences must be
 numbered consecutively from 1; readers re-derive the index from position.
 Readers are reentrant; a writer needs exclusive access to its output path.
@@ -113,23 +114,27 @@ class FrameContainer:
     embed  (H, W, C)  identity-embedding map (512 channels in production)
     feat   (H, W, C)  visual-feature map (256 channels in production)
 
-    A frame from iter_container holds `embed` and `feat` unread, as their
+    A frame from iter_container holds all four tensors unread, as their
     places in the file (`held`), and reads each whole on first access to
-    the attribute. The tracker never does, and the frame keeps holding them
-    unread: the embedding search reads `embed` from the file block by block
-    and the readout cell by cell. Only learned refinement reads `feat`.
-    Assigning `embed` or `feat` replaces it like any other attribute.
+    the attribute. The tracker reads prob and boxes so, when it validates
+    the frame. It keeps the frame holding embed unread: the embedding
+    search reads it from the file block by block and the readout cell by
+    cell. Only learned refinement reads `feat`. Assigning a tensor
+    replaces it like any other attribute.
 
     `validate` is the one check of prob's and boxes' values: the tracker
     calls it before it decodes a frame, and `decode_boxes` checks only the
     sizes it decodes from boxes.
     """
 
+    prob = _ReadOnFirstAccess()
+    boxes = _ReadOnFirstAccess()
     embed = _ReadOnFirstAccess()
     feat = _ReadOnFirstAccess()
 
-    def __init__(self, frame_index: int, prob: np.ndarray, boxes: np.ndarray,
-                 embed: np.ndarray | Payload, feat: np.ndarray | Payload):
+    def __init__(self, frame_index: int, prob: np.ndarray | Payload,
+                 boxes: np.ndarray | Payload, embed: np.ndarray | Payload,
+                 feat: np.ndarray | Payload):
         self.frame_index = frame_index
         self.prob = prob
         self.boxes = boxes
@@ -143,10 +148,9 @@ class FrameContainer:
     def held(self) -> dict[str, np.ndarray | Payload]:
         """The four tensors by name as the frame holds them; reads nothing.
 
-        `embed` and `feat` may be a Payload not yet read.
+        Any of them may be a Payload not yet read.
         """
-        return {"prob": self.prob, "boxes": self.boxes, "embed": self._embed,
-                "feat": self._feat}
+        return {name: getattr(self, "_" + name) for name in REQUIRED_TENSORS}
 
     def tensors(self) -> dict[str, np.ndarray]:
         """The four tensors by name as arrays; reads any still unread."""
@@ -233,41 +237,57 @@ def _replacing(path, mode: str, **kwargs):
         yield f
 
 
-def _read_exact(f, n: int, what: str, size: int) -> bytes:
-    """n bytes at f's position in a file of size bytes.
-
-    A field longer than the bytes left raises before anything is read, so
-    a corrupt length cannot ask for more memory than the file holds.
-    """
-    offset = f.tell()
-    data = f.read(n) if n <= size - offset else b""
-    if len(data) != n:
-        raise ContainerFormatError(f"truncated file while reading {what}", offset)
-    return data
+# Magic, version and frame count; the first frame starts after them.
+_FIRST_FRAME = len(MAGIC) + 8
 
 
 class _OmcfFile:
-    """An open OMCF file, closed once its header walk and every unread
-    payload that refers to it are gone.
+    """An OMCF file open for reading, closed once its reader and every
+    unread payload that refers to it are gone.
 
-    The file is unbuffered, so a header walk reads the bytes the file holds
-    when it reads them: a buffer filled by an earlier walk would hold bytes
-    a file cut short since no longer has.
+    Opening reads the preamble: `size` is the file's size then, and
+    `frame_count` the number of frames its header counts. Every read is a
+    `pread` or `preadv` at an offset the reader holds, so none moves, or
+    depends on, a file position.
     """
 
     def __init__(self, path):
-        self.f = open(path, "rb", buffering=0)
-        weakref.finalize(self, self.f.close)
+        file = open(path, "rb", buffering=0)
+        weakref.finalize(self, file.close)
+        self.fd = file.fileno()
+        self.size = os.fstat(self.fd).st_size
+        magic = self.read_exact(0, 4, "magic")
+        if magic != MAGIC:
+            raise ContainerFormatError(f"bad magic {magic!r}", 0)
+        version, self.frame_count = struct.unpack("<II", self.read_exact(4, 8, "header"))
+        if version != VERSION:
+            raise ContainerFormatError(f"unsupported version {version}", 4)
+
+    def read_exact(self, offset: int, n: int, what: str) -> bytes:
+        """The n bytes at offset.
+
+        A field longer than the bytes left raises before anything is read,
+        so a corrupt length cannot ask for more memory than the file holds;
+        a read that comes up short, in a file cut short since, raises too.
+        """
+        data = os.pread(self.fd, n, offset) if n <= self.size - offset else b""
+        if len(data) != n:
+            raise ContainerFormatError(f"truncated file while reading {what}", offset)
+        return data
+
+    def check_end(self, end: int) -> None:
+        """Refuse bytes after end, where the last frame the header counts ends."""
+        if end < self.size:
+            raise ContainerFormatError(f"bytes after the last frame the header counts "
+                                       f"({self.frame_count}): {self.size - end}", end)
 
 
 class Payload:
     """A float32 tensor's header and its place in an OMCF file, unread.
 
-    Reads use `preadv`, which does not move the file position, so a
-    payload can be read while the header walk goes on, or after it has
-    ended. `read` reads the whole tensor; `read_cells` and `take_cells`
-    read cells of an (H, W, C) tensor, taken in row-major order as the
-    rows of an (H*W, C) matrix, without reading the rest.
+    `read` reads the whole tensor; `read_cells` and `take_cells` read
+    cells of an (H, W, C) tensor, taken in row-major order as the rows of
+    an (H*W, C) matrix, without reading the rest.
     """
 
     dtype = np.dtype(np.float32)
@@ -302,7 +322,7 @@ class Payload:
         """
         out = np.empty((len(index), self.shape[-1]), dtype="<f4")
         buf, size = _bytes_of(out), 4 * out.shape[1]
-        fd = self.source.f.fileno()
+        fd = self.source.fd
         for k, cell in enumerate(index.tolist()):
             row = buf[k * size:(k + 1) * size]
             if os.preadv(fd, [row], self.offset + cell * size) != size:
@@ -311,10 +331,9 @@ class Payload:
 
     def _read_into(self, buf: memoryview, start: int) -> None:
         """Fill buf from the payload's bytes at start onward."""
-        fd = self.source.f.fileno()
         done = 0
         while done < len(buf):
-            n = os.preadv(fd, [buf[done:]], self.offset + start + done)
+            n = os.preadv(self.source.fd, [buf[done:]], self.offset + start + done)
             if n == 0:
                 raise ContainerFormatError(
                     f"truncated file while reading tensor {self.name!r} payload",
@@ -328,56 +347,47 @@ def _bytes_of(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1).view(np.uint8))
 
 
-def _read_preamble(f, size: int) -> int:
-    """Check the magic and version at the start of f; return the frame count."""
-    magic = _read_exact(f, 4, "magic", size)
-    if magic != MAGIC:
-        raise ContainerFormatError(f"bad magic {magic!r}", 0)
-    version, frame_count = struct.unpack("<II", _read_exact(f, 8, "header", size))
-    if version != VERSION:
-        raise ContainerFormatError(f"unsupported version {version}", 4)
-    return frame_count
+def _walk_frame(source: _OmcfFile, start: int) -> tuple[list[Payload], int]:
+    """Walk the headers of the frame at start, reading no payload.
 
-
-def _walk_frame(source: _OmcfFile, size: int) -> list[Payload]:
-    """Walk the headers of the frame at the file position, reading no payload.
-
-    Returns its tensors in file order and leaves the file at the frame's
-    end. Each header field and payload is checked against the file's size
-    before the walk reads or seeks past it, so a corrupt header cannot ask
-    for more than the file holds. A frame names each tensor once: a
-    repeated name raises at its offset.
+    Returns its tensors in file order and the offset where the frame ends.
+    Each header field and payload is checked against the file's size before
+    the walk reads it or steps past it, so a corrupt header cannot ask for
+    more than the file holds. A frame names each tensor once: a repeated
+    name raises at its offset.
     """
-    f = source.f
-    (tensor_count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count", size))
+    at = start
+
+    def field(n: int, what: str) -> bytes:
+        nonlocal at
+        at += n
+        return source.read_exact(at - n, n, what)
+
+    (tensor_count,) = struct.unpack("<I", field(4, "tensor count"))
     payloads = []
     for _ in range(tensor_count):
-        (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length", size))
-        name_offset = f.tell()
+        (name_len,) = struct.unpack("<I", field(4, "name length"))
+        name_offset = at
         try:
-            name = _read_exact(f, name_len, "tensor name", size).decode("utf-8")
+            name = field(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ContainerFormatError(f"tensor name is not UTF-8: {exc.reason}",
                                        name_offset) from exc
         if any(p.name == name for p in payloads):
             raise ContainerFormatError(f"frame names tensor {name!r} twice", name_offset)
-        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim", size))
-        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims", size))
-        dtype_offset = f.tell()
-        (dtype_code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code", size))
+        (ndim,) = struct.unpack("<I", field(4, "ndim"))
+        dims = struct.unpack(f"<{ndim}I", field(4 * ndim, "dims"))
+        (dtype_code,) = field(1, "dtype code")
         if dtype_code != DTYPE_F32:
-            raise ContainerFormatError(
-                f"unknown dtype code {dtype_code}", dtype_offset
-            )
-        offset = f.tell()
+            raise ContainerFormatError(f"unknown dtype code {dtype_code}", at - 1)
         nbytes = 4 * math.prod(dims)
-        if nbytes > size - offset:
+        if nbytes > source.size - at:
             raise ContainerFormatError(
-                f"truncated file while reading tensor {name!r} payload", offset
+                f"truncated file while reading tensor {name!r} payload", at
             )
-        f.seek(nbytes, os.SEEK_CUR)
-        payloads.append(Payload(source, name, dims, offset))
-    return payloads
+        payloads.append(Payload(source, name, dims, at))
+        at += nbytes
+    return payloads, at
 
 
 def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
@@ -418,11 +428,17 @@ def write_omcf(path, frames: Iterable[Mapping[str, np.ndarray]]) -> int:
 
 
 def read_omcf(path) -> list[dict[str, np.ndarray]]:
-    """Read every named-tensor frame of an OMCF file, every payload read."""
+    """Read every named-tensor frame of an OMCF file, every payload read.
+
+    Bytes after the last frame the header counts raise ContainerFormatError.
+    """
     source = _OmcfFile(path)
-    size = os.fstat(source.f.fileno()).st_size
-    return [{p.name: p.read() for p in _walk_frame(source, size)}
-            for _ in range(_read_preamble(source.f, size))]
+    frames, end = [], _FIRST_FRAME
+    for _ in range(source.frame_count):
+        payloads, end = _walk_frame(source, end)
+        frames.append({p.name: p.read() for p in payloads})
+    source.check_end(end)
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -470,111 +486,61 @@ def write_container(frames: Iterable[FrameContainer], path) -> int:
     return write_omcf(path, tensor_stream())
 
 
-# The tensors iter_container reads with each frame; the rest stay in the file.
-_READ_WITH_FRAME = ("prob", "boxes")
-
-
 class _FrameLayout:
-    """Frame 1's bytes, for reading each later frame of a container at them.
+    """Frame 1's header bytes, to tell a later frame laid out like it.
 
-    A frame is header bytes and payloads in file order. The layout cuts it
-    into spans at every payload not read with the frame (embed, feat, any
-    other tensor): each span is a run of header bytes with the prob and
-    boxes payloads between them, read by one `preadv` straight into the
-    header buffer and the new arrays. In the order the writer uses, that is
-    one span for the headers, prob, boxes and embed's header, and one for
-    feat's header. A later frame whose header bytes equal frame 1's has
-    frame 1's tensors, shapes and dtype codes, so it passes the format and
-    homogeneity checks frame 1 passed; `read` gives None for any other
-    frame, which the caller then walks. payloads are frame 1's walked
-    headers and tensors its checked tensors (`_checked_tensors`).
+    A frame is runs of header bytes, each followed by a payload. The layout
+    keeps each run's offset in the frame and its bytes, and the name, shape
+    and offset in the frame of prob, boxes, embed and feat. A later frame
+    whose runs hold frame 1's bytes has frame 1's tensors, shapes and dtype
+    codes at frame 1's offsets, so it passes the format and homogeneity
+    checks frame 1 passed. payloads are frame 1's walked headers, and
+    tensors its [prob, boxes, embed, feat] once checked.
     """
 
     def __init__(self, source: _OmcfFile, start: int, end: int, payloads: list[Payload],
-                 tensors: list):
-        fd = source.f.fileno()
+                 tensors: list[Payload]):
         self.size = end - start
-        self.shapes = [t.shape for t in tensors if not isinstance(t, Payload)]
-        self.unread = [(t.name, t.shape, t.offset - start) for t in tensors
-                       if isinstance(t, Payload)]
-        # Per span: its offset in the frame, its length and its parts, each
-        # a header's (start, stop) in self.header or the index of a read tensor.
-        self.spans: list[tuple[int, int, list]] = []
-        headers, parts = bytearray(), []
-        cursor = span_start = start
+        self.runs = []
+        cursor = start
         for p in payloads:
-            parts.append((len(headers), len(headers) + p.offset - cursor))
-            headers += os.pread(fd, p.offset - cursor, cursor)
+            self.runs.append((cursor - start, os.pread(source.fd, p.offset - cursor, cursor)))
             cursor = p.offset + 4 * math.prod(p.shape)
-            if p.name in _READ_WITH_FRAME:
-                parts.append(_READ_WITH_FRAME.index(p.name))
-            else:
-                self.spans.append((span_start - start, p.offset - span_start, parts))
-                parts, span_start = [], cursor
-        if parts:
-            self.spans.append((span_start - start, cursor - span_start, parts))
-        self.header = bytes(headers)
+        self.tensors = [(t.name, t.shape, t.offset - start) for t in tensors]
 
-    def read(self, source: _OmcfFile, start: int, size: int) -> list | None:
-        """The frame at start laid out as frame 1, or None if it is not.
+    def read(self, source: _OmcfFile, start: int) -> list[Payload] | None:
+        """The frame at start's [prob, boxes, embed, feat] if laid out as frame 1.
 
-        Returns [prob, boxes, embed, feat]: the first two read, the others
-        as unread payloads. None when the frame would run past size, a read
-        comes up short or its header bytes differ from frame 1's.
+        None when the frame would run past the file, or one `pread` of a
+        run does not return frame 1's bytes for it.
         """
-        if size - start < self.size:
+        if source.size - start < self.size:
             return None
-        fd = source.f.fileno()
-        header = bytearray(len(self.header))
-        view = memoryview(header)
-        arrays = [np.empty(shape, dtype="<f4") for shape in self.shapes]
-        for offset, length, parts in self.spans:
-            buffers = [_bytes_of(arrays[part]) if isinstance(part, int)
-                       else view[part[0]:part[1]] for part in parts]
-            if os.preadv(fd, buffers, start + offset) != length:
+        for offset, header in self.runs:
+            if os.pread(source.fd, len(header), start + offset) != header:
                 return None
-        if header != self.header:
-            return None
-        return arrays + [Payload(source, name, shape, start + offset)
-                         for name, shape, offset in self.unread]
-
-
-def _checked_tensors(index: int, payloads: list[Payload],
-                     first: dict[str, tuple[int, ...]]) -> list:
-    """A walked frame's tensors, [prob, boxes, embed, feat], once its format holds.
-
-    Checks the format and each tensor's shape against `first`, frame 1's
-    shapes (filled from frame 1), then reads prob and boxes.
-    """
-    tensors = {p.name: p for p in payloads}
-    try:
-        _check_tensor_format(tensors)
-    except ValueError as exc:
-        raise ContainerFormatError(f"frame {index}: {exc}") from exc
-    _check_homogeneous(index, tensors, first)
-    return [tensors[name].read() if name in _READ_WITH_FRAME else tensors[name]
-            for name in REQUIRED_TENSORS]
+        return [Payload(source, name, shape, start + offset)
+                for name, shape, offset in self.tensors]
 
 
 def iter_container(path) -> Iterator[FrameContainer]:
     """Stream frames whose format is checked; each tensor keeps frame 1's shape.
 
-    Frame 1's headers are walked and checked before any payload is read.
-    Each later frame is read at frame 1's layout (`_FrameLayout`): one
-    `preadv` fills its headers, prob and boxes, one small read the header
-    after embed, and the frame's format holds when its header bytes equal
-    frame 1's. A frame laid out otherwise, or cut short, is walked and
-    checked like frame 1, so a fault raises the ContainerFormatError the
-    walk gives, with its frame number or byte offset, after the frames
-    before it have been yielded.
+    Reads no payload byte: each frame holds its four tensors as payloads
+    in the file (`FrameContainer.held`), each read whole on first access
+    to its attribute. The tracker reads prob and boxes so, embed block by
+    block in the embedding search and cell by cell in the readout, and feat
+    only under learned refinement. A file cut short after a frame is
+    yielded makes any of these reads raise ContainerFormatError naming the
+    tensor.
 
-    prob and boxes are read with the frame; embed and feat are only
-    size-checked and stay in the file as payloads (`FrameContainer.held`).
-    The tracker reads embed from there, block by block in the embedding
-    search and cell by cell in the readout, and feat only under learned
-    refinement; the first access to `frame.embed` or `frame.feat` reads
-    that tensor whole. A file cut short after the walk makes any of these
-    reads raise ContainerFormatError naming the tensor.
+    Frame 1's headers are walked and checked. A later frame is taken at
+    frame 1's layout (`_FrameLayout`) when one `pread` per header run
+    returns frame 1's bytes for it. A frame laid out otherwise, or cut
+    short, is walked and checked like frame 1, so a fault raises the
+    ContainerFormatError the walk gives, with its frame number or byte
+    offset, after the frames before it have been yielded. So do bytes after
+    the last frame the header counts, once that frame is yielded.
 
     Tensor values are not checked here: Tracker.step checks prob and boxes
     (`FrameContainer.validate`) and the other values it reads, and counts
@@ -582,24 +548,27 @@ def iter_container(path) -> Iterator[FrameContainer]:
     all-miss.
     """
     source = _OmcfFile(path)
-    f = source.f
-    size = os.fstat(f.fileno()).st_size
     first: dict[str, tuple[int, ...]] = {}
     layout = None
-    start = len(MAGIC) + 8
-    for index in range(1, _read_preamble(f, size) + 1):
-        tensors = None if layout is None else layout.read(source, start, size)
+    start = _FIRST_FRAME
+    for index in range(1, source.frame_count + 1):
+        tensors = None if layout is None else layout.read(source, start)
         if tensors is None:
-            f.seek(start)
-            payloads = _walk_frame(source, size)
-            tensors = _checked_tensors(index, payloads, first)
-            end = f.tell()
+            payloads, end = _walk_frame(source, start)
+            walked = {p.name: p for p in payloads}
+            try:
+                _check_tensor_format(walked)
+            except ValueError as exc:
+                raise ContainerFormatError(f"frame {index}: {exc}") from exc
+            _check_homogeneous(index, walked, first)
+            tensors = [walked[name] for name in REQUIRED_TENSORS]
             if layout is None:
                 layout = _FrameLayout(source, start, end, payloads, tensors)
         else:
             end = start + layout.size
         start = end
         yield FrameContainer(index, *tensors)
+    source.check_end(start)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ blockwise product back gives the whole-grid product's bits on every world
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple
@@ -69,7 +70,8 @@ class ScenarioConfig:
     """Knobs of the generated world; everything derives from the seed.
 
     A config checks itself when it is made: values no world can be built
-    from raise ValueError, and so does a float field that is not finite.
+    from raise ValueError, and so do a float field that is not finite and
+    an int field that is not an integer.
     """
 
     num_targets: int = 6
@@ -94,6 +96,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_targets < 1:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -21,3 +22,28 @@ def _traced_peak_bytes(fn, *args):
 @pytest.fixture
 def traced_peak_bytes():
     return _traced_peak_bytes
+
+
+@pytest.fixture
+def read_calls(monkeypatch):
+    """Record ("pread" or "preadv", offset, bytes read) of every os.pread and
+    os.preadv call, in call order, from here to the end of the test.
+
+    The OMCF reader reads headers by pread and payloads by preadv.
+    """
+    calls = []
+    pread, preadv = os.pread, os.preadv
+
+    def recording_pread(fd, n, offset):
+        data = pread(fd, n, offset)
+        calls.append(("pread", offset, len(data)))
+        return data
+
+    def recording_preadv(fd, buffers, offset):
+        n = preadv(fd, buffers, offset)
+        calls.append(("preadv", offset, n))
+        return n
+
+    monkeypatch.setattr(os, "pread", recording_pread)
+    monkeypatch.setattr(os, "preadv", recording_preadv)
+    return calls

@@ -620,8 +620,11 @@ class TestPipelineConfig:
         ("shrink_radius", -1.0, "shrink_radius must be >= 0 or inf"),
         ("shrink_radius", -math.inf, "shrink_radius must be >= 0 or inf"),
         ("shrink_radius", math.nan, "shrink_radius must be >= 0 or inf"),
-        ("stride", 0, "stride must be >= 1"),
+        ("stride", 0, "stride must be finite and >= 1, got 0"),
+        ("stride", math.nan, "stride must be finite and >= 1, got nan"),
+        ("stride", math.inf, "stride must be finite and >= 1, got inf"),
         ("retention_frames", 0, "retention_frames must be >= 1"),
+        ("retention_frames", math.nan, "retention_frames must be >= 1"),
         ("embedding_momentum", 1.5, "embedding_momentum must lie in [0, 1]"),
         ("embedding_momentum", math.nan, "embedding_momentum must lie in [0, 1]"),
         ("emb_match_thr", -0.5, "emb_match_thr must lie in [0, 1], got -0.5"),

@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,31 @@ class TestTrackCommand:
         assert {r.frame for r in rows} == set(range(1, done + 1))
         assert rows == [r for r in read_mot_boxes(clean) if r.frame <= done]
         assert int(parse_kv(out)["boxes"]) == len(rows)
+
+    @pytest.mark.parametrize("fault", ["appended bytes", "lowered count"])
+    def test_bytes_after_the_last_counted_frame_keep_every_frames_rows(self, tmp_path,
+                                                                       capsys, fault):
+        container = tmp_path / "world.omcf"
+        assert run(capsys, "synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),
+                   "--targets", "2", "--frames", "4", "--grid", "10x10",
+                   "--seed", "0")[0] == 0
+        data = bytearray(container.read_bytes())
+        if fault == "appended bytes":
+            data += bytes(5)
+            frames = 4
+        else:
+            frames = 3
+            data[8:12] = struct.pack("<I", frames)
+        bad, clean, out_path = tmp_path / "bad.omcf", tmp_path / "clean.txt", tmp_path / "r.txt"
+        bad.write_bytes(bytes(data))
+        assert run(capsys, "track", "--container", str(container),
+                   "--out", str(clean))[0] == 0
+        code, out, err = run(capsys, "track", "--container", str(bad), "--out", str(out_path))
+        assert code == 2
+        assert "bytes after the last frame the header counts" in err
+        assert parse_kv(out)["frames"] == str(frames)
+        assert read_mot_boxes(out_path) == [r for r in read_mot_boxes(clean)
+                                            if r.frame <= frames]
 
     def test_container_cut_in_its_first_frame_leaves_out_intact(self, tmp_path, capsys):
         container = tmp_path / "world.omcf"

@@ -1,5 +1,6 @@
 import builtins
 import errno
+import math
 import os
 import struct
 import tracemalloc
@@ -308,6 +309,52 @@ class TestRepeatedName:
             recheck.RefineWeights.load(path)
         assert err.value.offset == offset
         assert "'conv1.w' twice" in str(err.value)
+
+
+class TestBytesAfterLastFrame:
+    """Bytes after the last frame the header counts are a format error,
+    raised once that frame is yielded."""
+
+    @pytest.mark.parametrize("fault", ["appended bytes", "lowered count"])
+    def test_container(self, tmp_path, fault):
+        rng = np.random.default_rng(37)
+        written = [random_frame(rng, i + 1) for i in range(3)]
+        path = tmp_path / "x.omcf"
+        write_container(written, path)
+        data = bytearray(path.read_bytes())
+        if fault == "appended bytes":
+            end, count = len(data), 3
+            data += bytes(7)
+        else:
+            end, count = data.index(written[1].feat.tobytes()) + written[1].feat.nbytes, 2
+            data[8:12] = struct.pack("<I", count)
+        path.write_bytes(bytes(data))
+        message = (f"bytes after the last frame the header counts ({count}): "
+                   f"{len(data) - end} (byte offset {end})")
+        reader = iter_container(path)
+        for want in written[:count]:
+            assert np.array_equal(next(reader).prob, want.prob)
+        with pytest.raises(ContainerFormatError) as err:
+            next(reader)
+        assert str(err.value) == message and err.value.offset == end
+        with pytest.raises(ContainerFormatError) as err:
+            read_omcf(path)
+        assert str(err.value) == message and err.value.offset == end
+
+    def test_weight_file(self, tmp_path):
+        from test_recheck import tiny_weights
+
+        w = tiny_weights(np.random.default_rng(38))
+        path = tmp_path / "weights.omcf"
+        write_omcf(path, [{name: getattr(w, name.replace(".", "_"))
+                           for name in recheck._WEIGHT_NAMES}])
+        end = path.stat().st_size
+        with open(path, "ab") as f:
+            f.write(b"\n")
+        with pytest.raises(ContainerFormatError) as err:
+            recheck.RefineWeights.load(path)
+        assert str(err.value) == (f"bytes after the last frame the header counts (1): 1 "
+                                  f"(byte offset {end})")
 
 
 class TestCorruptBytes:
@@ -636,7 +683,7 @@ class TestAtomicContainer:
 
 
 class TestLazyFeat:
-    """iter_container reads feat only when frame.feat is first used."""
+    """iter_container reads no payload; feat is read only when frame.feat is first used."""
 
     def write(self, tmp_path, frames=3):
         rng = np.random.default_rng(16)
@@ -645,89 +692,78 @@ class TestLazyFeat:
         write_container(written, path)
         return written, path
 
-    @staticmethod
-    def count_reads(monkeypatch):
-        """Record (offset, bytes) of every payload read from an OMCF file."""
-        reads = []
-        preadv = os.preadv
-
-        def recording(fd, buffers, offset):
-            n = preadv(fd, buffers, offset)
-            reads.append((offset, n))
-            return n
-
-        monkeypatch.setattr(os, "preadv", recording)
-        return reads
-
-    def test_iteration_and_bypass_tracking_read_no_feat_byte(self, tmp_path, monkeypatch):
+    def test_iteration_and_bypass_tracking_read_no_feat_byte(self, tmp_path, monkeypatch,
+                                                              read_calls):
         written, path = self.write(tmp_path)
-        reads = self.count_reads(monkeypatch)
         frames = list(frame_io.iter_container(path))
         for fc in frames:
             fc.validate(())
             repr(fc)
-        # Header bytes come in the same reads; count only the payloads' bytes.
         data = path.read_bytes()
+        spans = {name: [(data.index(getattr(f, name).tobytes()), getattr(f, name).nbytes)
+                        for f in written] for name in frame_io.REQUIRED_TENSORS}
 
-        def payload_bytes_read(name):
-            spans = [(data.index(getattr(f, name).tobytes()), getattr(f, name).nbytes)
-                     for f in written]
-            return sum(max(0, min(offset + n, start + size) - max(offset, start))
-                       for offset, n in reads for start, size in spans)
+        def reads_in(name, calls):
+            """(offset, bytes) of each call that reads a byte of a name payload."""
+            return [(offset, n) for _, offset, n in calls for start, size in spans[name]
+                    if offset < start + size and start < offset + n]
 
-        for name in ("prob", "boxes"):
-            assert payload_bytes_read(name) == sum(getattr(f, name).nbytes for f in written)
-        assert payload_bytes_read("embed") == payload_bytes_read("feat") == 0
+        for name in frame_io.REQUIRED_TENSORS:
+            assert reads_in(name, read_calls) == []
         # Four ragged blocks of 7 or 8 cells, so the search reads embed in parts.
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 130)
         by_kernel = {"cross_correlate": [], "extract_embeddings": []}
         for name, calls in by_kernel.items():
             def recorded(boxes_or_set, embed, kernel=getattr(association, name), calls=calls):
-                before = len(reads)
+                before = len(read_calls)
                 out = kernel(boxes_or_set, embed)
-                calls.append((embed.offset, len(boxes_or_set), reads[before:]))
+                calls.append((embed.offset, len(boxes_or_set), read_calls[before:]))
                 return out
             monkeypatch.setattr(association, name, recorded)
-        before = len(reads)
+        before = len(read_calls)
         track_sequence(frames)
 
-        data = path.read_bytes()
-        feat_starts = {data.index(f.feat.tobytes()) for f in written}
-        assert not feat_starts & {offset for offset, _ in reads}
+        tracking = read_calls[before:]
+        # Each prob and boxes payload is read once and whole, and no feat byte.
+        for name in ("prob", "boxes"):
+            assert sorted(reads_in(name, tracking)) == sorted(spans[name])
+        assert reads_in("feat", tracking) == []
+        # Every other read is the kernels' reads of embed.
         kernel_reads = [r for calls in by_kernel.values() for *_, rs in calls for r in rs]
-        assert sorted(kernel_reads) == sorted(reads[before:])
+        whole = [("preadv", *span) for name in ("prob", "boxes") for span in spans[name]]
+        assert sorted(kernel_reads + whole) == sorted(tracking)
         nbytes = written[0].embed.nbytes
         assert by_kernel["cross_correlate"]
         for start, _, search in by_kernel["cross_correlate"]:
             # Each embed byte is read at most once, and none outside embed.
-            spans = sorted((offset, offset + n) for offset, n in search)
+            spans = sorted((offset, offset + n) for _, offset, n in search)
             assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
             assert start <= spans[0][0] and spans[-1][1] <= start + nbytes
             assert sum(b - a for a, b in spans) == nbytes and len(spans) >= 4
         cell_bytes = 4 * written[0].embed.shape[2]
         for start, boxes, readout in by_kernel["extract_embeddings"]:
-            assert sum(n for _, n in readout) == cell_bytes * boxes
-            assert all(start <= offset < start + nbytes for offset, _ in readout)
+            assert sum(n for *_, n in readout) == cell_bytes * boxes
+            assert all(start <= offset < start + nbytes for _, offset, _ in readout)
 
-    def test_feat_reads_the_written_values_once(self, tmp_path, monkeypatch):
+    def test_feat_reads_the_written_values_once(self, tmp_path, read_calls):
         written, path = self.write(tmp_path)
         frames = list(iter_container(path))
-        reads = self.count_reads(monkeypatch)
+        read_calls.clear()
         for fc, want in zip(frames, written):
             assert np.array_equal(fc.feat, want.feat)
             assert fc.feat is fc.feat
-        assert sum(n for _, n in reads) == sum(f.feat.nbytes for f in written)
+        assert sum(n for *_, n in read_calls) == sum(f.feat.nbytes for f in written)
 
-    def test_assigned_feat_replaces_the_unread_payload(self, tmp_path, monkeypatch):
+    def test_assigned_feat_replaces_the_unread_payload(self, tmp_path, read_calls):
         _, path = self.write(tmp_path, frames=1)
         (fc,) = list(iter_container(path))
         feat = fc.held()["feat"]
-        reads = self.count_reads(monkeypatch)
+        read_calls.clear()
         fc.feat = np.zeros((6, 5, 24), dtype=np.float32)
         assert not fc.feat.any() and not fc.tensors()["feat"].any()
-        # tensors() reads the unread embed; nothing reads the feat payload.
+        # tensors() reads the unread tensors; nothing reads the feat payload.
         feat_bytes = range(feat.offset, feat.offset + 4 * 6 * 5 * 24)
-        assert not any(offset in feat_bytes for offset, _ in reads)
+        assert not any(offset in feat_bytes for _, offset, _ in read_calls)
 
     def test_file_cut_after_iteration_fails_on_access(self, tmp_path):
         written, path = self.write(tmp_path, frames=2)
@@ -740,16 +776,16 @@ class TestLazyFeat:
             frames[1].feat
         assert err.value.offset == start
 
-    def test_malformed_feat_header_fails_before_any_payload_read(self, tmp_path, monkeypatch):
+    def test_malformed_feat_header_fails_before_any_payload_read(self, tmp_path, read_calls):
         rng = np.random.default_rng(17)
         frame = random_frame(rng, 1)
         tensors = {**frame.tensors(), "feat": frame.feat[:3]}
         path = tmp_path / "x.omcf"
         write_omcf(path, [tensors])
-        reads = self.count_reads(monkeypatch)
         with pytest.raises(ContainerFormatError, match="frame 1: tensor spatial sizes differ"):
             list(iter_container(path))
-        assert reads == []
+        # Headers are read by pread, payloads by preadv.
+        assert [call for call, *_ in read_calls] == ["pread"] * len(read_calls)
 
 
 class TestStreamedEmbed:
@@ -807,45 +843,28 @@ class TestLaidOutFrames:
         write_omcf(path, tensors or [f.tensors() for f in written])
         return written, path
 
-    @staticmethod
-    def record_reads(monkeypatch):
-        """Record (call, offset, bytes) of every os.preadv and os.pread."""
-        calls = []
-        preadv, pread = os.preadv, os.pread
-
-        def recording_preadv(fd, buffers, offset):
-            n = preadv(fd, buffers, offset)
-            calls.append(("preadv", offset, n))
-            return n
-
-        def recording_pread(fd, n, offset):
-            data = pread(fd, n, offset)
-            calls.append(("pread", offset, len(data)))
-            return data
-
-        monkeypatch.setattr(os, "preadv", recording_preadv)
-        monkeypatch.setattr(os, "pread", recording_pread)
-        return calls
-
-    def test_one_preadv_carries_headers_prob_and_boxes(self, tmp_path, monkeypatch):
+    def test_later_frame_reads_only_frame_1s_header_runs(self, tmp_path, read_calls):
         written, path = self.write(tmp_path)
         data = path.read_bytes()
-        calls = self.record_reads(monkeypatch)
         frames = frame_io.iter_container(path)
-        next(frames)
-        for before, want in zip(written, written[1:]):
-            calls.clear()
+
+        def runs(start, fc):
+            """(offset, length) of each header run of the frame at start, and its end."""
+            out = []
+            for p in fc.held().values():  # in file order
+                out.append((start, p.offset - start))
+                start = p.offset + 4 * math.prod(p.shape)
+            return out, start
+
+        first, start = runs(len(frame_io.MAGIC) + 8, next(frames))
+        for want in written[1:]:
+            read_calls.clear()
             fc = next(frames)
-            start = data.index(before.feat.tobytes()) + before.feat.nbytes
-            embed, feat = fc.held()["embed"], fc.held()["feat"]
-            # From the frame's start to embed's payload: the headers, prob
-            # and boxes; then feat's header, between embed and feat.
-            assert calls == [("preadv", start, embed.offset - start),
-                             ("preadv", embed.offset + want.embed.nbytes,
-                              feat.offset - embed.offset - want.embed.nbytes)]
-            assert start < data.index(want.prob.tobytes()) < data.index(want.boxes.tobytes())
-            assert np.array_equal(fc.prob, want.prob) and np.array_equal(fc.boxes, want.boxes)
-            assert np.array_equal(fc.embed, want.embed) and np.array_equal(fc.feat, want.feat)
+            later, start = runs(start, fc)
+            assert read_calls == [("pread", offset, n) for offset, n in later]
+            assert [data[o:o + n] for o, n in later] == [data[o:o + n] for o, n in first]
+            for name in frame_io.REQUIRED_TENSORS:
+                assert np.array_equal(getattr(fc, name), getattr(want, name))
 
     @staticmethod
     def patched_frame_2(path, old: bytes, new: bytes):
@@ -972,7 +991,7 @@ class TestOneGridRead:
     """On a one-block grid the search reads embed whole and the readout its cells."""
 
     def test_search_reads_the_grid_once_and_readout_reads_centre_cells(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, read_calls):
         from omctrack.synth import ScenarioConfig, generate
 
         frames, _, _ = generate(ScenarioConfig(seed=0, num_targets=2, height=8, width=8,
@@ -987,7 +1006,6 @@ class TestOneGridRead:
             return extract(boxes, embed)
 
         monkeypatch.setattr(association, "extract_embeddings", recording)
-        reads = TestLazyFeat.count_reads(monkeypatch)
         tracker = association.Tracker()
         propagated = 0
         for fc in frame_io.iter_container(path):
@@ -996,9 +1014,9 @@ class TestOneGridRead:
             assert len(list(recheck._search_blocks(h * w, c))) == 1
             nbytes, cell = 4 * h * w * c, 4 * c
             live = len(tracker.live) > 0
-            before = len(reads)
+            before = len(read_calls)
             assert tracker.step(fc)
-            in_embed = [(offset, n) for offset, n in reads[before:]
+            in_embed = [(offset, n) for _, offset, n in read_calls[before:]
                         if embed.offset <= offset < embed.offset + nbytes]
             if live:
                 # The search reads the whole one-block grid in one read.

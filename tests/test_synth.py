@@ -169,6 +169,13 @@ class TestGenerate:
             small(**{field: value})
         assert str(err.value) == f"{field} must be finite, got {value}"
 
+    @pytest.mark.parametrize("field, value", [("frames", 2.5), ("embed_dim", math.nan),
+                                              ("num_targets", 2.0), ("seed", math.inf)])
+    def test_int_field_that_is_not_an_integer_is_named(self, field, value):
+        with pytest.raises(ValueError) as err:
+            small(**{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value}"
+
     def test_clutter_boxes_must_fit_the_grid(self):
         with pytest.raises(ValueError, match="clutter boxes"):
             small(height=2, width=2, size_min=1.0, size_max=2.0)
