@@ -252,10 +252,13 @@ def update_tracklets(
     """
     matched = dict(matches)
     ids = live.ids.tolist()
-    rows = [i for i, tid in enumerate(ids) if tid in matched]
-    cols = [matched[ids[i]] for i in rows]
+    # The matched rows and their boxes' columns as index arrays, built once
+    # for every write and the blend.
+    hit = [i for i, tid in enumerate(ids) if tid in matched]
+    rows = np.array(hit, dtype=np.intp)
+    cols = np.array([matched[ids[i]] for i in hit], dtype=np.intp)
     live.misses += 1
-    if rows:
+    if hit:
         live.misses[rows] = 0
         for held, seen in zip(live.last._columns(), boxes._columns()):
             held[rows] = seen[cols]

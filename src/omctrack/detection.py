@@ -169,19 +169,20 @@ def decode_boxes(
     else:
         flat_raw, scores = flat_raw[cells], scores[cells]
     raw64 = flat_raw.astype(np.float64)
-    pair = (raw64[:, 0], raw64[:, 1])
-    dx, dy = decode_offset_bar(pair, h_scale)
+    # Each pair of columns in one call: decode_offset_bar's arithmetic on
+    # both offsets, one exp over both log-sizes.
+    offsets = (sigmoid(raw64[:, :2]) - 0.5) * h_scale
     with np.errstate(over="ignore"):
-        w, h = np.exp(raw64[:, 2]), np.exp(raw64[:, 3])
-    if not (((w > 0) & (w < np.inf)).all() and ((h > 0) & (h < np.inf)).all()):
+        sizes = np.exp(raw64[:, 2:])
+    if not ((sizes > 0) & (sizes < np.inf)).all():
         raise FrameValueError("tensor 'boxes' decodes to a width or height "
                               "that is not finite and positive")
     row, col = np.divmod(cells, width)
     return Boxes(
-        cx=(col + 0.5) + dx,
-        cy=(row + 0.5) + dy,
-        w=w,
-        h=h,
+        cx=(col + 0.5) + offsets[:, 0],
+        cy=(row + 0.5) + offsets[:, 1],
+        w=sizes[:, 0],
+        h=sizes[:, 1],
         score=scores.astype(np.float64),
     )
 
@@ -272,5 +273,5 @@ def greedy_nms(
         for i in range(len(alive)):
             if alive[i]:
                 kept.append(start + i)
-                alive[i + 1:] &= ok[i, i + 1:]
+                alive &= ok[i]  # entries up to i are read no more
     return order[kept]

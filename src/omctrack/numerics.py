@@ -160,13 +160,14 @@ def normalize_cells(cells) -> np.ndarray:
     as "no information" rather than NaN. Raises FrameValueError when a
     value is not finite.
     """
-    c64 = np.asarray(cells).astype(np.float64)
-    norms = np.linalg.norm(c64, axis=-1, keepdims=True)
+    c64 = np.array(cells, dtype=np.float64)
+    # np.linalg.norm's arithmetic, without its wrapper.
+    norms = np.sqrt(np.add.reduce(c64 * c64, axis=-1, keepdims=True))
     # A norm is finite exactly when its cell's values are, unless the sum
     # of squares overflows, which float32 input cannot make happen.
     if not np.isfinite(norms).all() and not np.isfinite(c64).all():
         raise FrameValueError("grid contains non-finite values")
-    scale = np.where(norms > NORM_EPS, 1.0 / np.where(norms > NORM_EPS, norms, 1.0), 1.0)
+    scale = 1.0 / np.where(norms > NORM_EPS, norms, 1.0)
     return np.multiply(c64, scale, out=c64).astype(np.float32)
 
 

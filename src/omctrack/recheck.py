@@ -93,7 +93,29 @@ __all__ = [
 #   size but 2048;
 # - np.vecdot norms are faster than the einsum (about 1 ms a frame inside
 #   the search) but move the bits of the squared norms.
+# A template count that is not a multiple of 4 (4 < n, n % 4 != 0) is slow
+# in sgemm's edge kernel: a 400x512 block (desk) against 6 templates took
+# 104-105 us, against the same 6 padded with zero rows to 8, 76-80 us
+# (5 and 7: 100 and 131 us, both 75 padded; one BLAS thread). So `_search`
+# multiplies a block by templates padded to a multiple of 4 and scales and
+# writes only the n real columns, which keep their bits: the blocked
+# kernel sums each output over C in the same order at any width. Scanned
+# at C of 16 to 512, n of 5 to 18 (and 21 to 203 at six block sizes) and
+# blocks of 1 to 2100 cells, with one and two BLAS threads, the real
+# columns kept every bit whenever the unpadded product held more than
+# SMALL_PRODUCT_VALUES values. A product of that many or fewer goes
+# through OpenBLAS's small-matrix kernel, which sums in another order, so
+# padding it across that line moves bits (seen on a 15x15 world-scan grid
+# against 5 templates, and on split halves of 108 cells); such a block is
+# not padded. The overflow fallback takes the real templates, and one
+# test of a block's squared norms (their float64 sum) replaces a per-cell
+# mask on every block that has no overflowing cell (see `_search`).
 SEARCH_BLOCK_VALUES = 1 << 20
+
+# Values (cells x n) of a block's product up to which OpenBLAS (0.3.31,
+# AVX-512 build) takes its small-matrix sgemm kernel; only a larger
+# product is padded (see SEARCH_BLOCK_VALUES).
+SMALL_PRODUCT_VALUES = 1200
 
 _WEIGHT_NAMES = (
     "conv1.w", "conv1.b", "conv2.w", "conv2.b",
@@ -150,10 +172,14 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     payload of more than one block is never held whole. Each block is one
     float32 pass (`_search`): per-cell squared norms from one `einsum`, one
     cells-major (cells, C) x (C, n) `sgemm` of the raw cells against the
-    templates into a reused (cells, n) buffer, and that buffer, each cell's
-    row scaled by its 1/norm, written transposed into the block's columns
-    of the (n, H*W) output. The output stays C-contiguous, so each response
-    map is one contiguous (H, W) array for the per-map reductions
+    templates into a reused buffer, and that buffer's n real columns, each
+    cell's row scaled by its 1/norm, written transposed into the block's
+    columns of the (n, H*W) output. Against more than 4 templates whose
+    count is not a multiple of 4, a block whose product holds more than
+    SMALL_PRODUCT_VALUES values is multiplied by the templates padded with
+    zero rows to a multiple of 4, which sgemm runs faster and which leaves
+    the real columns' bits alone. The output stays C-contiguous, so each
+    response map is one contiguous (H, W) array for the per-map reductions
     downstream (see SEARCH_BLOCK_VALUES).
 
     A grid of one block is searched on the calling thread. A grid of more
@@ -170,10 +196,13 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     are safe: each starts its own helper.
 
     Cells with norm <= NORM_EPS keep scale 1, so all-zero cells respond
-    exactly 0. A cell whose squared norm is not finite goes through
+    exactly 0. A block whose squared norms have a finite float64 sum holds
+    no value that is not finite, and is checked by that one test. In any
+    other block, a cell whose squared norm is not finite goes through
     `normalize_cells` (float64), which raises FrameValueError when one of
-    its values is not finite and otherwise gives the cosines of cells whose
-    float32 squares overflow. This is where embed's values are checked;
+    its values is not finite and otherwise gives the cosines, against the
+    real templates, of cells whose float32 squares overflow. This is where
+    embed's values are checked;
     with no templates they are not read. A payload cut short raises
     ContainerFormatError naming the tensor. Returns an (n, H, W) stack,
     float32 for a float32 grid. The templates' dimension must be the
@@ -218,29 +247,41 @@ def _search(vectors: np.ndarray, source: np.ndarray | Payload,
     """Search the cells start..stop of each range into responses[:, start:stop].
 
     One thread's walk: source is an (H*W, C) array or an unread payload,
-    and the walk has its own read buffer and (cells, n) product buffer,
-    sized for its largest range.
+    and the walk has its own read buffer and product buffer, sized for its
+    largest range. A block's product is taken against the templates padded
+    to a multiple of 4 when it holds more than SMALL_PRODUCT_VALUES values
+    and 4 < n, n % 4 != 0; it depends only on the block's cells, so the
+    serial walk, the split halves and the tests' walks pad alike. The
+    float64 sum of a block's float32 squared norms cannot overflow, so it
+    is finite exactly when every squared norm is; only a block whose sum
+    is not builds the per-cell mask for the overflow fallback.
     """
-    c = vectors.shape[1]
+    n, c = vectors.shape
     most = max(stop - start for start, stop in ranges)
     unread = isinstance(source, Payload)
     if unread:
         buf = np.empty((most, c), source.dtype)
-    products = np.empty((most, len(vectors)), responses.dtype)
+    padded = vectors
+    if n > 4 and n % 4:
+        padded = np.zeros((n + 4 - n % 4, c), vectors.dtype)
+        padded[:n] = vectors
+    products = np.empty(most * len(padded), responses.dtype)
     for start, stop in ranges:
         block = source.read_cells(start, buf[:stop - start]) if unread else source[start:stop]
         out = responses[:, start:stop]
         sq = np.einsum("ij,ij->i", block, block)
-        overflow = ~np.isfinite(sq)
-        if overflow.any():
+        finite = math.isfinite(sq.sum(dtype=np.float64))
+        if not finite:
+            overflow = ~np.isfinite(sq)
             unit = normalize_cells(block[overflow])
             sq[overflow] = 0.0  # scale 1; these columns are replaced below
         norms = np.sqrt(sq)
-        scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > NORM_EPS)
-        product = products[:stop - start]
-        np.matmul(block, vectors.T, out=product)
-        np.multiply(product.T, scale, out=out)
-        if overflow.any():
+        scale = 1.0 / np.where(norms > NORM_EPS, norms, 1.0)
+        templates = padded if (stop - start) * n > SMALL_PRODUCT_VALUES else vectors
+        product = products[:(stop - start) * len(templates)].reshape(-1, len(templates))
+        np.matmul(block, templates.T, out=product)
+        np.multiply(product[:, :n].T, scale, out=out)
+        if not finite:
             out[:, overflow] = vectors @ unit.T
 
 
@@ -272,7 +313,8 @@ def aggregate(stack: np.ndarray, r: float) -> np.ndarray:
     """
     out = np.zeros(stack.shape[1:], dtype=np.float64)
     for m, window in zip(stack, _peak_windows(stack, r)):
-        out[window] += m[window]
+        held = out[window]  # a view; out[window] += would also copy it back
+        held += m[window]
     return out.astype(np.float32)
 
 
@@ -356,7 +398,9 @@ def refine(m_s: np.ndarray, f_t: np.ndarray | None,
     """
     m_s = np.asarray(m_s, dtype=np.float32)
     if weights is None:
-        return np.clip(m_s, 0.0, 1.0)
+        # np.clip's bits, in fewer calls, but for -0.0, which comes out
+        # +0.0 and which aggregate never makes.
+        return np.minimum(np.maximum(m_s, 0.0), 1.0)
 
     f_t = np.asarray(f_t, dtype=np.float32)
     if f_t.shape[2] != weights.head1_w.shape[1]:

@@ -341,11 +341,13 @@ class TestSubsetDecode:
                     want if index is None else want[index]).tobytes()
 
     @pytest.mark.parametrize("channel", [2, 3])
-    @pytest.mark.parametrize("log_size", [800.0, -800.0, 1e30, -1e30])
+    @pytest.mark.parametrize("log_size", [800.0, -800.0, 1e3, -1e3, 1e30, -1e30])
     def test_size_that_is_not_finite_and_positive_is_a_frame_value_error(
             self, channel, log_size):
         # exp(800) overflows to inf and exp(-800) underflows to 0, though
-        # both raw values are finite, so the frame check passes them.
+        # both raw values are finite, so the frame check passes them. Only
+        # one size of the cell is bad, so each side of the one check over
+        # both size columns refuses it alone.
         prob = np.ones((2, 3, 1), dtype=np.float32)
         raw = np.zeros((2, 3, 4), dtype=np.float32)
         raw[1, 2, channel] = log_size

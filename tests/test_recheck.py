@@ -274,6 +274,83 @@ class TestFusedNormalizeCorrelate:
             assert np.max(np.abs(alone[0] - stack[i])) <= cosine_atol(32)
 
 
+def unpadded_search(e, grid):
+    """The search's one-block arithmetic without `_search`: the float32
+    cells-major product of the raw cells against the real templates, scaled
+    by each cell's float32 1/norm."""
+    h, w, c = grid.shape
+    cells = grid.reshape(-1, c)
+    norms = np.sqrt(np.einsum("ij,ij->i", cells, cells))
+    scale = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 1e-12)
+    return ((cells @ e.T).T * scale).reshape(len(e), h, w)
+
+
+class TestPaddedSearch:
+    """Template counts that are not a multiple of 4 are padded with zero rows."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 9, 10, 11])
+    def test_desk_shaped_padding_keeps_the_unpadded_bits(self, n):
+        rng = np.random.default_rng(90 + n)
+        grid = raw_grid(rng, (20, 20), 512)
+        e = unit_rows(rng, n, 512)
+        assert 400 * n > recheck.SMALL_PRODUCT_VALUES  # padded
+        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), unpadded_search(e, grid))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (12, 20), (12, 21)])
+    def test_products_at_the_small_kernel_line_keep_the_unpadded_bits(self, shape):
+        # 64 and 240 cells against 5 templates make products of 320 and
+        # 1200 values, left unpadded; 252 cells make 1260, padded. Padding
+        # the 240-cell product moves its bits.
+        rng = np.random.default_rng(sum(shape))
+        grid = raw_grid(rng, shape, 64)
+        e = unit_rows(rng, 5, 64)
+        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), unpadded_search(e, grid))
+
+    def test_overflow_fallback_of_a_padded_block_uses_the_real_templates(self):
+        rng = np.random.default_rng(97)
+        grid = raw_grid(rng, (20, 20), 512)
+        grid[7, 3:9] = rng.normal(size=(6, 512)) * 1e20  # float32 squares overflow
+        e = unit_rows(rng, 6, 512)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        tame = grid.copy()
+        tame[7, 3:9] = 0.0
+        want = unpadded_search(e, tame)
+        want[:, 7, 3:9] = e @ numerics.normalize_cells(grid[7, 3:9]).T
+        assert np.array_equal(maps, want)
+        oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
+        assert np.all(np.abs(maps - oracle) <= cosine_atol(512))
+
+
+class TestOneFinitenessTestPerBlock:
+    """A block's float32 squared norms are summed once, in float64; only a
+    non-finite sum builds the per-cell mask."""
+
+    def test_finite_squares_whose_float32_sum_overflows_give_cosines(self):
+        rng = np.random.default_rng(98)
+        # Values near 1e17: squares near 1e34, squared norms near 5e36, and
+        # 400 of them sum past float32's maximum of about 3.4e38.
+        grid = (rng.normal(size=(20, 20, 512)) * 1e17).astype(np.float32)
+        sq = np.einsum("ijk,ijk->ij", grid, grid)
+        assert np.isfinite(sq).all()
+        with np.errstate(over="ignore"):
+            assert sq.sum(dtype=np.float32) == np.inf
+        e = unit_rows(rng, 6, 512)
+        maps = cross_correlate(EmbeddingSet(e), grid)
+        oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
+        assert np.all(np.abs(maps - oracle) <= cosine_atol(512))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("blocks", [1, 6])
+    def test_one_non_finite_cell_raises(self, monkeypatch, blocks, bad):
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 1305 * 32 // blocks)
+        grid = raw_grid(np.random.default_rng(99), (45, 29), 32)
+        grid[30, 11, 4] = bad
+        assert len(list(recheck._search_blocks(1305, 32))) == blocks
+        e = EmbeddingSet(unit_rows(np.random.default_rng(100), 6, 32))
+        with pytest.raises(FrameValueError, match="non-finite"):
+            cross_correlate(e, grid)
+
+
 class TestShrinkMask:
     def test_interior_peak_seven_by_seven(self):
         m = np.zeros((20, 20), dtype=np.float32)
