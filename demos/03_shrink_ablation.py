@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 import omctrack as ot
-from omctrack.recheck import EmbeddingSet, aggregate, cross_correlate
+from omctrack.numerics import normalize_cells
+from omctrack.recheck import aggregate, cross_correlate
 
 cfg = ot.ScenarioConfig(
     num_targets=4,
@@ -42,7 +43,9 @@ for b in gt_now:
     x1 = min(int((b.x + b.w) / cfg.stride) + 1, cfg.width)
     on_target[y0:y1, x0:x1] = True
 
-stack = cross_correlate(EmbeddingSet(np.stack(vectors)), frame.embed)
+# Templates are plain float32 rows, made as the tracker makes its own: by
+# normalize_cells, from the targets' centre cells.
+stack = cross_correlate(normalize_cells(np.stack(vectors)), frame.embed)
 full = aggregate(stack, math.inf)
 shrunk = aggregate(stack, 3)
 print(f"frame {frame.frame_index}: off-target response mass "

@@ -2,18 +2,21 @@
 
 The live tracklets are one table of arrays (`TrackletTable`): ids,
 embeddings, last boxes and miss counts, one row each, in the order the
-tracklets were founded. Association runs in two greedy stages: cosine
-similarity between tracklet embeddings and candidate-box embeddings first,
-IOU against each tracklet's last box as a fallback for the leftovers,
-computed only when the first stage leaves both a tracklet and a box open.
-Each stage takes its pairs in one sweep over the matrix sorted once.
-Matched rows are refreshed in place, unmatched ones age out after a
-retention window. One birth rule, applied in `Tracker._match` under both
-protocols, picks the boxes that append rows with new identities from a
-monotone id counter: a box founds a tracklet when it is unmatched, not
-restored, and novel (cosine below emb_match_thr against every live row);
-under the public protocol it must also not be near a box tracked this
-frame. Restored boxes repair tracklets; they never start one.
+tracklets were founded. Embeddings are plain (n, C) float32 rows, and
+`normalize_cells` alone makes them, in the readout and in the momentum
+blend: unit rows, or rows of norm <= NORM_EPS left as they are. Association
+runs in two greedy stages: cosine similarity between tracklet embeddings
+and candidate-box embeddings first, IOU against each tracklet's last box as
+a fallback for the leftovers, computed only when the first stage leaves
+both a tracklet and a box open. Each stage takes its pairs in one sweep
+over the matrix sorted once. Matched rows are refreshed in place, unmatched
+ones age out after a retention window. One birth rule, applied in
+`Tracker._match` under both protocols, picks the boxes that append rows
+with new identities from a monotone id counter: a box founds a tracklet
+when it is unmatched, not restored, and novel (cosine below emb_match_thr
+against every live row); under the public protocol it must also not be near
+a box tracked this frame. Restored boxes repair tracklets; they never start
+one.
 
 The pipeline step stitches the whole frame together: propagate active
 tracklets with the global embedding search, decode boxes at the cells a
@@ -49,7 +52,6 @@ from .fusion import fuse
 # every stage name this module binds, that one included.
 from .numerics import FrameValueError, l2_normalize_grid, normalize_cells
 from .recheck import (
-    EmbeddingSet,
     RefineWeights,
     aggregate,
     cross_correlate,
@@ -78,14 +80,15 @@ PUBLIC_NEAR_IOU = 0.5
 class TrackletTable:
     """The live tracklets, one row each, in the order they were founded.
 
-    ids: (n,) int64 identities. emb: their (n, C) embeddings, each row unit
-    or zero. last: the box each one last matched. misses: (n,) int64
-    consecutive frames without a match. `update_tracklets` changes a table
-    in place.
+    ids: (n,) int64 identities. emb: their (n, C) float32 embeddings, rows
+    as `normalize_cells` leaves them: unit rows, or rows of norm <=
+    NORM_EPS, which respond about 0, as a zero row does. last: the box each
+    one last matched. misses: (n,) int64 consecutive frames without a
+    match. `update_tracklets` changes a table in place.
     """
 
     ids: np.ndarray
-    emb: EmbeddingSet
+    emb: np.ndarray
     last: Boxes
     misses: np.ndarray
 
@@ -134,7 +137,7 @@ class PipelineConfig:
             raise ValueError("embedding_momentum must lie in [0, 1]")
 
 
-def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSet:
+def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> np.ndarray:
     """Read one normalized embedding per box at its center cell.
 
     embed is an (H, W, C) array or a container frame's unread `embed`
@@ -149,7 +152,7 @@ def extract_embeddings(boxes: Boxes, embed: np.ndarray | Payload) -> EmbeddingSe
     cols = np.minimum(np.maximum(np.floor(boxes.cx), 0), w - 1).astype(np.intp)
     rows = np.minimum(np.maximum(np.floor(boxes.cy), 0), h - 1).astype(np.intp)
     cells = grid.take_cells(rows * w + cols) if unread else grid[rows, cols]
-    return EmbeddingSet(normalize_cells(cells))
+    return normalize_cells(cells)
 
 
 def _greedy_matrix_match(
@@ -231,24 +234,25 @@ def update_tracklets(
     live: TrackletTable,
     matches: list[tuple[int, int]],
     boxes: Boxes,
-    e_set: EmbeddingSet,
+    embeddings: np.ndarray,
     cfg: PipelineConfig,
     next_id: int,
     born: list[int],
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply one frame's assignment to the table of live tracklets, in place.
 
-    Matched rows reset their miss count, take their box and blend their
-    embedding with the match's by cfg.embedding_momentum, every matched row
-    in one pass: the blend is taken in float64, rounded to float32 and
-    scaled to unit length by `normalize_cells`, the readout's rule. Every
-    other row ages by one miss, and rows whose count reaches the retention
-    window are dropped.
+    embeddings holds the boxes' (len(boxes), C) float32 rows from
+    `extract_embeddings`. Matched rows reset their miss count, take their
+    box and blend their embedding with the match's by
+    cfg.embedding_momentum, every matched row in one pass: the blend is
+    taken in float64, rounded to float32 and scaled to unit length by
+    `normalize_cells`, the readout's rule. Every other row ages by one
+    miss, and rows whose count reaches the retention window are dropped.
     The boxes at the indices in born found new rows with fresh ids, in that
     order, after the survivors; `Tracker._match` picks them by the one
     birth rule (unmatched, not restored, novel). Only a frame that drops or
-    founds rows builds (and checks) a new embedding set. Returns (surviving
-    ids, new ids, next_id); the ids are views of the table's.
+    founds rows builds new arrays. Returns (surviving ids, new ids,
+    next_id); the ids are views of the table's.
     """
     matched = dict(matches)
     ids = live.ids.tolist()
@@ -263,20 +267,20 @@ def update_tracklets(
         for held, seen in zip(live.last._columns(), boxes._columns()):
             held[rows] = seen[cols]
         a = cfg.embedding_momentum
-        blend = (live.emb.vectors[rows].astype(np.float64) * a
-                 + e_set.vectors[cols].astype(np.float64) * (1.0 - a))
-        live.emb.vectors[rows] = normalize_cells(blend.astype(np.float32))
+        blend = (live.emb[rows].astype(np.float64) * a
+                 + embeddings[cols].astype(np.float64) * (1.0 - a))
+        live.emb[rows] = normalize_cells(blend.astype(np.float32))
 
     keep = live.misses < cfg.retention_frames
     if born or not keep.all():
-        vectors = live.emb.vectors[keep]
+        vectors = live.emb[keep]
         if born:
             # A table that has never held a row has no channel count yet.
-            vectors = (np.concatenate((vectors, e_set.vectors[born])) if len(vectors)
-                       else e_set.vectors[born])
+            vectors = (np.concatenate((vectors, embeddings[born])) if len(vectors)
+                       else embeddings[born])
         new_ids = np.arange(next_id, next_id + len(born), dtype=np.int64)
         live.ids = np.concatenate((live.ids[keep], new_ids))
-        live.emb = EmbeddingSet(vectors)
+        live.emb = vectors
         live.last = Boxes(*(np.concatenate((held[keep], seen[born]))
                             for held, seen in zip(live.last._columns(), boxes._columns())))
         live.misses = np.concatenate((live.misses[keep], np.zeros(len(born), dtype=np.int64)))
@@ -326,7 +330,7 @@ class Tracker:
     ):
         self.pipeline = pipeline or PipelineConfig()
         self.weights = weights
-        self.live = TrackletTable(np.zeros(0, dtype=np.int64), EmbeddingSet.empty(0),
+        self.live = TrackletTable(np.zeros(0, dtype=np.int64), np.zeros((0, 0), np.float32),
                                   Boxes.of([]), np.zeros(0, dtype=np.int64))
         self.next_id = 1
         self.rows_emitted = 0
@@ -365,16 +369,16 @@ class Tracker:
             if (fault := mot_box_fault(d)) is not None:
                 raise ValueError(f"public detection of frame {d.frame}: {fault}")
         try:
-            d_final, e_set, matches, born = self._match(frame, public_dets)
+            d_final, embeddings, matches, born = self._match(frame, public_dets)
         except FrameValueError as exc:
             log.warning("frame %s failed validation, counting as all-miss: %s",
                         frame.frame_index, exc)
-            update_tracklets(self.live, [], Boxes.of([]), EmbeddingSet.empty(0),
+            update_tracklets(self.live, [], Boxes.of([]), np.zeros((0, 0), np.float32),
                              self.pipeline, self.next_id, [])
             return []
 
         _, new_ids, self.next_id = update_tracklets(
-            self.live, matches, d_final, e_set, self.pipeline, self.next_id, born,
+            self.live, matches, d_final, embeddings, self.pipeline, self.next_id, born,
         )
         ids = [tid for tid, _ in matches] + new_ids.tolist()
         cells = np.array([j for _, j in matches] + born, dtype=np.intp)
@@ -411,7 +415,7 @@ class Tracker:
         self,
         frame: FrameContainer,
         public_dets: list[MotBox] | None,
-    ) -> tuple[Boxes, EmbeddingSet, list[tuple[int, int]], list[int]]:
+    ) -> tuple[Boxes, np.ndarray, list[tuple[int, int]], list[int]]:
         """Read the frame and match it against the tracklets, changing neither.
 
         Returns the fused boxes, their embeddings, the (tracklet id, box
@@ -443,7 +447,7 @@ class Tracker:
         # The search and the readout read embed from whatever the frame
         # holds; the frame keeps holding a container's grid unread.
         embed = frame.held()["embed"]
-        dim = self.live.emb.vectors.shape[1]
+        dim = self.live.emb.shape[1]
         if len(self.live) and embed.shape[2] != dim:
             raise ValueError(f"frame {frame.frame_index}: tensor 'embed' has {embed.shape[2]} "
                              f"channels, but the live tracklets' embeddings have {dim}")
@@ -466,12 +470,12 @@ class Tracker:
         public = _public_to_cells(public_dets, p.stride) if public_mode else None
         d_final = _fused_detections(decoded, cells, m_p, p, public)
 
-        e_set = extract_embeddings(d_final, embed)
+        embeddings = extract_embeddings(d_final, embed)
         # One cosine matrix a frame, the live rows against the fused boxes,
         # for the first matching stage and the birth rule. A table that has
         # never held a row has no channel count yet.
-        live_rows = self.live.emb.vectors if len(self.live) else e_set.vectors[:0]
-        sims = live_rows.astype(np.float64) @ e_set.vectors.astype(np.float64).T
+        live_rows = self.live.emb if len(self.live) else embeddings[:0]
+        sims = live_rows.astype(np.float64) @ embeddings.astype(np.float64).T
         matches, _, unmatched_boxes = associate(self.live, d_final, sims, p)
 
         # Birth rule: a box founds a tracklet when it is unmatched, novel and
@@ -488,7 +492,7 @@ class Tracker:
             tracked_now = d_final[[j for _, j in matches]]
             near = (iou(d_final, tracked_now) >= PUBLIC_NEAR_IOU).any(axis=1)
             spawnable = [j for j in spawnable if not near[j]]
-        return d_final, e_set, matches, spawnable
+        return d_final, embeddings, matches, spawnable
 
 
 def _fused_detections(

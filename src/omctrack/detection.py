@@ -26,7 +26,6 @@ from .numerics import FrameValueError, sigmoid
 __all__ = [
     "Box",
     "Boxes",
-    "decode_offset_bar",
     "decode_boxes",
     "iou",
     "greedy_nms",
@@ -117,19 +116,6 @@ class Boxes:
         return cls(*([getattr(b, name) for b in boxes] for name in _FIELDS))
 
 
-def decode_offset_bar(raw, h_scale: float):
-    """Boundary-aware offset decode: (sigmoid(raw) - 0.5) * h_scale.
-
-    Ranges over (-h_scale/2, h_scale/2) per axis and is exactly zero at
-    raw = 0, so centers beyond a single cell stay representable. raw is a
-    (dx, dy) pair of scalars or of arrays; so is the result.
-    """
-    return (
-        (sigmoid(raw[0]) - 0.5) * h_scale,
-        (sigmoid(raw[1]) - 0.5) * h_scale,
-    )
-
-
 def decode_boxes(
     prob: np.ndarray,
     raw: np.ndarray,
@@ -138,8 +124,9 @@ def decode_boxes(
 ) -> Boxes:
     """Decode per-cell regressions into grid-aligned boxes.
 
-    Centers are the cell's anchor plus the boundary-aware offsets
-    (decode_offset_bar).
+    Centers are the cell's anchor plus the boundary-aware offsets,
+    (sigmoid(raw) - 0.5) * h_scale per axis: within (-h_scale/2, h_scale/2)
+    of the anchor and exactly 0 at raw = 0.
 
     Parameters
     ----------
@@ -169,8 +156,8 @@ def decode_boxes(
     else:
         flat_raw, scores = flat_raw[cells], scores[cells]
     raw64 = flat_raw.astype(np.float64)
-    # Each pair of columns in one call: decode_offset_bar's arithmetic on
-    # both offsets, one exp over both log-sizes.
+    # Each pair of columns in one call: one sigmoid over both offsets, one
+    # exp over both log-sizes.
     offsets = (sigmoid(raw64[:, :2]) - 0.5) * h_scale
     with np.errstate(over="ignore"):
         sizes = np.exp(raw64[:, 2:])

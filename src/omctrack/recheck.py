@@ -17,9 +17,10 @@ NMS over them, picks the transductive detections (as indices into the
 decoded boxes, read against the frame's one IOU table when the tracker
 holds it) that can restore targets the detector scored as background.
 
-`cross_correlate` normalizes the grid cells; templates must be unit-length
-or zero. So all responses are cosine similarities and the shrink threshold
-is scale-free.
+`cross_correlate` normalizes the grid cells; the templates are plain
+float32 rows as `normalize_cells` leaves them, unit or of norm at most
+NORM_EPS. So all responses are cosine similarities, or about 0, and the
+shrink threshold is scale-free.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "EmbeddingSet",
     "RefineWeights",
     "cross_correlate",
     "aggregate",
@@ -78,9 +78,12 @@ __all__ = [
 # into a second whole buffer) cost 3.7 MiB more RSS and handed off every
 # block, the reader and the product waiting on each other; it took the search from 40 to 24 ms a frame, but
 # tracking ran at 23-38 frames/s against a steady 29-32 single-threaded.
-# The split search takes 25 ms a frame against 37 on one thread (mot17
-# seed-0 payload, 20 templates), and mot17 tracking rises from 24 to 38
-# frames/s. Both numbers hold with one BLAS thread, as the benchmark runs;
+# The split search takes 18.7-20.5 ms a frame against 33.3-35.7 for the
+# same blocks walked on one thread (mot17 seed-0 frame-2 payload against
+# frame 1's 20 tracklets; medians of two runs of 21 alternating calls), and
+# tracking that 3-frame container runs at 63 frames/s against 34-35 with a
+# one-thread search (medians of two runs of 15 alternating wall-clock
+# passes, same rows). Both hold with one BLAS thread, as the benchmark runs;
 # with OpenBLAS's default of one thread per CPU, each search thread asks
 # for two, and the split search is no faster (43-66 ms against 45-51).
 # With one BLAS thread the halves (984 or 985 cells) give their blocks'
@@ -123,34 +126,6 @@ _WEIGHT_NAMES = (
 )
 
 
-@dataclass
-class EmbeddingSet:
-    """Identity vectors: rows of an (n, C) float32 array, each unit or all zero."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float32)
-        if self.vectors.ndim != 2:
-            raise ValueError(
-                f"vectors must have shape (n, C), got {self.vectors.shape}"
-            )
-        rows = self.vectors.astype(np.float64)
-        norms = np.sqrt(np.vecdot(rows, rows))
-        bad = ~((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-5))
-        if bad.any():
-            raise ValueError(
-                f"embedding norms must be 0 or 1, got {norms[bad][:4]}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    @classmethod
-    def empty(cls, dim: int) -> "EmbeddingSet":
-        return cls(np.zeros((0, dim), dtype=np.float32))
-
-
 def _search_blocks(cells: int, channels: int) -> Iterator[tuple[int, int]]:
     """Near-equal (start, stop) cell ranges, each at most SEARCH_BLOCK_VALUES values.
 
@@ -162,25 +137,29 @@ def _search_blocks(cells: int, channels: int) -> Iterator[tuple[int, int]]:
         yield cells * k // count, cells * (k + 1) // count
 
 
-def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndarray:
+def cross_correlate(templates: np.ndarray, embed: np.ndarray | Payload) -> np.ndarray:
     """Cosine response maps of every template against every grid cell.
 
-    embed is an (H, W, C) array or a container frame's unread `embed`
-    Payload. The H*W cells are walked in near-equal blocks of at most
-    SEARCH_BLOCK_VALUES values (`_search_blocks`): a view of an array, or a
-    payload's cells read into a buffer that every block reuses, so a
-    payload of more than one block is never held whole. Each block is one
-    float32 pass (`_search`): per-cell squared norms from one `einsum`, one
-    cells-major (cells, C) x (C, n) `sgemm` of the raw cells against the
-    templates into a reused buffer, and that buffer's n real columns, each
-    cell's row scaled by its 1/norm, written transposed into the block's
-    columns of the (n, H*W) output. Against more than 4 templates whose
-    count is not a multiple of 4, a block whose product holds more than
-    SMALL_PRODUCT_VALUES values is multiplied by the templates padded with
-    zero rows to a multiple of 4, which sgemm runs faster and which leaves
-    the real columns' bits alone. The output stays C-contiguous, so each
-    response map is one contiguous (H, W) array for the per-map reductions
-    downstream (see SEARCH_BLOCK_VALUES).
+    templates is an (n, C) array of rows as `normalize_cells` leaves them:
+    unit rows, or rows of norm <= NORM_EPS, which respond about 0, as a
+    zero row does. It is searched as float32, so float64 rows give the
+    product of the same rows cast to float32. embed is an (H, W, C) array
+    or a container frame's unread `embed` Payload. The H*W cells are walked
+    in near-equal blocks of at most SEARCH_BLOCK_VALUES values
+    (`_search_blocks`): a view of an array, or a payload's cells read into
+    a buffer that every block reuses, so a payload of more than one block
+    is never held whole. Each block is one float32 pass (`_search`):
+    per-cell squared norms from one `einsum`, one cells-major (cells, C) x
+    (C, n) `sgemm` of the raw cells against the templates into a reused
+    buffer, and that buffer's n real columns, each cell's row scaled by its
+    1/norm, written transposed into the block's columns of the (n, H*W)
+    output. Against more than 4 templates whose count is not a multiple of
+    4, a block whose product holds more than SMALL_PRODUCT_VALUES values is
+    multiplied by the templates padded with zero rows to a multiple of 4,
+    which sgemm runs faster and which leaves the real columns' bits alone.
+    The output stays C-contiguous, so each response map is one contiguous
+    (H, W) array for the per-map reductions downstream (see
+    SEARCH_BLOCK_VALUES).
 
     A grid of one block is searched on the calling thread. A grid of more
     blocks is searched on two: each block is cut in half, the calling
@@ -211,21 +190,22 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
     unread = isinstance(embed, Payload)
     grid = embed if unread else np.asarray(embed)
     h, w, c = grid.shape
-    n = len(e_set)
+    templates = np.asarray(templates, dtype=np.float32)
+    n = len(templates)
     if n == 0:
         return np.zeros((0, h, w), dtype=np.float32)
     source = grid if unread else grid.reshape(-1, c)
     blocks = list(_search_blocks(h * w, c))
-    responses = np.empty((n, h * w), np.result_type(e_set.vectors, grid.dtype))
+    responses = np.empty((n, h * w), np.result_type(templates, grid.dtype))
     if len(blocks) == 1:
-        _search(e_set.vectors, source, blocks, responses)
+        _search(templates, source, blocks, responses)
     else:
         cuts = [start + (stop - start) // 2 for start, stop in blocks]
         failed = []
 
         def second_halves():
             try:
-                _search(e_set.vectors, source,
+                _search(templates, source,
                         [(cut, stop) for cut, (_, stop) in zip(cuts, blocks)], responses)
             except BaseException as exc:
                 failed.append(exc)
@@ -233,7 +213,7 @@ def cross_correlate(e_set: EmbeddingSet, embed: np.ndarray | Payload) -> np.ndar
         helper = Thread(target=second_halves, name="omctrack-search")
         helper.start()
         try:
-            _search(e_set.vectors, source,
+            _search(templates, source,
                     [(start, cut) for cut, (start, _) in zip(cuts, blocks)], responses)
         finally:
             helper.join()  # even if our half raised, which then wins

@@ -1,8 +1,10 @@
 """Reference computations that only the tests use.
 
-The tracker never builds a shrink mask or decodes offsets with a plain
-sigmoid; the tests read these to check `recheck.aggregate`'s windows and
-to show what the boundary-aware decoder reaches that a sigmoid cannot.
+The tracker never builds a shrink mask, decodes one offset pair at a
+time or decodes offsets with a plain sigmoid; the tests read these to
+check `recheck.aggregate`'s windows and `detection.decode_boxes`'s
+offsets, and to show what the boundary-aware decoder reaches that a
+sigmoid cannot.
 """
 
 import numpy as np
@@ -22,6 +24,19 @@ def shrink_mask(m: np.ndarray, r: float) -> np.ndarray:
     mask = np.zeros(m.shape, dtype=np.float32)
     mask[_peak_windows(m[None], r)[0]] = 1.0
     return mask
+
+
+def decode_offset_bar(raw, h_scale: float):
+    """Boundary-aware offset decode, one (dx, dy) pair at a time.
+
+    (sigmoid(raw) - 0.5) * h_scale per axis: the offsets `decode_boxes`
+    adds to each cell's anchor. raw is a (dx, dy) pair of scalars or of
+    arrays; so is the result.
+    """
+    return (
+        (sigmoid(raw[0]) - 0.5) * h_scale,
+        (sigmoid(raw[1]) - 0.5) * h_scale,
+    )
 
 
 def decode_offset_sigmoid(raw):

@@ -15,10 +15,10 @@ import pytest
 
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.cli import main
-from omctrack.detection import decode_offset_bar
+from omctrack.detection import decode_boxes
 from omctrack.frame_io import FrameContainer, iter_container, write_container
 from omctrack.metrics import evaluate
-from omctrack.recheck import EmbeddingSet, cross_correlate
+from omctrack.recheck import cross_correlate
 from omctrack.supervision import gaussian_target, logistic_mse_loss, loss_gradient
 from omctrack.synth import ScenarioConfig, generate, restoration_report
 
@@ -52,7 +52,7 @@ def test_criterion_1_matmul_correlation_equals_loop_oracle():
         grid = rng.normal(size=(h, w, c))
         grid /= np.maximum(np.linalg.norm(grid, axis=2, keepdims=True), 1e-12)
         grid = grid.astype(np.float32)
-        maps = cross_correlate(EmbeddingSet(vectors.astype(np.float32)), grid)
+        maps = cross_correlate(vectors.astype(np.float32), grid)
         for i in range(n):
             for y in range(h):
                 for x in range(w):
@@ -148,11 +148,11 @@ def test_criterion_5_shrink_ablation(clutter_scenario):
         cy = int((b.y + b.h / 2) / cfg.stride)
         cx = int((b.x + b.w / 2) / cfg.stride)
         vectors.append(first.embed[cy, cx])
-    e_set = EmbeddingSet(np.stack(vectors))
+    templates = np.stack(vectors)
     worst = 0
     for frame in frames:
-        stack = cross_correlate(e_set, frame.embed)
-        for i in range(len(e_set)):
+        stack = cross_correlate(templates, frame.embed)
+        for i in range(len(templates)):
             worst = max(worst, int(shrink_mask(stack[i], 3).sum()))
     assert worst <= 49
     report(5, f"look-alike clutter: FP {fp[3.0]} with shrinking vs "
@@ -160,12 +160,15 @@ def test_criterion_5_shrink_ablation(clutter_scenario):
 
 
 def test_criterion_6_boundary_aware_regression():
+    # The tracker's decoder on a one-cell grid, whose anchor is at 0.5.
     h_scale = 10.0
+    prob = np.ones((1, 1, 1), dtype=np.float32)
     raw_sweep = np.linspace(-50.0, 50.0, 2001)
     for offset in np.linspace(1.5, 3.0, 7):
         u = offset / h_scale + 0.5
         exact_raw = math.log(u) - math.log1p(-u)
-        decoded, _ = decode_offset_bar((exact_raw, 0.0), h_scale)
+        raw = np.array([[[exact_raw, 0.0, 0.0, 0.0]]], dtype=np.float32)
+        decoded = decode_boxes(prob, raw, h_scale).cx[0] - 0.5
         assert abs(decoded - offset) <= 0.1
 
         sigmoid_best = min(

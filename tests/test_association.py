@@ -20,7 +20,7 @@ from omctrack.association import (
 from omctrack.detection import Box, Boxes, iou
 from omctrack.frame_io import MotBox
 from omctrack.numerics import normalize_cells
-from omctrack.recheck import EmbeddingSet, RefineWeights
+from omctrack.recheck import RefineWeights
 from omctrack.synth import ScenarioConfig, generate
 
 from test_numerics import whole_grid_normalize
@@ -52,7 +52,7 @@ class Tracklet:
     state: str = "active"                              # active | removed
 
 
-def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, born):
+def reference_update(tracklets, matches, boxes, embeddings, cfg, next_id, born):
     """The per-object update that `update_tracklets` replaced.
 
     Returns (surviving tracklets, new tracklets, next_id) and changes the
@@ -64,7 +64,7 @@ def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, born):
     for t, j in zip(hits, cols):
         t.miss_count = 0
         t.last_box = boxes[j]
-        t.embedding = per_tracklet_update(t.embedding, e_set.vectors[j], cfg)
+        t.embedding = per_tracklet_update(t.embedding, embeddings[j], cfg)
     for t in tracklets:
         if t.id not in matched:
             t.miss_count += 1
@@ -72,7 +72,7 @@ def reference_update(tracklets, matches, boxes, e_set, cfg, next_id, born):
                 t.state = "removed"
     survivors = [t for t in tracklets if t.state == "active"]
     new_tracklets = [
-        Tracklet(id=next_id + k, embedding=e_set.vectors[j].copy(), last_box=boxes[j])
+        Tracklet(id=next_id + k, embedding=embeddings[j].copy(), last_box=boxes[j])
         for k, j in enumerate(born)
     ]
     return survivors, new_tracklets, next_id + len(born)
@@ -90,16 +90,13 @@ def table(tracklets):
     """A TrackletTable holding the records' values, one row each, in list order.
 
     Its rows are copies, so updating the table leaves the records as they
-    are. They are set after EmbeddingSet's norm check, so the blend tests
-    can hold rows of any magnitude, which a tracker's table never holds.
+    are. The blend tests hold rows of any magnitude, which a tracker's
+    table never holds.
     """
     dim = len(tracklets[0].embedding) if tracklets else 0
-    emb = EmbeddingSet.empty(dim)
-    vectors = np.array([t.embedding for t in tracklets], np.float32)
-    emb.vectors = vectors.reshape(len(tracklets), dim)
     return TrackletTable(
         ids=np.array([t.id for t in tracklets], dtype=np.int64),
-        emb=emb,
+        emb=np.array([t.embedding for t in tracklets], np.float32).reshape(len(tracklets), dim),
         last=Boxes.of([t.last_box for t in tracklets]),
         misses=np.array([t.miss_count for t in tracklets], dtype=np.int64),
     )
@@ -108,7 +105,7 @@ def table(tracklets):
 def row_records(live):
     """Each row of a table as (id, embedding bytes, last box bits, misses)."""
     return [(tid, emb.tobytes(), box_bits(box), misses) for tid, emb, box, misses
-            in zip(live.ids.tolist(), live.emb.vectors, live.last, live.misses.tolist())]
+            in zip(live.ids.tolist(), live.emb, live.last, live.misses.tolist())]
 
 
 def box_bits(box):
@@ -128,13 +125,13 @@ def per_tracklet_update(embedding, new_emb, cfg):
     return normalize_cells(blend.astype(np.float32)[None])[0]
 
 
-def associate_on(trk, boxes, e_set, cfg):
-    """associate on the float64 cosines of the records' embeddings against e_set's.
+def associate_on(trk, boxes, embeddings, cfg):
+    """associate on the float64 cosines of the records' embeddings against these rows.
 
     The matrix is the product `Tracker._match` builds.
     """
     live = table(trk)
-    sims = live.emb.vectors.astype(np.float64) @ e_set.vectors.astype(np.float64).T
+    sims = live.emb.astype(np.float64) @ embeddings.astype(np.float64).T
     return associate(live, boxes, sims, cfg)
 
 
@@ -182,7 +179,7 @@ class TestExtractEmbeddings:
         grid = rng.normal(size=(6, 6, 8)).astype(np.float32)
         boxes = Boxes.of([Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
-        assert np.allclose(es.vectors[0], unit(grid[2, 3]), atol=1e-6)
+        assert np.allclose(es[0], unit(grid[2, 3]), atol=1e-6)
 
     def test_empty_list(self):
         grid = np.zeros((4, 4, 8), dtype=np.float32)
@@ -194,7 +191,7 @@ class TestExtractEmbeddings:
         grid = rng.normal(size=(4, 4, 8)).astype(np.float32)
         boxes = Boxes.of([Box(cx=-0.4, cy=4.4, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
-        assert np.allclose(es.vectors[0], unit(grid[3, 0]), atol=1e-6)
+        assert np.allclose(es[0], unit(grid[3, 0]), atol=1e-6)
 
     def test_non_finite_read_cell_raises(self):
         grid = np.ones((4, 4, 8), dtype=np.float32)
@@ -209,7 +206,7 @@ class TestExtractEmbeddings:
         grid[0, 0, 0] = np.inf
         boxes = Boxes.of([Box(cx=3.4, cy=2.8, w=1, h=1, score=1.0)])
         es = extract_embeddings(boxes, grid)
-        assert np.array_equal(es.vectors[0], normalize_cells(grid[2, 3]))
+        assert np.array_equal(es[0], normalize_cells(grid[2, 3]))
 
     def test_raw_grid_same_bits_as_reading_a_normalized_grid(self):
         rng = np.random.default_rng(2)
@@ -223,7 +220,7 @@ class TestExtractEmbeddings:
         cols = np.clip(np.floor(boxes.cx), 0, 12).astype(int)
         rows = np.clip(np.floor(boxes.cy), 0, 8).astype(int)
         expected = np.stack([normalize_cells(f_id[r, c]) for r, c in zip(rows, cols)])
-        assert np.array_equal(extract_embeddings(boxes, grid).vectors, expected)
+        assert np.array_equal(extract_embeddings(boxes, grid), expected)
 
     @given(st.lists(st.tuples(*[st.one_of(st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
                                           st.floats(-1e300, 1e300))] * 2),
@@ -233,8 +230,8 @@ class TestExtractEmbeddings:
         boxes = Boxes.of([Box(cx=x, cy=y, w=1, h=1, score=1.0) for x, y in centers])
         cols = np.clip(np.floor(boxes.cx), 0, 6).astype(np.intp)
         rows = np.clip(np.floor(boxes.cy), 0, 4).astype(np.intp)
-        expected = EmbeddingSet(normalize_cells(grid[rows, cols])).vectors
-        assert extract_embeddings(boxes, grid).vectors.tobytes() == expected.tobytes()
+        expected = normalize_cells(grid[rows, cols])
+        assert extract_embeddings(boxes, grid).tobytes() == expected.tobytes()
 
 
 class TestAssociate:
@@ -242,7 +239,7 @@ class TestAssociate:
         e = basis_vec(0)
         trk = [tracklet(7, e)]
         boxes = Boxes.of([Box(cx=9, cy=9, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([e]))
+        es = np.stack([e])
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == [(7, 0)]
         assert un_t == [] and un_b == []
@@ -250,14 +247,14 @@ class TestAssociate:
     def test_orthogonal_embedding_falls_back_to_iou(self):
         trk = [tracklet(3, basis_vec(0), cx=5, cy=5)]
         boxes = Boxes.of([Box(cx=5.1, cy=5.0, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([basis_vec(1)]))
+        es = np.stack([basis_vec(1)])
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == [(3, 0)]
 
     def test_below_both_thresholds_unmatched(self):
         trk = [tracklet(3, basis_vec(0), cx=0, cy=0)]
         boxes = Boxes.of([Box(cx=30, cy=30, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([basis_vec(1)]))
+        es = np.stack([basis_vec(1)])
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert matches == []
         assert un_t == [3] and un_b == [0]
@@ -286,7 +283,7 @@ class TestAssociate:
                    for i in range(n)]
             boxes = Boxes.of([Box(cx=1000 + 100 * j, cy=0, w=1, h=1, score=1.0)
                               for j in range(n)])
-            es = EmbeddingSet(box_vecs.astype(np.float32))
+            es = box_vecs.astype(np.float32)
             actual_sims = trk_vecs @ box_vecs.T
             matches, _, _ = associate_on(trk, boxes, es, cfg)
             got = sorted((tid - 1, j) for tid, j in matches)
@@ -302,7 +299,7 @@ class TestAssociate:
                for i in range(4)]
         boxes = Boxes.of([Box(cx=rng.uniform(0, 10), cy=rng.uniform(0, 10),
                               w=2, h=2, score=1.0) for _ in range(5)])
-        es = EmbeddingSet(vecs[[0, 0, 1, 2, 5]].astype(np.float32))
+        es = vecs[[0, 0, 1, 2, 5]].astype(np.float32)
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         tids = [t for t, _ in matches]
         cols = [j for _, j in matches]
@@ -329,7 +326,7 @@ class TestLazyIouFallback:
     def test_every_tracklet_matched_by_embedding_makes_no_iou_call(self, iou_calls):
         trk = [tracklet(1, basis_vec(0)), tracklet(2, basis_vec(1))]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 3)
-        es = EmbeddingSet(np.stack([basis_vec(1), basis_vec(2), basis_vec(0)]))
+        es = np.stack([basis_vec(1), basis_vec(2), basis_vec(0)])
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert sorted(matches) == [(1, 2), (2, 0)]
         assert un_t == [] and un_b == [1]
@@ -338,7 +335,7 @@ class TestLazyIouFallback:
     def test_every_box_matched_by_embedding_makes_no_iou_call(self, iou_calls):
         trk = [tracklet(i + 1, basis_vec(i)) for i in range(3)]
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)] * 2)
-        es = EmbeddingSet(np.stack([basis_vec(2), basis_vec(0)]))
+        es = np.stack([basis_vec(2), basis_vec(0)])
         matches, un_t, un_b = associate_on(trk, boxes, es, PipelineConfig())
         assert sorted(matches) == [(1, 1), (3, 0)]
         assert un_t == [2] and un_b == []
@@ -357,7 +354,7 @@ class TestLazyIouFallback:
             boxes = Boxes.of([Box(cx=x, cy=y, w=2, h=2, score=1.0)
                               for x, y in rng.uniform(0, 4, size=(m, 2))])
             iou_calls.clear()
-            matches, _, _ = associate_on(trk, boxes, EmbeddingSet(box_vecs), cfg)
+            matches, _, _ = associate_on(trk, boxes, box_vecs, cfg)
 
             sims = trk_vecs.astype(np.float64) @ box_vecs.astype(np.float64).T
             expected = greedy_oracle(sims, cfg.emb_match_thr)
@@ -380,18 +377,18 @@ class TestUpdateTracklets:
         for frame in range(2, 32):
             assert live.ids.tolist() == [1] and live.misses.tolist() == [frame - 2]
             active, new, _ = update_tracklets(
-                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2, born=[]
+                live, [], Boxes.of([]), np.zeros((0, 8), np.float32), cfg, next_id=2, born=[]
             )
         # Dropped by the update that gave it its 30th miss.
         assert len(active) == 0 and len(new) == 0
-        assert len(live) == 0 and live.emb.vectors.shape == (0, 8)
+        assert len(live) == 0 and live.emb.shape == (0, 8)
 
     def test_survives_through_k_minus_one(self):
         cfg = PipelineConfig(retention_frames=30)
         live = table([tracklet(1, basis_vec(0))])
         for frame in range(2, 31):
             active, _, _ = update_tracklets(
-                live, [], Boxes.of([]), EmbeddingSet.empty(8), cfg, next_id=2, born=[]
+                live, [], Boxes.of([]), np.zeros((0, 8), np.float32), cfg, next_id=2, born=[]
             )
         assert active.tolist() == [1]
         assert live.misses.tolist() == [29]
@@ -401,43 +398,54 @@ class TestUpdateTracklets:
         e = unit(np.arange(1, 9))
         live = table([tracklet(1, e)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
-        update_tracklets(live, [(1, 0)], boxes, EmbeddingSet(np.stack([e])), cfg,
+        update_tracklets(live, [(1, 0)], boxes, np.stack([e]), cfg,
                          next_id=2, born=[])
-        assert np.allclose(live.emb.vectors[0], e, atol=1e-6)
+        assert np.allclose(live.emb[0], e, atol=1e-6)
 
     def test_alpha_one_keeps_the_birth_embedding(self):
         cfg = PipelineConfig(embedding_momentum=1.0)
         e0 = basis_vec(0)
         live = table([tracklet(1, e0)])
         for frame in range(2, 6):
-            es = EmbeddingSet(np.stack([basis_vec(frame % 8)]))
+            es = np.stack([basis_vec(frame % 8)])
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
             update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
-        assert np.array_equal(live.emb.vectors[0], e0)
+        assert np.array_equal(live.emb[0], e0)
 
     def test_alpha_zero_takes_the_match(self):
         cfg = PipelineConfig(embedding_momentum=0.0)
         live = table([tracklet(1, basis_vec(0))])
-        es = EmbeddingSet(np.stack([basis_vec(3)]))
+        es = np.stack([basis_vec(3)])
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
         update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
-        assert np.array_equal(live.emb.vectors[0], basis_vec(3))
+        assert np.array_equal(live.emb[0], basis_vec(3))
 
     def test_blend_keeps_unit_norm(self):
         rng = np.random.default_rng(4)
         cfg = PipelineConfig(embedding_momentum=0.7)
         live = table([tracklet(1, unit(rng.normal(size=8)))])
         for frame in range(2, 12):
-            es = EmbeddingSet(np.stack([unit(rng.normal(size=8))]))
+            es = np.stack([unit(rng.normal(size=8))])
             boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
             update_tracklets(live, [(1, 0)], boxes, es, cfg, next_id=2, born=[])
-            assert abs(np.linalg.norm(live.emb.vectors[0].astype(np.float64)) - 1.0) < 1e-6
+            assert abs(np.linalg.norm(live.emb[0].astype(np.float64)) - 1.0) < 1e-6
+
+    def test_blend_that_cancels_stays_a_zero_row(self):
+        # Opposite rows blended half and half sum to zero, a row of norm at
+        # most NORM_EPS that normalize_cells leaves as it is.
+        cfg = PipelineConfig(embedding_momentum=0.5)
+        e = unit(np.arange(1, 9))
+        live = table([tracklet(1, e)])
+        boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0)])
+        update_tracklets(live, [(1, 0)], boxes, np.stack([-e]), cfg, next_id=2, born=[])
+        assert live.emb.dtype == np.float32
+        assert not live.emb.any()
 
     def test_unmatched_boxes_spawn_with_monotone_ids(self):
         cfg = PipelineConfig()
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1)]))
+        es = np.stack([basis_vec(0), basis_vec(1)])
         active, new, next_id = update_tracklets(table([]), [], boxes, es, cfg, next_id=5,
                                                 born=[0, 1])
         assert new.tolist() == [5, 6]
@@ -448,7 +456,7 @@ class TestUpdateTracklets:
         boxes = Boxes.of([Box(cx=1, cy=1, w=2, h=2, score=1.0),
                           Box(cx=8, cy=8, w=2, h=2, score=1.0),
                           Box(cx=4, cy=4, w=2, h=2, score=1.0)])
-        es = EmbeddingSet(np.stack([basis_vec(0), basis_vec(1), basis_vec(2)]))
+        es = np.stack([basis_vec(0), basis_vec(1), basis_vec(2)])
         live = table([])
         _, new, _ = update_tracklets(live, [], boxes, es, cfg, next_id=1, born=[2, 1])
         assert new.tolist() == [1, 2]
@@ -488,12 +496,12 @@ class TestOnePassUpdate:
         boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
         matches = [(i + 1, int(j)) for i, j in enumerate(order)]
         expected = [per_tracklet_update(old[i], new[j], cfg) for i, j in enumerate(order)]
-        update_tracklets(live, matches, boxes, EmbeddingSet(new),
+        update_tracklets(live, matches, boxes, new,
                          cfg, next_id=len(old) + 1, born=[])
-        assert live.emb.vectors.dtype == np.float32
-        for row, want in zip(live.emb.vectors, expected):
+        assert live.emb.dtype == np.float32
+        for row, want in zip(live.emb, expected):
             assert row.tobytes() == want.tobytes()
-        for tid, row, misses in zip(live.ids[len(order):], live.emb.vectors[len(order):],
+        for tid, row, misses in zip(live.ids[len(order):], live.emb[len(order):],
                                     live.misses[len(order):]):
             assert row.tobytes() == old[tid - 1].tobytes()
             assert misses == 1
@@ -532,10 +540,10 @@ class TestAlphaEndpoints:
         live = table([tracklet(i + 1, row) for i, row in enumerate(old)])
         boxes = Boxes.of([Box(cx=j, cy=1, w=2, h=2, score=1.0) for j in range(len(new))])
         update_tracklets(live, [(i + 1, i) for i in range(len(new))], boxes,
-                         EmbeddingSet(new), PipelineConfig(embedding_momentum=alpha),
+                         new, PipelineConfig(embedding_momentum=alpha),
                          next_id=len(old) + 1, born=[])
         want = old if alpha == 1.0 else new
-        got = live.emb.vectors
+        got = live.emb
         assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
 
 
@@ -576,7 +584,7 @@ def table_updates(draw):
     unmatched = [j for j in range(m) if j not in cols]
     born = draw(st.permutations(unmatched))[:draw(st.integers(0, len(unmatched)))]
     next_id = int(ids[-1]) + 1 if n else draw(st.integers(1, 50))
-    return (trk, matches, random_boxes(m), EmbeddingSet(unit_or_zero_rows(m)), cfg,
+    return (trk, matches, random_boxes(m), unit_or_zero_rows(m), cfg,
             next_id, born)
 
 
@@ -584,11 +592,11 @@ class TestTableUpdate:
     @settings(max_examples=400, deadline=None)
     @given(table_updates())
     def test_matches_the_per_object_update_bit_for_bit(self, inputs):
-        trk, matches, boxes, e_set, cfg, next_id, born = inputs
+        trk, matches, boxes, embeddings, cfg, next_id, born = inputs
         live = table(trk)
-        survivors, new, want_next = reference_update(trk, matches, boxes, e_set, cfg,
+        survivors, new, want_next = reference_update(trk, matches, boxes, embeddings, cfg,
                                                      next_id, born)
-        kept, new_ids, got_next = update_tracklets(live, matches, boxes, e_set, cfg,
+        kept, new_ids, got_next = update_tracklets(live, matches, boxes, embeddings, cfg,
                                                    next_id, born)
         assert got_next == want_next
         assert kept.tolist() == [t.id for t in survivors]
@@ -598,7 +606,7 @@ class TestTableUpdate:
             for t in survivors + new
         ]
         assert live.ids.dtype == live.misses.dtype == np.int64
-        assert live.emb.vectors.dtype == np.float32
+        assert live.emb.dtype == np.float32
 
 
 class TestPipelineConfig:
@@ -809,14 +817,14 @@ class TestTrackerStep:
         tracker._match = spy
         unmatched_restored = 0
         for frame in frames:
-            live = tracker.live.emb.vectors.copy()
+            live = tracker.live.emb.copy()
             tracker.step(frame)
-            d_final, e_set, matches, born = seen["out"]
+            d_final, embeddings, matches, born = seen["out"]
             matched = {j for _, j in matches}
             assert matched.isdisjoint(born) and born == sorted(born)
             assert not d_final.restored[born].any()
             if len(live):
-                sims = live.astype(np.float64) @ e_set.vectors[born].T
+                sims = live.astype(np.float64) @ embeddings[born].T
                 assert (sims < tracker.pipeline.emb_match_thr).all()
             unmatched_restored += sum(bool(d_final.restored[j])
                                       for j in range(len(d_final)) if j not in matched)
@@ -838,7 +846,7 @@ class TestTrackerStep:
         seen = {}
 
         def spy_associate(live, boxes, sims, cfg):
-            seen["rows"], seen["sims"] = live.emb.vectors.copy(), sims.copy()
+            seen["rows"], seen["sims"] = live.emb.copy(), sims.copy()
             return associate(live, boxes, sims, cfg)
 
         monkeypatch.setattr(association, "associate", spy_associate)
@@ -852,11 +860,11 @@ class TestTrackerStep:
         refused = live_frames = 0
         for frame in frames:
             tracker.step(frame)
-            d_final, e_set, matches, born = seen["out"]
+            d_final, embeddings, matches, born = seen["out"]
             rows, sims = seen["rows"], seen["sims"]
             live_frames += bool(sims.size)
             if len(rows):
-                want = rows.astype(np.float64) @ e_set.vectors.astype(np.float64).T
+                want = rows.astype(np.float64) @ embeddings.astype(np.float64).T
             else:
                 want = np.zeros((0, len(d_final)))
             assert sims.dtype == np.float64 and sims.shape == want.shape
@@ -1115,6 +1123,21 @@ class TestFrameValuePolicy:
         with pytest.raises(exc, match="kernel fault"):
             tracker.step(frames[1])
         assert row_records(tracker.live) == before
+
+    def test_near_zero_embed_cells_track_as_zero_cells(self):
+        # Finite embed cells of norm far below NORM_EPS: normalize_cells
+        # leaves them as they are, so their rows respond about 0, as zero
+        # rows do, and the run gives the zeroed world's rows.
+        def desk(scale):
+            frames, _, _ = generate(ScenarioConfig(frames=30, dropout_prob=0.3, seed=0))
+            for frame in frames[10:13]:
+                frame.embed = frame.embed * scale
+            return frames
+
+        zeroed, _ = track_sequence(desk(np.float32(0.0)))
+        near_zero, _ = track_sequence(desk(np.float32(1e-30)))
+        assert near_zero == zeroed
+        assert len(zeroed) == 170 and len({r.id for r in zeroed}) == 7
 
 
 # The per-frame chain before the overlap table, kept as the oracle: each

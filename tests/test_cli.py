@@ -296,6 +296,25 @@ class TestTrackCommand:
         assert [r for r in rows if r.frame < 3] == [r for r in clean_rows if r.frame < 3]
         assert {r.frame for r in rows} == {1, 2, 4, 5, 6}
 
+    def test_near_zero_embed_frame_tracks_as_a_zeroed_one(self, tmp_path, capsys):
+        # Frame 11's embed cells are finite but of norm far below NORM_EPS.
+        container = tmp_path / "world.omcf"
+        assert run(capsys, "synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),
+                   "--targets", "6", "--frames", "30", "--grid", "20x20",
+                   "--dropout", "0.3", "--seed", "0")[0] == 0
+        results = {}
+        for name, scale in (("near_zero", 1e-30), ("zeroed", 0.0)):
+            frames = read_omcf(container)
+            frames[10]["embed"] *= np.float32(scale)
+            scaled = tmp_path / f"{name}.omcf"
+            write_omcf(scaled, frames)
+            results[name] = tmp_path / f"{name}.txt"
+            code, out, _ = run(capsys, "track", "--container", str(scaled),
+                               "--out", str(results[name]))
+            assert code == 0
+            assert parse_kv(out)["frames"] == "30"
+        assert read_mot_boxes(results["near_zero"]) == read_mot_boxes(results["zeroed"])
+
     def test_truncated_container_keeps_rows_of_complete_frames(self, tmp_path, capsys):
         container = tmp_path / "world.omcf"
         assert run(capsys, "synth", "--out", str(container), "--gt", str(tmp_path / "gt.txt"),

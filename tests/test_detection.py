@@ -13,14 +13,13 @@ from omctrack.detection import (
     Box,
     Boxes,
     decode_boxes,
-    decode_offset_bar,
     greedy_nms,
     iou,
 )
 from omctrack.frame_io import FrameContainer
 from omctrack.numerics import FrameValueError
 
-from oracles import decode_offset_sigmoid
+from oracles import decode_offset_bar, decode_offset_sigmoid
 
 LN3 = math.log(3.0)
 

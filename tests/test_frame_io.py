@@ -800,8 +800,8 @@ class TestStreamedEmbed:
 
     @staticmethod
     def search(embed):
-        e_set = recheck.EmbeddingSet(np.eye(3, 24, dtype=np.float32))
-        return recheck.cross_correlate(e_set, embed)
+        templates = np.eye(3, 24, dtype=np.float32)
+        return recheck.cross_correlate(templates, embed)
 
     @staticmethod
     def readout(embed):

@@ -232,6 +232,31 @@ class TestL2Normalize:
             n = np.linalg.norm(normalize_cells(v).astype(np.float64))
             assert n == 0.0 or abs(n - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        rows = np.zeros((2, 4), dtype=np.float32)
+        rows[1, 0] = 1.0
+        rows[1, 2] = bad
+        with pytest.raises(numerics.FrameValueError, match="non-finite"):
+            normalize_cells(rows)
+
+    def test_norms_straddling_one_come_out_unit(self):
+        # Rows whose norms straddle 1 by up to 3e-5 on both sides are all
+        # rescaled, to a float64 norm within 1e-6 of 1.
+        rng = np.random.default_rng(3)
+        for offset in np.linspace(-3e-5, 3e-5, 61):
+            row = rng.normal(size=(1, 512))
+            row *= (1.0 + offset) / np.linalg.norm(row)
+            out = normalize_cells(row.astype(np.float32))
+            assert abs(np.linalg.norm(out.astype(np.float64)) - 1.0) < 1e-6
+
+    def test_rows_at_or_below_norm_eps_are_left_as_they_are(self):
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(4, 16)).astype(np.float32)
+        rows *= np.float32([[0.0], [1e-30], [1e-20], [1e-16]])
+        assert (np.linalg.norm(rows.astype(np.float64), axis=1) <= NORM_EPS).all()
+        assert normalize_cells(rows).tobytes() == rows.tobytes()
+
     def test_grid_normalization(self):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(4, 5, 8)).astype(np.float32) * 3.0

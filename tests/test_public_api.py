@@ -31,11 +31,10 @@ API = [
 # Kernels and their types: importable from their modules, not exported.
 KERNELS = {
     "association": ["TrackletTable", "associate", "extract_embeddings", "update_tracklets"],
-    "detection": ["Box", "Boxes", "decode_boxes", "decode_offset_bar", "greedy_nms", "iou"],
+    "detection": ["Box", "Boxes", "decode_boxes", "greedy_nms", "iou"],
     "fusion": ["fuse", "targetness_score"],
     "numerics": ["conv3x3_forward", "l2_normalize_grid", "sigmoid"],
-    "recheck": ["EmbeddingSet", "aggregate", "cross_correlate", "refine",
-                "transductive_detections"],
+    "recheck": ["aggregate", "cross_correlate", "refine", "transductive_detections"],
     "supervision": ["gaussian_target", "logistic_mse_loss", "loss_gradient"],
 }
 

@@ -28,7 +28,6 @@ from omctrack.numerics import (
     sigmoid,
 )
 from omctrack.recheck import (
-    EmbeddingSet,
     RefineWeights,
     aggregate,
     cross_correlate,
@@ -68,49 +67,10 @@ def whole_grid_correlate(vectors, grid):
     return matmul(vectors, grid.reshape(h * w, c).T).reshape(len(vectors), h, w)
 
 
-class TestEmbeddingSet:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norms"):
-            EmbeddingSet(np.full((1, 4), 2.0, dtype=np.float32))
-
-    def test_allows_zero_rows(self):
-        es = EmbeddingSet(np.zeros((2, 4), dtype=np.float32))
-        assert len(es) == 2
-
-    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
-    def test_rejects_other_ranks(self, shape):
-        with pytest.raises(ValueError) as err:
-            EmbeddingSet(np.zeros(shape, dtype=np.float32))
-        assert str(err.value) == f"vectors must have shape (n, C), got {shape}"
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_rows(self, bad):
-        rows = np.zeros((2, 4), dtype=np.float32)
-        rows[1, 0] = 1.0
-        rows[1, 2] = bad
-        with pytest.raises(ValueError, match="norms"):
-            EmbeddingSet(rows)
-
-    def test_norm_rule_matches_the_float64_norm(self):
-        # Rows whose norms straddle the 1e-5 tolerance on both sides, each
-        # accepted or rejected as the float64 np.linalg.norm rule decides.
-        rng = np.random.default_rng(3)
-        for offset in np.linspace(-3e-5, 3e-5, 61):
-            row = rng.normal(size=(1, 512))
-            row *= (1.0 + offset) / np.linalg.norm(row)
-            row = row.astype(np.float32)
-            norm = np.linalg.norm(row.astype(np.float64), axis=1)[0]
-            if norm == 0.0 or abs(norm - 1.0) <= 1e-5:
-                assert len(EmbeddingSet(row)) == 1
-            else:
-                with pytest.raises(ValueError, match="norms"):
-                    EmbeddingSet(row)
-
-
 class TestCrossCorrelate:
     def test_empty_set(self):
         grid = np.zeros((4, 4, 8), dtype=np.float32)
-        out = cross_correlate(EmbeddingSet.empty(8), grid)
+        out = cross_correlate(np.zeros((0, 8), np.float32), grid)
         assert out.shape == (0, 4, 4)
 
     def test_peak_at_matching_cell(self):
@@ -124,7 +84,7 @@ class TestCrossCorrelate:
         grid /= np.linalg.norm(grid, axis=2, keepdims=True)
         grid = grid.astype(np.float32)
         grid[3, 2] = e[0]
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         assert maps.shape == (1, 5, 6)
         assert np.argmax(maps[0]) == 3 * 6 + 2
         assert abs(maps[0, 3, 2] - 1.0) < 1e-6
@@ -133,15 +93,45 @@ class TestCrossCorrelate:
         rng = np.random.default_rng(1)
         e = unit_rows(rng, 3, 16)
         grid = l2_normalize_grid(rng.normal(size=(8, 8, 16)).astype(np.float32))
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         assert np.max(np.abs(maps - correlate_oracle(e, grid))) < 1e-5
 
     def test_cosine_bound_with_unit_inputs(self):
         rng = np.random.default_rng(2)
         e = unit_rows(rng, 4, 32)
         grid = l2_normalize_grid(rng.normal(size=(10, 10, 32)).astype(np.float32))
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         assert np.all(np.abs(maps) <= 1.0 + 1e-5)
+
+    def test_zero_rows_respond_zero(self):
+        grid = raw_grid(np.random.default_rng(7), (6, 9), 16)
+        maps = cross_correlate(np.zeros((2, 16), np.float32), grid)
+        assert maps.shape == (2, 6, 9)
+        assert not maps.any()
+
+    def test_rows_below_norm_eps_respond_about_zero(self):
+        # Rows as normalize_cells leaves them when their norm is at most
+        # NORM_EPS: each response is a cosine scaled by that norm.
+        rng = np.random.default_rng(8)
+        grid = raw_grid(rng, (6, 9), 16)
+        e = unit_rows(rng, 3, 16) * np.float32([[1e-30], [1e-20], [1e-13]])
+        e = numerics.normalize_cells(e)
+        maps = cross_correlate(e, grid)
+        assert np.all(np.isfinite(maps))
+        assert np.all(np.abs(maps) <= numerics.NORM_EPS)
+
+    @pytest.mark.parametrize("block_values", [recheck.SEARCH_BLOCK_VALUES, 40 * 32])
+    def test_float64_rows_search_as_their_float32_cast(self, monkeypatch, block_values):
+        # The search is a float32 sgemm for float64 callers too, on one
+        # block and on the split walk of many.
+        monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(6)
+        e = rng.normal(size=(6, 32))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        grid = rng.normal(size=(15, 17, 32)).astype(np.float32)
+        maps = cross_correlate(e, grid)
+        assert maps.dtype == np.float32
+        assert maps.tobytes() == cross_correlate(e.astype(np.float32), grid).tobytes()
 
 
 def cosine_atol(c):
@@ -173,9 +163,9 @@ class TestBlockwiseCorrelate:
         grid[::3, ::2] = 0.0  # all-zero cells respond 0
         e = unit_rows(rng, n, 32)
         monkeypatch.setattr(numerics, "BLOCK_CELLS", 1)
-        finest = cross_correlate(EmbeddingSet(e), grid)
+        finest = cross_correlate(e, grid)
         monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         assert maps.shape == (n,) + shape
         assert maps.dtype == np.float32
         assert np.array_equal(maps, finest)
@@ -190,15 +180,15 @@ class TestBlockwiseCorrelate:
         grid[-1, -1, 0] = bad
         e = unit_rows(np.random.default_rng(3), 2, 8)
         with pytest.raises(ValueError, match="non-finite"):
-            cross_correlate(EmbeddingSet(e), grid)
+            cross_correlate(e, grid)
 
     def test_peak_memory_at_most_output_plus_a_quarter_grid(self, traced_peak_bytes):
         # The whole-grid version peaked at about 2.6x the grid's bytes.
         rng = np.random.default_rng(4)
         grid = l2_normalize_grid(rng.normal(size=(152, 272, 64)).astype(np.float32))
-        e_set = EmbeddingSet(unit_rows(rng, 20, 64))
+        templates = unit_rows(rng, 20, 64)
         out_bytes = 20 * 152 * 272 * 4
-        peak = traced_peak_bytes(cross_correlate, e_set, grid)
+        peak = traced_peak_bytes(cross_correlate, templates, grid)
         assert peak <= out_bytes + 0.25 * grid.nbytes
 
 
@@ -223,9 +213,9 @@ class TestFusedNormalizeCorrelate:
         grid = raw_grid(rng, shape, 32)
         e = unit_rows(rng, n, 32)
         monkeypatch.setattr(numerics, "BLOCK_CELLS", 1)
-        finest = cross_correlate(EmbeddingSet(e), grid)
+        finest = cross_correlate(e, grid)
         monkeypatch.setattr(numerics, "BLOCK_CELLS", block_cells)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         assert maps.dtype == np.float32
         assert np.array_equal(maps, finest)
         oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
@@ -235,7 +225,7 @@ class TestFusedNormalizeCorrelate:
         rng = np.random.default_rng(5)
         grid = raw_grid(rng, (9, 11), 16)
         e = unit_rows(rng, 3, 16)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         unit = grid / np.maximum(np.linalg.norm(grid, axis=2, keepdims=True), 1e-30)
         assert np.max(np.abs(maps - correlate_oracle(e, unit))) < 1e-5
 
@@ -246,7 +236,7 @@ class TestFusedNormalizeCorrelate:
         grid[-1, -1, 3] = bad
         e = unit_rows(np.random.default_rng(3), 2, 8)
         with pytest.raises(ValueError, match="non-finite"):
-            cross_correlate(EmbeddingSet(e), grid)
+            cross_correlate(e, grid)
 
     def test_finite_cells_whose_squares_overflow_give_cosines(self):
         # float32 squares overflow above about 1.8e19; these cells are finite.
@@ -255,7 +245,7 @@ class TestFusedNormalizeCorrelate:
         grid[1, :3] *= np.float32(1e20)
         grid[4, 2] = rng.normal(size=32) * 1e37
         e = unit_rows(rng, 3, 32)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         g64 = grid.astype(np.float64)
         unit = g64 / np.maximum(np.linalg.norm(g64, axis=2, keepdims=True), 1e-30)
         assert np.all(np.isfinite(maps))
@@ -268,9 +258,9 @@ class TestFusedNormalizeCorrelate:
         rng = np.random.default_rng(9)
         grid = raw_grid(rng, (45, 29), 32)
         e = unit_rows(rng, 5, 32)
-        stack = cross_correlate(EmbeddingSet(e), grid)
+        stack = cross_correlate(e, grid)
         for i in range(5):
-            alone = cross_correlate(EmbeddingSet(e[i:i + 1]), grid)
+            alone = cross_correlate(e[i:i + 1], grid)
             assert np.max(np.abs(alone[0] - stack[i])) <= cosine_atol(32)
 
 
@@ -294,7 +284,7 @@ class TestPaddedSearch:
         grid = raw_grid(rng, (20, 20), 512)
         e = unit_rows(rng, n, 512)
         assert 400 * n > recheck.SMALL_PRODUCT_VALUES  # padded
-        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), unpadded_search(e, grid))
+        assert np.array_equal(cross_correlate(e, grid), unpadded_search(e, grid))
 
     @pytest.mark.parametrize("shape", [(8, 8), (12, 20), (12, 21)])
     def test_products_at_the_small_kernel_line_keep_the_unpadded_bits(self, shape):
@@ -304,14 +294,14 @@ class TestPaddedSearch:
         rng = np.random.default_rng(sum(shape))
         grid = raw_grid(rng, shape, 64)
         e = unit_rows(rng, 5, 64)
-        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), unpadded_search(e, grid))
+        assert np.array_equal(cross_correlate(e, grid), unpadded_search(e, grid))
 
     def test_overflow_fallback_of_a_padded_block_uses_the_real_templates(self):
         rng = np.random.default_rng(97)
         grid = raw_grid(rng, (20, 20), 512)
         grid[7, 3:9] = rng.normal(size=(6, 512)) * 1e20  # float32 squares overflow
         e = unit_rows(rng, 6, 512)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         tame = grid.copy()
         tame[7, 3:9] = 0.0
         want = unpadded_search(e, tame)
@@ -335,7 +325,7 @@ class TestOneFinitenessTestPerBlock:
         with np.errstate(over="ignore"):
             assert sq.sum(dtype=np.float32) == np.inf
         e = unit_rows(rng, 6, 512)
-        maps = cross_correlate(EmbeddingSet(e), grid)
+        maps = cross_correlate(e, grid)
         oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
         assert np.all(np.abs(maps - oracle) <= cosine_atol(512))
 
@@ -346,7 +336,7 @@ class TestOneFinitenessTestPerBlock:
         grid = raw_grid(np.random.default_rng(99), (45, 29), 32)
         grid[30, 11, 4] = bad
         assert len(list(recheck._search_blocks(1305, 32))) == blocks
-        e = EmbeddingSet(unit_rows(np.random.default_rng(100), 6, 32))
+        e = unit_rows(np.random.default_rng(100), 6, 32)
         with pytest.raises(FrameValueError, match="non-finite"):
             cross_correlate(e, grid)
 
@@ -735,8 +725,8 @@ class TestContainerSearch:
         # 1305 * 32 values in six blocks of 217 or 218 cells.
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
         assert {b - a for a, b in recheck._search_blocks(1305, 32)} == {217, 218}
-        streamed = cross_correlate(EmbeddingSet(e), frame.held()["embed"])
-        in_memory = cross_correlate(EmbeddingSet(e), grid)
+        streamed = cross_correlate(e, frame.held()["embed"])
+        in_memory = cross_correlate(e, grid)
         assert np.array_equal(streamed, in_memory)
         oracle = whole_grid_correlate(e, whole_grid_normalize(grid))
         assert np.all(np.abs(streamed - oracle) <= cosine_atol(32))
@@ -744,8 +734,8 @@ class TestContainerSearch:
         boxes = Boxes.of([Box(cx=x, cy=y, w=1.0, h=1.0, score=1.0)
                           for x, y in rng.uniform(-2.0, 47.0, size=(40, 2))])
         assert np.array_equal(
-            extract_embeddings(boxes, frame.held()["embed"]).vectors,
-            extract_embeddings(boxes, grid).vectors,
+            extract_embeddings(boxes, frame.held()["embed"]),
+            extract_embeddings(boxes, grid),
         )
 
     @pytest.mark.parametrize("n", [1, 3, 20])
@@ -754,7 +744,7 @@ class TestContainerSearch:
         # every per-map argmax in aggregate walk memory with a large stride.
         grid = raw_grid(np.random.default_rng(46), self.SHAPE, 32)
         frame = self.container_frame(tmp_path, grid)
-        e = EmbeddingSet(unit_rows(np.random.default_rng(n), n, 32))
+        e = unit_rows(np.random.default_rng(n), n, 32)
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
         for embed in (grid, frame.held()["embed"]):
             out = cross_correlate(e, embed)
@@ -771,7 +761,7 @@ class TestContainerSearch:
         norms = np.sqrt(np.einsum("ij,ij->i", cells, cells))
         want = (e @ cells.T) * np.divide(1.0, norms, out=np.ones_like(norms),
                                          where=norms > 1e-12)
-        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid),
+        assert np.array_equal(cross_correlate(e, grid),
                               want.reshape(5, *self.SHAPE))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -782,7 +772,7 @@ class TestContainerSearch:
         monkeypatch.setattr(recheck, "SEARCH_BLOCK_VALUES", 7000)
         e = unit_rows(np.random.default_rng(3), 2, 32)
         with pytest.raises(FrameValueError, match="non-finite"):
-            cross_correlate(EmbeddingSet(e), frame.held()["embed"])
+            cross_correlate(e, frame.held()["embed"])
 
     def test_nan_in_last_block_of_unread_embed_is_all_miss(self, tmp_path, monkeypatch, caplog):
         cfg = ScenarioConfig(num_targets=3, height=14, width=14, frames=3,
@@ -865,7 +855,7 @@ class TestSplitSearch:
             search(vectors, source, ranges, responses)
 
         monkeypatch.setattr(recheck, "_search", recording)
-        maps = cross_correlate(EmbeddingSet(e), embed)
+        maps = cross_correlate(e, embed)
         monkeypatch.setattr(recheck, "_search", search)
         blocks = list(recheck._search_blocks(1305, 32))
         cuts = [a + (b - a) // 2 for a, b in blocks]
@@ -876,7 +866,7 @@ class TestSplitSearch:
         ]
         assert maps.flags.c_contiguous
         assert np.array_equal(maps, serial_walk(e, grid, split=True))
-        assert np.array_equal(maps, cross_correlate(EmbeddingSet(e), embed))
+        assert np.array_equal(maps, cross_correlate(e, embed))
         assert np.all(np.abs(maps - serial_walk(e, grid)) <= cosine_atol(32))
 
     @pytest.mark.parametrize("stored", ["array", "container"])
@@ -886,20 +876,20 @@ class TestSplitSearch:
         bad[self.HELPER_CELL + (5,)] = np.nan
         embed = bad if stored == "array" else (
             TestContainerSearch.container_frame(tmp_path, bad).held()["embed"])
-        e = EmbeddingSet(unit_rows(np.random.default_rng(61), 3, 32))
+        e = unit_rows(np.random.default_rng(61), 3, 32)
         with pytest.raises(FrameValueError, match="non-finite"):
             cross_correlate(e, embed)
-        assert np.array_equal(cross_correlate(e, grid), serial_walk(e.vectors, grid, split=True))
+        assert np.array_equal(cross_correlate(e, grid), serial_walk(e, grid, split=True))
 
     def test_container_cut_in_a_helper_half_raises_and_the_search_goes_on(self, tmp_path):
         grid = self.grid(62)
         embed = TestContainerSearch.container_frame(tmp_path, grid).held()["embed"]
         # The last block is cells 1087 .. 1305, its second half 1196 .. 1305.
         os.truncate(tmp_path / "x.omcf", embed.offset + 4 * 32 * 1250)
-        e = EmbeddingSet(unit_rows(np.random.default_rng(63), 5, 32))
+        e = unit_rows(np.random.default_rng(63), 5, 32)
         with pytest.raises(ContainerFormatError, match="'embed'"):
             cross_correlate(e, embed)
-        assert np.array_equal(cross_correlate(e, grid), serial_walk(e.vectors, grid, split=True))
+        assert np.array_equal(cross_correlate(e, grid), serial_walk(e, grid, split=True))
 
     def test_concurrent_callers_each_get_their_serial_bits(self):
         grids = [self.grid(70 + k) for k in range(4)]
@@ -909,7 +899,7 @@ class TestSplitSearch:
 
         def caller(k):
             for _ in range(5):
-                if not np.array_equal(cross_correlate(EmbeddingSet(es[k]), grids[k]), want[k]):
+                if not np.array_equal(cross_correlate(es[k], grids[k]), want[k]):
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -934,7 +924,7 @@ class TestSplitSearch:
             (tmp_path / "bad").mkdir()
             grid = TestContainerSearch.container_frame(tmp_path, grid).held()["embed"]
             bad = TestContainerSearch.container_frame(tmp_path / "bad", bad).held()["embed"]
-        e = EmbeddingSet(unit_rows(np.random.default_rng(65), 4, 32))
+        e = unit_rows(np.random.default_rng(65), 4, 32)
         cross_correlate(e, grid)
         assert search_threads() == []
         with pytest.raises(FrameValueError, match="non-finite"):
@@ -950,7 +940,7 @@ class TestSplitSearch:
                                threading.main_thread() else "helper")
 
         monkeypatch.setattr(recheck, "_search", failing)
-        e = EmbeddingSet(unit_rows(np.random.default_rng(66), 2, 32))
+        e = unit_rows(np.random.default_rng(66), 2, 32)
         with pytest.raises(RuntimeError, match="caller"):
             cross_correlate(e, self.grid(66))
         assert search_threads() == []
@@ -965,12 +955,12 @@ class TestSplitSearch:
         grid = self.grid(90)
         e = unit_rows(np.random.default_rng(91), 20, 32)
         threads = threading.active_count()
-        assert np.array_equal(cross_correlate(EmbeddingSet(e), grid), serial_walk(e, grid))
+        assert np.array_equal(cross_correlate(e, grid), serial_walk(e, grid))
         assert threading.active_count() == threads
 
     def test_forked_child_searches_on_a_helper_of_its_own(self):
         grid = self.grid(92)
-        e = EmbeddingSet(unit_rows(np.random.default_rng(93), 3, 32))
+        e = unit_rows(np.random.default_rng(93), 3, 32)
         want = cross_correlate(e, grid)
         assert search_threads() == []  # nothing of the parent's search is left to fork
         with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -983,7 +973,7 @@ import threading
 
 import numpy as np
 from omctrack import recheck
-from omctrack.recheck import EmbeddingSet, cross_correlate
+from omctrack.recheck import cross_correlate
 
 walks = []
 search = recheck._search
@@ -1004,7 +994,7 @@ for n in (1, 2, 3, 5, 20):
     whole = np.empty((n, len(cells)), np.float32)
     search(e, cells, blocks, whole)
     walks.clear()
-    split = cross_correlate(EmbeddingSet(e), grid).reshape(n, -1)
+    split = cross_correlate(e, grid).reshape(n, -1)
     assert sorted(walks) == ["MainThread", "omctrack-search"], walks
     assert np.array_equal(split, whole), (n, np.count_nonzero((split != whole).any(0)))
 """

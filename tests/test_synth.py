@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from omctrack.association import PipelineConfig, track_sequence
 from omctrack.frame_io import MotBox, write_container
 from omctrack.metrics import evaluate
-from omctrack.recheck import EmbeddingSet, cross_correlate
+from omctrack.recheck import cross_correlate
 from omctrack import synth
 from omctrack.synth import (
     RESTORE_IOU,
@@ -310,9 +310,9 @@ class TestNoiseFreeSeparation:
             cx = int((b.x + b.w / 2) / cfg.stride)
             vectors.append(first.embed[cy, cx])
         gids = sorted(b.id for b in gt1)
-        e_set = EmbeddingSet(np.stack(vectors))
+        templates = np.stack(vectors)
         for frame in frames:
-            stack = cross_correlate(e_set, frame.embed)
+            stack = cross_correlate(templates, frame.embed)
             for i, gid in enumerate(gids):
                 b = next(x for x in gt if x.frame == frame.frame_index and x.id == gid)
                 cy, cx = divmod(int(np.argmax(stack[i])), cfg.width)
